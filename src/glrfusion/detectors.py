@@ -15,6 +15,20 @@ Panels are indexed by what is known about the channel (fully known coupling
 and gains / known orthonormal coupling with unknown gains / only the mode
 count known) crossed with what is known about the noise (known variances /
 common unknown variance / per-channel unknown variances).
+
+Panels read the data only through thin statistics of rank at most M (the
+snapshot count), computed from the blocks X_l in one short pass and never
+through the LN x LN sample covariance S = (1/M) Z Z^H:
+
+* block energies ||X_l||^2 / M;
+* matched outputs Q_l^H X_l, with Q_l an orthonormal basis of H_l (H_l itself
+  on the unknown-gain panels, whose fusion forms use their Gram matrix), and
+  residual energies ||X_l - Q_l Q_l^H X_l||^2 / M formed directly;
+* composite projections ||Q^H Z_w||^2 / M, with Q an orthonormal basis of the
+  composite channel and Z_w the stacked data, whitened as the panel needs;
+* for the unknown-subspace panels, thin SVDs of X_l and of Z_w: the
+  eigenvalues of the matching covariance are s^2 / M and its dominant
+  eigenvectors the leading left singular vectors.
 """
 
 from __future__ import annotations
@@ -28,24 +42,18 @@ import numpy as np
 
 from .channel import ChannelModel, compose_f, compose_f_whitened
 from .errors import ConfigError, DegenerateDataError
-from .linalg import (
-    eigvalsh_descending,
-    hermitian_eig,
-    orthonormal_basis,
-    rayleigh_extremes,
-)
-from .measurement import (
-    MeasurementSet,
-    SampleCovariance,
-    sample_covariance,
-    validate_against_channels,
-)
+from .linalg import _normalize_phases, orthonormal_basis, rayleigh_extremes
+from .measurement import MeasurementSet, validate_against_channels
 
 ORTHONORMAL_TOL = 1e-9
 # Residual energy below this fraction of the channel energy is treated as
 # exactly zero: the data sits in the signal subspace to machine precision
-# and the statistic saturates.
-DEGENERACY_RTOL = 1e-12
+# and the statistic saturates.  A directly formed residual carries an
+# absolute error of about eps * ||X||, so its relative error is
+# eps / sqrt(ratio); below (1e4 eps)^2 ~ 1e-24 it is no longer accurate to
+# 1e-4.  Noise-free data in the signal span measures about 1e-31, noisy data
+# at a signal amplitude of 1e8 about 1e-16.
+DEGENERACY_RTOL = 1e-24
 
 
 class ChannelKnowledge(str, Enum):
@@ -137,16 +145,6 @@ class DetectorReport:
         return len(self.alphas)
 
 
-def _phase_normalized(v: np.ndarray) -> np.ndarray:
-    mags = np.abs(v)
-    peak = mags.max(initial=0.0)
-    if peak == 0.0:
-        return v
-    idx = int(np.argmax(mags > 1e-12 * peak))
-    pivot = v[idx]
-    return v * (np.conj(pivot) / abs(pivot)) if pivot != 0 else v
-
-
 def coherence(h_i, x_i, h_j, x_j) -> complex:
     """Normalized inner product of two channels' matched-filter outputs.
 
@@ -161,27 +159,6 @@ def coherence(h_i, x_i, h_j, x_j) -> complex:
     if e_i <= 0.0 or e_j <= 0.0:
         raise DegenerateDataError("coherence undefined: a matched-filter output has zero energy")
     return complex(np.vdot(a_j, a_i) / math.sqrt(e_i * e_j))
-
-
-def _matched_outputs(channels: Sequence[ChannelModel], ms: MeasurementSet) -> list[np.ndarray]:
-    return [ch.matrix.conj().T @ ms.block(i) for i, ch in enumerate(channels)]
-
-
-def _coherence_matrix(outputs: list[np.ndarray]) -> tuple[np.ndarray, bool]:
-    """Pairwise coherences; zero-energy channels get zeroed entries and a flag."""
-    n = len(outputs)
-    energies = np.array([float(np.real(np.vdot(a, a))) for a in outputs])
-    degenerate = bool(np.any(energies <= 0.0))
-    c = np.eye(n, dtype=np.complex128)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if energies[i] <= 0.0 or energies[j] <= 0.0:
-                c[i, j] = c[j, i] = 0.0
-                continue
-            val = np.vdot(outputs[j], outputs[i]) / math.sqrt(energies[i] * energies[j])
-            c[i, j] = val
-            c[j, i] = np.conj(val)
-    return c, degenerate
 
 
 def build_fusion_t(alphas, stats, coherences) -> np.ndarray:
@@ -265,7 +242,8 @@ def rank_one_pair_composite(z_1, z_2, n_channels: int = 1) -> float:
     return top / n_channels
 
 
-def _prepare(channels: Sequence[ChannelModel], ms: MeasurementSet) -> SampleCovariance:
+def _block_energies(channels: Sequence[ChannelModel], ms: MeasurementSet) -> np.ndarray:
+    """Check the channels against the data; return block energies ||X_l||^2 / M."""
     if not channels:
         raise ConfigError("at least one channel is required")
     validate_against_channels(channels, ms)
@@ -273,15 +251,66 @@ def _prepare(channels: Sequence[ChannelModel], ms: MeasurementSet) -> SampleCova
     for idx, ch in enumerate(channels):
         if ch.n_modes != j:
             raise ConfigError(f"channel {idx} has {ch.n_modes} modes, expected {j}")
-    return sample_covariance(ms)
+    energies = np.array([_energy(x) for x in ms.blocks]) / ms.n_snapshots
+    if not np.all(np.isfinite(energies)):
+        raise ValueError("data energy overflows float64")
+    return energies
+
+
+def _energy(x: np.ndarray) -> float:
+    return float(np.real(np.vdot(x, x)))
+
+
+def _whitened(ms: MeasurementSet, sigmas: Sequence[float]) -> list[np.ndarray]:
+    """Blocks X_l / sigma_l."""
+    for s in sigmas:
+        if not (s > 0):
+            raise ValueError(f"sigmas must be positive, got {s}")
+    return [x / s for x, s in zip(ms.blocks, sigmas)]
 
 
 def _channel_bases(channels: Sequence[ChannelModel]) -> list[np.ndarray]:
     return [orthonormal_basis(ch.matrix, f"channel {i} matrix") for i, ch in enumerate(channels)]
 
 
-def _projected_trace(basis: np.ndarray, s_block: np.ndarray) -> float:
-    return float(np.real(np.einsum("ij,jk,ki->", basis.conj().T, s_block, basis)))
+def _outputs(bases: Sequence[np.ndarray], blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Matched outputs Q_l^H X_l."""
+    return [q.conj().T @ x for q, x in zip(bases, blocks)]
+
+
+def _residuals(bases, blocks, outputs, m: int) -> np.ndarray:
+    """Residual energies ||X_l - Q_l Q_l^H X_l||^2 / M, formed directly.
+
+    Subtracting the matched energy from the block energy instead loses all
+    accuracy once the signal dominates: at a signal-to-noise amplitude ratio
+    of 1e8 the difference is below the rounding error of either term.
+    """
+    return np.array([_energy(x - q @ a) for q, x, a in zip(bases, blocks, outputs)]) / m
+
+
+def _composite_energy(f: np.ndarray, blocks: Sequence[np.ndarray], m: int, name: str) -> float:
+    """||Q^H Z||^2 / M, i.e. tr(P_F S), for Q an orthonormal basis of ``f``."""
+    q = orthonormal_basis(f, name)
+    return _energy(q.conj().T @ np.vstack(blocks)) / m
+
+
+def _principal(x: np.ndarray, j: int, m: int) -> tuple[float, float, np.ndarray]:
+    """Dominant-J energy, remaining energy and dominant eigenvectors of x x^H / M.
+
+    Read from the thin SVD of x: the eigenvalues are s^2 / M and the
+    eigenvectors the left singular vectors, so the tail comes from the small
+    singular values themselves and carries no rounding error of the top J.
+    """
+    u, s, _ = np.linalg.svd(x, full_matrices=False)
+    e = s * s / m
+    return float(e[:j].sum()), float(e[j:].sum()), _normalize_phases(u[:, :j])
+
+
+def _log_ratios(numerator, residual, energy, log=np.log) -> tuple[np.ndarray, bool]:
+    """log(numerator / residual) per channel, inf where the residual is numerically zero."""
+    ok = residual > DEGENERACY_RTOL * energy
+    ratio = np.divide(numerator, residual, out=np.ones(len(ok)), where=ok)
+    return np.where(ok, log(ratio), np.inf), not bool(ok.all())
 
 
 def _require_orthonormal(channels: Sequence[ChannelModel]) -> None:
@@ -302,16 +331,14 @@ def detect_p11(channels: Sequence[ChannelModel], ms: MeasurementSet) -> Detector
     Composite statistic: (1/L) tr(P_F S) over whitened data; per-channel
     statistics tr(P_H S_ll) over whitened blocks; equal weights.
     """
-    s = _prepare(channels, ms)
+    _block_energies(channels, ms)
     n_ch = len(channels)
-    s_w = s.whitened(_sigmas(channels))
-    bases = _channel_bases(channels)
-    lam = np.array([
-        _projected_trace(bases[i], s_w.block(i)) for i in range(n_ch)
-    ])
-    f_w = compose_f_whitened(channels)
-    comp_basis = orthonormal_basis(f_w, "whitened composite channel")
-    cross_trace = _projected_trace(comp_basis, s_w.matrix)
+    m = ms.n_snapshots
+    blocks = _whitened(ms, _sigmas(channels))
+    outputs = _outputs(_channel_bases(channels), blocks)
+    lam = np.array([_energy(a) for a in outputs]) / m
+    cross_trace = _composite_energy(compose_f_whitened(channels), blocks, m,
+                                    "whitened composite channel")
     composite = cross_trace / n_ch
     cv = (float(lam.sum()) - cross_trace) / n_ch
     return DetectorReport(
@@ -329,20 +356,18 @@ def detect_p12(channels: Sequence[ChannelModel], ms: MeasurementSet) -> Detector
     Composite statistic tr(P_F S)/tr(S) is invariant to rescaling the whole
     composite data set; weights are data-determined energy fractions.
     """
-    s = _prepare(channels, ms)
+    block_traces = _block_energies(channels, ms)
     n_ch = len(channels)
-    total = s.trace()
+    m = ms.n_snapshots
+    total = float(block_traces.sum())
     if total <= 0.0:
         raise DegenerateDataError("composite data has zero energy")
-    bases = _channel_bases(channels)
-    block_traces = np.array([s.trace_block(i) for i in range(n_ch)])
-    matched = np.array([_projected_trace(bases[i], s.block(i)) for i in range(n_ch)])
+    outputs = _outputs(_channel_bases(channels), ms.blocks)
+    matched = np.array([_energy(a) for a in outputs]) / m
     degenerate = bool(np.any(block_traces <= 0.0))
     lam = np.divide(matched, block_traces,
                     out=np.zeros(n_ch), where=block_traces > 0.0)
-    f = compose_f(channels)
-    comp_basis = orthonormal_basis(f, "composite channel")
-    cross_trace = _projected_trace(comp_basis, s.matrix)
+    cross_trace = _composite_energy(compose_f(channels), ms.blocks, m, "composite channel")
     composite = cross_trace / total
     cv = (float(matched.sum()) - cross_trace) / total
     n_z = ms.n_total
@@ -368,56 +393,54 @@ def detect_p13(channels: Sequence[ChannelModel], ms: MeasurementSet) -> Detector
     covariance, which keeps the report invariant to independent per-channel
     rescalings of the data.
     """
-    s = _prepare(channels, ms)
-    n_ch = len(channels)
+    block_traces = _block_energies(channels, ms)
     n_z = ms.n_total
+    m = ms.n_snapshots
     dims = np.array(ms.channel_dims, dtype=float)
     alphas = dims / n_z
     bases = _channel_bases(channels)
-    block_traces = np.array([s.trace_block(i) for i in range(n_ch)])
-    matched = np.array([_projected_trace(bases[i], s.block(i)) for i in range(n_ch)])
-    residual = block_traces - matched
-    spec = KnowledgeSpec(ChannelKnowledge.KNOWN_F, NoiseKnowledge.DIFFERENT_UNKNOWN)
-    if np.any(residual <= 0.0):
-        lam = np.where(residual > 0.0, np.log(
-            np.divide(block_traces, residual, out=np.ones(n_ch), where=residual > 0.0)
-        ), np.inf)
-        return DetectorReport(
-            composite=math.inf,
-            alphas=alphas,
-            per_channel=lam,
-            cross_validation=0.0,
-            panel=spec,
-            degenerate=True,
-            noise_null=block_traces / dims,
-            noise_alt=residual / dims,
-        )
-    lam = np.log(block_traces / residual)
+    outputs = _outputs(bases, ms.blocks)
+    matched = np.array([_energy(a) for a in outputs]) / m
+    residual = _residuals(bases, ms.blocks, outputs, m)
+    lam, degenerate = _log_ratios(block_traces, residual, block_traces)
     sigma2_alt = residual / dims
-    s_w = s.whitened(np.sqrt(sigma2_alt))
-    f = compose_f(channels)
-    comp_basis = orthonormal_basis(f, "composite channel")
-    cross_trace = _projected_trace(comp_basis, s_w.matrix)
-    cv = (float((matched / sigma2_alt).sum()) - cross_trace) / n_z
-    composite = float(alphas @ lam) - cv
+    composite, cv = math.inf, 0.0
+    if not degenerate:
+        cross_trace = _composite_energy(compose_f(channels),
+                                        _whitened(ms, np.sqrt(sigma2_alt)), m,
+                                        "composite channel")
+        cv = (float((matched / sigma2_alt).sum()) - cross_trace) / n_z
+        composite = float(alphas @ lam) - cv
     return DetectorReport(
         composite=composite,
         alphas=alphas,
         per_channel=lam,
         cross_validation=cv,
-        panel=spec,
+        panel=KnowledgeSpec(ChannelKnowledge.KNOWN_F, NoiseKnowledge.DIFFERENT_UNKNOWN),
+        degenerate=degenerate,
         noise_null=block_traces / dims,
         noise_alt=sigma2_alt,
     )
 
 
 def _gain_panel_common(channels, ms):
+    """Block energies, matched outputs A_l = H_l^H X_l, their Gram G_ij = <A_j, A_i>,
+    coherences, degenerate flag and matched energies G_ll.
+
+    Zero-energy channels get zeroed coherences and set the degenerate flag.
+    """
     _require_orthonormal(channels)
-    s = _prepare(channels, ms)
-    outputs = _matched_outputs(channels, ms)
-    coherences, degenerate = _coherence_matrix(outputs)
-    energies = np.array([float(np.real(np.vdot(a, a))) for a in outputs])
-    return s, outputs, coherences, degenerate, energies
+    block_traces = _block_energies(channels, ms)
+    outputs = _outputs([ch.matrix for ch in channels], ms.blocks)
+    stacked = np.array([a.ravel() for a in outputs])
+    gram = stacked @ stacked.conj().T
+    energies = gram.diagonal().real.copy()
+    norms = np.sqrt(np.outer(energies, energies))
+    coherences = np.divide(gram, norms, out=np.zeros_like(gram), where=norms > 0.0)
+    coherences = 0.5 * (coherences + coherences.conj().T)
+    np.fill_diagonal(coherences, 1.0)
+    degenerate = bool(np.any(energies <= 0.0))
+    return block_traces, outputs, gram, coherences, degenerate, energies
 
 
 def detect_p21(channels: Sequence[ChannelModel], ms: MeasurementSet) -> DetectorReport:
@@ -429,19 +452,13 @@ def detect_p21(channels: Sequence[ChannelModel], ms: MeasurementSet) -> Detector
     eigenvalue of the fusion matrix from the equally-weighted per-channel
     statistics.
     """
-    s, outputs, coherences, degenerate, energies = _gain_panel_common(channels, ms)
+    _, _, gram, coherences, degenerate, energies = _gain_panel_common(channels, ms)
     n_ch = len(channels)
     m = ms.n_snapshots
     sigma2 = np.array([ch.noise_variance for ch in channels])
     lam = energies / (m * sigma2)
-    quad = np.empty((n_ch, n_ch), dtype=np.complex128)
-    for i in range(n_ch):
-        for j in range(n_ch):
-            quad[i, j] = np.vdot(outputs[j], outputs[i]) / (
-                m * n_ch * math.sqrt(sigma2[i] * sigma2[j])
-            )
-    quad = 0.5 * (quad + quad.conj().T)
-    ext = rayleigh_extremes(quad)
+    quad = gram / (m * n_ch * np.sqrt(np.outer(sigma2, sigma2)))
+    ext = rayleigh_extremes(0.5 * (quad + quad.conj().T))
     alphas = np.full(n_ch, 1.0 / n_ch)
     t = build_fusion_t(alphas, lam, coherences)
     cv = rayleigh_extremes(t).min_value
@@ -452,30 +469,25 @@ def detect_p21(channels: Sequence[ChannelModel], ms: MeasurementSet) -> Detector
         cross_validation=cv,
         panel=KnowledgeSpec(ChannelKnowledge.UNKNOWN_GAINS, NoiseKnowledge.KNOWN),
         degenerate=degenerate,
-        gain_direction=_phase_normalized(ext.max_vector),
+        gain_direction=ext.max_vector,
         coherences=coherences,
     )
 
 
 def detect_p22(channels: Sequence[ChannelModel], ms: MeasurementSet) -> DetectorReport:
     """Known orthonormal coupling, unknown gains, common unknown noise."""
-    s, outputs, coherences, degenerate, energies = _gain_panel_common(channels, ms)
+    block_traces, _, gram, coherences, degenerate, energies = _gain_panel_common(channels, ms)
     n_ch = len(channels)
     m = ms.n_snapshots
-    total = s.trace()
+    total = float(block_traces.sum())
     if total <= 0.0:
         raise DegenerateDataError("composite data has zero energy")
-    block_traces = np.array([s.trace_block(i) for i in range(n_ch)])
     alphas = block_traces / total
     lam = np.divide(energies / m, block_traces,
                     out=np.zeros(n_ch), where=block_traces > 0.0)
     degenerate = degenerate or bool(np.any(block_traces <= 0.0))
-    quad = np.empty((n_ch, n_ch), dtype=np.complex128)
-    for i in range(n_ch):
-        for j in range(n_ch):
-            quad[i, j] = np.vdot(outputs[j], outputs[i]) / (m * total)
-    quad = 0.5 * (quad + quad.conj().T)
-    ext = rayleigh_extremes(quad)
+    quad = gram / (m * total)
+    ext = rayleigh_extremes(0.5 * (quad + quad.conj().T))
     t = build_fusion_t(alphas, lam, coherences)
     cv = rayleigh_extremes(t).min_value
     return DetectorReport(
@@ -485,7 +497,7 @@ def detect_p22(channels: Sequence[ChannelModel], ms: MeasurementSet) -> Detector
         cross_validation=cv,
         panel=KnowledgeSpec(ChannelKnowledge.UNKNOWN_GAINS, NoiseKnowledge.COMMON_UNKNOWN),
         degenerate=degenerate,
-        gain_direction=_phase_normalized(ext.max_vector),
+        gain_direction=ext.max_vector,
         coherences=coherences,
         noise_null=np.array([total / ms.n_total]),
     )
@@ -499,49 +511,34 @@ def detect_p23(channels: Sequence[ChannelModel], ms: MeasurementSet) -> Detector
     per-channel log energy ratios; the whole report is invariant to
     independent per-channel rescalings.
     """
-    s, outputs, coherences, degenerate, energies = _gain_panel_common(channels, ms)
-    n_ch = len(channels)
+    block_traces, outputs, _, coherences, degenerate, energies = _gain_panel_common(
+        channels, ms)
     m = ms.n_snapshots
     n_z = ms.n_total
     dims = np.array(ms.channel_dims, dtype=float)
     alphas = dims / n_z
-    block_traces = np.array([s.trace_block(i) for i in range(n_ch)])
     matched = energies / m
-    residual = block_traces - matched
-    spec = KnowledgeSpec(ChannelKnowledge.UNKNOWN_GAINS, NoiseKnowledge.DIFFERENT_UNKNOWN)
-    if np.any(residual <= 0.0):
-        lam = np.where(residual > 0.0, np.log(
-            np.divide(block_traces, residual, out=np.ones(n_ch), where=residual > 0.0)
-        ), np.inf)
-        return DetectorReport(
-            composite=math.inf,
-            alphas=alphas,
-            per_channel=lam,
-            cross_validation=0.0,
-            panel=spec,
-            degenerate=True,
-            coherences=coherences,
-            noise_null=block_traces / dims,
-            noise_alt=residual / dims,
-        )
-    lam = np.log(block_traces / residual)
-    ratios = matched / residual
-    t = build_fusion_t(alphas, ratios, coherences)
-    ext = rayleigh_extremes(t)
-    cv = ext.min_value
-    composite = float(alphas @ lam) - cv
+    residual = _residuals([ch.matrix for ch in channels], ms.blocks, outputs, m)
+    lam, no_residual = _log_ratios(block_traces, residual, block_traces)
+    composite, cv, gain_direction, extras = math.inf, 0.0, None, {}
+    if not no_residual:
+        ratios = matched / residual
+        ext = rayleigh_extremes(build_fusion_t(alphas, ratios, coherences))
+        cv = ext.min_value
+        composite = float(alphas @ lam) - cv
+        gain_direction, extras = ext.min_vector, {"fusion_stats": ratios}
     return DetectorReport(
         composite=composite,
         alphas=alphas,
         per_channel=lam,
         cross_validation=cv,
-        panel=spec,
-        degenerate=degenerate,
-        gain_direction=_phase_normalized(ext.min_vector),
+        panel=KnowledgeSpec(ChannelKnowledge.UNKNOWN_GAINS, NoiseKnowledge.DIFFERENT_UNKNOWN),
+        degenerate=degenerate or no_residual,
+        gain_direction=gain_direction,
         coherences=coherences,
         noise_null=block_traces / dims,
         noise_alt=residual / dims,
-        extras={"fusion_stats": ratios},
+        extras=extras,
     )
 
 
@@ -560,6 +557,12 @@ def _check_subspace_dims(channels, ms, *, need_residual: bool) -> int:
     return j
 
 
+def _principal_blocks(blocks, j: int, m: int):
+    """_principal for every block: (dominant energies, remaining energies, bases)."""
+    top, sub, bases = zip(*(_principal(x, j, m) for x in blocks))
+    return np.array(top), np.array(sub), bases
+
+
 def detect_p31(channels: Sequence[ChannelModel], ms: MeasurementSet) -> DetectorReport:
     """Unknown rank-J coupling, known noise variances.
 
@@ -568,21 +571,13 @@ def detect_p31(channels: Sequence[ChannelModel], ms: MeasurementSet) -> Detector
     subdominant (noise-subspace) energies of the composite against the
     channels.
     """
-    s = _prepare(channels, ms)
+    _block_energies(channels, ms)
     j = _check_subspace_dims(channels, ms, need_residual=False)
     n_ch = len(channels)
-    s_w = s.whitened(_sigmas(channels))
-    lam = np.empty(n_ch)
-    sub = np.empty(n_ch)
-    bases = []
-    for i in range(n_ch):
-        eig = hermitian_eig(s_w.block(i))
-        lam[i] = float(eig.values[:j].sum())
-        sub[i] = float(eig.values[j:].sum())
-        bases.append(eig.vectors[:, :j])
-    eig_z = hermitian_eig(s_w.matrix)
-    top_z = float(eig_z.values[:j].sum())
-    sub_z = float(eig_z.values[j:].sum())
+    m = ms.n_snapshots
+    blocks = _whitened(ms, _sigmas(channels))
+    lam, sub, bases = _principal_blocks(blocks, j, m)
+    top_z, sub_z, basis_z = _principal(np.vstack(blocks), j, m)
     alphas = np.full(n_ch, 1.0 / n_ch)
     cv = sub_z / n_ch - float(alphas @ sub)
     return DetectorReport(
@@ -591,34 +586,25 @@ def detect_p31(channels: Sequence[ChannelModel], ms: MeasurementSet) -> Detector
         per_channel=lam,
         cross_validation=cv,
         panel=KnowledgeSpec(ChannelKnowledge.UNKNOWN_SUBSPACE, NoiseKnowledge.KNOWN),
-        channel_bases=tuple(bases),
-        composite_basis=eig_z.vectors[:, :j],
+        channel_bases=bases,
+        composite_basis=basis_z,
     )
 
 
 def detect_p32(channels: Sequence[ChannelModel], ms: MeasurementSet) -> DetectorReport:
     """Unknown rank-J coupling, common unknown noise variance."""
-    s = _prepare(channels, ms)
+    block_traces = _block_energies(channels, ms)
     j = _check_subspace_dims(channels, ms, need_residual=False)
     n_ch = len(channels)
-    total = s.trace()
+    m = ms.n_snapshots
+    total = float(block_traces.sum())
     if total <= 0.0:
         raise DegenerateDataError("composite data has zero energy")
-    block_traces = np.array([s.trace_block(i) for i in range(n_ch)])
-    lam = np.empty(n_ch)
-    sub_frac = np.empty(n_ch)
-    bases = []
-    for i in range(n_ch):
-        eig = hermitian_eig(s.block(i))
-        top = float(eig.values[:j].sum())
-        rest = float(eig.values[j:].sum())
-        with np.errstate(invalid="ignore"):
-            lam[i] = top / block_traces[i] if block_traces[i] > 0 else 0.0
-            sub_frac[i] = rest / block_traces[i] if block_traces[i] > 0 else 0.0
-        bases.append(eig.vectors[:, :j])
-    eig_z = hermitian_eig(s.matrix)
-    top_z = float(eig_z.values[:j].sum())
-    sub_z = float(eig_z.values[j:].sum())
+    top, rest, bases = _principal_blocks(ms.blocks, j, m)
+    positive = block_traces > 0.0
+    lam = np.divide(top, block_traces, out=np.zeros(n_ch), where=positive)
+    sub_frac = np.divide(rest, block_traces, out=np.zeros(n_ch), where=positive)
+    top_z, sub_z, basis_z = _principal(np.vstack(ms.blocks), j, m)
     alphas = block_traces / total
     cv = sub_z / total - float(alphas @ sub_frac)
     return DetectorReport(
@@ -627,9 +613,9 @@ def detect_p32(channels: Sequence[ChannelModel], ms: MeasurementSet) -> Detector
         per_channel=lam,
         cross_validation=cv,
         panel=KnowledgeSpec(ChannelKnowledge.UNKNOWN_SUBSPACE, NoiseKnowledge.COMMON_UNKNOWN),
-        degenerate=bool(np.any(block_traces <= 0.0)),
-        channel_bases=tuple(bases),
-        composite_basis=eig_z.vectors[:, :j],
+        degenerate=not bool(positive.all()),
+        channel_bases=bases,
+        composite_basis=basis_z,
     )
 
 
@@ -647,57 +633,33 @@ def detect_p33(
     of the known-coupling log-ratio statistic evaluated at the estimated
     subspace.  The cross-validation term is invariant to the choice.
     """
-    s = _prepare(channels, ms)
+    traces = _block_energies(channels, ms)
     j = _check_subspace_dims(channels, ms, need_residual=True)
-    n_ch = len(channels)
     n_z = ms.n_total
+    m = ms.n_snapshots
     dims = np.array(ms.channel_dims, dtype=float)
     alphas = dims / n_z
-    top = np.empty(n_ch)
-    sub = np.empty(n_ch)
-    traces = np.empty(n_ch)
-    bases = []
-    for i in range(n_ch):
-        eig = hermitian_eig(s.block(i))
-        top[i] = float(eig.values[:j].sum())
-        sub[i] = float(eig.values[j:].sum())
-        traces[i] = float(eig.values.sum())
-        bases.append(eig.vectors[:, :j])
-    spec = KnowledgeSpec(ChannelKnowledge.UNKNOWN_SUBSPACE, NoiseKnowledge.DIFFERENT_UNKNOWN)
-    if np.any(sub <= 0.0):
-        lam = np.where(sub > 0.0, np.log1p(
-            np.divide(top if dominant_numerator else traces, sub,
-                      out=np.ones(n_ch), where=sub > 0.0)
-        ), np.inf)
-        return DetectorReport(
-            composite=math.inf,
-            alphas=alphas,
-            per_channel=lam,
-            cross_validation=0.0,
-            panel=spec,
-            degenerate=True,
-            noise_alt=np.where(sub > 0.0, sub / dims, 0.0),
-            channel_bases=tuple(bases),
-        )
+    top, sub, bases = _principal_blocks(ms.blocks, j, m)
     numerator = top if dominant_numerator else traces
-    lam = np.log1p(numerator / sub)
-    phi = top / sub
-    sigma2_alt = sub / dims
-    s_w = s.whitened(np.sqrt(sigma2_alt))
-    eig_z = hermitian_eig(s_w.matrix)
-    top_z = float(eig_z.values[:j].sum())
-    cv = float(alphas @ phi) - top_z / n_z
-    composite = float(alphas @ lam) - cv
+    lam, degenerate = _log_ratios(numerator, sub, traces, log=np.log1p)
+    composite, cv, basis_z, extras = math.inf, 0.0, None, {}
+    if not degenerate:
+        phi = top / sub
+        top_z, _, basis_z = _principal(np.vstack(_whitened(ms, np.sqrt(sub / dims))), j, m)
+        cv = float(alphas @ phi) - top_z / n_z
+        composite = float(alphas @ lam) - cv
+        extras = {"fusion_stats": phi}
     return DetectorReport(
         composite=composite,
         alphas=alphas,
         per_channel=lam,
         cross_validation=cv,
-        panel=spec,
-        noise_alt=sigma2_alt,
-        channel_bases=tuple(bases),
-        composite_basis=eig_z.vectors[:, :j],
-        extras={"fusion_stats": phi},
+        panel=KnowledgeSpec(ChannelKnowledge.UNKNOWN_SUBSPACE, NoiseKnowledge.DIFFERENT_UNKNOWN),
+        degenerate=degenerate,
+        noise_alt=sub / dims,
+        channel_bases=bases,
+        composite_basis=basis_z,
+        extras=extras,
     )
 
 

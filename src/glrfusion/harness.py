@@ -286,16 +286,14 @@ def run_roc(spec: ExperimentSpec, jobs: int = 1) -> list[RocCurve]:
         scale = spec.scenario.amplitude_scale(snr)
         alt = _statistic_sample(spec.panel, spec.scenario, spec.trials, spec.seed,
                                 scale, trial_offset=(k + 1) * spec.trials, jobs=jobs)
-        pfa = np.array([(null_sample > t).mean() for t in thresholds])
-        pd = np.array([(alt > t).mean() for t in thresholds])
-        pd_half = np.array([wilson_interval(int(p * spec.trials), spec.trials)[2]
-                            for p in pd])
-        pfa_half = np.array([wilson_interval(int(p * spec.trials), spec.trials)[2]
-                             for p in pfa])
+        false_alarms = [int((null_sample > t).sum()) for t in thresholds]
+        detections = [int((alt > t).sum()) for t in thresholds]
+        pd_half = np.array([wilson_interval(k, spec.trials)[2] for k in detections])
+        pfa_half = np.array([wilson_interval(k, spec.trials)[2] for k in false_alarms])
         curves.append(RocCurve(
             thresholds=thresholds,
-            pfa=pfa,
-            pd=pd,
+            pfa=np.array(false_alarms) / spec.trials,
+            pd=np.array(detections) / spec.trials,
             trials=spec.trials,
             wilson_halfwidth=pd_half,
             pfa_halfwidth=pfa_half,

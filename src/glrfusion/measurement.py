@@ -293,10 +293,19 @@ def load_measurements(directory) -> MeasurementSet:
     if not header_path.exists():
         raise ConfigError(f"no {_HEADER_NAME} in {root}")
     header = json.loads(header_path.read_text())
+    if not isinstance(header, dict):
+        raise ConfigError(f"{header_path} does not hold a JSON object")
     if header.get("format") != _FORMAT_NAME:
         raise ConfigError(f"unrecognized measurement format {header.get('format')!r}")
+    for key in ("n_snapshots", "channel_dims", "blocks"):
+        if key not in header:
+            raise ConfigError(f"{header_path} is missing the key {key!r}")
     m = int(header["n_snapshots"])
     dims = [int(d) for d in header["channel_dims"]]
+    if len(dims) != len(header["blocks"]):
+        raise ConfigError(
+            f"{header_path} lists {len(header['blocks'])} block files for {len(dims)} channels"
+        )
     blocks = []
     for dim, name in zip(dims, header["blocks"]):
         blocks.append(_parse_block((root / name).read_text(), dim, m))

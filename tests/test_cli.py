@@ -173,6 +173,23 @@ class TestDetect:
             assert recombined == pytest.approx(
                 record["composite"], abs=1e-9 * max(1, abs(record["composite"])))
 
+    @pytest.mark.parametrize("key", ["n_snapshots", "channel_dims", "blocks"])
+    def test_header_missing_key_is_clean_error(self, tmp_path, capsys, key):
+        sim_cfg = self.make_data(tmp_path)
+        header_path = tmp_path / "data" / "header.json"
+        header = json.loads(header_path.read_text())
+        del header[key]
+        header_path.write_text(json.dumps(header))
+        cfg = write_config(tmp_path / "det.json", {
+            "panel": "p11",
+            "modes": 1,
+            "channels": sim_cfg["channels"],
+        })
+        assert main(["detect", "--config", cfg, str(tmp_path / "data")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert err.strip().count("\n") == 0
+
     def test_output_files_written(self, tmp_path, capsys):
         sim_cfg = self.make_data(tmp_path)
         cfg = write_config(tmp_path / "det.json", {

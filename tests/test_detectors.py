@@ -44,6 +44,10 @@ from glrfusion.measurement import channel_ml_amplitudes
 from conftest import complex_normal, random_channel, random_instance
 
 ALL_PANELS = ["P11", "P12", "P13", "P21", "P22", "P23", "P31", "P32", "P33"]
+# Draws for the covariance-formula oracles: the default random shapes, then
+# more snapshots than samples in every channel (M > N_l), where a thin SVD
+# of a block returns N_l singular values rather than M.
+SHAPES = ({}, {"n_modes": 2, "n_snapshots": 12, "max_samples": 6})
 
 log = logging.getLogger(__name__)
 
@@ -131,13 +135,14 @@ class TestInvarianceClasses:
 
 class TestP11:
     def test_single_channel_no_penalty(self, rng):
-        chans, ms = make_instance(rng, "P11", n_channels=1)
-        rep = detect_p11(chans, ms)
-        assert rep.cross_validation == pytest.approx(0.0, abs=1e-12)
-        s_w = sample_covariance(ms).whitened([chans[0].noise_sigma])
-        p = orth_projection(chans[0].matrix)
-        expected = np.real(np.trace(p @ s_w.matrix))
-        assert rep.composite == pytest.approx(expected, rel=1e-12)
+        for shape in SHAPES:
+            chans, ms = make_instance(rng, "P11", n_channels=1, **shape)
+            rep = detect_p11(chans, ms)
+            assert rep.cross_validation == pytest.approx(0.0, abs=1e-12)
+            s_w = sample_covariance(ms).whitened([chans[0].noise_sigma])
+            p = orth_projection(chans[0].matrix)
+            expected = np.real(np.trace(p @ s_w.matrix))
+            assert rep.composite == pytest.approx(expected, rel=1e-12)
 
     def test_identical_channels_and_data_agree(self, rng):
         ch = random_channel(rng, 6, 2, noise_variance=1.2, gain=0.8 + 0.3j)
@@ -184,49 +189,52 @@ class TestP12:
         assert rep.composite == pytest.approx(0.0, abs=1e-12)
 
     def test_reports_noise_estimates(self, rng):
-        chans, ms = make_instance(rng, "P12", n_channels=2)
-        rep = detect_p12(chans, ms)
-        s = sample_covariance(ms)
-        assert rep.noise_null[0] == pytest.approx(s.trace() / ms.n_total, rel=1e-12)
-        assert rep.noise_alt[0] <= rep.noise_null[0] + 1e-12
+        for shape in SHAPES:
+            chans, ms = make_instance(rng, "P12", n_channels=2, **shape)
+            rep = detect_p12(chans, ms)
+            s = sample_covariance(ms)
+            assert rep.noise_null[0] == pytest.approx(s.trace() / ms.n_total, rel=1e-12)
+            assert rep.noise_alt[0] <= rep.noise_null[0] + 1e-12
 
 
 class TestP13:
     def test_single_channel_log_ratio(self, rng):
-        chans, ms = make_instance(rng, "P13", n_channels=1)
-        rep = detect_p13(chans, ms)
-        s = sample_covariance(ms)
-        p = orth_projection(chans[0].matrix)
-        t = s.trace_block(0)
-        r = np.real(np.trace((np.eye(chans[0].n_samples) - p) @ s.block(0)))
-        assert rep.composite == pytest.approx(math.log(t / r), rel=1e-12)
-        assert rep.cross_validation == pytest.approx(0.0, abs=1e-10)
+        for shape in SHAPES:
+            chans, ms = make_instance(rng, "P13", n_channels=1, **shape)
+            rep = detect_p13(chans, ms)
+            s = sample_covariance(ms)
+            p = orth_projection(chans[0].matrix)
+            t = s.trace_block(0)
+            r = np.real(np.trace((np.eye(chans[0].n_samples) - p) @ s.block(0)))
+            assert rep.composite == pytest.approx(math.log(t / r), rel=1e-12)
+            assert rep.cross_validation == pytest.approx(0.0, abs=1e-10)
 
     def test_dual_path_general_form(self, rng):
         # Independent path: per-channel log-likelihood-ratio terms evaluated
         # at the local noise estimates, minus the fusion penalty, all divided
         # by the total sample count.
-        chans, ms = make_instance(rng, "P13", n_channels=3)
-        rep = detect_p13(chans, ms)
-        s = sample_covariance(ms)
-        n_z = ms.n_total
-        total = 0.0
-        for i, ch in enumerate(chans):
-            p = orth_projection(ch.matrix)
-            tr = s.trace_block(i)
-            resid = np.real(np.trace((np.eye(ch.n_samples) - p) @ s.block(i)))
-            s2_null = tr / ch.n_samples
-            s2_alt = resid / ch.n_samples
-            total += (ch.n_samples * math.log(s2_null / s2_alt)
-                      + tr / s2_null - resid / s2_alt)
-        sigma_alt = np.sqrt(rep.noise_alt)
-        s_w = s.whitened(sigma_alt)
-        pf = orth_projection(compose_f(chans))
-        cv = (sum(np.real(np.trace(orth_projection(c.matrix) @ s.block(i))) / rep.noise_alt[i]
-                  for i, c in enumerate(chans))
-              - np.real(np.trace(pf @ s_w.matrix))) / n_z
-        direct = total / n_z - cv
-        assert rep.composite == pytest.approx(direct, rel=1e-9, abs=1e-9)
+        for shape in SHAPES:
+            chans, ms = make_instance(rng, "P13", n_channels=3, **shape)
+            rep = detect_p13(chans, ms)
+            s = sample_covariance(ms)
+            n_z = ms.n_total
+            total = 0.0
+            for i, ch in enumerate(chans):
+                p = orth_projection(ch.matrix)
+                tr = s.trace_block(i)
+                resid = np.real(np.trace((np.eye(ch.n_samples) - p) @ s.block(i)))
+                s2_null = tr / ch.n_samples
+                s2_alt = resid / ch.n_samples
+                total += (ch.n_samples * math.log(s2_null / s2_alt)
+                          + tr / s2_null - resid / s2_alt)
+            sigma_alt = np.sqrt(rep.noise_alt)
+            s_w = s.whitened(sigma_alt)
+            pf = orth_projection(compose_f(chans))
+            cv = (sum(np.real(np.trace(orth_projection(c.matrix) @ s.block(i))) / rep.noise_alt[i]
+                      for i, c in enumerate(chans))
+                  - np.real(np.trace(pf @ s_w.matrix))) / n_z
+            direct = total / n_z - cv
+            assert rep.composite == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
     def test_zero_residual_flags_degenerate(self, rng):
         ch = random_channel(rng, 5, 2, noise_variance=1.0, gain=1.0)
@@ -542,13 +550,14 @@ class TestP32:
         assert rep.cross_validation <= 1e-10
 
     def test_composite_is_energy_fraction(self, rng):
-        chans, ms = make_instance(rng, "P32", n_channels=3)
-        rep = detect_p32(chans, ms)
-        s = sample_covariance(ms)
-        j = chans[0].n_modes
-        w = hermitian_eig(s.matrix).values
-        assert rep.composite == pytest.approx(w[:j].sum() / s.trace(), rel=1e-10)
-        assert 0.0 < rep.composite <= 1.0
+        for shape in SHAPES:
+            chans, ms = make_instance(rng, "P32", n_channels=3, **shape)
+            rep = detect_p32(chans, ms)
+            s = sample_covariance(ms)
+            j = chans[0].n_modes
+            w = hermitian_eig(s.matrix).values
+            assert rep.composite == pytest.approx(w[:j].sum() / s.trace(), rel=1e-10)
+            assert 0.0 < rep.composite <= 1.0
 
 
 class TestP33:
@@ -569,24 +578,25 @@ class TestP33:
         # Independent path: per-channel eigen-sums plugged into the
         # pre-estimation detector display, with the composite span taken as
         # the dominant whitened eigenvectors.
-        chans, ms = make_instance(rng, "P33", n_channels=3)
-        rep = detect_p33(chans, ms, dominant_numerator=True)
-        s = sample_covariance(ms)
-        j = chans[0].n_modes
-        n_z = ms.n_total
-        direct = 0.0
-        phi_term = 0.0
-        sigma_alt = []
-        for i, ch in enumerate(chans):
-            w = hermitian_eig(s.block(i)).values
-            top, sub = w[:j].sum(), w[j:].sum()
-            direct += (ch.n_samples / n_z) * math.log((top + sub) / sub)
-            phi_term += (ch.n_samples / n_z) * (top / sub)
-            sigma_alt.append(math.sqrt(sub / ch.n_samples))
-        s_w = s.whitened(sigma_alt)
-        top_z = hermitian_eig(s_w.matrix).values[:j].sum()
-        direct -= phi_term - top_z / n_z
-        assert rep.composite == pytest.approx(direct, rel=1e-9, abs=1e-9)
+        for shape in SHAPES:
+            chans, ms = make_instance(rng, "P33", n_channels=3, **shape)
+            rep = detect_p33(chans, ms, dominant_numerator=True)
+            s = sample_covariance(ms)
+            j = chans[0].n_modes
+            n_z = ms.n_total
+            direct = 0.0
+            phi_term = 0.0
+            sigma_alt = []
+            for i, ch in enumerate(chans):
+                w = hermitian_eig(s.block(i)).values
+                top, sub = w[:j].sum(), w[j:].sum()
+                direct += (ch.n_samples / n_z) * math.log((top + sub) / sub)
+                phi_term += (ch.n_samples / n_z) * (top / sub)
+                sigma_alt.append(math.sqrt(sub / ch.n_samples))
+            s_w = s.whitened(sigma_alt)
+            top_z = hermitian_eig(s_w.matrix).values[:j].sum()
+            direct -= phi_term - top_z / n_z
+            assert rep.composite == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
     def test_printed_and_dominant_variants_differ_consistently(self, rng):
         chans, ms = make_instance(rng, "P33", n_channels=2)
@@ -615,6 +625,37 @@ class TestP33:
         with pytest.raises(ValueError, match="residual"):
             detect_p33([ch], ms)
 
+
+class TestExtremeScales:
+    @pytest.mark.parametrize("panel", ["P13", "P23", "P33"])
+    def test_residual_energy_survives_dominant_signal(self, rng, panel):
+        # At a signal amplitude 1e8 times the noise the residual energy is
+        # ~1e-16 of the block energy: below the rounding error of a
+        # difference of traces or of an eigenvalue tail of S, but well
+        # resolved when formed from the data directly.
+        ch = random_channel(rng, 16, 2, orthonormal=True, noise_variance=1.0, gain=1.0)
+        spec = KnowledgeSpec.from_panel(panel)
+        for draw in range(20):
+            ms = simulate([ch], 8, seed=draw, amplitudes=1e8 * complex_normal(rng, (2, 8)))
+            x = ms.block(0)
+            if panel == "P33":
+                u = np.linalg.svd(x)[0][:, :2]
+                resid = x - u @ (u.conj().T @ x)
+                log_ratio = math.log1p
+            else:
+                resid = x - ch.matrix @ (ch.matrix.conj().T @ x)
+                log_ratio = math.log
+            direct = log_ratio(np.vdot(x, x).real / np.vdot(resid, resid).real)
+            rep = detect(spec, [ch], ms)
+            assert not rep.degenerate
+            assert rep.per_channel[0] == pytest.approx(direct, rel=1e-6)
+
+
+    @pytest.mark.parametrize("panel", ALL_PANELS)
+    def test_energy_overflow_is_an_error(self, rng, panel):
+        chans, ms = make_instance(rng, panel, n_channels=2)
+        with pytest.raises(ValueError, match="overflow"):
+            detect(KnowledgeSpec.from_panel(panel), chans, ms.scaled([1e160, 1.0]))
 
 class TestReportShape:
     @pytest.mark.parametrize("panel", ALL_PANELS)

@@ -140,6 +140,23 @@ class TestRunRoc:
         np.testing.assert_array_equal(a.pd, b.pd)
         np.testing.assert_array_equal(a.thresholds, b.thresholds)
 
+    def test_wilson_halfwidths_from_exceedance_counts(self):
+        # With 100 trials, 0.29 * 100 and 0.57 * 100 round to just below 29
+        # and 57, so counts recovered by truncating p * trials are one short.
+        spec = ExperimentSpec(panel=P11, scenario=single_channel_scenario(),
+                              trials=100, seed=1, snr_db=(0.0,),
+                              pfa_targets=(0.29, 0.1))
+        curve = run_roc(spec)[0]
+        detections = np.rint(curve.pd * spec.trials).astype(int)
+        false_alarms = np.rint(curve.pfa * spec.trials).astype(int)
+        assert 57 in detections and 29 in false_alarms
+        assert int(0.57 * spec.trials) == 56
+        for k in range(len(curve.thresholds)):
+            assert curve.wilson_halfwidth[k] == wilson_interval(
+                int(detections[k]), spec.trials)[2]
+            assert curve.pfa_halfwidth[k] == wilson_interval(
+                int(false_alarms[k]), spec.trials)[2]
+
     def test_insufficient_trials_refused(self):
         spec = ExperimentSpec(panel=P12, scenario=single_channel_scenario(),
                               trials=100, seed=1, snr_db=(0.0,),

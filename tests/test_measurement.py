@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from glrfusion import (
+    ConfigError,
     MeasurementSet,
     RankDeficiencyError,
     channel_ml_amplitudes,
@@ -165,6 +166,17 @@ class TestRoundTrip:
         assert header["n_snapshots"] == 2
         assert header["channel_dims"] == [4]
         assert header["blocks"] == ["block_00.csv"]
+
+    def test_block_list_must_match_dims(self, rng, tmp_path):
+        import json
+
+        ms = MeasurementSet((complex_normal(rng, (3, 2)), complex_normal(rng, (2, 2))))
+        root = save_measurements(ms, tmp_path / "d")
+        header = json.loads((root / "header.json").read_text())
+        header["blocks"] = header["blocks"][:1]
+        (root / "header.json").write_text(json.dumps(header))
+        with pytest.raises(ConfigError, match="1 block files for 2 channels"):
+            load_measurements(root)
 
     def test_scaled_and_subset(self, rng):
         ms = MeasurementSet((complex_normal(rng, (3, 4)), complex_normal(rng, (2, 4))))
