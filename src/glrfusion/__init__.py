@@ -11,6 +11,8 @@ threshold calibration, and delay/Doppler likelihood images.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .channel import (
     ChannelModel,
     PropagationSpec,
@@ -28,7 +30,6 @@ from .detectors import (
     KnowledgeSpec,
     NoiseKnowledge,
     build_fusion_t,
-    coherence,
     detect,
     detect_p11,
     detect_p12,
@@ -39,9 +40,6 @@ from .detectors import (
     detect_p31,
     detect_p32,
     detect_p33,
-    fusion_m_matrix,
-    rank_one_pair_composite,
-    two_channel_cross_validation,
 )
 from .errors import (
     ConfigError,
@@ -58,8 +56,6 @@ from .fusion import (
     channel_message,
     daisy_chain_fuse,
     partition_cv,
-    projection_form_cv,
-    qee,
 )
 from .harness import (
     ExperimentSpec,
@@ -77,12 +73,7 @@ from .harness import (
 from .linalg import (
     HermitianEig,
     hermitian_eig,
-    orth_projection,
     rayleigh_extremes,
-    subdominant_energy,
-    top_j_energy,
-    whiten,
-    whiten_covariance,
 )
 from .measurement import (
     MeasurementSet,
@@ -96,4 +87,5 @@ from .measurement import (
     simulate,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -1,7 +1,8 @@
 """Command-line front end: simulate | detect | roc | null | scan | calibrate.
 
 One JSON config file drives each subcommand; individual keys can be
-overridden on the command line with ``--set dotted.path=value``.  Unknown
+overridden on the command line with ``--set dotted.path=value``, where a
+numeric part indexes a list (``--set channels.0.gain=2``).  Unknown
 config keys are rejected before any computation.  Every run writes a
 manifest echoing the fully-resolved config (plus seed, versions, and wall
 time) next to its outputs, and all output files are written atomically
@@ -195,14 +196,27 @@ def _apply_overrides(config: dict, overrides: list[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        *path, last = dotted.split(".")
         target = config
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            if part not in target or not isinstance(target[part], dict):
-                target[part] = {}
-            target = target[part]
-        target[parts[-1]] = value
+        for part in path:
+            key = _override_key(target, part, dotted)
+            if isinstance(target, dict) and not isinstance(target.get(key), (dict, list)):
+                target[key] = {}
+            target = target[key]
+        target[_override_key(target, last, dotted)] = value
     return config
+
+
+def _override_key(target, part: str, dotted: str):
+    """The key or list index that ``part`` names in ``target``."""
+    if isinstance(target, dict):
+        return part
+    if not isinstance(target, list):
+        raise ConfigError(f"override {dotted!r}: {part!r} indexes a {type(target).__name__}")
+    if not part.isdigit() or int(part) >= len(target):
+        raise ConfigError(f"override {dotted!r}: no element {part!r} in a list of "
+                          f"{len(target)}")
+    return int(part)
 
 
 def _gain_value(raw) -> complex:
@@ -331,10 +345,8 @@ def _cmd_detect(config: dict, args) -> int:
     scenario = _scenario_from_config(config, ms.n_snapshots)
     channels = scenario.channels()
     panel = KnowledgeSpec.from_panel(config["panel"])
-    options = {}
-    if "dominant_numerator" in config:
-        options["dominant_numerator"] = bool(config["dominant_numerator"])
-    report = detect(panel, channels, ms, **options)
+    report = detect(panel, channels, ms,
+                    dominant_numerator=config.get("dominant_numerator", False))
     record = report_record(report)
     print(json.dumps(record, indent=2))
     if "output" in config:
@@ -460,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config file")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY.PATH=VALUE",
-                       help="override a config key (JSON-parsed value)")
+                       help="override a config key (JSON-parsed value); a numeric "
+                            "part indexes a list, as in channels.0.gain=2")
         p.add_argument("--jobs", type=int, default=1,
                        help="worker processes for Monte-Carlo trials")
         if name in ("detect", "scan"):

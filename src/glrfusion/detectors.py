@@ -1,34 +1,34 @@
 """The nine multi-channel GLR detectors and their canonical decomposition.
 
-Every detector returns a :class:`DetectorReport` exposing the composite
-statistic together with its decomposition into a weighted sum of per-channel
-statistics minus a cross-validation (fusion) term:
+Every detector returns a :class:`DetectorReport` with the composite statistic
+and its decomposition, composite = sum_l alpha_l * per_channel_l -
+cross_validation; the cross-validation (fusion) term is the only quantity
+mixing data across channels.  A panel P<row><column> crosses what is known
+about the channel (the row) with what is known about the noise (the column).
+The row fixes the subspace in which signal energy is measured, the column how
+each channel is normalised.  Panels read the blocks X_l through thin
+statistics of rank at most M (the snapshot count), never through the LN x LN
+sample covariance.
 
-    composite = sum_l alpha_l * per_channel_l - cross_validation
+Rows 1 (known coupling and gains) and 3 (only the mode count J known) share
+one pass, :func:`_subspace_row`: :func:`_split` divides the energy of each
+block and of the stacked, column-scaled composite Z into the parts inside and
+outside a known orthonormal basis or the dominant-J subspace of a thin SVD.
+Row 1 takes the cross-validation term from the in-span energies, row 3 from
+the tails.  Row 2 (known orthonormal coupling, unknown gains;
+:func:`_gain_row`) works on the L x L Gram matrix of the matched outputs
+H_l^H X_l: the composite is the largest eigenvalue of the scaled Gram matrix,
+the cross-validation term the smallest eigenvalue of the fusion matrix built
+from the coherences.
 
-with weights summing to one.  The cross-validation term is the only quantity
-mixing data across channels; it measures how much the channels disagree
-(amplitude distance, coherence deficit, or subspace-energy mismatch,
-depending on what is known).
-
-Panels are indexed by what is known about the channel (fully known coupling
-and gains / known orthonormal coupling with unknown gains / only the mode
-count known) crossed with what is known about the noise (known variances /
-common unknown variance / per-channel unknown variances).
-
-Panels read the data only through thin statistics of rank at most M (the
-snapshot count), computed from the blocks X_l in one short pass and never
-through the LN x LN sample covariance S = (1/M) Z Z^H:
-
-* block energies ||X_l||^2 / M;
-* matched outputs Q_l^H X_l, with Q_l an orthonormal basis of H_l (H_l itself
-  on the unknown-gain panels, whose fusion forms use their Gram matrix), and
-  residual energies ||X_l - Q_l Q_l^H X_l||^2 / M formed directly;
-* composite projections ||Q^H Z_w||^2 / M, with Q an orthonormal basis of the
-  composite channel and Z_w the stacked data, whitened as the panel needs;
-* for the unknown-subspace panels, thin SVDs of X_l and of Z_w: the
-  eigenvalues of the matching covariance are s^2 / M and its dominant
-  eigenvectors the leading left singular vectors.
+One rule per column, :func:`_column`, with E_l = ||X_l||^2 / M, E = sum E_l,
+N_l the samples of channel l and N = sum N_l: known variances give
+alpha_l = 1/L, denominator L and data scale sigma_l; a common unknown
+variance gives E_l / E, E and no scale; per-channel unknown variances give
+N_l / N, N and sigma_hat_l = sqrt(residual_l / N_l).  The fusion statistic is
+phi_l = signal_l / (sigma_l^2, E_l or residual_l); the per-channel statistic
+is phi_l, or on column 3 a log energy ratio, degenerate (composite = inf)
+when a residual is numerically zero.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from functools import partial
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -145,22 +146,6 @@ class DetectorReport:
         return len(self.alphas)
 
 
-def coherence(h_i, x_i, h_j, x_j) -> complex:
-    """Normalized inner product of two channels' matched-filter outputs.
-
-    c_ij = tr(H_i^H X_i X_j^H H_j) / sqrt(tr(H_i^H X_i X_i^H H_i) *
-    tr(H_j^H X_j X_j^H H_j)); |c_ij| <= 1 and c is invariant to separate
-    rescalings of X_i and X_j.
-    """
-    a_i = np.asarray(h_i).conj().T @ np.asarray(x_i)
-    a_j = np.asarray(h_j).conj().T @ np.asarray(x_j)
-    e_i = float(np.real(np.vdot(a_i, a_i)))
-    e_j = float(np.real(np.vdot(a_j, a_j)))
-    if e_i <= 0.0 or e_j <= 0.0:
-        raise DegenerateDataError("coherence undefined: a matched-filter output has zero energy")
-    return complex(np.vdot(a_j, a_i) / math.sqrt(e_i * e_j))
-
-
 def build_fusion_t(alphas, stats, coherences) -> np.ndarray:
     """Fusion matrix whose smallest eigenvalue is the cross-validation term.
 
@@ -186,60 +171,28 @@ def build_fusion_t(alphas, stats, coherences) -> np.ndarray:
     return 0.5 * (t + t.conj().T)
 
 
-def fusion_m_matrix(alphas, stats, coherences) -> np.ndarray:
-    """Companion quadratic-form matrix: M = sum(alpha*stat) I - T."""
-    a = np.asarray(alphas, dtype=float)
-    s = np.asarray(stats, dtype=float)
-    t = build_fusion_t(a, s, coherences)
-    return float(a @ s) * np.eye(len(a)) - t
+def detect(spec: KnowledgeSpec, channels: Sequence[ChannelModel], measurements: MeasurementSet,
+           *, dominant_numerator: bool = False) -> DetectorReport:
+    """Evaluate the panel selected by ``spec``.
 
-
-def two_channel_cross_validation(stat_1: float, stat_2: float, coherence_12: complex
-                                 ) -> tuple[float, float]:
-    """Closed-form two-channel cross-validation term (weights dropped).
-
-    Returns (V, nu2) where V = A - A sqrt(1 + (G^2/A^2)(|c|^2 - 1)) with A
-    and G the arithmetic and geometric means of the two statistics, and nu2
-    is the squared coefficient of variation (Delta/A)^2 = 1 - (G/A)^2.
-
-    This equals the smallest eigenvalue of the 2x2 fusion matrix built with
-    unit weights; with the equal weights 1/2 folded back in, the panel
-    cross-validation term is V/2.
+    ``dominant_numerator`` (P33 only) takes ln(1 + dominant/subdominant) as the
+    per-channel statistic instead of ln(1 + total/subdominant); the
+    cross-validation term does not depend on it.
     """
-    if stat_1 < 0 or stat_2 < 0:
-        raise ValueError("per-channel statistics must be non-negative")
-    mag = abs(coherence_12)
-    if mag > 1.0 + 1e-12:
-        raise ValueError(f"|coherence| must be <= 1, got {mag}")
-    arith = 0.5 * (stat_1 + stat_2)
-    if arith == 0.0:
-        return 0.0, 0.0
-    geom_sq = stat_1 * stat_2
-    value = arith - arith * math.sqrt(max(0.0, 1.0 + (geom_sq / arith**2) * (mag**2 - 1.0)))
-    nu2 = 1.0 - geom_sq / arith**2
-    return value, nu2
+    if dominant_numerator and spec.panel != "P33":
+        raise ConfigError(f"dominant_numerator applies to P33 only, not {spec.panel}")
+    energies = _block_energies(channels, measurements)
+    if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_GAINS:
+        return _gain_row(spec, channels, measurements, energies)
+    return _subspace_row(spec, channels, measurements, energies, dominant_numerator)
 
 
-def rank_one_pair_composite(z_1, z_2, n_channels: int = 1) -> float:
-    """Rank-one, two-snapshot composite statistic in closed form.
-
-    For whitened snapshot vectors z_1, z_2 this is (1/L) times the largest
-    eigenvalue of the two-snapshot sample covariance (the 1/M = 1/2 factor is
-    kept), computed from the 2x2 Gram discriminant:
-
-        lambda_1 = (1/2) [ (a + d)/2 + sqrt(D)/2 ],
-        D = (a + d)^2 + 4 a d (|c|^2 - 1),  |c|^2 = |z_1^H z_2|^2 / (a d),
-
-    with a = z_1^H z_1 and d = z_2^H z_2.
-    """
-    v1 = np.asarray(z_1, dtype=np.complex128).reshape(-1)
-    v2 = np.asarray(z_2, dtype=np.complex128).reshape(-1)
-    a = float(np.real(np.vdot(v1, v1)))
-    d = float(np.real(np.vdot(v2, v2)))
-    cross = complex(np.vdot(v1, v2))
-    disc = (a + d) ** 2 + 4.0 * (abs(cross) ** 2 - a * d)
-    top = 0.5 * ((a + d) / 2.0 + 0.5 * math.sqrt(max(0.0, disc)))
-    return top / n_channels
+# One binding per panel, P11 .. P33, each called as detect_pXY(channels, ms).
+(detect_p11, detect_p12, detect_p13,
+ detect_p21, detect_p22, detect_p23,
+ detect_p31, detect_p32, detect_p33) = (
+    partial(detect, KnowledgeSpec.from_panel(f"P{row}{col}"))
+    for row in "123" for col in "123")
 
 
 def _block_energies(channels: Sequence[ChannelModel], ms: MeasurementSet) -> np.ndarray:
@@ -261,433 +214,187 @@ def _energy(x: np.ndarray) -> float:
     return float(np.real(np.vdot(x, x)))
 
 
-def _whitened(ms: MeasurementSet, sigmas: Sequence[float]) -> list[np.ndarray]:
-    """Blocks X_l / sigma_l."""
-    for s in sigmas:
-        if not (s > 0):
-            raise ValueError(f"sigmas must be positive, got {s}")
-    return [x / s for x, s in zip(ms.blocks, sigmas)]
+class _Column(NamedTuple):
+    """What a noise column fixes, given each channel's in-span signal energy."""
+
+    alphas: np.ndarray
+    denominator: float  # of the composite: L, E or N
+    variance: np.ndarray | None  # squared data scale: sigma_l^2, none, sigma_hat_l^2
+    phi: np.ndarray | None  # fusion statistics; None when a residual vanishes
+    lam: np.ndarray  # per-channel statistics: phi, or the log energy ratio
+    degenerate: bool
+    noise_null: np.ndarray | None
+    noise_alt: np.ndarray | None
 
 
-def _channel_bases(channels: Sequence[ChannelModel]) -> list[np.ndarray]:
-    return [orthonormal_basis(ch.matrix, f"channel {i} matrix") for i, ch in enumerate(channels)]
+def _column(noise: NoiseKnowledge, channels: Sequence[ChannelModel], ms: MeasurementSet,
+            energies: np.ndarray, signal: np.ndarray, residual: np.ndarray | None = None,
+            numerator: np.ndarray | None = None, log=np.log) -> _Column:
+    """Weights, normalisation and per-channel statistics of a noise column.
 
-
-def _outputs(bases: Sequence[np.ndarray], blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Matched outputs Q_l^H X_l."""
-    return [q.conj().T @ x for q, x in zip(bases, blocks)]
-
-
-def _residuals(bases, blocks, outputs, m: int) -> np.ndarray:
-    """Residual energies ||X_l - Q_l Q_l^H X_l||^2 / M, formed directly.
-
-    Subtracting the matched energy from the block energy instead loses all
-    accuracy once the signal dominates: at a signal-to-noise amplitude ratio
-    of 1e8 the difference is below the rounding error of either term.
+    ``signal`` and ``residual`` are each channel's energies inside and outside
+    its signal subspace; ``residual`` is needed on column 3 only, where the
+    per-channel statistic is log(numerator / residual) with the block energy
+    as the default numerator.
     """
-    return np.array([_energy(x - q @ a) for q, x, a in zip(bases, blocks, outputs)]) / m
-
-
-def _composite_energy(f: np.ndarray, blocks: Sequence[np.ndarray], m: int, name: str) -> float:
-    """||Q^H Z||^2 / M, i.e. tr(P_F S), for Q an orthonormal basis of ``f``."""
-    q = orthonormal_basis(f, name)
-    return _energy(q.conj().T @ np.vstack(blocks)) / m
-
-
-def _principal(x: np.ndarray, j: int, m: int) -> tuple[float, float, np.ndarray]:
-    """Dominant-J energy, remaining energy and dominant eigenvectors of x x^H / M.
-
-    Read from the thin SVD of x: the eigenvalues are s^2 / M and the
-    eigenvectors the left singular vectors, so the tail comes from the small
-    singular values themselves and carries no rounding error of the top J.
-    """
-    u, s, _ = np.linalg.svd(x, full_matrices=False)
-    e = s * s / m
-    return float(e[:j].sum()), float(e[j:].sum()), _normalize_phases(u[:, :j])
-
-
-def _log_ratios(numerator, residual, energy, log=np.log) -> tuple[np.ndarray, bool]:
-    """log(numerator / residual) per channel, inf where the residual is numerically zero."""
-    ok = residual > DEGENERACY_RTOL * energy
-    ratio = np.divide(numerator, residual, out=np.ones(len(ok)), where=ok)
-    return np.where(ok, log(ratio), np.inf), not bool(ok.all())
-
-
-def _require_orthonormal(channels: Sequence[ChannelModel]) -> None:
-    for idx, ch in enumerate(channels):
-        if not ch.is_orthonormal(ORTHONORMAL_TOL):
-            raise ConfigError(
-                f"channel {idx} must have orthonormal columns for unknown-gain panels"
-            )
-
-
-def _sigmas(channels: Sequence[ChannelModel]) -> list[float]:
-    return [ch.noise_sigma for ch in channels]
-
-
-def detect_p11(channels: Sequence[ChannelModel], ms: MeasurementSet) -> DetectorReport:
-    """Known coupling and gains, known noise variances.
-
-    Composite statistic: (1/L) tr(P_F S) over whitened data; per-channel
-    statistics tr(P_H S_ll) over whitened blocks; equal weights.
-    """
-    _block_energies(channels, ms)
     n_ch = len(channels)
-    m = ms.n_snapshots
-    blocks = _whitened(ms, _sigmas(channels))
-    outputs = _outputs(_channel_bases(channels), blocks)
-    lam = np.array([_energy(a) for a in outputs]) / m
-    cross_trace = _composite_energy(compose_f_whitened(channels), blocks, m,
-                                    "whitened composite channel")
-    composite = cross_trace / n_ch
-    cv = (float(lam.sum()) - cross_trace) / n_ch
-    return DetectorReport(
-        composite=composite,
-        alphas=np.full(n_ch, 1.0 / n_ch),
-        per_channel=lam,
-        cross_validation=cv,
-        panel=KnowledgeSpec(ChannelKnowledge.KNOWN_F, NoiseKnowledge.KNOWN),
-    )
-
-
-def detect_p12(channels: Sequence[ChannelModel], ms: MeasurementSet) -> DetectorReport:
-    """Known coupling and gains, one common unknown noise variance.
-
-    Composite statistic tr(P_F S)/tr(S) is invariant to rescaling the whole
-    composite data set; weights are data-determined energy fractions.
-    """
-    block_traces = _block_energies(channels, ms)
-    n_ch = len(channels)
-    m = ms.n_snapshots
-    total = float(block_traces.sum())
-    if total <= 0.0:
-        raise DegenerateDataError("composite data has zero energy")
-    outputs = _outputs(_channel_bases(channels), ms.blocks)
-    matched = np.array([_energy(a) for a in outputs]) / m
-    degenerate = bool(np.any(block_traces <= 0.0))
-    lam = np.divide(matched, block_traces,
-                    out=np.zeros(n_ch), where=block_traces > 0.0)
-    cross_trace = _composite_energy(compose_f(channels), ms.blocks, m, "composite channel")
-    composite = cross_trace / total
-    cv = (float(matched.sum()) - cross_trace) / total
-    n_z = ms.n_total
-    return DetectorReport(
-        composite=composite,
-        alphas=block_traces / total,
-        per_channel=lam,
-        cross_validation=cv,
-        panel=KnowledgeSpec(ChannelKnowledge.KNOWN_F, NoiseKnowledge.COMMON_UNKNOWN),
-        degenerate=degenerate,
-        noise_null=np.array([total / n_z]),
-        noise_alt=np.array([(total - cross_trace) / n_z]),
-    )
-
-
-def detect_p13(channels: Sequence[ChannelModel], ms: MeasurementSet) -> DetectorReport:
-    """Known coupling and gains, per-channel unknown noise variances.
-
-    Per-channel statistics are log energy ratios; the cross-validation term
-    evaluates the known-noise fusion penalty at the local alternative-
-    hypothesis noise estimates.  The composite projector uses the span of
-    the unwhitened composite channel applied to the locally-whitened
-    covariance, which keeps the report invariant to independent per-channel
-    rescalings of the data.
-    """
-    block_traces = _block_energies(channels, ms)
-    n_z = ms.n_total
-    m = ms.n_snapshots
+    if noise == NoiseKnowledge.KNOWN:
+        variance = np.array([ch.noise_variance for ch in channels])
+        phi = signal / variance
+        return _Column(np.full(n_ch, 1.0 / n_ch), float(n_ch), variance, phi, phi,
+                       False, None, None)
+    if noise == NoiseKnowledge.COMMON_UNKNOWN:
+        total = float(energies.sum())
+        if total <= 0.0:
+            raise DegenerateDataError("composite data has zero energy")
+        positive = energies > 0.0
+        phi = np.divide(signal, energies, out=np.zeros(n_ch), where=positive)
+        return _Column(energies / total, total, None, phi, phi, not bool(positive.all()),
+                       np.array([total / ms.n_total]), None)
     dims = np.array(ms.channel_dims, dtype=float)
-    alphas = dims / n_z
-    bases = _channel_bases(channels)
-    outputs = _outputs(bases, ms.blocks)
-    matched = np.array([_energy(a) for a in outputs]) / m
-    residual = _residuals(bases, ms.blocks, outputs, m)
-    lam, degenerate = _log_ratios(block_traces, residual, block_traces)
-    sigma2_alt = residual / dims
-    composite, cv = math.inf, 0.0
-    if not degenerate:
-        cross_trace = _composite_energy(compose_f(channels),
-                                        _whitened(ms, np.sqrt(sigma2_alt)), m,
-                                        "composite channel")
-        cv = (float((matched / sigma2_alt).sum()) - cross_trace) / n_z
-        composite = float(alphas @ lam) - cv
-    return DetectorReport(
-        composite=composite,
-        alphas=alphas,
-        per_channel=lam,
-        cross_validation=cv,
-        panel=KnowledgeSpec(ChannelKnowledge.KNOWN_F, NoiseKnowledge.DIFFERENT_UNKNOWN),
-        degenerate=degenerate,
-        noise_null=block_traces / dims,
-        noise_alt=sigma2_alt,
-    )
+    ok = residual > DEGENERACY_RTOL * energies
+    ratio = np.divide(energies if numerator is None else numerator, residual,
+                      out=np.ones(n_ch), where=ok)
+    degenerate = not bool(ok.all())
+    noise_alt = residual / dims
+    return _Column(dims / ms.n_total, float(ms.n_total), noise_alt,
+                   None if degenerate else signal / residual,
+                   np.where(ok, log(ratio), np.inf), degenerate, energies / dims, noise_alt)
 
 
-def _gain_panel_common(channels, ms):
-    """Block energies, matched outputs A_l = H_l^H X_l, their Gram G_ij = <A_j, A_i>,
-    coherences, degenerate flag and matched energies G_ll.
+def _report(spec: KnowledgeSpec, col: _Column, composite: float, cv: float,
+            **fields) -> DetectorReport:
+    """A report carrying the column's weights, statistics and noise estimates."""
+    fields.setdefault("degenerate", col.degenerate)
+    fields.setdefault("noise_alt", col.noise_alt)
+    fused = spec.noise_knowledge == NoiseKnowledge.DIFFERENT_UNKNOWN and col.phi is not None
+    return DetectorReport(composite=composite, alphas=col.alphas, per_channel=col.lam,
+                          cross_validation=cv, panel=spec, noise_null=col.noise_null,
+                          extras={"fusion_stats": col.phi} if fused else {}, **fields)
 
-    Zero-energy channels get zeroed coherences and set the degenerate flag.
+
+def _split(x: np.ndarray, span: np.ndarray | int, m: int, residual: bool = True
+           ) -> tuple[float, float | None, np.ndarray]:
+    """Energy of x x^H / M inside a subspace, the energy outside it, and its basis.
+
+    ``span`` is an orthonormal basis Q or a mode count J.  With Q the energies
+    are ||Q^H x||^2 / M and ||x - Q Q^H x||^2 / M, the second formed directly
+    and only if ``residual``: at a signal-to-noise amplitude ratio of 1e8 the
+    difference of the total and the inside is below the rounding error of
+    either.  With J they are the dominant-J and remaining eigenvalues s^2 / M
+    of the thin SVD of x and the basis its leading J left singular vectors.
     """
-    _require_orthonormal(channels)
-    block_traces = _block_energies(channels, ms)
-    outputs = _outputs([ch.matrix for ch in channels], ms.blocks)
+    if isinstance(span, int):
+        u, s, _ = np.linalg.svd(x, full_matrices=False)
+        e = s * s / m
+        return float(e[:span].sum()), float(e[span:].sum()), _normalize_phases(u[:, :span])
+    a = span.conj().T @ x
+    outside = None
+    if residual:
+        # In chunks of 4096 entries (64 KiB): a 1024 x 32 difference formed at once
+        # costs more in page faults than in arithmetic (P12, L=8, N=128: 1.9 vs 1.2 ms).
+        step = max(1, 4096 // x.shape[1])
+        outside = sum(_energy(x[i:i + step] - span[i:i + step] @ a)
+                      for i in range(0, x.shape[0], step)) / m
+    return _energy(a) / m, outside, span
+
+
+def _subspace_row(spec: KnowledgeSpec, channels: Sequence[ChannelModel], ms: MeasurementSet,
+                  energies: np.ndarray, dominant_numerator: bool) -> DetectorReport:
+    """Rows 1 and 3: signal energy inside a known basis or the dominant-J subspace."""
+    noise = spec.noise_knowledge
+    per_channel_noise = noise == NoiseKnowledge.DIFFERENT_UNKNOWN
+    known_f = spec.channel_knowledge == ChannelKnowledge.KNOWN_F
+    m = ms.n_snapshots
+    if known_f:
+        spans = [orthonormal_basis(ch.matrix, f"channel {i} matrix")
+                 for i, ch in enumerate(channels)]
+    else:
+        spans = [_mode_count(channels, ms, need_residual=per_channel_noise)] * len(channels)
+    inside, outside, bases = zip(*(_split(x, s, m, per_channel_noise)
+                                   for x, s in zip(ms.blocks, spans)))
+    inside = np.array(inside)
+    outside = np.array(outside, dtype=float) if per_channel_noise or not known_f else None
+    col = _column(noise, channels, ms, energies, inside, outside,
+                  numerator=inside if dominant_numerator else None,
+                  log=np.log if known_f else np.log1p)
+    composite, cv, noise_alt, basis_z = math.inf, 0.0, col.noise_alt, None
+    if col.phi is not None:
+        span_z = spans[0]
+        if known_f:
+            compose = compose_f_whitened if noise == NoiseKnowledge.KNOWN else compose_f
+            span_z = orthonormal_basis(compose(channels), "composite channel")
+        variance = 1.0 if col.variance is None else col.variance
+        z = np.vstack(ms.blocks if col.variance is None
+                      else [x / s for x, s in zip(ms.blocks, np.sqrt(variance))])
+        top_z, rest_z, basis_z = _split(z, span_z, m,
+                                        residual=noise == NoiseKnowledge.COMMON_UNKNOWN)
+        # Row 1 takes the cross-validation term from the in-span energies,
+        # row 3 from the tails, which keep the composite and the term apart.
+        if known_f:
+            cv = (float((inside / variance).sum()) - top_z) / col.denominator
+        else:
+            cv = (rest_z - float((outside / variance).sum())) / col.denominator
+        composite = (float(col.alphas @ col.lam) - cv if per_channel_noise
+                     else top_z / col.denominator)
+        if noise == NoiseKnowledge.COMMON_UNKNOWN:
+            noise_alt = np.array([rest_z / ms.n_total])
+    estimated = {} if known_f else {"channel_bases": bases, "composite_basis": basis_z}
+    return _report(spec, col, composite, cv, noise_alt=noise_alt, **estimated)
+
+
+def _gain_row(spec: KnowledgeSpec, channels: Sequence[ChannelModel], ms: MeasurementSet,
+              energies: np.ndarray) -> DetectorReport:
+    """Row 2: the Gram matrix G_ij = <A_j, A_i> of the matched outputs A_l = H_l^H X_l.
+
+    A zero-energy output gets zeroed coherences and sets the degenerate flag.
+    """
+    bad = [i for i, ch in enumerate(channels) if not ch.is_orthonormal(ORTHONORMAL_TOL)]
+    if bad:
+        raise ConfigError(f"channel {bad[0]} must have orthonormal columns for unknown-gain panels")
+    m = ms.n_snapshots
+    outputs = [ch.matrix.conj().T @ x for ch, x in zip(channels, ms.blocks)]
     stacked = np.array([a.ravel() for a in outputs])
     gram = stacked @ stacked.conj().T
-    energies = gram.diagonal().real.copy()
-    norms = np.sqrt(np.outer(energies, energies))
+    matched = gram.diagonal().real.copy()
+    noise = spec.noise_knowledge
+    residual = None
+    if noise == NoiseKnowledge.DIFFERENT_UNKNOWN:
+        residual = np.array([_energy(x - ch.matrix @ a)
+                             for ch, x, a in zip(channels, ms.blocks, outputs)]) / m
+    col = _column(noise, channels, ms, energies, matched / m, residual)
+    # sqrt(e_i) sqrt(e_j) rather than sqrt(e_i e_j): the product overflows
+    # or underflows once the energies pass about 1e+-154.
+    root = np.sqrt(matched)
+    norms = np.outer(root, root)
     coherences = np.divide(gram, norms, out=np.zeros_like(gram), where=norms > 0.0)
     coherences = 0.5 * (coherences + coherences.conj().T)
     np.fill_diagonal(coherences, 1.0)
-    degenerate = bool(np.any(energies <= 0.0))
-    return block_traces, outputs, gram, coherences, degenerate, energies
+    composite, cv, direction = math.inf, 0.0, None
+    if col.phi is not None:
+        fusion = rayleigh_extremes(build_fusion_t(col.alphas, col.phi, coherences))
+        cv = fusion.min_value
+        if noise == NoiseKnowledge.DIFFERENT_UNKNOWN:
+            composite, direction = float(col.alphas @ col.lam) - cv, fusion.min_vector
+        else:
+            sigma = 1.0 if col.variance is None else np.sqrt(col.variance)
+            quad = gram / (m * col.denominator * np.outer(sigma, sigma))
+            gain = rayleigh_extremes(0.5 * (quad + quad.conj().T))
+            composite, direction = gain.max_value, gain.max_vector
+    return _report(spec, col, composite, cv, gain_direction=direction, coherences=coherences,
+                   degenerate=col.degenerate or bool(np.any(matched <= 0.0)))
 
 
-def detect_p21(channels: Sequence[ChannelModel], ms: MeasurementSet) -> DetectorReport:
-    """Known orthonormal coupling, unknown gains, known noise variances.
-
-    The composite statistic is the largest eigenvalue of the whitened
-    matched-filter quadratic form (the maximized Rayleigh quotient over gain
-    directions); its canonical decomposition subtracts the smallest
-    eigenvalue of the fusion matrix from the equally-weighted per-channel
-    statistics.
-    """
-    _, _, gram, coherences, degenerate, energies = _gain_panel_common(channels, ms)
-    n_ch = len(channels)
-    m = ms.n_snapshots
-    sigma2 = np.array([ch.noise_variance for ch in channels])
-    lam = energies / (m * sigma2)
-    quad = gram / (m * n_ch * np.sqrt(np.outer(sigma2, sigma2)))
-    ext = rayleigh_extremes(0.5 * (quad + quad.conj().T))
-    alphas = np.full(n_ch, 1.0 / n_ch)
-    t = build_fusion_t(alphas, lam, coherences)
-    cv = rayleigh_extremes(t).min_value
-    return DetectorReport(
-        composite=ext.max_value,
-        alphas=alphas,
-        per_channel=lam,
-        cross_validation=cv,
-        panel=KnowledgeSpec(ChannelKnowledge.UNKNOWN_GAINS, NoiseKnowledge.KNOWN),
-        degenerate=degenerate,
-        gain_direction=ext.max_vector,
-        coherences=coherences,
-    )
-
-
-def detect_p22(channels: Sequence[ChannelModel], ms: MeasurementSet) -> DetectorReport:
-    """Known orthonormal coupling, unknown gains, common unknown noise."""
-    block_traces, _, gram, coherences, degenerate, energies = _gain_panel_common(channels, ms)
-    n_ch = len(channels)
-    m = ms.n_snapshots
-    total = float(block_traces.sum())
-    if total <= 0.0:
-        raise DegenerateDataError("composite data has zero energy")
-    alphas = block_traces / total
-    lam = np.divide(energies / m, block_traces,
-                    out=np.zeros(n_ch), where=block_traces > 0.0)
-    degenerate = degenerate or bool(np.any(block_traces <= 0.0))
-    quad = gram / (m * total)
-    ext = rayleigh_extremes(0.5 * (quad + quad.conj().T))
-    t = build_fusion_t(alphas, lam, coherences)
-    cv = rayleigh_extremes(t).min_value
-    return DetectorReport(
-        composite=ext.max_value,
-        alphas=alphas,
-        per_channel=lam,
-        cross_validation=cv,
-        panel=KnowledgeSpec(ChannelKnowledge.UNKNOWN_GAINS, NoiseKnowledge.COMMON_UNKNOWN),
-        degenerate=degenerate,
-        gain_direction=ext.max_vector,
-        coherences=coherences,
-        noise_null=np.array([total / ms.n_total]),
-    )
-
-
-def detect_p23(channels: Sequence[ChannelModel], ms: MeasurementSet) -> DetectorReport:
-    """Known orthonormal coupling, unknown gains, per-channel unknown noise.
-
-    The fusion matrix is built from matched-to-residual energy ratios (the
-    same statistic on and off the diagonal) while the weighted sum uses the
-    per-channel log energy ratios; the whole report is invariant to
-    independent per-channel rescalings.
-    """
-    block_traces, outputs, _, coherences, degenerate, energies = _gain_panel_common(
-        channels, ms)
-    m = ms.n_snapshots
-    n_z = ms.n_total
-    dims = np.array(ms.channel_dims, dtype=float)
-    alphas = dims / n_z
-    matched = energies / m
-    residual = _residuals([ch.matrix for ch in channels], ms.blocks, outputs, m)
-    lam, no_residual = _log_ratios(block_traces, residual, block_traces)
-    composite, cv, gain_direction, extras = math.inf, 0.0, None, {}
-    if not no_residual:
-        ratios = matched / residual
-        ext = rayleigh_extremes(build_fusion_t(alphas, ratios, coherences))
-        cv = ext.min_value
-        composite = float(alphas @ lam) - cv
-        gain_direction, extras = ext.min_vector, {"fusion_stats": ratios}
-    return DetectorReport(
-        composite=composite,
-        alphas=alphas,
-        per_channel=lam,
-        cross_validation=cv,
-        panel=KnowledgeSpec(ChannelKnowledge.UNKNOWN_GAINS, NoiseKnowledge.DIFFERENT_UNKNOWN),
-        degenerate=degenerate or no_residual,
-        gain_direction=gain_direction,
-        coherences=coherences,
-        noise_null=block_traces / dims,
-        noise_alt=residual / dims,
-        extras=extras,
-    )
-
-
-def _check_subspace_dims(channels, ms, *, need_residual: bool) -> int:
+def _mode_count(channels: Sequence[ChannelModel], ms: MeasurementSet, *,
+                need_residual: bool) -> int:
+    """The mode count J, checked against the snapshot count and block sizes."""
     j = channels[0].n_modes
-    m = ms.n_snapshots
-    if m < j:
-        raise ValueError(f"need at least J={j} snapshots, got M={m}")
+    if ms.n_snapshots < j:
+        raise ValueError(f"need at least J={j} snapshots, got M={ms.n_snapshots}")
     for idx, dim in enumerate(ms.channel_dims):
         if j > dim:
             raise ValueError(f"J={j} exceeds channel {idx} dimension {dim}")
         if need_residual and dim <= j:
-            raise ValueError(
-                f"channel {idx} needs more than J={j} samples for a residual, got {dim}"
-            )
+            raise ValueError(f"channel {idx} needs more than J={j} samples for a residual, "
+                             f"got {dim}")
     return j
-
-
-def _principal_blocks(blocks, j: int, m: int):
-    """_principal for every block: (dominant energies, remaining energies, bases)."""
-    top, sub, bases = zip(*(_principal(x, j, m) for x in blocks))
-    return np.array(top), np.array(sub), bases
-
-
-def detect_p31(channels: Sequence[ChannelModel], ms: MeasurementSet) -> DetectorReport:
-    """Unknown rank-J coupling, known noise variances.
-
-    Composite statistic: (1/L) times the dominant-J eigen-energy of the
-    whitened composite covariance; the cross-validation term compares
-    subdominant (noise-subspace) energies of the composite against the
-    channels.
-    """
-    _block_energies(channels, ms)
-    j = _check_subspace_dims(channels, ms, need_residual=False)
-    n_ch = len(channels)
-    m = ms.n_snapshots
-    blocks = _whitened(ms, _sigmas(channels))
-    lam, sub, bases = _principal_blocks(blocks, j, m)
-    top_z, sub_z, basis_z = _principal(np.vstack(blocks), j, m)
-    alphas = np.full(n_ch, 1.0 / n_ch)
-    cv = sub_z / n_ch - float(alphas @ sub)
-    return DetectorReport(
-        composite=top_z / n_ch,
-        alphas=alphas,
-        per_channel=lam,
-        cross_validation=cv,
-        panel=KnowledgeSpec(ChannelKnowledge.UNKNOWN_SUBSPACE, NoiseKnowledge.KNOWN),
-        channel_bases=bases,
-        composite_basis=basis_z,
-    )
-
-
-def detect_p32(channels: Sequence[ChannelModel], ms: MeasurementSet) -> DetectorReport:
-    """Unknown rank-J coupling, common unknown noise variance."""
-    block_traces = _block_energies(channels, ms)
-    j = _check_subspace_dims(channels, ms, need_residual=False)
-    n_ch = len(channels)
-    m = ms.n_snapshots
-    total = float(block_traces.sum())
-    if total <= 0.0:
-        raise DegenerateDataError("composite data has zero energy")
-    top, rest, bases = _principal_blocks(ms.blocks, j, m)
-    positive = block_traces > 0.0
-    lam = np.divide(top, block_traces, out=np.zeros(n_ch), where=positive)
-    sub_frac = np.divide(rest, block_traces, out=np.zeros(n_ch), where=positive)
-    top_z, sub_z, basis_z = _principal(np.vstack(ms.blocks), j, m)
-    alphas = block_traces / total
-    cv = sub_z / total - float(alphas @ sub_frac)
-    return DetectorReport(
-        composite=top_z / total,
-        alphas=alphas,
-        per_channel=lam,
-        cross_validation=cv,
-        panel=KnowledgeSpec(ChannelKnowledge.UNKNOWN_SUBSPACE, NoiseKnowledge.COMMON_UNKNOWN),
-        degenerate=not bool(positive.all()),
-        channel_bases=bases,
-        composite_basis=basis_z,
-    )
-
-
-def detect_p33(
-    channels: Sequence[ChannelModel],
-    ms: MeasurementSet,
-    *,
-    dominant_numerator: bool = False,
-) -> DetectorReport:
-    """Unknown rank-J coupling, per-channel unknown noise variances.
-
-    The per-channel statistic defaults to ln(1 + total/subdominant) energy
-    ratio; ``dominant_numerator=True`` uses ln(1 + dominant/subdominant)
-    instead (equivalently ln(total/subdominant)), which is the exact analog
-    of the known-coupling log-ratio statistic evaluated at the estimated
-    subspace.  The cross-validation term is invariant to the choice.
-    """
-    traces = _block_energies(channels, ms)
-    j = _check_subspace_dims(channels, ms, need_residual=True)
-    n_z = ms.n_total
-    m = ms.n_snapshots
-    dims = np.array(ms.channel_dims, dtype=float)
-    alphas = dims / n_z
-    top, sub, bases = _principal_blocks(ms.blocks, j, m)
-    numerator = top if dominant_numerator else traces
-    lam, degenerate = _log_ratios(numerator, sub, traces, log=np.log1p)
-    composite, cv, basis_z, extras = math.inf, 0.0, None, {}
-    if not degenerate:
-        phi = top / sub
-        top_z, _, basis_z = _principal(np.vstack(_whitened(ms, np.sqrt(sub / dims))), j, m)
-        cv = float(alphas @ phi) - top_z / n_z
-        composite = float(alphas @ lam) - cv
-        extras = {"fusion_stats": phi}
-    return DetectorReport(
-        composite=composite,
-        alphas=alphas,
-        per_channel=lam,
-        cross_validation=cv,
-        panel=KnowledgeSpec(ChannelKnowledge.UNKNOWN_SUBSPACE, NoiseKnowledge.DIFFERENT_UNKNOWN),
-        degenerate=degenerate,
-        noise_alt=sub / dims,
-        channel_bases=bases,
-        composite_basis=basis_z,
-        extras=extras,
-    )
-
-
-_DISPATCH = {
-    ("known_f", "known"): detect_p11,
-    ("known_f", "common_unknown"): detect_p12,
-    ("known_f", "different_unknown"): detect_p13,
-    ("unknown_gains", "known"): detect_p21,
-    ("unknown_gains", "common_unknown"): detect_p22,
-    ("unknown_gains", "different_unknown"): detect_p23,
-    ("unknown_subspace", "known"): detect_p31,
-    ("unknown_subspace", "common_unknown"): detect_p32,
-    ("unknown_subspace", "different_unknown"): detect_p33,
-}
-
-
-def detect(
-    spec: KnowledgeSpec,
-    channels: Sequence[ChannelModel],
-    measurements: MeasurementSet,
-    **options,
-) -> DetectorReport:
-    """Dispatch to the panel selected by ``spec``.
-
-    ``options`` are forwarded to the panel implementation (currently only
-    the unknown-subspace, per-channel-noise panel takes
-    ``dominant_numerator``).
-    """
-    key = (spec.channel_knowledge.value, spec.noise_knowledge.value)
-    fn = _DISPATCH[key]
-    return fn(channels, measurements, **options)

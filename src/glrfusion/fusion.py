@@ -17,10 +17,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel import ChannelModel, compose_f_whitened
+from .channel import ChannelModel
 from .detectors import ChannelKnowledge, DetectorReport, KnowledgeSpec, NoiseKnowledge
 from .errors import ConfigError, DimensionError, ProtocolError
-from .linalg import as_complex_matrix, orthonormal_basis, projected_energy
+from .linalg import as_complex_matrix, orthonormal_basis
 from .measurement import (
     MeasurementSet,
     _format_block,
@@ -85,17 +85,22 @@ def _group_gram_inverse(f: np.ndarray, label: str) -> np.ndarray:
     return np.linalg.inv(f.conj().T @ f)
 
 
-def qee(channels: Sequence[ChannelModel], group_x: Sequence[int],
-        group_y: Sequence[int]) -> np.ndarray:
-    """Covariance of the difference between the two groups' amplitude estimates.
+def _fold(q_a: np.ndarray, a_a: np.ndarray, q_b: np.ndarray, a_b: np.ndarray, m: int):
+    """Merge two groups' amplitude estimates A with estimate covariances Q.
 
-    Q_EE = (F_X^H F_X)^-1 + (F_Y^H F_Y)^-1 over whitened group channels.
+    Returns (term, Q_EE, S_EE, Q, A): the penalty term tr(Q_EE^-1 S_EE) of the
+    estimate difference E = A_a - A_b, with Q_EE = Q_a + Q_b and
+    S_EE = E E^H / M, and the merged precision-weighted estimate
+    A = Q (Q_a^-1 A_a + Q_b^-1 A_b) with Q = (Q_a^-1 + Q_b^-1)^-1.
     """
-    fx = compose_f_whitened([channels[i] for i in group_x])
-    fy = compose_f_whitened([channels[i] for i in group_y])
-    qx = _group_gram_inverse(fx, "group-X channel")
-    qy = _group_gram_inverse(fy, "group-Y channel")
-    return qx + qy
+    q_ee = q_a + q_b
+    err = a_a - a_b
+    s_ee = err @ err.conj().T / m
+    term = float(np.real(np.trace(np.linalg.solve(q_ee, s_ee))))
+    inv_a = np.linalg.inv(q_a)
+    inv_b = np.linalg.inv(q_b)
+    q = np.linalg.inv(inv_a + inv_b)
+    return term, q_ee, s_ee, q, q @ (inv_a @ a_a + inv_b @ a_b)
 
 
 @dataclass(frozen=True)
@@ -138,13 +143,8 @@ def partition_cv(channels: Sequence[ChannelModel], ms: MeasurementSet,
         left, right = node
         leaves_l, q_l, a_l = visit(left)
         leaves_r, q_r, a_r = visit(right)
-        q_ee = q_l + q_r
-        err = a_l - a_r
-        s_ee = err @ err.conj().T / m
-        term = float(np.real(np.trace(np.linalg.solve(q_ee, s_ee))))
+        term, q_ee, s_ee, q_new, a_new = _fold(q_l, a_l, q_r, a_r, m)
         steps.append(PartitionStep(leaves_l, leaves_r, term, q_ee, s_ee))
-        q_new = np.linalg.inv(np.linalg.inv(q_l) + np.linalg.inv(q_r))
-        a_new = q_new @ (np.linalg.solve(q_l, a_l) + np.linalg.solve(q_r, a_r))
         return leaves_l + leaves_r, q_new, a_new
 
     visit(tree)
@@ -154,36 +154,6 @@ def partition_cv(channels: Sequence[ChannelModel], ms: MeasurementSet,
         raw_total=raw_total,
         cross_validation=raw_total / len(channels),
     )
-
-
-def projection_form_cv(channels: Sequence[ChannelModel], ms: MeasurementSet,
-                       group_x: Sequence[int], group_y: Sequence[int]) -> float:
-    """Cross-validation quadratic form as a projection: tr(Z^H P_B Z).
-
-    B stacks the two groups' left inverses with opposite signs, so B^H Z is
-    the difference of the group amplitude estimates and F^H B = 0.
-    """
-    validate_against_channels(channels, ms)
-    if sorted(tuple(group_x) + tuple(group_y)) != list(range(len(channels))):
-        raise ConfigError("groups must partition the channel set")
-    fx, zx = _whitened_group(channels, ms, group_x)
-    fy, zy = _whitened_group(channels, ms, group_y)
-    qx = _group_gram_inverse(fx, "group-X channel")
-    qy = _group_gram_inverse(fy, "group-Y channel")
-    b = np.vstack([fx @ qx, -(fy @ qy)])
-    z = np.vstack([zx, zy])
-    s = z @ z.conj().T
-    return projected_energy(b, s)
-
-
-def composite_gram_form(channels: Sequence[ChannelModel], ms: MeasurementSet,
-                        indices: Sequence[int] | None = None) -> float:
-    """tr(Z^H P_F Z) over the whitened composite (or a channel subset)."""
-    validate_against_channels(channels, ms)
-    if indices is None:
-        indices = range(len(channels))
-    f, z = _whitened_group(channels, ms, list(indices))
-    return projected_energy(f, z @ z.conj().T)
 
 
 @dataclass(frozen=True)
@@ -231,10 +201,10 @@ def channel_message(channel: ChannelModel, x_block, n_snapshots: int) -> Channel
     f = (channel.gain / channel.noise_sigma) * channel.matrix
     a_hat = ml_amplitudes(f, x / channel.noise_sigma)
     cov = np.linalg.inv(f.conj().T @ f)
-    s_w = (x @ x.conj().T) / (n_snapshots * channel.noise_variance)
-    stat = projected_energy(channel.matrix, s_w)
+    matched = orthonormal_basis(channel.matrix, "channel matrix").conj().T @ x
     return ChannelMessage(
-        statistic=stat,
+        statistic=float(np.real(np.vdot(matched, matched)))
+        / (n_snapshots * channel.noise_variance),
         amplitudes=a_hat,
         amplitude_covariance=cov,
         n_samples=channel.n_samples,
@@ -265,14 +235,9 @@ def daisy_chain_fuse(messages: Sequence[ChannelMessage | Mapping]) -> list[Detec
             q_run = msg.amplitude_covariance
             a_run = msg.amplitudes
         else:
-            q_ee = q_run + msg.amplitude_covariance
-            err = a_run - msg.amplitudes
-            s_ee = err @ err.conj().T / m
-            raw_cv += float(np.real(np.trace(np.linalg.solve(q_ee, s_ee))))
-            q_inv = np.linalg.inv(q_run)
-            qk_inv = np.linalg.inv(msg.amplitude_covariance)
-            q_run = np.linalg.inv(q_inv + qk_inv)
-            a_run = q_run @ (q_inv @ a_run + qk_inv @ msg.amplitudes)
+            term, _, _, q_run, a_run = _fold(q_run, a_run, msg.amplitude_covariance,
+                                             msg.amplitudes, m)
+            raw_cv += term
         stats.append(msg.statistic)
         k = len(stats)
         cv = raw_cv / k
@@ -333,41 +298,3 @@ def load_messages(directory) -> list[ChannelMessage]:
             n_snapshots=m,
         ))
     return out
-
-
-def _cfar_diag_decomposition(channels: Sequence[ChannelModel], ms: MeasurementSet,
-                             index: int) -> tuple[float, float, float]:
-    """Diagonal term of the scale-invariant composite quadratic expansion.
-
-    Test helper, not public API: returns (direct, weighted_stat, n_ii) where
-    ``direct`` is the i = j term of the composite CFAR quadratic form,
-    ``weighted_stat`` is alpha_i * Lambda_i,CFAR, and ``n_ii`` is the
-    matrix-inversion-lemma correction, so direct = weighted_stat - n_ii.
-    """
-    validate_against_channels(channels, ms)
-    from .measurement import sample_covariance as _cov
-
-    s = _cov(ms)
-    total = s.trace()
-    m = ms.n_snapshots
-    f_blocks = [ch.gain * ch.matrix for ch in channels]
-    f = np.vstack(f_blocks)
-    gram = f.conj().T @ f
-    x_i = ms.block(index)
-    f_i = f_blocks[index]
-    direct = float(np.real(np.trace(
-        x_i.conj().T @ f_i @ np.linalg.solve(gram, f_i.conj().T @ x_i)
-    ))) / (m * total)
-    others = [f_blocks[k] for k in range(len(channels)) if k != index]
-    f_rest = np.vstack(others)
-    g_i = f_i.conj().T @ f_i
-    g_rest = f_rest.conj().T @ f_rest
-    q_i = np.linalg.inv(g_i)
-    q_rest = np.linalg.inv(g_rest)
-    correction = q_i @ np.linalg.solve(q_i + q_rest, q_i)
-    n_ii = float(np.real(np.trace(
-        x_i.conj().T @ f_i @ correction @ f_i.conj().T @ x_i
-    ))) / (m * total)
-    alpha_i = s.trace_block(index) / total
-    lam_i = projected_energy(channels[index].matrix, s.block(index)) / s.trace_block(index)
-    return direct, alpha_i * lam_i, n_ii

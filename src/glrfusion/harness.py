@@ -361,7 +361,6 @@ def scan_likelihood_image(
     delays_s: Sequence[float],
     dopplers_hz: Sequence[float],
     scan_channels: Sequence[int] | None = None,
-    **detect_options,
 ) -> LikelihoodImage:
     """Evaluate the detector over a grid of delay/Doppler hypotheses.
 
@@ -396,7 +395,7 @@ def scan_likelihood_image(
                         cell_spec, scenario.gains[idx], scenario.noise_variances[idx]))
                 else:
                     channels.append(base_channels[idx])
-            values[a, b] = detect(panel, channels, measurements, **detect_options).composite
+            values[a, b] = detect(panel, channels, measurements).composite
     flat = int(np.argmax(values))
     argmax = (flat // dopplers.size, flat % dopplers.size)
     return LikelihoodImage(values=values, delays_s=delays, dopplers_hz=dopplers,

@@ -92,12 +92,6 @@ def hermitian_eig(k) -> HermitianEig:
                         vectors=_normalize_phases(u[:, order]))
 
 
-def eigvalsh_descending(k) -> np.ndarray:
-    """Eigenvalues only, sorted descending."""
-    arr = _as_square_hermitian(k)
-    return np.linalg.eigvalsh(arr)[::-1]
-
-
 def orthonormal_basis(b, name: str = "matrix") -> np.ndarray:
     """Orthonormal basis of the column span of a full-column-rank matrix.
 
@@ -123,37 +117,6 @@ def orthonormal_basis(b, name: str = "matrix") -> np.ndarray:
     return u
 
 
-def orth_projection(b) -> np.ndarray:
-    """Orthogonal projector P = B (B^H B)^-1 B^H onto the span of B.
-
-    P is Hermitian, idempotent, and trace(P) equals the number of columns.
-    """
-    q = orthonormal_basis(b)
-    return q @ q.conj().T
-
-
-def projected_energy(b, s) -> float:
-    """trace(P_B S) for Hermitian S, without forming the full projector."""
-    q = orthonormal_basis(b)
-    return float(np.real(np.einsum("ij,jk,ki->", q.conj().T, s, q)))
-
-
-def whiten(x, sigma: float) -> np.ndarray:
-    """Divide data by a noise standard deviation."""
-    if not (sigma > 0):
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    return np.asarray(x, dtype=np.complex128) / sigma
-
-
-def whiten_covariance(s, sigma_row: float, sigma_col: float | None = None) -> np.ndarray:
-    """Whiten a covariance block: S_ij / (sigma_i sigma_j)."""
-    if sigma_col is None:
-        sigma_col = sigma_row
-    if not (sigma_row > 0 and sigma_col > 0):
-        raise ValueError(f"sigmas must be positive, got {sigma_row}, {sigma_col}")
-    return np.asarray(s, dtype=np.complex128) / (sigma_row * sigma_col)
-
-
 class RayleighExtremes(NamedTuple):
     min_value: float
     max_value: float
@@ -170,25 +133,3 @@ def rayleigh_extremes(t) -> RayleighExtremes:
         min_vector=eig.vectors[:, -1],
         max_vector=eig.vectors[:, 0],
     )
-
-
-def _check_eig_count(s: np.ndarray, j: int) -> None:
-    n = s.shape[0]
-    if not (1 <= j <= n):
-        raise ValueError(f"mode count J={j} out of range for a {n}x{n} matrix")
-
-
-def top_j_energy(s, j: int) -> float:
-    """Sum of the J largest eigenvalues of a Hermitian PSD matrix."""
-    arr = _as_square_hermitian(s)
-    _check_eig_count(arr, j)
-    w = eigvalsh_descending(arr)
-    return float(np.sum(w[:j]))
-
-
-def subdominant_energy(s, j: int) -> float:
-    """Sum of the eigenvalues below the J largest: trace(S) - top_j_energy(S, J)."""
-    arr = _as_square_hermitian(s)
-    _check_eig_count(arr, j)
-    w = eigvalsh_descending(arr)
-    return float(np.sum(w[j:]))

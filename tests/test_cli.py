@@ -190,6 +190,21 @@ class TestDetect:
         assert err.startswith("error:") and key in err
         assert err.strip().count("\n") == 0
 
+    def test_dominant_numerator_outside_p33_is_clean_error(self, tmp_path, capsys):
+        sim_cfg = self.make_data(tmp_path, modes=1, snapshots=6)
+        for panel, status in (("p11", 1), ("p33", 0)):
+            cfg = write_config(tmp_path / f"det_{panel}.json", {
+                "panel": panel,
+                "modes": 1,
+                "channels": sim_cfg["channels"],
+                "dominant_numerator": True,
+            })
+            assert main(["detect", "--config", cfg, str(tmp_path / "data")]) == status
+            err = capsys.readouterr().err
+            if status:
+                assert err.startswith("error:") and "P33" in err
+                assert err.strip().count("\n") == 0
+
     def test_output_files_written(self, tmp_path, capsys):
         sim_cfg = self.make_data(tmp_path)
         cfg = write_config(tmp_path / "det.json", {
@@ -237,6 +252,25 @@ class TestErrorsAndOverrides:
                      "--set", f"output={tmp_path / 'o2'}"]) == 0
         manifest = json.loads((tmp_path / "o2" / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 8
+
+    def test_override_indexes_list_element(self, tmp_path):
+        channels = [channel_entry(), channel_entry(n=6)]
+        cfg = write_config(tmp_path / "c.json",
+                           simulate_config(tmp_path, "o1", channels=channels))
+        assert main(["simulate", "--config", cfg, "--set", "channels.1.gain=2"]) == 0
+        manifest = json.loads((tmp_path / "o1" / "manifest.json").read_text())
+        assert [c["gain"] for c in manifest["config"]["channels"]] == [1.0, 2]
+        assert [c["n_samples"] for c in manifest["config"]["channels"]] == [8, 6]
+
+    @pytest.mark.parametrize("override", ["channels.2.gain=2", "channels.x.gain=2",
+                                          "channels.-1.gain=2", "snr_db.0.x=1"])
+    def test_bad_override_index_is_clean_error(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path / "c.json", simulate_config(
+            tmp_path, channels=[channel_entry()], snr_db=[1.0]))
+        assert main(["simulate", "--config", cfg, "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and override.split("=")[0] in err
+        assert err.strip().count("\n") == 0
 
     def test_missing_required_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {"seed": 1})

@@ -17,7 +17,6 @@ from glrfusion import (
     MeasurementSet,
     NoiseKnowledge,
     build_fusion_t,
-    coherence,
     compose_f,
     compose_f_whitened,
     detect,
@@ -30,18 +29,21 @@ from glrfusion import (
     detect_p31,
     detect_p32,
     detect_p33,
-    fusion_m_matrix,
     hermitian_eig,
-    orth_projection,
-    qee,
-    rank_one_pair_composite,
     rayleigh_extremes,
     sample_covariance,
     simulate,
-    two_channel_cross_validation,
 )
 from glrfusion.measurement import channel_ml_amplitudes
 from conftest import complex_normal, random_channel, random_instance
+from oracles import (
+    coherence,
+    fusion_m_matrix,
+    orth_projection,
+    qee,
+    rank_one_pair_composite,
+    two_channel_cross_validation,
+)
 
 ALL_PANELS = ["P11", "P12", "P13", "P21", "P22", "P23", "P31", "P32", "P33"]
 # Draws for the covariance-formula oracles: the default random shapes, then
@@ -75,6 +77,12 @@ class TestDispatch:
         with pytest.raises(ConfigError, match="orthonormal"):
             detect_p21(chans, ms)
 
+    @pytest.mark.parametrize("panel", [p for p in ALL_PANELS if p != "P33"])
+    def test_dominant_numerator_is_p33_only(self, rng, panel):
+        chans, ms = make_instance(rng, panel, n_channels=2)
+        with pytest.raises(ConfigError, match="P33"):
+            detect(KnowledgeSpec.from_panel(panel), chans, ms, dominant_numerator=True)
+
     def test_panel_names(self):
         assert KnowledgeSpec.from_panel("p23").panel == "P23"
         with pytest.raises(ConfigError):
@@ -97,7 +105,7 @@ class TestDecompositionIdentity:
 
 class TestInvarianceClasses:
     @pytest.mark.parametrize("panel", ["P12", "P22", "P32"])
-    @pytest.mark.parametrize("factor", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("factor", [1e-3, 1.0, 1e3, 1e-100, 1e100])
     def test_composite_scaling(self, rng, panel, factor):
         spec = KnowledgeSpec.from_panel(panel)
         chans, ms = make_instance(rng, panel, n_channels=3)
@@ -115,7 +123,7 @@ class TestInvarianceClasses:
         spec = KnowledgeSpec.from_panel(panel)
         chans, ms = make_instance(rng, panel, n_channels=3)
         base = detect(spec, chans, ms)
-        for factors in ([1e-3, 1.0, 1e3], [7.7, 0.02, 13.0]):
+        for factors in ([1e-3, 1.0, 1e3], [7.7, 0.02, 13.0], [1e-100, 1.0, 1e100]):
             scaled = detect(spec, chans, ms.scaled(factors))
             assert scaled.composite == pytest.approx(base.composite, abs=1e-12, rel=1e-12)
             assert scaled.cross_validation == pytest.approx(
@@ -187,6 +195,20 @@ class TestP12:
         z = q[:, 1:4]  # orthogonal complement directions
         rep = detect_p12(chans, MeasurementSet((z,)))
         assert rep.composite == pytest.approx(0.0, abs=1e-12)
+
+    def test_noise_alt_is_direct_residual(self, rng):
+        # At a signal amplitude 1e8 times the noise, (tr S - tr P_F S) / LN
+        # is a difference of two near-equal energies and loses every digit;
+        # the residual formed from the data keeps them.
+        ch = random_channel(rng, 16, 2, orthonormal=True, noise_variance=1.0, gain=1.0)
+        for draw in range(20):
+            ms = simulate([ch], 8, seed=draw, amplitudes=1e8 * complex_normal(rng, (2, 8)))
+            z = ms.block(0)
+            q = np.linalg.qr(ch.matrix)[0]
+            resid = z - q @ (q.conj().T @ z)
+            direct = np.vdot(resid, resid).real / (8 * 16)
+            rep = detect_p12([ch], ms)
+            assert rep.noise_alt[0] == pytest.approx(direct, rel=1e-6)
 
     def test_reports_noise_estimates(self, rng):
         for shape in SHAPES:

@@ -17,19 +17,12 @@ from glrfusion import (
     daisy_chain_fuse,
     detect_p11,
     partition_cv,
-    projection_form_cv,
-    qee,
     simulate,
 )
-from glrfusion.fusion import (
-    _cfar_diag_decomposition,
-    composite_gram_form,
-    load_messages,
-    save_messages,
-    tree_leaves,
-)
+from glrfusion.fusion import load_messages, save_messages, tree_leaves
 from glrfusion.measurement import channel_ml_amplitudes, ml_amplitudes
 from conftest import complex_normal, random_channel, random_instance
+from oracles import cfar_diag_decomposition, composite_gram_form, projection_form_cv, qee
 
 
 def messages_for(chans, ms):
@@ -241,12 +234,12 @@ class TestDaisyChain:
 
 class TestScaleInvariantDiagonal:
     def test_inversion_lemma_identity(self, rng):
-        # Hidden helper: the i = j term of the scale-invariant composite
+        # Oracle: the i = j term of the scale-invariant composite
         # quadratic expansion equals the weighted per-channel statistic
         # minus the lemma correction.
         for _ in range(10):
             chans, ms = random_instance(rng, n_channels=3)
             for i in range(3):
-                direct, weighted, n_ii = _cfar_diag_decomposition(chans, ms, i)
+                direct, weighted, n_ii = cfar_diag_decomposition(chans, ms, i)
                 assert direct == pytest.approx(weighted - n_ii, abs=1e-10, rel=1e-9)
                 assert n_ii >= -1e-12

@@ -9,14 +9,16 @@ from glrfusion import (
     DimensionError,
     RankDeficiencyError,
     hermitian_eig,
-    orth_projection,
     rayleigh_extremes,
+)
+from conftest import complex_normal
+from oracles import (
+    orth_projection,
     subdominant_energy,
     top_j_energy,
     whiten,
     whiten_covariance,
 )
-from conftest import complex_normal
 
 
 def random_hermitian(rng, n):
