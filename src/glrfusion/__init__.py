@@ -78,10 +78,8 @@ from .linalg import (
 from .measurement import (
     MeasurementSet,
     SampleCovariance,
-    channel_ml_amplitudes,
     draw_amplitudes,
     load_measurements,
-    ml_amplitudes,
     sample_covariance,
     save_measurements,
     simulate,

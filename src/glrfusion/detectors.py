@@ -41,10 +41,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import ChannelModel, compose_f, compose_f_whitened
+from .channel import ChannelModel, compose_f, compose_f_whitened, require_same_dims
 from .errors import ConfigError, DegenerateDataError
 from .linalg import _normalize_phases, orthonormal_basis, rayleigh_extremes
-from .measurement import MeasurementSet, validate_against_channels
+from .measurement import MeasurementSet
 
 ORTHONORMAL_TOL = 1e-9
 # Residual energy below this fraction of the channel energy is treated as
@@ -199,7 +199,7 @@ def _block_energies(channels: Sequence[ChannelModel], ms: MeasurementSet) -> np.
     """Check the channels against the data; return block energies ||X_l||^2 / M."""
     if not channels:
         raise ConfigError("at least one channel is required")
-    validate_against_channels(channels, ms)
+    require_same_dims(channels, ms.channel_dims)
     j = channels[0].n_modes
     for idx, ch in enumerate(channels):
         if ch.n_modes != j:

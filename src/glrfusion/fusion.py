@@ -1,33 +1,28 @@
-"""Fusion identities: partition decompositions of the known-channel detector.
+"""Fusion identities: one message per channel, folded over a binary tree.
 
 The known-coupling, known-noise composite quadratic form decomposes exactly
-into per-channel quadratic forms minus amplitude-disagreement penalties, one
-per binary partitioning step.  The same identity drives a daisy-chained
-fusion topology in which each link folds one channel's sufficient message
-(statistic, amplitude estimate, estimate covariance) into a running
-composite report.
+into per-channel quadratic forms minus one amplitude-disagreement penalty per
+internal node of any binary tree over the channels.  Each leaf is a channel's
+message (statistic, ML amplitude estimate A_l, its covariance Q_l); each node
+folds its children's (Q, A).  ``partition_cv`` folds over any tree and
+``daisy_chain_fuse`` over the left-deep chain, one channel per link.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel import ChannelModel
+from .channel import ChannelModel, require_same_dims
 from .detectors import ChannelKnowledge, DetectorReport, KnowledgeSpec, NoiseKnowledge
 from .errors import ConfigError, DimensionError, ProtocolError
 from .linalg import as_complex_matrix, orthonormal_basis
-from .measurement import (
-    MeasurementSet,
-    _format_block,
-    _parse_block,
-    ml_amplitudes,
-    validate_against_channels,
-)
+from .measurement import _HEADER_NAME, MeasurementSet, _format_block, _parse_block, _read_header
 
 PartitionTree = int | tuple
 
@@ -64,54 +59,29 @@ def tree_leaves(tree: PartitionTree) -> tuple[int, ...]:
     raise ConfigError(f"malformed partition tree node {tree!r}")
 
 
-def _validate_tree(tree: PartitionTree, n_channels: int) -> None:
-    leaves = tree_leaves(tree)
-    if sorted(leaves) != list(range(n_channels)):
-        raise ConfigError(
-            f"tree leaves {sorted(leaves)} are not a permutation of 0..{n_channels - 1}"
-        )
-
-
-def _whitened_group(channels: Sequence[ChannelModel], ms: MeasurementSet,
-                    indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    f = np.vstack([(channels[i].gain / channels[i].noise_sigma) * channels[i].matrix
-                   for i in indices])
-    z = np.vstack([ms.block(i) / channels[i].noise_sigma for i in indices])
-    return f, z
-
-
-def _group_gram_inverse(f: np.ndarray, label: str) -> np.ndarray:
-    orthonormal_basis(f, label)
-    return np.linalg.inv(f.conj().T @ f)
-
-
 def _fold(q_a: np.ndarray, a_a: np.ndarray, q_b: np.ndarray, a_b: np.ndarray, m: int):
     """Merge two groups' amplitude estimates A with estimate covariances Q.
 
-    Returns (term, Q_EE, S_EE, Q, A): the penalty term tr(Q_EE^-1 S_EE) of the
-    estimate difference E = A_a - A_b, with Q_EE = Q_a + Q_b and
-    S_EE = E E^H / M, and the merged precision-weighted estimate
-    A = Q (Q_a^-1 A_a + Q_b^-1 A_b) with Q = (Q_a^-1 + Q_b^-1)^-1.
+    Returns (term, Q, A): the penalty term tr(Q_EE^-1 S_EE) of the estimate
+    difference E = A_a - A_b, with Q_EE = Q_a + Q_b and S_EE = E E^H / M, and
+    the merged precision-weighted estimate A = Q (Q_a^-1 A_a + Q_b^-1 A_b)
+    with Q = (Q_a^-1 + Q_b^-1)^-1.
     """
-    q_ee = q_a + q_b
     err = a_a - a_b
-    s_ee = err @ err.conj().T / m
-    term = float(np.real(np.trace(np.linalg.solve(q_ee, s_ee))))
+    term = float(np.real(np.trace(np.linalg.solve(q_a + q_b, err @ err.conj().T / m))))
     inv_a = np.linalg.inv(q_a)
     inv_b = np.linalg.inv(q_b)
     q = np.linalg.inv(inv_a + inv_b)
-    return term, q_ee, s_ee, q, q @ (inv_a @ a_a + inv_b @ a_b)
+    return term, q, q @ (inv_a @ a_a + inv_b @ a_b)
 
 
 @dataclass(frozen=True)
 class PartitionStep:
-    """One binary split: penalty term tr(Q_EE^-1 S_EE) with its ingredients."""
+    """One binary split: the penalty term tr(Q_EE^-1 S_EE) between two groups."""
 
     left: tuple[int, ...]
     right: tuple[int, ...]
     term: float
-    qee: np.ndarray
-    see: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -119,6 +89,29 @@ class PartitionResult:
     steps: tuple[PartitionStep, ...]
     raw_total: float
     cross_validation: float  # raw_total / L, matching the known-noise panel
+
+
+def _fold_tree(messages: Sequence[ChannelMessage], tree: PartitionTree) -> list[PartitionStep]:
+    """Fold the leaves' messages up ``tree``, one step per internal node in post-order.
+
+    The walk keeps its own stack, as a chain is L levels deep; ``None`` marks a fold.
+    """
+    m = messages[0].n_snapshots
+    steps: list[PartitionStep] = []
+    groups: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]] = []
+    pending: list[PartitionTree | None] = [tree]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, int):
+            groups.append(((node,), messages[node].amplitude_covariance, messages[node].amplitudes))
+        elif node is not None:
+            pending += [None, node[1], node[0]]
+        else:
+            (leaves_r, q_r, a_r), (leaves_l, q_l, a_l) = groups.pop(), groups.pop()
+            term, q, a = _fold(q_l, a_l, q_r, a_r, m)
+            steps.append(PartitionStep(leaves_l, leaves_r, term))
+            groups.append((leaves_l + leaves_r, q, a))
+    return steps
 
 
 def partition_cv(channels: Sequence[ChannelModel], ms: MeasurementSet,
@@ -129,25 +122,13 @@ def partition_cv(channels: Sequence[ChannelModel], ms: MeasurementSet,
     Z^H P_F Z = X^H P_FX X + Y^H P_FY Y - M tr(Q_EE^-1 S_EE) applies; the
     totals are invariant to the tree shape.
     """
-    validate_against_channels(channels, ms)
-    _validate_tree(tree, len(channels))
-    m = ms.n_snapshots
-    steps: list[PartitionStep] = []
-
-    def visit(node: PartitionTree) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-        """Return (leaves, Q, A_hat) for the composite group under node."""
-        if isinstance(node, int):
-            f, z = _whitened_group(channels, ms, [node])
-            q = _group_gram_inverse(f, f"channel {node}")
-            return (node,), q, ml_amplitudes(f, z)
-        left, right = node
-        leaves_l, q_l, a_l = visit(left)
-        leaves_r, q_r, a_r = visit(right)
-        term, q_ee, s_ee, q_new, a_new = _fold(q_l, a_l, q_r, a_r, m)
-        steps.append(PartitionStep(leaves_l, leaves_r, term, q_ee, s_ee))
-        return leaves_l + leaves_r, q_new, a_new
-
-    visit(tree)
+    require_same_dims(channels, ms.channel_dims)
+    leaves = sorted(tree_leaves(tree))
+    if leaves != list(range(len(channels))):
+        raise ConfigError(f"tree leaves {leaves} are not a permutation of 0..{len(channels) - 1}")
+    messages = [channel_message(ch, ms.block(i), ms.n_snapshots)
+                for i, ch in enumerate(channels)]
+    steps = _fold_tree(messages, tree)
     raw_total = float(sum(s.term for s in steps))
     return PartitionResult(
         steps=tuple(steps),
@@ -171,7 +152,9 @@ class ChannelMessage:
                            as_complex_matrix(self.amplitudes, "amplitudes"))
         object.__setattr__(self, "amplitude_covariance",
                            as_complex_matrix(self.amplitude_covariance, "amplitude_covariance"))
-        j = self.amplitudes.shape[0]
+        j, m = self.amplitudes.shape
+        if m != self.n_snapshots:
+            raise DimensionError(f"amplitudes have {m} columns for n_snapshots={self.n_snapshots}")
         if self.amplitude_covariance.shape != (j, j):
             raise DimensionError(
                 f"amplitude covariance shape {self.amplitude_covariance.shape} "
@@ -196,17 +179,21 @@ def as_message(obj) -> ChannelMessage:
 
 
 def channel_message(channel: ChannelModel, x_block, n_snapshots: int) -> ChannelMessage:
-    """Build the fusion message for one channel from its local data."""
+    """Build the fusion message for one channel from its local data.
+
+    One SVD of F_l = (g_l/sigma_l) H_l gates its rank and gives the basis for the
+    statistic; A_l solves (F_l^H F_l) A_l = F_l^H X_l / sigma_l, and Q_l = (F_l^H F_l)^-1.
+    """
     x = as_complex_matrix(x_block, "channel data")
+    require_same_dims([channel], [x.shape[0]])
     f = (channel.gain / channel.noise_sigma) * channel.matrix
-    a_hat = ml_amplitudes(f, x / channel.noise_sigma)
-    cov = np.linalg.inv(f.conj().T @ f)
-    matched = orthonormal_basis(channel.matrix, "channel matrix").conj().T @ x
+    matched = orthonormal_basis(f, "whitened channel").conj().T @ x
+    gram = f.conj().T @ f
     return ChannelMessage(
         statistic=float(np.real(np.vdot(matched, matched)))
         / (n_snapshots * channel.noise_variance),
-        amplitudes=a_hat,
-        amplitude_covariance=cov,
+        amplitudes=np.linalg.solve(gram, f.conj().T @ (x / channel.noise_sigma)),
+        amplitude_covariance=np.linalg.inv(gram),
         n_samples=channel.n_samples,
         n_snapshots=n_snapshots,
     )
@@ -216,39 +203,25 @@ def daisy_chain_fuse(messages: Sequence[ChannelMessage | Mapping]) -> list[Detec
     """Fold channel messages into running composite reports, one per prefix.
 
     The k-th returned report equals the known-coupling, known-noise detector
-    evaluated on the pooled data of the first k channels.
+    evaluated on the pooled data of the first k channels; its raw
+    cross-validation is the sum of the first k-1 steps over ``chain_tree``.
     """
     msgs = [as_message(m) for m in messages]
     if not msgs:
         raise ProtocolError("no messages to fuse")
-    m = msgs[0].n_snapshots
-    for msg in msgs:
-        if msg.n_snapshots != m:
-            raise ProtocolError("messages disagree on snapshot count")
+    for idx, msg in enumerate(msgs):
+        if msg.amplitudes.shape != msgs[0].amplitudes.shape:
+            raise ProtocolError(f"message {idx} carries (J, M) = {msg.amplitudes.shape}, "
+                                f"message 0 carries {msgs[0].amplitudes.shape}")
+    steps = _fold_tree(msgs, chain_tree(len(msgs)))
+    raw_cvs = list(accumulate((s.term for s in steps), initial=0.0))
+    stats = np.array([msg.statistic for msg in msgs])
     reports: list[DetectorReport] = []
-    stats: list[float] = []
-    raw_cv = 0.0
-    q_run: np.ndarray | None = None
-    a_run: np.ndarray | None = None
-    for msg in msgs:
-        if q_run is None:
-            q_run = msg.amplitude_covariance
-            a_run = msg.amplitudes
-        else:
-            term, _, _, q_run, a_run = _fold(q_run, a_run, msg.amplitude_covariance,
-                                             msg.amplitudes, m)
-            raw_cv += term
-        stats.append(msg.statistic)
-        k = len(stats)
-        cv = raw_cv / k
-        lam = np.asarray(stats, dtype=float)
-        reports.append(DetectorReport(
-            composite=float(lam.mean()) - cv,
-            alphas=np.full(k, 1.0 / k),
-            per_channel=lam,
-            cross_validation=cv,
-            panel=_P11,
-        ))
+    for k in range(1, len(msgs) + 1):
+        cv = raw_cvs[k - 1] / k
+        reports.append(DetectorReport(composite=float(stats[:k].mean()) - cv,
+                                      alphas=np.full(k, 1.0 / k), per_channel=stats[:k].copy(),
+                                      cross_validation=cv, panel=_P11))
     return reports
 
 
@@ -271,19 +244,16 @@ def save_messages(messages: Sequence[ChannelMessage], directory) -> Path:
             "amplitude_covariance": cov_name,
         })
     header = {"format": "glrfusion-messages", "version": 1, "messages": entries}
-    (root / "header.json").write_text(json.dumps(header, indent=2) + "\n")
+    (root / _HEADER_NAME).write_text(json.dumps(header, indent=2) + "\n")
     return root
 
 
 def load_messages(directory) -> list[ChannelMessage]:
     root = Path(directory)
-    header = json.loads((root / "header.json").read_text())
-    if header.get("format") != "glrfusion-messages":
-        raise ConfigError(f"unrecognized message format {header.get('format')!r}")
+    header = _read_header(root, "glrfusion-messages", ("messages",))
     out = []
     for entry in header["messages"]:
-        for name in ("statistic", "n_samples", "n_snapshots", "n_modes",
-                     "amplitudes", "amplitude_covariance"):
+        for name in _MESSAGE_FIELDS + ("n_modes",):
             if name not in entry:
                 raise ProtocolError(f"channel message is missing field {name!r}")
         j = int(entry["n_modes"])

@@ -258,6 +258,24 @@ def _required_trials(pfa: float) -> int:
     return int(math.ceil(10.0 / pfa))
 
 
+def _null_thresholds(spec: ExperimentSpec, pfas: np.ndarray,
+                     jobs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Null sample and its (1 - pfa) quantiles, for pfas in descending order."""
+    for p in pfas:
+        if not (0.0 < p < 1.0):
+            raise ConfigError(f"pfa must lie in (0, 1), got {p}")
+    smallest = float(min(pfas))
+    if spec.trials < _required_trials(smallest):
+        raise ConfigError(
+            f"{spec.trials} trials cannot resolve pfa={smallest}; "
+            f"need at least {_required_trials(smallest)}"
+        )
+    sample = _statistic_sample(spec.panel, spec.scenario, spec.trials,
+                               spec.seed, None, jobs=jobs)
+    thresholds = np.quantile(sample, 1.0 - pfas)
+    return sample, np.maximum.accumulate(thresholds)  # guard quantile ties
+
+
 def run_roc(spec: ExperimentSpec, jobs: int = 1) -> list[RocCurve]:
     """One ROC curve per SNR grid point, thresholded at null quantiles.
 
@@ -269,18 +287,8 @@ def run_roc(spec: ExperimentSpec, jobs: int = 1) -> list[RocCurve]:
         raise ConfigError("run_roc needs at least one pfa target")
     if not spec.snr_db:
         raise ConfigError("run_roc needs at least one SNR grid point")
-    smallest = min(spec.pfa_targets)
-    if spec.trials < _required_trials(smallest):
-        raise ConfigError(
-            f"{spec.trials} trials cannot resolve pfa={smallest}; "
-            f"need at least {_required_trials(smallest)}"
-        )
-    null_sample = _statistic_sample(spec.panel, spec.scenario, spec.trials,
-                                    spec.seed, None, jobs=jobs)
-    order = np.argsort(spec.pfa_targets)[::-1]  # large pfa -> small threshold
-    pfas_sorted = np.asarray(spec.pfa_targets)[order]
-    thresholds = np.quantile(null_sample, 1.0 - pfas_sorted)
-    thresholds = np.maximum.accumulate(thresholds)  # guard quantile ties
+    null_sample, thresholds = _null_thresholds(
+        spec, np.sort(spec.pfa_targets)[::-1], jobs)  # large pfa -> small threshold
     curves = []
     for k, snr in enumerate(spec.snr_db):
         scale = spec.scenario.amplitude_scale(snr)
@@ -314,16 +322,8 @@ class ThresholdCalibration:
 
 def calibrate_threshold(spec: ExperimentSpec, pfa: float, jobs: int = 1) -> ThresholdCalibration:
     """Empirical null quantile for a target false-alarm probability."""
-    if not (0.0 < pfa < 1.0):
-        raise ConfigError(f"pfa must lie in (0, 1), got {pfa}")
-    if spec.trials < _required_trials(pfa):
-        raise ConfigError(
-            f"{spec.trials} trials cannot resolve pfa={pfa}; "
-            f"need at least {_required_trials(pfa)}"
-        )
-    sample = _statistic_sample(spec.panel, spec.scenario, spec.trials,
-                               spec.seed, None, jobs=jobs)
-    threshold = float(np.quantile(sample, 1.0 - pfa))
+    sample, thresholds = _null_thresholds(spec, np.array([pfa]), jobs)
+    threshold = float(thresholds[0])
     exceed = int((sample > threshold).sum())
     low, high, _ = wilson_interval(exceed, spec.trials)
     return ThresholdCalibration(

@@ -1,4 +1,4 @@
-"""Snapshot containers, blocked sample covariances, synthesis, and ML amplitudes.
+"""Snapshot containers, blocked sample covariances, synthesis, and file formats.
 
 Data for L channels over M snapshots is held as per-channel blocks X_l of
 shape (N_l, M).  Sample covariances are blocked the same way.  Synthesis is
@@ -20,9 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelModel, require_same_dims
+from .channel import ChannelModel
 from .errors import ConfigError, DimensionError
-from .linalg import as_complex_matrix, orthonormal_basis
+from .linalg import as_complex_matrix
 
 _HEADER_NAME = "header.json"
 _FORMAT_NAME = "glrfusion-measurements"
@@ -211,36 +211,6 @@ def draw_amplitudes(
     )
 
 
-def ml_amplitudes(f_whitened, z_whitened) -> np.ndarray:
-    """ML amplitude estimate (F^H F)^-1 F^H Z for whitened channel and data."""
-    f = as_complex_matrix(f_whitened, "whitened channel")
-    z = as_complex_matrix(z_whitened, "whitened data")
-    if z.shape[0] != f.shape[0]:
-        raise DimensionError(
-            f"data height {z.shape[0]} does not match channel height {f.shape[0]}"
-        )
-    orthonormal_basis(f, "whitened channel")  # full-column-rank gate
-    gram = f.conj().T @ f
-    return np.linalg.solve(gram, f.conj().T @ z)
-
-
-def channel_ml_amplitudes(channel: ChannelModel, x_block) -> np.ndarray:
-    """Per-channel ML amplitude estimate using only that channel's data."""
-    f = (channel.gain / channel.noise_sigma) * channel.matrix
-    return ml_amplitudes(f, np.asarray(x_block) / channel.noise_sigma)
-
-
-def amplitude_covariance(channel: ChannelModel) -> np.ndarray:
-    """Error covariance (F_l^H F_l)^-1 of the per-channel amplitude estimate."""
-    f = (channel.gain / channel.noise_sigma) * channel.matrix
-    gram = f.conj().T @ f
-    return np.linalg.inv(gram)
-
-
-def validate_against_channels(channels: Sequence[ChannelModel], measurements: MeasurementSet) -> None:
-    require_same_dims(channels, measurements.channel_dims)
-
-
 def _format_block(block: np.ndarray) -> str:
     lines = []
     for row in block:
@@ -286,25 +256,33 @@ def save_measurements(measurements: MeasurementSet, directory) -> Path:
     return root
 
 
-def load_measurements(directory) -> MeasurementSet:
-    """Read a measurement set written by :func:`save_measurements`."""
-    root = Path(directory)
+def _read_header(root: Path, format_name: str, keys: Sequence[str]) -> dict:
+    """Read ``root``/header.json: a JSON object of format ``format_name`` holding ``keys``."""
     header_path = root / _HEADER_NAME
     if not header_path.exists():
         raise ConfigError(f"no {_HEADER_NAME} in {root}")
     header = json.loads(header_path.read_text())
     if not isinstance(header, dict):
         raise ConfigError(f"{header_path} does not hold a JSON object")
-    if header.get("format") != _FORMAT_NAME:
-        raise ConfigError(f"unrecognized measurement format {header.get('format')!r}")
-    for key in ("n_snapshots", "channel_dims", "blocks"):
+    if header.get("format") != format_name:
+        raise ConfigError(f"unrecognized format {header.get('format')!r} in {header_path}, "
+                          f"expected {format_name!r}")
+    for key in keys:
         if key not in header:
             raise ConfigError(f"{header_path} is missing the key {key!r}")
+    return header
+
+
+def load_measurements(directory) -> MeasurementSet:
+    """Read a measurement set written by :func:`save_measurements`."""
+    root = Path(directory)
+    header = _read_header(root, _FORMAT_NAME, ("n_snapshots", "channel_dims", "blocks"))
     m = int(header["n_snapshots"])
     dims = [int(d) for d in header["channel_dims"]]
     if len(dims) != len(header["blocks"]):
         raise ConfigError(
-            f"{header_path} lists {len(header['blocks'])} block files for {len(dims)} channels"
+            f"{root / _HEADER_NAME} lists {len(header['blocks'])} block files "
+            f"for {len(dims)} channels"
         )
     blocks = []
     for dim, name in zip(dims, header["blocks"]):

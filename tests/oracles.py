@@ -17,14 +17,14 @@ from glrfusion import (
     ChannelModel,
     ConfigError,
     DegenerateDataError,
+    DimensionError,
     MeasurementSet,
     build_fusion_t,
     compose_f_whitened,
     sample_covariance,
 )
-from glrfusion.fusion import _group_gram_inverse, _whitened_group
-from glrfusion.linalg import _as_square_hermitian, orthonormal_basis
-from glrfusion.measurement import validate_against_channels
+from glrfusion.channel import require_same_dims
+from glrfusion.linalg import _as_square_hermitian, as_complex_matrix, orthonormal_basis
 
 
 # -- detectors: coherences, fusion matrices and closed forms ---------------
@@ -101,7 +101,33 @@ def rank_one_pair_composite(z_1, z_2, n_channels: int = 1) -> float:
     return top / n_channels
 
 
-# -- fusion: partition identities ------------------------------------------
+# -- fusion: group estimates and partition identities ----------------------
+
+def ml_amplitudes(f_whitened, z_whitened) -> np.ndarray:
+    """ML amplitude estimate (F^H F)^-1 F^H Z for whitened channel and data."""
+    f = as_complex_matrix(f_whitened, "whitened channel")
+    z = as_complex_matrix(z_whitened, "whitened data")
+    if z.shape[0] != f.shape[0]:
+        raise DimensionError(
+            f"data height {z.shape[0]} does not match channel height {f.shape[0]}"
+        )
+    orthonormal_basis(f, "whitened channel")  # full-column-rank gate
+    gram = f.conj().T @ f
+    return np.linalg.solve(gram, f.conj().T @ z)
+
+
+def _whitened_group(channels: Sequence[ChannelModel], ms: MeasurementSet,
+                    indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    f = np.vstack([(channels[i].gain / channels[i].noise_sigma) * channels[i].matrix
+                   for i in indices])
+    z = np.vstack([ms.block(i) / channels[i].noise_sigma for i in indices])
+    return f, z
+
+
+def _group_gram_inverse(f: np.ndarray, label: str) -> np.ndarray:
+    orthonormal_basis(f, label)
+    return np.linalg.inv(f.conj().T @ f)
+
 
 def qee(channels: Sequence[ChannelModel], group_x: Sequence[int],
         group_y: Sequence[int]) -> np.ndarray:
@@ -123,7 +149,7 @@ def projection_form_cv(channels: Sequence[ChannelModel], ms: MeasurementSet,
     B stacks the two groups' left inverses with opposite signs, so B^H Z is
     the difference of the group amplitude estimates and F^H B = 0.
     """
-    validate_against_channels(channels, ms)
+    require_same_dims(channels, ms.channel_dims)
     if sorted(tuple(group_x) + tuple(group_y)) != list(range(len(channels))):
         raise ConfigError("groups must partition the channel set")
     fx, zx = _whitened_group(channels, ms, group_x)
@@ -139,7 +165,7 @@ def projection_form_cv(channels: Sequence[ChannelModel], ms: MeasurementSet,
 def composite_gram_form(channels: Sequence[ChannelModel], ms: MeasurementSet,
                         indices: Sequence[int] | None = None) -> float:
     """tr(Z^H P_F Z) over the whitened composite (or a channel subset)."""
-    validate_against_channels(channels, ms)
+    require_same_dims(channels, ms.channel_dims)
     if indices is None:
         indices = range(len(channels))
     f, z = _whitened_group(channels, ms, list(indices))
@@ -155,7 +181,7 @@ def cfar_diag_decomposition(channels: Sequence[ChannelModel], ms: MeasurementSet
     ``weighted_stat`` is alpha_i * Lambda_i,CFAR, and ``n_ii`` is the
     matrix-inversion-lemma correction, so direct = weighted_stat - n_ii.
     """
-    validate_against_channels(channels, ms)
+    require_same_dims(channels, ms.channel_dims)
     s = sample_covariance(ms)
     total = s.trace()
     m = ms.n_snapshots

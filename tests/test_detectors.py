@@ -17,6 +17,7 @@ from glrfusion import (
     MeasurementSet,
     NoiseKnowledge,
     build_fusion_t,
+    channel_message,
     compose_f,
     compose_f_whitened,
     detect,
@@ -34,7 +35,6 @@ from glrfusion import (
     sample_covariance,
     simulate,
 )
-from glrfusion.measurement import channel_ml_amplitudes
 from conftest import complex_normal, random_channel, random_instance
 from oracles import (
     coherence,
@@ -165,9 +165,10 @@ class TestP11:
         chans, ms = make_instance(rng, "P11", n_channels=2)
         rep = detect_p11(chans, ms)
         q = qee(chans, [0], [1])
-        e = channel_ml_amplitudes(chans[0], ms.block(0)) - channel_ml_amplitudes(
-            chans[1], ms.block(1))
-        s_ee = e @ e.conj().T / ms.n_snapshots
+        m = ms.n_snapshots
+        e = (channel_message(chans[0], ms.block(0), m).amplitudes
+             - channel_message(chans[1], ms.block(1), m).amplitudes)
+        s_ee = e @ e.conj().T / m
         expected = np.real(np.trace(np.linalg.solve(q, s_ee))) / 2
         assert rep.cross_validation == pytest.approx(expected, abs=1e-9, rel=1e-9)
 

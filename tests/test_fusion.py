@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from glrfusion import (
     ChannelMessage,
     ConfigError,
+    DimensionError,
     MeasurementSet,
     ProtocolError,
     balanced_tree,
@@ -20,9 +23,14 @@ from glrfusion import (
     simulate,
 )
 from glrfusion.fusion import load_messages, save_messages, tree_leaves
-from glrfusion.measurement import channel_ml_amplitudes, ml_amplitudes
 from conftest import complex_normal, random_channel, random_instance
-from oracles import cfar_diag_decomposition, composite_gram_form, projection_form_cv, qee
+from oracles import (
+    cfar_diag_decomposition,
+    composite_gram_form,
+    ml_amplitudes,
+    projection_form_cv,
+    qee,
+)
 
 
 def messages_for(chans, ms):
@@ -51,8 +59,8 @@ class TestQee:
         acc = np.zeros((2, 2), dtype=complex)
         for t in range(trials):
             ms = simulate(chans, 1, seed=555, amplitudes=a, trial=t)
-            diff = (channel_ml_amplitudes(chans[0], ms.block(0))
-                    - channel_ml_amplitudes(chans[1], ms.block(1)))
+            diff = (channel_message(chans[0], ms.block(0), 1).amplitudes
+                    - channel_message(chans[1], ms.block(1), 1).amplitudes)
             acc += diff @ diff.conj().T
         empirical = acc / trials
         scale = np.abs(q).max()
@@ -64,8 +72,8 @@ class TestPartitionCv:
         chans, ms = random_instance(rng, n_channels=2)
         result = partition_cv(chans, ms, (0, 1))
         q = qee(chans, [0], [1])
-        e = (channel_ml_amplitudes(chans[0], ms.block(0))
-             - channel_ml_amplitudes(chans[1], ms.block(1)))
+        msgs = messages_for(chans, ms)
+        e = msgs[0].amplitudes - msgs[1].amplitudes
         see = e @ e.conj().T / ms.n_snapshots
         expected = np.real(np.trace(np.linalg.solve(q, see)))
         assert result.raw_total == pytest.approx(expected, rel=1e-10)
@@ -219,6 +227,20 @@ class TestDaisyChain:
         with pytest.raises(ProtocolError, match="amplitude_covariance"):
             daisy_chain_fuse([broken])
 
+    def test_amplitude_columns_must_match_snapshots(self, rng):
+        msg = messages_for(*random_instance(rng, n_channels=1, n_modes=2, n_snapshots=6))[0]
+        with pytest.raises(DimensionError, match="6 columns for n_snapshots=4"):
+            ChannelMessage(statistic=msg.statistic, amplitudes=msg.amplitudes,
+                           amplitude_covariance=msg.amplitude_covariance,
+                           n_samples=msg.n_samples, n_snapshots=4)
+
+    def test_mode_count_mismatch_names_message(self, rng):
+        chans, ms = random_instance(rng, n_channels=2, n_modes=2, n_snapshots=5)
+        other, ms_other = random_instance(rng, n_channels=1, n_modes=3, n_snapshots=5)
+        msgs = messages_for(chans, ms) + messages_for(other, ms_other)
+        with pytest.raises(ProtocolError, match=r"message 2 carries \(J, M\) = \(3, 5\)"):
+            daisy_chain_fuse(msgs)
+
     def test_message_round_trip(self, rng, tmp_path):
         chans, ms = random_instance(rng, n_channels=2)
         msgs = messages_for(chans, ms)
@@ -243,3 +265,13 @@ class TestScaleInvariantDiagonal:
                 direct, weighted, n_ii = cfar_diag_decomposition(chans, ms, i)
                 assert direct == pytest.approx(weighted - n_ii, abs=1e-10, rel=1e-9)
                 assert n_ii >= -1e-12
+
+
+@pytest.mark.parametrize("header, problem", [
+    ([{"format": "glrfusion-messages"}], "does not hold a JSON object"),
+    ({"format": "glrfusion-messages", "version": 1}, "missing the key 'messages'"),
+], ids=["not-an-object", "no-messages-key"])
+def test_malformed_message_header_is_config_error(tmp_path, header, problem):
+    (tmp_path / "header.json").write_text(json.dumps(header))
+    with pytest.raises(ConfigError, match=problem):
+        load_messages(tmp_path)

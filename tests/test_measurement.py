@@ -9,16 +9,15 @@ from glrfusion import (
     ConfigError,
     MeasurementSet,
     RankDeficiencyError,
-    channel_ml_amplitudes,
+    channel_message,
     compose_f_whitened,
     load_measurements,
-    ml_amplitudes,
     sample_covariance,
     save_measurements,
     simulate,
 )
-from glrfusion.measurement import amplitude_covariance
 from conftest import complex_normal, random_channel
+from oracles import ml_amplitudes
 
 
 class TestSampleCovariance:
@@ -103,7 +102,7 @@ class TestMlAmplitudes:
         ch = random_channel(rng, 6, 2, orthonormal=True, gain=1.0, noise_variance=1.0)
         x = complex_normal(rng, (6, 4))
         np.testing.assert_allclose(
-            channel_ml_amplitudes(ch, x), ch.matrix.conj().T @ x, atol=1e-10
+            channel_message(ch, x, 4).amplitudes, ch.matrix.conj().T @ x, atol=1e-10
         )
 
     def test_equal_channels_average(self, rng):
@@ -113,7 +112,8 @@ class TestMlAmplitudes:
         f = compose_f_whitened([ch, ch])
         z = np.vstack([x1 / ch.noise_sigma, x2 / ch.noise_sigma])
         pooled = ml_amplitudes(f, z)
-        mean = 0.5 * (channel_ml_amplitudes(ch, x1) + channel_ml_amplitudes(ch, x2))
+        mean = 0.5 * (channel_message(ch, x1, 4).amplitudes
+                      + channel_message(ch, x2, 4).amplitudes)
         np.testing.assert_allclose(pooled, mean, atol=1e-10)
 
     def test_residual_orthogonality(self, rng):
@@ -139,9 +139,9 @@ class TestMlAmplitudes:
         acc = np.zeros_like(a)
         for t in range(trials):
             ms = simulate([ch], 3, seed=17, amplitudes=a, trial=t)
-            acc += channel_ml_amplitudes(ch, ms.block(0))
+            acc += channel_message(ch, ms.block(0), 3).amplitudes
         mean = acc / trials
-        cov = amplitude_covariance(ch)
+        cov = channel_message(ch, ms.block(0), 3).amplitude_covariance
         se = np.sqrt(np.real(np.diag(cov))[:, None] / (2 * trials))
         bound = np.broadcast_to(3.0 * se + 1e-12, a.shape)
         np.testing.assert_array_less(np.abs(mean.real - a.real), bound)
