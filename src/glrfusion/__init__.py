@@ -29,7 +29,6 @@ from .detectors import (
     DetectorReport,
     KnowledgeSpec,
     NoiseKnowledge,
-    build_fusion_t,
     detect,
     detect_p11,
     detect_p12,
@@ -69,11 +68,6 @@ from .harness import (
     run_roc,
     scan_likelihood_image,
     wilson_interval,
-)
-from .linalg import (
-    HermitianEig,
-    hermitian_eig,
-    rayleigh_extremes,
 )
 from .measurement import (
     MeasurementSet,

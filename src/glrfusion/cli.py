@@ -257,6 +257,14 @@ def _scenario_from_config(config: dict, snapshots: int | None) -> Scenario:
     )
 
 
+def _jobs(args) -> int:
+    """The ``--jobs`` worker count, checked before any worker starts."""
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise ConfigError(f"--jobs must be from 1 to the CPU count {cpus}, got {args.jobs}")
+    return args.jobs
+
+
 def _experiment_from_config(config: dict) -> ExperimentSpec:
     return ExperimentSpec(
         panel=KnowledgeSpec.from_panel(config["panel"]),
@@ -361,7 +369,7 @@ def _cmd_detect(config: dict, args) -> int:
 def _cmd_roc(config: dict, args) -> int:
     started = time.monotonic()
     spec = _experiment_from_config(config)
-    curves = run_roc(spec, jobs=args.jobs)
+    curves = run_roc(spec, jobs=_jobs(args))
     lines = ["snr_db,threshold,pfa,pd,pd_wilson_halfwidth,pfa_wilson_halfwidth"]
     for curve in curves:
         for k in range(len(curve.thresholds)):
@@ -381,7 +389,7 @@ def _cmd_roc(config: dict, args) -> int:
 def _cmd_null(config: dict, args) -> int:
     started = time.monotonic()
     spec = _experiment_from_config(config)
-    null = run_null(spec, jobs=args.jobs)
+    null = run_null(spec, jobs=_jobs(args))
     n = len(null.sample)
     lines = ["value,empirical_cdf"]
     for i, v in enumerate(null.sample):
@@ -433,7 +441,7 @@ def _cmd_scan(config: dict, args) -> int:
 def _cmd_calibrate(config: dict, args) -> int:
     started = time.monotonic()
     spec = _experiment_from_config(config)
-    cal = calibrate_threshold(spec, float(config["pfa"]), jobs=args.jobs)
+    cal = calibrate_threshold(spec, float(config["pfa"]), jobs=_jobs(args))
     out = Path(config["output"])
     out.mkdir(parents=True, exist_ok=True)
     header = "threshold,pfa_target,achieved_pfa,wilson_low,wilson_high,trials"
@@ -474,8 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="KEY.PATH=VALUE",
                        help="override a config key (JSON-parsed value); a numeric "
                             "part indexes a list, as in channels.0.gain=2")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for Monte-Carlo trials")
+        if name in ("roc", "null", "calibrate"):
+            p.add_argument("--jobs", type=int, default=1,
+                           help="worker processes for Monte-Carlo trials, 1 to the CPU count")
         if name in ("detect", "scan"):
             p.add_argument("data", help="measurement directory to analyze")
     return parser

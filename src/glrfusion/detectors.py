@@ -10,16 +10,19 @@ each channel is normalised.  Panels read the blocks X_l through thin
 statistics of rank at most M (the snapshot count), never through the LN x LN
 sample covariance.
 
-Rows 1 (known coupling and gains) and 3 (only the mode count J known) share
-one pass, :func:`_subspace_row`: :func:`_split` divides the energy of each
-block and of the stacked, column-scaled composite Z into the parts inside and
-outside a known orthonormal basis or the dominant-J subspace of a thin SVD.
-Row 1 takes the cross-validation term from the in-span energies, row 3 from
-the tails.  Row 2 (known orthonormal coupling, unknown gains;
-:func:`_gain_row`) works on the L x L Gram matrix of the matched outputs
-H_l^H X_l: the composite is the largest eigenvalue of the scaled Gram matrix,
-the cross-validation term the smallest eigenvalue of the fusion matrix built
-from the coherences.
+One rule gives every composite and cross-validation term: :func:`_split`
+divides the energy of a matrix into the part inside a subspace and the tail
+outside it, formed directly.  The composite is the energy of the stacked,
+normalised data Z inside the dominant subspace, and the cross-validation
+term is the tail of Z less the tails of the channels, so it never cancels
+energies of the size of the signal.  Rows 1 (known coupling and gains) and 3
+(only the mode count J known), :func:`_subspace_row`, take the span of the
+known coupling or the dominant-J singular subspace, and
+cv = (tail(Z) - sum_l tail(X_l) / v_l) / D with v_l the squared data scale.
+Row 2 (known orthonormal coupling, unknown gains), :func:`_gain_row`, splits
+B, whose row l is sqrt(alpha_l phi_l) vec(H_l^H X_l) / ||H_l^H X_l||, at one
+singular value: B B^H is the fusion quadratic form, a single row has no
+tail, and the top left singular vector is the gain direction.
 
 One rule per column, :func:`_column`, with E_l = ||X_l||^2 / M, E = sum E_l,
 N_l the samples of channel l and N = sum N_l: known variances give
@@ -43,7 +46,7 @@ import numpy as np
 
 from .channel import ChannelModel, compose_f, compose_f_whitened, require_same_dims
 from .errors import ConfigError, DegenerateDataError
-from .linalg import _normalize_phases, orthonormal_basis, rayleigh_extremes
+from .linalg import _normalize_phases, orthonormal_basis
 from .measurement import MeasurementSet
 
 ORTHONORMAL_TOL = 1e-9
@@ -144,31 +147,6 @@ class DetectorReport:
     @property
     def n_channels(self) -> int:
         return len(self.alphas)
-
-
-def build_fusion_t(alphas, stats, coherences) -> np.ndarray:
-    """Fusion matrix whose smallest eigenvalue is the cross-validation term.
-
-    T_ii = sum_{l != i} alpha_l stats_l and
-    T_ij = -sqrt(alpha_i alpha_j stats_i stats_j) c_ij for i != j.
-    """
-    a = np.asarray(alphas, dtype=float)
-    s = np.asarray(stats, dtype=float)
-    c = np.asarray(coherences, dtype=np.complex128)
-    n = len(a)
-    if s.shape != (n,) or c.shape != (n, n):
-        raise ConfigError("alphas, stats, coherences have inconsistent shapes")
-    if np.any(s < 0):
-        raise ValueError("per-channel statistics must be non-negative")
-    if np.linalg.norm(c - c.conj().T) > 1e-9 * max(1.0, np.linalg.norm(c)):
-        raise ValueError("coherence matrix must be Hermitian")
-    if np.any(np.abs(np.diag(c) - 1.0) > 1e-9):
-        raise ValueError("coherence matrix must have unit diagonal")
-    weighted = a * s
-    root = np.sqrt(weighted)
-    t = -np.outer(root, root) * c
-    np.fill_diagonal(t, weighted.sum() - weighted)
-    return 0.5 * (t + t.conj().T)
 
 
 def detect(spec: KnowledgeSpec, channels: Sequence[ChannelModel], measurements: MeasurementSet,
@@ -273,29 +251,26 @@ def _report(spec: KnowledgeSpec, col: _Column, composite: float, cv: float,
                           extras={"fusion_stats": col.phi} if fused else {}, **fields)
 
 
-def _split(x: np.ndarray, span: np.ndarray | int, m: int, residual: bool = True
-           ) -> tuple[float, float | None, np.ndarray]:
+def _split(x: np.ndarray, span: np.ndarray | int, m: int) -> tuple[float, float, np.ndarray]:
     """Energy of x x^H / M inside a subspace, the energy outside it, and its basis.
 
     ``span`` is an orthonormal basis Q or a mode count J.  With Q the energies
-    are ||Q^H x||^2 / M and ||x - Q Q^H x||^2 / M, the second formed directly
-    and only if ``residual``: at a signal-to-noise amplitude ratio of 1e8 the
-    difference of the total and the inside is below the rounding error of
-    either.  With J they are the dominant-J and remaining eigenvalues s^2 / M
-    of the thin SVD of x and the basis its leading J left singular vectors.
+    are ||Q^H x||^2 / M and ||x - Q Q^H x||^2 / M, the second formed directly:
+    at a signal-to-noise amplitude ratio of 1e8 the difference of the total
+    and the inside is below the rounding error of either.  With J they are the
+    dominant-J and remaining eigenvalues s^2 / M of the thin SVD of x and the
+    basis its leading J left singular vectors.
     """
     if isinstance(span, int):
         u, s, _ = np.linalg.svd(x, full_matrices=False)
         e = s * s / m
         return float(e[:span].sum()), float(e[span:].sum()), _normalize_phases(u[:, :span])
     a = span.conj().T @ x
-    outside = None
-    if residual:
-        # In chunks of 4096 entries (64 KiB): a 1024 x 32 difference formed at once
-        # costs more in page faults than in arithmetic (P12, L=8, N=128: 1.9 vs 1.2 ms).
-        step = max(1, 4096 // x.shape[1])
-        outside = sum(_energy(x[i:i + step] - span[i:i + step] @ a)
-                      for i in range(0, x.shape[0], step)) / m
+    # In chunks of 4096 entries (64 KiB): a 1024 x 32 difference formed at once
+    # costs more in page faults than in arithmetic (P12, L=8, N=128: 1.9 vs 1.2 ms).
+    step = max(1, 4096 // x.shape[1])
+    outside = sum(_energy(x[i:i + step] - span[i:i + step] @ a)
+                  for i in range(0, x.shape[0], step)) / m
     return _energy(a) / m, outside, span
 
 
@@ -311,10 +286,8 @@ def _subspace_row(spec: KnowledgeSpec, channels: Sequence[ChannelModel], ms: Mea
                  for i, ch in enumerate(channels)]
     else:
         spans = [_mode_count(channels, ms, need_residual=per_channel_noise)] * len(channels)
-    inside, outside, bases = zip(*(_split(x, s, m, per_channel_noise)
-                                   for x, s in zip(ms.blocks, spans)))
-    inside = np.array(inside)
-    outside = np.array(outside, dtype=float) if per_channel_noise or not known_f else None
+    inside, outside, bases = zip(*(_split(x, s, m) for x, s in zip(ms.blocks, spans)))
+    inside, outside = np.array(inside), np.array(outside)
     col = _column(noise, channels, ms, energies, inside, outside,
                   numerator=inside if dominant_numerator else None,
                   log=np.log if known_f else np.log1p)
@@ -327,14 +300,8 @@ def _subspace_row(spec: KnowledgeSpec, channels: Sequence[ChannelModel], ms: Mea
         variance = 1.0 if col.variance is None else col.variance
         z = np.vstack(ms.blocks if col.variance is None
                       else [x / s for x, s in zip(ms.blocks, np.sqrt(variance))])
-        top_z, rest_z, basis_z = _split(z, span_z, m,
-                                        residual=noise == NoiseKnowledge.COMMON_UNKNOWN)
-        # Row 1 takes the cross-validation term from the in-span energies,
-        # row 3 from the tails, which keep the composite and the term apart.
-        if known_f:
-            cv = (float((inside / variance).sum()) - top_z) / col.denominator
-        else:
-            cv = (rest_z - float((outside / variance).sum())) / col.denominator
+        top_z, rest_z, basis_z = _split(z, span_z, m)
+        cv = (rest_z - float((outside / variance).sum())) / col.denominator
         composite = (float(col.alphas @ col.lam) - cv if per_channel_noise
                      else top_z / col.denominator)
         if noise == NoiseKnowledge.COMMON_UNKNOWN:
@@ -345,42 +312,36 @@ def _subspace_row(spec: KnowledgeSpec, channels: Sequence[ChannelModel], ms: Mea
 
 def _gain_row(spec: KnowledgeSpec, channels: Sequence[ChannelModel], ms: MeasurementSet,
               energies: np.ndarray) -> DetectorReport:
-    """Row 2: the Gram matrix G_ij = <A_j, A_i> of the matched outputs A_l = H_l^H X_l.
+    """Row 2: the rank-one split of the matched outputs A_l = H_l^H X_l.
 
-    A zero-energy output gets zeroed coherences and sets the degenerate flag.
+    Row l of B is sqrt(alpha_l phi_l) vec(A_l) / ||A_l||, so B B^H is the
+    fusion quadratic form and the coherences are the Gram matrix of the unit
+    rows.  A zero-energy output gives a zero row and zeroed coherences and
+    sets the degenerate flag.
     """
     bad = [i for i, ch in enumerate(channels) if not ch.is_orthonormal(ORTHONORMAL_TOL)]
     if bad:
         raise ConfigError(f"channel {bad[0]} must have orthonormal columns for unknown-gain panels")
     m = ms.n_snapshots
     outputs = [ch.matrix.conj().T @ x for ch, x in zip(channels, ms.blocks)]
-    stacked = np.array([a.ravel() for a in outputs])
-    gram = stacked @ stacked.conj().T
-    matched = gram.diagonal().real.copy()
+    matched = np.array([_energy(a) for a in outputs])
     noise = spec.noise_knowledge
     residual = None
     if noise == NoiseKnowledge.DIFFERENT_UNKNOWN:
         residual = np.array([_energy(x - ch.matrix @ a)
                              for ch, x, a in zip(channels, ms.blocks, outputs)]) / m
     col = _column(noise, channels, ms, energies, matched / m, residual)
-    # sqrt(e_i) sqrt(e_j) rather than sqrt(e_i e_j): the product overflows
-    # or underflows once the energies pass about 1e+-154.
-    root = np.sqrt(matched)
-    norms = np.outer(root, root)
-    coherences = np.divide(gram, norms, out=np.zeros_like(gram), where=norms > 0.0)
-    coherences = 0.5 * (coherences + coherences.conj().T)
+    stacked = np.array([a.ravel() for a in outputs])
+    root = np.sqrt(matched)[:, None]
+    unit = np.divide(stacked, root, out=np.zeros_like(stacked), where=root > 0.0)
+    coherences = unit @ unit.conj().T
     np.fill_diagonal(coherences, 1.0)
     composite, cv, direction = math.inf, 0.0, None
     if col.phi is not None:
-        fusion = rayleigh_extremes(build_fusion_t(col.alphas, col.phi, coherences))
-        cv = fusion.min_value
-        if noise == NoiseKnowledge.DIFFERENT_UNKNOWN:
-            composite, direction = float(col.alphas @ col.lam) - cv, fusion.min_vector
-        else:
-            sigma = 1.0 if col.variance is None else np.sqrt(col.variance)
-            quad = gram / (m * col.denominator * np.outer(sigma, sigma))
-            gain = rayleigh_extremes(0.5 * (quad + quad.conj().T))
-            composite, direction = gain.max_value, gain.max_vector
+        top, cv, basis = _split(np.sqrt(col.alphas * col.phi)[:, None] * unit, 1, 1)
+        composite = (float(col.alphas @ col.lam) - cv
+                     if noise == NoiseKnowledge.DIFFERENT_UNKNOWN else top)
+        direction = basis[:, 0]
     return _report(spec, col, composite, cv, gain_direction=direction, coherences=coherences,
                    degenerate=col.degenerate or bool(np.any(matched <= 0.0)))
 

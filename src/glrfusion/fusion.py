@@ -52,11 +52,18 @@ def balanced_tree(n_channels: int) -> PartitionTree:
 
 
 def tree_leaves(tree: PartitionTree) -> tuple[int, ...]:
-    if isinstance(tree, int):
-        return (tree,)
-    if isinstance(tree, tuple) and len(tree) == 2:
-        return tree_leaves(tree[0]) + tree_leaves(tree[1])
-    raise ConfigError(f"malformed partition tree node {tree!r}")
+    """The leaves of ``tree`` from left to right, walked with an explicit stack."""
+    leaves: list[int] = []
+    pending: list[PartitionTree] = [tree]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, int):
+            leaves.append(node)
+        elif isinstance(node, tuple) and len(node) == 2:
+            pending += [node[1], node[0]]
+        else:
+            raise ConfigError(f"malformed partition tree node {node!r}")
+    return tuple(leaves)
 
 
 def _fold(q_a: np.ndarray, a_a: np.ndarray, q_b: np.ndarray, a_b: np.ndarray, m: int):
@@ -251,8 +258,14 @@ def save_messages(messages: Sequence[ChannelMessage], directory) -> Path:
 def load_messages(directory) -> list[ChannelMessage]:
     root = Path(directory)
     header = _read_header(root, "glrfusion-messages", ("messages",))
+    if not isinstance(header["messages"], list):
+        raise ConfigError(f"'messages' in {root / _HEADER_NAME} is not a list: "
+                          f"{header['messages']!r}")
     out = []
-    for entry in header["messages"]:
+    for idx, entry in enumerate(header["messages"]):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"message entry {idx} in {root / _HEADER_NAME} is not an object: "
+                              f"{entry!r}")
         for name in _MESSAGE_FIELDS + ("n_modes",):
             if name not in entry:
                 raise ProtocolError(f"channel message is missing field {name!r}")

@@ -1,22 +1,17 @@
-"""Complex dense linear-algebra kernels used by every detector.
+"""Complex dense linear-algebra kernels used by the detectors and the fusion layer.
 
 All routines operate on ``numpy`` complex matrices, validate their inputs,
-and return deterministic results: eigenvectors come back with a fixed phase
-convention so repeated runs (and different BLAS backends, in most cases)
-produce identical numbers.
+and return deterministic results: singular vectors come back with a fixed
+phase convention so repeated runs (and different BLAS backends, in most
+cases) produce identical numbers.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, RankDeficiencyError
 
-# Relative tolerance for "is this matrix Hermitian" checks.
-HERMITIAN_RTOL = 1e-10
 # Relative singular-value threshold below which a column set is rank deficient.
 RANK_RTOL = 1e-12
 
@@ -29,27 +24,6 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr.astype(np.complex128, copy=False)
-
-
-def _as_square_hermitian(k, name: str = "matrix") -> np.ndarray:
-    """Validate squareness and Hermitian-ness, then symmetrize.
-
-    Sample covariances accumulate asymmetry at machine precision, so the
-    input is tolerated up to ``HERMITIAN_RTOL`` (relative to its Frobenius
-    norm) and symmetrized as K <- (K + K^H)/2 before factoring.
-    """
-    arr = as_complex_matrix(k, name)
-    n, m = arr.shape
-    if n != m:
-        raise DimensionError(f"{name} must be square, got shape {arr.shape}")
-    scale = max(1.0, float(np.linalg.norm(arr)))
-    asym = float(np.linalg.norm(arr - arr.conj().T))
-    if asym > HERMITIAN_RTOL * scale:
-        raise ValueError(
-            f"{name} is not Hermitian: asymmetry {asym:.3e} exceeds "
-            f"{HERMITIAN_RTOL:.0e} * {scale:.3e}"
-        )
-    return 0.5 * (arr + arr.conj().T)
 
 
 def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
@@ -66,30 +40,6 @@ def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
         if pivot != 0:
             out[:, j] = col * (np.conj(pivot) / abs(pivot))
     return out
-
-
-@dataclass(frozen=True)
-class HermitianEig:
-    """Eigendecomposition with eigenvalues sorted descending.
-
-    ``values[k]`` pairs with column ``vectors[:, k]``; the columns are
-    orthonormal and phase-normalized (first nonzero component real positive).
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
-
-
-def hermitian_eig(k) -> HermitianEig:
-    """Eigendecompose a Hermitian matrix with descending eigenvalue order."""
-    arr = _as_square_hermitian(k)
-    w, u = np.linalg.eigh(arr)
-    order = slice(None, None, -1)
-    return HermitianEig(values=np.ascontiguousarray(w[order]),
-                        vectors=_normalize_phases(u[:, order]))
 
 
 def orthonormal_basis(b, name: str = "matrix") -> np.ndarray:
@@ -115,21 +65,3 @@ def orthonormal_basis(b, name: str = "matrix") -> np.ndarray:
             f"(singular values {s[0]:.3e} .. {s[-1]:.3e})"
         )
     return u
-
-
-class RayleighExtremes(NamedTuple):
-    min_value: float
-    max_value: float
-    min_vector: np.ndarray
-    max_vector: np.ndarray
-
-
-def rayleigh_extremes(t) -> RayleighExtremes:
-    """Extremal Rayleigh-quotient values and the unit vectors achieving them."""
-    eig = hermitian_eig(t)
-    return RayleighExtremes(
-        min_value=float(eig.values[-1]),
-        max_value=float(eig.values[0]),
-        min_vector=eig.vectors[:, -1],
-        max_vector=eig.vectors[:, 0],
-    )

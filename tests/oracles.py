@@ -1,16 +1,19 @@
 """Reference implementations that the tests check the library against.
 
-Closed forms, projector and covariance formulas, and eigenvalue sums that
-the detectors and the fusion layer no longer evaluate themselves: the
-library reads the data through thin statistics, and these oracles give the
-tests a second, independent path to the same numbers.
+Closed forms, projector and covariance formulas, the row-2 fusion matrix,
+Hermitian eigendecompositions and eigenvalue sums that the detectors and the
+fusion layer no longer evaluate themselves: the library reads the data
+through thin statistics and splits of their energies, and these oracles give
+the tests a second, independent path to the same numbers.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
+import mpmath
 import numpy as np
 
 from glrfusion import (
@@ -19,12 +22,14 @@ from glrfusion import (
     DegenerateDataError,
     DimensionError,
     MeasurementSet,
-    build_fusion_t,
     compose_f_whitened,
     sample_covariance,
 )
 from glrfusion.channel import require_same_dims
-from glrfusion.linalg import _as_square_hermitian, as_complex_matrix, orthonormal_basis
+from glrfusion.linalg import _normalize_phases, as_complex_matrix, orthonormal_basis
+
+# Relative tolerance for "is this matrix Hermitian" checks.
+HERMITIAN_RTOL = 1e-10
 
 
 # -- detectors: coherences, fusion matrices and closed forms ---------------
@@ -43,6 +48,31 @@ def coherence(h_i, x_i, h_j, x_j) -> complex:
     if e_i <= 0.0 or e_j <= 0.0:
         raise DegenerateDataError("coherence undefined: a matched-filter output has zero energy")
     return complex(np.vdot(a_j, a_i) / math.sqrt(e_i * e_j))
+
+
+def build_fusion_t(alphas, stats, coherences) -> np.ndarray:
+    """Fusion matrix whose smallest eigenvalue is the cross-validation term.
+
+    T_ii = sum_{l != i} alpha_l stats_l and
+    T_ij = -sqrt(alpha_i alpha_j stats_i stats_j) c_ij for i != j.
+    """
+    a = np.asarray(alphas, dtype=float)
+    s = np.asarray(stats, dtype=float)
+    c = np.asarray(coherences, dtype=np.complex128)
+    n = len(a)
+    if s.shape != (n,) or c.shape != (n, n):
+        raise ConfigError("alphas, stats, coherences have inconsistent shapes")
+    if np.any(s < 0):
+        raise ValueError("per-channel statistics must be non-negative")
+    if np.linalg.norm(c - c.conj().T) > 1e-9 * max(1.0, np.linalg.norm(c)):
+        raise ValueError("coherence matrix must be Hermitian")
+    if np.any(np.abs(np.diag(c) - 1.0) > 1e-9):
+        raise ValueError("coherence matrix must have unit diagonal")
+    weighted = a * s
+    root = np.sqrt(weighted)
+    t = -np.outer(root, root) * c
+    np.fill_diagonal(t, weighted.sum() - weighted)
+    return 0.5 * (t + t.conj().T)
 
 
 def fusion_m_matrix(alphas, stats, coherences) -> np.ndarray:
@@ -99,6 +129,63 @@ def rank_one_pair_composite(z_1, z_2, n_channels: int = 1) -> float:
     disc = (a + d) ** 2 + 4.0 * (abs(cross) ** 2 - a * d)
     top = 0.5 * ((a + d) / 2.0 + 0.5 * math.sqrt(max(0.0, disc)))
     return top / n_channels
+
+
+# -- 50-digit references for the per-channel noise panels ----------------
+#
+# The same formulas as the library on the same float64 inputs, evaluated in
+# 50-digit arithmetic, so a composite that cancels large energies in float64
+# shows its error against them.
+
+def _mp(a) -> mpmath.matrix:
+    return mpmath.matrix(np.asarray(a, dtype=np.complex128).tolist())
+
+
+def _mp_energy(a: mpmath.matrix):
+    return mpmath.fsum(v.real ** 2 + v.imag ** 2 for v in a)
+
+
+def _mp_tail(f: mpmath.matrix, x: mpmath.matrix):
+    """||x - F (F^H F)^-1 F^H x||^2: the energy of x outside the span of F."""
+    return _mp_energy(x - f * (mpmath.inverse(f.H * f) * (f.H * x)))
+
+
+def p13_composite_mp(channels: Sequence[ChannelModel], ms: MeasurementSet,
+                     dps: int = 50) -> float:
+    """P13: sum_l (N_l/N) ln(E_l / r_l) - (||Z - P_F Z||^2 / M - N) / N, with
+    r_l = ||X_l - P_l X_l||^2 / M and Z the blocks scaled by sqrt(N_l / r_l)."""
+    with mpmath.workdps(dps):
+        m, n = ms.n_snapshots, ms.n_total
+        total, z_rows = mpmath.mpf(0), []
+        for ch, x in zip(channels, ms.blocks):
+            x_mp = _mp(x)
+            resid = _mp_tail(_mp(ch.matrix), x_mp) / m
+            total += mpmath.mpf(ch.n_samples) / n * mpmath.log(_mp_energy(x_mp) / m / resid)
+            scale = mpmath.sqrt(ch.n_samples / resid)
+            z_rows += [[v * scale for v in row] for row in x.tolist()]
+        f = _mp(np.vstack([ch.gain * ch.matrix for ch in channels]))
+        cv = (_mp_tail(f, mpmath.matrix(z_rows)) / m - n) / n
+        return float(total - cv)
+
+
+def p23_composite_mp(channels: Sequence[ChannelModel], ms: MeasurementSet,
+                     dps: int = 50) -> float:
+    """P23: sum_l (N_l/N) ln(E_l / r_l) - (tr B B^H - lambda_max(B B^H)), with
+    A_l = H_l^H X_l, r_l = ||X_l - H_l A_l||^2 / M and row l of B equal to
+    sqrt((N_l/N) ||A_l||^2 / (M r_l)) vec(A_l) / ||A_l||."""
+    with mpmath.workdps(dps):
+        m, n = ms.n_snapshots, ms.n_total
+        total, rows = mpmath.mpf(0), []
+        for ch, x in zip(channels, ms.blocks):
+            h, x = _mp(ch.matrix), _mp(x)
+            a = h.H * x
+            resid = _mp_energy(x - h * a) / m
+            alpha = mpmath.mpf(ch.n_samples) / n
+            total += alpha * mpmath.log(_mp_energy(x) / m / resid)
+            rows.append([v * mpmath.sqrt(alpha / (m * resid)) for v in a])
+        b = mpmath.matrix(rows)
+        w = mpmath.eigh(b * b.H, eigvals_only=True)
+        return float(total - (mpmath.fsum(w) - max(w)))
 
 
 # -- fusion: group estimates and partition identities ----------------------
@@ -209,6 +296,68 @@ def cfar_diag_decomposition(channels: Sequence[ChannelModel], ms: MeasurementSet
 
 
 # -- linear algebra: projectors, whitening and eigenvalue sums ------------
+
+def _as_square_hermitian(k, name: str = "matrix") -> np.ndarray:
+    """Validate squareness and Hermitian-ness, then symmetrize.
+
+    Sample covariances accumulate asymmetry at machine precision, so the
+    input is tolerated up to ``HERMITIAN_RTOL`` (relative to its Frobenius
+    norm) and symmetrized as K <- (K + K^H)/2 before factoring.
+    """
+    arr = as_complex_matrix(k, name)
+    n, m = arr.shape
+    if n != m:
+        raise DimensionError(f"{name} must be square, got shape {arr.shape}")
+    scale = max(1.0, float(np.linalg.norm(arr)))
+    asym = float(np.linalg.norm(arr - arr.conj().T))
+    if asym > HERMITIAN_RTOL * scale:
+        raise ValueError(
+            f"{name} is not Hermitian: asymmetry {asym:.3e} exceeds "
+            f"{HERMITIAN_RTOL:.0e} * {scale:.3e}"
+        )
+    return 0.5 * (arr + arr.conj().T)
+
+
+@dataclass(frozen=True)
+class HermitianEig:
+    """Eigendecomposition with eigenvalues sorted descending.
+
+    ``values[k]`` pairs with column ``vectors[:, k]``; the columns are
+    orthonormal and phase-normalized (first nonzero component real positive).
+    """
+
+    values: np.ndarray
+    vectors: np.ndarray
+
+    def reconstruct(self) -> np.ndarray:
+        return (self.vectors * self.values) @ self.vectors.conj().T
+
+
+def hermitian_eig(k) -> HermitianEig:
+    """Eigendecompose a Hermitian matrix with descending eigenvalue order."""
+    arr = _as_square_hermitian(k)
+    w, u = np.linalg.eigh(arr)
+    order = slice(None, None, -1)
+    return HermitianEig(values=np.ascontiguousarray(w[order]),
+                        vectors=_normalize_phases(u[:, order]))
+
+
+class RayleighExtremes(NamedTuple):
+    min_value: float
+    max_value: float
+    min_vector: np.ndarray
+    max_vector: np.ndarray
+
+
+def rayleigh_extremes(t) -> RayleighExtremes:
+    """Extremal Rayleigh-quotient values and the unit vectors achieving them."""
+    eig = hermitian_eig(t)
+    return RayleighExtremes(
+        min_value=float(eig.values[-1]),
+        max_value=float(eig.values[0]),
+        min_vector=eig.vectors[:, -1],
+        max_vector=eig.vectors[:, 0],
+    )
 
 def eigvalsh_descending(k) -> np.ndarray:
     """Eigenvalues only, sorted descending."""

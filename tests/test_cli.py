@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -271,6 +272,25 @@ class TestErrorsAndOverrides:
         err = capsys.readouterr().err
         assert err.startswith("error:") and override.split("=")[0] in err
         assert err.strip().count("\n") == 0
+
+    def test_jobs_only_on_monte_carlo_commands(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", simulate_config(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "--config", cfg, "--jobs", "2", str(tmp_path / "data")])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", [0, (os.cpu_count() or 1) + 1],
+                             ids=["zero", "above-cpu-count"])
+    def test_jobs_out_of_range_is_clean_error(self, tmp_path, capsys, jobs):
+        cfg = write_config(tmp_path / "c.json", {
+            "panel": "p12", "modes": 1, "channels": [channel_entry()], "snapshots": 4,
+            "trials": 20, "seed": 1, "output": str(tmp_path / "null_out")})
+        assert main(["null", "--config", cfg, "--jobs", str(jobs)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--jobs" in err
+        assert err.strip().count("\n") == 0
+        assert not (tmp_path / "null_out").exists()
 
     def test_missing_required_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {"seed": 1})

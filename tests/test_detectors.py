@@ -16,7 +16,6 @@ from glrfusion import (
     KnowledgeSpec,
     MeasurementSet,
     NoiseKnowledge,
-    build_fusion_t,
     channel_message,
     compose_f,
     compose_f_whitened,
@@ -30,18 +29,21 @@ from glrfusion import (
     detect_p31,
     detect_p32,
     detect_p33,
-    hermitian_eig,
-    rayleigh_extremes,
     sample_covariance,
     simulate,
 )
 from conftest import complex_normal, random_channel, random_instance
 from oracles import (
+    build_fusion_t,
     coherence,
     fusion_m_matrix,
+    hermitian_eig,
     orth_projection,
+    p13_composite_mp,
+    p23_composite_mp,
     qee,
     rank_one_pair_composite,
+    rayleigh_extremes,
     two_channel_cross_validation,
 )
 
@@ -673,6 +675,32 @@ class TestExtremeScales:
             assert not rep.degenerate
             assert rep.per_channel[0] == pytest.approx(direct, rel=1e-6)
 
+    @pytest.mark.parametrize("panel", ["P13", "P23"])
+    def test_composite_matches_50_digit_reference(self, rng, panel):
+        # At signal amplitudes of 1e5-1e6 a cross-validation term formed from
+        # the in-span energies (P13) or as the smallest eigenvalue of the
+        # fusion matrix (P23) cancels energies of the size of the signal; the
+        # tails keep the digits.  P13 draws one channel and identical copies
+        # of it: with unequal noise estimates its composite leaks signal
+        # energy in proportion to their differences (ROADMAP 2a), and those
+        # carry the eps * amplitude rounding of any float64 residual.
+        spec = KnowledgeSpec.from_panel(panel)
+        reference = p13_composite_mp if panel == "P13" else p23_composite_mp
+        for draw in range(9):
+            n_channels, n_modes = 1 + draw % 3, 1 + draw % 2
+            n_snapshots = int(rng.integers(2, 9))
+            amplitudes = 10.0 ** rng.uniform(5, 6) * complex_normal(rng, (n_modes, n_snapshots))
+            if panel == "P13":
+                ch = random_channel(rng, int(rng.integers(n_modes + 1, 9)), n_modes)
+                x = simulate([ch], n_snapshots, seed=draw, amplitudes=amplitudes).block(0)
+                chans, ms = [ch] * n_channels, MeasurementSet((x,) * n_channels)
+            else:
+                chans = [random_channel(rng, int(rng.integers(n_modes + 1, 9)), n_modes,
+                                        orthonormal=True) for _ in range(max(n_channels, 2))]
+                ms = simulate(chans, n_snapshots, seed=draw, amplitudes=amplitudes)
+            composite = detect(spec, chans, ms).composite
+            expected = reference(chans, ms)
+            assert abs(composite - expected) <= 1e-9 * max(1.0, abs(expected)), draw
 
     @pytest.mark.parametrize("panel", ALL_PANELS)
     def test_energy_overflow_is_an_error(self, rng, panel):

@@ -117,6 +117,16 @@ class TestPartitionCv:
         with pytest.raises(ConfigError):
             partition_cv(chans, ms, ((0, 1), 1))
 
+    def test_deep_chain_matches_daisy_chain(self, rng):
+        # A chain over 1200 channels is 1200 levels deep, past Python's
+        # default recursion limit of 1000.
+        chans = [random_channel(rng, 2, 1) for _ in range(1200)]
+        ms = simulate(chans, 3, seed=7, amplitudes=complex_normal(rng, (1, 3)))
+        result = partition_cv(chans, ms, chain_tree(1200))
+        fused = daisy_chain_fuse(messages_for(chans, ms))[-1]
+        assert result.cross_validation == pytest.approx(
+            fused.cross_validation, abs=1e-9, rel=1e-9)
+
     def test_tree_helpers(self):
         assert tree_leaves(chain_tree(4)) == (0, 1, 2, 3)
         assert sorted(tree_leaves(balanced_tree(5))) == [0, 1, 2, 3, 4]
@@ -270,7 +280,11 @@ class TestScaleInvariantDiagonal:
 @pytest.mark.parametrize("header, problem", [
     ([{"format": "glrfusion-messages"}], "does not hold a JSON object"),
     ({"format": "glrfusion-messages", "version": 1}, "missing the key 'messages'"),
-], ids=["not-an-object", "no-messages-key"])
+    ({"format": "glrfusion-messages", "version": 1, "messages": [1]},
+     "message entry 0 .* is not an object: 1"),
+    ({"format": "glrfusion-messages", "version": 1, "messages": 5},
+     "'messages' .* is not a list: 5"),
+], ids=["not-an-object", "no-messages-key", "entry-not-an-object", "messages-not-a-list"])
 def test_malformed_message_header_is_config_error(tmp_path, header, problem):
     (tmp_path / "header.json").write_text(json.dumps(header))
     with pytest.raises(ConfigError, match=problem):

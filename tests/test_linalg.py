@@ -5,15 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from glrfusion import (
-    DimensionError,
-    RankDeficiencyError,
-    hermitian_eig,
-    rayleigh_extremes,
-)
+from glrfusion import DimensionError, RankDeficiencyError
 from conftest import complex_normal
 from oracles import (
+    hermitian_eig,
     orth_projection,
+    rayleigh_extremes,
     subdominant_energy,
     top_j_energy,
     whiten,
