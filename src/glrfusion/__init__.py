@@ -18,8 +18,6 @@ from .channel import (
     PropagationSpec,
     build_broadband_h,
     build_narrowband_h,
-    compose_f,
-    compose_f_whitened,
     narrowband_channel,
     normalize_channel,
     radial_velocity_to_doppler,

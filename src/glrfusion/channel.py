@@ -6,7 +6,9 @@ delay, Doppler, and clock-offset terms.  Two constructions are provided:
 
 * a broadband one that takes the per-sample delay trajectory as given, and
 * a narrowband one that assumes a first-order (constant-rate) delay model
-  and factors into diagonal modulations around the DFT slice.
+  and factors into diagonal modulations around the DFT slice; over a
+  delay x Doppler grid it is a Doppler factor times a delay factor
+  (:func:`narrowband_factors`), of which one matrix is the one-cell case.
 
 Channel gain conventions: the stored matrix is trace-normalized so that
 trace(H^H H) = J; all gain (including any sqrt(N) from the raw DFT slice)
@@ -16,12 +18,13 @@ lives in the complex scalar ``gain``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .linalg import as_complex_matrix
+from .linalg import as_complex_matrix, as_complex_stack, energy, orthonormal_basis
 
 SPEED_OF_LIGHT_MPS = 299_792_458.0
 
@@ -78,8 +81,11 @@ class PropagationSpec:
             object.__setattr__(self, "delay_samples_s", samples)
 
 
-def modulation_phases(count: int, z: float) -> np.ndarray:
-    """Diagonal entries of D_p(z) = diag(1, e^{-i2pi z}, ..., e^{-i2pi(p-1)z})."""
+def modulation_phases(count: int, z) -> np.ndarray:
+    """Diagonal entries of D_p(z) = diag(1, e^{-i2pi z}, ..., e^{-i2pi(p-1)z}).
+
+    An array z of shape (..., 1) gives one diagonal per entry, shape (..., p).
+    """
     return np.exp(-2j * np.pi * np.arange(count) * z)
 
 
@@ -113,27 +119,65 @@ def build_broadband_h(spec: PropagationSpec) -> np.ndarray:
     return carrier * v * cols[None, :]
 
 
+def narrowband_factors(spec: PropagationSpec, delays_s,
+                       dopplers_hz) -> tuple[np.ndarray, np.ndarray]:
+    """Raw narrowband coupling matrices over a delay x Doppler grid, as two factors.
+
+    H(tau, nu) = e^{-i2pi f_c s} D_N(nu Ts) V D_J(s / T), with s = t0 + tau and
+    V the J-column DFT slice, is ``doppler[b] * delay[a]`` for the grid cell
+    (delays_s[a], dopplers_hz[b]): ``doppler`` (n_doppler, N, J) holds
+    D_N(nu Ts) V and ``delay`` (n_delay, J) the entries of e^{-i2pi f_c s}
+    D_J(s / T).  The delay enters through a unitary diagonal only, so the
+    column span of H(tau, nu) depends on the Doppler alone.
+    """
+    shift = spec.clock_offset_s + np.asarray(delays_s, dtype=float)[:, None]
+    delay = (np.exp(-2j * np.pi * spec.carrier_hz * shift)
+             * modulation_phases(spec.n_modes, shift / spec.duration_s))
+    nu = np.asarray(dopplers_hz, dtype=float)[:, None]
+    rows = modulation_phases(spec.n_samples, nu * spec.sample_period_s)
+    return rows[:, :, None] * dft_slice(spec.n_samples, spec.n_modes), delay
+
+
 def build_narrowband_h(spec: PropagationSpec) -> np.ndarray:
     """Raw (unnormalized) narrowband coupling matrix.
 
     H = e^{-i2pi f_c (t0 + tau0)} D_N(nu Ts) V D_J((t0 + tau0)/T) with V the
-    J-column DFT slice; the raw Gram is H^H H = N I_J.
+    J-column DFT slice; the raw Gram is H^H H = N I_J.  It is the one-cell
+    case of :func:`narrowband_factors`.
     """
-    shift = spec.clock_offset_s + spec.delay_s
-    carrier = np.exp(-2j * np.pi * spec.carrier_hz * shift)
-    rows = modulation_phases(spec.n_samples, spec.doppler_hz * spec.sample_period_s)
-    cols = modulation_phases(spec.n_modes, shift / spec.duration_s)
-    v = dft_slice(spec.n_samples, spec.n_modes)
-    return carrier * (rows[:, None] * v) * cols[None, :]
+    doppler, delay = narrowband_factors(spec, [spec.delay_s], [spec.doppler_hz])
+    return doppler[0] * delay[0]
 
 
 def normalize_channel(h_raw) -> np.ndarray:
-    """Rescale so that trace(H^H H) = J, moving all gain into the gain scalar."""
-    h = as_complex_matrix(h_raw, "channel matrix")
-    gram_trace = float(np.real(np.vdot(h, h)))
-    if gram_trace <= 0.0:
+    """Rescale so that trace(H^H H) = J, moving all gain into the gain scalar.
+
+    A stack (..., N, J) of matrices is rescaled matrix by matrix.
+    """
+    h = as_complex_stack(h_raw, "channel matrix")
+    gram_trace = energy(h)
+    if np.any(gram_trace <= 0.0):
         raise ValueError("cannot normalize a zero channel matrix")
-    return h * np.sqrt(h.shape[1] / gram_trace)
+    return h * np.sqrt(h.shape[-1] / gram_trace)[..., None, None]
+
+
+def require_trace_normalized(h: np.ndarray) -> None:
+    """Raise ConfigError unless trace(H^H H) = J for h, or each matrix of a stack."""
+    j = h.shape[-1]
+    gram_trace = np.asarray(energy(h))
+    wrong = np.abs(gram_trace - j) > 1e-9 * max(1.0, j)
+    if np.any(wrong):
+        raise ConfigError(
+            f"channel matrix is not trace-normalized: trace(H^H H) = {gram_trace[wrong][0]}, "
+            f"expected {j} (use normalize_channel)"
+        )
+
+
+def orthonormal_columns(h: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Whether H^H H = I_J to ``tol``, for h or for each matrix of a stack."""
+    j = h.shape[-1]
+    gram = np.swapaxes(h.conj(), -1, -2) @ h
+    return np.linalg.norm(gram - np.eye(j), axis=(-2, -1)) <= tol * max(1.0, j)
 
 
 @dataclass(frozen=True)
@@ -151,13 +195,7 @@ class ChannelModel:
         object.__setattr__(self, "noise_variance", float(self.noise_variance))
         if self.noise_variance <= 0:
             raise ConfigError(f"noise_variance must be positive, got {self.noise_variance}")
-        j = h.shape[1]
-        gram_trace = float(np.real(np.vdot(h, h)))
-        if abs(gram_trace - j) > 1e-9 * max(1.0, j):
-            raise ConfigError(
-                f"channel matrix is not trace-normalized: trace(H^H H) = {gram_trace}, "
-                f"expected {j} (use normalize_channel)"
-            )
+        require_trace_normalized(h)
 
     @property
     def n_samples(self) -> int:
@@ -172,8 +210,25 @@ class ChannelModel:
         return float(np.sqrt(self.noise_variance))
 
     def is_orthonormal(self, tol: float = 1e-9) -> bool:
-        gram = self.matrix.conj().T @ self.matrix
-        return bool(np.linalg.norm(gram - np.eye(self.n_modes)) <= tol * max(1.0, self.n_modes))
+        return bool(orthonormal_columns(self.matrix, tol))
+
+    # Computed on first use and kept: a channel is fixed while the data it
+    # is scored against changes.  A rank-deficient matrix is not cached and
+    # raises on every access.
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """Orthonormal basis Q of the column span of the matrix H."""
+        return orthonormal_basis(self.matrix)
+
+    @cached_property
+    def coupling(self) -> np.ndarray:
+        """The J x J factor R = Q^H H, so that H = Q R."""
+        return self.basis.conj().T @ self.matrix
+
+    @cached_property
+    def orthonormal(self) -> bool:
+        """``is_orthonormal()`` at its default tolerance."""
+        return self.is_orthonormal()
 
 
 def narrowband_channel(spec: PropagationSpec, gain: complex, noise_variance: float) -> ChannelModel:
@@ -185,30 +240,6 @@ def narrowband_channel(spec: PropagationSpec, gain: complex, noise_variance: flo
     """
     h = normalize_channel(build_narrowband_h(spec))
     return ChannelModel(matrix=h, gain=gain, noise_variance=noise_variance)
-
-
-def _common_mode_count(channels: Sequence[ChannelModel]) -> int:
-    if not channels:
-        raise ConfigError("at least one channel is required")
-    j = channels[0].n_modes
-    for idx, ch in enumerate(channels):
-        if ch.n_modes != j:
-            raise ConfigError(
-                f"channel {idx} has {ch.n_modes} modes, expected {j} shared by all channels"
-            )
-    return j
-
-
-def compose_f(channels: Sequence[ChannelModel]) -> np.ndarray:
-    """Composite channel matrix: vertical stack of gain-scaled blocks g_l H_l."""
-    _common_mode_count(channels)
-    return np.vstack([ch.gain * ch.matrix for ch in channels])
-
-
-def compose_f_whitened(channels: Sequence[ChannelModel]) -> np.ndarray:
-    """Noise-whitened composite channel: vertical stack of (g_l / sigma_l) H_l."""
-    _common_mode_count(channels)
-    return np.vstack([(ch.gain / ch.noise_sigma) * ch.matrix for ch in channels])
 
 
 def require_same_dims(channels: Sequence[ChannelModel], channel_dims: Sequence[int]) -> None:

@@ -10,19 +10,37 @@ each channel is normalised.  Panels read the blocks X_l through thin
 statistics of rank at most M (the snapshot count), never through the LN x LN
 sample covariance.
 
+Rows 1 (known coupling and gains) and 2 (known orthonormal coupling, unknown
+gains) read channel l only through its summary, :class:`Summary`: with Q_l
+an orthonormal basis of the span of the coupling H_l, the J x J factor
+R_l = Q_l^H H_l, the coordinates a_l = Q_l^H X_l, the tail
+||X_l - Q_l a_l||^2 / M formed directly, and the block energy E_l.
+:func:`known_coupling` evaluates both rows over a leading batch axis of
+hypotheses.  :func:`detect` passes a batch of one; a delay/Doppler scan
+passes the cells of its grid, which change R_l and, through the Doppler
+only, Q_l, a_l and the tail.
+
 One rule gives every composite and cross-validation term: :func:`_split`
 divides the energy of a matrix into the part inside a subspace and the tail
 outside it, formed directly.  The composite is the energy of the stacked,
-normalised data Z inside the dominant subspace, and the cross-validation
-term is the tail of Z less the tails of the channels, so it never cancels
-energies of the size of the signal.  Rows 1 (known coupling and gains) and 3
-(only the mode count J known), :func:`_subspace_row`, take the span of the
-known coupling or the dominant-J singular subspace, and
-cv = (tail(Z) - sum_l tail(X_l) / v_l) / D with v_l the squared data scale.
-Row 2 (known orthonormal coupling, unknown gains), :func:`_gain_row`, splits
-B, whose row l is sqrt(alpha_l phi_l) vec(H_l^H X_l) / ||H_l^H X_l||, at one
-singular value: B B^H is the fusion quadratic form, a single row has no
-tail, and the top left singular vector is the gain direction.
+normalised data Z (blocks X_l / sqrt(v_l), v_l the squared data scale)
+inside the dominant subspace, and the cross-validation term is the tail of Z
+less the tails of the channels, so it never cancels energies of the size of
+the signal.
+
+* Row 1 projects onto the span of F = [f_l H_l], f_l = g_l / sigma_l on
+  column 1 and g_l otherwise.  F = diag(Q_l) G with G = [f_l R_l], so
+  Z - P_F Z splits into the channels' tails and diag(Q_l) (A - P_G A), two
+  orthogonal parts, with A = [a_l / sqrt(v_l)] the LJ x M stack of
+  coordinates: the composite energy is that of A inside the span of G and
+  cv = tail(A) / D.  No LN x M stack is formed.
+* Row 2 splits B, whose row l is sqrt(alpha_l phi_l) vec(H_l^H X_l) /
+  ||H_l^H X_l|| with H_l^H X_l = R_l^H a_l, at one singular value: B B^H is
+  the fusion quadratic form, a single row has no tail, and the top left
+  singular vector is the gain direction.
+* Row 3 (only the mode count J known), :func:`_subspace_row`, takes the
+  dominant-J singular subspace of each block and of Z:
+  cv = (tail(Z) - sum_l tail(X_l) / v_l) / D.
 
 One rule per column, :func:`_column`, with E_l = ||X_l||^2 / M, E = sum E_l,
 N_l the samples of channel l and N = sum N_l: known variances give
@@ -44,12 +62,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import ChannelModel, compose_f, compose_f_whitened, require_same_dims
-from .errors import ConfigError, DegenerateDataError
-from .linalg import _normalize_phases, orthonormal_basis
+from .channel import ChannelModel, orthonormal_columns, require_same_dims
+from .errors import ConfigError, DegenerateDataError, RankDeficiencyError
+from .linalg import _normalize_phases, energy, orthonormal_basis
 from .measurement import MeasurementSet
 
-ORTHONORMAL_TOL = 1e-9
 # Residual energy below this fraction of the channel energy is treated as
 # exactly zero: the data sits in the signal subspace to machine precision
 # and the statistic saturates.  A directly formed residual carries an
@@ -149,6 +166,21 @@ class DetectorReport:
         return len(self.alphas)
 
 
+def check_decomposition(composite: np.ndarray, alphas: np.ndarray, per_channel: np.ndarray,
+                        cross_validation: np.ndarray) -> None:
+    """:class:`DetectorReport`'s identity check over a batch of finite composites.
+
+    Raises ConfigError unless composite = per_channel @ alphas -
+    cross_validation to 1e-9 relative on every entry.
+    """
+    recombined = per_channel @ alphas - cross_validation
+    wrong = np.abs(recombined - composite) > 1e-9 * np.maximum(1.0, np.abs(composite))
+    if wrong.any():
+        k = int(np.argmax(wrong))
+        raise ConfigError(f"decomposition mismatch: composite={float(composite[k])!r} but "
+                          f"sum(alpha*stat)-V={float(recombined[k])!r}")
+
+
 def detect(spec: KnowledgeSpec, channels: Sequence[ChannelModel], measurements: MeasurementSet,
            *, dominant_numerator: bool = False) -> DetectorReport:
     """Evaluate the panel selected by ``spec``.
@@ -159,10 +191,10 @@ def detect(spec: KnowledgeSpec, channels: Sequence[ChannelModel], measurements: 
     """
     if dominant_numerator and spec.panel != "P33":
         raise ConfigError(f"dominant_numerator applies to P33 only, not {spec.panel}")
-    energies = _block_energies(channels, measurements)
-    if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_GAINS:
-        return _gain_row(spec, channels, measurements, energies)
-    return _subspace_row(spec, channels, measurements, energies, dominant_numerator)
+    if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_SUBSPACE:
+        return _subspace_row(spec, channels, measurements,
+                             _block_energies(channels, measurements), dominant_numerator)
+    return _report(spec, known_coupling(spec, summarise(spec, channels, measurements)))
 
 
 # One binding per panel, P11 .. P33, each called as detect_pXY(channels, ms).
@@ -182,168 +214,271 @@ def _block_energies(channels: Sequence[ChannelModel], ms: MeasurementSet) -> np.
     for idx, ch in enumerate(channels):
         if ch.n_modes != j:
             raise ConfigError(f"channel {idx} has {ch.n_modes} modes, expected {j}")
-    energies = np.array([_energy(x) for x in ms.blocks]) / ms.n_snapshots
+    energies = np.array([energy(x) for x in ms.blocks]) / ms.n_snapshots
     if not np.all(np.isfinite(energies)):
         raise ValueError("data energy overflows float64")
     return energies
 
 
-def _energy(x: np.ndarray) -> float:
-    return float(np.real(np.vdot(x, x)))
+def _h(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return x.conj().swapaxes(-1, -2)
+
+
+class Summary(NamedTuple):
+    """What rows 1 and 2 read of each of L channels, over B hypotheses.
+
+    Q_l is an orthonormal basis of the span of the coupling H_l, so that
+    H_l = Q_l R_l: ``orthonormal_basis(H_l)`` on row 1, and on row 2, which
+    requires orthonormal couplings, H_l itself with R_l = I.  The channel
+    constants and block energies are shared by the whole batch.
+    """
+
+    gains: np.ndarray  # (L,) g_l
+    variances: np.ndarray  # (L,) sigma_l^2
+    dims: np.ndarray  # (L,) N_l
+    energies: np.ndarray  # (L,) E_l = ||X_l||^2 / M
+    coupling: np.ndarray  # (B, L, J, J) R_l = Q_l^H H_l, or I_J on row 2
+    coords: np.ndarray  # (B, L, J, M) a_l = Q_l^H X_l
+    tails: np.ndarray  # (B, L) ||X_l - Q_l a_l||^2 / M
+
+
+def _coordinates(basis: np.ndarray, x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates Q^H x in an orthonormal basis Q, and the tail ||x - Q Q^H x||^2 / M.
+
+    The tail is formed directly: at a signal-to-noise amplitude ratio of 1e8
+    the difference of the total and the inside is below the rounding error
+    of either.  ``basis`` may be a stack (..., N, J) of bases.
+    """
+    a = _h(basis) @ x
+    return a, energy(x - basis @ a) / m
+
+
+def _basis(index: int, channel: ChannelModel) -> np.ndarray:
+    try:
+        return channel.basis
+    except RankDeficiencyError as exc:
+        raise RankDeficiencyError(f"channel {index} {exc}") from None
+
+
+def _not_orthonormal(index: int) -> ConfigError:
+    return ConfigError(f"channel {index} must have orthonormal columns for unknown-gain panels")
+
+
+def summarise(spec: KnowledgeSpec, channels: Sequence[ChannelModel],
+              ms: MeasurementSet) -> Summary:
+    """The batch-of-one summary of a row-1 or row-2 panel's channels on ``ms``."""
+    energies = _block_energies(channels, ms)
+    if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_GAINS:
+        bad = [i for i, ch in enumerate(channels) if not ch.orthonormal]
+        if bad:
+            raise _not_orthonormal(bad[0])
+        bases = [ch.matrix for ch in channels]
+        coupling = np.eye(channels[0].n_modes, dtype=complex)
+    else:
+        bases = [_basis(i, ch) for i, ch in enumerate(channels)]
+        coupling = np.array([[ch.coupling for ch in channels]])
+    coords, tails = zip(*(_coordinates(q, x, ms.n_snapshots) for q, x in zip(bases, ms.blocks)))
+    return Summary(gains=np.array([ch.gain for ch in channels]),
+                   variances=np.array([ch.noise_variance for ch in channels]),
+                   dims=np.array(ms.channel_dims, dtype=float), energies=energies,
+                   coupling=coupling, coords=np.array([coords]), tails=np.array([tails]))
+
+
+def bank_summary(spec: KnowledgeSpec, index: int, bank: np.ndarray, x: np.ndarray,
+                 m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Channel ``index``'s R, coordinates and tail under each coupling of a stack.
+
+    ``bank`` (B, N, J) holds trace-normalised candidate couplings of the
+    channel whose block is ``x``; the basis of each follows :class:`Summary`,
+    with the same rank gate and, on row 2, the same orthonormality check.
+    """
+    if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_GAINS:
+        if not orthonormal_columns(bank).all():
+            raise _not_orthonormal(index)
+        j = bank.shape[-1]
+        identity = np.broadcast_to(np.eye(j, dtype=complex), bank.shape[:-2] + (j, j))
+        return identity, *_coordinates(bank, x, m)
+    q = orthonormal_basis(bank, f"channel {index} matrix")
+    return _h(q) @ bank, *_coordinates(q, x, m)
 
 
 class _Column(NamedTuple):
-    """What a noise column fixes, given each channel's in-span signal energy."""
+    """What a noise column fixes, given each channel's in-span signal energy.
 
-    alphas: np.ndarray
+    Over a batch of B hypotheses: per-channel fields are (B, L), except
+    those the data alone fix.
+    """
+
+    alphas: np.ndarray  # (L,)
     denominator: float  # of the composite: L, E or N
     variance: np.ndarray | None  # squared data scale: sigma_l^2, none, sigma_hat_l^2
-    phi: np.ndarray | None  # fusion statistics; None when a residual vanishes
+    phi: np.ndarray  # fusion statistics, zero where a residual vanishes
     lam: np.ndarray  # per-channel statistics: phi, or the log energy ratio
-    degenerate: bool
+    resolved: np.ndarray  # (B,) no residual vanishes, so the composite is finite
+    degenerate: np.ndarray  # (B,)
     noise_null: np.ndarray | None
     noise_alt: np.ndarray | None
 
 
-def _column(noise: NoiseKnowledge, channels: Sequence[ChannelModel], ms: MeasurementSet,
-            energies: np.ndarray, signal: np.ndarray, residual: np.ndarray | None = None,
+def _column(noise: NoiseKnowledge, variances: np.ndarray, dims: np.ndarray,
+            energies: np.ndarray, signal: np.ndarray, residual: np.ndarray,
             numerator: np.ndarray | None = None, log=np.log) -> _Column:
     """Weights, normalisation and per-channel statistics of a noise column.
 
-    ``signal`` and ``residual`` are each channel's energies inside and outside
-    its signal subspace; ``residual`` is needed on column 3 only, where the
-    per-channel statistic is log(numerator / residual) with the block energy
-    as the default numerator.
+    ``signal`` and ``residual`` (B, L) are each channel's energies inside and
+    outside its signal subspace; ``residual`` is read on column 3 only, where
+    the per-channel statistic is log(numerator / residual) with the block
+    energy as the default numerator.
     """
-    n_ch = len(channels)
+    n_ch, batch = len(dims), signal.shape[:-1]
     if noise == NoiseKnowledge.KNOWN:
-        variance = np.array([ch.noise_variance for ch in channels])
-        phi = signal / variance
-        return _Column(np.full(n_ch, 1.0 / n_ch), float(n_ch), variance, phi, phi,
-                       False, None, None)
+        phi = signal / variances
+        return _Column(np.full(n_ch, 1.0 / n_ch), float(n_ch), variances, phi, phi,
+                       np.ones(batch, bool), np.zeros(batch, bool), None, None)
     if noise == NoiseKnowledge.COMMON_UNKNOWN:
         total = float(energies.sum())
         if total <= 0.0:
             raise DegenerateDataError("composite data has zero energy")
         positive = energies > 0.0
-        phi = np.divide(signal, energies, out=np.zeros(n_ch), where=positive)
-        return _Column(energies / total, total, None, phi, phi, not bool(positive.all()),
-                       np.array([total / ms.n_total]), None)
-    dims = np.array(ms.channel_dims, dtype=float)
+        phi = np.divide(signal, energies, out=np.zeros(signal.shape), where=positive)
+        return _Column(energies / total, total, None, phi, phi, np.ones(batch, bool),
+                       np.full(batch, not positive.all()), np.array([total / dims.sum()]), None)
+    n_total = float(dims.sum())
     ok = residual > DEGENERACY_RTOL * energies
     ratio = np.divide(energies if numerator is None else numerator, residual,
-                      out=np.ones(n_ch), where=ok)
-    degenerate = not bool(ok.all())
+                      out=np.ones(signal.shape), where=ok)
+    resolved = ok.all(axis=-1)
     noise_alt = residual / dims
-    return _Column(dims / ms.n_total, float(ms.n_total), noise_alt,
-                   None if degenerate else signal / residual,
-                   np.where(ok, log(ratio), np.inf), degenerate, energies / dims, noise_alt)
+    return _Column(dims / n_total, n_total, noise_alt,
+                   np.divide(signal, residual, out=np.zeros(signal.shape), where=ok),
+                   np.where(ok, log(ratio), np.inf), resolved, ~resolved, energies / dims,
+                   noise_alt)
 
 
-def _report(spec: KnowledgeSpec, col: _Column, composite: float, cv: float,
-            **fields) -> DetectorReport:
-    """A report carrying the column's weights, statistics and noise estimates."""
-    fields.setdefault("degenerate", col.degenerate)
-    fields.setdefault("noise_alt", col.noise_alt)
-    fused = spec.noise_knowledge == NoiseKnowledge.DIFFERENT_UNKNOWN and col.phi is not None
-    return DetectorReport(composite=composite, alphas=col.alphas, per_channel=col.lam,
-                          cross_validation=cv, panel=spec, noise_null=col.noise_null,
-                          extras={"fusion_stats": col.phi} if fused else {}, **fields)
+class _Evaluation(NamedTuple):
+    """Composites and their decomposition over a batch of B hypotheses."""
+
+    composite: np.ndarray  # (B,)
+    cross_validation: np.ndarray  # (B,)
+    col: _Column
+    degenerate: np.ndarray  # (B,)
+    noise_alt: np.ndarray | None  # (B, L) or (B, 1)
+    gain_direction: np.ndarray | None = None  # (B, L)
+    coherences: np.ndarray | None = None  # (B, L, L)
 
 
-def _split(x: np.ndarray, span: np.ndarray | int, m: int) -> tuple[float, float, np.ndarray]:
+def _report(spec: KnowledgeSpec, ev: _Evaluation, **fields) -> DetectorReport:
+    """The report of a batch of one."""
+    col = ev.col
+    resolved = bool(col.resolved[0])
+    fused = spec.noise_knowledge == NoiseKnowledge.DIFFERENT_UNKNOWN and resolved
+    return DetectorReport(
+        composite=float(ev.composite[0]), alphas=col.alphas, per_channel=col.lam[0],
+        cross_validation=float(ev.cross_validation[0]), panel=spec,
+        degenerate=bool(ev.degenerate[0]), noise_null=col.noise_null,
+        noise_alt=None if ev.noise_alt is None else ev.noise_alt[0],
+        gain_direction=None if ev.gain_direction is None or not resolved
+        else _normalize_phases(ev.gain_direction[0][:, None])[:, 0],
+        coherences=None if ev.coherences is None else ev.coherences[0],
+        extras={"fusion_stats": col.phi[0]} if fused else {}, **fields)
+
+
+def _split(x: np.ndarray, span: np.ndarray | int, m: int):
     """Energy of x x^H / M inside a subspace, the energy outside it, and its basis.
 
     ``span`` is an orthonormal basis Q or a mode count J.  With Q the energies
-    are ||Q^H x||^2 / M and ||x - Q Q^H x||^2 / M, the second formed directly:
-    at a signal-to-noise amplitude ratio of 1e8 the difference of the total
-    and the inside is below the rounding error of either.  With J they are the
-    dominant-J and remaining eigenvalues s^2 / M of the thin SVD of x and the
-    basis its leading J left singular vectors.
+    are ||Q^H x||^2 / M and the tail of :func:`_coordinates`.  With J they are
+    the dominant-J and remaining eigenvalues s^2 / M of the thin SVD of x and
+    the basis its leading J left singular vectors, whose phases a report
+    fixes with ``_normalize_phases``.  x (and Q) may be stacks (..., n, k);
+    the energies then have the stack's shape.
     """
     if isinstance(span, int):
         u, s, _ = np.linalg.svd(x, full_matrices=False)
         e = s * s / m
-        return float(e[:span].sum()), float(e[span:].sum()), _normalize_phases(u[:, :span])
-    a = span.conj().T @ x
-    # In chunks of 4096 entries (64 KiB): a 1024 x 32 difference formed at once
-    # costs more in page faults than in arithmetic (P12, L=8, N=128: 1.9 vs 1.2 ms).
-    step = max(1, 4096 // x.shape[1])
-    outside = sum(_energy(x[i:i + step] - span[i:i + step] @ a)
-                  for i in range(0, x.shape[0], step)) / m
-    return _energy(a) / m, outside, span
+        return e[..., :span].sum(-1), e[..., span:].sum(-1), u[..., :span]
+    a, outside = _coordinates(span, x, m)
+    return energy(a) / m, outside, span
 
 
-def _subspace_row(spec: KnowledgeSpec, channels: Sequence[ChannelModel], ms: MeasurementSet,
-                  energies: np.ndarray, dominant_numerator: bool) -> DetectorReport:
-    """Rows 1 and 3: signal energy inside a known basis or the dominant-J subspace."""
+def known_coupling(spec: KnowledgeSpec, s: Summary) -> _Evaluation:
+    """Rows 1 and 2 over the summary's batch of hypotheses."""
+    if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_GAINS:
+        return _gain_row(spec, s)
     noise = spec.noise_knowledge
-    per_channel_noise = noise == NoiseKnowledge.DIFFERENT_UNKNOWN
-    known_f = spec.channel_knowledge == ChannelKnowledge.KNOWN_F
-    m = ms.n_snapshots
-    if known_f:
-        spans = [orthonormal_basis(ch.matrix, f"channel {i} matrix")
-                 for i, ch in enumerate(channels)]
-    else:
-        spans = [_mode_count(channels, ms, need_residual=per_channel_noise)] * len(channels)
-    inside, outside, bases = zip(*(_split(x, s, m) for x, s in zip(ms.blocks, spans)))
-    inside, outside = np.array(inside), np.array(outside)
-    col = _column(noise, channels, ms, energies, inside, outside,
-                  numerator=inside if dominant_numerator else None,
-                  log=np.log if known_f else np.log1p)
-    composite, cv, noise_alt, basis_z = math.inf, 0.0, col.noise_alt, None
-    if col.phi is not None:
-        span_z = spans[0]
-        if known_f:
-            compose = compose_f_whitened if noise == NoiseKnowledge.KNOWN else compose_f
-            span_z = orthonormal_basis(compose(channels), "composite channel")
-        variance = 1.0 if col.variance is None else col.variance
-        z = np.vstack(ms.blocks if col.variance is None
-                      else [x / s for x, s in zip(ms.blocks, np.sqrt(variance))])
-        top_z, rest_z, basis_z = _split(z, span_z, m)
-        cv = (rest_z - float((outside / variance).sum())) / col.denominator
-        composite = (float(col.alphas @ col.lam) - cv if per_channel_noise
-                     else top_z / col.denominator)
-        if noise == NoiseKnowledge.COMMON_UNKNOWN:
-            noise_alt = np.array([rest_z / ms.n_total])
-    estimated = {} if known_f else {"channel_bases": bases, "composite_basis": basis_z}
-    return _report(spec, col, composite, cv, noise_alt=noise_alt, **estimated)
+    batch, n_ch, j, m = s.coords.shape
+    col = _column(noise, s.variances, s.dims, s.energies, energy(s.coords) / m, s.tails)
+    ok = col.resolved
+    f = s.gains / np.sqrt(s.variances) if noise == NoiseKnowledge.KNOWN else s.gains
+    coupling = (f[:, None, None] * s.coupling[ok]).reshape(-1, n_ch * j, j)
+    coords = s.coords
+    if col.variance is not None:  # a cell whose residual vanishes forms no composite
+        coords = coords / np.sqrt(np.where(ok[:, None], col.variance, 1.0))[..., None, None]
+    top, rest, _ = _split(coords[ok].reshape(-1, n_ch * j, m),
+                          orthonormal_basis(coupling, "composite channel"), m)
+    composite, cv = np.full(batch, math.inf), np.zeros(batch)
+    cv[ok] = rest / col.denominator
+    composite[ok] = (col.lam[ok] @ col.alphas - cv[ok]
+                     if noise == NoiseKnowledge.DIFFERENT_UNKNOWN else top / col.denominator)
+    noise_alt = col.noise_alt
+    if noise == NoiseKnowledge.COMMON_UNKNOWN:  # every cell is resolved
+        noise_alt = ((s.tails.sum(-1) + rest) / s.dims.sum())[:, None]
+    return _Evaluation(composite, cv, col, col.degenerate, noise_alt)
 
 
-def _gain_row(spec: KnowledgeSpec, channels: Sequence[ChannelModel], ms: MeasurementSet,
-              energies: np.ndarray) -> DetectorReport:
-    """Row 2: the rank-one split of the matched outputs A_l = H_l^H X_l.
+def _gain_row(spec: KnowledgeSpec, s: Summary) -> _Evaluation:
+    """Row 2: the rank-one split of the matched outputs A_l = H_l^H X_l = R_l^H a_l.
 
     Row l of B is sqrt(alpha_l phi_l) vec(A_l) / ||A_l||, so B B^H is the
     fusion quadratic form and the coherences are the Gram matrix of the unit
     rows.  A zero-energy output gives a zero row and zeroed coherences and
     sets the degenerate flag.
     """
-    bad = [i for i, ch in enumerate(channels) if not ch.is_orthonormal(ORTHONORMAL_TOL)]
-    if bad:
-        raise ConfigError(f"channel {bad[0]} must have orthonormal columns for unknown-gain panels")
-    m = ms.n_snapshots
-    outputs = [ch.matrix.conj().T @ x for ch, x in zip(channels, ms.blocks)]
-    matched = np.array([_energy(a) for a in outputs])
     noise = spec.noise_knowledge
-    residual = None
-    if noise == NoiseKnowledge.DIFFERENT_UNKNOWN:
-        residual = np.array([_energy(x - ch.matrix @ a)
-                             for ch, x, a in zip(channels, ms.blocks, outputs)]) / m
-    col = _column(noise, channels, ms, energies, matched / m, residual)
-    stacked = np.array([a.ravel() for a in outputs])
-    root = np.sqrt(matched)[:, None]
-    unit = np.divide(stacked, root, out=np.zeros_like(stacked), where=root > 0.0)
-    coherences = unit @ unit.conj().T
-    np.fill_diagonal(coherences, 1.0)
-    composite, cv, direction = math.inf, 0.0, None
-    if col.phi is not None:
-        top, cv, basis = _split(np.sqrt(col.alphas * col.phi)[:, None] * unit, 1, 1)
-        composite = (float(col.alphas @ col.lam) - cv
-                     if noise == NoiseKnowledge.DIFFERENT_UNKNOWN else top)
-        direction = basis[:, 0]
-    return _report(spec, col, composite, cv, gain_direction=direction, coherences=coherences,
-                   degenerate=col.degenerate or bool(np.any(matched <= 0.0)))
+    batch, n_ch, _, m = s.coords.shape
+    outputs = _h(s.coupling) @ s.coords
+    matched = energy(outputs)
+    col = _column(noise, s.variances, s.dims, s.energies, matched / m, s.tails)
+    root = np.sqrt(matched)
+    unit = outputs.reshape(batch, n_ch, -1) / np.where(root > 0.0, root, 1.0)[..., None]
+    coherences = unit @ _h(unit)
+    coherences.reshape(batch, -1)[:, ::n_ch + 1] = 1.0
+    top, cv, basis = _split(np.sqrt(col.alphas * col.phi)[..., None] * unit, 1, 1)
+    composite = (col.lam @ col.alphas - cv if noise == NoiseKnowledge.DIFFERENT_UNKNOWN
+                 else top)
+    return _Evaluation(np.where(col.resolved, composite, math.inf),
+                       np.where(col.resolved, cv, 0.0), col,
+                       col.degenerate | (matched <= 0.0).any(axis=-1), col.noise_alt,
+                       gain_direction=basis[..., 0], coherences=coherences)
+
+
+def _subspace_row(spec: KnowledgeSpec, channels: Sequence[ChannelModel], ms: MeasurementSet,
+                  energies: np.ndarray, dominant_numerator: bool) -> DetectorReport:
+    """Row 3: signal energy inside the dominant-J subspace of each block and of Z."""
+    noise = spec.noise_knowledge
+    m = ms.n_snapshots
+    j = _mode_count(channels, ms, need_residual=noise == NoiseKnowledge.DIFFERENT_UNKNOWN)
+    inside, outside, bases = zip(*(_split(x, j, m) for x in ms.blocks))
+    bases = tuple(_normalize_phases(b) for b in bases)
+    inside, outside = np.array([inside]), np.array([outside])
+    col = _column(noise, np.array([ch.noise_variance for ch in channels]),
+                  np.array(ms.channel_dims, dtype=float), energies, inside, outside,
+                  numerator=inside if dominant_numerator else None, log=np.log1p)
+    composite, cv, noise_alt, basis_z = math.inf, 0.0, col.noise_alt, None
+    if col.resolved[0]:
+        variance = 1.0 if col.variance is None else np.reshape(col.variance, -1)
+        z = np.vstack(ms.blocks if col.variance is None
+                      else [x / s for x, s in zip(ms.blocks, np.sqrt(variance))])
+        top_z, rest_z, basis_z = _split(z, j, m)
+        basis_z = _normalize_phases(basis_z)
+        cv = (rest_z - float((outside[0] / variance).sum())) / col.denominator
+        composite = (float(col.alphas @ col.lam[0]) - cv
+                     if noise == NoiseKnowledge.DIFFERENT_UNKNOWN else top_z / col.denominator)
+        if noise == NoiseKnowledge.COMMON_UNKNOWN:
+            noise_alt = np.array([[rest_z / ms.n_total]])
+    ev = _Evaluation(np.array([composite]), np.array([cv]), col, col.degenerate, noise_alt)
+    return _report(spec, ev, channel_bases=bases, composite_basis=basis_z)
 
 
 def _mode_count(channels: Sequence[ChannelModel], ms: MeasurementSet, *,

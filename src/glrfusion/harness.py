@@ -10,19 +10,38 @@ panel is treated uniformly.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy import stats as sps
 
-from .channel import ChannelModel, PropagationSpec, narrowband_channel
-from .detectors import ChannelKnowledge, KnowledgeSpec, detect
+from .channel import (
+    ChannelModel,
+    PropagationSpec,
+    narrowband_channel,
+    narrowband_factors,
+    normalize_channel,
+    require_trace_normalized,
+)
+from .detectors import (
+    ChannelKnowledge,
+    KnowledgeSpec,
+    bank_summary,
+    check_decomposition,
+    detect,
+    known_coupling,
+    summarise,
+)
 from .errors import ConfigError
 from .measurement import MeasurementSet, draw_amplitudes, simulate
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+# Complex entries of the largest temporary one step of a scan forms:
+# 2**18 entries, 4 MiB.
+_SCAN_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -354,6 +373,54 @@ class LikelihoodImage:
         return float(self.dopplers_hz[self.argmax_index[1]])
 
 
+def _scan_indices(scan_channels: Sequence[int] | None, n_channels: int) -> list[int]:
+    """The scanned channels: by default every channel but the reference channel 0."""
+    if scan_channels is None:
+        return list(range(n_channels)) if n_channels == 1 else list(range(1, n_channels))
+    try:
+        scanned = [operator.index(i) for i in scan_channels]
+    except TypeError:
+        raise ConfigError(f"scan_channels must be channel indices, "
+                          f"got {scan_channels!r}") from None
+    if not scanned:
+        raise ConfigError("scan_channels is empty; name at least one channel to scan")
+    for i in scanned:
+        if not 0 <= i < n_channels:
+            raise ConfigError(f"scan channel {i} is out of range for {n_channels} channels")
+    if len(set(scanned)) != len(scanned):
+        raise ConfigError(f"scan_channels names a channel twice: {scanned}")
+    return scanned
+
+
+def _chunks(count: int, entries_each: int) -> list[slice]:
+    """Consecutive slices of ``count`` items, each under the scan's memory bound."""
+    step = max(1, _SCAN_CHUNK_ENTRIES // entries_each)
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
+def _doppler_bank(panel: KnowledgeSpec, index: int, spec: PropagationSpec, x: np.ndarray,
+                  delays: np.ndarray, dopplers: np.ndarray):
+    """A scanned channel's summary on every Doppler bin, and its delay phases.
+
+    Returns K (n_doppler, J, J), the coordinates (n_doppler, J, M), the
+    tails (n_doppler,) and the delay phases (n_delay, J): the coupling of
+    the cell (a, b) is H = Q[b] K[b] diag(delay[a]), so its factor R is
+    K[b] * delay[a].  The bank is checked as every cell's coupling would be:
+    a unitary diagonal changes neither trace(H^H H) nor H^H H = I.
+    """
+    n, j, m = spec.n_samples, spec.n_modes, x.shape[1]
+    parts = []
+    for part in _chunks(dopplers.size, n * (j + m)):
+        doppler, delay = narrowband_factors(spec, delays, dopplers[part])
+        if not np.all(np.isfinite(delay)):
+            raise ValueError(f"channel {index} delay phases are not finite on the scan grid")
+        bank = normalize_channel(doppler)  # raises on non-finite Doppler phases
+        require_trace_normalized(bank)
+        parts.append(bank_summary(panel, index, bank, x, m))
+    factors, coords, tails = (np.concatenate(p) for p in zip(*parts))
+    return factors, coords, tails, delay
+
+
 def scan_likelihood_image(
     panel: KnowledgeSpec,
     scenario: Scenario,
@@ -364,13 +431,24 @@ def scan_likelihood_image(
 ) -> LikelihoodImage:
     """Evaluate the detector over a grid of delay/Doppler hypotheses.
 
-    Each hypothesis rebuilds the narrowband coupling matrices of the scanned
-    channels with the grid cell's (delay, Doppler) and re-runs the detector.
-    A delay common to every channel is unobservable (it only rephases the
-    composite), so by default the hypothesis is differential: the first
-    channel keeps its base parameters as the reference and all others are
-    scanned.  Single-channel scans apply the hypothesis to that channel,
-    which resolves Doppler only.
+    Each hypothesis replaces the delay and Doppler of the scanned channels'
+    narrowband couplings with the grid cell's.  A delay common to every
+    channel is unobservable (it only rephases the composite), so by default
+    the hypothesis is differential: the first channel keeps its base
+    parameters as the reference and all others are scanned.  Single-channel
+    scans apply the hypothesis to that channel, which resolves Doppler only.
+
+    No channel is rebuilt and ``detect`` is not called per cell.  A
+    narrowband coupling is H(tau, nu) = H(0, nu) Phi(tau) with Phi unitary
+    diagonal, so a scanned channel's basis Q, coordinates Q^H X and tail
+    depend on the Doppler alone: they are computed once per Doppler bin
+    (on row 1 from one batched SVD), and a cell only rephases the J x J
+    factor R = Q^H H.  The detectors' rows 1 and 2 then evaluate the cells
+    together, in chunks of bounded memory.  The checks ``detect`` applies
+    hold for every cell: on every Doppler bin the trace normalisation and
+    the rank gate (row 1) or orthonormality (row 2), which Phi leaves
+    unchanged; on every cell the composite's rank gate (row 1) and the
+    decomposition identity.
     """
     if panel.channel_knowledge == ChannelKnowledge.UNKNOWN_SUBSPACE:
         raise ConfigError("likelihood images need a known-coupling panel")
@@ -378,24 +456,27 @@ def scan_likelihood_image(
     dopplers = np.asarray(list(dopplers_hz), dtype=float)
     if delays.size == 0 or dopplers.size == 0:
         raise ValueError("hypothesis grid must be non-empty")
-    n_ch = scenario.n_channels
-    if scan_channels is None:
-        scan_channels = range(n_ch) if n_ch == 1 else range(1, n_ch)
-    scan_set = set(int(i) for i in scan_channels)
-    base_channels = scenario.channels()
-    values = np.empty((delays.size, dopplers.size))
-    for a, tau in enumerate(delays):
-        for b, nu in enumerate(dopplers):
-            channels = []
-            for idx in range(n_ch):
-                if idx in scan_set:
-                    cell_spec = replace(scenario.specs[idx], delay_s=float(tau),
-                                        doppler_hz=float(nu))
-                    channels.append(narrowband_channel(
-                        cell_spec, scenario.gains[idx], scenario.noise_variances[idx]))
-                else:
-                    channels.append(base_channels[idx])
-            values[a, b] = detect(panel, channels, measurements).composite
+    scanned = _scan_indices(scan_channels, scenario.n_channels)
+    base = summarise(panel, scenario.channels(), measurements)
+    banks = {idx: _doppler_bank(panel, idx, scenario.specs[idx], measurements.block(idx),
+                                delays, dopplers) for idx in scanned}
+    _, n_ch, j, m = base.coords.shape
+    values = np.empty(delays.size * dopplers.size)
+    for part in _chunks(values.size, n_ch * j * (j + m)):
+        rows, cols = np.divmod(np.arange(part.start, part.stop), dopplers.size)
+        coupling, coords, tails = (
+            np.broadcast_to(field, (rows.size, n_ch) + shape).copy()
+            for field, shape in ((base.coupling, (j, j)), (base.coords, (j, m)), (base.tails, ())))
+        for idx, (factors, bin_coords, bin_tails, delay) in banks.items():
+            coupling[:, idx] = factors[cols] * delay[rows][:, None, :]
+            coords[:, idx] = bin_coords[cols]
+            tails[:, idx] = bin_tails[cols]
+        ev = known_coupling(panel, base._replace(coupling=coupling, coords=coords, tails=tails))
+        checked = ~ev.degenerate & np.isfinite(ev.composite)
+        check_decomposition(ev.composite[checked], ev.col.alphas, ev.col.lam[checked],
+                            ev.cross_validation[checked])
+        values[part] = ev.composite
+    values = values.reshape(delays.size, dopplers.size)
     flat = int(np.argmax(values))
     argmax = (flat // dopplers.size, flat % dopplers.size)
     return LikelihoodImage(values=values, delays_s=delays, dopplers_hz=dopplers,

@@ -26,6 +26,21 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr.astype(np.complex128, copy=False)
 
 
+def as_complex_stack(a, name: str = "matrix") -> np.ndarray:
+    """Validate ``a`` as one finite complex matrix or a stack of them (..., rows, cols)."""
+    arr = np.asarray(a)
+    if arr.ndim <= 2:
+        return as_complex_matrix(arr, name)
+    # A stack is checked as the one tall matrix of its rows.
+    return as_complex_matrix(arr.reshape(-1, arr.shape[-1]), name).reshape(arr.shape)
+
+
+def energy(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of a matrix, or of each matrix in a stack (..., rows, cols)."""
+    flat = x.reshape(*x.shape[:-2], x.shape[-2] * x.shape[-1])
+    return np.vecdot(flat, flat).real
+
+
 def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its first significantly-nonzero entry is real positive."""
     out = vectors.copy()
@@ -45,23 +60,29 @@ def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
 def orthonormal_basis(b, name: str = "matrix") -> np.ndarray:
     """Orthonormal basis of the column span of a full-column-rank matrix.
 
+    ``b`` may also be a stack (..., N, J) of matrices: each gets its own basis
+    and its own rank gate.
+
     Raises
     ------
     RankDeficiencyError
         If the smallest singular value is below ``RANK_RTOL`` times the
         largest, i.e. the columns do not have full rank.
     """
-    arr = as_complex_matrix(b, name)
-    if arr.shape[1] == 0:
+    arr = as_complex_stack(b, name)
+    n, j = arr.shape[-2:]
+    if j == 0:
         raise DimensionError(f"{name} must have at least one column")
-    if arr.shape[0] < arr.shape[1]:
-        raise DimensionError(
-            f"{name} has more columns ({arr.shape[1]}) than rows ({arr.shape[0]})"
-        )
+    if n < j:
+        raise DimensionError(f"{name} has more columns ({j}) than rows ({n})")
     u, s, _ = np.linalg.svd(arr, full_matrices=False)
-    if s[0] == 0.0 or s[-1] <= RANK_RTOL * s[0]:
+    # Singular values are sorted and non-negative, so a zero matrix fails too.
+    # For one matrix s.T[k] is a scalar, so the gate stays a scalar comparison.
+    if np.count_nonzero(s.T[-1] <= RANK_RTOL * s.T[0]):
+        flat = s.reshape(-1, j)
+        worst = flat[np.argmax(flat[:, -1] <= RANK_RTOL * flat[:, 0])]
         raise RankDeficiencyError(
-            f"{name} with {arr.shape[1]} columns is rank deficient "
-            f"(singular values {s[0]:.3e} .. {s[-1]:.3e})"
+            f"{name} with {j} columns is rank deficient "
+            f"(singular values {worst[0]:.3e} .. {worst[-1]:.3e})"
         )
     return u

@@ -1,16 +1,17 @@
 """Reference implementations that the tests check the library against.
 
-Closed forms, projector and covariance formulas, the row-2 fusion matrix,
-Hermitian eigendecompositions and eigenvalue sums that the detectors and the
-fusion layer no longer evaluate themselves: the library reads the data
-through thin statistics and splits of their energies, and these oracles give
-the tests a second, independent path to the same numbers.
+Closed forms, composite couplings, projector and covariance formulas, the
+row-2 fusion matrix, Hermitian eigendecompositions, eigenvalue sums and the
+per-cell likelihood image that the library no longer evaluates itself: it
+reads the data through thin statistics and splits of their energies, and
+scans a grid without rebuilding channels, and these oracles give the tests
+a second, independent path to the same numbers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import mpmath
@@ -21,8 +22,11 @@ from glrfusion import (
     ConfigError,
     DegenerateDataError,
     DimensionError,
+    KnowledgeSpec,
     MeasurementSet,
-    compose_f_whitened,
+    Scenario,
+    detect,
+    narrowband_channel,
     sample_covariance,
 )
 from glrfusion.channel import require_same_dims
@@ -30,6 +34,49 @@ from glrfusion.linalg import _normalize_phases, as_complex_matrix, orthonormal_b
 
 # Relative tolerance for "is this matrix Hermitian" checks.
 HERMITIAN_RTOL = 1e-10
+
+
+# -- channels: composite couplings and likelihood images --------------------
+
+def _common_mode_count(channels: Sequence[ChannelModel]) -> int:
+    if not channels:
+        raise ConfigError("at least one channel is required")
+    j = channels[0].n_modes
+    for idx, ch in enumerate(channels):
+        if ch.n_modes != j:
+            raise ConfigError(
+                f"channel {idx} has {ch.n_modes} modes, expected {j} shared by all channels"
+            )
+    return j
+
+
+def compose_f(channels: Sequence[ChannelModel]) -> np.ndarray:
+    """Composite channel matrix: vertical stack of gain-scaled blocks g_l H_l."""
+    _common_mode_count(channels)
+    return np.vstack([ch.gain * ch.matrix for ch in channels])
+
+
+def compose_f_whitened(channels: Sequence[ChannelModel]) -> np.ndarray:
+    """Noise-whitened composite channel: vertical stack of (g_l / sigma_l) H_l."""
+    _common_mode_count(channels)
+    return np.vstack([(ch.gain / ch.noise_sigma) * ch.matrix for ch in channels])
+
+
+def scan_by_rebuild(panel: KnowledgeSpec, scenario: Scenario, ms: MeasurementSet,
+                    delays_s: Sequence[float], dopplers_hz: Sequence[float],
+                    scan_channels: Sequence[int]) -> np.ndarray:
+    """Likelihood image by brute force: every cell rebuilds the scanned
+    channels with its (delay, Doppler) and runs ``detect`` on them."""
+    base = scenario.channels()
+    values = np.empty((len(delays_s), len(dopplers_hz)))
+    for a, tau in enumerate(delays_s):
+        for b, nu in enumerate(dopplers_hz):
+            channels = [narrowband_channel(replace(scenario.specs[idx], delay_s=float(tau),
+                                                   doppler_hz=float(nu)),
+                                           scenario.gains[idx], scenario.noise_variances[idx])
+                        if idx in scan_channels else ch for idx, ch in enumerate(base)]
+            values[a, b] = detect(panel, channels, ms).composite
+    return values
 
 
 # -- detectors: coherences, fusion matrices and closed forms ---------------

@@ -8,17 +8,20 @@ import pytest
 from glrfusion import (
     ChannelModel,
     ConfigError,
+    KnowledgeSpec,
     PropagationSpec,
+    RankDeficiencyError,
     build_broadband_h,
     build_narrowband_h,
-    compose_f,
-    compose_f_whitened,
+    detect,
     narrowband_channel,
     normalize_channel,
     radial_velocity_to_doppler,
+    simulate,
 )
-from glrfusion.channel import SPEED_OF_LIGHT_MPS, dft_slice
+from glrfusion.channel import SPEED_OF_LIGHT_MPS, dft_slice, narrowband_factors
 from conftest import complex_normal, random_channel
+from oracles import compose_f, compose_f_whitened
 
 
 def base_spec(**overrides) -> PropagationSpec:
@@ -110,6 +113,23 @@ class TestNarrowband:
         np.testing.assert_allclose(np.abs(h), 1.0, atol=1e-12)
 
 
+    def test_grid_factors_match_closed_form(self):
+        spec = base_spec(clock_offset_s=3e-5)
+        delays, dopplers = [0.0, 1.3e-4, 7e-4], [-20.0, 0.0, 37.0]
+        doppler, delay = narrowband_factors(spec, delays, dopplers)
+        n = np.arange(spec.n_samples)[:, None]
+        j = np.arange(spec.n_modes)[None, :]
+        for a, tau in enumerate(delays):
+            for b, nu in enumerate(dopplers):
+                s = spec.clock_offset_s + tau
+                closed = np.exp(-2j * np.pi * (spec.carrier_hz * s + n * nu * spec.sample_period_s
+                                               - n * j / spec.n_samples + j * s / spec.duration_s))
+                np.testing.assert_allclose(doppler[b] * delay[a], closed, atol=1e-12)
+                cell = build_narrowband_h(base_spec(clock_offset_s=3e-5, delay_s=tau,
+                                                    doppler_hz=nu))
+                np.testing.assert_array_equal(doppler[b] * delay[a], cell)
+
+
 class TestNormalize:
     def test_narrowband_becomes_orthonormal(self):
         h = normalize_channel(build_narrowband_h(base_spec(doppler_hz=5.0)))
@@ -142,6 +162,24 @@ class TestChannelModel:
     def test_narrowband_channel_is_orthonormal(self):
         ch = narrowband_channel(base_spec(doppler_hz=3.0), gain=2.0, noise_variance=0.5)
         assert ch.is_orthonormal()
+
+
+class TestCachedBasis:
+    def test_basis_and_coupling_factor_the_matrix_once(self, rng):
+        ch = random_channel(rng, 6, 2)
+        assert ch.basis is ch.basis and ch.coupling is ch.coupling
+        np.testing.assert_allclose(ch.basis.conj().T @ ch.basis, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(ch.basis @ ch.coupling, ch.matrix, atol=1e-12)
+        assert ch.orthonormal == ch.is_orthonormal()
+
+    def test_rank_deficient_channel_raises_on_every_call(self, rng):
+        column = complex_normal(rng, (5, 1))
+        ch = ChannelModel(matrix=normalize_channel(np.hstack([column, 2 * column])),
+                          gain=1.0, noise_variance=1.0)
+        ms = simulate([ch], 3, seed=1)
+        for _ in range(2):
+            with pytest.raises(RankDeficiencyError, match="channel 0 matrix"):
+                detect(KnowledgeSpec.from_panel("P11"), [ch], ms)
 
 
 class TestCompose:

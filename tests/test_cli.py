@@ -377,3 +377,24 @@ class TestAnalysisCommands:
         assert sum(flags) == 1
         winner = [line for line in lines[1:] if line.endswith(",1")][0]
         assert float(winner.split(",")[1]) == pytest.approx(100.0)
+
+    @pytest.mark.parametrize("scan_channels", [[5], [-1], [], [1, 1]],
+                             ids=["out-of-range", "negative", "empty", "duplicate"])
+    def test_scan_bad_scan_channels_is_clean_error(self, tmp_path, capsys, scan_channels):
+        sim = write_config(tmp_path / "sim.json", simulate_config(
+            tmp_path, "scan_data", channels=[channel_entry(), channel_entry()]))
+        assert main(["simulate", "--config", sim]) == 0
+        capsys.readouterr()
+        cfg = write_config(tmp_path / "scan.json", {
+            "panel": "p11",
+            "modes": 1,
+            "channels": [channel_entry(), channel_entry()],
+            "delays_s": [0.0],
+            "dopplers_hz": [0.0, 100.0],
+            "scan_channels": scan_channels,
+            "output": str(tmp_path / "scan_out"),
+        })
+        assert main(["scan", "--config", cfg, str(tmp_path / "scan_data")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "scan" in err[0]
+        assert not (tmp_path / "scan_out").exists()

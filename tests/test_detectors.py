@@ -17,8 +17,6 @@ from glrfusion import (
     MeasurementSet,
     NoiseKnowledge,
     channel_message,
-    compose_f,
-    compose_f_whitened,
     detect,
     detect_p11,
     detect_p12,
@@ -36,6 +34,8 @@ from conftest import complex_normal, random_channel, random_instance
 from oracles import (
     build_fusion_t,
     coherence,
+    compose_f,
+    compose_f_whitened,
     fusion_m_matrix,
     hermitian_eig,
     orth_projection,

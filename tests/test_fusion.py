@@ -16,7 +16,6 @@ from glrfusion import (
     balanced_tree,
     chain_tree,
     channel_message,
-    compose_f_whitened,
     daisy_chain_fuse,
     detect_p11,
     partition_cv,
@@ -27,6 +26,7 @@ from conftest import complex_normal, random_channel, random_instance
 from oracles import (
     cfar_diag_decomposition,
     composite_gram_form,
+    compose_f_whitened,
     ml_amplitudes,
     projection_form_cv,
     qee,

@@ -26,7 +26,9 @@ from glrfusion import (
     simulate,
     wilson_interval,
 )
+from glrfusion import harness
 from glrfusion.measurement import draw_amplitudes, rng_stream
+from oracles import scan_by_rebuild
 
 log = logging.getLogger(__name__)
 
@@ -53,6 +55,50 @@ P12 = KnowledgeSpec.from_panel("P12")
 P13 = KnowledgeSpec.from_panel("P13")
 P21 = KnowledgeSpec.from_panel("P21")
 P31 = KnowledgeSpec.from_panel("P31")
+KNOWN_COUPLING_PANELS = [f"P{row}{col}" for row in "12" for col in "123"]
+
+
+def scan_case(case: str):
+    """A scenario, H1 data from it, a grid and the channels scanned, for one
+    of the scan-equivalence cases."""
+    carrier, period, n, j, offset = 1e6, 1e-3, 8, 2, 0.0
+    n_channels, scan_channels = 3, None
+    if case == "single-channel":
+        n_channels = 1
+    elif case == "explicit-with-reference":
+        scan_channels = [0, 2]
+    elif case == "clock-offset":
+        offset = 2.7e-3
+    elif case == "gigahertz":
+        carrier, period = 1e9, 1e-6
+    rng = np.random.default_rng(sum(map(ord, case)))
+    duration = n * period
+    specs = tuple(PropagationSpec(carrier_hz=carrier, sample_period_s=period, n_samples=n,
+                                  n_modes=j, clock_offset_s=offset,
+                                  delay_s=float(rng.uniform(0, duration)),
+                                  doppler_hz=float(rng.uniform(-2, 2) / duration))
+                  for _ in range(n_channels))
+    scenario = Scenario(specs=specs,
+                        gains=tuple(complex(*rng.uniform(-1.5, 1.5, 2)) for _ in specs),
+                        noise_variances=tuple(rng.uniform(0.5, 2.0, n_channels)),
+                        n_snapshots=5)
+    amps = draw_amplitudes(j, 5, scenario.amplitude_scale(8.0), 11)
+    ms = simulate(scenario.channels(), 5, seed=12, amplitudes=amps)
+    top_delay = 1e-5 if case == "gigahertz" else duration
+    delays = list(np.linspace(0.0, top_delay, 3))
+    dopplers = list(np.linspace(-2.0, 2.0, 4) / duration)
+    if scan_channels is None:
+        scan_channels = [0] if n_channels == 1 else list(range(1, n_channels))
+    return scenario, ms, delays, dopplers, scan_channels
+
+
+def assert_images_close(image: np.ndarray, reference: np.ndarray) -> None:
+    assert image.shape == reference.shape
+    finite = np.isfinite(reference)
+    np.testing.assert_array_equal(np.isfinite(image), finite)
+    np.testing.assert_array_equal(image[~finite], reference[~finite])
+    gap = np.abs(image[finite] - reference[finite])
+    assert np.all(gap <= 1e-10 * np.maximum(1.0, np.abs(reference[finite])))
 
 
 class TestRunNull:
@@ -318,6 +364,81 @@ class TestScan:
         for cell in (cell_a, cell_b):
             assert any(abs(p[0] - cell[0]) <= 1 and abs(p[1] - cell[1]) <= 1
                        for p in peaks)
+
+    @pytest.mark.parametrize("case", ["differential", "single-channel",
+                                      "explicit-with-reference", "clock-offset", "gigahertz"])
+    @pytest.mark.parametrize("panel", KNOWN_COUPLING_PANELS)
+    def test_image_matches_rebuild_per_cell(self, panel, case):
+        scenario, ms, delays, dopplers, scanned = scan_case(case)
+        spec = KnowledgeSpec.from_panel(panel)
+        explicit = None if case in ("differential", "single-channel") else scanned
+        image = scan_likelihood_image(spec, scenario, ms, delays, dopplers,
+                                      scan_channels=explicit)
+        assert_images_close(image.values,
+                            scan_by_rebuild(spec, scenario, ms, delays, dopplers, scanned))
+
+    @pytest.mark.parametrize("panel", ["P12", "P23"])
+    def test_chunked_scan_matches_single_chunk(self, panel, monkeypatch):
+        scenario, ms, delays, dopplers, _ = scan_case("clock-offset")
+        spec = KnowledgeSpec.from_panel(panel)
+        whole = scan_likelihood_image(spec, scenario, ms, delays, dopplers).values
+        monkeypatch.setattr(harness, "_SCAN_CHUNK_ENTRIES", 1)  # one bin or cell a chunk
+        chunked = scan_likelihood_image(spec, scenario, ms, delays, dopplers).values
+        assert_images_close(chunked, whole)
+
+    @pytest.mark.parametrize("panel", ["P13", "P23"])
+    def test_vanishing_residual_gives_infinite_cell(self, panel):
+        # Channel 1's data lies exactly in its coupling's span at the true
+        # Doppler, so its residual vanishes there (at every delay, which only
+        # rephases the columns) and the column-3 composite is infinite.
+        scenario = two_channel_scenario(m=6, n=10, j=2, delay=3e-3, doppler=20.0)
+        channels = scenario.channels()
+        amps = draw_amplitudes(2, 6, 1.0, 21)
+        noisy = simulate(channels, 6, seed=22, amplitudes=amps)
+        ms = MeasurementSet((noisy.block(0), channels[1].gain * channels[1].matrix @ amps))
+        delays, dopplers = [0.0, 3e-3], [0.0, 20.0, 40.0]
+        image = scan_likelihood_image(KnowledgeSpec.from_panel(panel), scenario, ms,
+                                      delays, dopplers)
+        assert np.all(np.isinf(image.values[:, 1]))
+        assert np.all(np.isfinite(image.values[:, [0, 2]]))
+        assert_images_close(image.values, scan_by_rebuild(
+            KnowledgeSpec.from_panel(panel), scenario, ms, delays, dopplers, [1]))
+
+    def test_no_per_cell_detect_or_channel_build(self, monkeypatch):
+        scenario = two_channel_scenario()
+        ms = simulate(scenario.channels(), scenario.n_snapshots, seed=1)
+        builds = []
+
+        def count_build(*args, **kwargs):
+            builds.append(args)
+            return narrowband_channel(*args, **kwargs)
+
+        def no_detect(*args, **kwargs):
+            raise AssertionError("scan called detect")
+
+        monkeypatch.setattr(harness, "narrowband_channel", count_build)
+        monkeypatch.setattr(harness, "detect", no_detect)
+        delays, dopplers = self.make_grid(scenario)
+        scan_likelihood_image(P11, scenario, ms, delays, dopplers)
+        assert len(builds) == scenario.n_channels
+
+    @pytest.mark.parametrize("scan_channels", [[5], [2], [-1], [], [1, 1]],
+                             ids=["far-out-of-range", "out-of-range", "negative", "empty",
+                                  "duplicate"])
+    def test_bad_scan_channels_rejected(self, scan_channels):
+        scenario = two_channel_scenario()
+        ms = simulate(scenario.channels(), scenario.n_snapshots, seed=1)
+        with pytest.raises(ConfigError, match="scan"):
+            scan_likelihood_image(P11, scenario, ms, [0.0], [0.0], scan_channels=scan_channels)
+
+    @pytest.mark.parametrize("delays,dopplers", [([float("nan")], [0.0]),
+                                                 ([0.0], [float("inf")]),
+                                                 ([1e303], [0.0])])
+    def test_non_finite_grid_rejected(self, delays, dopplers):
+        scenario = two_channel_scenario()
+        ms = simulate(scenario.channels(), scenario.n_snapshots, seed=1)
+        with pytest.raises(ValueError):
+            scan_likelihood_image(P11, scenario, ms, delays, dopplers)
 
     def test_empty_grid_rejected(self):
         scenario = two_channel_scenario()

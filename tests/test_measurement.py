@@ -10,14 +10,13 @@ from glrfusion import (
     MeasurementSet,
     RankDeficiencyError,
     channel_message,
-    compose_f_whitened,
     load_measurements,
     sample_covariance,
     save_measurements,
     simulate,
 )
 from conftest import complex_normal, random_channel
-from oracles import ml_amplitudes
+from oracles import compose_f_whitened, ml_amplitudes
 
 
 class TestSampleCovariance:

@@ -12,7 +12,7 @@ PUBLIC_NAMES = [
     "ProtocolError", "RankDeficiencyError", "RocCurve", "SampleCovariance", "Scenario",
     "ThresholdCalibration", "balanced_tree", "build_broadband_h",
     "build_narrowband_h", "calibrate_threshold", "chain_tree", "channel_message",
-    "compose_f", "compose_f_whitened", "daisy_chain_fuse",
+    "daisy_chain_fuse",
     "detect", "detect_p11", "detect_p12", "detect_p13", "detect_p21", "detect_p22",
     "detect_p23", "detect_p31", "detect_p32", "detect_p33", "draw_amplitudes",
     "load_measurements", "narrowband_channel",
