@@ -69,10 +69,8 @@ from .harness import (
 )
 from .measurement import (
     MeasurementSet,
-    SampleCovariance,
     draw_amplitudes,
     load_measurements,
-    sample_covariance,
     save_measurements,
     simulate,
 )

@@ -1,11 +1,18 @@
 """Fusion identities: one message per channel, folded over a binary tree.
 
-The known-coupling, known-noise composite quadratic form decomposes exactly
-into per-channel quadratic forms minus one amplitude-disagreement penalty per
-internal node of any binary tree over the channels.  Each leaf is a channel's
-message (statistic, ML amplitude estimate A_l, its covariance Q_l); each node
-folds its children's (Q, A).  ``partition_cv`` folds over any tree and
-``daisy_chain_fuse`` over the left-deep chain, one channel per link.
+The known-coupling, known-noise composite decomposes exactly into
+per-channel statistics minus one cross-validation term per internal node of
+any binary tree over the channels.  A leaf is a channel's message, its
+whitened row-1 summary: with H_l = Q_l R_l (see :mod:`detectors`), the J x J
+factor F_l = (g_l / sigma_l) R_l and the J x M coordinates
+C_l = Q_l^H X_l / sigma_l.  A node stacks its children's factors F and
+coordinates C and takes an orthonormal basis Q of the span of F.  Its term
+is the tail ||C - Q Q^H C||^2 / M of the stacked coordinates, formed
+directly, and the merged group is (Q^H F, Q^H C).  This is the split row 1
+of :mod:`detectors` makes over all channels at once, so the terms over any
+tree add up to the panel's raw cross-validation.  ``partition_cv`` folds
+over any tree and ``daisy_chain_fuse`` over the left-deep chain, one channel
+per link.
 """
 
 from __future__ import annotations
@@ -19,14 +26,18 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .channel import ChannelModel, require_same_dims
-from .detectors import ChannelKnowledge, DetectorReport, KnowledgeSpec, NoiseKnowledge
+from .detectors import (ChannelKnowledge, DetectorReport, KnowledgeSpec, NoiseKnowledge,
+                        _coordinates)
 from .errors import ConfigError, DimensionError, ProtocolError
-from .linalg import as_complex_matrix, orthonormal_basis
+from .linalg import as_complex_matrix, energy, orthonormal_basis
 from .measurement import _HEADER_NAME, MeasurementSet, _format_block, _parse_block, _read_header
 
 PartitionTree = int | tuple
 
 _P11 = KnowledgeSpec(ChannelKnowledge.KNOWN_F, NoiseKnowledge.KNOWN)
+
+_MESSAGE_FORMAT = "glrfusion-messages"
+_MESSAGE_VERSION = 2
 
 
 def chain_tree(n_channels: int) -> PartitionTree:
@@ -66,25 +77,22 @@ def tree_leaves(tree: PartitionTree) -> tuple[int, ...]:
     return tuple(leaves)
 
 
-def _fold(q_a: np.ndarray, a_a: np.ndarray, q_b: np.ndarray, a_b: np.ndarray, m: int):
-    """Merge two groups' amplitude estimates A with estimate covariances Q.
+def _fold(left: tuple[np.ndarray, np.ndarray], right: tuple[np.ndarray, np.ndarray], m: int):
+    """Merge two groups' whitened (factor, coordinates).
 
-    Returns (term, Q, A): the penalty term tr(Q_EE^-1 S_EE) of the estimate
-    difference E = A_a - A_b, with Q_EE = Q_a + Q_b and S_EE = E E^H / M, and
-    the merged precision-weighted estimate A = Q (Q_a^-1 A_a + Q_b^-1 A_b)
-    with Q = (Q_a^-1 + Q_b^-1)^-1.
+    Returns (term, (Q^H F, Q^H C)): F and C stack the groups' factors and
+    coordinates, Q is an orthonormal basis of the span of F, and the term is
+    the tail ||C - Q Q^H C||^2 / M.
     """
-    err = a_a - a_b
-    term = float(np.real(np.trace(np.linalg.solve(q_a + q_b, err @ err.conj().T / m))))
-    inv_a = np.linalg.inv(q_a)
-    inv_b = np.linalg.inv(q_b)
-    q = np.linalg.inv(inv_a + inv_b)
-    return term, q, q @ (inv_a @ a_a + inv_b @ a_b)
+    f = np.vstack((left[0], right[0]))
+    q = orthonormal_basis(f, "fused channel")
+    coords, tail = _coordinates(q, np.vstack((left[1], right[1])), m)
+    return float(tail), (q.conj().T @ f, coords)
 
 
 @dataclass(frozen=True)
 class PartitionStep:
-    """One binary split: the penalty term tr(Q_EE^-1 S_EE) between two groups."""
+    """One binary split: the tail of the two groups' stacked coordinates."""
 
     left: tuple[int, ...]
     right: tuple[int, ...]
@@ -105,19 +113,19 @@ def _fold_tree(messages: Sequence[ChannelMessage], tree: PartitionTree) -> list[
     """
     m = messages[0].n_snapshots
     steps: list[PartitionStep] = []
-    groups: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]] = []
+    groups: list[tuple[tuple[int, ...], tuple[np.ndarray, np.ndarray]]] = []
     pending: list[PartitionTree | None] = [tree]
     while pending:
         node = pending.pop()
         if isinstance(node, int):
-            groups.append(((node,), messages[node].amplitude_covariance, messages[node].amplitudes))
+            groups.append(((node,), (messages[node].factor, messages[node].coordinates)))
         elif node is not None:
             pending += [None, node[1], node[0]]
         else:
-            (leaves_r, q_r, a_r), (leaves_l, q_l, a_l) = groups.pop(), groups.pop()
-            term, q, a = _fold(q_l, a_l, q_r, a_r, m)
+            (leaves_r, right), (leaves_l, left) = groups.pop(), groups.pop()
+            term, merged = _fold(left, right, m)
             steps.append(PartitionStep(leaves_l, leaves_r, term))
-            groups.append((leaves_l + leaves_r, q, a))
+            groups.append((leaves_l + leaves_r, merged))
     return steps
 
 
@@ -125,9 +133,9 @@ def partition_cv(channels: Sequence[ChannelModel], ms: MeasurementSet,
                  tree: PartitionTree) -> PartitionResult:
     """Cross-validation term via recursive binary partitioning.
 
-    For every internal node the identity
-    Z^H P_F Z = X^H P_FX X + Y^H P_FY Y - M tr(Q_EE^-1 S_EE) applies; the
-    totals are invariant to the tree shape.
+    Each internal node adds the tail of its two groups' stacked whitened
+    coordinates outside the span of their stacked factors; the totals are
+    invariant to the tree shape.
     """
     require_same_dims(channels, ms.channel_dims)
     leaves = sorted(tree_leaves(tree))
@@ -146,31 +154,39 @@ def partition_cv(channels: Sequence[ChannelModel], ms: MeasurementSet,
 
 @dataclass(frozen=True)
 class ChannelMessage:
-    """What one channel must transmit to be fused into the composite report."""
+    """What one channel must transmit to be fused into the composite report.
 
-    statistic: float
-    amplitudes: np.ndarray
-    amplitude_covariance: np.ndarray
-    n_samples: int
-    n_snapshots: int
+    The channel's whitened row-1 summary: the nonsingular J x J ``factor``
+    (g_l / sigma_l) R_l and the J x M ``coordinates`` Q_l^H X_l / sigma_l,
+    with H_l = Q_l R_l.
+    """
+
+    factor: np.ndarray
+    coordinates: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitudes",
-                           as_complex_matrix(self.amplitudes, "amplitudes"))
-        object.__setattr__(self, "amplitude_covariance",
-                           as_complex_matrix(self.amplitude_covariance, "amplitude_covariance"))
-        j, m = self.amplitudes.shape
-        if m != self.n_snapshots:
-            raise DimensionError(f"amplitudes have {m} columns for n_snapshots={self.n_snapshots}")
-        if self.amplitude_covariance.shape != (j, j):
-            raise DimensionError(
-                f"amplitude covariance shape {self.amplitude_covariance.shape} "
-                f"does not match J={j}"
-            )
+        factor = as_complex_matrix(self.factor, "message factor")
+        coords = as_complex_matrix(self.coordinates, "message coordinates")
+        j, m = coords.shape
+        if j == 0 or m == 0:
+            raise DimensionError(f"message coordinates are empty: (J, M) = {coords.shape}")
+        if factor.shape != (j, j):
+            raise DimensionError(f"message factor shape {factor.shape} does not match J={j}")
+        orthonormal_basis(factor, "message factor")  # rank gate
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "coordinates", coords)
+
+    @property
+    def statistic(self) -> float:
+        """The channel's known-noise statistic ||C_l||^2 / M."""
+        return float(energy(self.coordinates)) / self.n_snapshots
+
+    @property
+    def n_snapshots(self) -> int:
+        return self.coordinates.shape[1]
 
 
-_MESSAGE_FIELDS = ("statistic", "amplitudes", "amplitude_covariance",
-                   "n_samples", "n_snapshots")
+_MESSAGE_FIELDS = ("factor", "coordinates")
 
 
 def as_message(obj) -> ChannelMessage:
@@ -188,22 +204,16 @@ def as_message(obj) -> ChannelMessage:
 def channel_message(channel: ChannelModel, x_block, n_snapshots: int) -> ChannelMessage:
     """Build the fusion message for one channel from its local data.
 
-    One SVD of F_l = (g_l/sigma_l) H_l gates its rank and gives the basis for the
-    statistic; A_l solves (F_l^H F_l) A_l = F_l^H X_l / sigma_l, and Q_l = (F_l^H F_l)^-1.
+    Reads the channel's cached basis Q_l and factor R_l = Q_l^H H_l.
     """
     x = as_complex_matrix(x_block, "channel data")
     require_same_dims([channel], [x.shape[0]])
-    f = (channel.gain / channel.noise_sigma) * channel.matrix
-    matched = orthonormal_basis(f, "whitened channel").conj().T @ x
-    gram = f.conj().T @ f
-    return ChannelMessage(
-        statistic=float(np.real(np.vdot(matched, matched)))
-        / (n_snapshots * channel.noise_variance),
-        amplitudes=np.linalg.solve(gram, f.conj().T @ (x / channel.noise_sigma)),
-        amplitude_covariance=np.linalg.inv(gram),
-        n_samples=channel.n_samples,
-        n_snapshots=n_snapshots,
-    )
+    if x.shape[1] != n_snapshots:
+        raise DimensionError(f"channel data has {x.shape[1]} columns "
+                             f"for n_snapshots={n_snapshots}")
+    sigma = channel.noise_sigma
+    return ChannelMessage(factor=(channel.gain / sigma) * channel.coupling,
+                          coordinates=channel.basis.conj().T @ x / sigma)
 
 
 def daisy_chain_fuse(messages: Sequence[ChannelMessage | Mapping]) -> list[DetectorReport]:
@@ -217,9 +227,9 @@ def daisy_chain_fuse(messages: Sequence[ChannelMessage | Mapping]) -> list[Detec
     if not msgs:
         raise ProtocolError("no messages to fuse")
     for idx, msg in enumerate(msgs):
-        if msg.amplitudes.shape != msgs[0].amplitudes.shape:
-            raise ProtocolError(f"message {idx} carries (J, M) = {msg.amplitudes.shape}, "
-                                f"message 0 carries {msgs[0].amplitudes.shape}")
+        if msg.coordinates.shape != msgs[0].coordinates.shape:
+            raise ProtocolError(f"message {idx} carries (J, M) = {msg.coordinates.shape}, "
+                                f"message 0 carries {msgs[0].coordinates.shape}")
     steps = _fold_tree(msgs, chain_tree(len(msgs)))
     raw_cvs = list(accumulate((s.term for s in steps), initial=0.0))
     stats = np.array([msg.statistic for msg in msgs])
@@ -238,26 +248,25 @@ def save_messages(messages: Sequence[ChannelMessage], directory) -> Path:
     root.mkdir(parents=True, exist_ok=True)
     entries = []
     for idx, msg in enumerate(messages):
-        amp_name = f"message_{idx:02d}_amplitudes.csv"
-        cov_name = f"message_{idx:02d}_covariance.csv"
-        (root / amp_name).write_text(_format_block(msg.amplitudes))
-        (root / cov_name).write_text(_format_block(msg.amplitude_covariance))
+        factor_name = f"message_{idx:02d}_factor.csv"
+        coords_name = f"message_{idx:02d}_coordinates.csv"
+        (root / factor_name).write_text(_format_block(msg.factor))
+        (root / coords_name).write_text(_format_block(msg.coordinates))
         entries.append({
-            "statistic": msg.statistic,
-            "n_samples": msg.n_samples,
+            "n_modes": msg.coordinates.shape[0],
             "n_snapshots": msg.n_snapshots,
-            "n_modes": msg.amplitudes.shape[0],
-            "amplitudes": amp_name,
-            "amplitude_covariance": cov_name,
+            "factor": factor_name,
+            "coordinates": coords_name,
         })
-    header = {"format": "glrfusion-messages", "version": 1, "messages": entries}
+    header = {"format": _MESSAGE_FORMAT, "version": _MESSAGE_VERSION, "messages": entries}
     (root / _HEADER_NAME).write_text(json.dumps(header, indent=2) + "\n")
     return root
 
 
 def load_messages(directory) -> list[ChannelMessage]:
+    """Read fusion messages written by :func:`save_messages`."""
     root = Path(directory)
-    header = _read_header(root, "glrfusion-messages", ("messages",))
+    header = _read_header(root, _MESSAGE_FORMAT, _MESSAGE_VERSION, ("messages",))
     if not isinstance(header["messages"], list):
         raise ConfigError(f"'messages' in {root / _HEADER_NAME} is not a list: "
                           f"{header['messages']!r}")
@@ -266,18 +275,13 @@ def load_messages(directory) -> list[ChannelMessage]:
         if not isinstance(entry, dict):
             raise ConfigError(f"message entry {idx} in {root / _HEADER_NAME} is not an object: "
                               f"{entry!r}")
-        for name in _MESSAGE_FIELDS + ("n_modes",):
+        for name in _MESSAGE_FIELDS + ("n_modes", "n_snapshots"):
             if name not in entry:
                 raise ProtocolError(f"channel message is missing field {name!r}")
         j = int(entry["n_modes"])
         m = int(entry["n_snapshots"])
-        amp = _parse_block((root / entry["amplitudes"]).read_text(), j, m)
-        cov = _parse_block((root / entry["amplitude_covariance"]).read_text(), j, j)
         out.append(ChannelMessage(
-            statistic=float(entry["statistic"]),
-            amplitudes=amp,
-            amplitude_covariance=cov,
-            n_samples=int(entry["n_samples"]),
-            n_snapshots=m,
+            factor=_parse_block((root / entry["factor"]).read_text(), j, j),
+            coordinates=_parse_block((root / entry["coordinates"]).read_text(), j, m),
         ))
     return out

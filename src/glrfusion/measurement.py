@@ -1,12 +1,11 @@
-"""Snapshot containers, blocked sample covariances, synthesis, and file formats.
+"""Snapshot containers, synthesis, and file formats.
 
 Data for L channels over M snapshots is held as per-channel blocks X_l of
-shape (N_l, M).  Sample covariances are blocked the same way.  Synthesis is
-deterministic given (seed, trial): every (trial, channel) pair gets its own
+shape (N_l, M).  Synthesis is deterministic given (seed, trial): every (trial, channel) pair gets its own
 named substream so concurrent trials never share random state.
 
 The on-disk interchange format is binary-free: one directory with a JSON
-header (dims, snapshot count, channel order) plus one CSV per block holding
+header (format, version, dims, snapshot count, channel order) plus one CSV per block holding
 interleaved real,imag entries at 17 significant digits, which round-trips
 float64 bit-exactly.
 """
@@ -26,6 +25,7 @@ from .linalg import as_complex_matrix
 
 _HEADER_NAME = "header.json"
 _FORMAT_NAME = "glrfusion-measurements"
+_FORMAT_VERSION = 1
 _FLOAT_FMT = "{:.17g}"
 
 # Purpose tags for named random substreams.
@@ -93,70 +93,6 @@ class MeasurementSet:
     def subset(self, indices: Sequence[int]) -> "MeasurementSet":
         """New set containing only the selected channels, in the given order."""
         return MeasurementSet(tuple(self.blocks[i] for i in indices))
-
-
-@dataclass(frozen=True)
-class SampleCovariance:
-    """Blocked sample covariance S = (1/M) Z Z^H with per-channel accessors."""
-
-    matrix: np.ndarray
-    channel_dims: tuple[int, ...]
-    n_snapshots: int
-
-    def __post_init__(self):
-        mat = as_complex_matrix(self.matrix, "covariance")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "channel_dims", tuple(int(d) for d in self.channel_dims))
-        if mat.shape[0] != mat.shape[1] or mat.shape[0] != sum(self.channel_dims):
-            raise DimensionError(
-                f"covariance shape {mat.shape} inconsistent with dims {self.channel_dims}"
-            )
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        return tuple(np.concatenate([[0], np.cumsum(self.channel_dims)]).astype(int))
-
-    def block(self, i: int, j: int | None = None) -> np.ndarray:
-        if j is None:
-            j = i
-        off = self.offsets
-        return self.matrix[off[i]:off[i + 1], off[j]:off[j + 1]]
-
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
-
-    def trace_block(self, i: int) -> float:
-        return float(np.real(np.trace(self.block(i))))
-
-    def whitened(self, sigmas: Sequence[float]) -> "SampleCovariance":
-        """Whitened covariance with blocks S_ij / (sigma_i sigma_j)."""
-        if len(sigmas) != len(self.channel_dims):
-            raise DimensionError(
-                f"{len(sigmas)} sigmas for {len(self.channel_dims)} channels"
-            )
-        for s in sigmas:
-            if not (s > 0):
-                raise ValueError(f"sigmas must be positive, got {s}")
-        weights = np.concatenate(
-            [np.full(d, 1.0 / s) for d, s in zip(self.channel_dims, sigmas)]
-        )
-        return SampleCovariance(
-            matrix=self.matrix * np.outer(weights, weights),
-            channel_dims=self.channel_dims,
-            n_snapshots=self.n_snapshots,
-        )
-
-
-def sample_covariance(measurements: MeasurementSet) -> SampleCovariance:
-    """Blocked S = (1/M) Z Z^H, symmetrized against rounding asymmetry."""
-    z = measurements.stacked()
-    s = z @ z.conj().T / measurements.n_snapshots
-    s = 0.5 * (s + s.conj().T)
-    return SampleCovariance(
-        matrix=s,
-        channel_dims=measurements.channel_dims,
-        n_snapshots=measurements.n_snapshots,
-    )
 
 
 def simulate(
@@ -245,7 +181,7 @@ def save_measurements(measurements: MeasurementSet, directory) -> Path:
     block_names = [f"block_{i:02d}.csv" for i in range(measurements.n_channels)]
     header = {
         "format": _FORMAT_NAME,
-        "version": 1,
+        "version": _FORMAT_VERSION,
         "n_snapshots": measurements.n_snapshots,
         "channel_dims": list(measurements.channel_dims),
         "blocks": block_names,
@@ -256,8 +192,8 @@ def save_measurements(measurements: MeasurementSet, directory) -> Path:
     return root
 
 
-def _read_header(root: Path, format_name: str, keys: Sequence[str]) -> dict:
-    """Read ``root``/header.json: a JSON object of format ``format_name`` holding ``keys``."""
+def _read_header(root: Path, format_name: str, version: int, keys: Sequence[str]) -> dict:
+    """Read ``root``/header.json: a JSON object of ``format_name`` ``version`` holding ``keys``."""
     header_path = root / _HEADER_NAME
     if not header_path.exists():
         raise ConfigError(f"no {_HEADER_NAME} in {root}")
@@ -267,6 +203,9 @@ def _read_header(root: Path, format_name: str, keys: Sequence[str]) -> dict:
     if header.get("format") != format_name:
         raise ConfigError(f"unrecognized format {header.get('format')!r} in {header_path}, "
                           f"expected {format_name!r}")
+    if header.get("version") != version:
+        raise ConfigError(f"unsupported {format_name} version {header.get('version')!r} "
+                          f"in {header_path}, expected version {version}")
     for key in keys:
         if key not in header:
             raise ConfigError(f"{header_path} is missing the key {key!r}")
@@ -276,7 +215,7 @@ def _read_header(root: Path, format_name: str, keys: Sequence[str]) -> dict:
 def load_measurements(directory) -> MeasurementSet:
     """Read a measurement set written by :func:`save_measurements`."""
     root = Path(directory)
-    header = _read_header(root, _FORMAT_NAME, ("n_snapshots", "channel_dims", "blocks"))
+    header = _read_header(root, _FORMAT_NAME, _FORMAT_VERSION, ("n_snapshots", "channel_dims", "blocks"))
     m = int(header["n_snapshots"])
     dims = [int(d) for d in header["channel_dims"]]
     if len(dims) != len(header["blocks"]):

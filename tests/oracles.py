@@ -1,11 +1,13 @@
 """Reference implementations that the tests check the library against.
 
-Closed forms, composite couplings, projector and covariance formulas, the
-row-2 fusion matrix, Hermitian eigendecompositions, eigenvalue sums and the
-per-cell likelihood image that the library no longer evaluates itself: it
-reads the data through thin statistics and splits of their energies, and
-scans a grid without rebuilding channels, and these oracles give the tests
-a second, independent path to the same numbers.
+Closed forms, composite couplings, blocked sample covariances, projector
+and covariance formulas, ML amplitude estimates, the row-2 fusion matrix,
+Hermitian eigendecompositions, eigenvalue sums and the per-cell likelihood
+image that the library no longer evaluates itself: it reads the data
+through thin statistics and splits of their energies, fuses channels
+through their whitened summaries, and scans a grid without rebuilding
+channels, and these oracles give the tests a second, independent path to
+the same numbers.
 """
 
 from __future__ import annotations
@@ -27,13 +29,79 @@ from glrfusion import (
     Scenario,
     detect,
     narrowband_channel,
-    sample_covariance,
 )
 from glrfusion.channel import require_same_dims
+from glrfusion.fusion import ChannelMessage
 from glrfusion.linalg import _normalize_phases, as_complex_matrix, orthonormal_basis
 
 # Relative tolerance for "is this matrix Hermitian" checks.
 HERMITIAN_RTOL = 1e-10
+
+
+# -- data: blocked sample covariances ---------------------------------------
+
+@dataclass(frozen=True)
+class SampleCovariance:
+    """Blocked sample covariance S = (1/M) Z Z^H with per-channel accessors."""
+
+    matrix: np.ndarray
+    channel_dims: tuple[int, ...]
+    n_snapshots: int
+
+    def __post_init__(self):
+        mat = as_complex_matrix(self.matrix, "covariance")
+        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "channel_dims", tuple(int(d) for d in self.channel_dims))
+        if mat.shape[0] != mat.shape[1] or mat.shape[0] != sum(self.channel_dims):
+            raise DimensionError(
+                f"covariance shape {mat.shape} inconsistent with dims {self.channel_dims}"
+            )
+
+    @property
+    def offsets(self) -> tuple[int, ...]:
+        return tuple(np.concatenate([[0], np.cumsum(self.channel_dims)]).astype(int))
+
+    def block(self, i: int, j: int | None = None) -> np.ndarray:
+        if j is None:
+            j = i
+        off = self.offsets
+        return self.matrix[off[i]:off[i + 1], off[j]:off[j + 1]]
+
+    def trace(self) -> float:
+        return float(np.real(np.trace(self.matrix)))
+
+    def trace_block(self, i: int) -> float:
+        return float(np.real(np.trace(self.block(i))))
+
+    def whitened(self, sigmas: Sequence[float]) -> "SampleCovariance":
+        """Whitened covariance with blocks S_ij / (sigma_i sigma_j)."""
+        if len(sigmas) != len(self.channel_dims):
+            raise DimensionError(
+                f"{len(sigmas)} sigmas for {len(self.channel_dims)} channels"
+            )
+        for s in sigmas:
+            if not (s > 0):
+                raise ValueError(f"sigmas must be positive, got {s}")
+        weights = np.concatenate(
+            [np.full(d, 1.0 / s) for d, s in zip(self.channel_dims, sigmas)]
+        )
+        return SampleCovariance(
+            matrix=self.matrix * np.outer(weights, weights),
+            channel_dims=self.channel_dims,
+            n_snapshots=self.n_snapshots,
+        )
+
+
+def sample_covariance(measurements: MeasurementSet) -> SampleCovariance:
+    """Blocked S = (1/M) Z Z^H, symmetrized against rounding asymmetry."""
+    z = measurements.stacked()
+    s = z @ z.conj().T / measurements.n_snapshots
+    s = 0.5 * (s + s.conj().T)
+    return SampleCovariance(
+        matrix=s,
+        channel_dims=measurements.channel_dims,
+        n_snapshots=measurements.n_snapshots,
+    )
 
 
 # -- channels: composite couplings and likelihood images --------------------
@@ -248,6 +316,17 @@ def ml_amplitudes(f_whitened, z_whitened) -> np.ndarray:
     orthonormal_basis(f, "whitened channel")  # full-column-rank gate
     gram = f.conj().T @ f
     return np.linalg.solve(gram, f.conj().T @ z)
+
+
+def message_amplitudes(message: ChannelMessage) -> tuple[np.ndarray, np.ndarray]:
+    """A channel's ML amplitude estimate and its covariance, read from its message.
+
+    With the whitened factor F and coordinates C, the estimate is F^-1 C and
+    its covariance (F^H F)^-1: the channel's whitened coupling is Q F with Q
+    orthonormal, so its Gram matrix is F^H F.
+    """
+    f = message.factor
+    return np.linalg.solve(f, message.coordinates), np.linalg.inv(f.conj().T @ f)
 
 
 def _whitened_group(channels: Sequence[ChannelModel], ms: MeasurementSet,

@@ -27,7 +27,6 @@ from glrfusion import (
     detect_p31,
     detect_p32,
     detect_p33,
-    sample_covariance,
     simulate,
 )
 from conftest import complex_normal, random_channel, random_instance
@@ -38,12 +37,14 @@ from oracles import (
     compose_f_whitened,
     fusion_m_matrix,
     hermitian_eig,
+    message_amplitudes,
     orth_projection,
     p13_composite_mp,
     p23_composite_mp,
     qee,
     rank_one_pair_composite,
     rayleigh_extremes,
+    sample_covariance,
     two_channel_cross_validation,
 )
 
@@ -168,8 +169,8 @@ class TestP11:
         rep = detect_p11(chans, ms)
         q = qee(chans, [0], [1])
         m = ms.n_snapshots
-        e = (channel_message(chans[0], ms.block(0), m).amplitudes
-             - channel_message(chans[1], ms.block(1), m).amplitudes)
+        e = (message_amplitudes(channel_message(chans[0], ms.block(0), m))[0]
+             - message_amplitudes(channel_message(chans[1], ms.block(1), m))[0])
         s_ee = e @ e.conj().T / m
         expected = np.real(np.trace(np.linalg.solve(q, s_ee))) / 2
         assert rep.cross_validation == pytest.approx(expected, abs=1e-9, rel=1e-9)

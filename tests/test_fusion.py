@@ -9,24 +9,29 @@ import pytest
 
 from glrfusion import (
     ChannelMessage,
+    ChannelModel,
     ConfigError,
     DimensionError,
     MeasurementSet,
     ProtocolError,
+    RankDeficiencyError,
     balanced_tree,
     chain_tree,
     channel_message,
     daisy_chain_fuse,
     detect_p11,
+    normalize_channel,
     partition_cv,
     simulate,
 )
 from glrfusion.fusion import load_messages, save_messages, tree_leaves
+from glrfusion.measurement import _format_block
 from conftest import complex_normal, random_channel, random_instance
 from oracles import (
     cfar_diag_decomposition,
     composite_gram_form,
     compose_f_whitened,
+    message_amplitudes,
     ml_amplitudes,
     projection_form_cv,
     qee,
@@ -59,8 +64,8 @@ class TestQee:
         acc = np.zeros((2, 2), dtype=complex)
         for t in range(trials):
             ms = simulate(chans, 1, seed=555, amplitudes=a, trial=t)
-            diff = (channel_message(chans[0], ms.block(0), 1).amplitudes
-                    - channel_message(chans[1], ms.block(1), 1).amplitudes)
+            diff = (message_amplitudes(channel_message(chans[0], ms.block(0), 1))[0]
+                    - message_amplitudes(channel_message(chans[1], ms.block(1), 1))[0])
             acc += diff @ diff.conj().T
         empirical = acc / trials
         scale = np.abs(q).max()
@@ -73,7 +78,7 @@ class TestPartitionCv:
         result = partition_cv(chans, ms, (0, 1))
         q = qee(chans, [0], [1])
         msgs = messages_for(chans, ms)
-        e = msgs[0].amplitudes - msgs[1].amplitudes
+        e = message_amplitudes(msgs[0])[0] - message_amplitudes(msgs[1])[0]
         see = e @ e.conj().T / ms.n_snapshots
         expected = np.real(np.trace(np.linalg.solve(q, see)))
         assert result.raw_total == pytest.approx(expected, rel=1e-10)
@@ -211,16 +216,8 @@ class TestDaisyChain:
 
     def test_mapping_messages_accepted(self, rng):
         chans, ms = random_instance(rng, n_channels=2)
-        msgs = [
-            {
-                "statistic": m.statistic,
-                "amplitudes": m.amplitudes,
-                "amplitude_covariance": m.amplitude_covariance,
-                "n_samples": m.n_samples,
-                "n_snapshots": m.n_snapshots,
-            }
-            for m in messages_for(chans, ms)
-        ]
+        msgs = [{"factor": m.factor, "coordinates": m.coordinates}
+                for m in messages_for(chans, ms)]
         reports = daisy_chain_fuse(msgs)
         rep = detect_p11(chans, ms)
         assert reports[-1].composite == pytest.approx(rep.composite, rel=1e-9)
@@ -228,21 +225,14 @@ class TestDaisyChain:
     def test_missing_field_named(self, rng):
         chans, ms = random_instance(rng, n_channels=2)
         msg = messages_for(chans, ms)[0]
-        broken = {
-            "statistic": msg.statistic,
-            "amplitudes": msg.amplitudes,
-            "n_samples": msg.n_samples,
-            "n_snapshots": msg.n_snapshots,
-        }
-        with pytest.raises(ProtocolError, match="amplitude_covariance"):
+        broken = {"factor": msg.factor}
+        with pytest.raises(ProtocolError, match="coordinates"):
             daisy_chain_fuse([broken])
 
     def test_amplitude_columns_must_match_snapshots(self, rng):
-        msg = messages_for(*random_instance(rng, n_channels=1, n_modes=2, n_snapshots=6))[0]
+        chans, ms = random_instance(rng, n_channels=1, n_modes=2, n_snapshots=6)
         with pytest.raises(DimensionError, match="6 columns for n_snapshots=4"):
-            ChannelMessage(statistic=msg.statistic, amplitudes=msg.amplitudes,
-                           amplitude_covariance=msg.amplitude_covariance,
-                           n_samples=msg.n_samples, n_snapshots=4)
+            channel_message(chans[0], ms.block(0), 4)
 
     def test_mode_count_mismatch_names_message(self, rng):
         chans, ms = random_instance(rng, n_channels=2, n_modes=2, n_snapshots=5)
@@ -259,9 +249,84 @@ class TestDaisyChain:
         assert len(back) == 2
         for orig, loaded in zip(msgs, back):
             assert loaded.statistic == pytest.approx(orig.statistic, rel=1e-15)
-            np.testing.assert_array_equal(loaded.amplitudes, orig.amplitudes)
-            np.testing.assert_array_equal(loaded.amplitude_covariance,
-                                          orig.amplitude_covariance)
+            np.testing.assert_array_equal(loaded.factor, orig.factor)
+            np.testing.assert_array_equal(loaded.coordinates, orig.coordinates)
+
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_unknown_version_rejected(self, rng, tmp_path, version):
+        root = save_messages(messages_for(*random_instance(rng, n_channels=2)), tmp_path / "m")
+        header = json.loads((root / "header.json").read_text())
+        header["version"] = version
+        (root / "header.json").write_text(json.dumps(header))
+        with pytest.raises(ConfigError, match=f"version {version} .*expected version 2"):
+            load_messages(root)
+
+
+def write_message_file(root, factor, coordinates):
+    """One message in the on-disk layout of ``save_messages``, from raw arrays."""
+    root.mkdir()
+    for name, block in (("factor.csv", factor), ("coordinates.csv", coordinates)):
+        (root / name).write_text(_format_block(np.asarray(block, dtype=complex)))
+    entry = {"n_modes": coordinates.shape[0], "n_snapshots": coordinates.shape[1],
+             "factor": "factor.csv", "coordinates": "coordinates.csv"}
+    (root / "header.json").write_text(json.dumps(
+        {"format": "glrfusion-messages", "version": 2, "messages": [entry]}))
+    return root
+
+
+class TestMessageValidation:
+    @pytest.mark.parametrize("factor, coordinates", [
+        (np.zeros((0, 0)), np.zeros((0, 4))),
+        (np.eye(2), np.zeros((2, 0))),
+    ], ids=["no-modes", "no-snapshots"])
+    def test_empty_message_rejected(self, tmp_path, factor, coordinates):
+        with pytest.raises(DimensionError, match="empty"):
+            daisy_chain_fuse([{"factor": factor, "coordinates": coordinates}])
+        with pytest.raises(DimensionError):
+            load_messages(write_message_file(tmp_path / "m", factor, coordinates))
+
+    def test_singular_factor_rejected(self, rng, tmp_path):
+        factor = np.ones((2, 2))
+        coordinates = complex_normal(rng, (2, 3))
+        with pytest.raises(RankDeficiencyError, match="message factor"):
+            daisy_chain_fuse([{"factor": factor, "coordinates": coordinates}])
+        with pytest.raises(RankDeficiencyError, match="message factor"):
+            load_messages(write_message_file(tmp_path / "m", factor, coordinates))
+
+    def test_factor_shape_must_match_modes(self, rng):
+        with pytest.raises(DimensionError, match=r"factor shape \(3, 3\) does not match J=2"):
+            ChannelMessage(factor=np.eye(3), coordinates=complex_normal(rng, (2, 4)))
+
+    def test_zero_gain_channel_rejected(self, rng):
+        ch = ChannelModel(matrix=normalize_channel(complex_normal(rng, (6, 2))), gain=0.0,
+                          noise_variance=1.0)
+        with pytest.raises(RankDeficiencyError):
+            channel_message(ch, complex_normal(rng, (6, 4)), 4)
+
+
+@pytest.mark.parametrize("eps", [3e-6, 3e-8], ids=["ratio-1e-6", "ratio-1e-8"])
+def test_near_parallel_channels_match_detector(eps):
+    # Columns c and c + eps d: far above the rank gate, but the Gram matrices
+    # H^H H are ill-conditioned (about 1e12 and 1e16), so the folds must not
+    # invert them.
+    rng = np.random.default_rng(11)
+    chans = []
+    for _ in range(3):
+        c, d = complex_normal(rng, (8, 1)), complex_normal(rng, (8, 1))
+        h = normalize_channel(np.hstack([c, c + eps * d]))
+        s = np.linalg.svd(h, compute_uv=False)
+        assert 0.1 * eps < s[-1] / s[0] < 10 * eps
+        chans.append(ChannelModel(matrix=h, gain=complex_normal(rng, ()),
+                                  noise_variance=float(rng.uniform(0.5, 2.0))))
+    ms = simulate(chans, 6, seed=3, amplitudes=complex_normal(rng, (2, 6)))
+    rep = detect_p11(chans, ms)
+    tol = 1e-9 * max(1.0, abs(rep.composite))
+    fused = daisy_chain_fuse(messages_for(chans, ms))[-1]
+    assert abs(fused.composite - rep.composite) <= tol
+    assert abs(fused.cross_validation - rep.cross_validation) <= tol
+    for tree in (chain_tree(3), balanced_tree(3)):
+        result = partition_cv(chans, ms, tree)
+        assert abs(result.cross_validation - rep.cross_validation) <= tol
 
 
 class TestScaleInvariantDiagonal:
@@ -279,10 +344,10 @@ class TestScaleInvariantDiagonal:
 
 @pytest.mark.parametrize("header, problem", [
     ([{"format": "glrfusion-messages"}], "does not hold a JSON object"),
-    ({"format": "glrfusion-messages", "version": 1}, "missing the key 'messages'"),
-    ({"format": "glrfusion-messages", "version": 1, "messages": [1]},
+    ({"format": "glrfusion-messages", "version": 2}, "missing the key 'messages'"),
+    ({"format": "glrfusion-messages", "version": 2, "messages": [1]},
      "message entry 0 .* is not an object: 1"),
-    ({"format": "glrfusion-messages", "version": 1, "messages": 5},
+    ({"format": "glrfusion-messages", "version": 2, "messages": 5},
      "'messages' .* is not a list: 5"),
 ], ids=["not-an-object", "no-messages-key", "entry-not-an-object", "messages-not-a-list"])
 def test_malformed_message_header_is_config_error(tmp_path, header, problem):

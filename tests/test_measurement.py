@@ -11,12 +11,11 @@ from glrfusion import (
     RankDeficiencyError,
     channel_message,
     load_measurements,
-    sample_covariance,
     save_measurements,
     simulate,
 )
 from conftest import complex_normal, random_channel
-from oracles import compose_f_whitened, ml_amplitudes
+from oracles import compose_f_whitened, message_amplitudes, ml_amplitudes, sample_covariance
 
 
 class TestSampleCovariance:
@@ -101,7 +100,7 @@ class TestMlAmplitudes:
         ch = random_channel(rng, 6, 2, orthonormal=True, gain=1.0, noise_variance=1.0)
         x = complex_normal(rng, (6, 4))
         np.testing.assert_allclose(
-            channel_message(ch, x, 4).amplitudes, ch.matrix.conj().T @ x, atol=1e-10
+            message_amplitudes(channel_message(ch, x, 4))[0], ch.matrix.conj().T @ x, atol=1e-10
         )
 
     def test_equal_channels_average(self, rng):
@@ -111,8 +110,8 @@ class TestMlAmplitudes:
         f = compose_f_whitened([ch, ch])
         z = np.vstack([x1 / ch.noise_sigma, x2 / ch.noise_sigma])
         pooled = ml_amplitudes(f, z)
-        mean = 0.5 * (channel_message(ch, x1, 4).amplitudes
-                      + channel_message(ch, x2, 4).amplitudes)
+        mean = 0.5 * (message_amplitudes(channel_message(ch, x1, 4))[0]
+                      + message_amplitudes(channel_message(ch, x2, 4))[0])
         np.testing.assert_allclose(pooled, mean, atol=1e-10)
 
     def test_residual_orthogonality(self, rng):
@@ -138,9 +137,9 @@ class TestMlAmplitudes:
         acc = np.zeros_like(a)
         for t in range(trials):
             ms = simulate([ch], 3, seed=17, amplitudes=a, trial=t)
-            acc += channel_message(ch, ms.block(0), 3).amplitudes
+            acc += message_amplitudes(channel_message(ch, ms.block(0), 3))[0]
         mean = acc / trials
-        cov = channel_message(ch, ms.block(0), 3).amplitude_covariance
+        cov = message_amplitudes(channel_message(ch, ms.block(0), 3))[1]
         se = np.sqrt(np.real(np.diag(cov))[:, None] / (2 * trials))
         bound = np.broadcast_to(3.0 * se + 1e-12, a.shape)
         np.testing.assert_array_less(np.abs(mean.real - a.real), bound)
@@ -175,6 +174,17 @@ class TestRoundTrip:
         header["blocks"] = header["blocks"][:1]
         (root / "header.json").write_text(json.dumps(header))
         with pytest.raises(ConfigError, match="1 block files for 2 channels"):
+            load_measurements(root)
+
+    @pytest.mark.parametrize("version", [0, 2, 99, "1"], ids=["0", "2", "99", "string-1"])
+    def test_unknown_version_rejected(self, rng, tmp_path, version):
+        import json
+
+        root = save_measurements(MeasurementSet((complex_normal(rng, (3, 2)),)), tmp_path / "d")
+        header = json.loads((root / "header.json").read_text())
+        header["version"] = version
+        (root / "header.json").write_text(json.dumps(header))
+        with pytest.raises(ConfigError, match=f"version {version!r} .*expected version 1"):
             load_measurements(root)
 
     def test_scaled_and_subset(self, rng):

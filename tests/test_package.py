@@ -9,7 +9,7 @@ PUBLIC_NAMES = [
     "DegenerateDataError", "DetectorReport", "DimensionError", "ExperimentSpec",
     "GlrFusionError", "KnowledgeSpec", "LikelihoodImage",
     "MeasurementSet", "NoiseKnowledge", "NullDistribution", "PropagationSpec",
-    "ProtocolError", "RankDeficiencyError", "RocCurve", "SampleCovariance", "Scenario",
+    "ProtocolError", "RankDeficiencyError", "RocCurve", "Scenario",
     "ThresholdCalibration", "balanced_tree", "build_broadband_h",
     "build_narrowband_h", "calibrate_threshold", "chain_tree", "channel_message",
     "daisy_chain_fuse",
@@ -17,7 +17,7 @@ PUBLIC_NAMES = [
     "detect_p23", "detect_p31", "detect_p32", "detect_p33", "draw_amplitudes",
     "load_measurements", "narrowband_channel",
     "normalize_channel", "partition_cv", "radial_velocity_to_doppler",
-    "run_null", "run_roc", "sample_covariance",
+    "run_null", "run_roc",
     "save_measurements", "scan_likelihood_image", "simulate", "wilson_interval",
 ]
 
