@@ -35,7 +35,8 @@ from .harness import (
     run_roc,
     scan_likelihood_image,
 )
-from .measurement import draw_amplitudes, load_measurements, save_measurements, simulate
+from .measurement import (_require_type, draw_amplitudes, load_measurements, save_measurements,
+                          simulate)
 
 _FLOAT_FMT = "{:.17g}"
 
@@ -103,65 +104,73 @@ def _check_keys(obj: dict, allowed: dict, required: set[str], path: str) -> None
         raise ConfigError(f"missing config key(s) {missing} under {path}")
 
 
+# Declared value types, checked by ``measurement._require_type``: a type, a tuple
+# of alternatives, or [t] for a list of t.  A bool is never read as a number.
+_NUMBER = (int, float)
+
 _CHANNEL_KEYS = {
     "n_samples": int,
-    "gain": object,
-    "noise_variance": (int, float),
-    "carrier_hz": (int, float),
-    "sample_period_s": (int, float),
-    "delay_s": (int, float),
-    "doppler_hz": (int, float),
-    "radial_velocity_mps": (int, float),
-    "clock_offset_s": (int, float),
+    "gain": _NUMBER + ([_NUMBER],),
+    "noise_variance": _NUMBER,
+    "carrier_hz": _NUMBER,
+    "sample_period_s": _NUMBER,
+    "delay_s": _NUMBER,
+    "doppler_hz": _NUMBER,
+    "radial_velocity_mps": _NUMBER,
+    "clock_offset_s": _NUMBER,
 }
 
 _COMMAND_KEYS = {
     "simulate": (
-        {"seed": int, "snapshots": int, "modes": int, "channels": list,
-         "hypothesis": str, "snr_db": (int, float), "output": str},
+        {"seed": int, "snapshots": int, "modes": int, "channels": [dict],
+         "hypothesis": str, "snr_db": _NUMBER, "output": str},
         {"seed", "snapshots", "modes", "channels", "hypothesis", "output"},
     ),
     "detect": (
-        {"panel": str, "modes": int, "channels": list, "output": str,
+        {"panel": str, "modes": int, "channels": [dict], "output": str,
          "dominant_numerator": bool},
         {"panel", "modes", "channels"},
     ),
     "roc": (
-        {"panel": str, "modes": int, "channels": list, "snapshots": int,
-         "trials": int, "seed": int, "snr_db": list, "pfa_targets": list,
+        {"panel": str, "modes": int, "channels": [dict], "snapshots": int,
+         "trials": int, "seed": int, "snr_db": [_NUMBER], "pfa_targets": [_NUMBER],
          "output": str},
         {"panel", "modes", "channels", "snapshots", "trials", "seed",
          "snr_db", "pfa_targets", "output"},
     ),
     "null": (
-        {"panel": str, "modes": int, "channels": list, "snapshots": int,
+        {"panel": str, "modes": int, "channels": [dict], "snapshots": int,
          "trials": int, "seed": int, "output": str},
         {"panel", "modes", "channels", "snapshots", "trials", "seed", "output"},
     ),
     "scan": (
-        {"panel": str, "modes": int, "channels": list, "delays_s": list,
-         "dopplers_hz": list, "scan_channels": list, "output": str},
+        {"panel": str, "modes": int, "channels": [dict], "delays_s": [_NUMBER],
+         "dopplers_hz": [_NUMBER], "scan_channels": [int], "output": str},
         {"panel", "modes", "channels", "delays_s", "dopplers_hz", "output"},
     ),
     "calibrate": (
-        {"panel": str, "modes": int, "channels": list, "snapshots": int,
-         "trials": int, "seed": int, "pfa": (int, float), "output": str},
+        {"panel": str, "modes": int, "channels": [dict], "snapshots": int,
+         "trials": int, "seed": int, "pfa": _NUMBER, "output": str},
         {"panel", "modes", "channels", "snapshots", "trials", "seed", "pfa",
          "output"},
     ),
 }
 
 
+def _check_types(obj: dict, declared: dict, prefix: str) -> None:
+    for key, value in obj.items():
+        _require_type(value, declared[key], f"config key {prefix + key!r}")
+
+
 def _validate_config(command: str, config: dict) -> None:
     allowed, required = _COMMAND_KEYS[command]
     _check_keys(config, allowed, required, "config")
-    for key, expected in allowed.items():
-        if key in config and expected is not object and not isinstance(config[key], expected):
-            raise ConfigError(f"config key {key!r} has the wrong type")
+    _check_types(config, allowed, "")
     for idx, entry in enumerate(config.get("channels", [])):
         _check_keys(entry, _CHANNEL_KEYS,
                     {"n_samples", "carrier_hz", "sample_period_s"},
                     f"channels[{idx}]")
+        _check_types(entry, _CHANNEL_KEYS, f"channels[{idx}].")
         if "doppler_hz" in entry and "radial_velocity_mps" in entry:
             raise ConfigError(
                 f"channels[{idx}] sets both doppler_hz and radial_velocity_mps"

@@ -38,8 +38,8 @@ the signal.
   ||H_l^H X_l|| with H_l^H X_l = R_l^H a_l, at one singular value: B B^H is
   the fusion quadratic form, a single row has no tail, and the top left
   singular vector is the gain direction.
-* Row 3 (only the mode count J known), :func:`_subspace_row`, takes the
-  dominant-J singular subspace of each block and of Z:
+* Row 3 (only the mode count J known), :func:`_subspace_row`, splits each
+  block and Z at their J-th singular value; no singular vector is formed:
   cv = (tail(Z) - sum_l tail(X_l) / v_l) / D.
 
 One rule per column, :func:`_column`, with E_l = ||X_l||^2 / M, E = sum E_l,
@@ -128,7 +128,9 @@ class DetectorReport:
 
     Invariants (checked on construction unless the report is degenerate):
     weights sum to one, and composite = sum(alphas * per_channel) -
-    cross_validation to 1e-9 relative.
+    cross_validation to 1e-9 relative (:func:`check_decomposition`).  Row 2
+    adds the gain direction and the coherences; no panel reports a subspace
+    basis, as every statistic is a sum of energies.
     """
 
     composite: float
@@ -141,8 +143,6 @@ class DetectorReport:
     noise_null: np.ndarray | None = None
     noise_alt: np.ndarray | None = None
     coherences: np.ndarray | None = None
-    channel_bases: tuple[np.ndarray, ...] | None = None
-    composite_basis: np.ndarray | None = None
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -153,32 +153,29 @@ class DetectorReport:
         if abs(self.alphas.sum() - 1.0) > 1e-10:
             raise ConfigError(f"weights sum to {self.alphas.sum()}, expected 1")
         if not self.degenerate and np.isfinite(self.composite):
-            recombined = float(self.alphas @ self.per_channel - self.cross_validation)
-            tol = 1e-9 * max(1.0, abs(self.composite))
-            if abs(recombined - self.composite) > tol:
-                raise ConfigError(
-                    f"decomposition mismatch: composite={self.composite!r} but "
-                    f"sum(alpha*stat)-V={recombined!r}"
-                )
+            check_decomposition(self.composite, self.alphas, self.per_channel,
+                                self.cross_validation)
 
     @property
     def n_channels(self) -> int:
         return len(self.alphas)
 
 
-def check_decomposition(composite: np.ndarray, alphas: np.ndarray, per_channel: np.ndarray,
-                        cross_validation: np.ndarray) -> None:
-    """:class:`DetectorReport`'s identity check over a batch of finite composites.
+def check_decomposition(composite, alphas: np.ndarray, per_channel: np.ndarray,
+                        cross_validation) -> None:
+    """:class:`DetectorReport`'s identity check, on one report or a batch of them.
 
-    Raises ConfigError unless composite = per_channel @ alphas -
-    cross_validation to 1e-9 relative on every entry.
+    ``composite`` and ``cross_validation`` are finite scalars or (B,) arrays,
+    ``per_channel`` is (L,) or (B, L).  Raises ConfigError unless composite =
+    per_channel @ alphas - cross_validation to 1e-9 relative on every entry.
     """
     recombined = per_channel @ alphas - cross_validation
-    wrong = np.abs(recombined - composite) > 1e-9 * np.maximum(1.0, np.abs(composite))
-    if wrong.any():
+    gap = abs(recombined - composite)  # beyond 1e-9 * max(1, |composite|)
+    wrong = (gap > 1e-9) & (gap > 1e-9 * abs(composite))
+    if np.count_nonzero(wrong):
         k = int(np.argmax(wrong))
-        raise ConfigError(f"decomposition mismatch: composite={float(composite[k])!r} but "
-                          f"sum(alpha*stat)-V={float(recombined[k])!r}")
+        raise ConfigError(f"decomposition mismatch: composite={float(np.ravel(composite)[k])!r} "
+                          f"but sum(alpha*stat)-V={float(np.ravel(recombined)[k])!r}")
 
 
 def detect(spec: KnowledgeSpec, channels: Sequence[ChannelModel], measurements: MeasurementSet,
@@ -368,7 +365,7 @@ class _Evaluation(NamedTuple):
     coherences: np.ndarray | None = None  # (B, L, L)
 
 
-def _report(spec: KnowledgeSpec, ev: _Evaluation, **fields) -> DetectorReport:
+def _report(spec: KnowledgeSpec, ev: _Evaluation) -> DetectorReport:
     """The report of a batch of one."""
     col = ev.col
     resolved = bool(col.resolved[0])
@@ -381,25 +378,23 @@ def _report(spec: KnowledgeSpec, ev: _Evaluation, **fields) -> DetectorReport:
         gain_direction=None if ev.gain_direction is None or not resolved
         else _normalize_phases(ev.gain_direction[0][:, None])[:, 0],
         coherences=None if ev.coherences is None else ev.coherences[0],
-        extras={"fusion_stats": col.phi[0]} if fused else {}, **fields)
+        extras={"fusion_stats": col.phi[0]} if fused else {})
 
 
-def _split(x: np.ndarray, span: np.ndarray | int, m: int):
-    """Energy of x x^H / M inside a subspace, the energy outside it, and its basis.
+def _split(x: np.ndarray, span: np.ndarray | int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Energy of x x^H / M inside a subspace and the energy outside it.
 
     ``span`` is an orthonormal basis Q or a mode count J.  With Q the energies
     are ||Q^H x||^2 / M and the tail of :func:`_coordinates`.  With J they are
-    the dominant-J and remaining eigenvalues s^2 / M of the thin SVD of x and
-    the basis its leading J left singular vectors, whose phases a report
-    fixes with ``_normalize_phases``.  x (and Q) may be stacks (..., n, k);
-    the energies then have the stack's shape.
+    the dominant-J and remaining eigenvalues s^2 / M of x x^H, from its
+    singular values alone.  x (and Q) may be stacks (..., n, k); the energies
+    then have the stack's shape.
     """
     if isinstance(span, int):
-        u, s, _ = np.linalg.svd(x, full_matrices=False)
-        e = s * s / m
-        return e[..., :span].sum(-1), e[..., span:].sum(-1), u[..., :span]
+        e = np.linalg.svd(x, compute_uv=False) ** 2 / m
+        return e[..., :span].sum(-1), e[..., span:].sum(-1)
     a, outside = _coordinates(span, x, m)
-    return energy(a) / m, outside, span
+    return energy(a) / m, outside
 
 
 def known_coupling(spec: KnowledgeSpec, s: Summary) -> _Evaluation:
@@ -415,8 +410,8 @@ def known_coupling(spec: KnowledgeSpec, s: Summary) -> _Evaluation:
     coords = s.coords
     if col.variance is not None:  # a cell whose residual vanishes forms no composite
         coords = coords / np.sqrt(np.where(ok[:, None], col.variance, 1.0))[..., None, None]
-    top, rest, _ = _split(coords[ok].reshape(-1, n_ch * j, m),
-                          orthonormal_basis(coupling, "composite channel"), m)
+    top, rest = _split(coords[ok].reshape(-1, n_ch * j, m),
+                       orthonormal_basis(coupling, "composite channel"), m)
     composite, cv = np.full(batch, math.inf), np.zeros(batch)
     cv[ok] = rest / col.denominator
     composite[ok] = (col.lam[ok] @ col.alphas - cv[ok]
@@ -444,13 +439,15 @@ def _gain_row(spec: KnowledgeSpec, s: Summary) -> _Evaluation:
     unit = outputs.reshape(batch, n_ch, -1) / np.where(root > 0.0, root, 1.0)[..., None]
     coherences = unit @ _h(unit)
     coherences.reshape(batch, -1)[:, ::n_ch + 1] = 1.0
-    top, cv, basis = _split(np.sqrt(col.alphas * col.phi)[..., None] * unit, 1, 1)
+    b = np.sqrt(col.alphas * col.phi)[..., None] * unit
+    u, sv, _ = np.linalg.svd(b, full_matrices=False)
+    top, cv = sv[..., 0] ** 2, (sv[..., 1:] ** 2).sum(-1)
     composite = (col.lam @ col.alphas - cv if noise == NoiseKnowledge.DIFFERENT_UNKNOWN
                  else top)
     return _Evaluation(np.where(col.resolved, composite, math.inf),
                        np.where(col.resolved, cv, 0.0), col,
                        col.degenerate | (matched <= 0.0).any(axis=-1), col.noise_alt,
-                       gain_direction=basis[..., 0], coherences=coherences)
+                       gain_direction=u[..., 0], coherences=coherences)
 
 
 def _subspace_row(spec: KnowledgeSpec, channels: Sequence[ChannelModel], ms: MeasurementSet,
@@ -459,26 +456,23 @@ def _subspace_row(spec: KnowledgeSpec, channels: Sequence[ChannelModel], ms: Mea
     noise = spec.noise_knowledge
     m = ms.n_snapshots
     j = _mode_count(channels, ms, need_residual=noise == NoiseKnowledge.DIFFERENT_UNKNOWN)
-    inside, outside, bases = zip(*(_split(x, j, m) for x in ms.blocks))
-    bases = tuple(_normalize_phases(b) for b in bases)
-    inside, outside = np.array([inside]), np.array([outside])
+    inside, outside = np.array([_split(x, j, m) for x in ms.blocks]).T[:, None]
     col = _column(noise, np.array([ch.noise_variance for ch in channels]),
                   np.array(ms.channel_dims, dtype=float), energies, inside, outside,
                   numerator=inside if dominant_numerator else None, log=np.log1p)
-    composite, cv, noise_alt, basis_z = math.inf, 0.0, col.noise_alt, None
+    composite, cv, noise_alt = math.inf, 0.0, col.noise_alt
     if col.resolved[0]:
         variance = 1.0 if col.variance is None else np.reshape(col.variance, -1)
         z = np.vstack(ms.blocks if col.variance is None
                       else [x / s for x, s in zip(ms.blocks, np.sqrt(variance))])
-        top_z, rest_z, basis_z = _split(z, j, m)
-        basis_z = _normalize_phases(basis_z)
+        top_z, rest_z = _split(z, j, m)
         cv = (rest_z - float((outside[0] / variance).sum())) / col.denominator
         composite = (float(col.alphas @ col.lam[0]) - cv
                      if noise == NoiseKnowledge.DIFFERENT_UNKNOWN else top_z / col.denominator)
         if noise == NoiseKnowledge.COMMON_UNKNOWN:
             noise_alt = np.array([[rest_z / ms.n_total]])
     ev = _Evaluation(np.array([composite]), np.array([cv]), col, col.degenerate, noise_alt)
-    return _report(spec, ev, channel_bases=bases, composite_basis=basis_z)
+    return _report(spec, ev)
 
 
 def _mode_count(channels: Sequence[ChannelModel], ms: MeasurementSet, *,

@@ -30,7 +30,8 @@ from .detectors import (ChannelKnowledge, DetectorReport, KnowledgeSpec, NoiseKn
                         _coordinates)
 from .errors import ConfigError, DimensionError, ProtocolError
 from .linalg import as_complex_matrix, energy, orthonormal_basis
-from .measurement import _HEADER_NAME, MeasurementSet, _format_block, _parse_block, _read_header
+from .measurement import (_HEADER_NAME, MeasurementSet, _format_block, _parse_block,
+                          _read_header, _require_type)
 
 PartitionTree = int | tuple
 
@@ -38,6 +39,8 @@ _P11 = KnowledgeSpec(ChannelKnowledge.KNOWN_F, NoiseKnowledge.KNOWN)
 
 _MESSAGE_FORMAT = "glrfusion-messages"
 _MESSAGE_VERSION = 2
+# What each entry of a message file's header holds, with its declared type.
+_MESSAGE_ENTRY = {"factor": str, "coordinates": str, "n_modes": int, "n_snapshots": int}
 
 
 def chain_tree(n_channels: int) -> PartitionTree:
@@ -266,7 +269,7 @@ def save_messages(messages: Sequence[ChannelMessage], directory) -> Path:
 def load_messages(directory) -> list[ChannelMessage]:
     """Read fusion messages written by :func:`save_messages`."""
     root = Path(directory)
-    header = _read_header(root, _MESSAGE_FORMAT, _MESSAGE_VERSION, ("messages",))
+    header = _read_header(root, _MESSAGE_FORMAT, _MESSAGE_VERSION, {"messages": object})
     if not isinstance(header["messages"], list):
         raise ConfigError(f"'messages' in {root / _HEADER_NAME} is not a list: "
                           f"{header['messages']!r}")
@@ -275,11 +278,12 @@ def load_messages(directory) -> list[ChannelMessage]:
         if not isinstance(entry, dict):
             raise ConfigError(f"message entry {idx} in {root / _HEADER_NAME} is not an object: "
                               f"{entry!r}")
-        for name in _MESSAGE_FIELDS + ("n_modes", "n_snapshots"):
+        for name, expected in _MESSAGE_ENTRY.items():
             if name not in entry:
                 raise ProtocolError(f"channel message is missing field {name!r}")
-        j = int(entry["n_modes"])
-        m = int(entry["n_snapshots"])
+            _require_type(entry[name], expected,
+                          f"message entry {idx} in {root / _HEADER_NAME}: {name!r}")
+        j, m = entry["n_modes"], entry["n_snapshots"]
         out.append(ChannelMessage(
             factor=_parse_block((root / entry["factor"]).read_text(), j, j),
             coordinates=_parse_block((root / entry["coordinates"]).read_text(), j, m),

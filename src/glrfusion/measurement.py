@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -148,30 +148,21 @@ def draw_amplitudes(
 
 
 def _format_block(block: np.ndarray) -> str:
-    lines = []
-    for row in block:
-        parts = []
-        for v in row:
-            parts.append(_FLOAT_FMT.format(v.real))
-            parts.append(_FLOAT_FMT.format(v.imag))
-        lines.append(",".join(parts))
-    return "\n".join(lines) + "\n"
+    interleaved = np.ascontiguousarray(block, dtype=np.complex128).view(np.float64)
+    return "\n".join(",".join(map(_FLOAT_FMT.format, row))
+                     for row in interleaved.tolist()) + "\n"
 
 
 def _parse_block(text: str, n_rows: int, n_snapshots: int) -> np.ndarray:
-    rows = [line for line in text.splitlines() if line.strip()]
+    rows = [line.split(",") for line in text.splitlines() if line.strip()]
     if len(rows) != n_rows:
         raise DimensionError(f"block file has {len(rows)} rows, expected {n_rows}")
-    out = np.empty((n_rows, n_snapshots), dtype=np.complex128)
-    for i, line in enumerate(rows):
-        vals = [float(tok) for tok in line.split(",")]
-        if len(vals) != 2 * n_snapshots:
+    for i, fields in enumerate(rows):
+        if len(fields) != 2 * n_snapshots:
             raise DimensionError(
-                f"row {i} has {len(vals)} fields, expected {2 * n_snapshots}"
+                f"row {i} has {len(fields)} fields, expected {2 * n_snapshots}"
             )
-        arr = np.asarray(vals).reshape(n_snapshots, 2)
-        out[i] = arr[:, 0] + 1j * arr[:, 1]
-    return out
+    return np.array(rows, dtype=float).reshape(n_rows, 2 * n_snapshots).view(np.complex128)
 
 
 def save_measurements(measurements: MeasurementSet, directory) -> Path:
@@ -192,8 +183,31 @@ def save_measurements(measurements: MeasurementSet, directory) -> Path:
     return root
 
 
-def _read_header(root: Path, format_name: str, version: int, keys: Sequence[str]) -> dict:
-    """Read ``root``/header.json: a JSON object of ``format_name`` ``version`` holding ``keys``."""
+def _conforms(value, expected) -> bool:
+    """Whether a JSON value has the declared type ``expected``.
+
+    A declaration is a type, a tuple of alternatives, or [t] for a list whose
+    elements are all t.  A bool is never an int or a number.
+    """
+    if isinstance(expected, tuple):
+        return any(_conforms(value, t) for t in expected)
+    if isinstance(expected, list):
+        return isinstance(value, list) and all(_conforms(v, expected[0]) for v in value)
+    return isinstance(value, expected) and (expected is bool or not isinstance(value, bool))
+
+
+def _require_type(value, expected, what: str) -> None:
+    """Raise ConfigError naming ``what`` unless ``value`` has the declared type."""
+    if not _conforms(value, expected):
+        raise ConfigError(f"{what} has the wrong type: {json.dumps(value)}")
+
+
+def _read_header(root: Path, format_name: str, version: int, keys: Mapping[str, object]) -> dict:
+    """Read ``root``/header.json: a JSON object of ``format_name`` ``version``.
+
+    ``keys`` maps each key the header must hold to its declared type (see
+    :func:`_conforms`).
+    """
     header_path = root / _HEADER_NAME
     if not header_path.exists():
         raise ConfigError(f"no {_HEADER_NAME} in {root}")
@@ -203,21 +217,24 @@ def _read_header(root: Path, format_name: str, version: int, keys: Sequence[str]
     if header.get("format") != format_name:
         raise ConfigError(f"unrecognized format {header.get('format')!r} in {header_path}, "
                           f"expected {format_name!r}")
-    if header.get("version") != version:
-        raise ConfigError(f"unsupported {format_name} version {header.get('version')!r} "
+    found = header.get("version")
+    if found != version or isinstance(found, bool):
+        raise ConfigError(f"unsupported {format_name} version {found!r} "
                           f"in {header_path}, expected version {version}")
-    for key in keys:
+    for key, expected in keys.items():
         if key not in header:
             raise ConfigError(f"{header_path} is missing the key {key!r}")
+        _require_type(header[key], expected, f"{key!r} in {header_path}")
     return header
 
 
 def load_measurements(directory) -> MeasurementSet:
     """Read a measurement set written by :func:`save_measurements`."""
     root = Path(directory)
-    header = _read_header(root, _FORMAT_NAME, _FORMAT_VERSION, ("n_snapshots", "channel_dims", "blocks"))
-    m = int(header["n_snapshots"])
-    dims = [int(d) for d in header["channel_dims"]]
+    header = _read_header(root, _FORMAT_NAME, _FORMAT_VERSION,
+                          {"n_snapshots": int, "channel_dims": [int], "blocks": [str]})
+    m = header["n_snapshots"]
+    dims = header["channel_dims"]
     if len(dims) != len(header["blocks"]):
         raise ConfigError(
             f"{root / _HEADER_NAME} lists {len(header['blocks'])} block files "

@@ -191,6 +191,21 @@ class TestDetect:
         assert err.startswith("error:") and key in err
         assert err.strip().count("\n") == 0
 
+    def test_mistyped_header_value_is_clean_error(self, tmp_path, capsys):
+        sim_cfg = self.make_data(tmp_path)
+        header_path = tmp_path / "data" / "header.json"
+        header_path.write_text(json.dumps({**json.loads(header_path.read_text()),
+                                           "channel_dims": [None]}))
+        cfg = write_config(tmp_path / "det.json", {
+            "panel": "p11",
+            "modes": 1,
+            "channels": sim_cfg["channels"],
+        })
+        assert main(["detect", "--config", cfg, str(tmp_path / "data")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "channel_dims" in err and "header.json" in err
+        assert err.strip().count("\n") == 0
+
     def test_dominant_numerator_outside_p33_is_clean_error(self, tmp_path, capsys):
         sim_cfg = self.make_data(tmp_path, modes=1, snapshots=6)
         for panel, status in (("p11", 1), ("p33", 0)):
@@ -291,6 +306,32 @@ class TestErrorsAndOverrides:
         assert err.startswith("error:") and "--jobs" in err
         assert err.strip().count("\n") == 0
         assert not (tmp_path / "null_out").exists()
+
+    @pytest.mark.parametrize("command, override", [
+        ("detect", "channels.0.n_samples=null"),
+        ("detect", "channels.0.carrier_hz=null"),
+        ("detect", "channels.0.noise_variance=[1]"),
+        ("detect", "channels.0.gain=[null,1]"),
+        ("detect", "channels.0.n_samples=true"),
+        ("detect", "modes=true"),
+        ("scan", "delays_s=[null]"),
+        ("roc", "snr_db=[null]"),
+        ("roc", "pfa_targets=[null]"),
+    ])
+    def test_mistyped_value_is_clean_error(self, tmp_path, capsys, command, override):
+        base = {"panel": "p11", "modes": 1, "channels": [channel_entry()],
+                "output": str(tmp_path / "out")}
+        extra = {"detect": {}, "scan": {"delays_s": [0.0], "dopplers_hz": [0.0]},
+                 "roc": {"snapshots": 4, "trials": 10, "seed": 1, "snr_db": [0.0],
+                         "pfa_targets": [0.1]}}[command]
+        cfg = write_config(tmp_path / "c.json", {**base, **extra})
+        data = [str(tmp_path / "data")] if command != "roc" else []
+        assert main([command, "--config", cfg, "--set", override, *data]) == 1
+        err = capsys.readouterr().err
+        key = override.split("=")[0].split(".")[-1]
+        assert err.startswith("error:") and "wrong type" in err and key in err
+        assert err.strip().count("\n") == 0
+        assert not (tmp_path / "out").exists()
 
     def test_missing_required_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {"seed": 1})

@@ -13,6 +13,7 @@ from glrfusion import (
     ChannelModel,
     ConfigError,
     DegenerateDataError,
+    DetectorReport,
     KnowledgeSpec,
     MeasurementSet,
     NoiseKnowledge,
@@ -721,8 +722,12 @@ class TestReportShape:
         if panel.startswith("P2"):
             assert rep.coherences is not None
             assert rep.gain_direction is not None
-        if panel.startswith("P3"):
-            assert rep.channel_bases is not None
-            for i, basis in enumerate(rep.channel_bases):
-                gram = basis.conj().T @ basis
-                np.testing.assert_allclose(gram, np.eye(basis.shape[1]), atol=1e-9)
+
+    def test_identity_mismatch_is_rejected(self):
+        report = dict(alphas=np.array([0.5, 0.5]), per_channel=np.array([1.0, 2.0]),
+                      cross_validation=0.2, panel=KnowledgeSpec.from_panel("P11"))
+        assert DetectorReport(composite=1.3, **report).composite == 1.3
+        with pytest.raises(ConfigError, match=r"mismatch: composite=1\.0 but "
+                                              r"sum\(alpha\*stat\)-V=1\.3$"):
+            DetectorReport(composite=1.0, **report)
+        assert DetectorReport(composite=1.0, degenerate=True, **report).degenerate

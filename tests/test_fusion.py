@@ -285,6 +285,17 @@ class TestMessageValidation:
         with pytest.raises(DimensionError):
             load_messages(write_message_file(tmp_path / "m", factor, coordinates))
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_modes", None), ("n_modes", True), ("n_snapshots", 2.0), ("factor", 5),
+    ])
+    def test_mistyped_entry_rejected(self, rng, tmp_path, field, value):
+        root = write_message_file(tmp_path / "m", np.eye(2), complex_normal(rng, (2, 3)))
+        header = json.loads((root / "header.json").read_text())
+        header["messages"][0][field] = value
+        (root / "header.json").write_text(json.dumps(header))
+        with pytest.raises(ConfigError, match=f"message entry 0 .*'{field}' has the wrong type"):
+            load_messages(root)
+
     def test_singular_factor_rejected(self, rng, tmp_path):
         factor = np.ones((2, 2))
         coordinates = complex_normal(rng, (2, 3))

@@ -176,7 +176,8 @@ class TestRoundTrip:
         with pytest.raises(ConfigError, match="1 block files for 2 channels"):
             load_measurements(root)
 
-    @pytest.mark.parametrize("version", [0, 2, 99, "1"], ids=["0", "2", "99", "string-1"])
+    @pytest.mark.parametrize("version", [0, 2, 99, "1", True],
+                             ids=["0", "2", "99", "string-1", "bool-true"])
     def test_unknown_version_rejected(self, rng, tmp_path, version):
         import json
 
@@ -185,6 +186,21 @@ class TestRoundTrip:
         header["version"] = version
         (root / "header.json").write_text(json.dumps(header))
         with pytest.raises(ConfigError, match=f"version {version!r} .*expected version 1"):
+            load_measurements(root)
+
+    @pytest.mark.parametrize("key, value", [
+        ("channel_dims", 5), ("channel_dims", [None]), ("channel_dims", [True]),
+        ("n_snapshots", None), ("n_snapshots", True), ("blocks", 5), ("blocks", [5]),
+    ], ids=["dims-int", "dims-null-element", "dims-bool-element", "snapshots-null",
+            "snapshots-bool", "blocks-int", "blocks-int-element"])
+    def test_mistyped_header_value_rejected(self, rng, tmp_path, key, value):
+        import json
+
+        root = save_measurements(MeasurementSet((complex_normal(rng, (3, 2)),)), tmp_path / "d")
+        header = json.loads((root / "header.json").read_text())
+        header[key] = value
+        (root / "header.json").write_text(json.dumps(header))
+        with pytest.raises(ConfigError, match=f"'{key}' in .*header.json has the wrong type"):
             load_measurements(root)
 
     def test_scaled_and_subset(self, rng):

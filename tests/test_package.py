@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import glrfusion
 
 PUBLIC_NAMES = [
@@ -21,8 +23,18 @@ PUBLIC_NAMES = [
     "save_measurements", "scan_likelihood_image", "simulate", "wilson_interval",
 ]
 
+REPORT_FIELDS = [
+    "composite", "alphas", "per_channel", "cross_validation", "panel", "degenerate",
+    "gain_direction", "noise_null", "noise_alt", "coherences", "extras",
+]
+
 
 def test_public_names_are_pinned():
     assert sorted(glrfusion.__all__) == sorted(PUBLIC_NAMES)
     for name in PUBLIC_NAMES:
         assert hasattr(glrfusion, name), name
+
+
+def test_report_fields_are_pinned():
+    names = [f.name for f in dataclasses.fields(glrfusion.DetectorReport)]
+    assert names == REPORT_FIELDS
