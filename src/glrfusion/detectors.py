@@ -10,15 +10,16 @@ each channel is normalised.  Panels read the blocks X_l through thin
 statistics of rank at most M (the snapshot count), never through the LN x LN
 sample covariance.
 
-Rows 1 (known coupling and gains) and 2 (known orthonormal coupling, unknown
-gains) read channel l only through its summary, :class:`Summary`: with Q_l
-an orthonormal basis of the span of the coupling H_l, the J x J factor
-R_l = Q_l^H H_l, the coordinates a_l = Q_l^H X_l, the tail
-||X_l - Q_l a_l||^2 / M formed directly, and the block energy E_l.
-:func:`known_coupling` evaluates both rows over a leading batch axis of
-hypotheses.  :func:`detect` passes a batch of one; a delay/Doppler scan
-passes the cells of its grid, which change R_l and, through the Doppler
-only, Q_l, a_l and the tail.
+Every panel reads channel l only through its :class:`Summary`: on rows 1
+(known coupling and gains) and 2 (known orthonormal coupling, unknown gains),
+with Q_l an orthonormal basis of the span of the coupling H_l, the J x J
+factor R_l = Q_l^H H_l, the coordinates a_l = Q_l^H X_l, the tail
+||X_l - Q_l a_l||^2 / M formed directly and the block energy E_l; on row 3
+(only the mode count J known), the triangular factor R_l of X_l = Q_l R_l,
+which keeps every singular value of X_l.  :func:`evaluate` evaluates a panel
+over a leading batch axis of hypotheses: :func:`detect` passes a batch of one,
+a delay/Doppler scan the cells of its grid, which change R_l and, through
+the Doppler only, Q_l, a_l and the tail.
 
 One rule gives every composite and cross-validation term: :func:`_split`
 divides the energy of a matrix into the part inside a subspace and the tail
@@ -38,9 +39,10 @@ the signal.
   ||H_l^H X_l|| with H_l^H X_l = R_l^H a_l, at one singular value: B B^H is
   the fusion quadratic form, a single row has no tail, and the top left
   singular vector is the gain direction.
-* Row 3 (only the mode count J known), :func:`_subspace_row`, splits each
-  block and Z at their J-th singular value; no singular vector is formed:
-  cv = (tail(Z) - sum_l tail(X_l) / v_l) / D.
+* Row 3 is row 1 with the span given by J: each R_l and the stack
+  A = [R_l / sqrt(v_l)], which has the singular values of Z, split at their
+  J-th singular value.  The tail of A holds the channels' tails, so
+  cv = (tail(A) - sum_l tail(R_l) / v_l) / D.
 
 One rule per column, :func:`_column`, with E_l = ||X_l||^2 / M, E = sum E_l,
 N_l the samples of channel l and N = sum N_l: known variances give
@@ -180,7 +182,7 @@ def check_decomposition(composite, alphas: np.ndarray, per_channel: np.ndarray,
 
 def detect(spec: KnowledgeSpec, channels: Sequence[ChannelModel], measurements: MeasurementSet,
            *, dominant_numerator: bool = False) -> DetectorReport:
-    """Evaluate the panel selected by ``spec``.
+    """Evaluate the panel selected by ``spec`` on the channels' summary.
 
     ``dominant_numerator`` (P33 only) takes ln(1 + dominant/subdominant) as the
     per-channel statistic instead of ln(1 + total/subdominant); the
@@ -188,10 +190,8 @@ def detect(spec: KnowledgeSpec, channels: Sequence[ChannelModel], measurements: 
     """
     if dominant_numerator and spec.panel != "P33":
         raise ConfigError(f"dominant_numerator applies to P33 only, not {spec.panel}")
-    if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_SUBSPACE:
-        return _subspace_row(spec, channels, measurements,
-                             _block_energies(channels, measurements), dominant_numerator)
-    return _report(spec, known_coupling(spec, summarise(spec, channels, measurements)))
+    return _report(spec, evaluate(spec, summarise(spec, channels, measurements),
+                                  dominant_numerator))
 
 
 # One binding per panel, P11 .. P33, each called as detect_pXY(channels, ms).
@@ -223,21 +223,23 @@ def _h(x: np.ndarray) -> np.ndarray:
 
 
 class Summary(NamedTuple):
-    """What rows 1 and 2 read of each of L channels, over B hypotheses.
+    """What a panel reads of each of L channels, over B hypotheses.
 
-    Q_l is an orthonormal basis of the span of the coupling H_l, so that
-    H_l = Q_l R_l: ``orthonormal_basis(H_l)`` on row 1, and on row 2, which
-    requires orthonormal couplings, H_l itself with R_l = I.  The channel
-    constants and block energies are shared by the whole batch.
+    On rows 1 and 2, H_l = Q_l R_l with Q_l orthonormal: ``orthonormal_basis(H_l)``
+    on row 1, and on row 2, which requires orthonormal couplings, H_l itself
+    with R_l = I.  Row 3 knows only the mode count J.  Its coordinates are the
+    triangular factors of the blocks, zero-padded to a common height K: zero
+    rows leave R_l^H R_l = X_l^H X_l, so every singular value is kept.  The
+    channel constants and block energies are shared by the whole batch.
     """
 
     gains: np.ndarray  # (L,) g_l
     variances: np.ndarray  # (L,) sigma_l^2
     dims: np.ndarray  # (L,) N_l
     energies: np.ndarray  # (L,) E_l = ||X_l||^2 / M
-    coupling: np.ndarray  # (B, L, J, J) R_l = Q_l^H H_l, or I_J on row 2
-    coords: np.ndarray  # (B, L, J, M) a_l = Q_l^H X_l
-    tails: np.ndarray  # (B, L) ||X_l - Q_l a_l||^2 / M
+    coupling: np.ndarray | int  # (B, L, J, J) R_l = Q_l^H H_l, I_J on row 2, J on row 3
+    coords: np.ndarray  # (B, L, J, M) a_l = Q_l^H X_l, or (1, L, K, M) R_l on row 3
+    tails: np.ndarray | None  # (B, L) ||X_l - Q_l a_l||^2 / M; none on row 3
 
 
 def _coordinates(basis: np.ndarray, x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -264,22 +266,31 @@ def _not_orthonormal(index: int) -> ConfigError:
 
 def summarise(spec: KnowledgeSpec, channels: Sequence[ChannelModel],
               ms: MeasurementSet) -> Summary:
-    """The batch-of-one summary of a row-1 or row-2 panel's channels on ``ms``."""
+    """The batch-of-one summary of a panel's channels on ``ms``."""
     energies = _block_energies(channels, ms)
-    if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_GAINS:
-        bad = [i for i, ch in enumerate(channels) if not ch.orthonormal]
-        if bad:
-            raise _not_orthonormal(bad[0])
-        bases = [ch.matrix for ch in channels]
-        coupling = np.eye(channels[0].n_modes, dtype=complex)
+    m = ms.n_snapshots
+    if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_SUBSPACE:
+        coupling = _mode_count(spec, channels, ms)
+        padded = np.zeros((len(ms.blocks), max(ms.channel_dims), m), dtype=complex)
+        for into, x in zip(padded, ms.blocks):
+            into[:len(x)] = x
+        coords, tails = np.linalg.qr(padded, mode="r")[None], None
     else:
-        bases = [_basis(i, ch) for i, ch in enumerate(channels)]
-        coupling = np.array([[ch.coupling for ch in channels]])
-    coords, tails = zip(*(_coordinates(q, x, ms.n_snapshots) for q, x in zip(bases, ms.blocks)))
+        if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_GAINS:
+            bad = [i for i, ch in enumerate(channels) if not ch.orthonormal]
+            if bad:
+                raise _not_orthonormal(bad[0])
+            bases = [ch.matrix for ch in channels]
+            coupling = np.eye(channels[0].n_modes, dtype=complex)
+        else:
+            bases = [_basis(i, ch) for i, ch in enumerate(channels)]
+            coupling = np.array([[ch.coupling for ch in channels]])
+        coords, tails = zip(*(_coordinates(q, x, m) for q, x in zip(bases, ms.blocks)))
+        coords, tails = np.array([coords]), np.array([tails])
     return Summary(gains=np.array([ch.gain for ch in channels]),
                    variances=np.array([ch.noise_variance for ch in channels]),
                    dims=np.array(ms.channel_dims, dtype=float), energies=energies,
-                   coupling=coupling, coords=np.array([coords]), tails=np.array([tails]))
+                   coupling=coupling, coords=coords, tails=tails)
 
 
 def bank_summary(spec: KnowledgeSpec, index: int, bank: np.ndarray, x: np.ndarray,
@@ -397,28 +408,42 @@ def _split(x: np.ndarray, span: np.ndarray | int, m: int) -> tuple[np.ndarray, n
     return energy(a) / m, outside
 
 
-def known_coupling(spec: KnowledgeSpec, s: Summary) -> _Evaluation:
-    """Rows 1 and 2 over the summary's batch of hypotheses."""
+def evaluate(spec: KnowledgeSpec, s: Summary, dominant_numerator: bool = False) -> _Evaluation:
+    """Any panel over the summary's batch of hypotheses.
+
+    Row 2 is :func:`_gain_row`.  Rows 1 and 3 split the stack A of whitened
+    coordinates at the composite's span: the orthonormal basis of G = [f_l
+    R_l] on row 1, the mode count J on row 3, where each channel's energies
+    come from the same split of R_l and the tail of A less the channels'
+    whitened tails is the cross-validation energy.
+    """
     if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_GAINS:
         return _gain_row(spec, s)
     noise = spec.noise_knowledge
-    batch, n_ch, j, m = s.coords.shape
-    col = _column(noise, s.variances, s.dims, s.energies, energy(s.coords) / m, s.tails)
-    ok = col.resolved
-    f = s.gains / np.sqrt(s.variances) if noise == NoiseKnowledge.KNOWN else s.gains
-    coupling = (f[:, None, None] * s.coupling[ok]).reshape(-1, n_ch * j, j)
-    coords = s.coords
-    if col.variance is not None:  # a cell whose residual vanishes forms no composite
-        coords = coords / np.sqrt(np.where(ok[:, None], col.variance, 1.0))[..., None, None]
-    top, rest = _split(coords[ok].reshape(-1, n_ch * j, m),
-                       orthonormal_basis(coupling, "composite channel"), m)
+    batch, n_ch, k, m = s.coords.shape
+    subspace = isinstance(s.coupling, int)
+    signal, tails = (_split(s.coords, s.coupling, m) if subspace
+                     else (energy(s.coords) / m, s.tails))
+    col = _column(noise, s.variances, s.dims, s.energies, signal, tails,
+                  numerator=signal if dominant_numerator else None,
+                  log=np.log1p if subspace else np.log)
+    ok = col.resolved  # a cell whose residual vanishes forms no composite
+    v = np.broadcast_to(1.0 if col.variance is None else col.variance, (batch, n_ch))[ok]
+    stack = (s.coords[ok] / np.sqrt(v)[..., None, None]).reshape(-1, n_ch * k, m)
+    if subspace:
+        top, rest = _split(stack, s.coupling, m)
+        rest = rest - (tails[ok] / v).sum(-1)
+    else:
+        f = s.gains / np.sqrt(s.variances) if noise == NoiseKnowledge.KNOWN else s.gains
+        coupling = (f[:, None, None] * s.coupling[ok]).reshape(-1, n_ch * k, k)
+        top, rest = _split(stack, orthonormal_basis(coupling, "composite channel"), m)
     composite, cv = np.full(batch, math.inf), np.zeros(batch)
     cv[ok] = rest / col.denominator
     composite[ok] = (col.lam[ok] @ col.alphas - cv[ok]
                      if noise == NoiseKnowledge.DIFFERENT_UNKNOWN else top / col.denominator)
     noise_alt = col.noise_alt
     if noise == NoiseKnowledge.COMMON_UNKNOWN:  # every cell is resolved
-        noise_alt = ((s.tails.sum(-1) + rest) / s.dims.sum())[:, None]
+        noise_alt = ((tails.sum(-1) + rest) / s.dims.sum())[:, None]
     return _Evaluation(composite, cv, col, col.degenerate, noise_alt)
 
 
@@ -450,33 +475,7 @@ def _gain_row(spec: KnowledgeSpec, s: Summary) -> _Evaluation:
                        gain_direction=u[..., 0], coherences=coherences)
 
 
-def _subspace_row(spec: KnowledgeSpec, channels: Sequence[ChannelModel], ms: MeasurementSet,
-                  energies: np.ndarray, dominant_numerator: bool) -> DetectorReport:
-    """Row 3: signal energy inside the dominant-J subspace of each block and of Z."""
-    noise = spec.noise_knowledge
-    m = ms.n_snapshots
-    j = _mode_count(channels, ms, need_residual=noise == NoiseKnowledge.DIFFERENT_UNKNOWN)
-    inside, outside = np.array([_split(x, j, m) for x in ms.blocks]).T[:, None]
-    col = _column(noise, np.array([ch.noise_variance for ch in channels]),
-                  np.array(ms.channel_dims, dtype=float), energies, inside, outside,
-                  numerator=inside if dominant_numerator else None, log=np.log1p)
-    composite, cv, noise_alt = math.inf, 0.0, col.noise_alt
-    if col.resolved[0]:
-        variance = 1.0 if col.variance is None else np.reshape(col.variance, -1)
-        z = np.vstack(ms.blocks if col.variance is None
-                      else [x / s for x, s in zip(ms.blocks, np.sqrt(variance))])
-        top_z, rest_z = _split(z, j, m)
-        cv = (rest_z - float((outside[0] / variance).sum())) / col.denominator
-        composite = (float(col.alphas @ col.lam[0]) - cv
-                     if noise == NoiseKnowledge.DIFFERENT_UNKNOWN else top_z / col.denominator)
-        if noise == NoiseKnowledge.COMMON_UNKNOWN:
-            noise_alt = np.array([[rest_z / ms.n_total]])
-    ev = _Evaluation(np.array([composite]), np.array([cv]), col, col.degenerate, noise_alt)
-    return _report(spec, ev)
-
-
-def _mode_count(channels: Sequence[ChannelModel], ms: MeasurementSet, *,
-                need_residual: bool) -> int:
+def _mode_count(spec: KnowledgeSpec, channels: Sequence[ChannelModel], ms: MeasurementSet) -> int:
     """The mode count J, checked against the snapshot count and block sizes."""
     j = channels[0].n_modes
     if ms.n_snapshots < j:
@@ -484,7 +483,7 @@ def _mode_count(channels: Sequence[ChannelModel], ms: MeasurementSet, *,
     for idx, dim in enumerate(ms.channel_dims):
         if j > dim:
             raise ValueError(f"J={j} exceeds channel {idx} dimension {dim}")
-        if need_residual and dim <= j:
+        if spec.noise_knowledge == NoiseKnowledge.DIFFERENT_UNKNOWN and dim <= j:
             raise ValueError(f"channel {idx} needs more than J={j} samples for a residual, "
                              f"got {dim}")
     return j

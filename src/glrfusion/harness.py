@@ -32,7 +32,7 @@ from .detectors import (
     bank_summary,
     check_decomposition,
     detect,
-    known_coupling,
+    evaluate,
     summarise,
 )
 from .errors import ConfigError
@@ -184,7 +184,7 @@ class NullDistribution:
 
 
 def _beta_reference(scenario: Scenario) -> tuple[float, float]:
-    n = scenario.specs[0].n_samples
+    n = sum(spec.n_samples for spec in scenario.specs)
     j = scenario.n_modes
     m = scenario.n_snapshots
     return float(m * j), float(m * (n - j))
@@ -193,23 +193,25 @@ def _beta_reference(scenario: Scenario) -> tuple[float, float]:
 def run_null(spec: ExperimentSpec, jobs: int = 1) -> NullDistribution:
     """Simulate the null hypothesis and summarize the statistic's distribution.
 
-    For the single-channel scale-invariant panels the empirical sample is
-    KS-tested against its analytic family: an energy-fraction Beta law for
-    the common-unknown-noise panel, and its -ln(1 - x) transform for the
-    per-channel-noise panel.
+    Where the null law is known the empirical sample is KS-tested against
+    it.  The common-unknown-noise panel P12 is the fraction of the energy of
+    N = sum N_l white samples inside a J-dimensional span, Beta(JM, (N - J)M),
+    whenever every channel has the same noise variance.  On one channel the
+    per-channel-noise panel P13 is its -ln(1 - x) transform.
     """
     sample = np.sort(_statistic_sample(spec.panel, spec.scenario, spec.trials,
                                        spec.seed, None, jobs=jobs))
     low_trials = spec.trials < 100
     panel = spec.panel.panel
-    single = spec.scenario.n_channels == 1
+    scenario = spec.scenario
     ks_ref = None
     ks_stat = ks_p = None
     ref_params = None
     matched = None
-    has_residual_dims = spec.scenario.specs[0].n_samples > spec.scenario.n_modes
-    if single and has_residual_dims and panel in ("P12", "P13"):
-        a, b = _beta_reference(spec.scenario)
+    a, b = _beta_reference(scenario)  # b = 0 leaves no residual dimension
+    known_law = ((panel == "P12" and len(set(scenario.noise_variances)) == 1)
+                 or (panel == "P13" and scenario.n_channels == 1))
+    if b > 0 and known_law:
         ref_params = (a, b)
         if panel == "P12":
             ks_ref = "beta"
@@ -471,7 +473,7 @@ def scan_likelihood_image(
             coupling[:, idx] = factors[cols] * delay[rows][:, None, :]
             coords[:, idx] = bin_coords[cols]
             tails[:, idx] = bin_tails[cols]
-        ev = known_coupling(panel, base._replace(coupling=coupling, coords=coords, tails=tails))
+        ev = evaluate(panel, base._replace(coupling=coupling, coords=coords, tails=tails))
         checked = ~ev.degenerate & np.isfinite(ev.composite)
         check_decomposition(ev.composite[checked], ev.col.alphas, ev.col.lam[checked],
                             ev.cross_validation[checked])

@@ -13,6 +13,7 @@ float64 bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -187,19 +188,30 @@ def _conforms(value, expected) -> bool:
     """Whether a JSON value has the declared type ``expected``.
 
     A declaration is a type, a tuple of alternatives, or [t] for a list whose
-    elements are all t.  A bool is never an int or a number.
+    elements are all t.  A bool is never an int or a number, and an int or a
+    float must convert to a finite float: JSON parsers read NaN, and 1e400 as
+    inf, and an integer of 400 digits overflows float64.
     """
     if isinstance(expected, tuple):
         return any(_conforms(value, t) for t in expected)
     if isinstance(expected, list):
         return isinstance(value, list) and all(_conforms(v, expected[0]) for v in value)
-    return isinstance(value, expected) and (expected is bool or not isinstance(value, bool))
+    return (isinstance(value, expected) and (expected is bool or not isinstance(value, bool))
+            and (expected not in (int, float) or _finite(value)))
+
+
+def _finite(number) -> bool:
+    """Whether an int or a float converts to a finite float."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
 
 
 def _require_type(value, expected, what: str) -> None:
     """Raise ConfigError naming ``what`` unless ``value`` has the declared type."""
     if not _conforms(value, expected):
-        raise ConfigError(f"{what} has the wrong type: {json.dumps(value)}")
+        raise ConfigError(f"{what} has the wrong type or is not finite: {json.dumps(value)}")
 
 
 def _read_header(root: Path, format_name: str, version: int, keys: Mapping[str, object]) -> dict:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -330,6 +331,25 @@ class TestErrorsAndOverrides:
         err = capsys.readouterr().err
         key = override.split("=")[0].split(".")[-1]
         assert err.startswith("error:") and "wrong type" in err and key in err
+        assert err.strip().count("\n") == 0
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override", [
+        "channels.0.gain=NaN", "snr_db=[NaN]", "channels.0.gain=1e400",
+        "channels.0.carrier_hz=1" + "0" * 400,
+    ], ids=["nan-gain", "nan-snr", "overflowing-gain", "overflowing-integer-carrier"])
+    def test_non_finite_number_is_clean_error(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path / "c.json", {
+            "panel": "p11", "modes": 1, "channels": [channel_entry()], "snapshots": 4,
+            "trials": 10, "seed": 1, "snr_db": [0.0], "pfa_targets": [0.1],
+            "output": str(tmp_path / "out")})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["roc", "--config", cfg, "--set", override]) == 1
+        assert not caught
+        err = capsys.readouterr().err
+        key = override.split("=")[0].split(".")[-1]
+        assert err.startswith("error:") and key in err and "not finite" in err
         assert err.strip().count("\n") == 0
         assert not (tmp_path / "out").exists()
 

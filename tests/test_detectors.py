@@ -549,6 +549,14 @@ class TestP31:
         top = hermitian_eig(s_w.matrix).values[0]
         assert closed == pytest.approx(top / 2, abs=1e-10, rel=1e-10)
 
+    def test_composite_is_whitened_eigenvalue_sum(self, rng):
+        for shape in SHAPES:
+            chans, ms = make_instance(rng, "P31", n_channels=3, **shape)
+            rep = detect_p31(chans, ms)
+            s_w = sample_covariance(ms).whitened([ch.noise_sigma for ch in chans])
+            top = hermitian_eig(s_w.matrix).values[:chans[0].n_modes].sum()
+            assert rep.composite == pytest.approx(top / 3, rel=1e-10)
+
     def test_nonnegative_cv(self, rng):
         for _ in range(50):
             chans, ms = make_instance(rng, "P31")

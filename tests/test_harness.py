@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -48,6 +49,15 @@ def two_channel_scenario(m=16, n=12, j=2, delay=None, doppler=None) -> Scenario:
     )
     return Scenario(specs=(base, second), gains=(1.0, 0.8 + 0.3j),
                     noise_variances=(1.0, 1.0), n_snapshots=m)
+
+
+def three_channel_scenario(variances=(1.0, 1.0, 1.0)) -> Scenario:
+    """Three ragged channels (N_l = 16, 12, 20), J = 2, M = 8."""
+    specs = tuple(PropagationSpec(carrier_hz=1e6, sample_period_s=1e-3, n_samples=n, n_modes=2,
+                                  delay_s=delay, doppler_hz=doppler)
+                  for n, delay, doppler in ((16, 0.0, 0.0), (12, 3e-3, 20.0), (20, 7e-3, -35.0)))
+    return Scenario(specs=specs, gains=(1.0, 0.8 + 0.3j, 1.3), noise_variances=variances,
+                    n_snapshots=8)
 
 
 P11 = KnowledgeSpec.from_panel("P11")
@@ -119,6 +129,41 @@ class TestRunNull:
         null = run_null(spec)
         assert null.ks_reference == "log-energy-ratio"
         assert null.ks_pvalue > 0.01
+
+    def test_multi_channel_beta_reference(self):
+        # With one noise variance the P12 composite is the energy fraction of
+        # N = sum N_l = 48 white samples inside a J = 2 span.
+        spec = ExperimentSpec(panel=P12, scenario=three_channel_scenario(), trials=3000, seed=1)
+        null = run_null(spec)
+        assert null.ks_reference == "beta"
+        assert null.reference_params == (16.0, 368.0)
+        assert null.ks_pvalue > 0.01
+
+    def test_unequal_variances_have_no_beta_reference(self):
+        spec = ExperimentSpec(panel=P12, scenario=three_channel_scenario((1.0, 3.0, 0.5)),
+                              trials=1000, seed=1)
+        null = run_null(spec)
+        assert null.ks_reference is None and null.ks_pvalue is None
+        # The energy fraction is no longer Beta(JM, (N - J)M).
+        assert sps.kstest(null.sample, sps.beta(16.0, 368.0).cdf).pvalue < 1e-6
+
+    @pytest.mark.parametrize("panel, factors", [
+        *((p, (1e-3, 1.0, 1e4)) for p in ("P13", "P23", "P33")),
+        *((p, (c, c, c)) for p in ("P12", "P22", "P32") for c in (7.0, 1e4)),
+    ])
+    def test_null_sample_is_cfar(self, panel, factors):
+        # Per-channel unknown variances: any per-channel noise factor; a common
+        # unknown variance: a common factor.  The same seed draws the same
+        # standard normals, so the samples agree to rounding, relative to
+        # max(1, |value|).
+        base = three_channel_scenario((1.0, 2.0, 0.5))
+        scaled = dataclasses.replace(base, noise_variances=tuple(
+            v * f for v, f in zip(base.noise_variances, factors)))
+        reference, sample = (
+            run_null(ExperimentSpec(panel=KnowledgeSpec.from_panel(panel), scenario=scenario,
+                                    trials=200, seed=3)).sample
+            for scenario in (base, scaled))
+        assert np.all(np.abs(sample - reference) <= 1e-14 * np.maximum(1.0, np.abs(reference)))
 
     def test_two_seeds_consistent(self):
         scenario = single_channel_scenario()
