@@ -128,14 +128,29 @@ def narrowband_factors(spec: PropagationSpec, delays_s,
     (delays_s[a], dopplers_hz[b]): ``doppler`` (n_doppler, N, J) holds
     D_N(nu Ts) V and ``delay`` (n_delay, J) the entries of e^{-i2pi f_c s}
     D_J(s / T).  The delay enters through a unitary diagonal only, so the
-    column span of H(tau, nu) depends on the Doppler alone.
+    column span of H(tau, nu) depends on the Doppler alone.  Raises
+    ValueError for a delay or Doppler whose phases are not finite.
     """
     shift = spec.clock_offset_s + np.asarray(delays_s, dtype=float)[:, None]
+    nu = np.asarray(dopplers_hz, dtype=float)[:, None]
+    _require_finite_phases("delay", shift, spec.carrier_hz + spec.n_modes / spec.duration_s)
+    _require_finite_phases("Doppler", nu, spec.n_samples * spec.sample_period_s)
     delay = (np.exp(-2j * np.pi * spec.carrier_hz * shift)
              * modulation_phases(spec.n_modes, shift / spec.duration_s))
-    nu = np.asarray(dopplers_hz, dtype=float)[:, None]
     rows = modulation_phases(spec.n_samples, nu * spec.sample_period_s)
     return rows[:, :, None] * dft_slice(spec.n_samples, spec.n_modes), delay
+
+
+def _require_finite_phases(name: str, values: np.ndarray, cycles_per_unit: float) -> None:
+    """Raise ValueError unless every phase 2 pi * cycles * |value| is finite.
+
+    ``cycles_per_unit`` bounds the cycles a unit of the value turns any
+    entry by, so a finite bound keeps np.exp from overflowing to nan.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        bad = ~np.isfinite(2.0 * np.pi * cycles_per_unit * np.abs(values))
+    if bad.any():
+        raise ValueError(f"{name} {float(values[bad][0])!r} gives non-finite channel phases")
 
 
 def build_narrowband_h(spec: PropagationSpec) -> np.ndarray:

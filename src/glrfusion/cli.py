@@ -413,6 +413,7 @@ def _cmd_null(config: dict, args) -> int:
         "reference_params": null.reference_params,
         "moment_matched": null.moment_matched,
         "low_trials_warning": null.low_trials_warning,
+        "degenerate_trials": null.degenerate_trials,
     }
     _write_manifest(out, "null", config, ["null_cdf.csv"], started, extra)
     if null.ks_reference is not None:

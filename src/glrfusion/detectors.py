@@ -19,7 +19,8 @@ factor R_l = Q_l^H H_l, the coordinates a_l = Q_l^H X_l, the tail
 which keeps every singular value of X_l.  :func:`evaluate` evaluates a panel
 over a leading batch axis of hypotheses: :func:`detect` passes a batch of one,
 a delay/Doppler scan the cells of its grid, which change R_l and, through
-the Doppler only, Q_l, a_l and the tail.
+the Doppler only, Q_l, a_l and the tail, and the Monte-Carlo harness a chunk
+of trials, each with its own data.
 
 One rule gives every composite and cross-validation term: :func:`_split`
 divides the energy of a matrix into the part inside a subspace and the tail
@@ -152,11 +153,8 @@ class DetectorReport:
         self.per_channel = np.asarray(self.per_channel, dtype=float)
         if self.alphas.shape != self.per_channel.shape:
             raise ConfigError("alphas and per_channel must have matching lengths")
-        if abs(self.alphas.sum() - 1.0) > 1e-10:
-            raise ConfigError(f"weights sum to {self.alphas.sum()}, expected 1")
-        if not self.degenerate and np.isfinite(self.composite):
-            check_decomposition(self.composite, self.alphas, self.per_channel,
-                                self.cross_validation)
+        check_decomposition(self.composite, self.alphas, self.per_channel,
+                            self.cross_validation, self.degenerate)
 
     @property
     def n_channels(self) -> int:
@@ -164,14 +162,26 @@ class DetectorReport:
 
 
 def check_decomposition(composite, alphas: np.ndarray, per_channel: np.ndarray,
-                        cross_validation) -> None:
-    """:class:`DetectorReport`'s identity check, on one report or a batch of them.
+                        cross_validation, degenerate=False) -> None:
+    """:class:`DetectorReport`'s checks, on one report or a batch of B reports.
 
-    ``composite`` and ``cross_validation`` are finite scalars or (B,) arrays,
-    ``per_channel`` is (L,) or (B, L).  Raises ConfigError unless composite =
-    per_channel @ alphas - cross_validation to 1e-9 relative on every entry.
+    ``composite``, ``cross_validation`` and ``degenerate`` are scalars or (B,)
+    arrays, ``alphas`` and ``per_channel`` are (L,) or (B, L).  Raises
+    ConfigError unless every report's weights sum to one and, on every report
+    that is not degenerate and has a finite composite, composite =
+    per_channel . alphas - cross_validation to 1e-9 relative.
     """
-    recombined = per_channel @ alphas - cross_validation
+    sums = alphas.sum(-1)
+    off = abs(sums - 1.0) > 1e-10
+    if np.count_nonzero(off):
+        raise ConfigError(f"weights sum to {np.ravel(sums)[np.argmax(off)]}, expected 1")
+    checked = np.isfinite(composite) & ~np.asarray(degenerate)
+    if np.count_nonzero(~checked):  # leave out reports that may hold inf
+        composite, per_channel, cross_validation = (
+            np.asarray(v)[checked] for v in (composite, per_channel, cross_validation))
+        if alphas.ndim > 1:
+            alphas = alphas[checked]
+    recombined = np.vecdot(per_channel, alphas) - cross_validation
     gap = abs(recombined - composite)  # beyond 1e-9 * max(1, |composite|)
     wrong = (gap > 1e-9) & (gap > 1e-9 * abs(composite))
     if np.count_nonzero(wrong):
@@ -190,8 +200,8 @@ def detect(spec: KnowledgeSpec, channels: Sequence[ChannelModel], measurements: 
     """
     if dominant_numerator and spec.panel != "P33":
         raise ConfigError(f"dominant_numerator applies to P33 only, not {spec.panel}")
-    return _report(spec, evaluate(spec, summarise(spec, channels, measurements),
-                                  dominant_numerator))
+    blocks = [x[None] for x in measurements.blocks]
+    return _report(spec, evaluate(spec, summarise(spec, channels, blocks), dominant_numerator))
 
 
 # One binding per panel, P11 .. P33, each called as detect_pXY(channels, ms).
@@ -202,16 +212,18 @@ def detect(spec: KnowledgeSpec, channels: Sequence[ChannelModel], measurements: 
     for row in "123" for col in "123")
 
 
-def _block_energies(channels: Sequence[ChannelModel], ms: MeasurementSet) -> np.ndarray:
-    """Check the channels against the data; return block energies ||X_l||^2 / M."""
+def _block_energies(channels: Sequence[ChannelModel], blocks: Sequence[np.ndarray],
+                    dims: list[int], m: int) -> np.ndarray:
+    """Check the channels against the data; return block energies ||X_l||^2 / M, (B, L)."""
     if not channels:
         raise ConfigError("at least one channel is required")
-    require_same_dims(channels, ms.channel_dims)
+    require_same_dims(channels, dims)
     j = channels[0].n_modes
     for idx, ch in enumerate(channels):
         if ch.n_modes != j:
             raise ConfigError(f"channel {idx} has {ch.n_modes} modes, expected {j}")
-    energies = np.array([energy(x) for x in ms.blocks]) / ms.n_snapshots
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        energies = np.stack([energy(x) for x in blocks], axis=-1) / m
     if not np.all(np.isfinite(energies)):
         raise ValueError("data energy overflows float64")
     return energies
@@ -230,15 +242,16 @@ class Summary(NamedTuple):
     with R_l = I.  Row 3 knows only the mode count J.  Its coordinates are the
     triangular factors of the blocks, zero-padded to a common height K: zero
     rows leave R_l^H R_l = X_l^H X_l, so every singular value is kept.  The
-    channel constants and block energies are shared by the whole batch.
+    channel constants are shared by the whole batch, and so are the block
+    energies of a batch of hypotheses on one data set (a scan's cells).
     """
 
     gains: np.ndarray  # (L,) g_l
     variances: np.ndarray  # (L,) sigma_l^2
     dims: np.ndarray  # (L,) N_l
-    energies: np.ndarray  # (L,) E_l = ||X_l||^2 / M
+    energies: np.ndarray  # (B, L) or (1, L) E_l = ||X_l||^2 / M
     coupling: np.ndarray | int  # (B, L, J, J) R_l = Q_l^H H_l, I_J on row 2, J on row 3
-    coords: np.ndarray  # (B, L, J, M) a_l = Q_l^H X_l, or (1, L, K, M) R_l on row 3
+    coords: np.ndarray  # (B, L, J, M) a_l = Q_l^H X_l, or (B, L, K, M) R_l on row 3
     tails: np.ndarray | None  # (B, L) ||X_l - Q_l a_l||^2 / M; none on row 3
 
 
@@ -265,16 +278,21 @@ def _not_orthonormal(index: int) -> ConfigError:
 
 
 def summarise(spec: KnowledgeSpec, channels: Sequence[ChannelModel],
-              ms: MeasurementSet) -> Summary:
-    """The batch-of-one summary of a panel's channels on ``ms``."""
-    energies = _block_energies(channels, ms)
-    m = ms.n_snapshots
+              blocks: Sequence[np.ndarray]) -> Summary:
+    """The summary of a panel's channels on B data sets.
+
+    ``blocks`` holds each channel's (B, N_l, M) stack of blocks X_l, one
+    matrix per data set: :func:`detect` passes a stack of one.
+    """
+    dims, m = [x.shape[-2] for x in blocks], blocks[0].shape[-1]
+    energies = _block_energies(channels, blocks, dims, m)
+    batch = len(energies)
     if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_SUBSPACE:
-        coupling = _mode_count(spec, channels, ms)
-        padded = np.zeros((len(ms.blocks), max(ms.channel_dims), m), dtype=complex)
-        for into, x in zip(padded, ms.blocks):
-            into[:len(x)] = x
-        coords, tails = np.linalg.qr(padded, mode="r")[None], None
+        coupling = _mode_count(spec, channels, dims, m)
+        padded = np.zeros((batch, len(blocks), max(dims), m), dtype=complex)
+        for idx, x in enumerate(blocks):
+            padded[:, idx, :x.shape[-2]] = x
+        coords, tails = np.linalg.qr(padded, mode="r"), None
     else:
         if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_GAINS:
             bad = [i for i, ch in enumerate(channels) if not ch.orthonormal]
@@ -284,12 +302,13 @@ def summarise(spec: KnowledgeSpec, channels: Sequence[ChannelModel],
             coupling = np.eye(channels[0].n_modes, dtype=complex)
         else:
             bases = [_basis(i, ch) for i, ch in enumerate(channels)]
-            coupling = np.array([[ch.coupling for ch in channels]])
-        coords, tails = zip(*(_coordinates(q, x, m) for q, x in zip(bases, ms.blocks)))
-        coords, tails = np.array([coords]), np.array([tails])
+            coupling = np.array([ch.coupling for ch in channels])
+            coupling = np.broadcast_to(coupling, (batch,) + coupling.shape)
+        coords, tails = zip(*(_coordinates(q, x, m) for q, x in zip(bases, blocks)))
+        coords, tails = np.stack(coords, axis=1), np.stack(tails, axis=-1)
     return Summary(gains=np.array([ch.gain for ch in channels]),
                    variances=np.array([ch.noise_variance for ch in channels]),
-                   dims=np.array(ms.channel_dims, dtype=float), energies=energies,
+                   dims=np.array(dims, dtype=float), energies=energies,
                    coupling=coupling, coords=coords, tails=tails)
 
 
@@ -315,11 +334,11 @@ class _Column(NamedTuple):
     """What a noise column fixes, given each channel's in-span signal energy.
 
     Over a batch of B hypotheses: per-channel fields are (B, L), except
-    those the data alone fix.
+    those the data alone fix, which are (B, L) or (1, L) as the energies are.
     """
 
-    alphas: np.ndarray  # (L,)
-    denominator: float  # of the composite: L, E or N
+    alphas: np.ndarray  # (B, L)
+    denominator: np.ndarray  # (B,) of the composite: L, E or N
     variance: np.ndarray | None  # squared data scale: sigma_l^2, none, sigma_hat_l^2
     phi: np.ndarray  # fusion statistics, zero where a residual vanishes
     lam: np.ndarray  # per-channel statistics: phi, or the log energy ratio
@@ -342,23 +361,27 @@ def _column(noise: NoiseKnowledge, variances: np.ndarray, dims: np.ndarray,
     n_ch, batch = len(dims), signal.shape[:-1]
     if noise == NoiseKnowledge.KNOWN:
         phi = signal / variances
-        return _Column(np.full(n_ch, 1.0 / n_ch), float(n_ch), variances, phi, phi,
-                       np.ones(batch, bool), np.zeros(batch, bool), None, None)
+        return _Column(np.full(signal.shape, 1.0 / n_ch), np.full(batch, float(n_ch)),
+                       variances, phi, phi, np.ones(batch, bool), np.zeros(batch, bool),
+                       None, None)
     if noise == NoiseKnowledge.COMMON_UNKNOWN:
-        total = float(energies.sum())
-        if total <= 0.0:
+        total = energies.sum(-1)
+        if np.count_nonzero(total <= 0.0):
             raise DegenerateDataError("composite data has zero energy")
         positive = energies > 0.0
         phi = np.divide(signal, energies, out=np.zeros(signal.shape), where=positive)
-        return _Column(energies / total, total, None, phi, phi, np.ones(batch, bool),
-                       np.full(batch, not positive.all()), np.array([total / dims.sum()]), None)
+        return _Column(np.broadcast_to(energies / total[:, None], signal.shape),
+                       np.broadcast_to(total, batch), None, phi, phi, np.ones(batch, bool),
+                       np.broadcast_to(~positive.all(-1), batch),
+                       (total / dims.sum())[:, None], None)
     n_total = float(dims.sum())
     ok = residual > DEGENERACY_RTOL * energies
     ratio = np.divide(energies if numerator is None else numerator, residual,
                       out=np.ones(signal.shape), where=ok)
     resolved = ok.all(axis=-1)
     noise_alt = residual / dims
-    return _Column(dims / n_total, n_total, noise_alt,
+    return _Column(np.broadcast_to(dims / n_total, signal.shape), np.full(batch, n_total),
+                   noise_alt,
                    np.divide(signal, residual, out=np.zeros(signal.shape), where=ok),
                    np.where(ok, log(ratio), np.inf), resolved, ~resolved, energies / dims,
                    noise_alt)
@@ -382,9 +405,10 @@ def _report(spec: KnowledgeSpec, ev: _Evaluation) -> DetectorReport:
     resolved = bool(col.resolved[0])
     fused = spec.noise_knowledge == NoiseKnowledge.DIFFERENT_UNKNOWN and resolved
     return DetectorReport(
-        composite=float(ev.composite[0]), alphas=col.alphas, per_channel=col.lam[0],
+        composite=float(ev.composite[0]), alphas=col.alphas[0].copy(), per_channel=col.lam[0],
         cross_validation=float(ev.cross_validation[0]), panel=spec,
-        degenerate=bool(ev.degenerate[0]), noise_null=col.noise_null,
+        degenerate=bool(ev.degenerate[0]),
+        noise_null=None if col.noise_null is None else col.noise_null[0],
         noise_alt=None if ev.noise_alt is None else ev.noise_alt[0],
         gain_direction=None if ev.gain_direction is None or not resolved
         else _normalize_phases(ev.gain_direction[0][:, None])[:, 0],
@@ -438,9 +462,9 @@ def evaluate(spec: KnowledgeSpec, s: Summary, dominant_numerator: bool = False) 
         coupling = (f[:, None, None] * s.coupling[ok]).reshape(-1, n_ch * k, k)
         top, rest = _split(stack, orthonormal_basis(coupling, "composite channel"), m)
     composite, cv = np.full(batch, math.inf), np.zeros(batch)
-    cv[ok] = rest / col.denominator
-    composite[ok] = (col.lam[ok] @ col.alphas - cv[ok]
-                     if noise == NoiseKnowledge.DIFFERENT_UNKNOWN else top / col.denominator)
+    cv[ok] = rest / col.denominator[ok]
+    composite[ok] = (np.vecdot(col.lam[ok], col.alphas[ok]) - cv[ok]
+                     if noise == NoiseKnowledge.DIFFERENT_UNKNOWN else top / col.denominator[ok])
     noise_alt = col.noise_alt
     if noise == NoiseKnowledge.COMMON_UNKNOWN:  # every cell is resolved
         noise_alt = ((tails.sum(-1) + rest) / s.dims.sum())[:, None]
@@ -467,20 +491,21 @@ def _gain_row(spec: KnowledgeSpec, s: Summary) -> _Evaluation:
     b = np.sqrt(col.alphas * col.phi)[..., None] * unit
     u, sv, _ = np.linalg.svd(b, full_matrices=False)
     top, cv = sv[..., 0] ** 2, (sv[..., 1:] ** 2).sum(-1)
-    composite = (col.lam @ col.alphas - cv if noise == NoiseKnowledge.DIFFERENT_UNKNOWN
-                 else top)
+    composite = (np.vecdot(col.lam, col.alphas) - cv
+                 if noise == NoiseKnowledge.DIFFERENT_UNKNOWN else top)
     return _Evaluation(np.where(col.resolved, composite, math.inf),
                        np.where(col.resolved, cv, 0.0), col,
                        col.degenerate | (matched <= 0.0).any(axis=-1), col.noise_alt,
                        gain_direction=u[..., 0], coherences=coherences)
 
 
-def _mode_count(spec: KnowledgeSpec, channels: Sequence[ChannelModel], ms: MeasurementSet) -> int:
+def _mode_count(spec: KnowledgeSpec, channels: Sequence[ChannelModel], dims: list[int],
+                m: int) -> int:
     """The mode count J, checked against the snapshot count and block sizes."""
     j = channels[0].n_modes
-    if ms.n_snapshots < j:
-        raise ValueError(f"need at least J={j} snapshots, got M={ms.n_snapshots}")
-    for idx, dim in enumerate(ms.channel_dims):
+    if m < j:
+        raise ValueError(f"need at least J={j} snapshots, got M={m}")
+    for idx, dim in enumerate(dims):
         if j > dim:
             raise ValueError(f"J={j} exceeds channel {idx} dimension {dim}")
         if spec.noise_knowledge == NoiseKnowledge.DIFFERENT_UNKNOWN and dim <= j:

@@ -3,7 +3,10 @@ calibration, and likelihood-image parameter scans.
 
 Trials are independent and deterministically seeded per (seed, trial,
 channel), so results are identical whatever the execution order or level of
-parallelism.  Thresholds always come from empirical null quantiles so every
+parallelism.  They are evaluated in chunks of bounded memory: a chunk's
+blocks are drawn as per-channel stacks, summarised and evaluated together,
+and every trial gets the checks a :class:`~glrfusion.detectors.DetectorReport`
+applies.  Thresholds always come from empirical null quantiles so every
 panel is treated uniformly.
 """
 
@@ -31,17 +34,16 @@ from .detectors import (
     KnowledgeSpec,
     bank_summary,
     check_decomposition,
-    detect,
     evaluate,
     summarise,
 )
 from .errors import ConfigError
-from .measurement import MeasurementSet, draw_amplitudes, simulate
+from .measurement import MeasurementSet, draw_amplitudes, draw_blocks
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
-# Complex entries of the largest temporary one step of a scan forms:
-# 2**18 entries, 4 MiB.
-_SCAN_CHUNK_ENTRIES = 1 << 18
+# Complex entries of the largest temporary one step of a scan or of a chunk
+# of trials forms: 2**18 entries, 4 MiB.
+_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -125,16 +127,27 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float, float]:
     return center - half, center + half, half
 
 
-def _trial_block(args) -> np.ndarray:
+def _trial_block(args) -> tuple[np.ndarray, np.ndarray]:
+    """Composites and degenerate flags of the trials, chunk by chunk.
+
+    A trial's value does not depend on its chunk: its blocks come from its
+    own substreams, and every step treats the matrices of a stack apart.
+    """
     (panel, channels, m, seed, trials, amp_scale, n_modes, trial_offset) = args
-    out = np.empty(len(trials))
-    for k, trial in enumerate(trials):
+    values, degenerate = np.empty(len(trials)), np.empty(len(trials), bool)
+    largest = len(channels) * max(ch.n_samples for ch in channels) * m
+    for part in _chunks(len(trials), largest):
+        ids = trials[part] + trial_offset
         amps = None
         if amp_scale is not None:
-            amps = draw_amplitudes(n_modes, m, amp_scale, seed, trial=trial + trial_offset)
-        ms = simulate(channels, m, seed, amplitudes=amps, trial=trial + trial_offset)
-        out[k] = detect(panel, channels, ms).composite
-    return out
+            amps = np.array([draw_amplitudes(n_modes, m, amp_scale, seed, trial=t)
+                             for t in ids])
+        ev = evaluate(panel, summarise(panel, channels,
+                                       draw_blocks(channels, m, seed, ids, amps)))
+        check_decomposition(ev.composite, ev.col.alphas, ev.col.lam, ev.cross_validation,
+                            ev.degenerate)
+        values[part], degenerate[part] = ev.composite, ev.degenerate
+    return values, degenerate
 
 
 def _statistic_sample(
@@ -145,18 +158,20 @@ def _statistic_sample(
     amp_scale: float | None,
     trial_offset: int = 0,
     jobs: int = 1,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
+    """The panel's composite on each trial, and the number of degenerate trials."""
     channels = scenario.channels()
     indices = np.arange(trials)
     if jobs <= 1:
-        return _trial_block((panel, channels, scenario.n_snapshots, seed,
-                             indices, amp_scale, scenario.n_modes, trial_offset))
+        values, degenerate = _trial_block((panel, channels, scenario.n_snapshots, seed,
+                                           indices, amp_scale, scenario.n_modes, trial_offset))
+        return values, int(np.count_nonzero(degenerate))
     chunks = np.array_split(indices, jobs)
     args = [(panel, channels, scenario.n_snapshots, seed, chunk, amp_scale,
              scenario.n_modes, trial_offset) for chunk in chunks if len(chunk)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        pieces = list(pool.map(_trial_block, args))
-    return np.concatenate(pieces)
+        values, degenerate = zip(*pool.map(_trial_block, args))
+    return np.concatenate(values), int(np.count_nonzero(np.concatenate(degenerate)))
 
 
 def _beta_moment_match(sample: np.ndarray) -> tuple[float, float]:
@@ -171,7 +186,11 @@ def _beta_moment_match(sample: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class NullDistribution:
-    """Empirical null sample with optional reference-distribution KS summary."""
+    """Empirical null sample with optional reference-distribution KS summary.
+
+    ``degenerate_trials`` counts the trials flagged degenerate, such as those
+    whose residual vanishes and whose composite is therefore ``inf``.
+    """
 
     sample: np.ndarray
     panel: str
@@ -181,6 +200,7 @@ class NullDistribution:
     reference_params: tuple[float, float] | None = None
     moment_matched: tuple[float, float] | None = None
     low_trials_warning: bool = False
+    degenerate_trials: int = 0
 
 
 def _beta_reference(scenario: Scenario) -> tuple[float, float]:
@@ -199,8 +219,9 @@ def run_null(spec: ExperimentSpec, jobs: int = 1) -> NullDistribution:
     whenever every channel has the same noise variance.  On one channel the
     per-channel-noise panel P13 is its -ln(1 - x) transform.
     """
-    sample = np.sort(_statistic_sample(spec.panel, spec.scenario, spec.trials,
-                                       spec.seed, None, jobs=jobs))
+    sample, degenerate = _statistic_sample(spec.panel, spec.scenario, spec.trials,
+                                           spec.seed, None, jobs=jobs)
+    sample = np.sort(sample)
     low_trials = spec.trials < 100
     panel = spec.panel.panel
     scenario = spec.scenario
@@ -241,6 +262,7 @@ def run_null(spec: ExperimentSpec, jobs: int = 1) -> NullDistribution:
         reference_params=ref_params,
         moment_matched=matched,
         low_trials_warning=low_trials,
+        degenerate_trials=degenerate,
     )
 
 
@@ -291,8 +313,8 @@ def _null_thresholds(spec: ExperimentSpec, pfas: np.ndarray,
             f"{spec.trials} trials cannot resolve pfa={smallest}; "
             f"need at least {_required_trials(smallest)}"
         )
-    sample = _statistic_sample(spec.panel, spec.scenario, spec.trials,
-                               spec.seed, None, jobs=jobs)
+    sample, _ = _statistic_sample(spec.panel, spec.scenario, spec.trials,
+                                  spec.seed, None, jobs=jobs)
     thresholds = np.quantile(sample, 1.0 - pfas)
     return sample, np.maximum.accumulate(thresholds)  # guard quantile ties
 
@@ -313,8 +335,8 @@ def run_roc(spec: ExperimentSpec, jobs: int = 1) -> list[RocCurve]:
     curves = []
     for k, snr in enumerate(spec.snr_db):
         scale = spec.scenario.amplitude_scale(snr)
-        alt = _statistic_sample(spec.panel, spec.scenario, spec.trials, spec.seed,
-                                scale, trial_offset=(k + 1) * spec.trials, jobs=jobs)
+        alt, _ = _statistic_sample(spec.panel, spec.scenario, spec.trials, spec.seed,
+                                   scale, trial_offset=(k + 1) * spec.trials, jobs=jobs)
         false_alarms = [int((null_sample > t).sum()) for t in thresholds]
         detections = [int((alt > t).sum()) for t in thresholds]
         pd_half = np.array([wilson_interval(k, spec.trials)[2] for k in detections])
@@ -395,8 +417,8 @@ def _scan_indices(scan_channels: Sequence[int] | None, n_channels: int) -> list[
 
 
 def _chunks(count: int, entries_each: int) -> list[slice]:
-    """Consecutive slices of ``count`` items, each under the scan's memory bound."""
-    step = max(1, _SCAN_CHUNK_ENTRIES // entries_each)
+    """Consecutive slices of ``count`` items, each under the memory bound."""
+    step = max(1, _CHUNK_ENTRIES // entries_each)
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
@@ -414,9 +436,7 @@ def _doppler_bank(panel: KnowledgeSpec, index: int, spec: PropagationSpec, x: np
     parts = []
     for part in _chunks(dopplers.size, n * (j + m)):
         doppler, delay = narrowband_factors(spec, delays, dopplers[part])
-        if not np.all(np.isfinite(delay)):
-            raise ValueError(f"channel {index} delay phases are not finite on the scan grid")
-        bank = normalize_channel(doppler)  # raises on non-finite Doppler phases
+        bank = normalize_channel(doppler)
         require_trace_normalized(bank)
         parts.append(bank_summary(panel, index, bank, x, m))
     factors, coords, tails = (np.concatenate(p) for p in zip(*parts))
@@ -459,7 +479,7 @@ def scan_likelihood_image(
     if delays.size == 0 or dopplers.size == 0:
         raise ValueError("hypothesis grid must be non-empty")
     scanned = _scan_indices(scan_channels, scenario.n_channels)
-    base = summarise(panel, scenario.channels(), measurements)
+    base = summarise(panel, scenario.channels(), [x[None] for x in measurements.blocks])
     banks = {idx: _doppler_bank(panel, idx, scenario.specs[idx], measurements.block(idx),
                                 delays, dopplers) for idx in scanned}
     _, n_ch, j, m = base.coords.shape
@@ -474,9 +494,8 @@ def scan_likelihood_image(
             coords[:, idx] = bin_coords[cols]
             tails[:, idx] = bin_tails[cols]
         ev = evaluate(panel, base._replace(coupling=coupling, coords=coords, tails=tails))
-        checked = ~ev.degenerate & np.isfinite(ev.composite)
-        check_decomposition(ev.composite[checked], ev.col.alphas, ev.col.lam[checked],
-                            ev.cross_validation[checked])
+        check_decomposition(ev.composite, ev.col.alphas, ev.col.lam, ev.cross_validation,
+                            ev.degenerate)
         values[part] = ev.composite
     values = values.reshape(delays.size, dopplers.size)
     flat = int(np.argmax(values))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .channel import ChannelModel
 from .errors import ConfigError, DimensionError
-from .linalg import as_complex_matrix
+from .linalg import as_complex_matrix, as_complex_stack
 
 _HEADER_NAME = "header.json"
 _FORMAT_NAME = "glrfusion-measurements"
@@ -103,38 +103,58 @@ def simulate(
     amplitudes: np.ndarray | None = None,
     trial: int = 0,
 ) -> MeasurementSet:
-    """Synthesize X_l = g_l H_l A + U_l for each channel.
+    """Synthesize X_l = g_l H_l A + U_l for each channel: one trial of :func:`draw_blocks`.
 
     ``amplitudes`` is the (J x M) mode-amplitude matrix; ``None`` synthesizes
-    noise only.  Noise is circular complex Gaussian with per-entry variance
-    sigma_l^2 (real and imaginary parts each sigma_l^2 / 2), independent
-    across channels and snapshots, and deterministic given (seed, trial).
+    noise only.
+    """
+    if amplitudes is not None:
+        amplitudes = as_complex_matrix(amplitudes, "amplitudes")[None]
+    return MeasurementSet(tuple(
+        x[0] for x in draw_blocks(channels, n_snapshots, seed, [trial], amplitudes)))
+
+
+def draw_blocks(
+    channels: Sequence[ChannelModel],
+    n_snapshots: int,
+    seed: int,
+    trials: Sequence[int],
+    amplitudes: np.ndarray | None = None,
+) -> list[np.ndarray]:
+    """Per-channel stacks (T, N_l, M) of X_l = g_l H_l A_t + U_l, one matrix per trial t.
+
+    ``amplitudes`` is the (T, J, M) stack of mode-amplitude matrices; ``None``
+    synthesizes noise only.  Noise is circular complex Gaussian with
+    per-entry variance sigma_l^2 (real and imaginary parts each
+    sigma_l^2 / 2), independent across channels and snapshots, and drawn
+    from the (seed, trial, channel) substream, so a trial's blocks do not
+    depend on the other trials of the stack.
     """
     if n_snapshots < 1:
         raise ConfigError("n_snapshots must be >= 1")
     if not channels:
         raise ConfigError("at least one channel is required")
+    shape = (len(trials), channels[0].n_modes, n_snapshots)
     if amplitudes is not None:
-        amplitudes = as_complex_matrix(amplitudes, "amplitudes")
-        j = channels[0].n_modes
-        if amplitudes.shape != (j, n_snapshots):
+        amplitudes = as_complex_stack(amplitudes, "amplitudes")
+        if amplitudes.shape != shape:
             raise ConfigError(
-                f"amplitudes shape {amplitudes.shape} does not match "
-                f"(J={j}, M={n_snapshots})"
+                f"amplitudes shape {amplitudes.shape[1:]} does not match "
+                f"(J={shape[1]}, M={n_snapshots})"
             )
     blocks = []
     for idx, ch in enumerate(channels):
-        rng = rng_stream(seed, _NOISE_STREAM, trial, idx)
-        scale = np.sqrt(ch.noise_variance / 2.0)
-        noise = scale * (
-            rng.standard_normal((ch.n_samples, n_snapshots))
-            + 1j * rng.standard_normal((ch.n_samples, n_snapshots))
-        )
+        # The real parts of a trial's block, then its imaginary parts: one
+        # draw of 2 N M normals is the two draws of N M in turn.
+        normals = np.empty((len(trials), 2, ch.n_samples, n_snapshots))
+        for out, trial in zip(normals, trials):
+            rng_stream(seed, _NOISE_STREAM, trial, idx).standard_normal(out=out)
+        noise = np.sqrt(ch.noise_variance / 2.0) * (normals[:, 0] + 1j * normals[:, 1])
         if amplitudes is None:
             blocks.append(noise)
         else:
             blocks.append(ch.gain * (ch.matrix @ amplitudes) + noise)
-    return MeasurementSet(tuple(blocks))
+    return blocks
 
 
 def draw_amplitudes(

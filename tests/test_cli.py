@@ -383,6 +383,7 @@ class TestAnalysisCommands:
         assert len(lines) == 401
         manifest = json.loads((tmp_path / "null_out" / "manifest.json").read_text())
         assert manifest["ks_pvalue"] is not None
+        assert manifest["degenerate_trials"] == 0
 
     def test_roc_csv(self, tmp_path):
         cfg = write_config(tmp_path / "roc.json", {

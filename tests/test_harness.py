@@ -10,7 +10,9 @@ import pytest
 from scipy import stats as sps
 
 from glrfusion import (
+    ChannelModel,
     ConfigError,
+    DegenerateDataError,
     ExperimentSpec,
     KnowledgeSpec,
     MeasurementSet,
@@ -18,6 +20,7 @@ from glrfusion import (
     Scenario,
     build_narrowband_h,
     calibrate_threshold,
+    detect,
     detect_p12,
     narrowband_channel,
     normalize_channel,
@@ -66,6 +69,7 @@ P13 = KnowledgeSpec.from_panel("P13")
 P21 = KnowledgeSpec.from_panel("P21")
 P31 = KnowledgeSpec.from_panel("P31")
 KNOWN_COUPLING_PANELS = [f"P{row}{col}" for row in "12" for col in "123"]
+ALL_PANELS = [f"P{row}{col}" for row in "123" for col in "123"]
 
 
 def scan_case(case: str):
@@ -194,6 +198,98 @@ class TestRunNull:
         serial = run_null(spec, jobs=1).sample
         parallel = run_null(spec, jobs=2).sample
         np.testing.assert_array_equal(serial, parallel)
+
+
+def per_trial_reports(panel, scenario, trials, seed, amp_scale, trial_offset):
+    """The reference for batched trials: detect(simulate(...)), one trial at a time."""
+    channels, m = scenario.channels(), scenario.n_snapshots
+    reports = []
+    for trial in range(trial_offset, trial_offset + trials):
+        amps = (None if amp_scale is None
+                else draw_amplitudes(scenario.n_modes, m, amp_scale, seed, trial=trial))
+        ms = simulate(channels, m, seed, amplitudes=amps, trial=trial)
+        reports.append(detect(panel, channels, ms))
+    return reports
+
+
+def random_channel(rng, n, j) -> ChannelModel:
+    """A trace-normalised channel whose columns are not orthonormal."""
+    return ChannelModel(normalize_channel(rng.standard_normal((n, j))
+                                          + 1j * rng.standard_normal((n, j))), 1.0, 1.0)
+
+
+def error_case(case: str):
+    """A panel, channels and data on which ``detect`` raises."""
+    rng = np.random.default_rng(sum(map(ord, case)))
+    if case == "non-orthonormal":
+        channels = two_channel_scenario(m=6, n=8).channels()[:1] + [random_channel(rng, 8, 2)]
+        return P21, channels, simulate(channels, 6, seed=1)
+    if case == "modes-exceed-samples":
+        channels = [random_channel(rng, 8, 3), random_channel(rng, 2, 3)]
+        return P31, channels, simulate(channels, 6, seed=1)
+    channels = two_channel_scenario(m=6, n=8).channels()
+    return P12, channels, MeasurementSet(tuple(np.zeros((8, 6)) for _ in channels))
+
+
+class TestBatchedTrials:
+    """Trials are drawn, summarised and evaluated a chunk at a time."""
+
+    @pytest.mark.parametrize("snr_db", [None, 10.0], ids=["null", "alternative"])
+    @pytest.mark.parametrize("panel", ALL_PANELS)
+    def test_sample_matches_per_trial_detect(self, panel, snr_db):
+        scenario = three_channel_scenario((1.0, 2.0, 0.5))
+        spec = KnowledgeSpec.from_panel(panel)
+        scale = None if snr_db is None else scenario.amplitude_scale(snr_db)
+        offset = 0 if snr_db is None else 30
+        sample, degenerate = harness._statistic_sample(spec, scenario, 30, 5, scale,
+                                                       trial_offset=offset)
+        reports = per_trial_reports(spec, scenario, 30, 5, scale, offset)
+        expected = np.array([r.composite for r in reports])
+        finite = np.isfinite(expected)
+        np.testing.assert_array_equal(np.isfinite(sample), finite)
+        np.testing.assert_array_equal(sample[~finite], expected[~finite])
+        gap = np.abs(sample[finite] - expected[finite])
+        assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(expected[finite])))
+        assert degenerate == sum(r.degenerate for r in reports)
+
+    @pytest.mark.parametrize("snr_db", [None, 5.0], ids=["null", "alternative"])
+    @pytest.mark.parametrize("panel", ALL_PANELS)
+    def test_chunk_of_one_trial_matches_default(self, panel, snr_db, monkeypatch):
+        # A trial's value does not depend on the chunk it is evaluated in,
+        # which is what lets --jobs split the trials anywhere.
+        scenario = three_channel_scenario((1.0, 2.0, 0.5))
+        scale = None if snr_db is None else scenario.amplitude_scale(snr_db)
+        args = (KnowledgeSpec.from_panel(panel), scenario, 12, 5, scale)
+        whole, _ = harness._statistic_sample(*args)
+        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 1)  # one trial a chunk
+        chunked, _ = harness._statistic_sample(*args)
+        np.testing.assert_array_equal(chunked, whole)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_degenerate_trials_are_counted(self, jobs):
+        # N = J = 2 leaves one channel no residual: every P13 trial is degenerate.
+        spec = ExperimentSpec(panel=P13, scenario=single_channel_scenario(n=2, j=2),
+                              trials=50, seed=3)
+        null = run_null(spec, jobs=jobs)
+        assert np.all(np.isinf(null.sample))
+        assert null.degenerate_trials == 50
+
+    @pytest.mark.parametrize("case, error", [("non-orthonormal", ConfigError),
+                                             ("modes-exceed-samples", ValueError),
+                                             ("zero-energy", DegenerateDataError)])
+    def test_errors_match_detect(self, case, error, monkeypatch):
+        panel, channels, bad = error_case(case)
+        with pytest.raises(error) as expected:
+            detect(panel, channels, bad)
+        # The failing data set sits between two trials of fresh noise.
+        good = simulate(channels, bad.n_snapshots, seed=2)
+        stacks = [np.stack([y, x, y]) for x, y in zip(bad.blocks, good.blocks)]
+        monkeypatch.setattr(harness, "draw_blocks", lambda *args: stacks)
+        with pytest.raises(error) as batched:
+            harness._trial_block((panel, channels, bad.n_snapshots, 1, np.arange(3), None,
+                                  channels[0].n_modes, 0))
+        assert type(batched.value) is type(expected.value)
+        assert str(batched.value) == str(expected.value)
 
 
 class TestRunRoc:
@@ -427,7 +523,7 @@ class TestScan:
         scenario, ms, delays, dopplers, _ = scan_case("clock-offset")
         spec = KnowledgeSpec.from_panel(panel)
         whole = scan_likelihood_image(spec, scenario, ms, delays, dopplers).values
-        monkeypatch.setattr(harness, "_SCAN_CHUNK_ENTRIES", 1)  # one bin or cell a chunk
+        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 1)  # one bin or cell a chunk
         chunked = scan_likelihood_image(spec, scenario, ms, delays, dopplers).values
         assert_images_close(chunked, whole)
 
@@ -462,7 +558,7 @@ class TestScan:
             raise AssertionError("scan called detect")
 
         monkeypatch.setattr(harness, "narrowband_channel", count_build)
-        monkeypatch.setattr(harness, "detect", no_detect)
+        monkeypatch.setattr(harness, "detect", no_detect, raising=False)
         delays, dopplers = self.make_grid(scenario)
         scan_likelihood_image(P11, scenario, ms, delays, dopplers)
         assert len(builds) == scenario.n_channels
