@@ -4,10 +4,12 @@ One JSON config file drives each subcommand; individual keys can be
 overridden on the command line with ``--set dotted.path=value``, where a
 numeric part indexes a list (``--set channels.0.gain=2``).  Unknown
 config keys are rejected before any computation.  Every run writes a
-manifest echoing the fully-resolved config (plus seed, versions, and wall
-time) next to its outputs, and all output files are written atomically
-(write-temp-then-rename).  Diagnostics go to stderr; the exit status is 0
-exactly when no error occurred.
+manifest echoing the fully-resolved config (plus seed, versions, platform,
+BLAS thread settings and wall time) as the last of its outputs.  Every file,
+data and message sets included, is written atomically
+(write-temp-then-rename) by :func:`glrfusion.measurement.write_files`, and
+``simulate``'s data set appears by one directory rename.  Diagnostics go to
+stderr; the exit status is 0 exactly when no error occurred.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import shutil
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .channel import PropagationSpec, radial_velocity_to_doppler
@@ -35,59 +38,49 @@ from .harness import (
     run_roc,
     scan_likelihood_image,
 )
-from .measurement import (_require_type, draw_amplitudes, load_measurements, save_measurements,
-                          simulate)
+from .measurement import (_FLOAT_FMT, _measurement_files, _require_type, draw_amplitudes,
+                          json_text, load_measurements, simulate, write_files)
 
-_FLOAT_FMT = "{:.17g}"
+# Environment variables that set the thread count of numpy's BLAS.
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _fmt(value: float) -> str:
     return _FLOAT_FMT.format(float(value))
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _csv(header: str, rows) -> str:
+    """CSV text under a header line: strings and ints as they are, other values
+    as floats at 17 significant digits."""
+    lines = [header]
+    lines += [",".join(v if isinstance(v, str) else str(v) if isinstance(v, int) else _fmt(v)
+                       for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _json_ready(obj.tolist())
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
-def _write_manifest(directory: Path, command: str, config: dict, outputs: list[str],
-                    started: float, extra: dict | None = None) -> None:
+def _write_outputs(directory, command: str, config: dict, started: float,
+                   files: dict[str, str], extra: dict | None = None) -> Path:
+    """Write a command's output files, then its manifest, into ``directory``."""
+    uname = platform.uname()
     manifest = {
         "command": command,
-        "config": _json_ready(config),
+        "config": config,
         "seed": config.get("seed"),
         "versions": {
             "glrfusion": __version__,
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "python": platform.python_version(),
         },
+        "platform": {"system": uname.system, "release": uname.release,
+                     "machine": uname.machine},
+        "blas_threads": {name: os.environ[name] for name in _BLAS_THREAD_VARS
+                         if name in os.environ},
         "wall_time_s": time.monotonic() - started,
-        "outputs": outputs,
+        "outputs": list(files),
+        **(extra or {}),
     }
-    if extra:
-        manifest.update(_json_ready(extra))
-    _atomic_write_text(directory / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    return write_files(directory, {**files, "manifest.json": json_text(manifest)})
 
 
 # --------------------------------------------------------------------------
@@ -289,6 +282,7 @@ def _experiment_from_config(config: dict) -> ExperimentSpec:
 # Report serialization
 
 def report_record(report: DetectorReport) -> dict:
+    """The report's fields as a record for :func:`~glrfusion.measurement.json_text`."""
     record = {
         "panel": report.panel.panel,
         "composite": report.composite,
@@ -302,30 +296,26 @@ def report_record(report: DetectorReport) -> dict:
             if np.isfinite(report.composite) else None
         ),
     }
-    if report.gain_direction is not None:
-        record["gain_direction"] = report.gain_direction
-    if report.noise_null is not None:
-        record["noise_null"] = report.noise_null
-    if report.noise_alt is not None:
-        record["noise_alt"] = report.noise_alt
-    return _json_ready(record)
+    for name in ("gain_direction", "noise_null", "noise_alt"):
+        if getattr(report, name) is not None:
+            record[name] = getattr(report, name)
+    return record
 
 
 def _report_csv(report: DetectorReport) -> str:
     header = ["panel", "composite", "cross_validation", "degenerate"]
-    row = [report.panel.panel, _fmt(report.composite),
-           _fmt(report.cross_validation), str(int(report.degenerate))]
+    row = [report.panel.panel, report.composite, report.cross_validation,
+           int(report.degenerate)]
     for i, (a, lam) in enumerate(zip(report.alphas, report.per_channel)):
         header += [f"alpha_{i}", f"lambda_{i}"]
-        row += [_fmt(a), _fmt(lam)]
-    return ",".join(header) + "\n" + ",".join(row) + "\n"
+        row += [a, lam]
+    return _csv(",".join(header), [row])
 
 
 # --------------------------------------------------------------------------
 # Subcommands
 
-def _cmd_simulate(config: dict, args) -> int:
-    started = time.monotonic()
+def _cmd_simulate(config: dict, args, started: float) -> int:
     scenario = _scenario_from_config(config, config["snapshots"])
     channels = scenario.channels()
     seed = int(config["seed"])
@@ -343,127 +333,88 @@ def _cmd_simulate(config: dict, args) -> int:
         if not out.is_dir() or any(out.iterdir()):
             raise ConfigError(f"output path {out} exists and is not an empty directory")
         out.rmdir()
-    staging = Path(tempfile.mkdtemp(dir=out.parent or Path("."),
-                                    prefix=out.name + ".partial."))
+    # The data set is written beside the output and appears there by one rename.
+    staging = out.with_name(f"{out.name}.partial.{os.getpid()}")
     try:
-        save_measurements(ms, staging)
+        _write_outputs(staging, "simulate", config, started, _measurement_files(ms), extra)
         os.replace(staging, out)
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
         raise
-    _write_manifest(out, "simulate", config,
-                    sorted(p.name for p in out.iterdir()), started, extra)
     return 0
 
 
-def _cmd_detect(config: dict, args) -> int:
-    started = time.monotonic()
+def _cmd_detect(config: dict, args, started: float) -> int:
     ms = load_measurements(args.data)
     scenario = _scenario_from_config(config, ms.n_snapshots)
     channels = scenario.channels()
     panel = KnowledgeSpec.from_panel(config["panel"])
     report = detect(panel, channels, ms,
                     dominant_numerator=config.get("dominant_numerator", False))
-    record = report_record(report)
-    print(json.dumps(record, indent=2))
+    record = json_text(report_record(report))
+    print(record, end="")
     if "output" in config:
-        out = Path(config["output"])
-        out.mkdir(parents=True, exist_ok=True)
-        _atomic_write_text(out / "report.json", json.dumps(record, indent=2) + "\n")
-        _atomic_write_text(out / "report.csv", _report_csv(report))
-        _write_manifest(out, "detect", config, ["report.json", "report.csv"], started)
+        _write_outputs(config["output"], "detect", config, started,
+                       {"report.json": record, "report.csv": _report_csv(report)})
     return 0
 
 
-def _cmd_roc(config: dict, args) -> int:
-    started = time.monotonic()
+def _cmd_roc(config: dict, args, started: float) -> int:
     spec = _experiment_from_config(config)
     curves = run_roc(spec, jobs=_jobs(args))
-    lines = ["snr_db,threshold,pfa,pd,pd_wilson_halfwidth,pfa_wilson_halfwidth"]
-    for curve in curves:
-        for k in range(len(curve.thresholds)):
-            lines.append(",".join([
-                _fmt(curve.snr_db), _fmt(curve.thresholds[k]), _fmt(curve.pfa[k]),
-                _fmt(curve.pd[k]), _fmt(curve.wilson_halfwidth[k]),
-                _fmt(curve.pfa_halfwidth[k]),
-            ]))
-    out = Path(config["output"])
-    out.mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(out / "roc.csv", "\n".join(lines) + "\n")
-    _write_manifest(out, "roc", config, ["roc.csv"], started,
-                    {"auc": {str(c.snr_db): c.area() for c in curves}})
+    rows = [(c.snr_db, c.thresholds[k], c.pfa[k], c.pd[k], c.wilson_halfwidth[k],
+             c.pfa_halfwidth[k]) for c in curves for k in range(len(c.thresholds))]
+    header = "snr_db,threshold,pfa,pd,pd_wilson_halfwidth,pfa_wilson_halfwidth"
+    degenerate = {str(c.snr_db): c.degenerate_trials for c in curves}
+    degenerate["null"] = curves[0].null_degenerate_trials
+    _write_outputs(config["output"], "roc", config, started, {"roc.csv": _csv(header, rows)},
+                   {"auc": {str(c.snr_db): c.area() for c in curves},
+                    "degenerate_trials": degenerate})
     return 0
 
 
-def _cmd_null(config: dict, args) -> int:
-    started = time.monotonic()
+def _cmd_null(config: dict, args, started: float) -> int:
     spec = _experiment_from_config(config)
     null = run_null(spec, jobs=_jobs(args))
     n = len(null.sample)
-    lines = ["value,empirical_cdf"]
-    for i, v in enumerate(null.sample):
-        lines.append(f"{_fmt(v)},{_fmt((i + 1) / n)}")
-    out = Path(config["output"])
-    out.mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(out / "null_cdf.csv", "\n".join(lines) + "\n")
-    extra = {
-        "ks_reference": null.ks_reference,
-        "ks_statistic": null.ks_statistic,
-        "ks_pvalue": null.ks_pvalue,
-        "reference_params": null.reference_params,
-        "moment_matched": null.moment_matched,
-        "low_trials_warning": null.low_trials_warning,
-        "degenerate_trials": null.degenerate_trials,
-    }
-    _write_manifest(out, "null", config, ["null_cdf.csv"], started, extra)
+    rows = [(v, (i + 1) / n) for i, v in enumerate(null.sample)]
+    summary = {k: v for k, v in vars(null).items() if k not in ("sample", "panel")}
+    _write_outputs(config["output"], "null", config, started,
+                   {"null_cdf.csv": _csv("value,empirical_cdf", rows)}, summary)
     if null.ks_reference is not None:
         print(f"ks reference={null.ks_reference} statistic={_fmt(null.ks_statistic)} "
               f"pvalue={_fmt(null.ks_pvalue)}")
     return 0
 
 
-def _cmd_scan(config: dict, args) -> int:
-    started = time.monotonic()
+def _cmd_scan(config: dict, args, started: float) -> int:
     ms = load_measurements(args.data)
     scenario = _scenario_from_config(config, ms.n_snapshots)
     panel = KnowledgeSpec.from_panel(config["panel"])
-    image = scan_likelihood_image(
-        panel, scenario, ms,
-        [float(v) for v in config["delays_s"]],
-        [float(v) for v in config["dopplers_hz"]],
-        scan_channels=config.get("scan_channels"),
-    )
-    lines = ["delay_s,doppler_hz,statistic,is_argmax"]
-    for a, tau in enumerate(image.delays_s):
-        for b, nu in enumerate(image.dopplers_hz):
-            flag = int((a, b) == image.argmax_index)
-            lines.append(f"{_fmt(tau)},{_fmt(nu)},{_fmt(image.values[a, b])},{flag}")
-    out = Path(config["output"])
-    out.mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(out / "scan.csv", "\n".join(lines) + "\n")
-    _write_manifest(out, "scan", config, ["scan.csv"], started, {
+    image = scan_likelihood_image(panel, scenario, ms, config["delays_s"], config["dopplers_hz"],
+                                  scan_channels=config.get("scan_channels"))
+    rows = [(tau, nu, image.values[a, b], int((a, b) == image.argmax_index))
+            for a, tau in enumerate(image.delays_s) for b, nu in enumerate(image.dopplers_hz)]
+    csv = _csv("delay_s,doppler_hz,statistic,is_argmax", rows)
+    _write_outputs(config["output"], "scan", config, started, {"scan.csv": csv}, {
         "argmax_delay_s": image.argmax_delay_s,
         "argmax_doppler_hz": image.argmax_doppler_hz,
     })
     return 0
 
 
-def _cmd_calibrate(config: dict, args) -> int:
-    started = time.monotonic()
+def _cmd_calibrate(config: dict, args, started: float) -> int:
     spec = _experiment_from_config(config)
     cal = calibrate_threshold(spec, float(config["pfa"]), jobs=_jobs(args))
-    out = Path(config["output"])
-    out.mkdir(parents=True, exist_ok=True)
     header = "threshold,pfa_target,achieved_pfa,wilson_low,wilson_high,trials"
-    row = ",".join([
-        _fmt(cal.threshold), _fmt(cal.pfa_target), _fmt(cal.achieved_pfa),
-        _fmt(cal.wilson_low), _fmt(cal.wilson_high), str(cal.trials),
-    ])
-    _atomic_write_text(out / "calibration.csv", header + "\n" + row + "\n")
-    _write_manifest(out, "calibrate", config, ["calibration.csv"], started, {
-        "threshold": cal.threshold,
-        "achieved_pfa": cal.achieved_pfa,
-    })
+    row = [cal.threshold, cal.pfa_target, cal.achieved_pfa, cal.wilson_low, cal.wilson_high,
+           cal.trials]
+    _write_outputs(config["output"], "calibrate", config, started,
+                   {"calibration.csv": _csv(header, [row])}, {
+                       "threshold": cal.threshold,
+                       "achieved_pfa": cal.achieved_pfa,
+                       "degenerate_trials": cal.degenerate_trials,
+                   })
     print(_fmt(cal.threshold))
     return 0
 
@@ -503,11 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.monotonic()
     try:
         config = _load_config(args.config)
         config = _apply_overrides(config, args.overrides)
         _validate_config(args.command, config)
-        return _HANDLERS[args.command](config, args)
+        return _HANDLERS[args.command](config, args, started)
     except (GlrFusionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

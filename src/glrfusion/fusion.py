@@ -17,7 +17,6 @@ per link.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
@@ -31,7 +30,7 @@ from .detectors import (ChannelKnowledge, DetectorReport, KnowledgeSpec, NoiseKn
 from .errors import ConfigError, DimensionError, ProtocolError
 from .linalg import as_complex_matrix, energy, orthonormal_basis
 from .measurement import (_HEADER_NAME, MeasurementSet, _format_block, _parse_block,
-                          _read_header, _require_type)
+                          _read_header, _require_type, json_text, write_files)
 
 PartitionTree = int | tuple
 
@@ -247,23 +246,17 @@ def daisy_chain_fuse(messages: Sequence[ChannelMessage | Mapping]) -> list[Detec
 
 def save_messages(messages: Sequence[ChannelMessage], directory) -> Path:
     """Serialize fusion messages with the same CSV-plus-header layout as data."""
-    root = Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
+    files: dict[str, str] = {}
     entries = []
     for idx, msg in enumerate(messages):
-        factor_name = f"message_{idx:02d}_factor.csv"
-        coords_name = f"message_{idx:02d}_coordinates.csv"
-        (root / factor_name).write_text(_format_block(msg.factor))
-        (root / coords_name).write_text(_format_block(msg.coordinates))
-        entries.append({
-            "n_modes": msg.coordinates.shape[0],
-            "n_snapshots": msg.n_snapshots,
-            "factor": factor_name,
-            "coordinates": coords_name,
-        })
-    header = {"format": _MESSAGE_FORMAT, "version": _MESSAGE_VERSION, "messages": entries}
-    (root / _HEADER_NAME).write_text(json.dumps(header, indent=2) + "\n")
-    return root
+        entry = {"n_modes": msg.coordinates.shape[0], "n_snapshots": msg.n_snapshots}
+        for field in ("factor", "coordinates"):
+            entry[field] = f"message_{idx:02d}_{field}.csv"
+            files[entry[field]] = _format_block(getattr(msg, field))
+        entries.append(entry)
+    files[_HEADER_NAME] = json_text(
+        {"format": _MESSAGE_FORMAT, "version": _MESSAGE_VERSION, "messages": entries})
+    return write_files(directory, files)
 
 
 def load_messages(directory) -> list[ChannelMessage]:

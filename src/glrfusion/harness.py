@@ -12,10 +12,11 @@ panel is treated uniformly.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -127,27 +128,22 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float, float]:
     return center - half, center + half, half
 
 
-def _trial_block(args) -> tuple[np.ndarray, np.ndarray]:
-    """Composites and degenerate flags of the trials, chunk by chunk.
+def _trial_block(panel: KnowledgeSpec, channels: Sequence[ChannelModel], m: int, seed: int,
+                 amp_scale: float | None, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Composites and degenerate flags of the trials ``ids``, evaluated together.
 
-    A trial's value does not depend on its chunk: its blocks come from its
-    own substreams, and every step treats the matrices of a stack apart.
+    A trial's value does not depend on the other trials: its blocks come
+    from its own substreams, and every step treats the matrices of a stack
+    apart.
     """
-    (panel, channels, m, seed, trials, amp_scale, n_modes, trial_offset) = args
-    values, degenerate = np.empty(len(trials)), np.empty(len(trials), bool)
-    largest = len(channels) * max(ch.n_samples for ch in channels) * m
-    for part in _chunks(len(trials), largest):
-        ids = trials[part] + trial_offset
-        amps = None
-        if amp_scale is not None:
-            amps = np.array([draw_amplitudes(n_modes, m, amp_scale, seed, trial=t)
-                             for t in ids])
-        ev = evaluate(panel, summarise(panel, channels,
-                                       draw_blocks(channels, m, seed, ids, amps)))
-        check_decomposition(ev.composite, ev.col.alphas, ev.col.lam, ev.cross_validation,
-                            ev.degenerate)
-        values[part], degenerate[part] = ev.composite, ev.degenerate
-    return values, degenerate
+    amps = None
+    if amp_scale is not None:
+        amps = np.array([draw_amplitudes(channels[0].n_modes, m, amp_scale, seed, trial=t)
+                         for t in ids])
+    ev = evaluate(panel, summarise(panel, channels, draw_blocks(channels, m, seed, ids, amps)))
+    check_decomposition(ev.composite, ev.col.alphas, ev.col.lam, ev.cross_validation,
+                        ev.degenerate)
+    return ev.composite, ev.degenerate
 
 
 def _statistic_sample(
@@ -159,19 +155,22 @@ def _statistic_sample(
     trial_offset: int = 0,
     jobs: int = 1,
 ) -> tuple[np.ndarray, int]:
-    """The panel's composite on each trial, and the number of degenerate trials."""
+    """The panel's composite on each trial, and the number of degenerate trials.
+
+    Each chunk of trials, at least one per job, is evaluated in one pass.
+    """
     channels = scenario.channels()
-    indices = np.arange(trials)
+    m = scenario.n_snapshots
+    largest = len(channels) * max(ch.n_samples for ch in channels) * m
+    chunks = [ids + trial_offset for ids in _chunks(trials, largest, jobs)]
+    block = functools.partial(_trial_block, panel, channels, m, seed, amp_scale)
     if jobs <= 1:
-        values, degenerate = _trial_block((panel, channels, scenario.n_snapshots, seed,
-                                           indices, amp_scale, scenario.n_modes, trial_offset))
-        return values, int(np.count_nonzero(degenerate))
-    chunks = np.array_split(indices, jobs)
-    args = [(panel, channels, scenario.n_snapshots, seed, chunk, amp_scale,
-             scenario.n_modes, trial_offset) for chunk in chunks if len(chunk)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        values, degenerate = zip(*pool.map(_trial_block, args))
-    return np.concatenate(values), int(np.count_nonzero(np.concatenate(degenerate)))
+        results = list(map(block, chunks))
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(block, chunks))
+    values, degenerate = (np.concatenate(parts) for parts in zip(*results))
+    return values, int(np.count_nonzero(degenerate))
 
 
 def _beta_moment_match(sample: np.ndarray) -> tuple[float, float]:
@@ -221,54 +220,33 @@ def run_null(spec: ExperimentSpec, jobs: int = 1) -> NullDistribution:
     """
     sample, degenerate = _statistic_sample(spec.panel, spec.scenario, spec.trials,
                                            spec.seed, None, jobs=jobs)
-    sample = np.sort(sample)
-    low_trials = spec.trials < 100
     panel = spec.panel.panel
     scenario = spec.scenario
-    ks_ref = None
-    ks_stat = ks_p = None
-    ref_params = None
-    matched = None
+    null = NullDistribution(sample=np.sort(sample), panel=panel,
+                            low_trials_warning=spec.trials < 100, degenerate_trials=degenerate)
     a, b = _beta_reference(scenario)  # b = 0 leaves no residual dimension
     known_law = ((panel == "P12" and len(set(scenario.noise_variances)) == 1)
                  or (panel == "P13" and scenario.n_channels == 1))
-    if b > 0 and known_law:
-        ref_params = (a, b)
-        if panel == "P12":
-            ks_ref = "beta"
-            cdf = sps.beta(a, b).cdf
-            try:
-                matched = _beta_moment_match(sample)
-            except ValueError:
-                matched = None
-        else:
-            ks_ref = "log-energy-ratio"
+    if b <= 0 or not known_law:
+        return null
 
-            def cdf(x, _a=a, _b=b):
-                return sps.beta(_a, _b).cdf(1.0 - np.exp(-np.asarray(x)))
+    def to_beta(x):  # P12's Beta variable, of which P13 is -ln(1 - x)
+        return x if panel == "P12" else 1.0 - np.exp(-np.asarray(x))
 
-            try:
-                matched = _beta_moment_match(1.0 - np.exp(-sample))
-            except ValueError:
-                matched = None
-        res = sps.kstest(sample, cdf)
-        ks_stat, ks_p = float(res.statistic), float(res.pvalue)
-    return NullDistribution(
-        sample=sample,
-        panel=panel,
-        ks_reference=ks_ref,
-        ks_statistic=ks_stat,
-        ks_pvalue=ks_p,
-        reference_params=ref_params,
-        moment_matched=matched,
-        low_trials_warning=low_trials,
-        degenerate_trials=degenerate,
-    )
+    res = sps.kstest(null.sample, lambda x: sps.beta(a, b).cdf(to_beta(x)))
+    try:
+        matched = _beta_moment_match(to_beta(null.sample))
+    except ValueError:
+        matched = None
+    return replace(null, ks_reference="beta" if panel == "P12" else "log-energy-ratio",
+                   ks_statistic=float(res.statistic), ks_pvalue=float(res.pvalue),
+                   reference_params=(a, b), moment_matched=matched)
 
 
 @dataclass(frozen=True)
 class RocCurve:
-    """Empirical ROC at one SNR: thresholds with estimated pfa/pd."""
+    """Empirical ROC at one SNR: thresholds with estimated pfa/pd, and the
+    degenerate trial counts of its alternative and null samples."""
 
     thresholds: np.ndarray
     pfa: np.ndarray
@@ -277,11 +255,13 @@ class RocCurve:
     wilson_halfwidth: np.ndarray
     pfa_halfwidth: np.ndarray
     snr_db: float
+    degenerate_trials: int = 0
+    null_degenerate_trials: int = 0
 
     def __post_init__(self):
         for name in ("thresholds", "pfa", "pd", "wilson_halfwidth", "pfa_halfwidth"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if np.any(np.diff(self.thresholds) < 0):
+        if np.any(self.thresholds[1:] < self.thresholds[:-1]):  # no inf - inf
             raise ConfigError("thresholds must be sorted ascending")
         for name in ("pfa", "pd"):
             vals = getattr(self, name)
@@ -301,9 +281,22 @@ def _required_trials(pfa: float) -> int:
     return int(math.ceil(10.0 / pfa))
 
 
+def _quantiles(sample: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """np.quantile's linear quantiles, +inf wherever one weighs a +inf (degenerate) trial.
+
+    np.quantile forms inf * 0 = nan at zero weight.  Capped at the largest
+    float, an inf leaves the other quantiles' bits as they are and lifts
+    those that weigh it above every finite sample.
+    """
+    if np.all(np.isfinite(sample)):
+        return np.quantile(sample, probs)
+    q = np.quantile(np.minimum(sample, np.finfo(float).max), probs)
+    return np.where(q > np.max(sample, where=np.isfinite(sample), initial=-np.inf), np.inf, q)
+
+
 def _null_thresholds(spec: ExperimentSpec, pfas: np.ndarray,
-                     jobs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Null sample and its (1 - pfa) quantiles, for pfas in descending order."""
+                     jobs: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Null sample, its (1 - pfa) quantiles for descending pfas, and its degenerate count."""
     for p in pfas:
         if not (0.0 < p < 1.0):
             raise ConfigError(f"pfa must lie in (0, 1), got {p}")
@@ -313,10 +306,10 @@ def _null_thresholds(spec: ExperimentSpec, pfas: np.ndarray,
             f"{spec.trials} trials cannot resolve pfa={smallest}; "
             f"need at least {_required_trials(smallest)}"
         )
-    sample, _ = _statistic_sample(spec.panel, spec.scenario, spec.trials,
-                                  spec.seed, None, jobs=jobs)
-    thresholds = np.quantile(sample, 1.0 - pfas)
-    return sample, np.maximum.accumulate(thresholds)  # guard quantile ties
+    sample, degenerate = _statistic_sample(spec.panel, spec.scenario, spec.trials,
+                                           spec.seed, None, jobs=jobs)
+    thresholds = _quantiles(sample, 1.0 - pfas)
+    return sample, np.maximum.accumulate(thresholds), degenerate  # guard quantile ties
 
 
 def run_roc(spec: ExperimentSpec, jobs: int = 1) -> list[RocCurve]:
@@ -330,13 +323,13 @@ def run_roc(spec: ExperimentSpec, jobs: int = 1) -> list[RocCurve]:
         raise ConfigError("run_roc needs at least one pfa target")
     if not spec.snr_db:
         raise ConfigError("run_roc needs at least one SNR grid point")
-    null_sample, thresholds = _null_thresholds(
+    null_sample, thresholds, null_degenerate = _null_thresholds(
         spec, np.sort(spec.pfa_targets)[::-1], jobs)  # large pfa -> small threshold
     curves = []
     for k, snr in enumerate(spec.snr_db):
         scale = spec.scenario.amplitude_scale(snr)
-        alt, _ = _statistic_sample(spec.panel, spec.scenario, spec.trials, spec.seed,
-                                   scale, trial_offset=(k + 1) * spec.trials, jobs=jobs)
+        alt, degenerate = _statistic_sample(spec.panel, spec.scenario, spec.trials, spec.seed,
+                                            scale, trial_offset=(k + 1) * spec.trials, jobs=jobs)
         false_alarms = [int((null_sample > t).sum()) for t in thresholds]
         detections = [int((alt > t).sum()) for t in thresholds]
         pd_half = np.array([wilson_interval(k, spec.trials)[2] for k in detections])
@@ -349,23 +342,28 @@ def run_roc(spec: ExperimentSpec, jobs: int = 1) -> list[RocCurve]:
             wilson_halfwidth=pd_half,
             pfa_halfwidth=pfa_half,
             snr_db=float(snr),
+            degenerate_trials=degenerate,
+            null_degenerate_trials=null_degenerate,
         ))
     return curves
 
 
 @dataclass(frozen=True)
 class ThresholdCalibration:
+    """Null-quantile threshold for one target pfa, and the null's degenerate trial count."""
+
     threshold: float
     pfa_target: float
     achieved_pfa: float
     wilson_low: float
     wilson_high: float
     trials: int
+    degenerate_trials: int = 0
 
 
 def calibrate_threshold(spec: ExperimentSpec, pfa: float, jobs: int = 1) -> ThresholdCalibration:
     """Empirical null quantile for a target false-alarm probability."""
-    sample, thresholds = _null_thresholds(spec, np.array([pfa]), jobs)
+    sample, thresholds, degenerate = _null_thresholds(spec, np.array([pfa]), jobs)
     threshold = float(thresholds[0])
     exceed = int((sample > threshold).sum())
     low, high, _ = wilson_interval(exceed, spec.trials)
@@ -376,6 +374,7 @@ def calibrate_threshold(spec: ExperimentSpec, pfa: float, jobs: int = 1) -> Thre
         wilson_low=low,
         wilson_high=high,
         trials=spec.trials,
+        degenerate_trials=degenerate,
     )
 
 
@@ -416,10 +415,11 @@ def _scan_indices(scan_channels: Sequence[int] | None, n_channels: int) -> list[
     return scanned
 
 
-def _chunks(count: int, entries_each: int) -> list[slice]:
-    """Consecutive slices of ``count`` items, each under the memory bound."""
-    step = max(1, _CHUNK_ENTRIES // entries_each)
-    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+def _chunks(count: int, entries_each: int, at_least: int = 1) -> list[np.ndarray]:
+    """Consecutive index ranges over ``count`` items, each under the memory
+    bound, and at least ``at_least`` of them while ``count`` allows."""
+    per_chunk = max(1, _CHUNK_ENTRIES // entries_each)
+    return np.array_split(np.arange(count), min(count, max(at_least, -(-count // per_chunk))))
 
 
 def _doppler_bank(panel: KnowledgeSpec, index: int, spec: PropagationSpec, x: np.ndarray,
@@ -485,7 +485,7 @@ def scan_likelihood_image(
     _, n_ch, j, m = base.coords.shape
     values = np.empty(delays.size * dopplers.size)
     for part in _chunks(values.size, n_ch * j * (j + m)):
-        rows, cols = np.divmod(np.arange(part.start, part.stop), dopplers.size)
+        rows, cols = np.divmod(part, dopplers.size)
         coupling, coords, tails = (
             np.broadcast_to(field, (rows.size, n_ch) + shape).copy()
             for field, shape in ((base.coupling, (j, j)), (base.coords, (j, m)), (base.tails, ())))

@@ -7,13 +7,15 @@ named substream so concurrent trials never share random state.
 The on-disk interchange format is binary-free: one directory with a JSON
 header (format, version, dims, snapshot count, channel order) plus one CSV per block holding
 interleaved real,imag entries at 17 significant digits, which round-trips
-float64 bit-exactly.
+float64 bit-exactly.  Every file the package writes reaches disk through
+:func:`write_files`, whose texts :func:`json_text` and the block codec form.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -186,22 +188,60 @@ def _parse_block(text: str, n_rows: int, n_snapshots: int) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(n_rows, 2 * n_snapshots).view(np.complex128)
 
 
-def save_measurements(measurements: MeasurementSet, directory) -> Path:
-    """Write a measurement set as header.json + one CSV per channel block."""
+def _plain(obj):
+    """The JSON-ready Python value of a numpy value or a complex number."""
+    if isinstance(obj, np.ndarray | np.generic):
+        return obj.tolist()
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def json_text(obj) -> str:
+    """The indented, newline-terminated JSON form of ``obj``, numpy values and
+    complex numbers ([re, im]) included."""
+    return json.dumps(obj, indent=2, default=_plain) + "\n"
+
+
+def write_files(directory, files: Mapping[str, str]) -> Path:
+    """Create ``directory`` and write each named text into it, in order.
+
+    Each is written under a temporary name and renamed into place, so no
+    reader sees a partial file; callers pass the file that lists the others
+    (a header or a manifest) last.  Files and directories get the
+    permissions ``open`` and ``mkdir`` give under the process umask.
+    """
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
-    block_names = [f"block_{i:02d}.csv" for i in range(measurements.n_channels)]
-    header = {
+    for name, text in files.items():
+        tmp = root / f"{name}.tmp"
+        try:
+            with open(tmp, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, root / name)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    return root
+
+
+def _measurement_files(measurements: MeasurementSet) -> dict[str, str]:
+    """The files of a measurement set: one CSV per channel block, then header.json."""
+    files = {f"block_{i:02d}.csv": _format_block(block)
+             for i, block in enumerate(measurements.blocks)}
+    files[_HEADER_NAME] = json_text({
         "format": _FORMAT_NAME,
         "version": _FORMAT_VERSION,
         "n_snapshots": measurements.n_snapshots,
         "channel_dims": list(measurements.channel_dims),
-        "blocks": block_names,
-    }
-    (root / _HEADER_NAME).write_text(json.dumps(header, indent=2) + "\n")
-    for name, block in zip(block_names, measurements.blocks):
-        (root / name).write_text(_format_block(block))
-    return root
+        "blocks": list(files),
+    })
+    return files
+
+
+def save_measurements(measurements: MeasurementSet, directory) -> Path:
+    """Write a measurement set as header.json + one CSV per channel block."""
+    return write_files(directory, _measurement_files(measurements))
 
 
 def _conforms(value, expected) -> bool:

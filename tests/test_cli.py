@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import warnings
 
 import numpy as np
@@ -460,3 +461,65 @@ class TestAnalysisCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "scan" in err[0]
         assert not (tmp_path / "scan_out").exists()
+
+
+@pytest.fixture(params=[0o022, 0o027], ids=["umask-022", "umask-027"])
+def umask(request):
+    old = os.umask(request.param)
+    try:
+        yield request.param
+    finally:
+        os.umask(old)
+
+
+class TestOutputFiles:
+    def test_modes_follow_umask(self, tmp_path, capsys, umask):
+        channels = [channel_entry()]
+        sim = write_config(tmp_path / "sim.json", simulate_config(tmp_path, channels=channels))
+        det = write_config(tmp_path / "det.json", {
+            "panel": "p11", "modes": 1, "channels": channels,
+            "output": str(tmp_path / "det")})
+        roc = write_config(tmp_path / "roc.json", {
+            "panel": "p11", "modes": 1, "channels": channels, "snapshots": 4, "trials": 20,
+            "seed": 1, "snr_db": [0.0], "pfa_targets": [0.5], "output": str(tmp_path / "roc")})
+        assert main(["simulate", "--config", sim]) == 0
+        assert main(["detect", "--config", det, str(tmp_path / "data")]) == 0
+        assert main(["roc", "--config", roc]) == 0
+        capsys.readouterr()
+        for name in ("data", "det", "roc"):
+            out = tmp_path / name
+            assert out.stat().st_mode & 0o777 == 0o777 & ~umask
+            files = sorted(out.iterdir())
+            assert files and all(f.stat().st_mode & 0o777 == 0o666 & ~umask for f in files)
+        assert sorted(p.name for p in tmp_path.iterdir() if ".partial" in p.name) == []
+
+    def test_roc_and_calibrate_manifests_count_degenerate_trials(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # One sample and one mode leave P13 no residual: every trial is degenerate.
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        base = {"panel": "p13", "modes": 1, "channels": [channel_entry(n=1)], "snapshots": 4,
+                "trials": 20, "seed": 1}
+        roc = write_config(tmp_path / "roc.json", {
+            **base, "snr_db": [0.0, 10.0], "pfa_targets": [0.5],
+            "output": str(tmp_path / "roc")})
+        cal = write_config(tmp_path / "cal.json", {**base, "pfa": 0.5,
+                                                   "output": str(tmp_path / "cal")})
+        assert main(["roc", "--config", roc]) == 0
+        assert main(["calibrate", "--config", cal]) == 0
+        assert capsys.readouterr().out.strip() == "inf"
+        manifests = [json.loads((tmp_path / name / "manifest.json").read_text())
+                     for name in ("roc", "cal")]
+        assert manifests[0]["degenerate_trials"] == {"0.0": 20, "10.0": 20, "null": 20}
+        assert manifests[1]["degenerate_trials"] == 20
+        assert manifests[1]["threshold"] == float("inf")
+        for manifest in manifests:
+            assert manifest["versions"]["python"] == platform.python_version()
+            assert set(manifest["versions"]) == {"glrfusion", "numpy", "scipy", "python"}
+            assert manifest["platform"] == {"system": platform.uname().system,
+                                            "release": platform.uname().release,
+                                            "machine": platform.uname().machine}
+            assert manifest["blas_threads"] == {"OMP_NUM_THREADS": "1"}
+        rows = (tmp_path / "roc" / "roc.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["inf", "inf"]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -286,8 +287,7 @@ class TestBatchedTrials:
         stacks = [np.stack([y, x, y]) for x, y in zip(bad.blocks, good.blocks)]
         monkeypatch.setattr(harness, "draw_blocks", lambda *args: stacks)
         with pytest.raises(error) as batched:
-            harness._trial_block((panel, channels, bad.n_snapshots, 1, np.arange(3), None,
-                                  channels[0].n_modes, 0))
+            harness._trial_block(panel, channels, bad.n_snapshots, 1, None, np.arange(3))
         assert type(batched.value) is type(expected.value)
         assert str(batched.value) == str(expected.value)
 
@@ -364,6 +364,51 @@ class TestRunRoc:
         if auc_p11 < auc_p21 - 0.05:
             log.warning("clairvoyant panel trailed unknown-gain panel: %.4f < %.4f",
                         auc_p11, auc_p21)
+
+
+class TestDegenerateThresholds:
+    """Degenerate trials (composite +inf) give +inf thresholds and are counted."""
+
+    def test_degenerate_roc_and_calibration(self):
+        # N = J = 2 leaves one channel no residual: every P13 trial is degenerate.
+        spec = ExperimentSpec(panel=P13, scenario=single_channel_scenario(n=2, j=2),
+                              trials=50, seed=3, snr_db=(10.0,), pfa_targets=(0.5, 0.2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = run_roc(spec)[0]
+            cal = calibrate_threshold(spec, 0.2)
+        assert np.all(curve.thresholds == np.inf)
+        np.testing.assert_array_equal(curve.pfa, 0.0)
+        np.testing.assert_array_equal(curve.pd, 0.0)
+        assert curve.degenerate_trials == curve.null_degenerate_trials == 50
+        assert cal.threshold == np.inf and cal.achieved_pfa == 0.0
+        assert cal.degenerate_trials == 50
+
+    def test_quantile_weighing_an_inf_is_inf(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        sample = rng.permutation(np.concatenate([rng.normal(size=38), np.full(12, np.inf)]))
+        monkeypatch.setattr(harness, "_statistic_sample", lambda *args, **kw: (sample, 12))
+        spec = ExperimentSpec(panel=P13, scenario=single_channel_scenario(), trials=50, seed=1)
+        # A quantile weighs an inf trial exactly when it moves with the value
+        # that stands in for the infs.
+        low, high = (np.where(np.isinf(sample), v, sample) for v in (1e300, 1e308))
+        kinds = set()
+        for pfa in np.concatenate([np.linspace(0.2, 0.5, 61), [12 / 49, 1 - 37 / 49]]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cal = calibrate_threshold(spec, pfa)
+            expected = np.quantile(low, 1.0 - pfa)
+            weighs_inf = expected != np.quantile(high, 1.0 - pfa)
+            kinds.add(bool(weighs_inf))
+            assert cal.degenerate_trials == 12
+            if weighs_inf:
+                assert cal.threshold == np.inf
+            else:
+                assert np.float64(cal.threshold).tobytes() == expected.tobytes()
+        assert kinds == {True, False}
+        # At pfa = 12/49 the quantile sits on the largest finite value with
+        # zero weight on the first inf, where np.quantile forms inf * 0 = nan.
+        assert calibrate_threshold(spec, 12 / 49).threshold == np.max(sample[np.isfinite(sample)])
 
 
 class TestCalibrate:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,13 @@ from glrfusion import (
     ConfigError,
     MeasurementSet,
     RankDeficiencyError,
+    ChannelMessage,
     channel_message,
     load_measurements,
     save_measurements,
     simulate,
 )
+from glrfusion.fusion import save_messages
 from conftest import complex_normal, random_channel
 from oracles import compose_f_whitened, message_amplitudes, ml_amplitudes, sample_covariance
 
@@ -202,6 +206,28 @@ class TestRoundTrip:
         (root / "header.json").write_text(json.dumps(header))
         with pytest.raises(ConfigError, match=f"'{key}' in .*header.json has the wrong type"):
             load_measurements(root)
+
+    @pytest.mark.parametrize("kind", ["measurements", "messages"])
+    def test_interrupted_write_leaves_no_header(self, rng, tmp_path, monkeypatch, kind):
+        blocks = (complex_normal(rng, (2, 3)), complex_normal(rng, (2, 3)))
+        if kind == "measurements":
+            save, items = save_measurements, MeasurementSet(blocks)
+        else:
+            save = save_messages
+            items = [ChannelMessage(factor=np.eye(2), coordinates=b) for b in blocks]
+        replace, renamed = os.replace, []
+
+        def failing_replace(src, dst):
+            renamed.append(dst)
+            if len(renamed) == 2:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            save(items, tmp_path / "d")
+        assert not (tmp_path / "d" / "header.json").exists()
+        assert not list((tmp_path / "d").glob("*.tmp"))
 
     def test_scaled_and_subset(self, rng):
         ms = MeasurementSet((complex_normal(rng, (3, 4)), complex_normal(rng, (2, 4))))
