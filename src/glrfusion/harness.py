@@ -4,10 +4,10 @@ calibration, and likelihood-image parameter scans.
 Trials are independent and deterministically seeded per (seed, trial,
 channel), so results are identical whatever the execution order or level of
 parallelism.  They are evaluated in chunks of bounded memory: a chunk's
-blocks are drawn as per-channel stacks, summarised and evaluated together,
-and every trial gets the checks a :class:`~glrfusion.detectors.DetectorReport`
-applies.  Thresholds always come from empirical null quantiles so every
-panel is treated uniformly.
+amplitudes are drawn in one call, its blocks as per-channel stacks, and the
+chunk is summarised and evaluated together; every trial gets the checks a
+:class:`~glrfusion.detectors.DetectorReport` applies.  Thresholds always
+come from empirical null quantiles so every panel is treated uniformly.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .detectors import (
     summarise,
 )
 from .errors import ConfigError
-from .measurement import MeasurementSet, draw_amplitudes, draw_blocks
+from .measurement import MeasurementSet, _amplitude_stack, draw_blocks
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 # Complex entries of the largest temporary one step of a scan or of a chunk
@@ -138,8 +138,7 @@ def _trial_block(panel: KnowledgeSpec, channels: Sequence[ChannelModel], m: int,
     """
     amps = None
     if amp_scale is not None:
-        amps = np.array([draw_amplitudes(channels[0].n_modes, m, amp_scale, seed, trial=t)
-                         for t in ids])
+        amps = _amplitude_stack(channels[0].n_modes, m, amp_scale, seed, ids)
     ev = evaluate(panel, summarise(panel, channels, draw_blocks(channels, m, seed, ids, amps)))
     check_decomposition(ev.composite, ev.col.alphas, ev.col.lam, ev.cross_validation,
                         ev.degenerate)

@@ -1,8 +1,12 @@
 """Snapshot containers, synthesis, and file formats.
 
 Data for L channels over M snapshots is held as per-channel blocks X_l of
-shape (N_l, M).  Synthesis is deterministic given (seed, trial): every (trial, channel) pair gets its own
-named substream so concurrent trials never share random state.
+shape (N_l, M).  Synthesis is deterministic given (seed, trial): every
+(trial, channel) pair gets its own named substream so concurrent trials never
+share random state.  :func:`rng_stream` defines each substream; a call that
+draws many of them reproduces every one bit for bit from one vectorised pass
+of numpy's ``SeedSequence`` hash over all of its keys and one PCG64
+generator, reseeded per key and owned by the call.
 
 The on-disk interchange format is binary-free: one directory with a JSON
 header (format, version, dims, snapshot count, channel order) plus one CSV per block holding
@@ -18,7 +22,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -34,13 +38,118 @@ _FLOAT_FMT = "{:.17g}"
 # Purpose tags for named random substreams.
 _NOISE_STREAM = 0
 _AMPLITUDE_STREAM = 1
+# Below this many keys a call builds one generator per key with rng_stream.
+# A hash pass and a generator to reseed cost about as much as five builds:
+# per call, the two ways break even at five or six keys, and hashing is about
+# a fifth faster at eight keys and two fifths at sixteen (one core).
+_MIN_HASHED_KEYS = 8
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_steps(init: int, mult: int, steps) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants, each of shape steps.shape + (1,), of
+    SeedSequence's hash steps ``steps`` on the chain init * mult**k mod 2**32:
+    step k xors chain entry k and multiplies by entry k + 1."""
+    steps = np.asarray(steps)
+    chain = [init]
+    for _ in range(steps.max() + 1):
+        chain.append(chain[-1] * mult & _MASK32)
+    chain = np.array(chain, dtype=np.uint32)
+    return chain[steps][..., None], chain[steps + 1][..., None]
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx).  Mixing a pool of
+# four words takes hash steps 0-3, one per entropy word, then four rounds:
+# round r hashes pool[r] once for each other word i, in order, with step
+# 4 + 3r + (i - (i > r)) (word r's entry is unused).  Emitting four uint64
+# words takes steps 0-7 of a second chain, one per uint32 half, from pool
+# words 0-3, 0-3.
+_MIX_CHAIN = (0x43B0D7E5, 0x931E8875)  # INIT_A, MULT_A
+_EMIT_CHAIN = (0x8B51F9DD, 0x58F38DED)  # INIT_B, MULT_B
+_ENTROPY_STEPS = _hash_steps(*_MIX_CHAIN, range(4))
+_ROUND_STEPS = tuple(
+    _hash_steps(*_MIX_CHAIN, [4 + 3 * r + i - (i > r) if i != r else 0 for i in range(4)])
+    for r in range(4))
+_EMIT_STEPS = _hash_steps(*_EMIT_CHAIN, np.arange(8).reshape(2, 4))
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
+_PCG_MULT = (0x2360ED051FC65DA4 << 64) | 0x4385DF649FCCF645
 
 
 def rng_stream(seed: int, purpose: int, trial: int, channel: int) -> np.random.Generator:
-    """Deterministic generator for one (purpose, trial, channel) substream."""
+    """Deterministic generator for one (purpose, trial, channel) substream.
+
+    This defines every substream the package draws; calls over many keys
+    reproduce it bit for bit without building a generator per key.
+    """
     return np.random.default_rng(
         np.random.SeedSequence((int(seed), int(purpose), int(trial), int(channel)))
     )
+
+
+def _hash(values: np.ndarray, steps: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """SeedSequence's hash of ``values`` with the constants of :func:`_hash_steps`,
+    broadcast against each other."""
+    xor, mult = steps
+    h = (values ^ xor) * mult
+    return h ^ (h >> 16)
+
+
+def _seed_words(keys: np.ndarray) -> np.ndarray:
+    """``SeedSequence(tuple(k)).generate_state(4, np.uint64)`` for each row k of
+    the (n, 4) uint32 ``keys``, as an (n, 4) uint64 array, in one pass."""
+    pool = _hash(keys.T, _ENTROPY_STEPS)
+    for r, steps in enumerate(_ROUND_STEPS):
+        # Every word i != r mixes in its own hash of pool[r]; word r stays.
+        mixed = _MIX_MULT_L * pool - _MIX_MULT_R * _hash(pool[r], steps)
+        mixed ^= mixed >> 16
+        mixed[r] = pool[r]
+        pool = mixed
+    halves = _hash(pool, _EMIT_STEPS)
+    # uint32 half 2k is the low half of uint64 word k, 2k + 1 its high half.
+    words = np.empty((len(keys), 8), dtype="<u4")
+    words[:] = halves.reshape(8, -1).T
+    return words.view("<u8").astype(np.uint64, copy=False)
+
+
+def _substreams(seed: int, purpose: int, trials: Sequence[int],
+                n_channels: int) -> Iterator[np.random.Generator]:
+    """Generators of the substreams (seed, purpose, trial, channel), one per
+    (channel, trial) key in channel-major order, each in the state
+    :func:`rng_stream` gives it.
+
+    One hash pass gives every key's seed words, and one PCG64 generator,
+    created here so that no two calls share it, is set to each key's seeded
+    state in turn: a generator is valid until the next one is taken.  Calls
+    with fewer than ``_MIN_HASHED_KEYS`` keys, or with a key word outside
+    [0, 2**32), whose entropy numpy pools differently (or rejects), get
+    rng_stream's generators.
+    """
+    ids = np.asarray(trials) if n_channels * len(trials) >= _MIN_HASHED_KEYS else None
+    if (ids is None or ids.dtype.kind not in "iu" or not 0 <= seed <= _MASK32
+            or ids.min() < 0 or ids.max() > _MASK32):
+        for channel in range(n_channels):
+            for trial in trials:
+                yield rng_stream(seed, purpose, trial, channel)
+        return
+    keys = np.empty((n_channels, len(ids), 4), dtype=np.uint32)
+    keys[..., 0] = seed
+    keys[..., 1] = purpose
+    keys[..., 2] = ids
+    keys[..., 3] = np.arange(n_channels)[:, None]
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    for w0, w1, w2, w3 in _seed_words(keys.reshape(-1, 4)).tolist():
+        # PCG64's seeding: inc = 2 * (w2, w3) + 1, then two LCG steps from 0,
+        # adding the initial state (w0, w1) between them.
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        state = (((w0 << 64 | w1) + inc) * _PCG_MULT + inc) & _MASK128
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        yield gen
 
 
 @dataclass(frozen=True)
@@ -116,6 +225,16 @@ def simulate(
         x[0] for x in draw_blocks(channels, n_snapshots, seed, [trial], amplitudes)))
 
 
+def _complex_normals(normals: np.ndarray, std: float) -> np.ndarray:
+    """std * (normals[:, 0] + 1j * normals[:, 1]), bit for bit, built in one
+    complex array."""
+    out = np.empty(normals[:, 0].shape, dtype=np.complex128)
+    out.real = normals[:, 0]
+    out.imag = normals[:, 1]
+    out *= std
+    return out
+
+
 def draw_blocks(
     channels: Sequence[ChannelModel],
     n_snapshots: int,
@@ -144,14 +263,15 @@ def draw_blocks(
                 f"amplitudes shape {amplitudes.shape[1:]} does not match "
                 f"(J={shape[1]}, M={n_snapshots})"
             )
+    streams = _substreams(seed, _NOISE_STREAM, trials, len(channels))
     blocks = []
-    for idx, ch in enumerate(channels):
+    for ch in channels:
         # The real parts of a trial's block, then its imaginary parts: one
         # draw of 2 N M normals is the two draws of N M in turn.
         normals = np.empty((len(trials), 2, ch.n_samples, n_snapshots))
-        for out, trial in zip(normals, trials):
-            rng_stream(seed, _NOISE_STREAM, trial, idx).standard_normal(out=out)
-        noise = np.sqrt(ch.noise_variance / 2.0) * (normals[:, 0] + 1j * normals[:, 1])
+        for out in normals:
+            next(streams).standard_normal(out=out)
+        noise = _complex_normals(normals, np.sqrt(ch.noise_variance / 2.0))
         if amplitudes is None:
             blocks.append(noise)
         else:
@@ -163,11 +283,17 @@ def draw_amplitudes(
     n_modes: int, n_snapshots: int, scale: float, seed: int, trial: int = 0
 ) -> np.ndarray:
     """Draw a (J x M) amplitude matrix with iid CN(0, scale^2) entries."""
-    rng = rng_stream(seed, _AMPLITUDE_STREAM, trial, 0)
-    return (scale / np.sqrt(2.0)) * (
-        rng.standard_normal((n_modes, n_snapshots))
-        + 1j * rng.standard_normal((n_modes, n_snapshots))
-    )
+    return _amplitude_stack(n_modes, n_snapshots, scale, seed, [trial])[0]
+
+
+def _amplitude_stack(n_modes: int, n_snapshots: int, scale: float, seed: int,
+                     trials: Sequence[int]) -> np.ndarray:
+    """A (T x J x M) stack of amplitude matrices with iid CN(0, scale^2) entries,
+    trial t's drawn from its (seed, amplitude, t, 0) substream."""
+    normals = np.empty((len(trials), 2, n_modes, n_snapshots))
+    for out, stream in zip(normals, _substreams(seed, _AMPLITUDE_STREAM, trials, 1)):
+        stream.standard_normal(out=out)
+    return _complex_normals(normals, scale / np.sqrt(2.0))
 
 
 def _format_block(block: np.ndarray) -> str:

@@ -64,6 +64,16 @@ def three_channel_scenario(variances=(1.0, 1.0, 1.0)) -> Scenario:
                     n_snapshots=8)
 
 
+@dataclasses.dataclass(frozen=True)
+class FixedChannelScenario(Scenario):
+    """A scenario whose channels are given matrices rather than built from its specs."""
+
+    fixed: tuple[ChannelModel, ...] = ()
+
+    def channels(self) -> list[ChannelModel]:
+        return list(self.fixed)
+
+
 P11 = KnowledgeSpec.from_panel("P11")
 P12 = KnowledgeSpec.from_panel("P12")
 P13 = KnowledgeSpec.from_panel("P13")
@@ -143,6 +153,23 @@ class TestRunNull:
         assert null.ks_reference == "beta"
         assert null.reference_params == (16.0, 368.0)
         assert null.ks_pvalue > 0.01
+
+    def test_known_noise_gamma_law(self):
+        # P11 is ||P_F Z_w||^2 / (L M) with Z_w the whitened data, iid CN(0, 1)
+        # under the null whatever the variances and the span of F, so
+        # Gamma(JM, scale 1 / (LM)) on unequal variances and channels that are
+        # not orthonormal.
+        rng = np.random.default_rng(42)
+        channels = tuple(dataclasses.replace(random_channel(rng, n, 2), gain=g, noise_variance=v)
+                         for n, v, g in ((16, 1.0, 1.0), (12, 3.0, 0.8 + 0.3j), (20, 0.5, 1.3)))
+        assert not any(ch.is_orthonormal() for ch in channels)
+        spec = ExperimentSpec(panel=P11, scenario=FixedChannelScenario(
+            specs=three_channel_scenario().specs, gains=tuple(ch.gain for ch in channels),
+            noise_variances=tuple(ch.noise_variance for ch in channels), n_snapshots=8,
+            fixed=channels), trials=3000, seed=5)
+        null = run_null(spec)
+        assert null.ks_reference is None
+        assert sps.kstest(null.sample, sps.gamma(16, scale=1 / 24).cdf).pvalue > 1e-3
 
     def test_unequal_variances_have_no_beta_reference(self):
         spec = ExperimentSpec(panel=P12, scenario=three_channel_scenario((1.0, 3.0, 0.5)),

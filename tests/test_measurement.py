@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import os
+import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +21,15 @@ from glrfusion import (
     save_measurements,
     simulate,
 )
+from glrfusion import measurement
 from glrfusion.fusion import save_messages
+from glrfusion.measurement import (
+    _amplitude_stack,
+    _seed_words,
+    draw_amplitudes,
+    draw_blocks,
+    rng_stream,
+)
 from conftest import complex_normal, random_channel
 from oracles import compose_f_whitened, message_amplitudes, ml_amplitudes, sample_covariance
 
@@ -90,6 +102,110 @@ class TestSimulate:
         s = sample_covariance(ms)
         expected = sum(6 * v for v in variances) / 12
         assert s.trace() / 12 == pytest.approx(expected, rel=0.05)
+
+
+def reference_noise(channels, m, seed, trials):
+    """draw_blocks' noise stacks from one rng_stream generator per (trial, channel)."""
+    stacks = []
+    for idx, ch in enumerate(channels):
+        normals = np.array([rng_stream(seed, 0, t, idx).standard_normal((2, ch.n_samples, m))
+                            for t in trials])
+        stacks.append(np.sqrt(ch.noise_variance / 2.0) * (normals[:, 0] + 1j * normals[:, 1]))
+    return stacks
+
+
+def reference_amplitudes(j, m, scale, seed, trials):
+    """Amplitude matrices drawn as two (J x M) normal draws per trial's generator."""
+    out = []
+    for t in trials:
+        rng = rng_stream(seed, 1, t, 0)
+        out.append((scale / np.sqrt(2.0)) * (rng.standard_normal((j, m))
+                                             + 1j * rng.standard_normal((j, m))))
+    return np.array(out)
+
+
+# (seed, trials): a grid of many keys takes the hash pass; fewer than eight
+# keys, or a seed or trial word of 2**32 or more, take rng_stream per key.
+SUBSTREAM_GRIDS = {
+    "hashed": (7, list(range(3, 23))),
+    "hashed-word-bounds": (2**32 - 1, [0, 2**32 - 1, 5, 6, 7, 8, 9, 2**32 - 2]),
+    "few-keys": (7, [0, 9]),
+    "wide-seed": (2**32 + 5, list(range(6))),
+    "wide-trial": (7, [1, 2, 2**40, 3]),
+}
+
+
+class TestSubstreams:
+    """The vectorised substreams equal numpy's SeedSequence and PCG64 bit for bit,
+    so a numpy release that changes either fails here rather than moving samples."""
+
+    def test_seed_words_match_seed_sequence(self):
+        rng = np.random.default_rng(2024)
+        bounds = list(itertools.product((0, 2**32 - 1), repeat=4))
+        keys = np.concatenate([rng.integers(0, 2**32, (1200, 4), dtype=np.uint64),
+                               np.array(bounds, dtype=np.uint64)]).astype(np.uint32)
+        words = _seed_words(keys)
+        assert words.dtype == np.uint64 and words.shape == (len(keys), 4)
+        expected = np.array([np.random.SeedSequence(tuple(int(w) for w in k))
+                             .generate_state(4, np.uint64) for k in keys])
+        np.testing.assert_array_equal(words, expected)
+
+    @staticmethod
+    def count_builds(monkeypatch) -> list:
+        """Record each generator a draw builds through rng_stream."""
+        built = []
+        monkeypatch.setattr(measurement, "rng_stream",
+                            lambda *key: built.append(key) or rng_stream(*key))
+        return built
+
+    @pytest.mark.parametrize("grid", sorted(SUBSTREAM_GRIDS))
+    def test_draw_blocks_match_rng_stream(self, rng, monkeypatch, grid):
+        seed, trials = SUBSTREAM_GRIDS[grid]
+        channels = [random_channel(rng, n, 2) for n in (6, 3, 9)]
+        built = self.count_builds(monkeypatch)
+        stacks = draw_blocks(channels, 4, seed, trials)
+        assert len(built) == (0 if grid.startswith("hashed") else 3 * len(trials))
+        for got, want in zip(stacks, reference_noise(channels, 4, seed, trials), strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("grid", sorted(SUBSTREAM_GRIDS))
+    def test_amplitudes_match_rng_stream(self, monkeypatch, grid):
+        seed, trials = SUBSTREAM_GRIDS[grid]
+        built = self.count_builds(monkeypatch)
+        stack = _amplitude_stack(3, 5, 2.5, seed, trials)
+        assert len(built) == (0 if grid.startswith("hashed") else len(trials))
+        np.testing.assert_array_equal(stack, reference_amplitudes(3, 5, 2.5, seed, trials))
+        for t, matrix in zip(trials, stack):
+            np.testing.assert_array_equal(draw_amplitudes(3, 5, 2.5, seed, trial=t), matrix)
+
+    @pytest.mark.parametrize("seed, trials", [(-1, list(range(12))), (3, [-1, *range(11)])])
+    def test_negative_key_raises_like_rng_stream(self, rng, seed, trials):
+        with pytest.raises(ValueError) as expected:
+            rng_stream(seed, 0, trials[0], 0)
+        channels = [random_channel(rng, 4, 1)]
+        message = re.escape(str(expected.value))
+        with pytest.raises(ValueError, match=message):
+            draw_blocks(channels, 3, seed, trials)
+        with pytest.raises(ValueError, match=message):
+            _amplitude_stack(1, 3, 1.0, seed, trials)
+
+    def test_concurrent_calls_match_serial(self, rng):
+        # Each call owns its generator: four threads drawing at once, with a
+        # short switch interval, give the serial draw.
+        channels = [random_channel(rng, n, 2) for n in (8, 5)]
+        trials = np.arange(40, 240)
+        serial = draw_blocks(channels, 6, 11, trials)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(draw_blocks, channels, 6, 11, trials) for _ in range(16)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for stacks in results:
+            for got, want in zip(stacks, serial, strict=True):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestMlAmplitudes:
