@@ -17,6 +17,7 @@ lives in the complex scalar ``gain``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -67,11 +68,19 @@ class PropagationSpec:
             object.__setattr__(self, "duration_s", self.n_samples * self.sample_period_s)
         else:
             expected = self.n_samples * self.sample_period_s
-            if abs(self.duration_s - expected) > 1e-9 * max(abs(expected), 1e-30):
+            if not abs(self.duration_s - expected) <= 1e-9 * max(abs(expected), 1e-30):
                 raise ConfigError(
                     f"duration_s={self.duration_s} inconsistent with "
                     f"n_samples * sample_period_s = {expected}"
                 )
+        # A delay turns phases at up to 2 pi (f_c + J/T) rad/s and a Doppler
+        # at up to 2 pi N Ts rad/Hz; an infinite rate times a zero delay is nan.
+        carrier_rate = 2.0 * math.pi * float(self.carrier_hz)
+        rates = (carrier_rate + 2.0 * math.pi * self.n_modes / self.duration_s,
+                 2.0 * math.pi * self.n_samples * self.sample_period_s)
+        if not all(map(math.isfinite, rates)):
+            name = "sample_period_s" if math.isfinite(carrier_rate) else "carrier_hz"
+            raise ConfigError(f"{name}={getattr(self, name)!r} gives non-finite channel phase rates")
         if self.delay_samples_s is not None:
             samples = tuple(float(t) for t in self.delay_samples_s)
             if len(samples) != self.n_samples:

@@ -8,6 +8,9 @@ amplitudes are drawn in one call, its blocks as per-channel stacks, and the
 chunk is summarised and evaluated together; every trial gets the checks a
 :class:`~glrfusion.detectors.DetectorReport` applies.  Thresholds always
 come from empirical null quantiles so every panel is treated uniformly.
+
+The module needs numpy alone: ``scipy.stats`` serves only :func:`run_null`'s
+KS reference and loads on the first null run that KS-tests.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from .channel import (
     ChannelModel,
@@ -215,7 +217,8 @@ def run_null(spec: ExperimentSpec, jobs: int = 1) -> NullDistribution:
     it.  The common-unknown-noise panel P12 is the fraction of the energy of
     N = sum N_l white samples inside a J-dimensional span, Beta(JM, (N - J)M),
     whenever every channel has the same noise variance.  On one channel the
-    per-channel-noise panel P13 is its -ln(1 - x) transform.
+    per-channel-noise panel P13 is its -ln(1 - x) transform.  The first such
+    test in a process imports ``scipy.stats``.
     """
     sample, degenerate = _statistic_sample(spec.panel, spec.scenario, spec.trials,
                                            spec.seed, None, jobs=jobs)
@@ -231,6 +234,8 @@ def run_null(spec: ExperimentSpec, jobs: int = 1) -> NullDistribution:
 
     def to_beta(x):  # P12's Beta variable, of which P13 is -ln(1 - x)
         return x if panel == "P12" else 1.0 - np.exp(-np.asarray(x))
+
+    from scipy import stats as sps  # deferred: importing it dominates a cold start
 
     res = sps.kstest(null.sample, lambda x: sps.beta(a, b).cdf(to_beta(x)))
     try:

@@ -52,6 +52,19 @@ class TestPropagationSpec:
         with pytest.raises(ConfigError):
             base_spec(delay_samples_s=(0.0,) * 5)
 
+    @pytest.mark.parametrize("field,value", [
+        ("carrier_hz", 1e308), ("carrier_hz", -1e308), ("carrier_hz", float("nan")),
+        ("sample_period_s", 1e-320), ("sample_period_s", 1e308),
+        ("sample_period_s", float("nan")),
+    ])
+    def test_non_finite_phase_rates_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field}="):
+            base_spec(**{field: value})
+
+    def test_nan_duration_rejected(self):
+        with pytest.raises(ConfigError, match="duration_s"):
+            base_spec(duration_s=float("nan"))
+
     def test_velocity_conversion(self):
         nu = radial_velocity_to_doppler(300.0, 10e9)
         assert nu == pytest.approx(10e9 * 300.0 / SPEED_OF_LIGHT_MPS)

@@ -354,6 +354,28 @@ class TestErrorsAndOverrides:
         assert err.strip().count("\n") == 0
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("override", [
+        "channels.0.carrier_hz=1e308", "channels.0.sample_period_s=1e-320",
+        "channels.0.sample_period_s=1e308",
+    ], ids=["huge-carrier", "subnormal-period", "huge-period"])
+    def test_overflowing_phase_rate_is_clean_error(self, tmp_path, capsys, override):
+        sim = write_config(tmp_path / "sim.json", simulate_config(tmp_path))
+        assert main(["simulate", "--config", sim]) == 0
+        cfg = write_config(tmp_path / "det.json", {
+            "panel": "p11", "modes": 1, "channels": [channel_entry()],
+            "output": str(tmp_path / "report")})
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["detect", "--config", cfg, str(tmp_path / "data"),
+                         "--set", override]) == 1
+        assert not caught
+        err = capsys.readouterr().err
+        key = override.split("=")[0].split(".")[-1]
+        assert err.startswith("error:") and key in err and "delay" not in err
+        assert err.strip().count("\n") == 0
+        assert not (tmp_path / "report").exists()
+
     def test_missing_required_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {"seed": 1})
         assert main(["simulate", "--config", cfg]) == 1

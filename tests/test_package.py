@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 
 import glrfusion
 
@@ -38,3 +42,34 @@ def test_public_names_are_pinned():
 def test_report_fields_are_pinned():
     names = [f.name for f in dataclasses.fields(glrfusion.DetectorReport)]
     assert names == REPORT_FIELDS
+
+
+IMPORT_FOOTPRINT = textwrap.dedent("""
+    import math
+    import sys
+
+    import glrfusion
+    import glrfusion.cli
+
+    assert "scipy.stats" not in sys.modules, "importing glrfusion loaded scipy.stats"
+
+    from glrfusion import ExperimentSpec, KnowledgeSpec, PropagationSpec, Scenario, run_null
+
+    spec = PropagationSpec(carrier_hz=1e6, sample_period_s=1e-3, n_samples=8, n_modes=2)
+    scenario = Scenario(specs=(spec, spec), gains=(1.0, 0.5j), noise_variances=(2.0, 2.0),
+                        n_snapshots=4)
+    null = run_null(ExperimentSpec(panel=KnowledgeSpec.from_panel("P12"),
+                                   scenario=scenario, trials=200, seed=1))
+    assert null.ks_reference == "beta", null.ks_reference
+    assert math.isfinite(null.ks_pvalue), null.ks_pvalue
+    assert "scipy.stats" in sys.modules
+""")
+
+
+def test_import_loads_no_scipy_stats_until_a_ks_test():
+    # A fresh interpreter: this process has imported scipy.stats already.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c",
+                             IMPORT_FOOTPRINT], env=env, capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
