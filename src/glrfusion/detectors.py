@@ -36,10 +36,10 @@ the signal.
   orthogonal parts, with A = [a_l / sqrt(v_l)] the LJ x M stack of
   coordinates: the composite energy is that of A inside the span of G and
   cv = tail(A) / D.  No LN x M stack is formed.
-* Row 2 splits B, whose row l is sqrt(alpha_l phi_l) vec(H_l^H X_l) /
-  ||H_l^H X_l|| with H_l^H X_l = R_l^H a_l, at one singular value: B B^H is
-  the fusion quadratic form, a single row has no tail, and the top left
-  singular vector is the gain direction.
+* Row 2 splits the L x JM stack of whitened matched outputs, row l
+  vec(H_l^H X_l) / sqrt(v_l) with H_l^H X_l = R_l^H a_l, at one singular
+  value, as an unknown gain leaves each channel one dimension: cv =
+  tail / D.  Over sqrt(M D) the stack is the fusion factor B of the report.
 * Row 3 is row 1 with the span given by J: each R_l and the stack
   A = [R_l / sqrt(v_l)], which has the singular values of Z, split at their
   J-th singular value.  The tail of A holds the channels' tails, so
@@ -132,8 +132,10 @@ class DetectorReport:
     Invariants (checked on construction unless the report is degenerate):
     weights sum to one, and composite = sum(alphas * per_channel) -
     cross_validation to 1e-9 relative (:func:`check_decomposition`).  Row 2
-    adds the gain direction and the coherences; no panel reports a subspace
-    basis, as every statistic is a sum of energies.
+    adds the coherences of the matched outputs and the gain direction, the
+    weights over channels that attain the composite (none when a residual
+    vanishes); no panel reports a subspace basis, as every statistic is a
+    sum of energies.
     """
 
     composite: float
@@ -395,24 +397,37 @@ class _Evaluation(NamedTuple):
     col: _Column
     degenerate: np.ndarray  # (B,)
     noise_alt: np.ndarray | None  # (B, L) or (B, 1)
-    gain_direction: np.ndarray | None = None  # (B, L)
-    coherences: np.ndarray | None = None  # (B, L, L)
+    outputs: np.ndarray | None = None  # (B, L, J, M) matched outputs R_l^H a_l, row 2
 
 
 def _report(spec: KnowledgeSpec, ev: _Evaluation) -> DetectorReport:
-    """The report of a batch of one."""
+    """The report of a batch of one.
+
+    Row 2 adds the coherences, the Gram matrix of the unit rows vec(A_l) /
+    ||A_l|| of the matched outputs (zero for a zero output), and the gain
+    direction, the top left singular vector of B = [sqrt(alpha_l phi_l)
+    vec(A_l) / ||A_l||], whose B B^H is the fusion quadratic form.
+    """
     col = ev.col
     resolved = bool(col.resolved[0])
     fused = spec.noise_knowledge == NoiseKnowledge.DIFFERENT_UNKNOWN and resolved
+    gain_direction = coherences = None
+    if ev.outputs is not None:
+        root = np.sqrt(energy(ev.outputs[0]))
+        unit = ev.outputs[0].reshape(len(root), -1) / np.where(root > 0.0, root, 1.0)[:, None]
+        coherences = unit @ _h(unit)
+        np.fill_diagonal(coherences, 1.0)
+        if resolved:
+            b = np.sqrt(col.alphas[0] * col.phi[0])[:, None] * unit
+            u = np.linalg.svd(b, full_matrices=False)[0]
+            gain_direction = _normalize_phases(u[:, :1])[:, 0]
     return DetectorReport(
         composite=float(ev.composite[0]), alphas=col.alphas[0].copy(), per_channel=col.lam[0],
         cross_validation=float(ev.cross_validation[0]), panel=spec,
         degenerate=bool(ev.degenerate[0]),
         noise_null=None if col.noise_null is None else col.noise_null[0],
         noise_alt=None if ev.noise_alt is None else ev.noise_alt[0],
-        gain_direction=None if ev.gain_direction is None or not resolved
-        else _normalize_phases(ev.gain_direction[0][:, None])[:, 0],
-        coherences=None if ev.coherences is None else ev.coherences[0],
+        gain_direction=gain_direction, coherences=coherences,
         extras={"fusion_stats": col.phi[0]} if fused else {})
 
 
@@ -435,68 +450,48 @@ def _split(x: np.ndarray, span: np.ndarray | int, m: int) -> tuple[np.ndarray, n
 def evaluate(spec: KnowledgeSpec, s: Summary, dominant_numerator: bool = False) -> _Evaluation:
     """Any panel over the summary's batch of hypotheses.
 
-    Row 2 is :func:`_gain_row`.  Rows 1 and 3 split the stack A of whitened
-    coordinates at the composite's span: the orthonormal basis of G = [f_l
-    R_l] on row 1, the mode count J on row 3, where each channel's energies
-    come from the same split of R_l and the tail of A less the channels'
-    whitened tails is the cross-validation energy.
+    Each row splits its stack of whitened blocks, each divided by sqrt(v_l),
+    at the composite's span: the coordinates a_l at the orthonormal basis of
+    G = [f_l R_l] on row 1, the rows vec(R_l^H a_l) at one singular value on
+    row 2, and the factors R_l at the mode count J on row 3, where each
+    channel's energies come from the same split of R_l and the tail of the
+    stack less the channels' whitened tails is the cross-validation energy.
     """
-    if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_GAINS:
-        return _gain_row(spec, s)
     noise = spec.noise_knowledge
+    gains_row = spec.channel_knowledge == ChannelKnowledge.UNKNOWN_GAINS
     batch, n_ch, k, m = s.coords.shape
     subspace = isinstance(s.coupling, int)
-    signal, tails = (_split(s.coords, s.coupling, m) if subspace
-                     else (energy(s.coords) / m, s.tails))
+    data = _h(s.coupling) @ s.coords if gains_row else s.coords
+    signal, tails = (_split(data, s.coupling, m) if subspace
+                     else (energy(data) / m, s.tails))
     col = _column(noise, s.variances, s.dims, s.energies, signal, tails,
                   numerator=signal if dominant_numerator else None,
                   log=np.log1p if subspace else np.log)
     ok = col.resolved  # a cell whose residual vanishes forms no composite
     v = np.broadcast_to(1.0 if col.variance is None else col.variance, (batch, n_ch))[ok]
-    stack = (s.coords[ok] / np.sqrt(v)[..., None, None]).reshape(-1, n_ch * k, m)
-    if subspace:
-        top, rest = _split(stack, s.coupling, m)
+    whitened = data[ok] / np.sqrt(v)[..., None, None]
+    if gains_row:
+        top, rest = _split(whitened.reshape(-1, n_ch, k * m), 1, m)
+    elif subspace:
+        top, rest = _split(whitened.reshape(-1, n_ch * k, m), s.coupling, m)
         rest = rest - (tails[ok] / v).sum(-1)
     else:
         f = s.gains / np.sqrt(s.variances) if noise == NoiseKnowledge.KNOWN else s.gains
         coupling = (f[:, None, None] * s.coupling[ok]).reshape(-1, n_ch * k, k)
-        top, rest = _split(stack, orthonormal_basis(coupling, "composite channel"), m)
+        top, rest = _split(whitened.reshape(-1, n_ch * k, m),
+                           orthonormal_basis(coupling, "composite channel"), m)
     composite, cv = np.full(batch, math.inf), np.zeros(batch)
     cv[ok] = rest / col.denominator[ok]
     composite[ok] = (np.vecdot(col.lam[ok], col.alphas[ok]) - cv[ok]
                      if noise == NoiseKnowledge.DIFFERENT_UNKNOWN else top / col.denominator[ok])
     noise_alt = col.noise_alt
-    if noise == NoiseKnowledge.COMMON_UNKNOWN:  # every cell is resolved
+    if noise == NoiseKnowledge.COMMON_UNKNOWN and not gains_row:  # every cell is resolved
         noise_alt = ((tails.sum(-1) + rest) / s.dims.sum())[:, None]
-    return _Evaluation(composite, cv, col, col.degenerate, noise_alt)
-
-
-def _gain_row(spec: KnowledgeSpec, s: Summary) -> _Evaluation:
-    """Row 2: the rank-one split of the matched outputs A_l = H_l^H X_l = R_l^H a_l.
-
-    Row l of B is sqrt(alpha_l phi_l) vec(A_l) / ||A_l||, so B B^H is the
-    fusion quadratic form and the coherences are the Gram matrix of the unit
-    rows.  A zero-energy output gives a zero row and zeroed coherences and
-    sets the degenerate flag.
-    """
-    noise = spec.noise_knowledge
-    batch, n_ch, _, m = s.coords.shape
-    outputs = _h(s.coupling) @ s.coords
-    matched = energy(outputs)
-    col = _column(noise, s.variances, s.dims, s.energies, matched / m, s.tails)
-    root = np.sqrt(matched)
-    unit = outputs.reshape(batch, n_ch, -1) / np.where(root > 0.0, root, 1.0)[..., None]
-    coherences = unit @ _h(unit)
-    coherences.reshape(batch, -1)[:, ::n_ch + 1] = 1.0
-    b = np.sqrt(col.alphas * col.phi)[..., None] * unit
-    u, sv, _ = np.linalg.svd(b, full_matrices=False)
-    top, cv = sv[..., 0] ** 2, (sv[..., 1:] ** 2).sum(-1)
-    composite = (np.vecdot(col.lam, col.alphas) - cv
-                 if noise == NoiseKnowledge.DIFFERENT_UNKNOWN else top)
-    return _Evaluation(np.where(col.resolved, composite, math.inf),
-                       np.where(col.resolved, cv, 0.0), col,
-                       col.degenerate | (matched <= 0.0).any(axis=-1), col.noise_alt,
-                       gain_direction=u[..., 0], coherences=coherences)
+    degenerate = col.degenerate
+    if gains_row:  # a zero matched output has no direction
+        degenerate = degenerate | (signal <= 0.0).any(axis=-1)
+    return _Evaluation(composite, cv, col, degenerate, noise_alt,
+                       data if gains_row else None)
 
 
 def _mode_count(spec: KnowledgeSpec, channels: Sequence[ChannelModel], dims: list[int],

@@ -88,12 +88,27 @@ class Scenario:
         Per-channel SNR is |g_l|^2 E||a||^2 / (J sigma_l^2); amplitudes are
         drawn iid CN(0, s^2), so s is chosen to make the channel-averaged
         SNR equal the requested value.
+
+        Raises
+        ------
+        ConfigError
+            If the scale is not finite and positive: the SNR or a gain
+            overflows, or every gain is zero.
         """
-        snr = 10.0 ** (snr_db / 10.0)
-        gain_over_noise = np.mean([
-            abs(g) ** 2 / v for g, v in zip(self.gains, self.noise_variances)
-        ])
-        return float(np.sqrt(snr / gain_over_noise))
+        try:
+            snr = 10.0 ** (snr_db / 10.0)
+            gain_over_noise = np.mean([
+                abs(g) ** 2 / v for g, v in zip(self.gains, self.noise_variances)
+            ])
+        except OverflowError:
+            scale = math.nan
+        else:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                scale = float(np.sqrt(snr / gain_over_noise))
+        if not (math.isfinite(scale) and scale > 0.0):
+            raise ConfigError(f"snr_db={snr_db!r} with these gains and noise variances gives "
+                              f"no finite positive amplitude scale")
+        return scale
 
 
 @dataclass(frozen=True)
@@ -281,10 +296,6 @@ class RocCurve:
         return float(np.trapezoid(y, x))
 
 
-def _required_trials(pfa: float) -> int:
-    return int(math.ceil(10.0 / pfa))
-
-
 def _quantiles(sample: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """np.quantile's linear quantiles, +inf wherever one weighs a +inf (degenerate) trial.
 
@@ -292,8 +303,6 @@ def _quantiles(sample: np.ndarray, probs: np.ndarray) -> np.ndarray:
     float, an inf leaves the other quantiles' bits as they are and lifts
     those that weigh it above every finite sample.
     """
-    if np.all(np.isfinite(sample)):
-        return np.quantile(sample, probs)
     q = np.quantile(np.minimum(sample, np.finfo(float).max), probs)
     return np.where(q > np.max(sample, where=np.isfinite(sample), initial=-np.inf), np.inf, q)
 
@@ -305,10 +314,11 @@ def _null_thresholds(spec: ExperimentSpec, pfas: np.ndarray,
         if not (0.0 < p < 1.0):
             raise ConfigError(f"pfa must lie in (0, 1), got {p}")
     smallest = float(min(pfas))
-    if spec.trials < _required_trials(smallest):
+    needed = 10.0 / smallest  # inf for a subnormal pfa
+    if spec.trials < needed:
         raise ConfigError(
             f"{spec.trials} trials cannot resolve pfa={smallest}; "
-            f"need at least {_required_trials(smallest)}"
+            f"need at least {math.ceil(needed) if math.isfinite(needed) else needed}"
         )
     sample, degenerate = _statistic_sample(spec.panel, spec.scenario, spec.trials,
                                            spec.seed, None, jobs=jobs)
@@ -327,11 +337,11 @@ def run_roc(spec: ExperimentSpec, jobs: int = 1) -> list[RocCurve]:
         raise ConfigError("run_roc needs at least one pfa target")
     if not spec.snr_db:
         raise ConfigError("run_roc needs at least one SNR grid point")
+    scales = [spec.scenario.amplitude_scale(snr) for snr in spec.snr_db]
     null_sample, thresholds, null_degenerate = _null_thresholds(
         spec, np.sort(spec.pfa_targets)[::-1], jobs)  # large pfa -> small threshold
     curves = []
-    for k, snr in enumerate(spec.snr_db):
-        scale = spec.scenario.amplitude_scale(snr)
+    for k, (snr, scale) in enumerate(zip(spec.snr_db, scales)):
         alt, degenerate = _statistic_sample(spec.panel, spec.scenario, spec.trials, spec.seed,
                                             scale, trial_offset=(k + 1) * spec.trials, jobs=jobs)
         false_alarms = [int((null_sample > t).sum()) for t in thresholds]

@@ -376,6 +376,37 @@ class TestErrorsAndOverrides:
         assert err.strip().count("\n") == 0
         assert not (tmp_path / "report").exists()
 
+    @pytest.mark.parametrize("command, override, key", [
+        ("simulate", "snr_db=4000", "snr_db"),
+        ("simulate", "channels.0.gain=1e300", "gains"),
+        ("simulate", "channels.0.gain=0", "gains"),
+        ("roc", "snr_db=[4000]", "snr_db"),
+        ("roc", "channels.0.gain=1e300", "gains"),
+        ("roc", "pfa_targets=[1e-320]", "pfa"),
+        ("calibrate", "pfa=1e-320", "pfa"),
+    ], ids=["simulate-huge-snr", "simulate-huge-gain", "simulate-zero-gain", "roc-huge-snr",
+            "roc-huge-gain", "roc-subnormal-pfa", "calibrate-subnormal-pfa"])
+    def test_out_of_range_scale_or_pfa_is_clean_error(self, tmp_path, capsys, command,
+                                                      override, key):
+        if command == "simulate":
+            config = simulate_config(tmp_path, out_name="out", hypothesis="h1", snr_db=0.0)
+        else:
+            targets = ({"pfa": 0.5} if command == "calibrate"
+                       else {"snr_db": [0.0], "pfa_targets": [0.1]})
+            config = {"panel": "p11", "modes": 1, "channels": [channel_entry()],
+                      "snapshots": 4, "trials": 10, "seed": 1,
+                      "output": str(tmp_path / "out"), **targets}
+        cfg = write_config(tmp_path / "c.json", config)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", cfg, "--set", override]) == 1
+        assert not caught
+        out, err = capsys.readouterr()
+        assert err.startswith("error:") and key in err and "Traceback" not in err
+        assert err.strip().count("\n") == 0
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_missing_required_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {"seed": 1})
         assert main(["simulate", "--config", cfg]) == 1
