@@ -204,17 +204,27 @@ def orthonormal_columns(h: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return np.linalg.norm(gram - np.eye(j), axis=(-2, -1)) <= tol * max(1.0, j)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class ChannelModel:
-    """One receive channel: trace-normalized coupling matrix, gain, noise power."""
+    """One receive channel: trace-normalized coupling matrix, gain, noise power.
+
+    The matrix is a read-only copy, and the basis and coupling cached from it
+    are read-only too, so a channel shared between calls cannot change.
+    """
 
     matrix: np.ndarray
     gain: complex
     noise_variance: float
 
     def __post_init__(self):
-        h = as_complex_matrix(self.matrix, "channel matrix")
-        object.__setattr__(self, "matrix", h)
+        # A copy: the caller's array stays writable and its changes cannot reach the channel.
+        h = as_complex_matrix(self.matrix, "channel matrix").copy(order="K")
+        object.__setattr__(self, "matrix", _read_only(h))
         object.__setattr__(self, "gain", complex(self.gain))
         object.__setattr__(self, "noise_variance", float(self.noise_variance))
         if self.noise_variance <= 0:
@@ -242,12 +252,12 @@ class ChannelModel:
     @cached_property
     def basis(self) -> np.ndarray:
         """Orthonormal basis Q of the column span of the matrix H."""
-        return orthonormal_basis(self.matrix)
+        return _read_only(orthonormal_basis(self.matrix))
 
     @cached_property
     def coupling(self) -> np.ndarray:
         """The J x J factor R = Q^H H, so that H = Q R."""
-        return self.basis.conj().T @ self.matrix
+        return _read_only(self.basis.conj().T @ self.matrix)
 
     @cached_property
     def orthonormal(self) -> bool:

@@ -51,7 +51,12 @@ _CHUNK_ENTRIES = 1 << 18
 
 @dataclass(frozen=True)
 class Scenario:
-    """Physical channel specs plus snapshot count for one experiment."""
+    """Physical channel specs plus snapshot count for one experiment.
+
+    The channels are built once, on first use, and every later call on the
+    same scenario shares them, with the bases they cache.  A scenario made
+    by ``dataclasses.replace`` is a new object and builds its own.
+    """
 
     specs: tuple[PropagationSpec, ...]
     gains: tuple[complex, ...]
@@ -78,9 +83,15 @@ class Scenario:
     def n_modes(self) -> int:
         return self.specs[0].n_modes
 
+    @functools.cached_property
+    def _channels(self) -> tuple[ChannelModel, ...]:
+        return tuple(narrowband_channel(spec, g, v)
+                     for spec, g, v in zip(self.specs, self.gains, self.noise_variances))
+
     def channels(self) -> list[ChannelModel]:
-        return [narrowband_channel(spec, g, v)
-                for spec, g, v in zip(self.specs, self.gains, self.noise_variances)]
+        """The scenario's channels: built on first use, then the same
+        (immutable) objects on every call, in a new list each time."""
+        return list(self._channels)
 
     def amplitude_scale(self, snr_db: float) -> float:
         """Amplitude standard deviation realizing a mean per-channel SNR.
@@ -340,21 +351,25 @@ def run_roc(spec: ExperimentSpec, jobs: int = 1) -> list[RocCurve]:
     scales = [spec.scenario.amplitude_scale(snr) for snr in spec.snr_db]
     null_sample, thresholds, null_degenerate = _null_thresholds(
         spec, np.sort(spec.pfa_targets)[::-1], jobs)  # large pfa -> small threshold
+
+    def rates(sample):  # exceedance counts / trials and their Wilson half-widths
+        counts = [int((sample > t).sum()) for t in thresholds]
+        halves = np.array([wilson_interval(c, spec.trials)[2] for c in counts])
+        return np.array(counts) / spec.trials, halves
+
+    pfa, pfa_half = rates(null_sample)
     curves = []
     for k, (snr, scale) in enumerate(zip(spec.snr_db, scales)):
         alt, degenerate = _statistic_sample(spec.panel, spec.scenario, spec.trials, spec.seed,
                                             scale, trial_offset=(k + 1) * spec.trials, jobs=jobs)
-        false_alarms = [int((null_sample > t).sum()) for t in thresholds]
-        detections = [int((alt > t).sum()) for t in thresholds]
-        pd_half = np.array([wilson_interval(k, spec.trials)[2] for k in detections])
-        pfa_half = np.array([wilson_interval(k, spec.trials)[2] for k in false_alarms])
+        pd, pd_half = rates(alt)
         curves.append(RocCurve(
             thresholds=thresholds,
-            pfa=np.array(false_alarms) / spec.trials,
-            pd=np.array(detections) / spec.trials,
+            pfa=pfa.copy(),  # no two curves share a pfa array
+            pd=pd,
             trials=spec.trials,
             wilson_halfwidth=pd_half,
-            pfa_halfwidth=pfa_half,
+            pfa_halfwidth=pfa_half.copy(),
             snr_db=float(snr),
             degenerate_trials=degenerate,
             null_degenerate_trials=null_degenerate,

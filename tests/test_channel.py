@@ -185,6 +185,21 @@ class TestCachedBasis:
         np.testing.assert_allclose(ch.basis @ ch.coupling, ch.matrix, atol=1e-12)
         assert ch.orthonormal == ch.is_orthonormal()
 
+    def test_matrix_and_cached_factors_are_read_only(self, rng):
+        ch = random_channel(rng, 6, 2)
+        for name in ("matrix", "basis", "coupling"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(ch, name)[0, 0] = 0.0
+
+    def test_source_array_is_copied(self, rng):
+        h = normalize_channel(complex_normal(rng, (6, 2)))
+        ch = ChannelModel(matrix=h, gain=1.0, noise_variance=1.0)
+        matrix, basis = ch.matrix.copy(), ch.basis.copy()
+        h[0, 0] = 0.0  # the caller's array stays writable
+        h[:, 1] *= 2.0
+        np.testing.assert_array_equal(ch.matrix, matrix)
+        np.testing.assert_array_equal(ch.basis, basis)
+
     def test_rank_deficient_channel_raises_on_every_call(self, rng):
         column = complex_normal(rng, (5, 1))
         ch = ChannelModel(matrix=normalize_channel(np.hstack([column, 2 * column])),

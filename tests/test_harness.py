@@ -74,6 +74,19 @@ class FixedChannelScenario(Scenario):
         return list(self.fixed)
 
 
+@pytest.fixture
+def channel_builds(monkeypatch) -> list[tuple]:
+    """The arguments of every channel the harness builds from here on."""
+    builds = []
+
+    def count_build(*args, **kwargs):
+        builds.append(args)
+        return narrowband_channel(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "narrowband_channel", count_build)
+    return builds
+
+
 P11 = KnowledgeSpec.from_panel("P11")
 P12 = KnowledgeSpec.from_panel("P12")
 P13 = KnowledgeSpec.from_panel("P13")
@@ -617,23 +630,20 @@ class TestScan:
         assert_images_close(image.values, scan_by_rebuild(
             KnowledgeSpec.from_panel(panel), scenario, ms, delays, dopplers, [1]))
 
-    def test_no_per_cell_detect_or_channel_build(self, monkeypatch):
-        scenario = two_channel_scenario()
-        ms = simulate(scenario.channels(), scenario.n_snapshots, seed=1)
-        builds = []
-
-        def count_build(*args, **kwargs):
-            builds.append(args)
-            return narrowband_channel(*args, **kwargs)
-
+    def test_no_per_cell_detect_or_channel_build(self, monkeypatch, channel_builds):
         def no_detect(*args, **kwargs):
             raise AssertionError("scan called detect")
 
-        monkeypatch.setattr(harness, "narrowband_channel", count_build)
         monkeypatch.setattr(harness, "detect", no_detect, raising=False)
+        # Counted from the scenario's first use: its channels are built once,
+        # for simulate, and the scans reuse them.
+        scenario = two_channel_scenario()
+        ms = simulate(scenario.channels(), scenario.n_snapshots, seed=1)
         delays, dopplers = self.make_grid(scenario)
         scan_likelihood_image(P11, scenario, ms, delays, dopplers)
-        assert len(builds) == scenario.n_channels
+        assert len(channel_builds) == scenario.n_channels
+        scan_likelihood_image(P11, scenario, ms, delays, dopplers)
+        assert len(channel_builds) == scenario.n_channels
 
     @pytest.mark.parametrize("scan_channels", [[5], [2], [-1], [], [1, 1]],
                              ids=["far-out-of-range", "out-of-range", "negative", "empty",
@@ -693,3 +703,38 @@ class TestScenario:
     def test_channels_are_orthonormal(self):
         for ch in two_channel_scenario().channels():
             assert ch.is_orthonormal()
+
+    def test_channels_are_built_once_and_shared(self):
+        scenario = three_channel_scenario()
+        first, second = scenario.channels(), scenario.channels()
+        assert first is not second
+        assert len(first) == scenario.n_channels
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_replaced_scenario_builds_its_own_channels(self):
+        scenario = three_channel_scenario()
+        old = scenario.channels()
+        gains = (2.0, -1j, 0.5)
+        changed = dataclasses.replace(scenario, gains=gains)
+        assert [ch.gain for ch in changed.channels()] == list(gains)
+        assert not any(a is b for a, b in zip(old, changed.channels()))
+        assert [ch.gain for ch in scenario.channels()] == [1.0, 0.8 + 0.3j, 1.3]
+
+    def test_experiments_build_each_channel_once(self, channel_builds):
+        spec = ExperimentSpec(panel=P11, scenario=three_channel_scenario(), trials=200, seed=3,
+                              snr_db=(0.0, 5.0), pfa_targets=(0.1,))
+        run_null(spec)
+        run_roc(spec)
+        calibrate_threshold(spec, 0.1)
+        assert [b[0] for b in channel_builds] == list(spec.scenario.specs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_reused_scenario_matches_a_fresh_one(self, jobs):
+        scenario = three_channel_scenario((1.0, 3.0, 0.5))
+        for panel in (P11, P21, P31):
+            spec = ExperimentSpec(panel=panel, scenario=scenario, trials=40, seed=9)
+            first = run_null(spec, jobs=jobs).sample
+            fresh = dataclasses.replace(spec, scenario=three_channel_scenario((1.0, 3.0, 0.5)))
+            assert fresh.scenario == scenario
+            np.testing.assert_array_equal(run_null(spec, jobs=jobs).sample, first)
+            np.testing.assert_array_equal(run_null(fresh, jobs=jobs).sample, first)
