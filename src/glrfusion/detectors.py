@@ -214,9 +214,13 @@ def detect(spec: KnowledgeSpec, channels: Sequence[ChannelModel], measurements: 
     for row in "123" for col in "123")
 
 
-def _block_energies(channels: Sequence[ChannelModel], blocks: Sequence[np.ndarray],
-                    dims: list[int], m: int) -> np.ndarray:
-    """Check the channels against the data; return block energies ||X_l||^2 / M, (B, L)."""
+def _checked_energies(channels: Sequence[ChannelModel], dims: list[int],
+                      energies) -> np.ndarray:
+    """Check the channels against the data; return the energies E_l = ||X_l||^2 / M, (B, L).
+
+    ``energies`` computes them, under an error state in which an overflow
+    raises here and not as a warning.
+    """
     if not channels:
         raise ConfigError("at least one channel is required")
     require_same_dims(channels, dims)
@@ -224,8 +228,8 @@ def _block_energies(channels: Sequence[ChannelModel], blocks: Sequence[np.ndarra
     for idx, ch in enumerate(channels):
         if ch.n_modes != j:
             raise ConfigError(f"channel {idx} has {ch.n_modes} modes, expected {j}")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        energies = np.stack([energy(x) for x in blocks], axis=-1) / m
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = energies()
     if not np.all(np.isfinite(energies)):
         raise ValueError("data energy overflows float64")
     return energies
@@ -246,6 +250,14 @@ class Summary(NamedTuple):
     rows leave R_l^H R_l = X_l^H X_l, so every singular value is kept.  The
     channel constants are shared by the whole batch, and so are the block
     energies of a batch of hypotheses on one data set (a scan's cells).
+
+    Rows 1 and 2 read a block only through a_l and the tail, so
+    :func:`coordinate_summary` builds their summary from those alone: the
+    Monte-Carlo harness draws them directly (``measurement.draw_trials``).
+    White noise keeps its law under the rotation [Q_l Q_l^perp]^H, so its
+    coordinates are iid CN(0, sigma_l^2) and its energy outside the span
+    sigma_l^2 Gamma((N_l - J) M, 1), independent of them: exactly the law of
+    a_l and the tail of a drawn N_l x M block.
     """
 
     gains: np.ndarray  # (L,) g_l
@@ -279,6 +291,33 @@ def _not_orthonormal(index: int) -> ConfigError:
     return ConfigError(f"channel {index} must have orthonormal columns for unknown-gain panels")
 
 
+def _known_couplings(spec: KnowledgeSpec, channels: Sequence[ChannelModel],
+                     batch: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Rows 1 and 2: each channel's basis and the coupling stack, after the row's gate.
+
+    Row 1 takes the cached bases, whose rank gate raises RankDeficiencyError,
+    and the (B, L, J, J) factors R_l; row 2 requires orthonormal couplings,
+    which are their own bases, with R_l = I.
+    """
+    if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_GAINS:
+        bad = [i for i, ch in enumerate(channels) if not ch.orthonormal]
+        if bad:
+            raise _not_orthonormal(bad[0])
+        return [ch.matrix for ch in channels], np.eye(channels[0].n_modes, dtype=complex)
+    bases = [_basis(i, ch) for i, ch in enumerate(channels)]
+    coupling = np.array([ch.coupling for ch in channels])
+    return bases, np.broadcast_to(coupling, (batch,) + coupling.shape)
+
+
+def _summary(channels: Sequence[ChannelModel], dims: list[int], energies: np.ndarray,
+             coupling: np.ndarray | int, coords: np.ndarray,
+             tails: np.ndarray | None) -> Summary:
+    return Summary(gains=np.array([ch.gain for ch in channels]),
+                   variances=np.array([ch.noise_variance for ch in channels]),
+                   dims=np.array(dims, dtype=float), energies=energies,
+                   coupling=coupling, coords=coords, tails=tails)
+
+
 def summarise(spec: KnowledgeSpec, channels: Sequence[ChannelModel],
               blocks: Sequence[np.ndarray]) -> Summary:
     """The summary of a panel's channels on B data sets.
@@ -287,31 +326,39 @@ def summarise(spec: KnowledgeSpec, channels: Sequence[ChannelModel],
     matrix per data set: :func:`detect` passes a stack of one.
     """
     dims, m = [x.shape[-2] for x in blocks], blocks[0].shape[-1]
-    energies = _block_energies(channels, blocks, dims, m)
+    energies = _checked_energies(
+        channels, dims, lambda: np.stack([energy(x) for x in blocks], axis=-1) / m)
     batch = len(energies)
     if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_SUBSPACE:
         coupling = _mode_count(spec, channels, dims, m)
         padded = np.zeros((batch, len(blocks), max(dims), m), dtype=complex)
         for idx, x in enumerate(blocks):
             padded[:, idx, :x.shape[-2]] = x
-        coords, tails = np.linalg.qr(padded, mode="r"), None
-    else:
-        if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_GAINS:
-            bad = [i for i, ch in enumerate(channels) if not ch.orthonormal]
-            if bad:
-                raise _not_orthonormal(bad[0])
-            bases = [ch.matrix for ch in channels]
-            coupling = np.eye(channels[0].n_modes, dtype=complex)
-        else:
-            bases = [_basis(i, ch) for i, ch in enumerate(channels)]
-            coupling = np.array([ch.coupling for ch in channels])
-            coupling = np.broadcast_to(coupling, (batch,) + coupling.shape)
-        coords, tails = zip(*(_coordinates(q, x, m) for q, x in zip(bases, blocks)))
-        coords, tails = np.stack(coords, axis=1), np.stack(tails, axis=-1)
-    return Summary(gains=np.array([ch.gain for ch in channels]),
-                   variances=np.array([ch.noise_variance for ch in channels]),
-                   dims=np.array(dims, dtype=float), energies=energies,
-                   coupling=coupling, coords=coords, tails=tails)
+        return _summary(channels, dims, energies, coupling,
+                        np.linalg.qr(padded, mode="r"), None)
+    bases, coupling = _known_couplings(spec, channels, batch)
+    coords, tails = zip(*(_coordinates(q, x, m) for q, x in zip(bases, blocks)))
+    return _summary(channels, dims, energies, coupling, np.stack(coords, axis=1),
+                    np.stack(tails, axis=-1))
+
+
+def coordinate_summary(spec: KnowledgeSpec, channels: Sequence[ChannelModel],
+                       coords: Sequence[np.ndarray], tails: np.ndarray) -> Summary:
+    """The summary of a row-1 or row-2 panel on B data sets given by a_l and the tail.
+
+    ``coords`` holds each channel's (B, J, M) coordinates a_l = Q_l^H X_l in
+    the basis of :attr:`ChannelModel.basis`, ``tails`` the (B, L) tails
+    ||X_l - Q_l a_l||^2 / M; no block is formed.  The checks are those of
+    :func:`summarise`, with E_l = ||a_l||^2 / M + tail_l; row 2 reads the
+    matched outputs H_l^H X_l = R_l^H a_l.
+    """
+    dims, m = [ch.n_samples for ch in channels], coords[0].shape[-1]
+    energies = _checked_energies(
+        channels, dims, lambda: np.stack([energy(a) for a in coords], axis=-1) / m + tails)
+    _, coupling = _known_couplings(spec, channels, len(energies))
+    if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_GAINS:
+        coords = [_h(ch.coupling) @ a for ch, a in zip(channels, coords)]
+    return _summary(channels, dims, energies, coupling, np.stack(coords, axis=1), tails)
 
 
 def bank_summary(spec: KnowledgeSpec, index: int, bank: np.ndarray, x: np.ndarray,

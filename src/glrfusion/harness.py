@@ -4,9 +4,15 @@ calibration, and likelihood-image parameter scans.
 Trials are independent and deterministically seeded per (seed, trial,
 channel), so results are identical whatever the execution order or level of
 parallelism.  They are evaluated in chunks of bounded memory: a chunk's
-amplitudes are drawn in one call, its blocks as per-channel stacks, and the
-chunk is summarised and evaluated together; every trial gets the checks a
-:class:`~glrfusion.detectors.DetectorReport` applies.  Thresholds always
+amplitudes are drawn in one call, and its data as per-channel stacks of what
+the panel reads, which is then summarised and evaluated together; every
+trial gets the checks a :class:`~glrfusion.detectors.DetectorReport` applies.
+Rows 1 and 2 read a block X_l only through its coordinates a_l = Q_l^H X_l
+and its tail, so their trials draw those directly, a_l = g_l R_l A +
+sigma_l W_l and the tail sigma_l^2 Gamma((N_l - J) M, 1) / M, which is exact
+in law (``measurement.draw_trials``); no N_l x M array is formed.  Row 3
+reads the blocks, built from the same leading draws, so every panel and
+``simulate`` see one data set per trial.  Thresholds always
 come from empirical null quantiles so every panel is treated uniformly.
 
 The module needs numpy alone: ``scipy.stats`` serves only :func:`run_null`'s
@@ -37,11 +43,12 @@ from .detectors import (
     KnowledgeSpec,
     bank_summary,
     check_decomposition,
+    coordinate_summary,
     evaluate,
     summarise,
 )
 from .errors import ConfigError
-from .measurement import MeasurementSet, _amplitude_stack, draw_blocks
+from .measurement import MeasurementSet, _amplitude_stack, draw_trials
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 # Complex entries of the largest temporary one step of a scan or of a chunk
@@ -160,14 +167,19 @@ def _trial_block(panel: KnowledgeSpec, channels: Sequence[ChannelModel], m: int,
                  amp_scale: float | None, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Composites and degenerate flags of the trials ``ids``, evaluated together.
 
-    A trial's value does not depend on the other trials: its blocks come
-    from its own substreams, and every step treats the matrices of a stack
-    apart.
+    Rows 1 and 2 read each trial's coordinates and tails as drawn, row 3 its
+    blocks.  A trial's value does not depend on the other trials: its data
+    come from its own substreams, and every step treats the matrices of a
+    stack apart.
     """
     amps = None
     if amp_scale is not None:
         amps = _amplitude_stack(channels[0].n_modes, m, amp_scale, seed, ids)
-    ev = evaluate(panel, summarise(panel, channels, draw_blocks(channels, m, seed, ids, amps)))
+    subspace = panel.channel_knowledge == ChannelKnowledge.UNKNOWN_SUBSPACE
+    draws = draw_trials(channels, m, seed, ids, amps, blocks=subspace)
+    summary = (summarise(panel, channels, draws.blocks) if subspace
+               else coordinate_summary(panel, channels, draws.coords, draws.tails))
+    ev = evaluate(panel, summary)
     check_decomposition(ev.composite, ev.col.alphas, ev.col.lam, ev.cross_validation,
                         ev.degenerate)
     return ev.composite, ev.degenerate
@@ -184,12 +196,16 @@ def _statistic_sample(
 ) -> tuple[np.ndarray, int]:
     """The panel's composite on each trial, and the number of degenerate trials.
 
-    Each chunk of trials, at least one per job, is evaluated in one pass.
+    Each chunk of trials, at least one per job, is evaluated in one pass.  A
+    chunk is sized by the largest stack it forms: the L J x M coordinates of
+    a trial on rows 1 and 2, its L blocks of up to max N_l x M on row 3.
     """
     channels = scenario.channels()
     m = scenario.n_snapshots
-    largest = len(channels) * max(ch.n_samples for ch in channels) * m
-    chunks = [ids + trial_offset for ids in _chunks(trials, largest, jobs)]
+    height = (max(ch.n_samples for ch in channels)
+              if panel.channel_knowledge == ChannelKnowledge.UNKNOWN_SUBSPACE
+              else scenario.n_modes)
+    chunks = [ids + trial_offset for ids in _chunks(trials, len(channels) * height * m, jobs)]
     block = functools.partial(_trial_block, panel, channels, m, seed, amp_scale)
     if jobs <= 1:
         results = list(map(block, chunks))

@@ -8,6 +8,14 @@ draws many of them reproduces every one bit for bit from one vectorised pass
 of numpy's ``SeedSequence`` hash over all of its keys and one PCG64
 generator, reseeded per key and owned by the call.
 
+A trial is drawn in each channel's frame [Q_l Q_l^perp], Q_l an orthonormal
+basis of the span of H_l (:func:`draw_trials`): its coordinates a_l = Q_l^H X_l
+and the energy of its tail outside Q_l first, which is all the known-coupling
+detectors read, and the block X_l only where it is needed (:func:`simulate`
+and the unknown-subspace row).  White noise keeps its law under a rotation,
+so this is exact in law, though not the same numbers as drawing X_l entry by
+entry.
+
 The on-disk interchange format is binary-free: one directory with a JSON
 header (format, version, dims, snapshot count, channel order) plus one CSV per block holding
 interleaved real,imag entries at 17 significant digits, which round-trips
@@ -22,13 +30,13 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .channel import ChannelModel
-from .errors import ConfigError, DimensionError
-from .linalg import as_complex_matrix, as_complex_stack
+from .errors import ConfigError, DimensionError, RankDeficiencyError
+from .linalg import as_complex_matrix, as_complex_stack, energy
 
 _HEADER_NAME = "header.json"
 _FORMAT_NAME = "glrfusion-measurements"
@@ -214,15 +222,129 @@ def simulate(
     amplitudes: np.ndarray | None = None,
     trial: int = 0,
 ) -> MeasurementSet:
-    """Synthesize X_l = g_l H_l A + U_l for each channel: one trial of :func:`draw_blocks`.
+    """Synthesize X_l = g_l H_l A + U_l for each channel: one trial's blocks of
+    :func:`draw_trials`.
 
     ``amplitudes`` is the (J x M) mode-amplitude matrix; ``None`` synthesizes
-    noise only.
+    noise only.  The Monte-Carlo harness reads the same trial through the
+    leading draws of the same substreams, so ``detect`` on this data set
+    equals the harness's trial ``trial`` to rounding, on every panel.
     """
     if amplitudes is not None:
         amplitudes = as_complex_matrix(amplitudes, "amplitudes")[None]
-    return MeasurementSet(tuple(
-        x[0] for x in draw_blocks(channels, n_snapshots, seed, [trial], amplitudes)))
+    draws = draw_trials(channels, n_snapshots, seed, [trial], amplitudes, blocks=True)
+    return MeasurementSet(tuple(x[0] for x in draws.blocks))
+
+
+def _frame(channel: ChannelModel) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal frame Q (N x k) a channel's noise is drawn in, and R = Q^H H.
+
+    It is the channel's basis, so that H = Q R, and R its coupling.  A
+    channel without one (rank below J, or fewer samples than modes) takes
+    the left singular vectors of H without the rank gate, k = min(N, J):
+    their span still holds that of H.
+    """
+    try:
+        return channel.basis, channel.coupling
+    except (DimensionError, RankDeficiencyError):
+        q = np.linalg.svd(channel.matrix, full_matrices=False)[0]
+        return q, q.conj().T @ channel.matrix
+
+
+class TrialDraws(NamedTuple):
+    """T trials of L channels' data, as the statistics the detectors read."""
+
+    coords: list[np.ndarray]  # per channel (T, k_l, M): a_l = Q_l^H X_l
+    tails: np.ndarray  # (T, L): ||X_l - Q_l a_l||^2 / M
+    blocks: list[np.ndarray] | None  # per channel (T, N_l, M): X_l, when asked for
+
+
+def draw_trials(
+    channels: Sequence[ChannelModel],
+    n_snapshots: int,
+    seed: int,
+    trials: Sequence[int],
+    amplitudes: np.ndarray | None = None,
+    blocks: bool = False,
+) -> TrialDraws:
+    """Trial t's X_l = g_l H_l A_t + U_l, drawn as its coordinates and tail and,
+    with ``blocks``, as the blocks themselves.
+
+    ``amplitudes`` is the (T, J, M) stack of mode-amplitude matrices; ``None``
+    synthesizes noise only.  Noise is circular complex Gaussian with
+    per-entry variance sigma_l^2, independent across channels and snapshots.
+
+    White noise keeps its law under any fixed rotation, so each block is
+    drawn in its channel's frame [Q_l Q_l^perp] (:func:`_frame`, Q_l of k_l
+    = J columns for a channel of full rank).  Its k_l x M coordinates are
+    sigma_l W_l, W_l of iid CN(0, 1) entries.  Independently of them, its
+    (N_l - k_l) M entries outside Q_l have energy sigma_l^2 gamma_l, gamma_l ~
+    Gamma((N_l - k_l) M, 1), and a uniform direction independent of that
+    energy.  So a_l = Q_l^H X_l = g_l R_l A_t + sigma_l W_l and the tail is
+    sigma_l^2 gamma_l / M, exactly in law and without an N_l x M array.
+    The block is X_l = Q_l a_l + sigma_l sqrt(gamma_l) P G_l / ||P G_l||, with
+    G_l of iid complex Gaussian entries and P G = G - Q_l Q_l^H G, the
+    direction of the complement; the complement is 0 when N_l = k_l.
+
+    Trial t of channel l draws from the (seed, noise, t, l) substream, so a
+    trial's data do not depend on the other trials of the stack, in one
+    order: gamma_l, then one ``standard_normal`` call.  Its first 2 k_l M
+    values are W_l's entries in row-major order, each as its real and then
+    its imaginary part, and only with ``blocks`` are the next 2 N_l M the
+    entries of G_l, in the same way.  The coordinates and tails are
+    therefore the same with or without blocks.
+    """
+    if n_snapshots < 1:
+        raise ConfigError("n_snapshots must be >= 1")
+    if not channels:
+        raise ConfigError("at least one channel is required")
+    m, count = n_snapshots, len(trials)
+    if amplitudes is not None:
+        amplitudes = as_complex_stack(amplitudes, "amplitudes")
+        if amplitudes.shape != (count, channels[0].n_modes, m):
+            raise ConfigError(
+                f"amplitudes shape {amplitudes.shape[1:]} does not match "
+                f"(J={channels[0].n_modes}, M={m})"
+            )
+    streams = _substreams(seed, _NOISE_STREAM, trials, len(channels))
+    gammas = np.empty((len(channels), count))
+    coords, stacks = [], []
+    for ch, gamma in zip(channels, gammas):
+        q, r = _frame(ch)
+        n, k = q.shape
+        normals = np.empty((count, 2 * (k + (n if blocks else 0)) * m))
+        for t, out in enumerate(normals):
+            stream = next(streams)
+            gamma[t] = stream.standard_gamma((n - k) * m)
+            stream.standard_normal(out=out)
+        # Consecutive normals are the real and imaginary parts of one entry.
+        draws = normals.view(np.complex128)
+        a = draws[:, :k * m].reshape(count, k, m) * np.sqrt(ch.noise_variance / 2.0)
+        if amplitudes is not None:
+            a += ch.gain * (r @ amplitudes)
+        coords.append(a)
+        if blocks and n == k:
+            stacks.append(q @ a)
+        elif blocks:
+            # Q a + s P G = s G + Q (a - s C), with C = Q^H G, P G = G - Q C and
+            # s = sigma sqrt(gamma) / ||P G||, where ||P G||^2 = ||G||^2 - ||C||^2.
+            g = draws[:, k * m:].reshape(count, n, m)
+            c = q.conj().T @ g
+            scale = ch.noise_sigma * np.sqrt(gamma / (energy(g) - energy(c)))
+            x = scale[:, None, None] * g
+            x += q @ (a - scale[:, None, None] * c)
+            stacks.append(x)
+    variances = np.array([ch.noise_variance for ch in channels])
+    with np.errstate(over="ignore"):  # an overflowing tail fails the summary's energy check
+        tails = variances * gammas.T / m
+    return TrialDraws(coords, tails, stacks if blocks else None)
+
+
+def draw_amplitudes(
+    n_modes: int, n_snapshots: int, scale: float, seed: int, trial: int = 0
+) -> np.ndarray:
+    """Draw a (J x M) amplitude matrix with iid CN(0, scale^2) entries."""
+    return _amplitude_stack(n_modes, n_snapshots, scale, seed, [trial])[0]
 
 
 def _complex_normals(normals: np.ndarray, std: float) -> np.ndarray:
@@ -233,57 +355,6 @@ def _complex_normals(normals: np.ndarray, std: float) -> np.ndarray:
     out.imag = normals[:, 1]
     out *= std
     return out
-
-
-def draw_blocks(
-    channels: Sequence[ChannelModel],
-    n_snapshots: int,
-    seed: int,
-    trials: Sequence[int],
-    amplitudes: np.ndarray | None = None,
-) -> list[np.ndarray]:
-    """Per-channel stacks (T, N_l, M) of X_l = g_l H_l A_t + U_l, one matrix per trial t.
-
-    ``amplitudes`` is the (T, J, M) stack of mode-amplitude matrices; ``None``
-    synthesizes noise only.  Noise is circular complex Gaussian with
-    per-entry variance sigma_l^2 (real and imaginary parts each
-    sigma_l^2 / 2), independent across channels and snapshots, and drawn
-    from the (seed, trial, channel) substream, so a trial's blocks do not
-    depend on the other trials of the stack.
-    """
-    if n_snapshots < 1:
-        raise ConfigError("n_snapshots must be >= 1")
-    if not channels:
-        raise ConfigError("at least one channel is required")
-    shape = (len(trials), channels[0].n_modes, n_snapshots)
-    if amplitudes is not None:
-        amplitudes = as_complex_stack(amplitudes, "amplitudes")
-        if amplitudes.shape != shape:
-            raise ConfigError(
-                f"amplitudes shape {amplitudes.shape[1:]} does not match "
-                f"(J={shape[1]}, M={n_snapshots})"
-            )
-    streams = _substreams(seed, _NOISE_STREAM, trials, len(channels))
-    blocks = []
-    for ch in channels:
-        # The real parts of a trial's block, then its imaginary parts: one
-        # draw of 2 N M normals is the two draws of N M in turn.
-        normals = np.empty((len(trials), 2, ch.n_samples, n_snapshots))
-        for out in normals:
-            next(streams).standard_normal(out=out)
-        noise = _complex_normals(normals, np.sqrt(ch.noise_variance / 2.0))
-        if amplitudes is None:
-            blocks.append(noise)
-        else:
-            blocks.append(ch.gain * (ch.matrix @ amplitudes) + noise)
-    return blocks
-
-
-def draw_amplitudes(
-    n_modes: int, n_snapshots: int, scale: float, seed: int, trial: int = 0
-) -> np.ndarray:
-    """Draw a (J x M) amplitude matrix with iid CN(0, scale^2) entries."""
-    return _amplitude_stack(n_modes, n_snapshots, scale, seed, [trial])[0]
 
 
 def _amplitude_stack(n_modes: int, n_snapshots: int, scale: float, seed: int,

@@ -7,7 +7,8 @@ image that the library no longer evaluates itself: it reads the data
 through thin statistics and splits of their energies, fuses channels
 through their whitened summaries, and scans a grid without rebuilding
 channels, and these oracles give the tests a second, independent path to
-the same numbers.
+the same numbers.  The entry-by-entry block sampler that the Monte-Carlo
+harness no longer uses gives its trials a second path to the same law.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from glrfusion import (
 )
 from glrfusion.channel import require_same_dims
 from glrfusion.fusion import ChannelMessage
+from glrfusion.detectors import evaluate, summarise
 from glrfusion.linalg import _normalize_phases, as_complex_matrix, orthonormal_basis
+from glrfusion.measurement import _amplitude_stack, rng_stream
 
 # Relative tolerance for "is this matrix Hermitian" checks.
 HERMITIAN_RTOL = 1e-10
@@ -145,6 +148,31 @@ def scan_by_rebuild(panel: KnowledgeSpec, scenario: Scenario, ms: MeasurementSet
                         if idx in scan_channels else ch for idx, ch in enumerate(base)]
             values[a, b] = detect(panel, channels, ms).composite
     return values
+
+
+def entrywise_blocks(channels: Sequence[ChannelModel], m: int, seed: int,
+                     trials: Sequence[int], amplitudes: np.ndarray | None = None
+                     ) -> list[np.ndarray]:
+    """The former block sampler: per-channel stacks of X_l = g_l H_l A_t + U_l,
+    U_l's N_l x M entries drawn one by one, real parts then imaginary parts,
+    from the (seed, noise, t, l) substream."""
+    blocks = []
+    for idx, ch in enumerate(channels):
+        normals = np.array([rng_stream(seed, 0, t, idx).standard_normal((2, ch.n_samples, m))
+                            for t in trials])
+        noise = np.sqrt(ch.noise_variance / 2.0) * (normals[:, 0] + 1j * normals[:, 1])
+        blocks.append(noise if amplitudes is None else ch.gain * (ch.matrix @ amplitudes) + noise)
+    return blocks
+
+
+def entrywise_sample(panel: KnowledgeSpec, scenario: Scenario, trials: int, seed: int,
+                     amp_scale: float | None) -> np.ndarray:
+    """The panel's composites on ``trials`` trials of :func:`entrywise_blocks`."""
+    channels, m, ids = scenario.channels(), scenario.n_snapshots, np.arange(trials)
+    amps = (None if amp_scale is None
+            else _amplitude_stack(scenario.n_modes, m, amp_scale, seed, ids))
+    blocks = entrywise_blocks(channels, m, seed, ids, amps)
+    return evaluate(panel, summarise(panel, channels, blocks)).composite
 
 
 # -- detectors: coherences, fusion matrices and closed forms ---------------

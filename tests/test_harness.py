@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,8 +33,17 @@ from glrfusion import (
     wilson_interval,
 )
 from glrfusion import harness
-from glrfusion.measurement import draw_amplitudes, rng_stream
-from oracles import scan_by_rebuild
+from glrfusion.detectors import coordinate_summary, evaluate
+from glrfusion.linalg import energy
+from glrfusion.measurement import (
+    TrialDraws,
+    _amplitude_stack,
+    _frame,
+    draw_amplitudes,
+    draw_trials,
+    rng_stream,
+)
+from oracles import entrywise_sample, scan_by_rebuild
 
 log = logging.getLogger(__name__)
 
@@ -269,7 +279,45 @@ def error_case(case: str):
         channels = [random_channel(rng, 8, 3), random_channel(rng, 2, 3)]
         return P31, channels, simulate(channels, 6, seed=1)
     channels = two_channel_scenario(m=6, n=8).channels()
+    if case == "energy-overflow":
+        return P11, channels, MeasurementSet(tuple(np.full((8, 6), 1e200 + 1e200j)
+                                                   for _ in channels))
     return P12, channels, MeasurementSet(tuple(np.zeros((8, 6)) for _ in channels))
+
+
+def draws_of(channels, stacks) -> TrialDraws:
+    """What ``draw_trials`` would return for these per-channel block stacks:
+    the coordinates in each channel's frame, the tails outside it, the blocks."""
+    m = stacks[0].shape[-1]
+    frames = [_frame(ch)[0] for ch in channels]
+    coords = [q.conj().T @ x for q, x in zip(frames, stacks)]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the case under test
+        tails = np.stack([energy(x - q @ a) / m for q, x, a in zip(frames, stacks, coords)],
+                         axis=-1)
+    return TrialDraws(coords, tails, list(stacks))
+
+
+def cross_validation_sample(panel, scenario, trials, seed, amp_scale) -> np.ndarray:
+    """The panel's cross-validation term on each trial, as the harness draws it."""
+    channels, m, ids = scenario.channels(), scenario.n_snapshots, np.arange(trials)
+    amps = (None if amp_scale is None
+            else _amplitude_stack(scenario.n_modes, m, amp_scale, seed, ids))
+    draws = draw_trials(channels, m, seed, ids, amps)
+    return evaluate(panel, coordinate_summary(panel, channels, draws.coords,
+                                              draws.tails)).cross_validation
+
+
+def unequal_fixed_scenario() -> FixedChannelScenario:
+    """Three ragged channels that are not orthonormal, with unequal gains and
+    variances (N_l = 16, 12, 20, J = 2, M = 8)."""
+    rng = np.random.default_rng(42)
+    channels = tuple(dataclasses.replace(random_channel(rng, n, 2), gain=g, noise_variance=v)
+                     for n, v, g in ((16, 1.0, 1.0), (12, 3.0, 0.8 + 0.3j), (20, 0.5, 1.3)))
+    assert not any(ch.is_orthonormal() for ch in channels)
+    return FixedChannelScenario(
+        specs=three_channel_scenario().specs, gains=tuple(ch.gain for ch in channels),
+        noise_variances=tuple(ch.noise_variance for ch in channels), n_snapshots=8,
+        fixed=channels)
 
 
 class TestBatchedTrials:
@@ -315,21 +363,88 @@ class TestBatchedTrials:
         assert np.all(np.isinf(null.sample))
         assert null.degenerate_trials == 50
 
+    def test_ragged_channel_without_residual_counts_degenerate_trials(self):
+        # Channel 1 has N = J = 2: no tail, so every P13 trial is degenerate,
+        # while P11 and P12 stay finite on the same draws.
+        rng = np.random.default_rng(8)
+        channels = tuple(random_channel(rng, n, 2) for n in (9, 2, 6))
+        scenario = FixedChannelScenario(
+            specs=three_channel_scenario().specs, gains=(1.0,) * 3,
+            noise_variances=(1.0,) * 3, n_snapshots=4, fixed=channels)
+        sample, degenerate = harness._statistic_sample(P13, scenario, 40, 3, None)
+        assert np.all(np.isinf(sample)) and degenerate == 40
+        for panel in (P11, P12):
+            sample, degenerate = harness._statistic_sample(panel, scenario, 40, 3, None)
+            assert np.all(np.isfinite(sample)) and degenerate == 0
+
+    @pytest.mark.parametrize("panel", ["P11", "P22", "P23"])
+    def test_known_coupling_trials_form_no_block(self, panel):
+        # One block of N = 2**15 samples and M = 4 snapshots is 2 MiB; rows 1
+        # and 2 draw each trial's coordinates and tail and form none.
+        n, m = 1 << 15, 4
+        specs = tuple(PropagationSpec(carrier_hz=1e6, sample_period_s=1e-3, n_samples=n,
+                                      n_modes=2, doppler_hz=d) for d in (0.0, 0.01))
+        scenario = Scenario(specs=specs, gains=(1.0, 0.5), noise_variances=(1.0, 2.0),
+                            n_snapshots=m)
+        args = (KnowledgeSpec.from_panel(panel), scenario, 8, 1, scenario.amplitude_scale(0.0))
+        harness._statistic_sample(*args)  # caches the channel constants and numpy's state
+        tracemalloc.start()
+        try:
+            sample, _ = harness._statistic_sample(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(sample))
+        assert peak < n * m * 16 / 16
+
     @pytest.mark.parametrize("case, error", [("non-orthonormal", ConfigError),
                                              ("modes-exceed-samples", ValueError),
-                                             ("zero-energy", DegenerateDataError)])
+                                             ("zero-energy", DegenerateDataError),
+                                             ("energy-overflow", ValueError)])
     def test_errors_match_detect(self, case, error, monkeypatch):
         panel, channels, bad = error_case(case)
         with pytest.raises(error) as expected:
             detect(panel, channels, bad)
-        # The failing data set sits between two trials of fresh noise.
+        # The failing data set sits between two trials of fresh noise, handed
+        # to the harness as draw_trials returns them.
         good = simulate(channels, bad.n_snapshots, seed=2)
-        stacks = [np.stack([y, x, y]) for x, y in zip(bad.blocks, good.blocks)]
-        monkeypatch.setattr(harness, "draw_blocks", lambda *args: stacks)
+        draws = draws_of(channels, [np.stack([y, x, y]) for x, y in zip(bad.blocks, good.blocks)])
+        monkeypatch.setattr(harness, "draw_trials", lambda *args, **kwargs: draws)
         with pytest.raises(error) as batched:
             harness._trial_block(panel, channels, bad.n_snapshots, 1, None, np.arange(3))
         assert type(batched.value) is type(expected.value)
         assert str(batched.value) == str(expected.value)
+
+
+class TestSamplerLaw:
+    """The harness draws each trial's sufficient statistics; their laws are
+    those of the drawn blocks."""
+
+    @pytest.mark.parametrize("snr_db", [None, 0.0, 20.0, 40.0],
+                             ids=["null", "0dB", "20dB", "40dB"])
+    def test_p11_cross_validation_gamma_law(self, snr_db):
+        # Under a common source the whitened signal (g_l / sigma_l) R_l A lies in
+        # the span of G = [f_l R_l], so P11's cv is the energy of white noise in
+        # (L - 1) J M complex dimensions over L M, Gamma((L - 1) J M, 1 / (L M)),
+        # at every SNR.
+        scenario = unequal_fixed_scenario()
+        scale = None if snr_db is None else scenario.amplitude_scale(snr_db)
+        cv = cross_validation_sample(P11, scenario, 4000, 19, scale)
+        assert sps.kstest(cv, sps.gamma(32, scale=1 / 24).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("snr_db", [None, 10.0], ids=["null", "10dB"])
+    @pytest.mark.parametrize("panel", ALL_PANELS)
+    def test_matches_entrywise_sampler(self, panel, snr_db):
+        # Two-sample KS at mc-small size (L = 2, N = 16, J = 2, M = 8) against
+        # the former sampler, which drew every block entry; independent seeds.
+        scenario = dataclasses.replace(two_channel_scenario(m=8, n=16, j=2, delay=3e-3,
+                                                            doppler=20.0),
+                                       noise_variances=(0.8, 1.5))
+        spec = KnowledgeSpec.from_panel(panel)
+        scale = None if snr_db is None else scenario.amplitude_scale(snr_db)
+        new, _ = harness._statistic_sample(spec, scenario, 1000, 101, scale)
+        old = entrywise_sample(spec, scenario, 1000, 202, scale)
+        assert sps.ks_2samp(new, old).pvalue > 1e-3
 
 
 class TestRunRoc:
@@ -370,14 +485,16 @@ class TestRunRoc:
     def test_wilson_halfwidths_from_exceedance_counts(self):
         # With 100 trials, 0.29 * 100 and 0.57 * 100 round to just below 29
         # and 57, so counts recovered by truncating p * trials are one short.
+        # 100 distinct null values put the (1 - p) quantile between two of
+        # them, so these targets give 57 and 29 false alarms whatever the draws.
         spec = ExperimentSpec(panel=P11, scenario=single_channel_scenario(),
                               trials=100, seed=1, snr_db=(0.0,),
-                              pfa_targets=(0.29, 0.1))
+                              pfa_targets=(0.57, 0.29, 0.1))
         curve = run_roc(spec)[0]
         detections = np.rint(curve.pd * spec.trials).astype(int)
         false_alarms = np.rint(curve.pfa * spec.trials).astype(int)
-        assert 57 in detections and 29 in false_alarms
-        assert int(0.57 * spec.trials) == 56
+        assert 57 in false_alarms and 29 in false_alarms
+        assert int(0.57 * spec.trials) == 56 and int(0.29 * spec.trials) == 28
         for k in range(len(curve.thresholds)):
             assert curve.wilson_halfwidth[k] == wilson_interval(
                 int(detections[k]), spec.trials)[2]

@@ -10,8 +10,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from glrfusion import (
+    ChannelModel,
     ConfigError,
     MeasurementSet,
     RankDeficiencyError,
@@ -25,11 +27,14 @@ from glrfusion import measurement
 from glrfusion.fusion import save_messages
 from glrfusion.measurement import (
     _amplitude_stack,
+    _frame,
     _seed_words,
     draw_amplitudes,
-    draw_blocks,
+    draw_trials,
     rng_stream,
 )
+from glrfusion.channel import normalize_channel
+from glrfusion.linalg import energy
 from conftest import complex_normal, random_channel
 from oracles import compose_f_whitened, message_amplitudes, ml_amplitudes, sample_covariance
 
@@ -104,14 +109,75 @@ class TestSimulate:
         assert s.trace() / 12 == pytest.approx(expected, rel=0.05)
 
 
-def reference_noise(channels, m, seed, trials):
-    """draw_blocks' noise stacks from one rng_stream generator per (trial, channel)."""
-    stacks = []
+class TestRotatedDraws:
+    """A trial is drawn in its channels' frames: its coordinates and tail, and
+    its blocks from the same draws."""
+
+    def test_blocks_hold_the_drawn_coordinates_and_tails(self, rng):
+        # Full rank, N = J, rank deficient (no basis) and N < J channels.
+        v = complex_normal(rng, (6, 1))
+        channels = [random_channel(rng, 7, 2, gain=1.1 - 0.4j, noise_variance=0.5),
+                    random_channel(rng, 2, 2, gain=0.7, noise_variance=2.0),
+                    ChannelModel(normalize_channel(np.hstack([v, 2 * v])), 0.9, 1.5),
+                    random_channel(rng, 1, 2, gain=1.3j, noise_variance=0.8)]
+        trials, m = np.arange(5, 14), 3
+        amps = _amplitude_stack(2, m, 2.0, 4, trials)
+        null = draw_trials(channels, m, 4, trials, blocks=True)
+        alt = draw_trials(channels, m, 4, trials, amps, blocks=True)
+        for ch, a, tail, x, noise in zip(channels, alt.coords, alt.tails.T, alt.blocks,
+                                         null.blocks, strict=True):
+            q, _ = _frame(ch)
+            np.testing.assert_allclose(q.conj().T @ x, a, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(energy(x - q @ a) / m, tail, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(x - noise, ch.gain * (ch.matrix @ amps), rtol=0,
+                                       atol=1e-13)
+
+    def test_tail_and_coordinate_laws(self, rng):
+        # On ragged channels tail_l M / sigma_l^2 ~ Gamma((N_l - J) M, 1) and
+        # ||a_l||^2 / sigma_l^2 ~ Gamma(J M, 1) under the null; N_l = J leaves
+        # no tail at all.
+        m, j = 4, 2
+        channels = [random_channel(rng, n, j, noise_variance=v)
+                    for n, v in ((7, 0.5), (2, 2.0), (12, 3.0))]
+        draws = draw_trials(channels, m, 17, np.arange(3000))
+        for ch, a, tails in zip(channels, draws.coords, draws.tails.T, strict=True):
+            inside = energy(a) / ch.noise_variance
+            assert sps.kstest(inside, sps.gamma(j * m).cdf).pvalue > 1e-3
+            if ch.n_samples == j:
+                assert np.all(tails == 0.0)
+                continue
+            law = sps.gamma((ch.n_samples - j) * m)
+            assert sps.kstest(tails * m / ch.noise_variance, law.cdf).pvalue > 1e-3
+
+
+def reference_draws(channels, m, seed, trials):
+    """draw_trials' noise from one rng_stream generator per (trial, channel):
+    gamma, then one normal draw holding W's entries and then G's, each entry
+    as its real and imaginary part.  Returns per-channel coordinate stacks,
+    the (T, L) tails and per-channel blocks, with P G formed directly."""
+    coords, tails, blocks = [], [], []
     for idx, ch in enumerate(channels):
-        normals = np.array([rng_stream(seed, 0, t, idx).standard_normal((2, ch.n_samples, m))
-                            for t in trials])
-        stacks.append(np.sqrt(ch.noise_variance / 2.0) * (normals[:, 0] + 1j * normals[:, 1]))
-    return stacks
+        q, _ = _frame(ch)
+        n, k = q.shape
+        a_l, t_l, x_l = [], [], []
+        for t in trials:
+            gen = rng_stream(seed, 0, t, idx)
+            gamma = gen.standard_gamma((n - k) * m)
+            normals = gen.standard_normal(2 * (k + n) * m)
+            entries = normals[0::2] + 1j * normals[1::2]
+            a = entries[:k * m].reshape(k, m) * np.sqrt(ch.noise_variance / 2.0)
+            g = entries[k * m:].reshape(n, m)
+            outside = g - q @ (q.conj().T @ g)
+            x = q @ a
+            if n > k:
+                x = x + np.sqrt(ch.noise_variance * gamma) * outside / np.linalg.norm(outside)
+            a_l.append(a)
+            t_l.append(ch.noise_variance * gamma / m)
+            x_l.append(x)
+        coords.append(np.array(a_l))
+        tails.append(t_l)
+        blocks.append(np.array(x_l))
+    return coords, np.array(tails).T, blocks
 
 
 def reference_amplitudes(j, m, scale, seed, trials):
@@ -159,14 +225,35 @@ class TestSubstreams:
         return built
 
     @pytest.mark.parametrize("grid", sorted(SUBSTREAM_GRIDS))
-    def test_draw_blocks_match_rng_stream(self, rng, monkeypatch, grid):
+    def test_draws_match_rng_stream(self, rng, monkeypatch, grid):
+        # Ragged channels, one with N = J, whose gamma draw takes no randomness.
         seed, trials = SUBSTREAM_GRIDS[grid]
-        channels = [random_channel(rng, n, 2) for n in (6, 3, 9)]
+        channels = [random_channel(rng, n, 2, noise_variance=v)
+                    for n, v in ((6, 1.0), (2, 0.5), (9, 3.0))]
         built = self.count_builds(monkeypatch)
-        stacks = draw_blocks(channels, 4, seed, trials)
+        draws = draw_trials(channels, 4, seed, trials, blocks=True)
         assert len(built) == (0 if grid.startswith("hashed") else 3 * len(trials))
-        for got, want in zip(stacks, reference_noise(channels, 4, seed, trials), strict=True):
+        coords, tails, blocks = reference_draws(channels, 4, seed, trials)
+        for got, want in zip(draws.coords, coords, strict=True):
             np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(draws.tails, tails)
+        for got, want in zip(draws.blocks, blocks, strict=True):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("grid", sorted(SUBSTREAM_GRIDS))
+    def test_coordinate_draw_is_prefix_of_block_draw(self, rng, grid):
+        # Rows 1 and 2 read each key's leading draws, so a trial's coordinates
+        # and tails are the same bits whether or not its blocks are formed.
+        seed, trials = SUBSTREAM_GRIDS[grid]
+        channels = [random_channel(rng, n, 2) for n in (6, 2, 9)]
+        amps = _amplitude_stack(2, 4, 1.5, seed, trials)
+        for amplitudes in (None, amps):
+            thin = draw_trials(channels, 4, seed, trials, amplitudes)
+            full = draw_trials(channels, 4, seed, trials, amplitudes, blocks=True)
+            assert thin.blocks is None
+            for got, want in zip(thin.coords, full.coords, strict=True):
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(thin.tails, full.tails)
 
     @pytest.mark.parametrize("grid", sorted(SUBSTREAM_GRIDS))
     def test_amplitudes_match_rng_stream(self, monkeypatch, grid):
@@ -185,7 +272,7 @@ class TestSubstreams:
         channels = [random_channel(rng, 4, 1)]
         message = re.escape(str(expected.value))
         with pytest.raises(ValueError, match=message):
-            draw_blocks(channels, 3, seed, trials)
+            draw_trials(channels, 3, seed, trials)
         with pytest.raises(ValueError, match=message):
             _amplitude_stack(1, 3, 1.0, seed, trials)
 
@@ -194,18 +281,21 @@ class TestSubstreams:
         # short switch interval, give the serial draw.
         channels = [random_channel(rng, n, 2) for n in (8, 5)]
         trials = np.arange(40, 240)
-        serial = draw_blocks(channels, 6, 11, trials)
+        serial = draw_trials(channels, 6, 11, trials, blocks=True)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(draw_blocks, channels, 6, 11, trials) for _ in range(16)]
+                futures = [pool.submit(draw_trials, channels, 6, 11, trials, blocks=True)
+                           for _ in range(16)]
                 results = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        for stacks in results:
-            for got, want in zip(stacks, serial, strict=True):
+        for draws in results:
+            for got, want in zip(draws.blocks + draws.coords, serial.blocks + serial.coords,
+                                 strict=True):
                 np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(draws.tails, serial.tails)
 
 
 class TestMlAmplitudes:
