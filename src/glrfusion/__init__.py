@@ -16,7 +16,6 @@ from types import ModuleType as _ModuleType
 from .channel import (
     ChannelModel,
     PropagationSpec,
-    build_broadband_h,
     build_narrowband_h,
     narrowband_channel,
     normalize_channel,
@@ -28,15 +27,6 @@ from .detectors import (
     KnowledgeSpec,
     NoiseKnowledge,
     detect,
-    detect_p11,
-    detect_p12,
-    detect_p13,
-    detect_p21,
-    detect_p22,
-    detect_p23,
-    detect_p31,
-    detect_p32,
-    detect_p33,
 )
 from .errors import (
     ConfigError,

@@ -2,13 +2,11 @@
 
 A channel couples J signal modes into N complex baseband samples through a
 matrix of unit-modulus phase factors: a J-column DFT slice modulated by
-delay, Doppler, and clock-offset terms.  Two constructions are provided:
-
-* a broadband one that takes the per-sample delay trajectory as given, and
-* a narrowband one that assumes a first-order (constant-rate) delay model
-  and factors into diagonal modulations around the DFT slice; over a
-  delay x Doppler grid it is a Doppler factor times a delay factor
-  (:func:`narrowband_factors`), of which one matrix is the one-cell case.
+delay, Doppler, and clock-offset terms.  The construction is narrowband: it
+assumes a first-order (constant-rate) delay model and factors into diagonal
+modulations around the DFT slice; over a delay x Doppler grid it is a
+Doppler factor times a delay factor (:func:`narrowband_factors`), of which
+one matrix is the one-cell case.
 
 Channel gain conventions: the stored matrix is trace-normalized so that
 trace(H^H H) = J; all gain (including any sqrt(N) from the raw DFT slice)
@@ -18,7 +16,7 @@ lives in the complex scalar ``gain``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -40,20 +38,16 @@ class PropagationSpec:
     """Physical parameters defining one channel's coupling matrix.
 
     ``doppler_hz`` is the Doppler shift of the carrier; the delay trajectory
-    it implies is tau(t) = delay_s + (doppler_hz / carrier_hz) * t.  For the
-    broadband construction, ``delay_samples_s`` supplies tau at each sample
-    instant instead.
+    it implies is tau(t) = delay_s + (doppler_hz / carrier_hz) * t.
     """
 
     carrier_hz: float
     sample_period_s: float
     n_samples: int
     n_modes: int
-    duration_s: float | None = None
     delay_s: float = 0.0
     doppler_hz: float = 0.0
     clock_offset_s: float = 0.0
-    delay_samples_s: tuple[float, ...] | None = field(default=None)
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -64,30 +58,19 @@ class PropagationSpec:
             )
         if self.sample_period_s <= 0:
             raise ConfigError("sample_period_s must be positive")
-        if self.duration_s is None:
-            object.__setattr__(self, "duration_s", self.n_samples * self.sample_period_s)
-        else:
-            expected = self.n_samples * self.sample_period_s
-            if not abs(self.duration_s - expected) <= 1e-9 * max(abs(expected), 1e-30):
-                raise ConfigError(
-                    f"duration_s={self.duration_s} inconsistent with "
-                    f"n_samples * sample_period_s = {expected}"
-                )
         # A delay turns phases at up to 2 pi (f_c + J/T) rad/s and a Doppler
         # at up to 2 pi N Ts rad/Hz; an infinite rate times a zero delay is nan.
         carrier_rate = 2.0 * math.pi * float(self.carrier_hz)
         rates = (carrier_rate + 2.0 * math.pi * self.n_modes / self.duration_s,
-                 2.0 * math.pi * self.n_samples * self.sample_period_s)
+                 2.0 * math.pi * self.duration_s)
         if not all(map(math.isfinite, rates)):
             name = "sample_period_s" if math.isfinite(carrier_rate) else "carrier_hz"
             raise ConfigError(f"{name}={getattr(self, name)!r} gives non-finite channel phase rates")
-        if self.delay_samples_s is not None:
-            samples = tuple(float(t) for t in self.delay_samples_s)
-            if len(samples) != self.n_samples:
-                raise ConfigError(
-                    f"delay_samples_s has length {len(samples)}, expected {self.n_samples}"
-                )
-            object.__setattr__(self, "delay_samples_s", samples)
+
+    @property
+    def duration_s(self) -> float:
+        """The observation time T = N Ts."""
+        return self.n_samples * self.sample_period_s
 
 
 def modulation_phases(count: int, z) -> np.ndarray:
@@ -103,29 +86,6 @@ def dft_slice(n_samples: int, n_modes: int) -> np.ndarray:
     n = np.arange(n_samples)[:, None]
     j = np.arange(n_modes)[None, :]
     return np.exp(2j * np.pi * n * j / n_samples)
-
-
-def build_broadband_h(spec: PropagationSpec) -> np.ndarray:
-    """Raw (unnormalized) coupling matrix from a per-sample delay trajectory.
-
-    Entry (n, j) of the inner phase table is
-    exp(-i2pi f_c tau_n) * exp(+i2pi n j / N) * exp(-i (2pi j / T) tau_n),
-    and the result is pre-multiplied by the clock-offset carrier phase and
-    post-multiplied by the clock-offset column modulation.
-    """
-    if spec.delay_samples_s is None:
-        raise ConfigError("broadband construction requires delay_samples_s")
-    tau = np.asarray(spec.delay_samples_s, dtype=float)[:, None]
-    n_samples, n_modes = spec.n_samples, spec.n_modes
-    j = np.arange(n_modes)[None, :]
-    v = (
-        np.exp(-2j * np.pi * spec.carrier_hz * tau)
-        * dft_slice(n_samples, n_modes)
-        * np.exp(-2j * np.pi * j * tau / spec.duration_s)
-    )
-    carrier = np.exp(-2j * np.pi * spec.carrier_hz * spec.clock_offset_s)
-    cols = modulation_phases(n_modes, spec.clock_offset_s / spec.duration_s)
-    return carrier * v * cols[None, :]
 
 
 def narrowband_factors(spec: PropagationSpec, delays_s,
@@ -197,11 +157,11 @@ def require_trace_normalized(h: np.ndarray) -> None:
         )
 
 
-def orthonormal_columns(h: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Whether H^H H = I_J to ``tol``, for h or for each matrix of a stack."""
+def orthonormal_columns(h: np.ndarray) -> np.ndarray:
+    """Whether H^H H = I_J to 1e-9, for h or for each matrix of a stack."""
     j = h.shape[-1]
     gram = np.swapaxes(h.conj(), -1, -2) @ h
-    return np.linalg.norm(gram - np.eye(j), axis=(-2, -1)) <= tol * max(1.0, j)
+    return np.linalg.norm(gram - np.eye(j), axis=(-2, -1)) <= 1e-9 * max(1.0, j)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -243,9 +203,6 @@ class ChannelModel:
     def noise_sigma(self) -> float:
         return float(np.sqrt(self.noise_variance))
 
-    def is_orthonormal(self, tol: float = 1e-9) -> bool:
-        return bool(orthonormal_columns(self.matrix, tol))
-
     # Computed on first use and kept: a channel is fixed while the data it
     # is scored against changes.  A rank-deficient matrix is not cached and
     # raises on every access.
@@ -261,8 +218,8 @@ class ChannelModel:
 
     @cached_property
     def orthonormal(self) -> bool:
-        """``is_orthonormal()`` at its default tolerance."""
-        return self.is_orthonormal()
+        """Whether H^H H = I_J, to the tolerance of :func:`orthonormal_columns`."""
+        return bool(orthonormal_columns(self.matrix))
 
 
 def narrowband_channel(spec: PropagationSpec, gain: complex, noise_variance: float) -> ChannelModel:

@@ -24,7 +24,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .channel import PropagationSpec, radial_velocity_to_doppler
@@ -61,6 +60,8 @@ def _csv(header: str, rows) -> str:
 def _write_outputs(directory, command: str, config: dict, started: float,
                    files: dict[str, str], extra: dict | None = None) -> Path:
     """Write a command's output files, then its manifest, into ``directory``."""
+    import scipy  # for its version only: importing the CLI loads no scipy module
+
     uname = platform.uname()
     manifest = {
         "command": command,

@@ -58,9 +58,8 @@ when a residual is numerically zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -135,7 +134,8 @@ class DetectorReport:
     adds the coherences of the matched outputs and the gain direction, the
     weights over channels that attain the composite (none when a residual
     vanishes); no panel reports a subspace basis, as every statistic is a
-    sum of energies.
+    sum of energies.  Column 3 adds the fusion statistics phi_l, unless a
+    residual vanishes.
     """
 
     composite: float
@@ -148,7 +148,7 @@ class DetectorReport:
     noise_null: np.ndarray | None = None
     noise_alt: np.ndarray | None = None
     coherences: np.ndarray | None = None
-    extras: dict = field(default_factory=dict)
+    fusion_stats: np.ndarray | None = None
 
     def __post_init__(self):
         self.alphas = np.asarray(self.alphas, dtype=float)
@@ -206,14 +206,6 @@ def detect(spec: KnowledgeSpec, channels: Sequence[ChannelModel], measurements: 
     return _report(spec, evaluate(spec, summarise(spec, channels, blocks), dominant_numerator))
 
 
-# One binding per panel, P11 .. P33, each called as detect_pXY(channels, ms).
-(detect_p11, detect_p12, detect_p13,
- detect_p21, detect_p22, detect_p23,
- detect_p31, detect_p32, detect_p33) = (
-    partial(detect, KnowledgeSpec.from_panel(f"P{row}{col}"))
-    for row in "123" for col in "123")
-
-
 def _checked_energies(channels: Sequence[ChannelModel], dims: list[int],
                       energies) -> np.ndarray:
     """Check the channels against the data; return the energies E_l = ||X_l||^2 / M, (B, L).
@@ -243,13 +235,16 @@ def _h(x: np.ndarray) -> np.ndarray:
 class Summary(NamedTuple):
     """What a panel reads of each of L channels, over B hypotheses.
 
-    On rows 1 and 2, H_l = Q_l R_l with Q_l orthonormal: ``orthonormal_basis(H_l)``
-    on row 1, and on row 2, which requires orthonormal couplings, H_l itself
-    with R_l = I.  Row 3 knows only the mode count J.  Its coordinates are the
-    triangular factors of the blocks, zero-padded to a common height K: zero
-    rows leave R_l^H R_l = X_l^H X_l, so every singular value is kept.  The
-    channel constants are shared by the whole batch, and so are the block
-    energies of a batch of hypotheses on one data set (a scan's cells).
+    On rows 1 and 2, H_l = Q_l R_l with Q_l the channel's orthonormal basis
+    (:attr:`ChannelModel.basis`) and R_l its coupling; row 2 also requires
+    orthonormal couplings, so its R_l is unitary.  A scan's bank of couplings
+    (:func:`bank_summary`) is on row 2 its own basis, Q = H with R = I, which
+    is also a factorisation H = QR.  Row 3 knows only the mode count J.  Its
+    coordinates are the triangular factors of the blocks, zero-padded to a
+    common height K: zero rows leave R_l^H R_l = X_l^H X_l, so every
+    singular value is kept.  The channel constants are shared by the whole
+    batch, and so are the block energies of a batch of hypotheses on one
+    data set (a scan's cells).
 
     Rows 1 and 2 read a block only through a_l and the tail, so
     :func:`coordinate_summary` builds their summary from those alone: the
@@ -264,7 +259,7 @@ class Summary(NamedTuple):
     variances: np.ndarray  # (L,) sigma_l^2
     dims: np.ndarray  # (L,) N_l
     energies: np.ndarray  # (B, L) or (1, L) E_l = ||X_l||^2 / M
-    coupling: np.ndarray | int  # (B, L, J, J) R_l = Q_l^H H_l, I_J on row 2, J on row 3
+    coupling: np.ndarray | int  # (B, L, J, J) R_l = Q_l^H H_l, or J on row 3
     coords: np.ndarray  # (B, L, J, M) a_l = Q_l^H X_l, or (B, L, K, M) R_l on row 3
     tails: np.ndarray | None  # (B, L) ||X_l - Q_l a_l||^2 / M; none on row 3
 
@@ -293,17 +288,15 @@ def _not_orthonormal(index: int) -> ConfigError:
 
 def _known_couplings(spec: KnowledgeSpec, channels: Sequence[ChannelModel],
                      batch: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Rows 1 and 2: each channel's basis and the coupling stack, after the row's gate.
+    """Rows 1 and 2: each channel's basis and the (B, L, J, J) factors R_l.
 
-    Row 1 takes the cached bases, whose rank gate raises RankDeficiencyError,
-    and the (B, L, J, J) factors R_l; row 2 requires orthonormal couplings,
-    which are their own bases, with R_l = I.
+    The cached bases' rank gate raises RankDeficiencyError; row 2 first
+    requires orthonormal couplings.
     """
     if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_GAINS:
         bad = [i for i, ch in enumerate(channels) if not ch.orthonormal]
         if bad:
             raise _not_orthonormal(bad[0])
-        return [ch.matrix for ch in channels], np.eye(channels[0].n_modes, dtype=complex)
     bases = [_basis(i, ch) for i, ch in enumerate(channels)]
     coupling = np.array([ch.coupling for ch in channels])
     return bases, np.broadcast_to(coupling, (batch,) + coupling.shape)
@@ -349,15 +342,12 @@ def coordinate_summary(spec: KnowledgeSpec, channels: Sequence[ChannelModel],
     ``coords`` holds each channel's (B, J, M) coordinates a_l = Q_l^H X_l in
     the basis of :attr:`ChannelModel.basis`, ``tails`` the (B, L) tails
     ||X_l - Q_l a_l||^2 / M; no block is formed.  The checks are those of
-    :func:`summarise`, with E_l = ||a_l||^2 / M + tail_l; row 2 reads the
-    matched outputs H_l^H X_l = R_l^H a_l.
+    :func:`summarise`, with E_l = ||a_l||^2 / M + tail_l.
     """
     dims, m = [ch.n_samples for ch in channels], coords[0].shape[-1]
     energies = _checked_energies(
         channels, dims, lambda: np.stack([energy(a) for a in coords], axis=-1) / m + tails)
     _, coupling = _known_couplings(spec, channels, len(energies))
-    if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_GAINS:
-        coords = [_h(ch.coupling) @ a for ch, a in zip(channels, coords)]
     return _summary(channels, dims, energies, coupling, np.stack(coords, axis=1), tails)
 
 
@@ -475,7 +465,7 @@ def _report(spec: KnowledgeSpec, ev: _Evaluation) -> DetectorReport:
         noise_null=None if col.noise_null is None else col.noise_null[0],
         noise_alt=None if ev.noise_alt is None else ev.noise_alt[0],
         gain_direction=gain_direction, coherences=coherences,
-        extras={"fusion_stats": col.phi[0]} if fused else {})
+        fusion_stats=col.phi[0] if fused else None)
 
 
 def _split(x: np.ndarray, span: np.ndarray | int, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,6 +44,8 @@ _MESSAGE_ENTRY = {"factor": str, "coordinates": str, "n_modes": int, "n_snapshot
 
 def chain_tree(n_channels: int) -> PartitionTree:
     """Left-deep tree: (((0, 1), 2), ...)."""
+    if n_channels < 1:
+        raise ConfigError("need at least one channel")
     tree: PartitionTree = 0
     for k in range(1, n_channels):
         tree = (tree, k)
@@ -70,7 +72,7 @@ def tree_leaves(tree: PartitionTree) -> tuple[int, ...]:
     pending: list[PartitionTree] = [tree]
     while pending:
         node = pending.pop()
-        if isinstance(node, int):
+        if isinstance(node, int) and not isinstance(node, bool):
             leaves.append(node)
         elif isinstance(node, tuple) and len(node) == 2:
             pending += [node[1], node[0]]
@@ -188,21 +190,6 @@ class ChannelMessage:
         return self.coordinates.shape[1]
 
 
-_MESSAGE_FIELDS = ("factor", "coordinates")
-
-
-def as_message(obj) -> ChannelMessage:
-    """Coerce a mapping into a ChannelMessage, naming any missing field."""
-    if isinstance(obj, ChannelMessage):
-        return obj
-    if isinstance(obj, Mapping):
-        for name in _MESSAGE_FIELDS:
-            if name not in obj:
-                raise ProtocolError(f"channel message is missing field {name!r}")
-        return ChannelMessage(**{name: obj[name] for name in _MESSAGE_FIELDS})
-    raise ProtocolError(f"cannot interpret {type(obj).__name__} as a channel message")
-
-
 def channel_message(channel: ChannelModel, x_block, n_snapshots: int) -> ChannelMessage:
     """Build the fusion message for one channel from its local data.
 
@@ -218,17 +205,22 @@ def channel_message(channel: ChannelModel, x_block, n_snapshots: int) -> Channel
                           coordinates=channel.basis.conj().T @ x / sigma)
 
 
-def daisy_chain_fuse(messages: Sequence[ChannelMessage | Mapping]) -> list[DetectorReport]:
+def daisy_chain_fuse(messages: Sequence[ChannelMessage]) -> list[DetectorReport]:
     """Fold channel messages into running composite reports, one per prefix.
 
     The k-th returned report equals the known-coupling, known-noise detector
     evaluated on the pooled data of the first k channels; its raw
     cross-validation is the sum of the first k-1 steps over ``chain_tree``.
+    Raises ProtocolError for an empty sequence, an entry that is not a
+    :class:`ChannelMessage`, or messages of different shapes (J, M).
     """
-    msgs = [as_message(m) for m in messages]
+    msgs = list(messages)
     if not msgs:
         raise ProtocolError("no messages to fuse")
     for idx, msg in enumerate(msgs):
+        if not isinstance(msg, ChannelMessage):
+            raise ProtocolError(f"message {idx} is a {type(msg).__name__}, "
+                                f"not a ChannelMessage")
         if msg.coordinates.shape != msgs[0].coordinates.shape:
             raise ProtocolError(f"message {idx} carries (J, M) = {msg.coordinates.shape}, "
                                 f"message 0 carries {msgs[0].coordinates.shape}")

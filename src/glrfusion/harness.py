@@ -154,6 +154,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float, float]:
     """Wilson 95% score interval: (low, high, halfwidth)."""
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    if not 0 <= successes <= trials:
+        raise ConfigError(f"successes={successes} outside [0, trials={trials}]")
     z = _WILSON_Z
     p_hat = successes / trials
     denom = 1.0 + z * z / trials

@@ -196,9 +196,6 @@ class MeasurementSet:
     def n_total(self) -> int:
         return sum(self.channel_dims)
 
-    def stacked(self) -> np.ndarray:
-        return np.vstack(self.blocks)
-
     def block(self, i: int) -> np.ndarray:
         return self.blocks[i]
 
@@ -209,10 +206,6 @@ class MeasurementSet:
                 f"{len(factors)} factors for {self.n_channels} channels"
             )
         return MeasurementSet(tuple(c * b for c, b in zip(factors, self.blocks)))
-
-    def subset(self, indices: Sequence[int]) -> "MeasurementSet":
-        """New set containing only the selected channels, in the given order."""
-        return MeasurementSet(tuple(self.blocks[i] for i in indices))
 
 
 def simulate(

@@ -1,13 +1,13 @@
 """Reference implementations that the tests check the library against.
 
-Closed forms, composite couplings, blocked sample covariances, projector
-and covariance formulas, ML amplitude estimates, the row-2 fusion matrix,
-Hermitian eigendecompositions, eigenvalue sums and the per-cell likelihood
-image that the library no longer evaluates itself: it reads the data
-through thin statistics and splits of their energies, fuses channels
-through their whitened summaries, and scans a grid without rebuilding
-channels, and these oracles give the tests a second, independent path to
-the same numbers.  The entry-by-entry block sampler that the Monte-Carlo
+Closed forms, composite couplings, the broadband channel construction,
+blocked sample covariances, projector and covariance formulas, ML amplitude
+estimates, the row-2 fusion matrix, Hermitian eigendecompositions,
+eigenvalue sums and the per-cell likelihood image that the library no
+longer evaluates itself: it reads the data through thin statistics and
+splits of their energies, fuses channels through their whitened summaries,
+and scans a grid without rebuilding channels, and these oracles give the
+tests a second, independent path to the same numbers.  The entry-by-entry block sampler that the Monte-Carlo
 harness no longer uses gives its trials a second path to the same law.
 """
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import mpmath
@@ -27,11 +28,12 @@ from glrfusion import (
     DimensionError,
     KnowledgeSpec,
     MeasurementSet,
+    PropagationSpec,
     Scenario,
     detect,
     narrowband_channel,
 )
-from glrfusion.channel import require_same_dims
+from glrfusion.channel import dft_slice, modulation_phases, require_same_dims
 from glrfusion.fusion import ChannelMessage
 from glrfusion.detectors import evaluate, summarise
 from glrfusion.linalg import _normalize_phases, as_complex_matrix, orthonormal_basis
@@ -39,6 +41,13 @@ from glrfusion.measurement import _amplitude_stack, rng_stream
 
 # Relative tolerance for "is this matrix Hermitian" checks.
 HERMITIAN_RTOL = 1e-10
+
+# One binding per panel, P11 .. P33, each called as detect_pXY(channels, ms).
+(detect_p11, detect_p12, detect_p13,
+ detect_p21, detect_p22, detect_p23,
+ detect_p31, detect_p32, detect_p33) = (
+    partial(detect, KnowledgeSpec.from_panel(f"P{row}{col}"))
+    for row in "123" for col in "123")
 
 
 # -- data: blocked sample covariances ---------------------------------------
@@ -97,7 +106,7 @@ class SampleCovariance:
 
 def sample_covariance(measurements: MeasurementSet) -> SampleCovariance:
     """Blocked S = (1/M) Z Z^H, symmetrized against rounding asymmetry."""
-    z = measurements.stacked()
+    z = np.vstack(measurements.blocks)
     s = z @ z.conj().T / measurements.n_snapshots
     s = 0.5 * (s + s.conj().T)
     return SampleCovariance(
@@ -119,6 +128,30 @@ def _common_mode_count(channels: Sequence[ChannelModel]) -> int:
                 f"channel {idx} has {ch.n_modes} modes, expected {j} shared by all channels"
             )
     return j
+
+
+def broadband_h(spec: PropagationSpec, tau) -> np.ndarray:
+    """Raw (unnormalized) coupling matrix of ``spec`` along a delay trajectory.
+
+    ``tau`` holds the delay at each of the N sample instants, in place of the
+    spec's first-order delay model.  Entry (n, j) of the inner phase table is
+    exp(-i2pi f_c tau_n) * exp(+i2pi n j / N) * exp(-i (2pi j / T) tau_n),
+    and the result is pre-multiplied by the clock-offset carrier phase and
+    post-multiplied by the clock-offset column modulation.
+    """
+    tau = np.asarray(tau, dtype=float)
+    if tau.shape != (spec.n_samples,):
+        raise ValueError(f"need one delay per sample, {spec.n_samples}, got shape {tau.shape}")
+    tau = tau[:, None]
+    j = np.arange(spec.n_modes)[None, :]
+    v = (
+        np.exp(-2j * np.pi * spec.carrier_hz * tau)
+        * dft_slice(spec.n_samples, spec.n_modes)
+        * np.exp(-2j * np.pi * j * tau / spec.duration_s)
+    )
+    carrier = np.exp(-2j * np.pi * spec.carrier_hz * spec.clock_offset_s)
+    cols = modulation_phases(spec.n_modes, spec.clock_offset_s / spec.duration_s)
+    return carrier * v * cols[None, :]
 
 
 def compose_f(channels: Sequence[ChannelModel]) -> np.ndarray:

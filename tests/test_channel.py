@@ -11,7 +11,6 @@ from glrfusion import (
     KnowledgeSpec,
     PropagationSpec,
     RankDeficiencyError,
-    build_broadband_h,
     build_narrowband_h,
     detect,
     narrowband_channel,
@@ -19,9 +18,10 @@ from glrfusion import (
     radial_velocity_to_doppler,
     simulate,
 )
-from glrfusion.channel import SPEED_OF_LIGHT_MPS, dft_slice, narrowband_factors
+from glrfusion.channel import (SPEED_OF_LIGHT_MPS, dft_slice, narrowband_factors,
+                               orthonormal_columns)
 from conftest import complex_normal, random_channel
-from oracles import compose_f, compose_f_whitened
+from oracles import broadband_h, compose_f, compose_f_whitened
 
 
 def base_spec(**overrides) -> PropagationSpec:
@@ -39,18 +39,12 @@ class TestPropagationSpec:
     def test_duration_derived(self):
         spec = base_spec()
         assert spec.duration_s == pytest.approx(8e-3)
-
-    def test_inconsistent_duration_rejected(self):
-        with pytest.raises(ConfigError):
-            base_spec(duration_s=9e-3)
+        with pytest.raises(TypeError):
+            base_spec(duration_s=8e-3)
 
     def test_modes_bounded_by_samples(self):
         with pytest.raises(ConfigError):
             base_spec(n_modes=9)
-
-    def test_delay_samples_length_checked(self):
-        with pytest.raises(ConfigError):
-            base_spec(delay_samples_s=(0.0,) * 5)
 
     @pytest.mark.parametrize("field,value", [
         ("carrier_hz", 1e308), ("carrier_hz", -1e308), ("carrier_hz", float("nan")),
@@ -61,33 +55,32 @@ class TestPropagationSpec:
         with pytest.raises(ConfigError, match=f"^{field}="):
             base_spec(**{field: value})
 
-    def test_nan_duration_rejected(self):
-        with pytest.raises(ConfigError, match="duration_s"):
-            base_spec(duration_s=float("nan"))
-
     def test_velocity_conversion(self):
         nu = radial_velocity_to_doppler(300.0, 10e9)
         assert nu == pytest.approx(10e9 * 300.0 / SPEED_OF_LIGHT_MPS)
 
 
 class TestBroadband:
+    """The narrowband construction against the broadband reference of ``oracles``."""
+
     def test_zero_delay_gives_dft_slice(self):
-        spec = base_spec(delay_samples_s=(0.0,) * 8)
-        h = build_broadband_h(spec)
+        h = broadband_h(base_spec(), np.zeros(8))
         np.testing.assert_allclose(h, dft_slice(8, 2), atol=1e-14)
 
     def test_constant_delay_factors_per_column(self):
         tau0 = 3.7e-4
-        spec = base_spec(delay_samples_s=(tau0,) * 8)
-        h = build_broadband_h(spec)
-        ref = build_broadband_h(base_spec(delay_samples_s=(0.0,) * 8))
+        spec = base_spec()
+        h = broadband_h(spec, np.full(8, tau0))
+        ref = broadband_h(spec, np.zeros(8))
         for j in range(2):
             factor = np.exp(-2j * np.pi * (spec.carrier_hz + j / spec.duration_s) * tau0)
             np.testing.assert_allclose(h[:, j], ref[:, j] * factor, atol=1e-12)
 
     def test_missing_delay_samples(self):
-        with pytest.raises(ConfigError):
-            build_broadband_h(base_spec())
+        # A short trajectory would broadcast to a constant delay; the reference refuses it.
+        for tau in (np.zeros(0), np.zeros(1), np.zeros(5)):
+            with pytest.raises(ValueError, match="one delay per sample"):
+                broadband_h(base_spec(), tau)
 
     def test_converges_to_narrowband(self):
         # Delay trajectory linear in time with a slow fractional rate: the
@@ -100,9 +93,8 @@ class TestBroadband:
             ts = 1e-3
             times = np.arange(8) * ts
             tau = tau0 + (nu / carrier) * times
-            spec_bb = base_spec(carrier_hz=carrier, delay_samples_s=tuple(tau))
             spec_nb = base_spec(carrier_hz=carrier, delay_s=tau0, doppler_hz=nu)
-            h_bb = build_broadband_h(spec_bb)
+            h_bb = broadband_h(spec_nb, tau)
             h_nb = build_narrowband_h(spec_nb)
             errs.append(np.linalg.norm(h_bb - h_nb) / np.linalg.norm(h_nb))
         assert errs[0] <= 1e-3
@@ -174,7 +166,7 @@ class TestChannelModel:
 
     def test_narrowband_channel_is_orthonormal(self):
         ch = narrowband_channel(base_spec(doppler_hz=3.0), gain=2.0, noise_variance=0.5)
-        assert ch.is_orthonormal()
+        assert ch.orthonormal
 
 
 class TestCachedBasis:
@@ -183,7 +175,7 @@ class TestCachedBasis:
         assert ch.basis is ch.basis and ch.coupling is ch.coupling
         np.testing.assert_allclose(ch.basis.conj().T @ ch.basis, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(ch.basis @ ch.coupling, ch.matrix, atol=1e-12)
-        assert ch.orthonormal == ch.is_orthonormal()
+        assert ch.orthonormal == bool(orthonormal_columns(ch.matrix))
 
     def test_matrix_and_cached_factors_are_read_only(self, rng):
         ch = random_channel(rng, 6, 2)

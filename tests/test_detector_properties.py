@@ -118,6 +118,6 @@ def test_gain_row_cross_validation_is_smallest_fusion_eigenvalue(panel, data):
     rep = detect(KnowledgeSpec.from_panel(panel), channels, ms)
     if rep.degenerate:
         return
-    stats = rep.extras["fusion_stats"] if panel == "P23" else rep.per_channel
+    stats = rep.fusion_stats if panel == "P23" else rep.per_channel
     fusion = rayleigh_extremes(build_fusion_t(rep.alphas, stats, rep.coherences))
     assert close(rep.cross_validation, fusion.min_value, rep.composite)

@@ -18,6 +18,14 @@ from glrfusion import (
     NoiseKnowledge,
     channel_message,
     detect,
+    simulate,
+)
+from conftest import complex_normal, random_channel, random_instance
+from oracles import (
+    build_fusion_t,
+    coherence,
+    compose_f,
+    compose_f_whitened,
     detect_p11,
     detect_p12,
     detect_p13,
@@ -27,14 +35,6 @@ from glrfusion import (
     detect_p31,
     detect_p32,
     detect_p33,
-    simulate,
-)
-from conftest import complex_normal, random_channel, random_instance
-from oracles import (
-    build_fusion_t,
-    coherence,
-    compose_f,
-    compose_f_whitened,
     fusion_m_matrix,
     hermitian_eig,
     message_amplitudes,
@@ -74,7 +74,7 @@ class TestDispatch:
 
     def test_unknown_gains_requires_orthonormal(self, rng):
         chans, ms = make_instance(rng, "P11", n_channels=2, n_modes=2)
-        assert not chans[0].is_orthonormal()
+        assert not chans[0].orthonormal
         with pytest.raises(ConfigError, match="orthonormal"):
             detect_p21(chans, ms)
 
@@ -508,7 +508,7 @@ class TestP23:
         for _ in range(200):
             chans, ms = make_instance(rng, panel, n_channels=2)
             rep = detect(spec, chans, ms)
-            stats = rep.extras["fusion_stats"] if panel == "P23" else rep.per_channel
+            stats = rep.fusion_stats if panel == "P23" else rep.per_channel
             t0 = build_fusion_t(rep.alphas, stats, np.eye(len(chans)))
             zeroed = float(rep.alphas @ rep.per_channel) - rayleigh_extremes(t0).min_value
             assert rep.composite >= zeroed - 1e-12 * max(1.0, abs(zeroed))

@@ -19,7 +19,6 @@ from glrfusion import (
     chain_tree,
     channel_message,
     daisy_chain_fuse,
-    detect_p11,
     normalize_channel,
     partition_cv,
     simulate,
@@ -31,6 +30,7 @@ from oracles import (
     cfar_diag_decomposition,
     composite_gram_form,
     compose_f_whitened,
+    detect_p11,
     message_amplitudes,
     ml_amplitudes,
     projection_form_cv,
@@ -136,6 +136,15 @@ class TestPartitionCv:
         assert tree_leaves(chain_tree(4)) == (0, 1, 2, 3)
         assert sorted(tree_leaves(balanced_tree(5))) == [0, 1, 2, 3, 4]
 
+    @pytest.mark.parametrize("build, arg", [
+        (chain_tree, 0), (chain_tree, -3), (balanced_tree, 0), (balanced_tree, -3),
+        (tree_leaves, (True, 0)), (tree_leaves, ((0, 1), False)),
+    ], ids=["chain-0", "chain-negative", "balanced-0", "balanced-negative",
+            "bool-leaf", "nested-bool-leaf"])
+    def test_empty_tree_or_bool_leaf_rejected(self, build, arg):
+        with pytest.raises(ConfigError, match="at least one channel|malformed partition tree"):
+            build(arg)
+
 
 class TestProjectionForm:
     def test_equal_estimates_vanish(self, rng):
@@ -202,7 +211,7 @@ class TestDaisyChain:
         chans, ms = random_instance(rng, n_channels=4)
         reports = daisy_chain_fuse(messages_for(chans, ms))
         for k in range(1, 5):
-            sub = detect_p11(chans[:k], ms.subset(range(k)))
+            sub = detect_p11(chans[:k], MeasurementSet(ms.blocks[:k]))
             assert reports[k - 1].composite == pytest.approx(
                 sub.composite, abs=1e-9, rel=1e-9)
 
@@ -211,23 +220,22 @@ class TestDaisyChain:
         msgs = messages_for(chans, ms)
         del msgs[1]
         final = daisy_chain_fuse(msgs)[-1]
-        sub = detect_p11([chans[0], chans[2]], ms.subset([0, 2]))
+        sub = detect_p11([chans[0], chans[2]], MeasurementSet((ms.block(0), ms.block(2))))
         assert final.composite == pytest.approx(sub.composite, abs=1e-9, rel=1e-9)
 
-    def test_mapping_messages_accepted(self, rng):
-        chans, ms = random_instance(rng, n_channels=2)
-        msgs = [{"factor": m.factor, "coordinates": m.coordinates}
-                for m in messages_for(chans, ms)]
-        reports = daisy_chain_fuse(msgs)
-        rep = detect_p11(chans, ms)
-        assert reports[-1].composite == pytest.approx(rep.composite, rel=1e-9)
+    def test_missing_field_named(self, rng, tmp_path):
+        root = save_messages(messages_for(*random_instance(rng, n_channels=2)), tmp_path / "m")
+        header = json.loads((root / "header.json").read_text())
+        del header["messages"][1]["coordinates"]
+        (root / "header.json").write_text(json.dumps(header))
+        with pytest.raises(ProtocolError, match="missing field 'coordinates'"):
+            load_messages(root)
 
-    def test_missing_field_named(self, rng):
-        chans, ms = random_instance(rng, n_channels=2)
-        msg = messages_for(chans, ms)[0]
-        broken = {"factor": msg.factor}
-        with pytest.raises(ProtocolError, match="coordinates"):
-            daisy_chain_fuse([broken])
+    def test_non_message_rejected(self, rng):
+        msg = messages_for(*random_instance(rng, n_channels=1))[0]
+        mapping = {"factor": msg.factor, "coordinates": msg.coordinates}
+        with pytest.raises(ProtocolError, match="message 1 is a dict, not a ChannelMessage"):
+            daisy_chain_fuse([msg, mapping])
 
     def test_amplitude_columns_must_match_snapshots(self, rng):
         chans, ms = random_instance(rng, n_channels=1, n_modes=2, n_snapshots=6)
@@ -281,7 +289,7 @@ class TestMessageValidation:
     ], ids=["no-modes", "no-snapshots"])
     def test_empty_message_rejected(self, tmp_path, factor, coordinates):
         with pytest.raises(DimensionError, match="empty"):
-            daisy_chain_fuse([{"factor": factor, "coordinates": coordinates}])
+            daisy_chain_fuse([ChannelMessage(factor=factor, coordinates=coordinates)])
         with pytest.raises(DimensionError):
             load_messages(write_message_file(tmp_path / "m", factor, coordinates))
 
@@ -300,7 +308,7 @@ class TestMessageValidation:
         factor = np.ones((2, 2))
         coordinates = complex_normal(rng, (2, 3))
         with pytest.raises(RankDeficiencyError, match="message factor"):
-            daisy_chain_fuse([{"factor": factor, "coordinates": coordinates}])
+            daisy_chain_fuse([ChannelMessage(factor=factor, coordinates=coordinates)])
         with pytest.raises(RankDeficiencyError, match="message factor"):
             load_messages(write_message_file(tmp_path / "m", factor, coordinates))
 

@@ -23,7 +23,6 @@ from glrfusion import (
     build_narrowband_h,
     calibrate_threshold,
     detect,
-    detect_p12,
     narrowband_channel,
     normalize_channel,
     run_null,
@@ -43,7 +42,7 @@ from glrfusion.measurement import (
     draw_trials,
     rng_stream,
 )
-from oracles import entrywise_sample, scan_by_rebuild
+from oracles import detect_p12, entrywise_sample, scan_by_rebuild
 
 log = logging.getLogger(__name__)
 
@@ -185,7 +184,7 @@ class TestRunNull:
         rng = np.random.default_rng(42)
         channels = tuple(dataclasses.replace(random_channel(rng, n, 2), gain=g, noise_variance=v)
                          for n, v, g in ((16, 1.0, 1.0), (12, 3.0, 0.8 + 0.3j), (20, 0.5, 1.3)))
-        assert not any(ch.is_orthonormal() for ch in channels)
+        assert not any(ch.orthonormal for ch in channels)
         spec = ExperimentSpec(panel=P11, scenario=FixedChannelScenario(
             specs=three_channel_scenario().specs, gains=tuple(ch.gain for ch in channels),
             noise_variances=tuple(ch.noise_variance for ch in channels), n_snapshots=8,
@@ -313,7 +312,7 @@ def unequal_fixed_scenario() -> FixedChannelScenario:
     rng = np.random.default_rng(42)
     channels = tuple(dataclasses.replace(random_channel(rng, n, 2), gain=g, noise_variance=v)
                      for n, v, g in ((16, 1.0, 1.0), (12, 3.0, 0.8 + 0.3j), (20, 0.5, 1.3)))
-    assert not any(ch.is_orthonormal() for ch in channels)
+    assert not any(ch.orthonormal for ch in channels)
     return FixedChannelScenario(
         specs=three_channel_scenario().specs, gains=tuple(ch.gain for ch in channels),
         noise_variances=tuple(ch.noise_variance for ch in channels), n_snapshots=8,
@@ -807,6 +806,11 @@ class TestWilson:
         assert high == pytest.approx(1.0, abs=1e-12)
         assert low < 1
 
+    @pytest.mark.parametrize("successes", [11, -1])
+    def test_counts_out_of_range_rejected(self, successes):
+        with pytest.raises(ConfigError, match=rf"successes={successes} outside \[0, trials=10\]"):
+            wilson_interval(successes, 10)
+
 
 class TestScenario:
     def test_amplitude_scale_matches_definition(self):
@@ -819,7 +823,7 @@ class TestScenario:
 
     def test_channels_are_orthonormal(self):
         for ch in two_channel_scenario().channels():
-            assert ch.is_orthonormal()
+            assert ch.orthonormal
 
     def test_channels_are_built_once_and_shared(self):
         scenario = three_channel_scenario()

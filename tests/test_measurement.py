@@ -440,5 +440,5 @@ class TestRoundTrip:
         scaled = ms.scaled([2.0, -1.0j])
         np.testing.assert_allclose(scaled.block(0), 2.0 * ms.block(0))
         np.testing.assert_allclose(scaled.block(1), -1.0j * ms.block(1))
-        sub = ms.subset([1])
+        sub = MeasurementSet((ms.blocks[1],))
         np.testing.assert_array_equal(sub.block(0), ms.block(1))

@@ -16,11 +16,9 @@ PUBLIC_NAMES = [
     "GlrFusionError", "KnowledgeSpec", "LikelihoodImage",
     "MeasurementSet", "NoiseKnowledge", "NullDistribution", "PropagationSpec",
     "ProtocolError", "RankDeficiencyError", "RocCurve", "Scenario",
-    "ThresholdCalibration", "balanced_tree", "build_broadband_h",
+    "ThresholdCalibration", "balanced_tree",
     "build_narrowband_h", "calibrate_threshold", "chain_tree", "channel_message",
-    "daisy_chain_fuse",
-    "detect", "detect_p11", "detect_p12", "detect_p13", "detect_p21", "detect_p22",
-    "detect_p23", "detect_p31", "detect_p32", "detect_p33", "draw_amplitudes",
+    "daisy_chain_fuse", "detect", "draw_amplitudes",
     "load_measurements", "narrowband_channel",
     "normalize_channel", "partition_cv", "radial_velocity_to_doppler",
     "run_null", "run_roc",
@@ -29,7 +27,12 @@ PUBLIC_NAMES = [
 
 REPORT_FIELDS = [
     "composite", "alphas", "per_channel", "cross_validation", "panel", "degenerate",
-    "gain_direction", "noise_null", "noise_alt", "coherences", "extras",
+    "gain_direction", "noise_null", "noise_alt", "coherences", "fusion_stats",
+]
+
+SPEC_FIELDS = [
+    "carrier_hz", "sample_period_s", "n_samples", "n_modes", "delay_s", "doppler_hz",
+    "clock_offset_s",
 ]
 
 
@@ -44,6 +47,11 @@ def test_report_fields_are_pinned():
     assert names == REPORT_FIELDS
 
 
+def test_propagation_spec_fields_are_pinned():
+    names = [f.name for f in dataclasses.fields(glrfusion.PropagationSpec)]
+    assert names == SPEC_FIELDS
+
+
 IMPORT_FOOTPRINT = textwrap.dedent("""
     import math
     import sys
@@ -51,7 +59,8 @@ IMPORT_FOOTPRINT = textwrap.dedent("""
     import glrfusion
     import glrfusion.cli
 
-    assert "scipy.stats" not in sys.modules, "importing glrfusion loaded scipy.stats"
+    loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+    assert not loaded, f"importing glrfusion and its CLI loaded {loaded}"
 
     from glrfusion import ExperimentSpec, KnowledgeSpec, PropagationSpec, Scenario, run_null
 
