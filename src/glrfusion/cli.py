@@ -297,7 +297,7 @@ def report_record(report: DetectorReport) -> dict:
             if np.isfinite(report.composite) else None
         ),
     }
-    for name in ("gain_direction", "noise_null", "noise_alt"):
+    for name in ("gain_direction", "noise_null", "noise_alt", "coherences", "fusion_stats"):
         if getattr(report, name) is not None:
             record[name] = getattr(report, name)
     return record

@@ -15,12 +15,13 @@ Every panel reads channel l only through its :class:`Summary`: on rows 1
 with Q_l an orthonormal basis of the span of the coupling H_l, the J x J
 factor R_l = Q_l^H H_l, the coordinates a_l = Q_l^H X_l, the tail
 ||X_l - Q_l a_l||^2 / M formed directly and the block energy E_l; on row 3
-(only the mode count J known), the triangular factor R_l of X_l = Q_l R_l,
-which keeps every singular value of X_l.  :func:`evaluate` evaluates a panel
-over a leading batch axis of hypotheses: :func:`detect` passes a batch of one,
-a delay/Doppler scan the cells of its grid, which change R_l and, through
-the Doppler only, Q_l, a_l and the tail, and the Monte-Carlo harness a chunk
-of trials, each with its own data.
+(only the mode count J known), a factor F_l with F_l^H F_l = X_l^H X_l, which
+keeps every singular value of X_l: the triangular factor of X_l, or in the
+Monte-Carlo harness the drawn stack [a_l; T_l] (:func:`coordinate_summary`).
+:func:`evaluate` evaluates a panel over a leading batch axis of hypotheses:
+:func:`detect` passes a batch of one, a delay/Doppler scan the cells of its
+grid, which change R_l and, through the Doppler only, Q_l, a_l and the tail,
+and the Monte-Carlo harness a chunk of trials, each with its own data.
 
 One rule gives every composite and cross-validation term: :func:`_split`
 divides the energy of a matrix into the part inside a subspace and the tail
@@ -240,19 +241,22 @@ class Summary(NamedTuple):
     orthonormal couplings, so its R_l is unitary.  A scan's bank of couplings
     (:func:`bank_summary`) is on row 2 its own basis, Q = H with R = I, which
     is also a factorisation H = QR.  Row 3 knows only the mode count J.  Its
-    coordinates are the triangular factors of the blocks, zero-padded to a
-    common height K: zero rows leave R_l^H R_l = X_l^H X_l, so every
-    singular value is kept.  The channel constants are shared by the whole
-    batch, and so are the block energies of a batch of hypotheses on one
-    data set (a scan's cells).
+    coordinates are factors F_l of the blocks, F_l^H F_l = X_l^H X_l, so every
+    singular value is kept: the triangular factors of the blocks, or the
+    stacks [a_l; T_l] of :func:`coordinate_summary`, zero-padded to a common
+    height K, as zero rows leave F_l^H F_l as it is.  The channel constants
+    are shared by the whole batch, and so are the block energies of a batch
+    of hypotheses on one data set (a scan's cells).
 
-    Rows 1 and 2 read a block only through a_l and the tail, so
-    :func:`coordinate_summary` builds their summary from those alone: the
-    Monte-Carlo harness draws them directly (``measurement.draw_trials``).
+    Rows 1 and 2 read a block only through a_l and the tail, and row 3 only
+    through X_l^H X_l, so :func:`coordinate_summary` builds every summary
+    without a block: the Monte-Carlo harness draws a_l, the tail and, on row
+    3, the factor T_l of the tail directly (``measurement.draw_trials``).
     White noise keeps its law under the rotation [Q_l Q_l^perp]^H, so its
     coordinates are iid CN(0, sigma_l^2) and its energy outside the span
-    sigma_l^2 Gamma((N_l - J) M, 1), independent of them: exactly the law of
-    a_l and the tail of a drawn N_l x M block.
+    sigma_l^2 Gamma((N_l - J) M, 1), independent of them, and its part outside
+    the span is a uniform frame times a complex Bartlett factor: exactly the
+    law of a_l, the tail and X_l^H X_l of a drawn N_l x M block.
     """
 
     gains: np.ndarray  # (L,) g_l
@@ -260,7 +264,7 @@ class Summary(NamedTuple):
     dims: np.ndarray  # (L,) N_l
     energies: np.ndarray  # (B, L) or (1, L) E_l = ||X_l||^2 / M
     coupling: np.ndarray | int  # (B, L, J, J) R_l = Q_l^H H_l, or J on row 3
-    coords: np.ndarray  # (B, L, J, M) a_l = Q_l^H X_l, or (B, L, K, M) R_l on row 3
+    coords: np.ndarray  # (B, L, J, M) a_l = Q_l^H X_l, or (B, L, K, M) F_l on row 3
     tails: np.ndarray | None  # (B, L) ||X_l - Q_l a_l||^2 / M; none on row 3
 
 
@@ -324,29 +328,46 @@ def summarise(spec: KnowledgeSpec, channels: Sequence[ChannelModel],
     batch = len(energies)
     if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_SUBSPACE:
         coupling = _mode_count(spec, channels, dims, m)
-        padded = np.zeros((batch, len(blocks), max(dims), m), dtype=complex)
-        for idx, x in enumerate(blocks):
-            padded[:, idx, :x.shape[-2]] = x
         return _summary(channels, dims, energies, coupling,
-                        np.linalg.qr(padded, mode="r"), None)
+                        np.linalg.qr(_padded(blocks, m), mode="r"), None)
     bases, coupling = _known_couplings(spec, channels, batch)
     coords, tails = zip(*(_coordinates(q, x, m) for q, x in zip(bases, blocks)))
     return _summary(channels, dims, energies, coupling, np.stack(coords, axis=1),
                     np.stack(tails, axis=-1))
 
 
-def coordinate_summary(spec: KnowledgeSpec, channels: Sequence[ChannelModel],
-                       coords: Sequence[np.ndarray], tails: np.ndarray) -> Summary:
-    """The summary of a row-1 or row-2 panel on B data sets given by a_l and the tail.
+def _padded(stacks: Sequence[np.ndarray], m: int) -> np.ndarray:
+    """The channels' (B, n_l, M) stacks as one (B, L, max n_l, M) stack, zero-padded:
+    zero rows leave each channel's Gram matrix as it is."""
+    out = np.zeros((len(stacks[0]), len(stacks), max(x.shape[-2] for x in stacks), m),
+                   dtype=complex)
+    for idx, x in enumerate(stacks):
+        out[:, idx, :x.shape[-2]] = x
+    return out
 
-    ``coords`` holds each channel's (B, J, M) coordinates a_l = Q_l^H X_l in
-    the basis of :attr:`ChannelModel.basis`, ``tails`` the (B, L) tails
-    ||X_l - Q_l a_l||^2 / M; no block is formed.  The checks are those of
+
+def coordinate_summary(spec: KnowledgeSpec, channels: Sequence[ChannelModel],
+                       coords: Sequence[np.ndarray], tails: np.ndarray,
+                       factors: Sequence[np.ndarray] | None = None) -> Summary:
+    """The summary of a panel on B data sets given by a_l and the tail, and on
+    row 3 also by the factor of the tail.
+
+    ``coords`` holds each channel's (B, k_l, M) coordinates a_l = Q_l^H X_l in
+    an orthonormal basis Q_l, on rows 1 and 2 that of
+    :attr:`ChannelModel.basis`, and ``tails`` the (B, L) tails
+    ||X_l - Q_l a_l||^2 / M.  Row 3 reads ``factors``, each channel's (B, r_l,
+    M) T_l with X_l - Q_l a_l = V_l T_l for some orthonormal V_l: the stack
+    [a_l; T_l] has the Gram matrix X_l^H X_l, so it stands for the triangular
+    factor of X_l.  No block is formed.  The checks are those of
     :func:`summarise`, with E_l = ||a_l||^2 / M + tail_l.
     """
     dims, m = [ch.n_samples for ch in channels], coords[0].shape[-1]
     energies = _checked_energies(
         channels, dims, lambda: np.stack([energy(a) for a in coords], axis=-1) / m + tails)
+    if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_SUBSPACE:
+        coupling = _mode_count(spec, channels, dims, m)
+        parts = [np.concatenate((a, t), axis=-2) for a, t in zip(coords, factors, strict=True)]
+        return _summary(channels, dims, energies, coupling, _padded(parts, m), None)
     _, coupling = _known_couplings(spec, channels, len(energies))
     return _summary(channels, dims, energies, coupling, np.stack(coords, axis=1), tails)
 

@@ -17,7 +17,8 @@ per link.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import InitVar, dataclass
 from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
@@ -27,7 +28,7 @@ import numpy as np
 from .channel import ChannelModel, require_same_dims
 from .detectors import (ChannelKnowledge, DetectorReport, KnowledgeSpec, NoiseKnowledge,
                         _coordinates)
-from .errors import ConfigError, DimensionError, ProtocolError
+from .errors import ConfigError, DimensionError, ProtocolError, RankDeficiencyError
 from .linalg import as_complex_matrix, energy, orthonormal_basis
 from .measurement import (_HEADER_NAME, MeasurementSet, _format_block, _parse_block,
                           _read_header, _require_type, json_text, write_files)
@@ -35,6 +36,9 @@ from .measurement import (_HEADER_NAME, MeasurementSet, _format_block, _parse_bl
 PartitionTree = int | tuple
 
 _P11 = KnowledgeSpec(ChannelKnowledge.KNOWN_F, NoiseKnowledge.KNOWN)
+
+# The smallest normal float: a scaled singular value below it has lost precision.
+_TINY = np.finfo(float).tiny
 
 _MESSAGE_FORMAT = "glrfusion-messages"
 _MESSAGE_VERSION = 2
@@ -162,13 +166,16 @@ class ChannelMessage:
 
     The channel's whitened row-1 summary: the nonsingular J x J ``factor``
     (g_l / sigma_l) R_l and the J x M ``coordinates`` Q_l^H X_l / sigma_l,
-    with H_l = Q_l R_l.
+    with H_l = Q_l R_l.  The factor passes the rank gate of
+    :func:`~glrfusion.linalg.orthonormal_basis`, except from
+    :func:`channel_message`, which gates the channel's own factor more cheaply.
     """
 
     factor: np.ndarray
     coordinates: np.ndarray
+    _rank_gate: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, _rank_gate: bool):
         factor = as_complex_matrix(self.factor, "message factor")
         coords = as_complex_matrix(self.coordinates, "message coordinates")
         j, m = coords.shape
@@ -176,7 +183,8 @@ class ChannelMessage:
             raise DimensionError(f"message coordinates are empty: (J, M) = {coords.shape}")
         if factor.shape != (j, j):
             raise DimensionError(f"message factor shape {factor.shape} does not match J={j}")
-        orthonormal_basis(factor, "message factor")  # rank gate
+        if _rank_gate:
+            orthonormal_basis(factor, "message factor")
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "coordinates", coords)
 
@@ -193,7 +201,12 @@ class ChannelMessage:
 def channel_message(channel: ChannelModel, x_block, n_snapshots: int) -> ChannelMessage:
     """Build the fusion message for one channel from its local data.
 
-    Reads the channel's cached basis Q_l and factor R_l = Q_l^H H_l.
+    Reads the channel's cached basis Q_l and factor R_l = Q_l^H H_l.  The
+    basis passed the rank gate, and Q_l holds the left singular vectors of
+    H_l, so R_l = diag(s) V^H: its rows have the singular values s of H_l as
+    norms.  Only the scale g_l / sigma_l is gated: the scaled singular values
+    must be finite (ValueError) and normal floats, or the factor has lost
+    rank to underflow (RankDeficiencyError).
     """
     x = as_complex_matrix(x_block, "channel data")
     require_same_dims([channel], [x.shape[0]])
@@ -201,8 +214,16 @@ def channel_message(channel: ChannelModel, x_block, n_snapshots: int) -> Channel
         raise DimensionError(f"channel data has {x.shape[1]} columns "
                              f"for n_snapshots={n_snapshots}")
     sigma = channel.noise_sigma
-    return ChannelMessage(factor=(channel.gain / sigma) * channel.coupling,
-                          coordinates=channel.basis.conj().T @ x / sigma)
+    scale = channel.gain / sigma
+    norms = np.linalg.norm(channel.coupling, axis=1)
+    low, high = abs(scale) * float(norms.min()), abs(scale) * float(norms.max())
+    if not math.isfinite(high):
+        raise ValueError("message factor contains non-finite entries")
+    if not low >= _TINY:
+        raise RankDeficiencyError(f"message factor of gain / sigma = {scale} underflows "
+                                  f"(singular values {low:.3e} .. {high:.3e})")
+    return ChannelMessage(factor=scale * channel.coupling,
+                          coordinates=channel.basis.conj().T @ x / sigma, _rank_gate=False)
 
 
 def daisy_chain_fuse(messages: Sequence[ChannelMessage]) -> list[DetectorReport]:

@@ -10,13 +10,17 @@ trial gets the checks a :class:`~glrfusion.detectors.DetectorReport` applies.
 Rows 1 and 2 read a block X_l only through its coordinates a_l = Q_l^H X_l
 and its tail, so their trials draw those directly, a_l = g_l R_l A +
 sigma_l W_l and the tail sigma_l^2 Gamma((N_l - J) M, 1) / M, which is exact
-in law (``measurement.draw_trials``); no N_l x M array is formed.  Row 3
-reads the blocks, built from the same leading draws, so every panel and
-``simulate`` see one data set per trial.  Thresholds always
+in law (``measurement.draw_trials``).  Row 3 reads a block only through its
+singular values, so through X_l^H X_l: its trials also draw the factor T_l of
+the tail, a scaled complex Bartlett factor of at most M rows, and read the
+stack [a_l; T_l], whose Gram matrix is X_l^H X_l.  No panel forms an N_l x M
+array.  ``simulate`` builds the blocks from the same draws, so every panel
+and ``simulate`` see one data set per trial.  Thresholds always
 come from empirical null quantiles so every panel is treated uniformly.
 
 The module needs numpy alone: ``scipy.stats`` serves only :func:`run_null`'s
-KS reference and loads on the first null run that KS-tests.
+KS reference and loads on the first null run that KS-tests, and the process
+pool loads on the first run with more than one job.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -169,19 +172,18 @@ def _trial_block(panel: KnowledgeSpec, channels: Sequence[ChannelModel], m: int,
                  amp_scale: float | None, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Composites and degenerate flags of the trials ``ids``, evaluated together.
 
-    Rows 1 and 2 read each trial's coordinates and tails as drawn, row 3 its
-    blocks.  A trial's value does not depend on the other trials: its data
-    come from its own substreams, and every step treats the matrices of a
-    stack apart.
+    Rows 1 and 2 read each trial's coordinates and tails as drawn, row 3 also
+    the factors of its tails.  A trial's value does not depend on the other
+    trials: its data come from its own substreams, and every step treats the
+    matrices of a stack apart.
     """
     amps = None
     if amp_scale is not None:
         amps = _amplitude_stack(channels[0].n_modes, m, amp_scale, seed, ids)
     subspace = panel.channel_knowledge == ChannelKnowledge.UNKNOWN_SUBSPACE
-    draws = draw_trials(channels, m, seed, ids, amps, blocks=subspace)
-    summary = (summarise(panel, channels, draws.blocks) if subspace
-               else coordinate_summary(panel, channels, draws.coords, draws.tails))
-    ev = evaluate(panel, summary)
+    draws = draw_trials(channels, m, seed, ids, amps, factors=subspace)
+    ev = evaluate(panel, coordinate_summary(panel, channels, draws.coords, draws.tails,
+                                            draws.factors))
     check_decomposition(ev.composite, ev.col.alphas, ev.col.lam, ev.cross_validation,
                         ev.degenerate)
     return ev.composite, ev.degenerate
@@ -200,18 +202,21 @@ def _statistic_sample(
 
     Each chunk of trials, at least one per job, is evaluated in one pass.  A
     chunk is sized by the largest stack it forms: the L J x M coordinates of
-    a trial on rows 1 and 2, its L blocks of up to max N_l x M on row 3.
+    a trial on rows 1 and 2, and on row 3 its L factors [a_l; T_l], each of
+    k_l + min(N_l - k_l, M) = min(N_l, J + M) rows at most.
     """
     channels = scenario.channels()
-    m = scenario.n_snapshots
-    height = (max(ch.n_samples for ch in channels)
-              if panel.channel_knowledge == ChannelKnowledge.UNKNOWN_SUBSPACE
-              else scenario.n_modes)
+    m, j = scenario.n_snapshots, scenario.n_modes
+    height = (max(min(ch.n_samples, j + m) for ch in channels)
+              if panel.channel_knowledge == ChannelKnowledge.UNKNOWN_SUBSPACE else j)
     chunks = [ids + trial_offset for ids in _chunks(trials, len(channels) * height * m, jobs)]
     block = functools.partial(_trial_block, panel, channels, m, seed, amp_scale)
     if jobs <= 1:
         results = list(map(block, chunks))
     else:
+        # Deferred: importing the process pool adds about 15 ms to a cold start.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(block, chunks))
     values, degenerate = (np.concatenate(parts) for parts in zip(*results))

@@ -11,10 +11,11 @@ generator, reseeded per key and owned by the call.
 A trial is drawn in each channel's frame [Q_l Q_l^perp], Q_l an orthonormal
 basis of the span of H_l (:func:`draw_trials`): its coordinates a_l = Q_l^H X_l
 and the energy of its tail outside Q_l first, which is all the known-coupling
-detectors read, and the block X_l only where it is needed (:func:`simulate`
-and the unknown-subspace row).  White noise keeps its law under a rotation,
-so this is exact in law, though not the same numbers as drawing X_l entry by
-entry.
+detectors read; then the tail's triangular factor, a scaled complex Bartlett
+factor of at most M rows, which with a_l is all the unknown-subspace row
+reads; and the block X_l only where it is needed (:func:`simulate`).  White
+noise keeps its law under a rotation, so this is exact in law, though not the
+same numbers as drawing X_l entry by entry.
 
 The on-disk interchange format is binary-free: one directory with a JSON
 header (format, version, dims, snapshot count, channel order) plus one CSV per block holding
@@ -25,6 +26,7 @@ float64 bit-exactly.  Every file the package writes reaches disk through
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -249,7 +251,53 @@ class TrialDraws(NamedTuple):
 
     coords: list[np.ndarray]  # per channel (T, k_l, M): a_l = Q_l^H X_l
     tails: np.ndarray  # (T, L): ||X_l - Q_l a_l||^2 / M
+    factors: list[np.ndarray] | None  # per channel (T, r_l, M): T_l, when asked for
     blocks: list[np.ndarray] | None  # per channel (T, N_l, M): X_l, when asked for
+
+
+@functools.lru_cache(maxsize=None)
+def _triangle(rank: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where a rank x M Bartlett factor's draws go: the rows and columns of
+    its entries above the diagonal, in row-major order, and the (rank,
+    rank - 1) mask whose row i holds the rank - 1 - i exponential draws of
+    diagonal entry i, consecutive in row-major order."""
+    rows, cols = np.triu_indices(rank, 1, m)
+    sums = np.add.outer(np.arange(rank), np.arange(rank - 1)) < rank - 1
+    return rows, cols, sums
+
+
+def _bartlett(above: np.ndarray, gammas: np.ndarray, exps: np.ndarray, m: int) -> np.ndarray:
+    """Complex Bartlett factors (..., r, M) from their draws.
+
+    ``above`` (..., r M - r (r + 1) / 2) holds the entries above the diagonal
+    as drawn, each of two standard normals, so CN(0, 2), and scaled here to
+    CN(0, 1); ``gammas`` (..., r) holds Gamma(c) draws and ``exps`` (..., r (r
+    - 1) / 2) Exp(1) draws: diagonal entry i is the root of gammas[i] plus the
+    sum of r - 1 - i of them, Gamma(c + r - 1 - i) in all.
+    """
+    rank = gammas.shape[-1]
+    rows, cols, sums = _triangle(rank, m)
+    extra = np.zeros(gammas.shape + sums.shape[1:])
+    extra[..., sums] = exps
+    factor = np.zeros(gammas.shape[:-1] + (rank, m), dtype=complex)
+    factor[..., rows, cols] = above * np.sqrt(0.5)
+    diagonal = np.arange(rank)
+    factor[..., diagonal, diagonal] = np.sqrt(gammas + extra.sum(-1))
+    return factor
+
+
+def _complement_frame(q: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The orthonormal factor V of P g, P = I - Q Q^H, whose R has a positive diagonal.
+
+    It is the Q factor of [Q g] past its first k columns, with each column's
+    phase set by R's diagonal: Householder QR keeps it orthogonal to Q to
+    rounding however ill-conditioned P g is.  ``q`` (..., N, k) and ``g``
+    (..., N, r) may be stacks.
+    """
+    k = q.shape[-1]
+    f, r = np.linalg.qr(np.concatenate([np.broadcast_to(q, g.shape[:-1] + (k,)), g], axis=-1))
+    d = np.diagonal(r, axis1=-2, axis2=-1)[..., k:]
+    return f[..., k:] * (d / abs(d))[..., None, :]
 
 
 def draw_trials(
@@ -258,10 +306,12 @@ def draw_trials(
     seed: int,
     trials: Sequence[int],
     amplitudes: np.ndarray | None = None,
+    factors: bool = False,
     blocks: bool = False,
 ) -> TrialDraws:
-    """Trial t's X_l = g_l H_l A_t + U_l, drawn as its coordinates and tail and,
-    with ``blocks``, as the blocks themselves.
+    """Trial t's X_l = g_l H_l A_t + U_l, drawn as its coordinates and tail,
+    with ``factors`` also as the factor of its tail, and with ``blocks`` as
+    the blocks themselves.
 
     ``amplitudes`` is the (T, J, M) stack of mode-amplitude matrices; ``None``
     synthesizes noise only.  Noise is circular complex Gaussian with
@@ -275,23 +325,39 @@ def draw_trials(
     Gamma((N_l - k_l) M, 1), and a uniform direction independent of that
     energy.  So a_l = Q_l^H X_l = g_l R_l A_t + sigma_l W_l and the tail is
     sigma_l^2 gamma_l / M, exactly in law and without an N_l x M array.
-    The block is X_l = Q_l a_l + sigma_l sqrt(gamma_l) P G_l / ||P G_l||, with
-    G_l of iid complex Gaussian entries and P G = G - Q_l Q_l^H G, the
-    direction of the complement; the complement is 0 when N_l = k_l.
+
+    The direction is that of an (N_l - k_l) x M matrix G' of iid CN(0, 1)
+    entries, G' = U T' with U uniform and independent of its triangular
+    factor T', of r_l = min(N_l - k_l, M) rows: a complex Bartlett factor,
+    whose entries above the diagonal are CN(0, 1) and whose squared diagonal
+    entries are Gamma(N_l - k_l - i, 1), all independent (Bartlett 1933;
+    Goodman 1963).  The factor of the tail is T_l = sigma_l sqrt(gamma_l)
+    T' / ||T'||, so X_l - Q_l a_l = V_l T_l with V_l orthonormal in the
+    complement of Q_l, and [a_l; T_l] has the Gram matrix X_l^H X_l: every
+    singular value of the block, without an N_l x M array.  The block is
+    X_l = Q_l a_l + V_l T_l, V_l the orthonormal factor of P G_l whose R has
+    a positive diagonal (:func:`_complement_frame`), G_l an N_l x r_l matrix
+    of iid CN(0, 1) entries and P G = G - Q_l Q_l^H G: V_l is uniform in the
+    complement and independent of T'.  The complement is 0 when N_l = k_l.
 
     Trial t of channel l draws from the (seed, noise, t, l) substream, so a
     trial's data do not depend on the other trials of the stack, in one
-    order: gamma_l, then one ``standard_normal`` call.  Its first 2 k_l M
-    values are W_l's entries in row-major order, each as its real and then
-    its imaginary part, and only with ``blocks`` are the next 2 N_l M the
-    entries of G_l, in the same way.  The coordinates and tails are
-    therefore the same with or without blocks.
+    order: gamma_l; one ``standard_normal`` call; and, with factors, one
+    ``standard_gamma`` call of r_l Gamma(N_l - k_l - r_l + 1) draws, one
+    ``standard_exponential`` call of r_l (r_l - 1) / 2 draws (:func:`_bartlett`)
+    and, with blocks, one more ``standard_normal`` call.  The first 2 k_l M
+    values of the first normal call are W_l's entries in row-major order,
+    each as its real and then its imaginary part, and only with factors do
+    the entries of T' above its diagonal follow, in the same way; the second
+    normal call holds G_l's entries.  The coordinates and tails are therefore the same
+    with or without factors or blocks, and the factors with or without blocks.
     """
     if n_snapshots < 1:
         raise ConfigError("n_snapshots must be >= 1")
     if not channels:
         raise ConfigError("at least one channel is required")
     m, count = n_snapshots, len(trials)
+    factors = factors or blocks
     if amplitudes is not None:
         amplitudes = as_complex_stack(amplitudes, "amplitudes")
         if amplitudes.shape != (count, channels[0].n_modes, m):
@@ -300,37 +366,64 @@ def draw_trials(
                 f"(J={channels[0].n_modes}, M={m})"
             )
     streams = _substreams(seed, _NOISE_STREAM, trials, len(channels))
+    frames = [_frame(ch) for ch in channels]
+    # Channels of one frame shape draw into one set of buffers and are built together.
+    groups: dict[tuple[int, int], list[int]] = {}
+    for idx, (q, _) in enumerate(frames):
+        groups.setdefault(q.shape, []).append(idx)
+    buffers, slots = {}, {}
+    for (n, k), group in groups.items():
+        rank = min(n - k, m) if factors else 0
+        above = rank * m - rank * (rank + 1) // 2
+        shape = (len(group), count)
+        buffers[n, k] = (np.empty(shape + (2 * (k * m + above),)), np.empty(shape + (rank,)),
+                         np.empty(shape + (rank * (rank - 1) // 2,)),
+                         np.empty(shape + (2 * n * rank if blocks else 0,)))
+        slots.update((idx, pos) for pos, idx in enumerate(group))
     gammas = np.empty((len(channels), count))
-    coords, stacks = [], []
-    for ch, gamma in zip(channels, gammas):
-        q, r = _frame(ch)
+    coords = []
+    for idx, (ch, (q, r), gamma) in enumerate(zip(channels, frames, gammas)):
         n, k = q.shape
-        normals = np.empty((count, 2 * (k + (n if blocks else 0)) * m))
-        for t, out in enumerate(normals):
+        normals, diagonal, exps, gauss = (b[slots[idx]] for b in buffers[n, k])
+        rank = diagonal.shape[-1]
+        for t in range(count):
             stream = next(streams)
             gamma[t] = stream.standard_gamma((n - k) * m)
-            stream.standard_normal(out=out)
+            stream.standard_normal(out=normals[t])
+            if rank:
+                stream.standard_gamma(n - k - rank + 1, out=diagonal[t])
+                stream.standard_exponential(out=exps[t])
+                if blocks:
+                    stream.standard_normal(out=gauss[t])
         # Consecutive normals are the real and imaginary parts of one entry.
-        draws = normals.view(np.complex128)
-        a = draws[:, :k * m].reshape(count, k, m) * np.sqrt(ch.noise_variance / 2.0)
+        a = normals.view(np.complex128)[:, :k * m].reshape(count, k, m)
+        a = a * np.sqrt(ch.noise_variance / 2.0)
         if amplitudes is not None:
             a += ch.gain * (r @ amplitudes)
         coords.append(a)
-        if blocks and n == k:
-            stacks.append(q @ a)
-        elif blocks:
-            # Q a + s P G = s G + Q (a - s C), with C = Q^H G, P G = G - Q C and
-            # s = sigma sqrt(gamma) / ||P G||, where ||P G||^2 = ||G||^2 - ||C||^2.
-            g = draws[:, k * m:].reshape(count, n, m)
-            c = q.conj().T @ g
-            scale = ch.noise_sigma * np.sqrt(gamma / (energy(g) - energy(c)))
-            x = scale[:, None, None] * g
-            x += q @ (a - scale[:, None, None] * c)
-            stacks.append(x)
     variances = np.array([ch.noise_variance for ch in channels])
     with np.errstate(over="ignore"):  # an overflowing tail fails the summary's energy check
         tails = variances * gammas.T / m
-    return TrialDraws(coords, tails, stacks if blocks else None)
+    if not factors:
+        return TrialDraws(coords, tails, None, None)
+    tail_factors, stacks = [None] * len(channels), [None] * len(channels)
+    for (n, k), group in groups.items():
+        normals, diagonal, exps, gauss = buffers[n, k]
+        factor = _bartlett(normals.view(np.complex128)[..., k * m:], diagonal, exps, m)
+        if n > k:
+            scale = np.sqrt(variances[group, None]) * np.sqrt(gammas[group] / energy(factor))
+            factor *= scale[..., None, None]
+        if blocks:
+            q = np.stack([frames[idx][0] for idx in group])[:, None]
+            x = q @ np.stack([coords[idx] for idx in group])
+            if n > k:
+                g = gauss.view(np.complex128).reshape(factor.shape[:2] + (n, -1))
+                x += _complement_frame(q, g) @ factor
+        for pos, idx in enumerate(group):
+            tail_factors[idx] = factor[pos]
+            if blocks:
+                stacks[idx] = x[pos]
+    return TrialDraws(coords, tails, tail_factors, stacks if blocks else None)
 
 
 def draw_amplitudes(

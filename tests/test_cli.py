@@ -107,6 +107,37 @@ class TestDetect:
         assert record["panel"] == "P11"
         assert abs(record["decomposition_residual"]) <= 1e-9
 
+    @pytest.mark.parametrize("panel, fields", [("p13", {"fusion_stats"}),
+                                               ("p21", {"coherences", "gain_direction"})])
+    def test_detect_writes_every_report_field(self, tmp_path, capsys, panel, fields):
+        # Column 3 reports the fusion statistics, row 2 the coherences of the
+        # matched outputs and the gain direction; report.json and the printed
+        # record hold them as the report does.
+        from glrfusion import KnowledgeSpec, detect, load_measurements
+        from glrfusion.cli import _scenario_from_config
+
+        channels = [channel_entry(), channel_entry(n=6, gain=0.5, doppler_hz=40.0)]
+        sim_cfg = self.make_data(tmp_path, channels=channels, modes=2, snr_db=5.0)
+        cfg = {"panel": panel, "modes": 2, "channels": channels,
+               "output": str(tmp_path / "report")}
+        path = write_config(tmp_path / "det.json", cfg)
+        assert main(["detect", "--config", path, str(tmp_path / "data")]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        written = json.loads((tmp_path / "report" / "report.json").read_text())
+        report = detect(KnowledgeSpec.from_panel(panel),
+                        _scenario_from_config(cfg, sim_cfg["snapshots"]).channels(),
+                        load_measurements(tmp_path / "data"))
+        optional = {"gain_direction", "noise_null", "noise_alt", "coherences", "fusion_stats"}
+        for record in (printed, written):
+            present = {name for name in optional if name in record}
+            assert present == {name for name in optional if getattr(report, name) is not None}
+            assert fields <= present
+            for name in present:
+                value = np.asarray(record[name], dtype=float)
+                if np.iscomplexobj(getattr(report, name)):
+                    value = value[..., 0] + 1j * value[..., 1]
+                np.testing.assert_allclose(value, getattr(report, name), rtol=1e-15, atol=0)
+
     def test_noise_free_in_span_has_tiny_penalty(self, tmp_path, capsys):
         from glrfusion import MeasurementSet, PropagationSpec, narrowband_channel
         from glrfusion.measurement import save_measurements

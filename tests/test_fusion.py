@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -321,6 +322,30 @@ class TestMessageValidation:
                           noise_variance=1.0)
         with pytest.raises(RankDeficiencyError):
             channel_message(ch, complex_normal(rng, (6, 4)), 4)
+
+    @pytest.mark.parametrize("gain, variance, error", [
+        (0.0, 1.0, RankDeficiencyError), (1e-310, 1.0, RankDeficiencyError),
+        (1e-300j, 1e20, RankDeficiencyError), (1e300, 1e-300, ValueError),
+        (complex("nan"), 1.0, ValueError),
+    ], ids=["zero", "subnormal", "underflow", "overflow", "nan"])
+    def test_gain_out_of_float_range_rejected(self, rng, gain, variance, error):
+        # channel_message gates only g / sigma: a factor whose scaled singular
+        # values vanish or underflow has lost rank, and a non-finite one
+        # raises as a non-finite message factor does.
+        ch = ChannelModel(matrix=normalize_channel(complex_normal(rng, (6, 2))), gain=gain,
+                          noise_variance=variance)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match="message factor"):
+                channel_message(ch, complex_normal(rng, (6, 4)), 4)
+
+    @pytest.mark.parametrize("gain", [1e-290, 1e290], ids=["small", "large"])
+    def test_gain_inside_float_range_matches_rank_gated_message(self, rng, gain):
+        ch = ChannelModel(matrix=normalize_channel(complex_normal(rng, (6, 2))), gain=gain,
+                          noise_variance=2.0)
+        message = channel_message(ch, complex_normal(rng, (6, 4)), 4)
+        gated = ChannelMessage(factor=message.factor, coordinates=message.coordinates)
+        np.testing.assert_array_equal(gated.factor, message.factor)
 
 
 @pytest.mark.parametrize("eps", [3e-6, 3e-8], ids=["ratio-1e-6", "ratio-1e-8"])

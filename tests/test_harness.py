@@ -73,6 +73,19 @@ def three_channel_scenario(variances=(1.0, 1.0, 1.0)) -> Scenario:
                     n_snapshots=8)
 
 
+def row3_ragged_scenario(panel: str) -> Scenario:
+    """Ragged channels about M = 8 snapshots, J = 2: N_l - J < M, = M and > M,
+    and one with N_l = J, which leaves no tail, unless the panel is on column
+    3, which needs a tail on every channel."""
+    dims = (7, 10, 20) if panel.endswith("3") else (7, 10, 20, 2)
+    specs = tuple(PropagationSpec(carrier_hz=1e6, sample_period_s=1e-3, n_samples=n, n_modes=2,
+                                  delay_s=1e-3 * idx, doppler_hz=15.0 * idx)
+                  for idx, n in enumerate(dims))
+    gains, variances = (1.0, 0.8 + 0.3j, 1.3, 0.6j), (1.0, 2.0, 0.5, 1.5)
+    return Scenario(specs=specs, gains=gains[:len(dims)], noise_variances=variances[:len(dims)],
+                    n_snapshots=8)
+
+
 @dataclasses.dataclass(frozen=True)
 class FixedChannelScenario(Scenario):
     """A scenario whose channels are given matrices rather than built from its specs."""
@@ -101,6 +114,7 @@ P12 = KnowledgeSpec.from_panel("P12")
 P13 = KnowledgeSpec.from_panel("P13")
 P21 = KnowledgeSpec.from_panel("P21")
 P31 = KnowledgeSpec.from_panel("P31")
+ROW3_PANELS = ["P31", "P32", "P33"]
 KNOWN_COUPLING_PANELS = [f"P{row}{col}" for row in "12" for col in "123"]
 ALL_PANELS = [f"P{row}{col}" for row in "123" for col in "123"]
 
@@ -286,14 +300,16 @@ def error_case(case: str):
 
 def draws_of(channels, stacks) -> TrialDraws:
     """What ``draw_trials`` would return for these per-channel block stacks:
-    the coordinates in each channel's frame, the tails outside it, the blocks."""
+    the coordinates in each channel's frame, the tails outside it, the
+    triangular factors of the parts outside it, the blocks."""
     m = stacks[0].shape[-1]
     frames = [_frame(ch)[0] for ch in channels]
     coords = [q.conj().T @ x for q, x in zip(frames, stacks)]
+    outside = [x - q @ a for q, x, a in zip(frames, stacks, coords)]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the case under test
-        tails = np.stack([energy(x - q @ a) / m for q, x, a in zip(frames, stacks, coords)],
-                         axis=-1)
-    return TrialDraws(coords, tails, list(stacks))
+        tails = np.stack([energy(y) / m for y in outside], axis=-1)
+    factors = [np.linalg.qr(y, mode="r") for y in outside]
+    return TrialDraws(coords, tails, factors, list(stacks))
 
 
 def cross_validation_sample(panel, scenario, trials, seed, amp_scale) -> np.ndarray:
@@ -340,6 +356,23 @@ class TestBatchedTrials:
         assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(expected[finite])))
         assert degenerate == sum(r.degenerate for r in reports)
 
+    @pytest.mark.parametrize("snr_db", [None, 10.0], ids=["null", "10dB"])
+    @pytest.mark.parametrize("panel", ROW3_PANELS)
+    def test_row3_sample_matches_simulate_on_ragged_channels(self, panel, snr_db):
+        # Row 3 reads each trial's factors [a_l; T_l]; detect on the blocks
+        # simulate builds from the same draws gives the same composites.
+        scenario = row3_ragged_scenario(panel)
+        spec = KnowledgeSpec.from_panel(panel)
+        scale = None if snr_db is None else scenario.amplitude_scale(snr_db)
+        offset = 0 if snr_db is None else 200
+        sample, degenerate = harness._statistic_sample(spec, scenario, 200, 9, scale,
+                                                       trial_offset=offset)
+        expected = np.array([r.composite for r in
+                             per_trial_reports(spec, scenario, 200, 9, scale, offset)])
+        assert np.all(np.isfinite(expected)) and degenerate == 0
+        gap = np.abs(sample - expected)
+        assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
     @pytest.mark.parametrize("snr_db", [None, 5.0], ids=["null", "alternative"])
     @pytest.mark.parametrize("panel", ALL_PANELS)
     def test_chunk_of_one_trial_matches_default(self, panel, snr_db, monkeypatch):
@@ -376,10 +409,11 @@ class TestBatchedTrials:
             sample, degenerate = harness._statistic_sample(panel, scenario, 40, 3, None)
             assert np.all(np.isfinite(sample)) and degenerate == 0
 
-    @pytest.mark.parametrize("panel", ["P11", "P22", "P23"])
+    @pytest.mark.parametrize("panel", ["P11", "P22", "P23", "P31", "P32", "P33"])
     def test_known_coupling_trials_form_no_block(self, panel):
         # One block of N = 2**15 samples and M = 4 snapshots is 2 MiB; rows 1
-        # and 2 draw each trial's coordinates and tail and form none.
+        # and 2 draw each trial's coordinates and tail and form none, and row
+        # 3 adds the M x M factor of the tail.
         n, m = 1 << 15, 4
         specs = tuple(PropagationSpec(carrier_hz=1e6, sample_period_s=1e-3, n_samples=n,
                                       n_modes=2, doppler_hz=d) for d in (0.0, 0.01))
@@ -443,6 +477,19 @@ class TestSamplerLaw:
         scale = None if snr_db is None else scenario.amplitude_scale(snr_db)
         new, _ = harness._statistic_sample(spec, scenario, 1000, 101, scale)
         old = entrywise_sample(spec, scenario, 1000, 202, scale)
+        assert sps.ks_2samp(new, old).pvalue > 1e-3
+
+    @pytest.mark.parametrize("snr_db", [None, 10.0], ids=["null", "10dB"])
+    @pytest.mark.parametrize("panel", ROW3_PANELS)
+    def test_row3_matches_entrywise_sampler_on_ragged_channels(self, panel, snr_db):
+        # The Bartlett factor of the tail against blocks drawn entry by entry,
+        # on channels with N_l - J below, at and above M (and N_l = J where
+        # the panel allows it); two-sample KS, independent seeds.
+        scenario = row3_ragged_scenario(panel)
+        spec = KnowledgeSpec.from_panel(panel)
+        scale = None if snr_db is None else scenario.amplitude_scale(snr_db)
+        new, _ = harness._statistic_sample(spec, scenario, 1000, 103, scale)
+        old = entrywise_sample(spec, scenario, 1000, 204, scale)
         assert sps.ks_2samp(new, old).pvalue > 1e-3
 
 

@@ -124,11 +124,15 @@ class TestRotatedDraws:
         amps = _amplitude_stack(2, m, 2.0, 4, trials)
         null = draw_trials(channels, m, 4, trials, blocks=True)
         alt = draw_trials(channels, m, 4, trials, amps, blocks=True)
-        for ch, a, tail, x, noise in zip(channels, alt.coords, alt.tails.T, alt.blocks,
-                                         null.blocks, strict=True):
+        for ch, a, tail, f, x, noise in zip(channels, alt.coords, alt.tails.T, alt.factors,
+                                            alt.blocks, null.blocks, strict=True):
             q, _ = _frame(ch)
             np.testing.assert_allclose(q.conj().T @ x, a, rtol=0, atol=1e-13)
             np.testing.assert_allclose(energy(x - q @ a) / m, tail, rtol=1e-12, atol=1e-14)
+            # [a; T] has the block's Gram matrix, so its singular values.
+            gram = lambda y: y.conj().swapaxes(-1, -2) @ y
+            np.testing.assert_allclose(gram(a) + gram(f), gram(x), rtol=0, atol=1e-12)
+            assert f.shape[-2] == min(ch.n_samples - q.shape[1], m)
             np.testing.assert_allclose(x - noise, ch.gain * (ch.matrix @ amps), rtol=0,
                                        atol=1e-13)
 
@@ -151,33 +155,53 @@ class TestRotatedDraws:
 
 
 def reference_draws(channels, m, seed, trials):
-    """draw_trials' noise from one rng_stream generator per (trial, channel):
-    gamma, then one normal draw holding W's entries and then G's, each entry
-    as its real and imaginary part.  Returns per-channel coordinate stacks,
-    the (T, L) tails and per-channel blocks, with P G formed directly."""
-    coords, tails, blocks = [], [], []
+    """draw_trials' noise from one rng_stream generator per (trial, channel), in
+    its order: gamma; one normal draw holding W's entries and then those of
+    the Bartlett factor T' above its diagonal, row by row, each entry as its
+    real and imaginary part; r Gamma(N - k - r + 1) draws and r (r - 1) / 2
+    exponential draws, of which diagonal entry i takes the next r - 1 - i;
+    one normal draw holding G's N x r entries.  Returns per-channel
+    coordinate stacks, the (T, L) tails, per-channel factor stacks and
+    per-channel blocks, with the frame of P G from numpy's QR."""
+    coords, tails, factors, blocks = [], [], [], []
     for idx, ch in enumerate(channels):
         q, _ = _frame(ch)
         n, k = q.shape
-        a_l, t_l, x_l = [], [], []
+        rank = min(n - k, m)
+        a_l, t_l, f_l, x_l = [], [], [], []
         for t in trials:
             gen = rng_stream(seed, 0, t, idx)
             gamma = gen.standard_gamma((n - k) * m)
-            normals = gen.standard_normal(2 * (k + n) * m)
+            above = rank * m - rank * (rank + 1) // 2
+            normals = gen.standard_normal(2 * (k * m + above))
             entries = normals[0::2] + 1j * normals[1::2]
             a = entries[:k * m].reshape(k, m) * np.sqrt(ch.noise_variance / 2.0)
-            g = entries[k * m:].reshape(n, m)
-            outside = g - q @ (q.conj().T @ g)
             x = q @ a
-            if n > k:
-                x = x + np.sqrt(ch.noise_variance * gamma) * outside / np.linalg.norm(outside)
+            factor = np.zeros((rank, m), dtype=complex)
+            if rank:
+                upper = iter(entries[k * m:] / np.sqrt(2.0))
+                for i in range(rank):
+                    for j in range(i + 1, m):
+                        factor[i, j] = next(upper)
+                diagonal = gen.standard_gamma(n - k - rank + 1, rank)
+                exps = iter(gen.standard_exponential(rank * (rank - 1) // 2))
+                for i in range(rank):
+                    factor[i, i] = np.sqrt(diagonal[i] + sum(next(exps)
+                                                             for _ in range(rank - 1 - i)))
+                factor *= np.sqrt(ch.noise_variance * gamma) / np.linalg.norm(factor)
+                g = gen.standard_normal((n, 2 * rank)).view(complex)
+                frame, r = np.linalg.qr(g - q @ (q.conj().T @ g))
+                frame *= np.diagonal(r) / abs(np.diagonal(r))
+                x = x + frame @ factor
             a_l.append(a)
             t_l.append(ch.noise_variance * gamma / m)
+            f_l.append(factor)
             x_l.append(x)
         coords.append(np.array(a_l))
         tails.append(t_l)
+        factors.append(np.array(f_l))
         blocks.append(np.array(x_l))
-    return coords, np.array(tails).T, blocks
+    return coords, np.array(tails).T, factors, blocks
 
 
 def reference_amplitudes(j, m, scale, seed, trials):
@@ -226,19 +250,23 @@ class TestSubstreams:
 
     @pytest.mark.parametrize("grid", sorted(SUBSTREAM_GRIDS))
     def test_draws_match_rng_stream(self, rng, monkeypatch, grid):
-        # Ragged channels, one with N = J, whose gamma draw takes no randomness.
+        # Ragged channels with N - J = M, N = J (whose gamma draw takes no
+        # randomness and which has no factor) and N - J > M, then one with
+        # N - J < M.
         seed, trials = SUBSTREAM_GRIDS[grid]
-        channels = [random_channel(rng, n, 2, noise_variance=v)
-                    for n, v in ((6, 1.0), (2, 0.5), (9, 3.0))]
         built = self.count_builds(monkeypatch)
-        draws = draw_trials(channels, 4, seed, trials, blocks=True)
-        assert len(built) == (0 if grid.startswith("hashed") else 3 * len(trials))
-        coords, tails, blocks = reference_draws(channels, 4, seed, trials)
-        for got, want in zip(draws.coords, coords, strict=True):
-            np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(draws.tails, tails)
-        for got, want in zip(draws.blocks, blocks, strict=True):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        for dims in ((6, 2, 9), (5,)):
+            channels = [random_channel(rng, n, 2, noise_variance=v)
+                        for n, v in zip(dims, (1.0, 0.5, 3.0))]
+            built.clear()
+            draws = draw_trials(channels, 4, seed, trials, blocks=True)
+            assert len(built) == (0 if grid.startswith("hashed") else len(dims) * len(trials))
+            coords, tails, factors, blocks = reference_draws(channels, 4, seed, trials)
+            for got, want in zip(draws.coords, coords, strict=True):
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(draws.tails, tails)
+            for got, want in zip(draws.factors + draws.blocks, factors + blocks, strict=True):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("grid", sorted(SUBSTREAM_GRIDS))
     def test_coordinate_draw_is_prefix_of_block_draw(self, rng, grid):

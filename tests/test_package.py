@@ -59,7 +59,8 @@ IMPORT_FOOTPRINT = textwrap.dedent("""
     import glrfusion
     import glrfusion.cli
 
-    loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+    loaded = sorted(name for name in sys.modules
+                    if name.split(".")[0] in ("scipy", "concurrent", "multiprocessing"))
     assert not loaded, f"importing glrfusion and its CLI loaded {loaded}"
 
     from glrfusion import ExperimentSpec, KnowledgeSpec, PropagationSpec, Scenario, run_null
