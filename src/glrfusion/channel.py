@@ -173,8 +173,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class ChannelModel:
     """One receive channel: trace-normalized coupling matrix, gain, noise power.
 
-    The matrix is a read-only copy, and the basis and coupling cached from it
-    are read-only too, so a channel shared between calls cannot change.
+    The matrix is a read-only copy, and the basis, coupling and singular
+    values cached from it are read-only too, so a channel shared between
+    calls cannot change.
     """
 
     matrix: np.ndarray
@@ -215,6 +216,14 @@ class ChannelModel:
     def coupling(self) -> np.ndarray:
         """The J x J factor R = Q^H H, so that H = Q R."""
         return _read_only(self.basis.conj().T @ self.matrix)
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """The singular values of H, read as the row norms of the coupling R.
+
+        The basis holds the left singular vectors of H, so R = diag(s) V^H.
+        """
+        return _read_only(np.linalg.norm(self.coupling, axis=1))
 
     @cached_property
     def orthonormal(self) -> bool:

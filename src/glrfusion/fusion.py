@@ -5,31 +5,39 @@ per-channel statistics minus one cross-validation term per internal node of
 any binary tree over the channels.  A leaf is a channel's message, its
 whitened row-1 summary: with H_l = Q_l R_l (see :mod:`detectors`), the J x J
 factor F_l = (g_l / sigma_l) R_l and the J x M coordinates
-C_l = Q_l^H X_l / sigma_l.  A node stacks its children's factors F and
-coordinates C and takes an orthonormal basis Q of the span of F.  Its term
-is the tail ||C - Q Q^H C||^2 / M of the stacked coordinates, formed
-directly, and the merged group is (Q^H F, Q^H C).  This is the split row 1
-of :mod:`detectors` makes over all channels at once, so the terms over any
-tree add up to the panel's raw cross-validation.  ``partition_cv`` folds
-over any tree and ``daisy_chain_fuse`` over the left-deep chain, one channel
-per link.
+C_l = Q_l^H X_l / sigma_l.
+
+A group of channels carries a compressed state, the J x (J + M) row block
+S = [F | C]: a leaf's is [F_l | C_l], and a group's is the first J rows of
+the triangular factor of its stacked leaf states.  The rows it drops hold
+the group's tail, the part of the stacked coordinates outside the span of
+the stacked factors, which the folds inside the group have already counted.
+A fold stacks two states, 2J x (J + M), and takes the triangular factor R
+by QR.  Split at J, its first J rows are the merged state and ||R22||^2 / M,
+formed directly, is the fold's term: the tail the merge adds.  This is the
+split row 1 of :mod:`detectors` makes over all channels at once, so the
+terms over any tree add up to the panel's raw cross-validation.
+
+Every state has the same shape, so any set of independent folds is one
+batched QR.  ``partition_cv`` folds all nodes of one height of its tree in
+one call, and ``daisy_chain_fuse`` takes every prefix's cross-validation
+from a Hillis-Steele prefix scan of the fold, ceil(log2 L) calls.  Each
+then gates every fold's R11 in one batched SVD.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
-from itertools import accumulate
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .channel import ChannelModel, require_same_dims
-from .detectors import (ChannelKnowledge, DetectorReport, KnowledgeSpec, NoiseKnowledge,
-                        _coordinates)
+from .detectors import ChannelKnowledge, DetectorReport, KnowledgeSpec, NoiseKnowledge
 from .errors import ConfigError, DimensionError, ProtocolError, RankDeficiencyError
-from .linalg import as_complex_matrix, energy, orthonormal_basis
+from .linalg import as_complex_matrix, energy, orthonormal_basis, require_full_rank
 from .measurement import (_HEADER_NAME, MeasurementSet, _format_block, _parse_block,
                           _read_header, _require_type, json_text, write_files)
 
@@ -85,17 +93,35 @@ def tree_leaves(tree: PartitionTree) -> tuple[int, ...]:
     return tuple(leaves)
 
 
-def _fold(left: tuple[np.ndarray, np.ndarray], right: tuple[np.ndarray, np.ndarray], m: int):
-    """Merge two groups' whitened (factor, coordinates).
+def _leaf_states(messages: Sequence[ChannelMessage]) -> np.ndarray:
+    """The messages' states [F_l | C_l], stacked (L, J, J + M)."""
+    return np.concatenate((np.array([msg.factor for msg in messages]),
+                           np.array([msg.coordinates for msg in messages])), axis=-1)
 
-    Returns (term, (Q^H F, Q^H C)): F and C stack the groups' factors and
-    coordinates, Q is an orthonormal basis of the span of F, and the term is
-    the tail ||C - Q Q^H C||^2 / M.
+
+def _fold(upper: np.ndarray, lower: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Merge B pairs of groups' (B, J, J + M) states in one batched QR.
+
+    R, the triangular factor of each stack [S_upper; S_lower], splits at J:
+    the merged state is its first J rows [R11 | R12], and the term is
+    ||R22||^2 / M, the energy of the stacked coordinates outside the span of
+    the stacked factors, formed directly.  Returns (terms (B,), merged).
+
+    The caller applies the rank gate of :func:`~glrfusion.linalg.orthonormal_basis`
+    to every fold's R11, whose singular values are those of the stacked factors
+    (:func:`_require_full_rank_folds`).  It cannot trip on gated messages except
+    by rounding: cond([A; B]) <= max(cond A, cond B), by the mediant inequality on
+    lambda_max / lambda_min of A^H A + B^H B.  It is kept as a guard.
     """
-    f = np.vstack((left[0], right[0]))
-    q = orthonormal_basis(f, "fused channel")
-    coords, tail = _coordinates(q, np.vstack((left[1], right[1])), m)
-    return float(tail), (q.conj().T @ f, coords)
+    j = upper.shape[-2]
+    r = np.linalg.qr(np.concatenate((upper, lower), axis=-2), mode="r")
+    return energy(r[..., j:, j:]) / m, r[..., :j, :]
+
+
+def _require_full_rank_folds(merged: np.ndarray) -> None:
+    """The rank gate on every fold's R11, the first J columns of its (B, J, J + M) state."""
+    j = merged.shape[-2]
+    require_full_rank(np.linalg.svd(merged[..., :j], compute_uv=False), "fused channel")
 
 
 @dataclass(frozen=True)
@@ -115,26 +141,42 @@ class PartitionResult:
 
 
 def _fold_tree(messages: Sequence[ChannelMessage], tree: PartitionTree) -> list[PartitionStep]:
-    """Fold the leaves' messages up ``tree``, one step per internal node in post-order.
+    """Fold the leaves' messages up ``tree``: the steps of its internal nodes in post-order.
 
-    The walk keeps its own stack, as a chain is L levels deep; ``None`` marks a fold.
+    The nodes of one height are independent, so each height is one batched
+    fold, and one batched SVD gates them all.  The walk keeps its own stack,
+    as a chain is L levels deep; ``None`` marks a fold.
     """
-    m = messages[0].n_snapshots
-    steps: list[PartitionStep] = []
-    groups: list[tuple[tuple[int, ...], tuple[np.ndarray, np.ndarray]]] = []
+    n = len(messages)
+    nodes: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # the children's leaves
+    levels: list[list[tuple[int, int, int]]] = []  # per height: (node, children's rows)
+    groups: list[tuple[int, tuple[int, ...], int]] = []  # (row of states, leaves, height)
     pending: list[PartitionTree | None] = [tree]
     while pending:
         node = pending.pop()
         if isinstance(node, int):
-            groups.append(((node,), (messages[node].factor, messages[node].coordinates)))
+            groups.append((node, (node,), 0))
         elif node is not None:
             pending += [None, node[1], node[0]]
         else:
-            (leaves_r, right), (leaves_l, left) = groups.pop(), groups.pop()
-            term, merged = _fold(left, right, m)
-            steps.append(PartitionStep(leaves_l, leaves_r, term))
-            groups.append((leaves_l + leaves_r, merged))
-    return steps
+            (row_r, leaves_r, height_r), (row_l, leaves_l, height_l) = groups.pop(), groups.pop()
+            level = max(height_l, height_r)  # the node's height less one
+            if level == len(levels):
+                levels.append([])
+            levels[level].append((len(nodes), row_l, row_r))
+            nodes.append((leaves_l, leaves_r))
+            groups.append((n + len(nodes) - 1, leaves_l + leaves_r, level + 1))
+    m = messages[0].n_snapshots
+    leaves = _leaf_states(messages)
+    states = np.empty((n + len(nodes), *leaves.shape[1:]), dtype=complex)
+    states[:n] = leaves
+    terms = np.empty(len(nodes))
+    for level in levels:
+        idx, left, right = np.array(level).T
+        terms[idx], states[n + idx] = _fold(states[left], states[right], m)
+    if nodes:
+        _require_full_rank_folds(states[n:])
+    return [PartitionStep(left, right, term) for (left, right), term in zip(nodes, terms.tolist())]
 
 
 def partition_cv(channels: Sequence[ChannelModel], ms: MeasurementSet,
@@ -143,7 +185,8 @@ def partition_cv(channels: Sequence[ChannelModel], ms: MeasurementSet,
 
     Each internal node adds the tail of its two groups' stacked whitened
     coordinates outside the span of their stacked factors; the totals are
-    invariant to the tree shape.
+    invariant to the tree shape.  The nodes of one height fold in one
+    batched call.
     """
     require_same_dims(channels, ms.channel_dims)
     leaves = sorted(tree_leaves(tree))
@@ -166,16 +209,16 @@ class ChannelMessage:
 
     The channel's whitened row-1 summary: the nonsingular J x J ``factor``
     (g_l / sigma_l) R_l and the J x M ``coordinates`` Q_l^H X_l / sigma_l,
-    with H_l = Q_l R_l.  The factor passes the rank gate of
-    :func:`~glrfusion.linalg.orthonormal_basis`, except from
-    :func:`channel_message`, which gates the channel's own factor more cheaply.
+    with H_l = Q_l R_l.  A message built or loaded from outside is checked
+    here, and its factor passes the rank gate of
+    :func:`~glrfusion.linalg.orthonormal_basis`; :func:`channel_message`
+    makes its own cheaper checks and skips these.
     """
 
     factor: np.ndarray
     coordinates: np.ndarray
-    _rank_gate: InitVar[bool] = True
 
-    def __post_init__(self, _rank_gate: bool):
+    def __post_init__(self):
         factor = as_complex_matrix(self.factor, "message factor")
         coords = as_complex_matrix(self.coordinates, "message coordinates")
         j, m = coords.shape
@@ -183,10 +226,17 @@ class ChannelMessage:
             raise DimensionError(f"message coordinates are empty: (J, M) = {coords.shape}")
         if factor.shape != (j, j):
             raise DimensionError(f"message factor shape {factor.shape} does not match J={j}")
-        if _rank_gate:
-            orthonormal_basis(factor, "message factor")
+        orthonormal_basis(factor, "message factor")
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "coordinates", coords)
+
+    @classmethod
+    def _unchecked(cls, factor: np.ndarray, coordinates: np.ndarray) -> ChannelMessage:
+        """A message of complex128 arrays the caller has checked, built without checks."""
+        msg = object.__new__(cls)
+        object.__setattr__(msg, "factor", factor)
+        object.__setattr__(msg, "coordinates", coordinates)
+        return msg
 
     @property
     def statistic(self) -> float:
@@ -201,38 +251,70 @@ class ChannelMessage:
 def channel_message(channel: ChannelModel, x_block, n_snapshots: int) -> ChannelMessage:
     """Build the fusion message for one channel from its local data.
 
-    Reads the channel's cached basis Q_l and factor R_l = Q_l^H H_l.  The
-    basis passed the rank gate, and Q_l holds the left singular vectors of
-    H_l, so R_l = diag(s) V^H: its rows have the singular values s of H_l as
-    norms.  Only the scale g_l / sigma_l is gated: the scaled singular values
-    must be finite (ValueError) and normal floats, or the factor has lost
-    rank to underflow (RankDeficiencyError).
+    Reads the channel's cached basis Q_l, factor R_l = Q_l^H H_l and singular
+    values.  The basis passed the rank gate, and Q_l holds the left singular
+    vectors of H_l, so R_l = diag(s) V^H.  Only the scale g_l / sigma_l is
+    gated: the scaled singular values must be finite (ValueError) and normal
+    floats, or the factor has lost rank to underflow (RankDeficiencyError).
+    The data and the coordinates, which overflow when sigma_l is tiny, must
+    be finite (ValueError).
     """
     x = as_complex_matrix(x_block, "channel data")
     require_same_dims([channel], [x.shape[0]])
     if x.shape[1] != n_snapshots:
         raise DimensionError(f"channel data has {x.shape[1]} columns "
                              f"for n_snapshots={n_snapshots}")
+    if n_snapshots == 0:
+        raise DimensionError(f"message coordinates are empty: (J, M) = ({channel.n_modes}, 0)")
     sigma = channel.noise_sigma
     scale = channel.gain / sigma
-    norms = np.linalg.norm(channel.coupling, axis=1)
-    low, high = abs(scale) * float(norms.min()), abs(scale) * float(norms.max())
+    norms = channel.singular_values.tolist()
+    low, high = abs(scale) * min(norms), abs(scale) * max(norms)
     if not math.isfinite(high):
         raise ValueError("message factor contains non-finite entries")
     if not low >= _TINY:
         raise RankDeficiencyError(f"message factor of gain / sigma = {scale} underflows "
                                   f"(singular values {low:.3e} .. {high:.3e})")
-    return ChannelMessage(factor=scale * channel.coupling,
-                          coordinates=channel.basis.conj().T @ x / sigma, _rank_gate=False)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        coords = channel.basis.conj().T @ x / sigma
+    if not np.isfinite(coords).all():
+        raise ValueError("message coordinates contains non-finite entries")
+    return ChannelMessage._unchecked(scale * channel.coupling, coords)
+
+
+def _prefix_cvs(messages: Sequence[ChannelMessage]) -> np.ndarray:
+    """The raw cross-validation of every prefix of the chain, by a prefix scan of the fold.
+
+    A Hillis-Steele scan: after the round of shift d, entry k holds the
+    state of channels max(0, k - 2d + 1) .. k and the sum of the fold terms
+    inside it.  The round folds every entry k >= d with entry k - d in one
+    batched call, so ceil(log2 L) calls leave entry k holding prefix 0..k.
+    """
+    states = _leaf_states(messages)
+    n, m = len(states), messages[0].n_snapshots
+    raw = np.zeros(n)
+    folded = []
+    shift = 1
+    while shift < n:
+        terms, merged = _fold(states[:-shift], states[shift:], m)
+        raw[shift:] = raw[:-shift] + raw[shift:] + terms
+        states[shift:] = merged
+        folded.append(merged)
+        shift *= 2
+    if folded:
+        _require_full_rank_folds(np.concatenate(folded))
+    return raw
 
 
 def daisy_chain_fuse(messages: Sequence[ChannelMessage]) -> list[DetectorReport]:
     """Fold channel messages into running composite reports, one per prefix.
 
     The k-th returned report equals the known-coupling, known-noise detector
-    evaluated on the pooled data of the first k channels; its raw
-    cross-validation is the sum of the first k-1 steps over ``chain_tree``.
-    Raises ProtocolError for an empty sequence, an entry that is not a
+    evaluated on the pooled data of the first k channels.  Its raw
+    cross-validation is the tail of the first k channels' stacked states,
+    from a prefix scan of the fold: ceil(log2 L) batched QR calls, each
+    prefix's value a sum of directly formed fold terms.  Raises
+    ProtocolError for an empty sequence, an entry that is not a
     :class:`ChannelMessage`, or messages of different shapes (J, M).
     """
     msgs = list(messages)
@@ -245,8 +327,7 @@ def daisy_chain_fuse(messages: Sequence[ChannelMessage]) -> list[DetectorReport]
         if msg.coordinates.shape != msgs[0].coordinates.shape:
             raise ProtocolError(f"message {idx} carries (J, M) = {msg.coordinates.shape}, "
                                 f"message 0 carries {msgs[0].coordinates.shape}")
-    steps = _fold_tree(msgs, chain_tree(len(msgs)))
-    raw_cvs = list(accumulate((s.term for s in steps), initial=0.0))
+    raw_cvs = _prefix_cvs(msgs).tolist()
     stats = np.array([msg.statistic for msg in msgs])
     reports: list[DetectorReport] = []
     for k in range(1, len(msgs) + 1):

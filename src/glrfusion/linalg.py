@@ -76,13 +76,25 @@ def orthonormal_basis(b, name: str = "matrix") -> np.ndarray:
     if n < j:
         raise DimensionError(f"{name} has more columns ({j}) than rows ({n})")
     u, s, _ = np.linalg.svd(arr, full_matrices=False)
+    require_full_rank(s, name)
+    return u
+
+
+def require_full_rank(s: np.ndarray, name: str) -> None:
+    """The rank gate on singular values ``s`` (..., J), each row sorted in decreasing order.
+
+    Raises
+    ------
+    RankDeficiencyError
+        If, for any row, the smallest singular value is below ``RANK_RTOL``
+        times the largest, i.e. the columns do not have full rank.
+    """
     # Singular values are sorted and non-negative, so a zero matrix fails too.
     # For one matrix s.T[k] is a scalar, so the gate stays a scalar comparison.
     if np.count_nonzero(s.T[-1] <= RANK_RTOL * s.T[0]):
-        flat = s.reshape(-1, j)
+        flat = s.reshape(-1, s.shape[-1])
         worst = flat[np.argmax(flat[:, -1] <= RANK_RTOL * flat[:, 0])]
         raise RankDeficiencyError(
-            f"{name} with {j} columns is rank deficient "
+            f"{name} with {s.shape[-1]} columns is rank deficient "
             f"(singular values {worst[0]:.3e} .. {worst[-1]:.3e})"
         )
-    return u

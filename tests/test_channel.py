@@ -182,6 +182,14 @@ class TestCachedBasis:
         for name in ("matrix", "basis", "coupling"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(ch, name)[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            ch.singular_values[0] = 0.0
+
+    def test_singular_values_are_the_couplings_row_norms(self, rng):
+        ch = random_channel(rng, 6, 3)
+        assert ch.singular_values is ch.singular_values
+        np.testing.assert_allclose(ch.singular_values,
+                                   np.linalg.svd(ch.matrix, compute_uv=False), rtol=1e-12)
 
     def test_source_array_is_copied(self, rng):
         h = normalize_channel(complex_normal(rng, (6, 2)))

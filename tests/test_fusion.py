@@ -24,7 +24,7 @@ from glrfusion import (
     partition_cv,
     simulate,
 )
-from glrfusion.fusion import load_messages, save_messages, tree_leaves
+from glrfusion.fusion import _fold_tree, load_messages, save_messages, tree_leaves
 from glrfusion.measurement import _format_block
 from conftest import complex_normal, random_channel, random_instance
 from oracles import (
@@ -313,6 +313,11 @@ class TestMessageValidation:
         with pytest.raises(RankDeficiencyError, match="message factor"):
             load_messages(write_message_file(tmp_path / "m", factor, coordinates))
 
+    def test_message_without_snapshots_rejected(self, rng):
+        ch = random_channel(rng, 6, 2)
+        with pytest.raises(DimensionError, match="empty"):
+            channel_message(ch, np.zeros((6, 0)), 0)
+
     def test_factor_shape_must_match_modes(self, rng):
         with pytest.raises(DimensionError, match=r"factor shape \(3, 3\) does not match J=2"):
             ChannelMessage(factor=np.eye(3), coordinates=complex_normal(rng, (2, 4)))
@@ -346,6 +351,67 @@ class TestMessageValidation:
         message = channel_message(ch, complex_normal(rng, (6, 4)), 4)
         gated = ChannelMessage(factor=message.factor, coordinates=message.coordinates)
         np.testing.assert_array_equal(gated.factor, message.factor)
+
+
+def count_linalg_calls(monkeypatch, call) -> dict[str, int]:
+    """The ``np.linalg.qr`` and ``np.linalg.svd`` calls that ``call()`` makes."""
+    counts = {"qr": 0, "svd": 0}
+    for name in counts:
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    call()
+    monkeypatch.undo()
+    return counts
+
+
+class TestBatchedFolds:
+    """One batched QR per tree height or scan round, and one gate SVD per call."""
+
+    @staticmethod
+    def cached_instance(rng, n_channels, n_samples=6, n_modes=2):
+        chans = [random_channel(rng, n_samples, n_modes) for _ in range(n_channels)]
+        ms = simulate(chans, 4, seed=3, amplitudes=complex_normal(rng, (n_modes, 4)))
+        for ch in chans:  # the bases are cached before counting
+            ch.basis, ch.coupling, ch.singular_values
+        return chans, ms
+
+    @pytest.mark.parametrize("tree, qr_calls", [(balanced_tree(8), 3), (chain_tree(8), 7)],
+                             ids=["balanced", "chain"])
+    def test_partition_cv_folds_each_height_in_one_call(self, rng, monkeypatch, tree, qr_calls):
+        chans, ms = self.cached_instance(rng, 8)
+        counts = count_linalg_calls(monkeypatch, lambda: partition_cv(chans, ms, tree))
+        assert counts == {"qr": qr_calls, "svd": 1}
+
+    @pytest.mark.parametrize("n_channels, qr_calls", [(8, 3), (1200, 11)])
+    def test_daisy_chain_scans_in_log_rounds(self, rng, monkeypatch, n_channels, qr_calls):
+        chans, ms = self.cached_instance(rng, n_channels, n_samples=2, n_modes=1)
+        msgs = messages_for(chans, ms)
+        counts = count_linalg_calls(monkeypatch, lambda: daisy_chain_fuse(msgs))
+        assert counts == {"qr": qr_calls, "svd": 1}
+
+    def test_gate_fires_on_singular_stack(self, rng):
+        # cond([A; B]) <= max(cond A, cond B), by the mediant inequality on
+        # lambda_max / lambda_min of A^H A + B^H B, so on gated messages the
+        # fold's gate can trip only by rounding; it is kept as a guard.  Two
+        # unchecked messages with the same singular factor reach it.
+        singular = np.ones((2, 2), dtype=complex)
+        msgs = [ChannelMessage._unchecked(singular, complex_normal(rng, (2, 3)))
+                for _ in range(2)]
+        with pytest.raises(RankDeficiencyError, match="fused channel"):
+            daisy_chain_fuse(msgs)
+        with pytest.raises(RankDeficiencyError, match="fused channel"):
+            _fold_tree(msgs, (0, 1))
+
+    def test_coordinate_overflow_is_value_error(self, rng):
+        ch = ChannelModel(matrix=normalize_channel(complex_normal(rng, (6, 2))), gain=1e-200,
+                          noise_variance=1e-300)
+        x = np.full((6, 4), 1e200, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="message coordinates"):
+                channel_message(ch, x, 4)
 
 
 @pytest.mark.parametrize("eps", [3e-6, 3e-8], ids=["ratio-1e-6", "ratio-1e-8"])

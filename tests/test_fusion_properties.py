@@ -22,16 +22,19 @@ from glrfusion import (
     simulate,
 )
 from conftest import complex_normal
-from oracles import detect_p11
+from oracles import detect_p11, projection_form_cv
 
 RTOL = 1e-9
 
 
 @st.composite
 def instances(draw):
-    """Channels and data: L in 1-6, J in 1-3, M in 1-8, N_l in J..J+7,
-    |g_l| = 10^U(-1,1), sigma_l^2 = 10^U(-3,3), under H0 or H1."""
-    n_channels = draw(st.integers(1, 6))
+    """Channels and data: L in 1-12, J in 1-3, M in 1-8, N_l in J..J+7,
+    |g_l| = 10^U(-1,1), sigma_l^2 = 10^U(-3,3), under H0 or H1.
+
+    Twelve channels run the daisy chain's prefix scan at shifts 1, 2, 4 and 8
+    with a ragged remainder."""
+    n_channels = draw(st.integers(1, 12))
     n_modes = draw(st.integers(1, 3))
     n_snapshots = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -72,6 +75,15 @@ def test_partition_cv_over_any_tree_is_panel_cross_validation(data):
     result = partition_cv(channels, ms, tree)
     assert len(result.steps) == len(channels) - 1
     assert close(result.cross_validation, rep.cross_validation, rep.composite)
+    # Each step adds tail(union) - tail(left) - tail(right), which the
+    # projection form computes on the sub-instance of the step's leaves.
+    for step in result.steps:
+        leaves = step.left + step.right
+        split = len(step.left)
+        reference = projection_form_cv(
+            [channels[i] for i in leaves], MeasurementSet(tuple(ms.block(i) for i in leaves)),
+            range(split), range(split, len(leaves))) / ms.n_snapshots
+        assert close(step.term, reference, rep.composite)
 
 
 @settings(max_examples=150, deadline=None)
