@@ -59,7 +59,7 @@ when a residual is numerically zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -159,9 +159,27 @@ class DetectorReport:
         check_decomposition(self.composite, self.alphas, self.per_channel,
                             self.cross_validation, self.degenerate)
 
+    @classmethod
+    def _unchecked(cls, composite: float, alphas: np.ndarray, per_channel: np.ndarray,
+                   cross_validation: float, panel: KnowledgeSpec) -> DetectorReport:
+        """A report the caller has checked, built without checks.
+
+        ``alphas`` and ``per_channel`` are float arrays, and the caller has run
+        :func:`check_decomposition` on the report, perhaps in one batch with
+        others.  The fields after ``panel`` take their defaults.
+        """
+        report = object.__new__(cls)
+        vars(report).update(_REPORT_DEFAULTS, composite=composite, alphas=alphas,
+                            per_channel=per_channel, cross_validation=cross_validation,
+                            panel=panel)
+        return report
+
     @property
     def n_channels(self) -> int:
         return len(self.alphas)
+
+
+_REPORT_DEFAULTS = {f.name: f.default for f in fields(DetectorReport) if f.default is not MISSING}
 
 
 def check_decomposition(composite, alphas: np.ndarray, per_channel: np.ndarray,
@@ -207,12 +225,11 @@ def detect(spec: KnowledgeSpec, channels: Sequence[ChannelModel], measurements: 
     return _report(spec, evaluate(spec, summarise(spec, channels, blocks), dominant_numerator))
 
 
-def _checked_energies(channels: Sequence[ChannelModel], dims: list[int],
-                      energies) -> np.ndarray:
-    """Check the channels against the data; return the energies E_l = ||X_l||^2 / M, (B, L).
+def check_channels(channels: Sequence[ChannelModel], dims: Sequence[int]) -> None:
+    """Check the channels against the data's block heights and for one mode count J.
 
-    ``energies`` computes them, under an error state in which an overflow
-    raises here and not as a warning.
+    Raises ConfigError for no channels or channels of different mode counts,
+    and DimensionError when a channel does not match its block.
     """
     if not channels:
         raise ConfigError("at least one channel is required")
@@ -221,6 +238,16 @@ def _checked_energies(channels: Sequence[ChannelModel], dims: list[int],
     for idx, ch in enumerate(channels):
         if ch.n_modes != j:
             raise ConfigError(f"channel {idx} has {ch.n_modes} modes, expected {j}")
+
+
+def _checked_energies(channels: Sequence[ChannelModel], dims: list[int],
+                      energies) -> np.ndarray:
+    """Check the channels against the data; return the energies E_l = ||X_l||^2 / M, (B, L).
+
+    ``energies`` computes them, under an error state in which an overflow
+    raises here and not as a warning.
+    """
+    check_channels(channels, dims)
     with np.errstate(over="ignore", invalid="ignore"):
         energies = energies()
     if not np.all(np.isfinite(energies)):

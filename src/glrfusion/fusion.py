@@ -23,10 +23,19 @@ batched QR.  ``partition_cv`` folds all nodes of one height of its tree in
 one call, and ``daisy_chain_fuse`` takes every prefix's cross-validation
 from a Hillis-Steele prefix scan of the fold, ceil(log2 L) calls.  Each
 then gates every fold's R11 in one batched SVD.
+
+Each call does its per-channel and per-report work in one pass.  One
+builder makes the leaves, with one gate and one energy check:
+``channel_message`` runs it on one channel, and ``partition_cv`` on all its
+channels and blocks, with no message in between, so a caller's messages and
+``partition_cv``'s leaves are the same bits.  ``daisy_chain_fuse`` takes its
+statistics from one energy pass over the stacked coordinates and checks its
+L reports' decompositions in one batched call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,8 +43,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelModel, require_same_dims
-from .detectors import ChannelKnowledge, DetectorReport, KnowledgeSpec, NoiseKnowledge
+from .channel import ChannelModel
+from .detectors import (ChannelKnowledge, DetectorReport, KnowledgeSpec, NoiseKnowledge,
+                        check_channels, check_decomposition)
 from .errors import ConfigError, DimensionError, ProtocolError, RankDeficiencyError
 from .linalg import as_complex_matrix, energy, orthonormal_basis, require_full_rank
 from .measurement import (_HEADER_NAME, MeasurementSet, _format_block, _parse_block,
@@ -47,6 +57,9 @@ _P11 = KnowledgeSpec(ChannelKnowledge.KNOWN_F, NoiseKnowledge.KNOWN)
 
 # The smallest normal float: a scaled singular value below it has lost precision.
 _TINY = np.finfo(float).tiny
+
+# Marks a fold on the stack of a tree walk.
+_FOLD = object()
 
 _MESSAGE_FORMAT = "glrfusion-messages"
 _MESSAGE_VERSION = 2
@@ -93,10 +106,48 @@ def tree_leaves(tree: PartitionTree) -> tuple[int, ...]:
     return tuple(leaves)
 
 
-def _leaf_states(messages: Sequence[ChannelMessage]) -> np.ndarray:
-    """The messages' states [F_l | C_l], stacked (L, J, J + M)."""
-    return np.concatenate((np.array([msg.factor for msg in messages]),
-                           np.array([msg.coordinates for msg in messages])), axis=-1)
+def _leaves(channels: Sequence[ChannelModel],
+            blocks: Sequence[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The channels' factors F_l and coordinates C_l on their blocks, one list each.
+
+    ``np.concatenate(_leaves(...), axis=-1)`` stacks them into the leaves'
+    (L, J, J + M) states [F_l | C_l].  Reads each channel's cached basis Q_l,
+    factor R_l = Q_l^H H_l and singular values.  The basis passed the rank
+    gate, and Q_l holds the left singular vectors of H_l, so R_l = diag(s) V^H:
+    only the scale g_l / sigma_l is gated.  The scaled singular values must
+    be finite (ValueError) and normal floats, or the factor has lost rank to
+    underflow (RankDeficiencyError).  The coordinates overflow when sigma_l
+    is tiny, and their energy when the data are huge; the total energy,
+    checked once, catches both (ValueError).  The caller checks the channels
+    and blocks: one mode count J, and blocks of N_l rows and M columns.
+    """
+    factors, coords = [], []
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        for ch, x in zip(channels, blocks):
+            sigma = ch.noise_sigma
+            scale = ch.gain / sigma
+            norms = ch.singular_values.tolist()
+            low, high = abs(scale) * min(norms), abs(scale) * max(norms)
+            if not math.isfinite(high):
+                raise ValueError("message factor contains non-finite entries")
+            if not low >= _TINY:
+                raise RankDeficiencyError(f"message factor of gain / sigma = {scale} underflows "
+                                          f"(singular values {low:.3e} .. {high:.3e})")
+            c = ch.basis.conj().T @ x / sigma
+            total += np.vdot(c, c).real
+            factors.append(scale * ch.coupling)
+            coords.append(c)
+    if not math.isfinite(total):
+        raise _overflow(np.array(coords))
+    return factors, coords
+
+
+def _overflow(coords: np.ndarray) -> ValueError:
+    """The error for coordinates whose energy is not finite."""
+    if np.isfinite(coords).all():
+        return ValueError("message coordinate energy overflows float64")
+    return ValueError("message coordinates contains non-finite entries")
 
 
 def _fold(upper: np.ndarray, lower: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -113,9 +164,20 @@ def _fold(upper: np.ndarray, lower: np.ndarray, m: int) -> tuple[np.ndarray, np.
     by rounding: cond([A; B]) <= max(cond A, cond B), by the mediant inequality on
     lambda_max / lambda_min of A^H A + B^H B.  It is kept as a guard.
     """
-    j = upper.shape[-2]
-    r = np.linalg.qr(np.concatenate((upper, lower), axis=-2), mode="r")
+    j, cols = upper.shape[-2:]
+    rows = min(2 * j, cols)
+    # mode="raw" returns the factorisation transposed, with R in the upper
+    # triangle of its first rows; the cached mask zeroes the rest, as mode="r"
+    # does with np.triu.
+    h, _ = np.linalg.qr(np.concatenate((upper, lower), axis=-2), mode="raw")
+    r = np.where(_upper_triangle(rows, cols), h.swapaxes(-1, -2)[..., :rows, :], 0)
     return energy(r[..., j:, j:]) / m, r[..., :j, :]
+
+
+@functools.cache
+def _upper_triangle(rows: int, cols: int) -> np.ndarray:
+    """The mask of a rows x cols matrix's upper triangle, its diagonal included."""
+    return np.triu(np.ones((rows, cols), dtype=bool))
 
 
 def _require_full_rank_folds(merged: np.ndarray) -> None:
@@ -140,43 +202,56 @@ class PartitionResult:
     cross_validation: float  # raw_total / L, matching the known-noise panel
 
 
-def _fold_tree(messages: Sequence[ChannelMessage], tree: PartitionTree) -> list[PartitionStep]:
-    """Fold the leaves' messages up ``tree``: the steps of its internal nodes in post-order.
+def _fold_tree(states: np.ndarray, tree: PartitionTree) -> list[PartitionStep]:
+    """Fold the leaves' (L, J, J + M) states up ``tree``: its internal nodes' steps in post-order.
 
-    The nodes of one height are independent, so each height is one batched
-    fold, and one batched SVD gates them all.  The walk keeps its own stack,
-    as a chain is L levels deep; ``None`` marks a fold.
+    The walk checks the tree: a node is a leaf index or a pair of nodes, and
+    the leaves are a permutation of 0..L-1 (ConfigError).  The nodes of one
+    height are independent, so each height is one batched fold, and one
+    batched SVD gates them all.  The walk keeps its own stack, as a chain is
+    L levels deep; ``_FOLD`` marks a fold.
     """
-    n = len(messages)
+    n = len(states)
+    leaves: list[int] = []
     nodes: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # the children's leaves
-    levels: list[list[tuple[int, int, int]]] = []  # per height: (node, children's rows)
+    # Per height less one: the nodes' rows of states (internal node k is row
+    # n + k) and their left and right children's rows.
+    levels: list[tuple[list[int], list[int], list[int]]] = []
     groups: list[tuple[int, tuple[int, ...], int]] = []  # (row of states, leaves, height)
-    pending: list[PartitionTree | None] = [tree]
+    pending: list[PartitionTree | object] = [tree]
     while pending:
         node = pending.pop()
-        if isinstance(node, int):
-            groups.append((node, (node,), 0))
-        elif node is not None:
-            pending += [None, node[1], node[0]]
-        else:
+        if node is _FOLD:
             (row_r, leaves_r, height_r), (row_l, leaves_l, height_l) = groups.pop(), groups.pop()
-            level = max(height_l, height_r)  # the node's height less one
+            level = max(height_l, height_r)
             if level == len(levels):
-                levels.append([])
-            levels[level].append((len(nodes), row_l, row_r))
+                levels.append(([], [], []))
+            rows, left, right = levels[level]
+            row = n + len(nodes)
+            rows.append(row)
+            left.append(row_l)
+            right.append(row_r)
             nodes.append((leaves_l, leaves_r))
-            groups.append((n + len(nodes) - 1, leaves_l + leaves_r, level + 1))
-    m = messages[0].n_snapshots
-    leaves = _leaf_states(messages)
-    states = np.empty((n + len(nodes), *leaves.shape[1:]), dtype=complex)
-    states[:n] = leaves
-    terms = np.empty(len(nodes))
-    for level in levels:
-        idx, left, right = np.array(level).T
-        terms[idx], states[n + idx] = _fold(states[left], states[right], m)
+            groups.append((row, leaves_l + leaves_r, level + 1))
+        elif isinstance(node, int) and not isinstance(node, bool):
+            leaves.append(node)
+            groups.append((node, (node,), 0))
+        elif isinstance(node, tuple) and len(node) == 2:
+            pending += [_FOLD, node[1], node[0]]
+        else:
+            raise ConfigError(f"malformed partition tree node {node!r}")
+    leaves.sort()
+    if leaves != list(range(n)):
+        raise ConfigError(f"tree leaves {leaves} are not a permutation of 0..{n - 1}")
+    m = states.shape[-1] - states.shape[-2]
+    states = np.concatenate((states, np.empty((len(nodes), *states.shape[1:]), dtype=complex)))
+    terms = np.empty(len(states))  # by row of states; a leaf's is unused
+    for rows, left, right in levels:
+        terms[rows], states[rows] = _fold(states[left], states[right], m)
     if nodes:
         _require_full_rank_folds(states[n:])
-    return [PartitionStep(left, right, term) for (left, right), term in zip(nodes, terms.tolist())]
+    return [PartitionStep(left, right, term)
+            for (left, right), term in zip(nodes, terms[n:].tolist())]
 
 
 def partition_cv(channels: Sequence[ChannelModel], ms: MeasurementSet,
@@ -185,16 +260,12 @@ def partition_cv(channels: Sequence[ChannelModel], ms: MeasurementSet,
 
     Each internal node adds the tail of its two groups' stacked whitened
     coordinates outside the span of their stacked factors; the totals are
-    invariant to the tree shape.  The nodes of one height fold in one
-    batched call.
+    invariant to the tree shape.  The channels' states are built in one
+    pass, as :func:`channel_message` builds one channel's, and the nodes of
+    one height fold in one batched call.
     """
-    require_same_dims(channels, ms.channel_dims)
-    leaves = sorted(tree_leaves(tree))
-    if leaves != list(range(len(channels))):
-        raise ConfigError(f"tree leaves {leaves} are not a permutation of 0..{len(channels) - 1}")
-    messages = [channel_message(ch, ms.block(i), ms.n_snapshots)
-                for i, ch in enumerate(channels)]
-    steps = _fold_tree(messages, tree)
+    check_channels(channels, ms.channel_dims)
+    steps = _fold_tree(np.concatenate(_leaves(channels, ms.blocks), axis=-1), tree)
     raw_total = float(sum(s.term for s in steps))
     return PartitionResult(
         steps=tuple(steps),
@@ -232,7 +303,10 @@ class ChannelMessage:
 
     @classmethod
     def _unchecked(cls, factor: np.ndarray, coordinates: np.ndarray) -> ChannelMessage:
-        """A message of complex128 arrays the caller has checked, built without checks."""
+        """A message of complex128 arrays the caller has checked, built without checks.
+
+        :func:`channel_message` passes the leaf it has built and gated.
+        """
         msg = object.__new__(cls)
         object.__setattr__(msg, "factor", factor)
         object.__setattr__(msg, "coordinates", coordinates)
@@ -251,47 +325,33 @@ class ChannelMessage:
 def channel_message(channel: ChannelModel, x_block, n_snapshots: int) -> ChannelMessage:
     """Build the fusion message for one channel from its local data.
 
-    Reads the channel's cached basis Q_l, factor R_l = Q_l^H H_l and singular
-    values.  The basis passed the rank gate, and Q_l holds the left singular
-    vectors of H_l, so R_l = diag(s) V^H.  Only the scale g_l / sigma_l is
-    gated: the scaled singular values must be finite (ValueError) and normal
-    floats, or the factor has lost rank to underflow (RankDeficiencyError).
-    The data and the coordinates, which overflow when sigma_l is tiny, must
-    be finite (ValueError).
+    The data must be a finite N_l x ``n_snapshots`` matrix.  The message's
+    factor and coordinates are the channel's leaf, built and gated as
+    :func:`partition_cv` builds every channel's leaf.
     """
     x = as_complex_matrix(x_block, "channel data")
-    require_same_dims([channel], [x.shape[0]])
+    if x.shape[0] != channel.n_samples:
+        raise DimensionError(f"channel expects {channel.n_samples} samples, "
+                             f"data block has {x.shape[0]}")
     if x.shape[1] != n_snapshots:
         raise DimensionError(f"channel data has {x.shape[1]} columns "
                              f"for n_snapshots={n_snapshots}")
     if n_snapshots == 0:
         raise DimensionError(f"message coordinates are empty: (J, M) = ({channel.n_modes}, 0)")
-    sigma = channel.noise_sigma
-    scale = channel.gain / sigma
-    norms = channel.singular_values.tolist()
-    low, high = abs(scale) * min(norms), abs(scale) * max(norms)
-    if not math.isfinite(high):
-        raise ValueError("message factor contains non-finite entries")
-    if not low >= _TINY:
-        raise RankDeficiencyError(f"message factor of gain / sigma = {scale} underflows "
-                                  f"(singular values {low:.3e} .. {high:.3e})")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        coords = channel.basis.conj().T @ x / sigma
-    if not np.isfinite(coords).all():
-        raise ValueError("message coordinates contains non-finite entries")
-    return ChannelMessage._unchecked(scale * channel.coupling, coords)
+    (factor,), (coords,) = _leaves([channel], [x])
+    return ChannelMessage._unchecked(factor, coords)
 
 
-def _prefix_cvs(messages: Sequence[ChannelMessage]) -> np.ndarray:
+def _prefix_cvs(states: np.ndarray, m: int) -> np.ndarray:
     """The raw cross-validation of every prefix of the chain, by a prefix scan of the fold.
 
-    A Hillis-Steele scan: after the round of shift d, entry k holds the
-    state of channels max(0, k - 2d + 1) .. k and the sum of the fold terms
-    inside it.  The round folds every entry k >= d with entry k - d in one
-    batched call, so ceil(log2 L) calls leave entry k holding prefix 0..k.
+    A Hillis-Steele scan over the (L, J, J + M) ``states``, which it
+    overwrites: after the round of shift d, entry k holds the state of
+    channels max(0, k - 2d + 1) .. k and the sum of the fold terms inside
+    it.  The round folds every entry k >= d with entry k - d in one batched
+    call, so ceil(log2 L) calls leave entry k holding prefix 0..k.
     """
-    states = _leaf_states(messages)
-    n, m = len(states), messages[0].n_snapshots
+    n = len(states)
     raw = np.zeros(n)
     folded = []
     shift = 1
@@ -313,9 +373,12 @@ def daisy_chain_fuse(messages: Sequence[ChannelMessage]) -> list[DetectorReport]
     evaluated on the pooled data of the first k channels.  Its raw
     cross-validation is the tail of the first k channels' stacked states,
     from a prefix scan of the fold: ceil(log2 L) batched QR calls, each
-    prefix's value a sum of directly formed fold terms.  Raises
-    ProtocolError for an empty sequence, an entry that is not a
-    :class:`ChannelMessage`, or messages of different shapes (J, M).
+    prefix's value a sum of directly formed fold terms.  The statistics come
+    from one energy pass over the stacked coordinates, and the L reports'
+    decompositions are checked in one batch.  Raises ProtocolError for an
+    empty sequence, an entry that is not a :class:`ChannelMessage`, or
+    messages of different shapes (J, M), and ValueError when the energy of
+    a message's coordinates overflows.
     """
     msgs = list(messages)
     if not msgs:
@@ -327,15 +390,23 @@ def daisy_chain_fuse(messages: Sequence[ChannelMessage]) -> list[DetectorReport]
         if msg.coordinates.shape != msgs[0].coordinates.shape:
             raise ProtocolError(f"message {idx} carries (J, M) = {msg.coordinates.shape}, "
                                 f"message 0 carries {msgs[0].coordinates.shape}")
-    raw_cvs = _prefix_cvs(msgs).tolist()
-    stats = np.array([msg.statistic for msg in msgs])
-    reports: list[DetectorReport] = []
-    for k in range(1, len(msgs) + 1):
-        cv = raw_cvs[k - 1] / k
-        reports.append(DetectorReport(composite=float(stats[:k].mean()) - cv,
-                                      alphas=np.full(k, 1.0 / k), per_channel=stats[:k].copy(),
-                                      cross_validation=cv, panel=_P11))
-    return reports
+    coords = np.array([msg.coordinates for msg in msgs])
+    n, m = len(msgs), coords.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        stats = energy(coords) / m
+    if not np.isfinite(stats).all():
+        raise _overflow(coords)
+    counts = np.arange(1, n + 1)
+    states = np.concatenate((np.array([msg.factor for msg in msgs]), coords), axis=-1)
+    cvs = _prefix_cvs(states, m) / counts
+    composites = np.cumsum(stats) / counts - cvs
+    # Report k's weights and statistics, zero-padded to L: row k - 1 of each.
+    prefix = np.tri(n)
+    alphas, per_channel = prefix / counts[:, None], prefix * stats
+    check_decomposition(composites, alphas, per_channel, cvs)
+    return [DetectorReport._unchecked(composite, alphas[k, :k + 1], per_channel[k, :k + 1],
+                                      cv, _P11)
+            for k, (composite, cv) in enumerate(zip(composites.tolist(), cvs.tolist()))]
 
 
 def save_messages(messages: Sequence[ChannelMessage], directory) -> Path:

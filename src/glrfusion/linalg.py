@@ -21,7 +21,7 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(a)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr.astype(np.complex128, copy=False)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import warnings
 
@@ -24,6 +25,7 @@ from glrfusion import (
     partition_cv,
     simulate,
 )
+from glrfusion import detectors, fusion
 from glrfusion.fusion import _fold_tree, load_messages, save_messages, tree_leaves
 from glrfusion.measurement import _format_block
 from conftest import complex_normal, random_channel, random_instance
@@ -122,6 +124,26 @@ class TestPartitionCv:
             partition_cv(chans, ms, (0, 1))
         with pytest.raises(ConfigError):
             partition_cv(chans, ms, ((0, 1), 1))
+
+    def test_mixed_mode_counts_rejected(self, rng):
+        chans = [random_channel(rng, 6, 2), random_channel(rng, 6, 3)]
+        ms = MeasurementSet((complex_normal(rng, (6, 4)), complex_normal(rng, (6, 4))))
+        with pytest.raises(ConfigError, match="channel 1 has 3 modes, expected 2"):
+            partition_cv(chans, ms, (0, 1))
+
+    def test_energy_overflow_is_value_error(self, rng):
+        # Entries of 1e160 are finite, but their energy is not: partition_cv
+        # raises as detect does, and no warning comes first.
+        chans, ms = random_instance(rng, n_channels=3)
+        huge = MeasurementSet((ms.block(0), 1e160 * ms.block(1), ms.block(2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="energy overflows float64"):
+                detect_p11(chans, huge)
+            with pytest.raises(ValueError, match="energy overflows float64"):
+                partition_cv(chans, huge, balanced_tree(3))
+            with pytest.raises(ValueError, match="energy overflows float64"):
+                channel_message(chans[1], huge.block(1), huge.n_snapshots)
 
     def test_deep_chain_matches_daisy_chain(self, rng):
         # A chain over 1200 channels is 1200 levels deep, past Python's
@@ -223,6 +245,31 @@ class TestDaisyChain:
         final = daisy_chain_fuse(msgs)[-1]
         sub = detect_p11([chans[0], chans[2]], MeasurementSet((ms.block(0), ms.block(2))))
         assert final.composite == pytest.approx(sub.composite, abs=1e-9, rel=1e-9)
+
+    def test_energy_overflow_is_value_error(self, rng):
+        msgs = messages_for(*random_instance(rng, n_channels=3))
+        msgs[1] = ChannelMessage(factor=msgs[1].factor, coordinates=1e160 * msgs[1].coordinates)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="energy overflows float64"):
+                daisy_chain_fuse(msgs)
+
+    def test_reports_are_each_prefix(self, rng):
+        # The reports skip DetectorReport's checks, which daisy_chain_fuse runs
+        # in one batch; dataclasses.replace runs them again on each report.
+        chans, ms = random_instance(rng, n_channels=6)
+        msgs = messages_for(chans, ms)
+        stats = np.array([msg.statistic for msg in msgs])
+        reports = daisy_chain_fuse(msgs)
+        assert len(reports) == 6
+        for k, report in enumerate(reports, start=1):
+            dataclasses.replace(report)
+            assert set(vars(report)) == {f.name for f in dataclasses.fields(report)}
+            np.testing.assert_array_equal(report.alphas, np.full(k, 1.0 / k))
+            np.testing.assert_array_equal(report.per_channel, stats[:k])
+            expected = float(stats[:k].mean()) - report.cross_validation
+            assert abs(report.composite - expected) <= 1e-14 * max(1.0, abs(expected))
+            assert not report.degenerate and report.fusion_stats is None
 
     def test_missing_field_named(self, rng, tmp_path):
         root = save_messages(messages_for(*random_instance(rng, n_channels=2)), tmp_path / "m")
@@ -391,6 +438,39 @@ class TestBatchedFolds:
         counts = count_linalg_calls(monkeypatch, lambda: daisy_chain_fuse(msgs))
         assert counts == {"qr": qr_calls, "svd": 1}
 
+    def test_partition_cv_builds_no_message(self, rng, monkeypatch):
+        chans, ms = self.cached_instance(rng, 8)
+        calls = []
+        monkeypatch.setattr(fusion, "channel_message", lambda *args: calls.append(args))
+        partition_cv(chans, ms, balanced_tree(8))
+        assert calls == []
+
+    def test_partition_cv_leaf_states_are_the_messages(self, rng, monkeypatch):
+        # Bit for bit: partition_cv's one-pass leaves are channel_message's.
+        chans, ms = self.cached_instance(rng, 8)
+        seen = []
+
+        def spy(states, tree, _fold_tree=fusion._fold_tree):
+            seen.append(states.copy())
+            return _fold_tree(states, tree)
+        monkeypatch.setattr(fusion, "_fold_tree", spy)
+        partition_cv(chans, ms, balanced_tree(8))
+        expected = [np.hstack((msg.factor, msg.coordinates)) for msg in messages_for(chans, ms)]
+        np.testing.assert_array_equal(seen[0], np.array(expected))
+
+    def test_daisy_chain_checks_reports_in_one_batch(self, rng, monkeypatch):
+        chans, ms = self.cached_instance(rng, 8)
+        msgs = messages_for(chans, ms)
+        calls = []
+
+        def counted(*args, _check=detectors.check_decomposition, **kwargs):
+            calls.append(args)
+            return _check(*args, **kwargs)
+        monkeypatch.setattr(fusion, "check_decomposition", counted)
+        monkeypatch.setattr(detectors, "check_decomposition", counted)
+        daisy_chain_fuse(msgs)
+        assert len(calls) == 1
+
     def test_gate_fires_on_singular_stack(self, rng):
         # cond([A; B]) <= max(cond A, cond B), by the mediant inequality on
         # lambda_max / lambda_min of A^H A + B^H B, so on gated messages the
@@ -402,7 +482,8 @@ class TestBatchedFolds:
         with pytest.raises(RankDeficiencyError, match="fused channel"):
             daisy_chain_fuse(msgs)
         with pytest.raises(RankDeficiencyError, match="fused channel"):
-            _fold_tree(msgs, (0, 1))
+            _fold_tree(np.array([np.hstack((msg.factor, msg.coordinates)) for msg in msgs]),
+                       (0, 1))
 
     def test_coordinate_overflow_is_value_error(self, rng):
         ch = ChannelModel(matrix=normalize_channel(complex_normal(rng, (6, 2))), gain=1e-200,
