@@ -273,7 +273,8 @@ class Summary(NamedTuple):
     stacks [a_l; T_l] of :func:`coordinate_summary`, zero-padded to a common
     height K, as zero rows leave F_l^H F_l as it is.  The channel constants
     are shared by the whole batch, and so are the block energies of a batch
-    of hypotheses on one data set (a scan's cells).
+    of hypotheses on one data set (a scan's cells) and the couplings of a
+    batch of data sets on one set of channels.
 
     Rows 1 and 2 read a block only through a_l and the tail, and row 3 only
     through X_l^H X_l, so :func:`coordinate_summary` builds every summary
@@ -290,7 +291,7 @@ class Summary(NamedTuple):
     variances: np.ndarray  # (L,) sigma_l^2
     dims: np.ndarray  # (L,) N_l
     energies: np.ndarray  # (B, L) or (1, L) E_l = ||X_l||^2 / M
-    coupling: np.ndarray | int  # (B, L, J, J) R_l = Q_l^H H_l, or J on row 3
+    coupling: np.ndarray | int  # (B or 1, L, J, J) R_l = Q_l^H H_l, or J on row 3
     coords: np.ndarray  # (B, L, J, M) a_l = Q_l^H X_l, or (B, L, K, M) F_l on row 3
     tails: np.ndarray | None  # (B, L) ||X_l - Q_l a_l||^2 / M; none on row 3
 
@@ -317,9 +318,10 @@ def _not_orthonormal(index: int) -> ConfigError:
     return ConfigError(f"channel {index} must have orthonormal columns for unknown-gain panels")
 
 
-def _known_couplings(spec: KnowledgeSpec, channels: Sequence[ChannelModel],
-                     batch: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Rows 1 and 2: each channel's basis and the (B, L, J, J) factors R_l.
+def _known_couplings(spec: KnowledgeSpec, channels: Sequence[ChannelModel]
+                     ) -> tuple[list[np.ndarray], np.ndarray]:
+    """Rows 1 and 2: each channel's basis and the (1, L, J, J) factors R_l,
+    which every data set of a batch shares.
 
     The cached bases' rank gate raises RankDeficiencyError; row 2 first
     requires orthonormal couplings.
@@ -329,8 +331,7 @@ def _known_couplings(spec: KnowledgeSpec, channels: Sequence[ChannelModel],
         if bad:
             raise _not_orthonormal(bad[0])
     bases = [_basis(i, ch) for i, ch in enumerate(channels)]
-    coupling = np.array([ch.coupling for ch in channels])
-    return bases, np.broadcast_to(coupling, (batch,) + coupling.shape)
+    return bases, np.array([ch.coupling for ch in channels])[None]
 
 
 def _summary(channels: Sequence[ChannelModel], dims: list[int], energies: np.ndarray,
@@ -352,12 +353,11 @@ def summarise(spec: KnowledgeSpec, channels: Sequence[ChannelModel],
     dims, m = [x.shape[-2] for x in blocks], blocks[0].shape[-1]
     energies = _checked_energies(
         channels, dims, lambda: np.stack([energy(x) for x in blocks], axis=-1) / m)
-    batch = len(energies)
     if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_SUBSPACE:
         coupling = _mode_count(spec, channels, dims, m)
         return _summary(channels, dims, energies, coupling,
                         np.linalg.qr(_padded(blocks, m), mode="r"), None)
-    bases, coupling = _known_couplings(spec, channels, batch)
+    bases, coupling = _known_couplings(spec, channels)
     coords, tails = zip(*(_coordinates(q, x, m) for q, x in zip(bases, blocks)))
     return _summary(channels, dims, energies, coupling, np.stack(coords, axis=1),
                     np.stack(tails, axis=-1))
@@ -395,7 +395,7 @@ def coordinate_summary(spec: KnowledgeSpec, channels: Sequence[ChannelModel],
         coupling = _mode_count(spec, channels, dims, m)
         parts = [np.concatenate((a, t), axis=-2) for a, t in zip(coords, factors, strict=True)]
         return _summary(channels, dims, energies, coupling, _padded(parts, m), None)
-    _, coupling = _known_couplings(spec, channels, len(energies))
+    _, coupling = _known_couplings(spec, channels)
     return _summary(channels, dims, energies, coupling, np.stack(coords, axis=1), tails)
 
 
@@ -562,7 +562,9 @@ def evaluate(spec: KnowledgeSpec, s: Summary, dominant_numerator: bool = False) 
         rest = rest - (tails[ok] / v).sum(-1)
     else:
         f = s.gains / np.sqrt(s.variances) if noise == NoiseKnowledge.KNOWN else s.gains
-        coupling = (f[:, None, None] * s.coupling[ok]).reshape(-1, n_ch * k, k)
+        # A shared coupling takes one basis, which every data set's split broadcasts.
+        shared = s.coupling if len(s.coupling) == 1 else s.coupling[ok]
+        coupling = (f[:, None, None] * shared).reshape(-1, n_ch * k, k)
         top, rest = _split(whitened.reshape(-1, n_ch * k, m),
                            orthonormal_basis(coupling, "composite channel"), m)
     composite, cv = np.full(batch, math.inf), np.zeros(batch)

@@ -1,11 +1,13 @@
 """Monte-Carlo experiments: null distributions, ROC curves, threshold
 calibration, and likelihood-image parameter scans.
 
-Trials are independent and deterministically seeded per (seed, trial,
-channel), so results are identical whatever the execution order or level of
-parallelism.  They are evaluated in chunks of bounded memory: a chunk's
-amplitudes are drawn in one call, and its data as per-channel stacks of what
-the panel reads, which is then summarised and evaluated together; every
+Trials are independent and deterministically seeded per (seed, trial): a
+trial keeps its rows of the draws of its block of trials, which depend on the
+seed and the block alone (``measurement.draw_trials``), so results are
+identical whatever the execution order, chunking or level of parallelism.
+They are evaluated in chunks of bounded memory: a chunk's amplitudes are
+drawn in one call, and its data as per-channel stacks of what the panel
+reads, which is then summarised and evaluated together; every
 trial gets the checks a :class:`~glrfusion.detectors.DetectorReport` applies.
 Rows 1 and 2 read a block X_l only through its coordinates a_l = Q_l^H X_l
 and its tail, so their trials draw those directly, a_l = g_l R_l A +
@@ -51,7 +53,7 @@ from .detectors import (
     summarise,
 )
 from .errors import ConfigError
-from .measurement import MeasurementSet, _amplitude_stack, draw_trials
+from .measurement import MeasurementSet, amplitude_stack, draw_trials
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 # Complex entries of the largest temporary one step of a scan or of a chunk
@@ -174,12 +176,12 @@ def _trial_block(panel: KnowledgeSpec, channels: Sequence[ChannelModel], m: int,
 
     Rows 1 and 2 read each trial's coordinates and tails as drawn, row 3 also
     the factors of its tails.  A trial's value does not depend on the other
-    trials: its data come from its own substreams, and every step treats the
-    matrices of a stack apart.
+    trials: its data are its rows of its block's draws, and every step treats
+    the matrices of a stack apart.
     """
     amps = None
     if amp_scale is not None:
-        amps = _amplitude_stack(channels[0].n_modes, m, amp_scale, seed, ids)
+        amps = amplitude_stack(channels[0].n_modes, m, amp_scale, seed, ids)
     subspace = panel.channel_knowledge == ChannelKnowledge.UNKNOWN_SUBSPACE
     draws = draw_trials(channels, m, seed, ids, amps, factors=subspace)
     ev = evaluate(panel, coordinate_summary(panel, channels, draws.coords, draws.tails,

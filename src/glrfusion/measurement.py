@@ -1,12 +1,17 @@
 """Snapshot containers, synthesis, and file formats.
 
 Data for L channels over M snapshots is held as per-channel blocks X_l of
-shape (N_l, M).  Synthesis is deterministic given (seed, trial): every
-(trial, channel) pair gets its own named substream so concurrent trials never
-share random state.  :func:`rng_stream` defines each substream; a call that
+shape (N_l, M).  Synthesis is deterministic given (seed, trial): the noise
+and the amplitudes of trial t come from named substreams of its block of
+``_BLOCK`` = 2 consecutive trials, floor(t / 2), over all its channels, and
+the frames its blocks need from a substream of its own, so concurrent trials
+never share random state and a trial's draws never depend on the other
+trials of a call.  :func:`rng_stream` defines each substream; a call that
 draws many of them reproduces every one bit for bit from one vectorised pass
 of numpy's ``SeedSequence`` hash over all of its keys and one PCG64
-generator, reseeded per key and owned by the call.
+generator, reseeded per key and owned by the call.  A block key's draws of
+each type are taken in one sampler call, and a call keeps the rows of the
+trials it asked for.
 
 A trial is drawn in each channel's frame [Q_l Q_l^perp], Q_l an orthonormal
 basis of the span of H_l (:func:`draw_trials`): its coordinates a_l = Q_l^H X_l
@@ -48,6 +53,15 @@ _FLOAT_FMT = "{:.17g}"
 # Purpose tags for named random substreams.
 _NOISE_STREAM = 0
 _AMPLITUDE_STREAM = 1
+_FRAME_STREAM = 2
+# Trials per noise and amplitude key, part of the streams' definition: trial
+# t draws from the key of its block floor(t / _BLOCK).  A key costs a few
+# microseconds of hashing, reseeding and sampler calls, which the trials of
+# its block share, but a call also draws the trials of its end blocks that it
+# does not keep.  Four trials a key drew twice the normals a two-trial call
+# keeps at N = 128, M = 32, where the Bartlett factors' draws dominate; two
+# waste none there and still halve the keys of a long run.
+_BLOCK = 2
 # Below this many keys a call builds one generator per key with rng_stream.
 # A hash pass and a generator to reseed cost about as much as five builds:
 # per call, the two ways break even at five or six keys, and hashing is about
@@ -89,14 +103,16 @@ _MIX_MULT_R = np.uint32(0x4973F715)
 _PCG_MULT = (0x2360ED051FC65DA4 << 64) | 0x4385DF649FCCF645
 
 
-def rng_stream(seed: int, purpose: int, trial: int, channel: int) -> np.random.Generator:
-    """Deterministic generator for one (purpose, trial, channel) substream.
+def rng_stream(seed: int, purpose: int, *index: int) -> np.random.Generator:
+    """Deterministic generator for the substream (seed, purpose, *index).
 
-    This defines every substream the package draws; calls over many keys
-    reproduce it bit for bit without building a generator per key.
+    The package draws the substreams (seed, noise, b) and (seed, amplitude,
+    b) of each block b = floor(t / ``_BLOCK``) of trial ids, and (seed, frame,
+    t) of each trial t: this defines every one of them, and calls over many
+    keys reproduce it bit for bit without building a generator per key.
     """
     return np.random.default_rng(
-        np.random.SeedSequence((int(seed), int(purpose), int(trial), int(channel)))
+        np.random.SeedSequence((int(seed), int(purpose), *map(int, index)))
     )
 
 
@@ -125,11 +141,9 @@ def _seed_words(keys: np.ndarray) -> np.ndarray:
     return words.view("<u8").astype(np.uint64, copy=False)
 
 
-def _substreams(seed: int, purpose: int, trials: Sequence[int],
-                n_channels: int) -> Iterator[np.random.Generator]:
-    """Generators of the substreams (seed, purpose, trial, channel), one per
-    (channel, trial) key in channel-major order, each in the state
-    :func:`rng_stream` gives it.
+def _substreams(seed: int, purpose: int, indices: np.ndarray) -> Iterator[np.random.Generator]:
+    """Generators of the substreams (seed, purpose, i), one per entry i of the
+    1-D ``indices`` in order, each in the state :func:`rng_stream` gives it.
 
     One hash pass gives every key's seed words, and one PCG64 generator,
     created here so that no two calls share it, is set to each key's seeded
@@ -138,21 +152,19 @@ def _substreams(seed: int, purpose: int, trials: Sequence[int],
     [0, 2**32), whose entropy numpy pools differently (or rejects), get
     rng_stream's generators.
     """
-    ids = np.asarray(trials) if n_channels * len(trials) >= _MIN_HASHED_KEYS else None
-    if (ids is None or ids.dtype.kind not in "iu" or not 0 <= seed <= _MASK32
-            or ids.min() < 0 or ids.max() > _MASK32):
-        for channel in range(n_channels):
-            for trial in trials:
-                yield rng_stream(seed, purpose, trial, channel)
+    if (len(indices) < _MIN_HASHED_KEYS or indices.dtype.kind not in "iu"
+            or not 0 <= seed <= _MASK32 or indices.min() < 0 or indices.max() > _MASK32):
+        for index in indices.tolist():
+            yield rng_stream(seed, purpose, index)
         return
-    keys = np.empty((n_channels, len(ids), 4), dtype=np.uint32)
-    keys[..., 0] = seed
-    keys[..., 1] = purpose
-    keys[..., 2] = ids
-    keys[..., 3] = np.arange(n_channels)[:, None]
+    # SeedSequence pools a key of three words as the key of four whose last word is 0.
+    keys = np.zeros((len(indices), 4), dtype=np.uint32)
+    keys[:, 0] = seed
+    keys[:, 1] = purpose
+    keys[:, 2] = indices
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
-    for w0, w1, w2, w3 in _seed_words(keys.reshape(-1, 4)).tolist():
+    for w0, w1, w2, w3 in _seed_words(keys).tolist():
         # PCG64's seeding: inc = 2 * (w2, w3) + 1, then two LCG steps from 0,
         # adding the initial state (w0, w1) between them.
         inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
@@ -160,6 +172,36 @@ def _substreams(seed: int, purpose: int, trials: Sequence[int],
         bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                         "has_uint32": 0, "uinteger": 0}
         yield gen
+
+
+def _keyed_rows(trials: Sequence[int], per_key: int) -> tuple[np.ndarray, np.ndarray]:
+    """The keys floor(t / per_key) of ``trials``, distinct and ascending, and
+    each trial's row in a stack of per_key rows per key: its key's position
+    times per_key, plus t mod per_key."""
+    ids = np.asarray(trials)
+    keys, position = np.unique(ids // per_key, return_inverse=True)
+    return keys, position.reshape(-1) * per_key + (ids % per_key).astype(np.intp)
+
+
+def _draw_keys(seed: int, purpose: int, keys: np.ndarray, plan) -> None:
+    """Fill the buffers of ``plan`` from the substreams (seed, purpose, key).
+
+    ``plan`` lists (sampler, arguments, buffer), each buffer of one row per
+    key: the generator of keys[i] fills row i of every buffer, in the plan's
+    order, with one call of the named Generator method.  Empty rows draw
+    nothing.
+    """
+    plan = [(sampler, args, out) for sampler, args, out in plan if out.size]
+    if not plan:
+        return
+    for gen, *rows in zip(_substreams(seed, purpose, keys), *(out for *_, out in plan)):
+        for (sampler, args, _), row in zip(plan, rows):
+            getattr(gen, sampler)(*args, out=row)
+
+
+def _rows(buffer: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The trials' rows of a (keys, trials per key, ...) buffer."""
+    return buffer.reshape((buffer.shape[0] * buffer.shape[1],) + buffer.shape[2:])[rows]
 
 
 @dataclass(frozen=True)
@@ -221,8 +263,8 @@ def simulate(
     :func:`draw_trials`.
 
     ``amplitudes`` is the (J x M) mode-amplitude matrix; ``None`` synthesizes
-    noise only.  The Monte-Carlo harness reads the same trial through the
-    leading draws of the same substreams, so ``detect`` on this data set
+    noise only.  The Monte-Carlo harness reads the same trial's rows of the
+    same block draws, without the frames, so ``detect`` on this data set
     equals the harness's trial ``trial`` to rounding, on every panel.
     """
     if amplitudes is not None:
@@ -257,13 +299,16 @@ class TrialDraws(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def _triangle(rank: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where a rank x M Bartlett factor's draws go: the rows and columns of
-    its entries above the diagonal, in row-major order, and the (rank,
-    rank - 1) mask whose row i holds the rank - 1 - i exponential draws of
-    diagonal entry i, consecutive in row-major order."""
+    """Where a rank x M Bartlett factor's draws go in its flat row-major form:
+    the entries above the diagonal, in row-major order, and the diagonal;
+    and where the run of rank - 1 - i exponential draws of diagonal entry i
+    < rank - 1 starts, the runs consecutive in order."""
     rows, cols = np.triu_indices(rank, 1, m)
-    sums = np.add.outer(np.arange(rank), np.arange(rank - 1)) < rank - 1
-    return rows, cols, sums
+    runs = np.arange(rank - 1, 0, -1)
+    indices = rows * m + cols, np.arange(rank) * (m + 1), np.cumsum(runs) - runs
+    for index in indices:  # shared by every caller
+        index.flags.writeable = False
+    return indices
 
 
 def _bartlett(above: np.ndarray, gammas: np.ndarray, exps: np.ndarray, m: int) -> np.ndarray:
@@ -273,17 +318,17 @@ def _bartlett(above: np.ndarray, gammas: np.ndarray, exps: np.ndarray, m: int) -
     as drawn, each of two standard normals, so CN(0, 2), and scaled here to
     CN(0, 1); ``gammas`` (..., r) holds Gamma(c) draws and ``exps`` (..., r (r
     - 1) / 2) Exp(1) draws: diagonal entry i is the root of gammas[i] plus the
-    sum of r - 1 - i of them, Gamma(c + r - 1 - i) in all.
+    sum of the next r - 1 - i of them, Gamma(c + r - 1 - i) in all.
     """
     rank = gammas.shape[-1]
-    rows, cols, sums = _triangle(rank, m)
-    extra = np.zeros(gammas.shape + sums.shape[1:])
-    extra[..., sums] = exps
-    factor = np.zeros(gammas.shape[:-1] + (rank, m), dtype=complex)
-    factor[..., rows, cols] = above * np.sqrt(0.5)
-    diagonal = np.arange(rank)
-    factor[..., diagonal, diagonal] = np.sqrt(gammas + extra.sum(-1))
-    return factor
+    upper, diagonal, starts = _triangle(rank, m)
+    factor = np.zeros(gammas.shape[:-1] + (rank * m,), dtype=complex)
+    factor[..., upper] = above * np.sqrt(0.5)
+    squares = gammas.copy()
+    if rank > 1:
+        squares[..., :-1] += np.add.reduceat(exps, starts, axis=-1)
+    factor[..., diagonal] = np.sqrt(squares)
+    return factor.reshape(gammas.shape[:-1] + (rank, m))
 
 
 def _complement_frame(q: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -340,17 +385,27 @@ def draw_trials(
     of iid CN(0, 1) entries and P G = G - Q_l Q_l^H G: V_l is uniform in the
     complement and independent of T'.  The complement is 0 when N_l = k_l.
 
-    Trial t of channel l draws from the (seed, noise, t, l) substream, so a
-    trial's data do not depend on the other trials of the stack, in one
-    order: gamma_l; one ``standard_normal`` call; and, with factors, one
-    ``standard_gamma`` call of r_l Gamma(N_l - k_l - r_l + 1) draws, one
-    ``standard_exponential`` call of r_l (r_l - 1) / 2 draws (:func:`_bartlett`)
-    and, with blocks, one more ``standard_normal`` call.  The first 2 k_l M
-    values of the first normal call are W_l's entries in row-major order,
-    each as its real and then its imaginary part, and only with factors do
-    the entries of T' above its diagonal follow, in the same way; the second
-    normal call holds G_l's entries.  The coordinates and tails are therefore the same
-    with or without factors or blocks, and the factors with or without blocks.
+    Trial t draws from the (seed, noise, floor(t / ``_BLOCK``)) substream of
+    its block (:func:`rng_stream`), which draws all B = ``_BLOCK`` trials of
+    the block on every channel at once, one call of each draw type per
+    frame shape (N_l, k_l), groups in the order of their first channels.
+    Each call holds its B trials in order, each trial's channels of the
+    group in order, and the types follow in one order, each type's calls
+    for every group before the next type's: ``standard_gamma`` calls of the
+    gamma_l; ``standard_normal`` calls of W_l's entries in row-major order,
+    each as its real and then its imaginary part; and, with factors,
+    ``standard_normal`` calls of the entries of T' above its diagonal, in
+    the same way, ``standard_gamma`` calls of r_l Gamma(N_l - k_l - r_l + 1)
+    draws and ``standard_exponential`` calls of r_l (r_l - 1) / 2 draws
+    (:func:`_bartlett`).  A call keeps the rows of the trials it
+    asked for, so a trial's data depend on the seed, its id and the
+    channels, never on the other trials of the call.  The coordinates and
+    tails are the same with or without factors or blocks.  With blocks,
+    trial t's G_l come from its (seed, frame, t) substream, one
+    ``standard_normal`` call per frame shape with a tail, each holding its
+    channels' N_l x r_l entries in row-major order, each as its real and
+    then its imaginary part, so a call of one trial never draws a block of
+    frames.
     """
     if n_snapshots < 1:
         raise ConfigError("n_snapshots must be >= 1")
@@ -365,72 +420,79 @@ def draw_trials(
                 f"amplitudes shape {amplitudes.shape[1:]} does not match "
                 f"(J={channels[0].n_modes}, M={m})"
             )
-    streams = _substreams(seed, _NOISE_STREAM, trials, len(channels))
     frames = [_frame(ch) for ch in channels]
     # Channels of one frame shape draw into one set of buffers and are built together.
     groups: dict[tuple[int, int], list[int]] = {}
     for idx, (q, _) in enumerate(frames):
         groups.setdefault(q.shape, []).append(idx)
-    buffers, slots = {}, {}
-    for (n, k), group in groups.items():
-        rank = min(n - k, m) if factors else 0
-        above = rank * m - rank * (rank + 1) // 2
-        shape = (len(group), count)
-        buffers[n, k] = (np.empty(shape + (2 * (k * m + above),)), np.empty(shape + (rank,)),
-                         np.empty(shape + (rank * (rank - 1) // 2,)),
-                         np.empty(shape + (2 * n * rank if blocks else 0,)))
-        slots.update((idx, pos) for pos, idx in enumerate(group))
-    gammas = np.empty((len(channels), count))
-    coords = []
-    for idx, (ch, (q, r), gamma) in enumerate(zip(channels, frames, gammas)):
-        n, k = q.shape
-        normals, diagonal, exps, gauss = (b[slots[idx]] for b in buffers[n, k])
-        rank = diagonal.shape[-1]
-        for t in range(count):
-            stream = next(streams)
-            gamma[t] = stream.standard_gamma((n - k) * m)
-            stream.standard_normal(out=normals[t])
-            if rank:
-                stream.standard_gamma(n - k - rank + 1, out=diagonal[t])
-                stream.standard_exponential(out=exps[t])
-                if blocks:
-                    stream.standard_normal(out=gauss[t])
-        # Consecutive normals are the real and imaginary parts of one entry.
-        a = normals.view(np.complex128)[:, :k * m].reshape(count, k, m)
-        a = a * np.sqrt(ch.noise_variance / 2.0)
-        if amplitudes is not None:
-            a += ch.gain * (r @ amplitudes)
-        coords.append(a)
+    ranks = {(n, k): min(n - k, m) if factors else 0 for n, k in groups}
+    keys, rows = _keyed_rows(trials, _BLOCK)
+
+    def draws(n, k):
+        """A block's draw types for the channels of frame shape (N, k), in
+        stream order: sampler, arguments and draws per trial and channel."""
+        r = ranks[n, k]
+        return (("standard_gamma", ((n - k) * m,), 1), ("standard_normal", (), 2 * k * m),
+                ("standard_normal", (), 2 * (r * m - r * (r + 1) // 2)),
+                ("standard_gamma", (n - k - r + 1,), r),
+                ("standard_exponential", (), r * (r - 1) // 2))
+
+    # Per group and type, a (keys, B, channels of the group, draws each) buffer.
+    plans = {shape: [(sampler, args, np.empty((len(keys), _BLOCK, len(group), size)))
+                     for sampler, args, size in draws(*shape)]
+             for shape, group in groups.items()}
+    _draw_keys(seed, _NOISE_STREAM, keys, [plan for same_type in zip(*plans.values())
+                                           for plan in same_type])
     variances = np.array([ch.noise_variance for ch in channels])
-    with np.errstate(over="ignore"):  # an overflowing tail fails the summary's energy check
-        tails = variances * gammas.T / m
-    if not factors:
-        return TrialDraws(coords, tails, None, None)
-    tail_factors, stacks = [None] * len(channels), [None] * len(channels)
+    gammas = np.empty((count, len(channels)))
+    coords, tail_factors, stacks = ([None] * len(channels) for _ in range(3))
+    if blocks:
+        frame_keys, frame_rows = _keyed_rows(trials, 1)
+        # Per group, a (trials, 1, channels of the group, 2 N r) buffer.
+        gauss_of = {(n, k): np.empty((len(frame_keys), 1, len(group), 2 * n * ranks[n, k]))
+                    for (n, k), group in groups.items()}
+        _draw_keys(seed, _FRAME_STREAM, frame_keys,
+                   [("standard_normal", (), gauss) for gauss in gauss_of.values()])
     for (n, k), group in groups.items():
-        normals, diagonal, exps, gauss = buffers[n, k]
-        factor = _bartlett(normals.view(np.complex128)[..., k * m:], diagonal, exps, m)
+        tail_gammas, normals, above, diagonal, exps = (_rows(out, rows) for *_, out in plans[n, k])
+        gammas[:, group] = tail_gammas[..., 0]
+        # Consecutive normals are the real and imaginary parts of one entry.
+        a = normals.view(np.complex128).reshape(count, len(group), k, m)
+        a *= np.sqrt(variances[group] / 2.0)[:, None, None]
+        if amplitudes is not None:
+            gains = np.array([channels[idx].gain for idx in group])
+            r = np.stack([frames[idx][1] for idx in group])
+            a += gains[:, None, None] * (r @ amplitudes[:, None])
+        for pos, idx in enumerate(group):
+            coords[idx] = a[:, pos]
+        if not factors:
+            continue
+        factor = _bartlett(above.view(np.complex128), diagonal, exps, m)
         if n > k:
-            scale = np.sqrt(variances[group, None]) * np.sqrt(gammas[group] / energy(factor))
+            scale = np.sqrt(variances[group]) * np.sqrt(gammas[:, group] / energy(factor))
             factor *= scale[..., None, None]
         if blocks:
-            q = np.stack([frames[idx][0] for idx in group])[:, None]
-            x = q @ np.stack([coords[idx] for idx in group])
+            q = np.stack([frames[idx][0] for idx in group])
+            x = q @ a
             if n > k:
-                g = gauss.view(np.complex128).reshape(factor.shape[:2] + (n, -1))
-                x += _complement_frame(q, g) @ factor
+                g = _rows(gauss_of[n, k], frame_rows).view(np.complex128)
+                x += _complement_frame(q, g.reshape(factor.shape[:2] + (n, -1))) @ factor
         for pos, idx in enumerate(group):
-            tail_factors[idx] = factor[pos]
+            tail_factors[idx] = factor[:, pos]
             if blocks:
-                stacks[idx] = x[pos]
-    return TrialDraws(coords, tails, tail_factors, stacks if blocks else None)
+                stacks[idx] = x[:, pos]
+    with np.errstate(over="ignore"):  # an overflowing tail fails the summary's energy check
+        tails = variances * gammas / m
+    return TrialDraws(coords, tails, tail_factors if factors else None,
+                      stacks if blocks else None)
 
 
 def draw_amplitudes(
     n_modes: int, n_snapshots: int, scale: float, seed: int, trial: int = 0
 ) -> np.ndarray:
-    """Draw a (J x M) amplitude matrix with iid CN(0, scale^2) entries."""
-    return _amplitude_stack(n_modes, n_snapshots, scale, seed, [trial])[0]
+    """Draw a (J x M) amplitude matrix with iid CN(0, scale^2) entries: trial
+    ``trial``'s matrix of :func:`amplitude_stack`."""
+    return amplitude_stack(n_modes, n_snapshots, scale, seed, [trial])[0]
 
 
 def _complex_normals(normals: np.ndarray, std: float) -> np.ndarray:
@@ -443,14 +505,19 @@ def _complex_normals(normals: np.ndarray, std: float) -> np.ndarray:
     return out
 
 
-def _amplitude_stack(n_modes: int, n_snapshots: int, scale: float, seed: int,
-                     trials: Sequence[int]) -> np.ndarray:
-    """A (T x J x M) stack of amplitude matrices with iid CN(0, scale^2) entries,
-    trial t's drawn from its (seed, amplitude, t, 0) substream."""
-    normals = np.empty((len(trials), 2, n_modes, n_snapshots))
-    for out, stream in zip(normals, _substreams(seed, _AMPLITUDE_STREAM, trials, 1)):
-        stream.standard_normal(out=out)
-    return _complex_normals(normals, scale / np.sqrt(2.0))
+def amplitude_stack(n_modes: int, n_snapshots: int, scale: float, seed: int,
+                    trials: Sequence[int]) -> np.ndarray:
+    """A (T x J x M) stack of amplitude matrices with iid CN(0, scale^2) entries.
+
+    Trial t's matrix comes from the (seed, amplitude, floor(t / ``_BLOCK``))
+    substream of its block, whose one ``standard_normal`` call holds the B =
+    ``_BLOCK`` trials of the block in order, each as the J x M real parts and
+    then the J x M imaginary parts of its entries.
+    """
+    keys, rows = _keyed_rows(trials, _BLOCK)
+    normals = np.empty((len(keys), _BLOCK, 2, n_modes, n_snapshots))
+    _draw_keys(seed, _AMPLITUDE_STREAM, keys, [("standard_normal", (), normals)])
+    return _complex_normals(_rows(normals, rows), scale / np.sqrt(2.0))
 
 
 def _format_block(block: np.ndarray) -> str:

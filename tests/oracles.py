@@ -37,7 +37,7 @@ from glrfusion.channel import dft_slice, modulation_phases, require_same_dims
 from glrfusion.fusion import ChannelMessage
 from glrfusion.detectors import evaluate, summarise
 from glrfusion.linalg import _normalize_phases, as_complex_matrix, orthonormal_basis
-from glrfusion.measurement import _amplitude_stack, rng_stream
+from glrfusion.measurement import amplitude_stack, rng_stream
 
 # Relative tolerance for "is this matrix Hermitian" checks.
 HERMITIAN_RTOL = 1e-10
@@ -203,7 +203,7 @@ def entrywise_sample(panel: KnowledgeSpec, scenario: Scenario, trials: int, seed
     """The panel's composites on ``trials`` trials of :func:`entrywise_blocks`."""
     channels, m, ids = scenario.channels(), scenario.n_snapshots, np.arange(trials)
     amps = (None if amp_scale is None
-            else _amplitude_stack(scenario.n_modes, m, amp_scale, seed, ids))
+            else amplitude_stack(scenario.n_modes, m, amp_scale, seed, ids))
     blocks = entrywise_blocks(channels, m, seed, ids, amps)
     return evaluate(panel, summarise(panel, channels, blocks)).composite
 

@@ -31,13 +31,13 @@ from glrfusion import (
     simulate,
     wilson_interval,
 )
-from glrfusion import harness
+from glrfusion import detectors, harness, measurement
 from glrfusion.detectors import coordinate_summary, evaluate
 from glrfusion.linalg import energy
 from glrfusion.measurement import (
     TrialDraws,
-    _amplitude_stack,
     _frame,
+    amplitude_stack,
     draw_amplitudes,
     draw_trials,
     rng_stream,
@@ -316,7 +316,7 @@ def cross_validation_sample(panel, scenario, trials, seed, amp_scale) -> np.ndar
     """The panel's cross-validation term on each trial, as the harness draws it."""
     channels, m, ids = scenario.channels(), scenario.n_snapshots, np.arange(trials)
     amps = (None if amp_scale is None
-            else _amplitude_stack(scenario.n_modes, m, amp_scale, seed, ids))
+            else amplitude_stack(scenario.n_modes, m, amp_scale, seed, ids))
     draws = draw_trials(channels, m, seed, ids, amps)
     return evaluate(panel, coordinate_summary(panel, channels, draws.coords,
                                               draws.tails)).cross_validation
@@ -355,6 +355,31 @@ class TestBatchedTrials:
         gap = np.abs(sample[finite] - expected[finite])
         assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(expected[finite])))
         assert degenerate == sum(r.degenerate for r in reports)
+
+    @pytest.mark.parametrize("panel", ["P11", "P12", "P13"])
+    def test_shared_coupling_takes_one_basis(self, panel, monkeypatch):
+        # Every trial of a chunk has its channels' composite coupling, so row 1
+        # takes one basis for the chunk, not one per trial.
+        shapes, basis = [], detectors.orthonormal_basis
+        monkeypatch.setattr(detectors, "orthonormal_basis",
+                            lambda b, name: shapes.append(np.shape(b)) or basis(b, name))
+        sample, _ = harness._statistic_sample(KnowledgeSpec.from_panel(panel),
+                                              three_channel_scenario(), 40, 3, None)
+        assert shapes == [(1, 6, 2)] and np.all(np.isfinite(sample))
+
+    @pytest.mark.parametrize("offset", range(measurement._BLOCK))
+    @pytest.mark.parametrize("snr_db", [None, 10.0], ids=["null", "10dB"])
+    @pytest.mark.parametrize("panel", ["P11", "P22", "P33"])
+    def test_one_trial_at_each_block_offset_matches_simulate(self, panel, snr_db, offset):
+        # A run of one trial keeps one row of its block's draws, and simulate
+        # builds the same trial's blocks from them, at every offset in the block.
+        scenario = three_channel_scenario((1.0, 2.0, 0.5))
+        spec = KnowledgeSpec.from_panel(panel)
+        scale = None if snr_db is None else scenario.amplitude_scale(snr_db)
+        trial = 5 * measurement._BLOCK + offset
+        sample, _ = harness._statistic_sample(spec, scenario, 1, 6, scale, trial_offset=trial)
+        (report,) = per_trial_reports(spec, scenario, 1, 6, scale, trial)
+        assert abs(sample[0] - report.composite) <= 1e-12 * max(1.0, abs(report.composite))
 
     @pytest.mark.parametrize("snr_db", [None, 10.0], ids=["null", "10dB"])
     @pytest.mark.parametrize("panel", ROW3_PANELS)

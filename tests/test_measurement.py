@@ -26,9 +26,9 @@ from glrfusion import (
 from glrfusion import measurement
 from glrfusion.fusion import save_messages
 from glrfusion.measurement import (
-    _amplitude_stack,
     _frame,
     _seed_words,
+    amplitude_stack,
     draw_amplitudes,
     draw_trials,
     rng_stream,
@@ -121,7 +121,7 @@ class TestRotatedDraws:
                     ChannelModel(normalize_channel(np.hstack([v, 2 * v])), 0.9, 1.5),
                     random_channel(rng, 1, 2, gain=1.3j, noise_variance=0.8)]
         trials, m = np.arange(5, 14), 3
-        amps = _amplitude_stack(2, m, 2.0, 4, trials)
+        amps = amplitude_stack(2, m, 2.0, 4, trials)
         null = draw_trials(channels, m, 4, trials, blocks=True)
         alt = draw_trials(channels, m, 4, trials, amps, blocks=True)
         for ch, a, tail, f, x, noise in zip(channels, alt.coords, alt.tails.T, alt.factors,
@@ -154,71 +154,121 @@ class TestRotatedDraws:
             assert sps.kstest(tails * m / ch.noise_variance, law.cdf).pvalue > 1e-3
 
 
-def reference_draws(channels, m, seed, trials):
-    """draw_trials' noise from one rng_stream generator per (trial, channel), in
-    its order: gamma; one normal draw holding W's entries and then those of
-    the Bartlett factor T' above its diagonal, row by row, each entry as its
-    real and imaginary part; r Gamma(N - k - r + 1) draws and r (r - 1) / 2
-    exponential draws, of which diagonal entry i takes the next r - 1 - i;
-    one normal draw holding G's N x r entries.  Returns per-channel
-    coordinate stacks, the (T, L) tails, per-channel factor stacks and
-    per-channel blocks, with the frame of P G from numpy's QR."""
-    coords, tails, factors, blocks = [], [], [], []
+B = measurement._BLOCK
+
+
+def frame_groups(channels) -> dict:
+    """Channel indices by frame shape (N_l, k_l), groups in the order of their
+    first channels."""
+    groups = {}
     for idx, ch in enumerate(channels):
-        q, _ = _frame(ch)
-        n, k = q.shape
-        rank = min(n - k, m)
-        a_l, t_l, f_l, x_l = [], [], [], []
-        for t in trials:
-            gen = rng_stream(seed, 0, t, idx)
-            gamma = gen.standard_gamma((n - k) * m)
-            above = rank * m - rank * (rank + 1) // 2
-            normals = gen.standard_normal(2 * (k * m + above))
-            entries = normals[0::2] + 1j * normals[1::2]
-            a = entries[:k * m].reshape(k, m) * np.sqrt(ch.noise_variance / 2.0)
+        groups.setdefault(_frame(ch)[0].shape, []).append(idx)
+    return groups
+
+
+def reference_block(gen, groups, m) -> dict:
+    """One noise block's draws from its generator, in draw_trials' order: each
+    draw type for every group in turn, one call of shape (B, channels of the
+    group, draws each): the tail gammas, the coordinate normals, the normals of
+    T' above its diagonal, r Gamma(N - k - r + 1) draws and r (r - 1) / 2
+    exponentials."""
+    ranks = {(n, k): min(n - k, m) for n, k in groups}
+    out = {}
+    for (n, k), group in groups.items():
+        out["gamma", n, k] = gen.standard_gamma((n - k) * m, (B, len(group)))
+    for (n, k), group in groups.items():
+        out["normal", n, k] = gen.standard_normal((B, len(group), 2 * k * m))
+    for (n, k), group in groups.items():
+        r = ranks[n, k]
+        out["above", n, k] = gen.standard_normal((B, len(group), 2 * (r * m - r * (r + 1) // 2)))
+    for (n, k), group in groups.items():
+        out["diagonal", n, k] = gen.standard_gamma(n - k - ranks[n, k] + 1,
+                                                   (B, len(group), ranks[n, k]))
+    for (n, k), group in groups.items():
+        r = ranks[n, k]
+        out["exps", n, k] = gen.standard_exponential((B, len(group), r * (r - 1) // 2))
+    return out
+
+
+def reference_draws(channels, m, seed, trials):
+    """draw_trials' noise from one rng_stream generator per block of B trials,
+    (seed, 0, t // B), of which trial t takes row t % B (:func:`reference_block`),
+    and one per trial, (seed, 2, t), for its frames: one normal call of shape
+    (channels, N, 2 r) per group, G's entries row by row.  A drawn entry is a
+    real and an imaginary part; diagonal entry i of T' takes the next r - 1 - i
+    exponentials.  Returns per-channel coordinate stacks, the (T, L) tails,
+    per-channel factor stacks and per-channel blocks, with the frame of P G
+    from numpy's QR."""
+    groups = frame_groups(channels)
+    where = {idx: (shape, pos) for shape, group in groups.items()
+             for pos, idx in enumerate(group)}
+    noise = {b: reference_block(rng_stream(seed, 0, b), groups, m)
+             for b in {t // B for t in trials}}
+    coords, tails, factors, blocks = ([[] for _ in channels] for _ in range(4))
+    for t in trials:
+        drawn, row = noise[t // B], t % B
+        frame_gen = rng_stream(seed, 2, t)
+        gauss = {(n, k): frame_gen.standard_normal((len(group), n, 2 * min(n - k, m)))
+                 for (n, k), group in groups.items()}
+        for idx, ch in enumerate(channels):
+            (n, k), pos = where[idx]
+            q, rank = _frame(ch)[0], min(n - k, m)
+            gamma = drawn["gamma", n, k][row, pos]
+            normals = drawn["normal", n, k][row, pos]
+            a = ((normals[0::2] + 1j * normals[1::2]).reshape(k, m)
+                 * np.sqrt(ch.noise_variance / 2.0))
             x = q @ a
             factor = np.zeros((rank, m), dtype=complex)
             if rank:
-                upper = iter(entries[k * m:] / np.sqrt(2.0))
+                above = drawn["above", n, k][row, pos]
+                upper = iter((above[0::2] + 1j * above[1::2]) / np.sqrt(2.0))
                 for i in range(rank):
                     for j in range(i + 1, m):
                         factor[i, j] = next(upper)
-                diagonal = gen.standard_gamma(n - k - rank + 1, rank)
-                exps = iter(gen.standard_exponential(rank * (rank - 1) // 2))
+                diagonal = drawn["diagonal", n, k][row, pos]
+                exps = iter(drawn["exps", n, k][row, pos])
                 for i in range(rank):
                     factor[i, i] = np.sqrt(diagonal[i] + sum(next(exps)
                                                              for _ in range(rank - 1 - i)))
                 factor *= np.sqrt(ch.noise_variance * gamma) / np.linalg.norm(factor)
-                g = gen.standard_normal((n, 2 * rank)).view(complex)
+                g = gauss[n, k][pos].view(complex)
                 frame, r = np.linalg.qr(g - q @ (q.conj().T @ g))
                 frame *= np.diagonal(r) / abs(np.diagonal(r))
                 x = x + frame @ factor
-            a_l.append(a)
-            t_l.append(ch.noise_variance * gamma / m)
-            f_l.append(factor)
-            x_l.append(x)
-        coords.append(np.array(a_l))
-        tails.append(t_l)
-        factors.append(np.array(f_l))
-        blocks.append(np.array(x_l))
-    return coords, np.array(tails).T, factors, blocks
+            coords[idx].append(a)
+            tails[idx].append(ch.noise_variance * gamma / m)
+            factors[idx].append(factor)
+            blocks[idx].append(x)
+    return ([np.array(a) for a in coords], np.array(tails).T, [np.array(f) for f in factors],
+            [np.array(x) for x in blocks])
 
 
 def reference_amplitudes(j, m, scale, seed, trials):
-    """Amplitude matrices drawn as two (J x M) normal draws per trial's generator."""
+    """Amplitude matrices, one rng_stream generator per block of B trials:
+    one normal draw of shape (B, 2, J, M), of which trial t takes row t % B,
+    real parts then imaginary parts."""
     out = []
     for t in trials:
-        rng = rng_stream(seed, 1, t, 0)
-        out.append((scale / np.sqrt(2.0)) * (rng.standard_normal((j, m))
-                                             + 1j * rng.standard_normal((j, m))))
+        normals = rng_stream(seed, 1, t // B).standard_normal((B, 2, j, m))[t % B]
+        out.append((scale / np.sqrt(2.0)) * (normals[0] + 1j * normals[1]))
     return np.array(out)
 
 
-# (seed, trials): a grid of many keys takes the hash pass; fewer than eight
-# keys, or a seed or trial word of 2**32 or more, take rng_stream per key.
+def expected_builds(seed, keys) -> int:
+    """The generators rng_stream builds for these keys: one per distinct key
+    when there are fewer than eight or a key or the seed is 2**32 or more, and
+    none (one hash pass) otherwise."""
+    keys = set(keys)
+    return len(keys) if len(keys) < 8 or max(seed, *keys) >= 2**32 else 0
+
+
+# (seed, trials): a grid of many blocks takes the hash pass; fewer than eight
+# blocks, or a seed or block word of 2**32 or more, take rng_stream per key.
+# The frames of each trial follow the same rule over the trial ids.
 SUBSTREAM_GRIDS = {
-    "hashed": (7, list(range(3, 23))),
-    "hashed-word-bounds": (2**32 - 1, [0, 2**32 - 1, 5, 6, 7, 8, 9, 2**32 - 2]),
+    "hashed": (7, list(range(3, 43))),
+    "hashed-word-bounds": (2**32 - 1, [0, B * 2**32 - 1, 5, 9, 13, 17, 21, 25, 29,
+                                       B * 2**32 - 2 * B, 3]),
     "few-keys": (7, [0, 9]),
     "wide-seed": (2**32 + 5, list(range(6))),
     "wide-trial": (7, [1, 2, 2**40, 3]),
@@ -252,15 +302,16 @@ class TestSubstreams:
     def test_draws_match_rng_stream(self, rng, monkeypatch, grid):
         # Ragged channels with N - J = M, N = J (whose gamma draw takes no
         # randomness and which has no factor) and N - J > M, then one with
-        # N - J < M.
+        # N - J < M, then frame shapes shared by two channels each, apart.
         seed, trials = SUBSTREAM_GRIDS[grid]
         built = self.count_builds(monkeypatch)
-        for dims in ((6, 2, 9), (5,)):
+        for dims in ((6, 2, 9), (5,), (6, 9, 2, 6, 9)):
             channels = [random_channel(rng, n, 2, noise_variance=v)
-                        for n, v in zip(dims, (1.0, 0.5, 3.0))]
+                        for n, v in zip(dims, (1.0, 0.5, 3.0, 2.0, 0.25))]
             built.clear()
             draws = draw_trials(channels, 4, seed, trials, blocks=True)
-            assert len(built) == (0 if grid.startswith("hashed") else len(dims) * len(trials))
+            assert len(built) == (expected_builds(seed, [t // B for t in trials])
+                                  + expected_builds(seed, trials))
             coords, tails, factors, blocks = reference_draws(channels, 4, seed, trials)
             for got, want in zip(draws.coords, coords, strict=True):
                 np.testing.assert_array_equal(got, want)
@@ -274,7 +325,7 @@ class TestSubstreams:
         # and tails are the same bits whether or not its blocks are formed.
         seed, trials = SUBSTREAM_GRIDS[grid]
         channels = [random_channel(rng, n, 2) for n in (6, 2, 9)]
-        amps = _amplitude_stack(2, 4, 1.5, seed, trials)
+        amps = amplitude_stack(2, 4, 1.5, seed, trials)
         for amplitudes in (None, amps):
             thin = draw_trials(channels, 4, seed, trials, amplitudes)
             full = draw_trials(channels, 4, seed, trials, amplitudes, blocks=True)
@@ -287,11 +338,41 @@ class TestSubstreams:
     def test_amplitudes_match_rng_stream(self, monkeypatch, grid):
         seed, trials = SUBSTREAM_GRIDS[grid]
         built = self.count_builds(monkeypatch)
-        stack = _amplitude_stack(3, 5, 2.5, seed, trials)
-        assert len(built) == (0 if grid.startswith("hashed") else len(trials))
+        stack = amplitude_stack(3, 5, 2.5, seed, trials)
+        assert len(built) == expected_builds(seed, [t // B for t in trials])
         np.testing.assert_array_equal(stack, reference_amplitudes(3, 5, 2.5, seed, trials))
         for t, matrix in zip(trials, stack):
             np.testing.assert_array_equal(draw_amplitudes(3, 5, 2.5, seed, trial=t), matrix)
+
+    @pytest.mark.parametrize("trials", [[b * B + offset] for b in (4, 2**32)
+                                        for offset in range(B)]
+                             + [[5 * B - 1, 5 * B],
+                                [6 * B + 1, 4 * B, 6 * B + 1, 5 * B - 1, 4 * B],
+                                [2**32 * B + 1, 2**32 * B - 1, 2**32 * B + 1]],
+                             ids=lambda trials: "-".join(map(str, trials)))
+    @pytest.mark.parametrize("kind", ["thin", "factors", "blocks"])
+    def test_trials_are_rows_of_whole_blocks(self, rng, trials, kind):
+        # Any ids, at any offsets, in any order and repeated, and blocks from
+        # 2**32 on, which rng_stream draws, give the rows of one call over the
+        # whole blocks they fall in, with and without amplitudes.
+        channels = [random_channel(rng, n, 2, noise_variance=v)
+                    for n, v in ((6, 1.0), (2, 0.5), (9, 3.0), (6, 2.0))]
+        whole = np.concatenate([np.arange(b * B, b * B + B)
+                                for b in sorted({t // B for t in trials})])
+        rows = [whole.tolist().index(t) for t in trials]
+        options = {"factors": kind == "factors", "blocks": kind == "blocks"}
+        amps, all_amps = (amplitude_stack(2, 4, 1.5, 7, ids) for ids in (trials, whole))
+        np.testing.assert_array_equal(amps, all_amps[rows])
+        for amplitudes, all_amplitudes in ((None, None), (amps, all_amps)):
+            got = draw_trials(channels, 4, 7, trials, amplitudes, **options)
+            want = draw_trials(channels, 4, 7, whole, all_amplitudes, **options)
+            np.testing.assert_array_equal(got.tails, want.tails[rows])
+            for field in ("coords", "factors", "blocks"):
+                if getattr(want, field) is None:
+                    assert getattr(got, field) is None
+                    continue
+                for a, b in zip(getattr(got, field), getattr(want, field), strict=True):
+                    np.testing.assert_array_equal(a, b[rows])
 
     @pytest.mark.parametrize("seed, trials", [(-1, list(range(12))), (3, [-1, *range(11)])])
     def test_negative_key_raises_like_rng_stream(self, rng, seed, trials):
@@ -302,7 +383,7 @@ class TestSubstreams:
         with pytest.raises(ValueError, match=message):
             draw_trials(channels, 3, seed, trials)
         with pytest.raises(ValueError, match=message):
-            _amplitude_stack(1, 3, 1.0, seed, trials)
+            amplitude_stack(1, 3, 1.0, seed, trials)
 
     def test_concurrent_calls_match_serial(self, rng):
         # Each call owns its generator: four threads drawing at once, with a
