@@ -60,7 +60,10 @@ _FRAME_STREAM = 2
 # its block share, but a call also draws the trials of its end blocks that it
 # does not keep.  Four trials a key drew twice the normals a two-trial call
 # keeps at N = 128, M = 32, where the Bartlett factors' draws dominate; two
-# waste none there and still halve the keys of a long run.
+# waste none there and still halve the keys of a long run.  Both hold only for
+# calls that start and end on a block boundary, as runs of even length at even
+# offsets do: a call that starts or ends inside a block also draws the block's
+# other trial, so a two-trial call at an odd offset draws twice what it keeps.
 _BLOCK = 2
 # Below this many keys a call builds one generator per key with rng_stream.
 # A hash pass and a generator to reseed cost about as much as five builds:
@@ -103,8 +106,8 @@ _MIX_MULT_R = np.uint32(0x4973F715)
 _PCG_MULT = (0x2360ED051FC65DA4 << 64) | 0x4385DF649FCCF645
 
 
-def rng_stream(seed: int, purpose: int, *index: int) -> np.random.Generator:
-    """Deterministic generator for the substream (seed, purpose, *index).
+def rng_stream(seed: int, purpose: int, index: int) -> np.random.Generator:
+    """Deterministic generator for the substream (seed, purpose, index).
 
     The package draws the substreams (seed, noise, b) and (seed, amplitude,
     b) of each block b = floor(t / ``_BLOCK``) of trial ids, and (seed, frame,
@@ -112,7 +115,7 @@ def rng_stream(seed: int, purpose: int, *index: int) -> np.random.Generator:
     keys reproduce it bit for bit without building a generator per key.
     """
     return np.random.default_rng(
-        np.random.SeedSequence((int(seed), int(purpose), *map(int, index)))
+        np.random.SeedSequence((int(seed), int(purpose), int(index)))
     )
 
 

@@ -37,7 +37,7 @@ from glrfusion.channel import dft_slice, modulation_phases, require_same_dims
 from glrfusion.fusion import ChannelMessage
 from glrfusion.detectors import evaluate, summarise
 from glrfusion.linalg import _normalize_phases, as_complex_matrix, orthonormal_basis
-from glrfusion.measurement import amplitude_stack, rng_stream
+from glrfusion.measurement import amplitude_stack
 
 # Relative tolerance for "is this matrix Hermitian" checks.
 HERMITIAN_RTOL = 1e-10
@@ -183,16 +183,21 @@ def scan_by_rebuild(panel: KnowledgeSpec, scenario: Scenario, ms: MeasurementSet
     return values
 
 
+# A purpose tag no package substream uses, so that the oracle's draws never
+# repeat a harness run's at the same seed.
+ENTRYWISE_STREAM = 3
+
+
 def entrywise_blocks(channels: Sequence[ChannelModel], m: int, seed: int,
                      trials: Sequence[int], amplitudes: np.ndarray | None = None
                      ) -> list[np.ndarray]:
     """The former block sampler: per-channel stacks of X_l = g_l H_l A_t + U_l,
     U_l's N_l x M entries drawn one by one, real parts then imaginary parts,
-    from the (seed, noise, t, l) substream."""
+    from a SeedSequence keyed (seed, ENTRYWISE_STREAM, t, l)."""
     blocks = []
     for idx, ch in enumerate(channels):
-        normals = np.array([rng_stream(seed, 0, t, idx).standard_normal((2, ch.n_samples, m))
-                            for t in trials])
+        normals = np.array([np.random.default_rng((seed, ENTRYWISE_STREAM, t, idx))
+                            .standard_normal((2, ch.n_samples, m)) for t in trials])
         noise = np.sqrt(ch.noise_variance / 2.0) * (normals[:, 0] + 1j * normals[:, 1])
         blocks.append(noise if amplitudes is None else ch.gain * (ch.matrix @ amplitudes) + noise)
     return blocks

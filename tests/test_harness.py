@@ -740,7 +740,7 @@ class TestScan:
         cell_a, cell_b = (2, 2), (8, 8)
         cal = calibrate_threshold(
             ExperimentSpec(panel=P12, scenario=scenario, trials=2000, seed=83), 0.01)
-        rng = rng_stream(90, 7, 0, 0)
+        rng = rng_stream(90, 7, 0)
         m = scenario.n_snapshots
         scale = scenario.amplitude_scale(20.0)
         amp_a = draw_amplitudes(scenario.n_modes, m, scale, 91)

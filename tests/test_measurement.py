@@ -264,14 +264,16 @@ def expected_builds(seed, keys) -> int:
 
 # (seed, trials): a grid of many blocks takes the hash pass; fewer than eight
 # blocks, or a seed or block word of 2**32 or more, take rng_stream per key.
-# The frames of each trial follow the same rule over the trial ids.
+# The frames of each trial follow the same rule over the trial ids.  The wide
+# grids span eight or more blocks and trials, so only the word bounds send
+# them to rng_stream.
 SUBSTREAM_GRIDS = {
     "hashed": (7, list(range(3, 43))),
     "hashed-word-bounds": (2**32 - 1, [0, B * 2**32 - 1, 5, 9, 13, 17, 21, 25, 29,
                                        B * 2**32 - 2 * B, 3]),
     "few-keys": (7, [0, 9]),
-    "wide-seed": (2**32 + 5, list(range(6))),
-    "wide-trial": (7, [1, 2, 2**40, 3]),
+    "wide-seed": (2**32 + 5, list(range(16))),
+    "wide-trial": (7, [*range(1, 16), 2**40]),
 }
 
 
@@ -374,10 +376,11 @@ class TestSubstreams:
                 for a, b in zip(getattr(got, field), getattr(want, field), strict=True):
                     np.testing.assert_array_equal(a, b[rows])
 
-    @pytest.mark.parametrize("seed, trials", [(-1, list(range(12))), (3, [-1, *range(11)])])
+    @pytest.mark.parametrize("seed, trials", [(-1, list(range(16))), (3, [-1, *range(15)])])
     def test_negative_key_raises_like_rng_stream(self, rng, seed, trials):
+        # Eight or more blocks, so the sign checks, not the key count, reject them.
         with pytest.raises(ValueError) as expected:
-            rng_stream(seed, 0, trials[0], 0)
+            rng_stream(seed, 0, trials[0] // B)
         channels = [random_channel(rng, 4, 1)]
         message = re.escape(str(expected.value))
         with pytest.raises(ValueError, match=message):
