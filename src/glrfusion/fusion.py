@@ -91,21 +91,6 @@ def balanced_tree(n_channels: int) -> PartitionTree:
     return build(0, n_channels)
 
 
-def tree_leaves(tree: PartitionTree) -> tuple[int, ...]:
-    """The leaves of ``tree`` from left to right, walked with an explicit stack."""
-    leaves: list[int] = []
-    pending: list[PartitionTree] = [tree]
-    while pending:
-        node = pending.pop()
-        if isinstance(node, int) and not isinstance(node, bool):
-            leaves.append(node)
-        elif isinstance(node, tuple) and len(node) == 2:
-            pending += [node[1], node[0]]
-        else:
-            raise ConfigError(f"malformed partition tree node {node!r}")
-    return tuple(leaves)
-
-
 def _leaves(channels: Sequence[ChannelModel],
             blocks: Sequence[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The channels' factors F_l and coordinates C_l on their blocks, one list each.

@@ -20,6 +20,22 @@ array.  ``simulate`` builds the blocks from the same draws, so every panel
 and ``simulate`` see one data set per trial.  Thresholds always
 come from empirical null quantiles so every panel is treated uniformly.
 
+A chunk's interior boundaries fall on multiples of ``measurement._BLOCK`` in
+absolute trial ids, so no two chunks of a run draw the same block of trials.
+A :class:`Scenario` keeps the draws of its latest chunks at one seed, so the
+panels run on it at that seed share them: ``run_null``, ``run_roc`` and
+``calibrate_threshold`` with one job read and fill this memo, keyed by the
+amplitude scale (or none) and the chunk's trial ids, for the same channel
+objects.  Rows 1 and 2 take any entry; row 3 needs one with the factors of
+the tails, and otherwise draws them and replaces the entry, so a kept chunk is
+drawn at most twice.  The coordinates and tails are the same bit for bit
+either way.  Chunks match only exactly: rows whose stacks size them
+differently do not share.  A new seed empties the memo; it holds at most
+``_CHUNK_ENTRIES`` complex entries, the oldest kept dropped first, and a
+chunk that does not fit alone is not kept.  Its arrays are read-only.  Runs
+with more than one job neither read nor fill it, and separate processes
+(each CLI command) never share it.
+
 The module needs numpy alone: ``scipy.stats`` serves only :func:`run_null`'s
 KS reference and loads on the first null run that KS-tests, and the process
 pool loads on the first run with more than one job.
@@ -53,7 +69,7 @@ from .detectors import (
     summarise,
 )
 from .errors import ConfigError
-from .measurement import MeasurementSet, amplitude_stack, draw_trials
+from .measurement import _BLOCK, MeasurementSet, TrialDraws, amplitude_stack, draw_trials
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 # Complex entries of the largest temporary one step of a scan or of a chunk
@@ -66,8 +82,12 @@ class Scenario:
     """Physical channel specs plus snapshot count for one experiment.
 
     The channels are built once, on first use, and every later call on the
-    same scenario shares them, with the bases they cache.  A scenario made
-    by ``dataclasses.replace`` is a new object and builds its own.
+    same scenario shares them, with the bases they cache.  The trial draws
+    of its latest Monte-Carlo chunks are memoised the same way, at one seed
+    and with one job (see the module docstring), so every panel run on the
+    scenario at that seed reads the same draws.  A scenario made by
+    ``dataclasses.replace`` is a new object and builds its own channels and
+    memo; a pickled scenario carries no memo.
     """
 
     specs: tuple[PropagationSpec, ...]
@@ -104,6 +124,13 @@ class Scenario:
         """The scenario's channels: built on first use, then the same
         (immutable) objects on every call, in a new list each time."""
         return list(self._channels)
+
+    @functools.cached_property
+    def _draws(self) -> _DrawMemo:
+        return _DrawMemo()
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_draws"}
 
     def amplitude_scale(self, snr_db: float) -> float:
         """Amplitude standard deviation realizing a mean per-channel SNR.
@@ -170,20 +197,62 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float, float]:
     return center - half, center + half, half
 
 
-def _trial_block(panel: KnowledgeSpec, channels: Sequence[ChannelModel], m: int, seed: int,
-                 amp_scale: float | None, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Composites and degenerate flags of the trials ``ids``, evaluated together.
-
-    Rows 1 and 2 read each trial's coordinates and tails as drawn, row 3 also
-    the factors of its tails.  A trial's value does not depend on the other
-    trials: its data are its rows of its block's draws, and every step treats
-    the matrices of a stack apart.
-    """
+def _draw_chunk(channels: Sequence[ChannelModel], m: int, seed: int, amp_scale: float | None,
+                ids: np.ndarray, factors: bool) -> TrialDraws:
+    """The trials ``ids``, drawn with their amplitudes at ``amp_scale`` (none: noise only)."""
     amps = None
     if amp_scale is not None:
         amps = amplitude_stack(channels[0].n_modes, m, amp_scale, seed, ids)
+    return draw_trials(channels, m, seed, ids, amps, factors=factors)
+
+
+class _DrawMemo:
+    """The draws of a scenario's latest chunks at one seed: the module
+    docstring gives the key, the hit rule and the bound."""
+
+    def __init__(self):
+        self.seed = None
+        # (amplitude scale, trial ids) -> (channels, draws, bytes), oldest first.
+        self.entries: dict[tuple, tuple[tuple[ChannelModel, ...], TrialDraws, int]] = {}
+
+    def draws(self, channels: Sequence[ChannelModel], m: int, seed: int,
+              amp_scale: float | None, ids: np.ndarray, factors: bool) -> TrialDraws:
+        if seed != self.seed:
+            self.seed = seed
+            self.entries.clear()
+        key = (amp_scale, ids.tobytes())
+        if key in self.entries:
+            kept, draws, _ = self.entries[key]
+            if (len(kept) == len(channels) and all(map(operator.is_, kept, channels))
+                    and (draws.factors is not None or not factors)):
+                return draws
+            del self.entries[key]
+        draws = _draw_chunk(channels, m, seed, amp_scale, ids, factors)
+        arrays = [*draws.coords, draws.tails, *(draws.factors or ())]
+        nbytes = sum(a.nbytes for a in arrays)
+        bound = 16 * _CHUNK_ENTRIES  # bytes of as many complex entries
+        if nbytes <= bound:
+            while sum(entry[2] for entry in self.entries.values()) + nbytes > bound:
+                del self.entries[next(iter(self.entries))]
+            for a in arrays:
+                a.flags.writeable = False
+            self.entries[key] = tuple(channels), draws, nbytes
+        return draws
+
+
+def _trial_block(panel: KnowledgeSpec, channels: Sequence[ChannelModel], m: int, seed: int,
+                 amp_scale: float | None, ids: np.ndarray,
+                 memo: _DrawMemo | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Composites and degenerate flags of the trials ``ids``, evaluated together.
+
+    Rows 1 and 2 read each trial's coordinates and tails as drawn, row 3 also
+    the factors of its tails, through ``memo`` when one is given.  A trial's
+    value does not depend on the other trials: its data are its rows of its
+    block's draws, and every step treats the matrices of a stack apart.
+    """
     subspace = panel.channel_knowledge == ChannelKnowledge.UNKNOWN_SUBSPACE
-    draws = draw_trials(channels, m, seed, ids, amps, factors=subspace)
+    draw = _draw_chunk if memo is None else memo.draws
+    draws = draw(channels, m, seed, amp_scale, ids, subspace)
     ev = evaluate(panel, coordinate_summary(panel, channels, draws.coords, draws.tails,
                                             draws.factors))
     check_decomposition(ev.composite, ev.col.alphas, ev.col.lam, ev.cross_validation,
@@ -202,19 +271,21 @@ def _statistic_sample(
 ) -> tuple[np.ndarray, int]:
     """The panel's composite on each trial, and the number of degenerate trials.
 
-    Each chunk of trials, at least one per job, is evaluated in one pass.  A
-    chunk is sized by the largest stack it forms: the L J x M coordinates of
-    a trial on rows 1 and 2, and on row 3 its L factors [a_l; T_l], each of
-    k_l + min(N_l - k_l, M) = min(N_l, J + M) rows at most.
+    Each chunk of trials, at least one per job while the blocks of trials
+    allow, is evaluated in one pass.  A chunk is sized by the largest stack
+    it forms: the L J x M coordinates of a trial on rows 1 and 2, and on row
+    3 its L factors [a_l; T_l], each of k_l + min(N_l - k_l, M) = min(N_l, J
+    + M) rows at most.  With one job the chunks' draws go through the
+    scenario's memo.
     """
     channels = scenario.channels()
     m, j = scenario.n_snapshots, scenario.n_modes
     height = (max(min(ch.n_samples, j + m) for ch in channels)
               if panel.channel_knowledge == ChannelKnowledge.UNKNOWN_SUBSPACE else j)
-    chunks = [ids + trial_offset for ids in _chunks(trials, len(channels) * height * m, jobs)]
+    chunks = _chunks(trials, len(channels) * height * m, jobs, trial_offset, _BLOCK)
     block = functools.partial(_trial_block, panel, channels, m, seed, amp_scale)
     if jobs <= 1:
-        results = list(map(block, chunks))
+        results = [block(ids, scenario._draws) for ids in chunks]
     else:
         # Deferred: importing the process pool adds about 15 ms to a cold start.
         from concurrent.futures import ProcessPoolExecutor
@@ -469,11 +540,25 @@ def _scan_indices(scan_channels: Sequence[int] | None, n_channels: int) -> list[
     return scanned
 
 
-def _chunks(count: int, entries_each: int, at_least: int = 1) -> list[np.ndarray]:
-    """Consecutive index ranges over ``count`` items, each under the memory
-    bound, and at least ``at_least`` of them while ``count`` allows."""
+def _chunks(count: int, entries_each: int, at_least: int = 1, start: int = 0,
+            align: int = 1) -> list[np.ndarray]:
+    """Consecutive ranges over the ``count`` indices from ``start``, each under
+    the memory bound, and at least ``at_least`` of them while the indices allow.
+
+    Interior boundaries fall on multiples of ``align``, unless ``align``
+    indices overflow the bound: the ranges split the runs of indices between
+    those multiples as ``np.array_split`` splits indices, so ``align`` = 1
+    gives its ranges.
+    """
     per_chunk = max(1, _CHUNK_ENTRIES // entries_each)
-    return np.array_split(np.arange(count), min(count, max(at_least, -(-count // per_chunk))))
+    if per_chunk < align:
+        align = 1
+    first = start // align
+    runs = np.arange(first, (start + count - 1) // align + 1)
+    parts = np.array_split(runs, min(runs.size,
+                                     max(at_least, -(-runs.size // (per_chunk // align)))))
+    bounds = [start, *(int(part[0]) * align for part in parts[1:]), start + count]
+    return [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _doppler_bank(panel: KnowledgeSpec, index: int, spec: PropagationSpec, x: np.ndarray,

@@ -26,7 +26,7 @@ from glrfusion import (
     simulate,
 )
 from glrfusion import detectors, fusion
-from glrfusion.fusion import _fold_tree, load_messages, save_messages, tree_leaves
+from glrfusion.fusion import _fold_tree, load_messages, save_messages
 from glrfusion.measurement import _format_block
 from conftest import complex_normal, random_channel, random_instance
 from oracles import (
@@ -44,6 +44,17 @@ from oracles import (
 def messages_for(chans, ms):
     return [channel_message(c, ms.block(i), ms.n_snapshots)
             for i, c in enumerate(chans)]
+
+
+def tree_leaves(tree) -> tuple[int, ...]:
+    """The leaves of a partition tree from left to right."""
+    return (tree,) if isinstance(tree, int) else tree_leaves(tree[0]) + tree_leaves(tree[1])
+
+
+def partition_two_channels(tree):
+    """``partition_cv`` on two random channels and their data, with ``tree``."""
+    chans, ms = random_instance(np.random.default_rng(3), n_channels=2)
+    return partition_cv(chans, ms, tree)
 
 
 class TestQee:
@@ -161,7 +172,7 @@ class TestPartitionCv:
 
     @pytest.mark.parametrize("build, arg", [
         (chain_tree, 0), (chain_tree, -3), (balanced_tree, 0), (balanced_tree, -3),
-        (tree_leaves, (True, 0)), (tree_leaves, ((0, 1), False)),
+        (partition_two_channels, (True, 0)), (partition_two_channels, ((0, 1), False)),
     ], ids=["chain-0", "chain-negative", "balanced-0", "balanced-negative",
             "bool-leaf", "nested-bool-leaf"])
     def test_empty_tree_or_bool_leaf_rejected(self, build, arg):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import pickle
 import tracemalloc
 import warnings
 
@@ -411,6 +412,43 @@ class TestBatchedTrials:
         chunked, _ = harness._statistic_sample(*args)
         np.testing.assert_array_equal(chunked, whole)
 
+    @pytest.mark.parametrize("count, entries_each, at_least, start", [
+        (201, 1, 1, 0), (201, 1, 2, 0), (201, 1, 2, 201), (202, 1, 2, 0), (3, 1, 2, 1),
+        (2, 1, 2, 0), (1000, 1 << 13, 1, 7), (999, 1 << 13, 3, 402), (5, 1 << 18, 1, 3),
+    ])
+    def test_chunk_boundaries_are_block_aligned(self, count, entries_each, at_least, start):
+        # Chunks cover the run in order, each under the memory bound, at least
+        # one per job while the run spans that many blocks; where a block fits
+        # a chunk, no two chunks draw the same block.
+        block = measurement._BLOCK
+        chunks = harness._chunks(count, entries_each, at_least, start, block)
+        np.testing.assert_array_equal(np.concatenate(chunks), np.arange(start, start + count))
+        per_chunk = max(1, harness._CHUNK_ENTRIES // entries_each)
+        assert max(map(len, chunks)) <= per_chunk
+        if per_chunk >= block:
+            assert all(ids[0] % block == 0 for ids in chunks[1:])
+        spanned = (start + count - 1) // block - start // block + 1
+        assert len(chunks) >= min(at_least, spanned)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("panel", ["P11", "P33"])
+    def test_aligned_chunks_match_unaligned_split(self, panel, jobs, monkeypatch):
+        # 41 trials from the odd id 41, in chunks of at most 7 trials: the
+        # sample equals, bit for bit, that of six chunks split without regard
+        # to the blocks, starting at odd ids too.
+        scenario = three_channel_scenario((1.0, 2.0, 0.5))
+        spec = KnowledgeSpec.from_panel(panel)
+        scale = scenario.amplitude_scale(5.0)
+        channels, m = scenario.channels(), scenario.n_snapshots
+        expected = np.concatenate([
+            harness._trial_block(spec, channels, m, 4, scale, ids + 41)[0]
+            for ids in np.array_split(np.arange(41), 6)])
+        height = 2 if panel == "P11" else 10  # J, or the largest min(N_l, J + M)
+        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 7 * len(channels) * height * m)
+        sample, _ = harness._statistic_sample(spec, dataclasses.replace(scenario), 41, 4, scale,
+                                              trial_offset=41, jobs=jobs)
+        np.testing.assert_array_equal(sample, expected)
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_degenerate_trials_are_counted(self, jobs):
         # N = J = 2 leaves one channel no residual: every P13 trial is degenerate.
@@ -445,7 +483,9 @@ class TestBatchedTrials:
         scenario = Scenario(specs=specs, gains=(1.0, 0.5), noise_variances=(1.0, 2.0),
                             n_snapshots=m)
         args = (KnowledgeSpec.from_panel(panel), scenario, 8, 1, scenario.amplitude_scale(0.0))
-        harness._statistic_sample(*args)  # caches the channel constants and numpy's state
+        # Caches the channel constants and numpy's state; at another seed, so
+        # that the scenario's memo of draws does not serve the traced run.
+        harness._statistic_sample(*args[:3], 2, *args[4:])
         tracemalloc.start()
         try:
             sample, _ = harness._statistic_sample(*args)
@@ -931,3 +971,130 @@ class TestScenario:
             assert fresh.scenario == scenario
             np.testing.assert_array_equal(run_null(spec, jobs=jobs).sample, first)
             np.testing.assert_array_equal(run_null(fresh, jobs=jobs).sample, first)
+
+
+def mc_small_scenario() -> Scenario:
+    """Two channels at the mc-small size (N = 16, J = 2, M = 8), unequal variances."""
+    return dataclasses.replace(two_channel_scenario(m=8, n=16, j=2, delay=3e-3, doppler=20.0),
+                               noise_variances=(0.8, 1.5))
+
+
+def round_spec(scenario: Scenario, panel: str, seed: int = 17) -> ExperimentSpec:
+    """An ROC experiment of 201 trials per sample: every sample is one chunk on
+    every row, and the alternatives start at odd trial ids."""
+    return ExperimentSpec(panel=KnowledgeSpec.from_panel(panel), scenario=scenario,
+                          trials=201, seed=seed, snr_db=(0.0, 10.0), pfa_targets=(0.1, 0.05))
+
+
+def assert_fields_equal(a, b) -> None:
+    assert type(a) is type(b)
+    for field in dataclasses.fields(a):
+        np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name))
+
+
+ROUND_ORDERS = {
+    "forward": ALL_PANELS,
+    "by-column": [f"P{row}{col}" for col in "123" for row in "123"],
+    "reverse": ALL_PANELS[::-1],
+    "shuffled": [ALL_PANELS[i] for i in np.random.default_rng(4).permutation(9)],
+}
+
+
+class TestDrawMemo:
+    """A scenario keeps the draws of its latest chunks at one seed."""
+
+    @pytest.mark.parametrize("order", ["forward", "reverse", "shuffled"])
+    def test_shared_draws_match_a_fresh_scenario_per_call(self, order):
+        scenario = mc_small_scenario()
+        for panel in ROUND_ORDERS[order]:
+            spec = round_spec(scenario, panel)
+            fresh = [dataclasses.replace(spec, scenario=dataclasses.replace(scenario))
+                     for _ in range(3)]
+            for shared, alone in zip(run_roc(spec), run_roc(fresh[0]), strict=True):
+                assert_fields_equal(shared, alone)
+            assert_fields_equal(run_null(spec), run_null(fresh[1]))
+            assert_fields_equal(calibrate_threshold(spec, 0.05),
+                                calibrate_threshold(fresh[2], 0.05))
+
+    @pytest.mark.parametrize("order, per_chunk", [("forward", 2), ("by-column", 2),
+                                                  ("shuffled", 2), ("reverse", 1)])
+    def test_a_round_draws_each_chunk_at_most_twice(self, order, per_chunk, monkeypatch):
+        # Once without the factors of the tails for the first panel of rows 1
+        # and 2, and once with them for the first panel of row 3; none again
+        # when row 3 comes first.  Three chunks: the null and two alternatives.
+        draws, amplitudes = [], []
+        real_draws, real_amplitudes = harness.draw_trials, harness.amplitude_stack
+        monkeypatch.setattr(harness, "draw_trials",
+                            lambda *args, **kw: draws.append(kw) or real_draws(*args, **kw))
+        monkeypatch.setattr(harness, "amplitude_stack",
+                            lambda *args: amplitudes.append(args) or real_amplitudes(*args))
+        scenario = mc_small_scenario()
+        for panel in ROUND_ORDERS[order]:
+            run_roc(round_spec(scenario, panel))
+        assert len(draws) == 3 * per_chunk and len(amplitudes) == 2 * per_chunk
+        assert [kw["factors"] for kw in draws] == [False] * (3 * per_chunk - 3) + [True] * 3
+
+    def test_kept_arrays_are_read_only(self):
+        scenario = mc_small_scenario()
+        run_null(round_spec(scenario, "P31"))
+        ((_, draws, _),) = scenario._draws.entries.values()
+        arrays = [*draws.coords, draws.tails, *draws.factors]
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            draws.coords[0][0] *= 2.0
+
+    def test_new_seed_empties_the_memo(self):
+        scenario = mc_small_scenario()
+        run_roc(round_spec(scenario, "P11"))
+        assert len(scenario._draws.entries) == 3
+        run_null(round_spec(scenario, "P11", seed=18))
+        assert scenario._draws.seed == 18 and len(scenario._draws.entries) == 1
+
+    def test_chunks_over_the_bound_are_not_kept(self, monkeypatch):
+        # Ten trials of two channels' 2 x 8 coordinates are 320 complex
+        # entries, and their 20 real tails 10 more.
+        scenario = mc_small_scenario()
+        memo, channels, ids = scenario._draws, scenario.channels(), np.arange(10)
+        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 320)
+        alone = memo.draws(channels, 8, 5, None, ids, False)
+        assert memo.entries == {} and alone.coords[0].flags.writeable
+        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 330)
+        first = memo.draws(channels, 8, 5, None, ids, False)
+        assert memo.draws(channels, 8, 5, None, ids, False) is first
+        second = memo.draws(channels, 8, 5, None, ids + 10, False)  # the oldest goes
+        assert [draws for _, draws, _ in memo.entries.values()] == [second]
+        np.testing.assert_array_equal(first.tails, alone.tails)
+
+    def test_other_channels_do_not_share(self):
+        scenario = mc_small_scenario()
+        memo, ids = scenario._draws, np.arange(10)
+        first = memo.draws(scenario.channels(), 8, 5, None, ids, False)
+        other = memo.draws(mc_small_scenario().channels(), 8, 5, None, ids, False)
+        assert other is not first and len(memo.entries) == 1
+        np.testing.assert_array_equal(other.tails, first.tails)
+
+    def test_replaced_or_pickled_scenario_has_no_memo(self):
+        scenario = mc_small_scenario()
+        spec = round_spec(scenario, "P11")
+        sample = run_null(spec).sample
+        assert scenario._draws.entries
+        replaced = dataclasses.replace(scenario)
+        assert replaced == scenario and replaced._draws.entries == {}
+        restored = pickle.loads(pickle.dumps(scenario))
+        assert restored == scenario and "_draws" not in vars(restored)
+        np.testing.assert_array_equal(
+            run_null(dataclasses.replace(spec, scenario=restored)).sample, sample)
+
+    def test_jobs_neither_read_nor_fill_the_memo(self):
+        scenario = mc_small_scenario()
+        spec = round_spec(scenario, "P11")
+        parallel = run_null(spec, jobs=2).sample
+        assert "_draws" not in vars(scenario)
+        np.testing.assert_array_equal(run_null(spec).sample, parallel)
+        # Poison the kept draws: one job reads them, two do not.
+        memo = scenario._draws
+        for key, (channels, draws, nbytes) in memo.entries.items():
+            doubled = draws._replace(coords=[2.0 * a for a in draws.coords])
+            memo.entries[key] = channels, doubled, nbytes
+        assert not np.array_equal(run_null(spec).sample, parallel)
+        np.testing.assert_array_equal(run_null(spec, jobs=2).sample, parallel)
