@@ -36,6 +36,7 @@ from .errors import (
     ProtocolError,
     RankDeficiencyError,
 )
+from .formats import load_measurements, save_measurements
 from .fusion import (
     ChannelMessage,
     balanced_tree,
@@ -60,8 +61,6 @@ from .harness import (
 from .measurement import (
     MeasurementSet,
     draw_amplitudes,
-    load_measurements,
-    save_measurements,
     simulate,
 )
 

@@ -7,7 +7,7 @@ config keys are rejected before any computation.  Every run writes a
 manifest echoing the fully-resolved config (plus seed, versions, platform,
 BLAS thread settings and wall time) as the last of its outputs.  Every file,
 data and message sets included, is written atomically
-(write-temp-then-rename) by :func:`glrfusion.measurement.write_files`, and
+(write-temp-then-rename) by :func:`glrfusion.formats.write_files`, and
 ``simulate``'s data set appears by one directory rename.  Diagnostics go to
 stderr; the exit status is 0 exactly when no error occurred.
 """
@@ -37,24 +37,12 @@ from .harness import (
     run_roc,
     scan_likelihood_image,
 )
-from .measurement import (_FLOAT_FMT, _measurement_files, _require_type, draw_amplitudes,
-                          json_text, load_measurements, simulate, write_files)
+from .formats import (csv_text, float_text, json_text, load_measurements, measurement_files,
+                      require_type, write_files)
+from .measurement import draw_amplitudes, simulate
 
 # Environment variables that set the thread count of numpy's BLAS.
 _BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _fmt(value: float) -> str:
-    return _FLOAT_FMT.format(float(value))
-
-
-def _csv(header: str, rows) -> str:
-    """CSV text under a header line: strings and ints as they are, other values
-    as floats at 17 significant digits."""
-    lines = [header]
-    lines += [",".join(v if isinstance(v, str) else str(v) if isinstance(v, int) else _fmt(v)
-                       for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
 
 
 def _write_outputs(directory, command: str, config: dict, started: float,
@@ -98,7 +86,7 @@ def _check_keys(obj: dict, allowed: dict, required: set[str], path: str) -> None
         raise ConfigError(f"missing config key(s) {missing} under {path}")
 
 
-# Declared value types, checked by ``measurement._require_type``: a type, a tuple
+# Declared value types, checked by ``formats.require_type``: a type, a tuple
 # of alternatives, or [t] for a list of t.  A bool is never read as a number.
 _NUMBER = (int, float)
 
@@ -153,7 +141,7 @@ _COMMAND_KEYS = {
 
 def _check_types(obj: dict, declared: dict, prefix: str) -> None:
     for key, value in obj.items():
-        _require_type(value, declared[key], f"config key {prefix + key!r}")
+        require_type(value, declared[key], f"config key {prefix + key!r}")
 
 
 def _validate_config(command: str, config: dict) -> None:
@@ -283,7 +271,7 @@ def _experiment_from_config(config: dict) -> ExperimentSpec:
 # Report serialization
 
 def report_record(report: DetectorReport) -> dict:
-    """The report's fields as a record for :func:`~glrfusion.measurement.json_text`."""
+    """The report's fields as a record for :func:`~glrfusion.formats.json_text`."""
     record = {
         "panel": report.panel.panel,
         "composite": report.composite,
@@ -310,7 +298,7 @@ def _report_csv(report: DetectorReport) -> str:
     for i, (a, lam) in enumerate(zip(report.alphas, report.per_channel)):
         header += [f"alpha_{i}", f"lambda_{i}"]
         row += [a, lam]
-    return _csv(",".join(header), [row])
+    return csv_text(",".join(header), [row])
 
 
 # --------------------------------------------------------------------------
@@ -337,7 +325,7 @@ def _cmd_simulate(config: dict, args, started: float) -> int:
     # The data set is written beside the output and appears there by one rename.
     staging = out.with_name(f"{out.name}.partial.{os.getpid()}")
     try:
-        _write_outputs(staging, "simulate", config, started, _measurement_files(ms), extra)
+        _write_outputs(staging, "simulate", config, started, measurement_files(ms), extra)
         os.replace(staging, out)
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
@@ -368,7 +356,7 @@ def _cmd_roc(config: dict, args, started: float) -> int:
     header = "snr_db,threshold,pfa,pd,pd_wilson_halfwidth,pfa_wilson_halfwidth"
     degenerate = {str(c.snr_db): c.degenerate_trials for c in curves}
     degenerate["null"] = curves[0].null_degenerate_trials
-    _write_outputs(config["output"], "roc", config, started, {"roc.csv": _csv(header, rows)},
+    _write_outputs(config["output"], "roc", config, started, {"roc.csv": csv_text(header, rows)},
                    {"auc": {str(c.snr_db): c.area() for c in curves},
                     "degenerate_trials": degenerate})
     return 0
@@ -381,10 +369,10 @@ def _cmd_null(config: dict, args, started: float) -> int:
     rows = [(v, (i + 1) / n) for i, v in enumerate(null.sample)]
     summary = {k: v for k, v in vars(null).items() if k not in ("sample", "panel")}
     _write_outputs(config["output"], "null", config, started,
-                   {"null_cdf.csv": _csv("value,empirical_cdf", rows)}, summary)
+                   {"null_cdf.csv": csv_text("value,empirical_cdf", rows)}, summary)
     if null.ks_reference is not None:
-        print(f"ks reference={null.ks_reference} statistic={_fmt(null.ks_statistic)} "
-              f"pvalue={_fmt(null.ks_pvalue)}")
+        print(f"ks reference={null.ks_reference} statistic={float_text(null.ks_statistic)} "
+              f"pvalue={float_text(null.ks_pvalue)}")
     return 0
 
 
@@ -396,7 +384,7 @@ def _cmd_scan(config: dict, args, started: float) -> int:
                                   scan_channels=config.get("scan_channels"))
     rows = [(tau, nu, image.values[a, b], int((a, b) == image.argmax_index))
             for a, tau in enumerate(image.delays_s) for b, nu in enumerate(image.dopplers_hz)]
-    csv = _csv("delay_s,doppler_hz,statistic,is_argmax", rows)
+    csv = csv_text("delay_s,doppler_hz,statistic,is_argmax", rows)
     _write_outputs(config["output"], "scan", config, started, {"scan.csv": csv}, {
         "argmax_delay_s": image.argmax_delay_s,
         "argmax_doppler_hz": image.argmax_doppler_hz,
@@ -411,12 +399,12 @@ def _cmd_calibrate(config: dict, args, started: float) -> int:
     row = [cal.threshold, cal.pfa_target, cal.achieved_pfa, cal.wilson_low, cal.wilson_high,
            cal.trials]
     _write_outputs(config["output"], "calibrate", config, started,
-                   {"calibration.csv": _csv(header, [row])}, {
+                   {"calibration.csv": csv_text(header, [row])}, {
                        "threshold": cal.threshold,
                        "achieved_pfa": cal.achieved_pfa,
                        "degenerate_trials": cal.degenerate_trials,
                    })
-    print(_fmt(cal.threshold))
+    print(float_text(cal.threshold))
     return 0
 
 

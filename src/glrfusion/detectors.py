@@ -67,7 +67,7 @@ import numpy as np
 
 from .channel import ChannelModel, orthonormal_columns, require_same_dims
 from .errors import ConfigError, DegenerateDataError, RankDeficiencyError
-from .linalg import _normalize_phases, energy, orthonormal_basis
+from .linalg import energy, normalize_phases, orthonormal_basis
 from .measurement import MeasurementSet
 
 # Residual energy below this fraction of the channel energy is treated as
@@ -505,7 +505,7 @@ def _report(spec: KnowledgeSpec, ev: _Evaluation) -> DetectorReport:
         if resolved:
             b = np.sqrt(col.alphas[0] * col.phi[0])[:, None] * unit
             u = np.linalg.svd(b, full_matrices=False)[0]
-            gain_direction = _normalize_phases(u[:, :1])[:, 0]
+            gain_direction = normalize_phases(u[:, :1])[:, 0]
     return DetectorReport(
         composite=float(ev.composite[0]), alphas=col.alphas[0].copy(), per_channel=col.lam[0],
         cross_validation=float(ev.cross_validation[0]), panel=spec,

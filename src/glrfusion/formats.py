@@ -1,0 +1,248 @@
+"""File formats: every text the package writes, and every file it reads.
+
+Data sets and fusion message sets are directories of a JSON header (format,
+version, shapes and file names) and one CSV per complex matrix, a line per
+row of interleaved real,imag entries at 17 significant digits, which
+round-trips float64 bit-exactly.  A header may name only plain files of its
+own directory.  Every file the package writes goes through :func:`write_files`.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+from pathlib import Path
+from typing import Callable, Mapping, Sequence
+
+import numpy as np
+
+from .errors import ConfigError, DimensionError, ProtocolError
+from .fusion import ChannelMessage
+from .measurement import MeasurementSet
+
+_HEADER_NAME = "header.json"
+_MEASUREMENT_FORMAT = "glrfusion-measurements"
+_MEASUREMENT_VERSION = 1
+_MESSAGE_FORMAT = "glrfusion-messages"
+_MESSAGE_VERSION = 2
+# What each entry of a message file's header holds, with its declared type.
+_MESSAGE_ENTRY = {"factor": str, "coordinates": str, "n_modes": int, "n_snapshots": int}
+_FLOAT_FMT = "{:.17g}"
+
+
+def float_text(value) -> str:
+    """A number as a float at 17 significant digits."""
+    return _FLOAT_FMT.format(float(value))
+
+
+def _cell(value) -> str:
+    """A table cell: a string or an int as it is, any other value as a float."""
+    return str(value) if isinstance(value, str | int) else float_text(value)
+
+
+def _lines(rows, cell: Callable[[object], str]) -> str:
+    """Rows of comma-separated cells, one a line, newline-terminated."""
+    return "\n".join(",".join(map(cell, row)) for row in rows) + "\n"
+
+
+def csv_text(header: str, rows) -> str:
+    """CSV text under a header line: strings and ints as they are, other values as floats."""
+    return _lines([[header], *rows], _cell)
+
+
+def _format_block(block: np.ndarray) -> str:
+    """A complex matrix's CSV text: each row's entries as interleaved real,imag."""
+    interleaved = np.ascontiguousarray(block, dtype=np.complex128).view(np.float64)
+    return _lines(interleaved.tolist(), _FLOAT_FMT.format)
+
+
+def _plain(obj):
+    """The JSON-ready Python value of a numpy value or a complex number."""
+    if isinstance(obj, np.ndarray | np.generic):
+        return obj.tolist()
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def json_text(obj) -> str:
+    """The indented, newline-terminated JSON form of ``obj``, numpy values and
+    complex numbers ([re, im]) included."""
+    return json.dumps(obj, indent=2, default=_plain) + "\n"
+
+
+def _conforms(value, expected) -> bool:
+    """Whether a JSON value has the declared type ``expected``.
+
+    A declaration is a type, a tuple of alternatives, or [t] for a list whose
+    elements are all t.  A bool is never an int or a number, and an int or a
+    float must convert to a finite float: JSON parsers read NaN, and 1e400 as
+    inf, and an integer of 400 digits overflows float64.
+    """
+    if isinstance(expected, tuple):
+        return any(_conforms(value, t) for t in expected)
+    if isinstance(expected, list):
+        return isinstance(value, list) and all(_conforms(v, expected[0]) for v in value)
+    return (isinstance(value, expected) and (expected is bool or not isinstance(value, bool))
+            and (expected not in (int, float) or _finite(value)))
+
+
+def _finite(number) -> bool:
+    """Whether an int or a float converts to a finite float."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
+
+
+def require_type(value, expected, what: str) -> None:
+    """Raise ConfigError naming ``what`` unless ``value`` has the declared type."""
+    if not _conforms(value, expected):
+        raise ConfigError(f"{what} has the wrong type or is not finite: {json.dumps(value)}")
+
+
+def _require_keys(obj: dict, declared: Mapping[str, object],
+                  missing: Callable[[str], Exception], what: Callable[[str], str]) -> None:
+    """Raise ``missing(key)`` for a key of ``declared`` that ``obj`` lacks, and
+    ConfigError naming ``what(key)`` for a value without its declared type."""
+    for key, expected in declared.items():
+        if key not in obj:
+            raise missing(key)
+        require_type(obj[key], expected, what(key))
+
+
+def write_files(directory, files: Mapping[str, str]) -> Path:
+    """Create ``directory`` and write each named text into it, in order.
+
+    Each is written under a temporary name and renamed into place, so no
+    reader sees a partial file; callers pass the file that lists the others
+    (a header or a manifest) last.  Files and directories get the
+    permissions ``open`` and ``mkdir`` give under the process umask.
+    """
+    root = Path(directory)
+    root.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        tmp = root / f"{name}.tmp"
+        try:
+            with open(tmp, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, root / name)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    return root
+
+
+def _read_header(root: Path, format_name: str, version: int, keys: Mapping[str, object]) -> dict:
+    """Read ``root``/header.json: a JSON object of ``format_name`` ``version``.
+
+    ``keys`` maps each key the header must hold to its declared type (see
+    :func:`_conforms`).
+    """
+    header_path = root / _HEADER_NAME
+    if not header_path.exists():
+        raise ConfigError(f"no {_HEADER_NAME} in {root}")
+    try:
+        header = json.loads(header_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{header_path} is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ConfigError(f"{header_path} does not hold a JSON object")
+    if header.get("format") != format_name:
+        raise ConfigError(f"unrecognized format {header.get('format')!r} in {header_path}, "
+                          f"expected {format_name!r}")
+    found = header.get("version")
+    if found != version or isinstance(found, bool):
+        raise ConfigError(f"unsupported {format_name} version {found!r} "
+                          f"in {header_path}, expected version {version}")
+    _require_keys(header, keys,
+                  lambda key: ConfigError(f"{header_path} is missing the key {key!r}"),
+                  lambda key: f"{key!r} in {header_path}")
+    return header
+
+
+def _read_block(root: Path, name: str, n_rows: int, n_cols: int) -> np.ndarray:
+    """The complex n_rows x n_cols matrix of the CSV file ``name`` that
+    ``root``'s header names, which must be a plain file name in ``root``."""
+    if name in ("", ".", "..") or Path(name).name != name:
+        raise ConfigError(f"{root / _HEADER_NAME} names {name!r}, "
+                          f"which is not a file name in its directory")
+    rows = [line.split(",") for line in (root / name).read_text().splitlines() if line.strip()]
+    if len(rows) != n_rows:
+        raise DimensionError(f"block file has {len(rows)} rows, expected {n_rows}")
+    for i, fields in enumerate(rows):
+        if len(fields) != 2 * n_cols:
+            raise DimensionError(f"row {i} has {len(fields)} fields, expected {2 * n_cols}")
+    return np.array(rows, dtype=float).reshape(n_rows, 2 * n_cols).view(np.complex128)
+
+
+def measurement_files(measurements: MeasurementSet) -> dict[str, str]:
+    """The files of a measurement set: one CSV per channel block, then header.json."""
+    files = {f"block_{i:02d}.csv": _format_block(block)
+             for i, block in enumerate(measurements.blocks)}
+    files[_HEADER_NAME] = json_text({
+        "format": _MEASUREMENT_FORMAT,
+        "version": _MEASUREMENT_VERSION,
+        "n_snapshots": measurements.n_snapshots,
+        "channel_dims": list(measurements.channel_dims),
+        "blocks": list(files),
+    })
+    return files
+
+
+def save_measurements(measurements: MeasurementSet, directory) -> Path:
+    """Write a measurement set as header.json + one CSV per channel block."""
+    return write_files(directory, measurement_files(measurements))
+
+
+def load_measurements(directory) -> MeasurementSet:
+    """Read a measurement set written by :func:`save_measurements`."""
+    root = Path(directory)
+    header = _read_header(root, _MEASUREMENT_FORMAT, _MEASUREMENT_VERSION,
+                          {"n_snapshots": int, "channel_dims": [int], "blocks": [str]})
+    m = header["n_snapshots"]
+    dims = header["channel_dims"]
+    if len(dims) != len(header["blocks"]):
+        raise ConfigError(
+            f"{root / _HEADER_NAME} lists {len(header['blocks'])} block files "
+            f"for {len(dims)} channels"
+        )
+    return MeasurementSet(tuple(_read_block(root, name, dim, m)
+                                for dim, name in zip(dims, header["blocks"])))
+
+
+def save_messages(messages: Sequence[ChannelMessage], directory) -> Path:
+    """Serialize fusion messages with the same CSV-plus-header layout as data."""
+    files: dict[str, str] = {}
+    entries = []
+    for idx, msg in enumerate(messages):
+        entry = {"n_modes": msg.coordinates.shape[0], "n_snapshots": msg.n_snapshots}
+        for field in ("factor", "coordinates"):
+            entry[field] = f"message_{idx:02d}_{field}.csv"
+            files[entry[field]] = _format_block(getattr(msg, field))
+        entries.append(entry)
+    files[_HEADER_NAME] = json_text(
+        {"format": _MESSAGE_FORMAT, "version": _MESSAGE_VERSION, "messages": entries})
+    return write_files(directory, files)
+
+
+def load_messages(directory) -> list[ChannelMessage]:
+    """Read fusion messages written by :func:`save_messages`."""
+    root = Path(directory)
+    header = _read_header(root, _MESSAGE_FORMAT, _MESSAGE_VERSION, {"messages": object})
+    if not isinstance(header["messages"], list):
+        raise ConfigError(f"'messages' in {root / _HEADER_NAME} is not a list: "
+                          f"{header['messages']!r}")
+    out = []
+    for idx, entry in enumerate(header["messages"]):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"message entry {idx} in {root / _HEADER_NAME} is not an object: "
+                              f"{entry!r}")
+        _require_keys(entry, _MESSAGE_ENTRY,
+                      lambda key: ProtocolError(f"channel message is missing field {key!r}"),
+                      lambda key: f"message entry {idx} in {root / _HEADER_NAME}: {key!r}")
+        j, m = entry["n_modes"], entry["n_snapshots"]
+        out.append(ChannelMessage(factor=_read_block(root, entry["factor"], j, j),
+                                  coordinates=_read_block(root, entry["coordinates"], j, m)))
+    return out

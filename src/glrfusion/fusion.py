@@ -30,7 +30,8 @@ builder makes the leaves, with one gate and one energy check:
 channels and blocks, with no message in between, so a caller's messages and
 ``partition_cv``'s leaves are the same bits.  ``daisy_chain_fuse`` takes its
 statistics from one energy pass over the stacked coordinates and checks its
-L reports' decompositions in one batched call.
+L reports' decompositions in one batched call.  A message set's file form,
+and its reader and writer, are in :mod:`formats`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -48,8 +48,7 @@ from .detectors import (ChannelKnowledge, DetectorReport, KnowledgeSpec, NoiseKn
                         check_channels, check_decomposition)
 from .errors import ConfigError, DimensionError, ProtocolError, RankDeficiencyError
 from .linalg import as_complex_matrix, energy, orthonormal_basis, require_full_rank
-from .measurement import (_HEADER_NAME, MeasurementSet, _format_block, _parse_block,
-                          _read_header, _require_type, json_text, write_files)
+from .measurement import MeasurementSet
 
 PartitionTree = int | tuple
 
@@ -60,11 +59,6 @@ _TINY = np.finfo(float).tiny
 
 # Marks a fold on the stack of a tree walk.
 _FOLD = object()
-
-_MESSAGE_FORMAT = "glrfusion-messages"
-_MESSAGE_VERSION = 2
-# What each entry of a message file's header holds, with its declared type.
-_MESSAGE_ENTRY = {"factor": str, "coordinates": str, "n_modes": int, "n_snapshots": int}
 
 
 def chain_tree(n_channels: int) -> PartitionTree:
@@ -392,43 +386,3 @@ def daisy_chain_fuse(messages: Sequence[ChannelMessage]) -> list[DetectorReport]
     return [DetectorReport._unchecked(composite, alphas[k, :k + 1], per_channel[k, :k + 1],
                                       cv, _P11)
             for k, (composite, cv) in enumerate(zip(composites.tolist(), cvs.tolist()))]
-
-
-def save_messages(messages: Sequence[ChannelMessage], directory) -> Path:
-    """Serialize fusion messages with the same CSV-plus-header layout as data."""
-    files: dict[str, str] = {}
-    entries = []
-    for idx, msg in enumerate(messages):
-        entry = {"n_modes": msg.coordinates.shape[0], "n_snapshots": msg.n_snapshots}
-        for field in ("factor", "coordinates"):
-            entry[field] = f"message_{idx:02d}_{field}.csv"
-            files[entry[field]] = _format_block(getattr(msg, field))
-        entries.append(entry)
-    files[_HEADER_NAME] = json_text(
-        {"format": _MESSAGE_FORMAT, "version": _MESSAGE_VERSION, "messages": entries})
-    return write_files(directory, files)
-
-
-def load_messages(directory) -> list[ChannelMessage]:
-    """Read fusion messages written by :func:`save_messages`."""
-    root = Path(directory)
-    header = _read_header(root, _MESSAGE_FORMAT, _MESSAGE_VERSION, {"messages": object})
-    if not isinstance(header["messages"], list):
-        raise ConfigError(f"'messages' in {root / _HEADER_NAME} is not a list: "
-                          f"{header['messages']!r}")
-    out = []
-    for idx, entry in enumerate(header["messages"]):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"message entry {idx} in {root / _HEADER_NAME} is not an object: "
-                              f"{entry!r}")
-        for name, expected in _MESSAGE_ENTRY.items():
-            if name not in entry:
-                raise ProtocolError(f"channel message is missing field {name!r}")
-            _require_type(entry[name], expected,
-                          f"message entry {idx} in {root / _HEADER_NAME}: {name!r}")
-        j, m = entry["n_modes"], entry["n_snapshots"]
-        out.append(ChannelMessage(
-            factor=_parse_block((root / entry["factor"]).read_text(), j, j),
-            coordinates=_parse_block((root / entry["coordinates"]).read_text(), j, m),
-        ))
-    return out

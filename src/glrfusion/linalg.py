@@ -41,7 +41,7 @@ def energy(x: np.ndarray) -> np.ndarray:
     return np.vecdot(flat, flat).real
 
 
-def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
+def normalize_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its first significantly-nonzero entry is real positive."""
     out = vectors.copy()
     for j in range(out.shape[1]):

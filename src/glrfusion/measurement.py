@@ -1,4 +1,4 @@
-"""Snapshot containers, synthesis, and file formats.
+"""Snapshot containers and synthesis; :mod:`formats` holds a data set's file form.
 
 Data for L channels over M snapshots is held as per-channel blocks X_l of
 shape (N_l, M).  Synthesis is deterministic given (seed, trial): the noise
@@ -21,34 +21,19 @@ factor of at most M rows, which with a_l is all the unknown-subspace row
 reads; and the block X_l only where it is needed (:func:`simulate`).  White
 noise keeps its law under a rotation, so this is exact in law, though not the
 same numbers as drawing X_l entry by entry.
-
-The on-disk interchange format is binary-free: one directory with a JSON
-header (format, version, dims, snapshot count, channel order) plus one CSV per block holding
-interleaved real,imag entries at 17 significant digits, which round-trips
-float64 bit-exactly.  Every file the package writes reaches disk through
-:func:`write_files`, whose texts :func:`json_text` and the block codec form.
 """
 
 from __future__ import annotations
 
 import functools
-import json
-import math
-import os
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .channel import ChannelModel
 from .errors import ConfigError, DimensionError, RankDeficiencyError
 from .linalg import as_complex_matrix, as_complex_stack, energy
-
-_HEADER_NAME = "header.json"
-_FORMAT_NAME = "glrfusion-measurements"
-_FORMAT_VERSION = 1
-_FLOAT_FMT = "{:.17g}"
 
 # Purpose tags for named random substreams.
 _NOISE_STREAM = 0
@@ -521,151 +506,3 @@ def amplitude_stack(n_modes: int, n_snapshots: int, scale: float, seed: int,
     normals = np.empty((len(keys), _BLOCK, 2, n_modes, n_snapshots))
     _draw_keys(seed, _AMPLITUDE_STREAM, keys, [("standard_normal", (), normals)])
     return _complex_normals(_rows(normals, rows), scale / np.sqrt(2.0))
-
-
-def _format_block(block: np.ndarray) -> str:
-    interleaved = np.ascontiguousarray(block, dtype=np.complex128).view(np.float64)
-    return "\n".join(",".join(map(_FLOAT_FMT.format, row))
-                     for row in interleaved.tolist()) + "\n"
-
-
-def _parse_block(text: str, n_rows: int, n_snapshots: int) -> np.ndarray:
-    rows = [line.split(",") for line in text.splitlines() if line.strip()]
-    if len(rows) != n_rows:
-        raise DimensionError(f"block file has {len(rows)} rows, expected {n_rows}")
-    for i, fields in enumerate(rows):
-        if len(fields) != 2 * n_snapshots:
-            raise DimensionError(
-                f"row {i} has {len(fields)} fields, expected {2 * n_snapshots}"
-            )
-    return np.array(rows, dtype=float).reshape(n_rows, 2 * n_snapshots).view(np.complex128)
-
-
-def _plain(obj):
-    """The JSON-ready Python value of a numpy value or a complex number."""
-    if isinstance(obj, np.ndarray | np.generic):
-        return obj.tolist()
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
-def json_text(obj) -> str:
-    """The indented, newline-terminated JSON form of ``obj``, numpy values and
-    complex numbers ([re, im]) included."""
-    return json.dumps(obj, indent=2, default=_plain) + "\n"
-
-
-def write_files(directory, files: Mapping[str, str]) -> Path:
-    """Create ``directory`` and write each named text into it, in order.
-
-    Each is written under a temporary name and renamed into place, so no
-    reader sees a partial file; callers pass the file that lists the others
-    (a header or a manifest) last.  Files and directories get the
-    permissions ``open`` and ``mkdir`` give under the process umask.
-    """
-    root = Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        tmp = root / f"{name}.tmp"
-        try:
-            with open(tmp, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, root / name)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-    return root
-
-
-def _measurement_files(measurements: MeasurementSet) -> dict[str, str]:
-    """The files of a measurement set: one CSV per channel block, then header.json."""
-    files = {f"block_{i:02d}.csv": _format_block(block)
-             for i, block in enumerate(measurements.blocks)}
-    files[_HEADER_NAME] = json_text({
-        "format": _FORMAT_NAME,
-        "version": _FORMAT_VERSION,
-        "n_snapshots": measurements.n_snapshots,
-        "channel_dims": list(measurements.channel_dims),
-        "blocks": list(files),
-    })
-    return files
-
-
-def save_measurements(measurements: MeasurementSet, directory) -> Path:
-    """Write a measurement set as header.json + one CSV per channel block."""
-    return write_files(directory, _measurement_files(measurements))
-
-
-def _conforms(value, expected) -> bool:
-    """Whether a JSON value has the declared type ``expected``.
-
-    A declaration is a type, a tuple of alternatives, or [t] for a list whose
-    elements are all t.  A bool is never an int or a number, and an int or a
-    float must convert to a finite float: JSON parsers read NaN, and 1e400 as
-    inf, and an integer of 400 digits overflows float64.
-    """
-    if isinstance(expected, tuple):
-        return any(_conforms(value, t) for t in expected)
-    if isinstance(expected, list):
-        return isinstance(value, list) and all(_conforms(v, expected[0]) for v in value)
-    return (isinstance(value, expected) and (expected is bool or not isinstance(value, bool))
-            and (expected not in (int, float) or _finite(value)))
-
-
-def _finite(number) -> bool:
-    """Whether an int or a float converts to a finite float."""
-    try:
-        return math.isfinite(number)
-    except OverflowError:
-        return False
-
-
-def _require_type(value, expected, what: str) -> None:
-    """Raise ConfigError naming ``what`` unless ``value`` has the declared type."""
-    if not _conforms(value, expected):
-        raise ConfigError(f"{what} has the wrong type or is not finite: {json.dumps(value)}")
-
-
-def _read_header(root: Path, format_name: str, version: int, keys: Mapping[str, object]) -> dict:
-    """Read ``root``/header.json: a JSON object of ``format_name`` ``version``.
-
-    ``keys`` maps each key the header must hold to its declared type (see
-    :func:`_conforms`).
-    """
-    header_path = root / _HEADER_NAME
-    if not header_path.exists():
-        raise ConfigError(f"no {_HEADER_NAME} in {root}")
-    header = json.loads(header_path.read_text())
-    if not isinstance(header, dict):
-        raise ConfigError(f"{header_path} does not hold a JSON object")
-    if header.get("format") != format_name:
-        raise ConfigError(f"unrecognized format {header.get('format')!r} in {header_path}, "
-                          f"expected {format_name!r}")
-    found = header.get("version")
-    if found != version or isinstance(found, bool):
-        raise ConfigError(f"unsupported {format_name} version {found!r} "
-                          f"in {header_path}, expected version {version}")
-    for key, expected in keys.items():
-        if key not in header:
-            raise ConfigError(f"{header_path} is missing the key {key!r}")
-        _require_type(header[key], expected, f"{key!r} in {header_path}")
-    return header
-
-
-def load_measurements(directory) -> MeasurementSet:
-    """Read a measurement set written by :func:`save_measurements`."""
-    root = Path(directory)
-    header = _read_header(root, _FORMAT_NAME, _FORMAT_VERSION,
-                          {"n_snapshots": int, "channel_dims": [int], "blocks": [str]})
-    m = header["n_snapshots"]
-    dims = header["channel_dims"]
-    if len(dims) != len(header["blocks"]):
-        raise ConfigError(
-            f"{root / _HEADER_NAME} lists {len(header['blocks'])} block files "
-            f"for {len(dims)} channels"
-        )
-    blocks = []
-    for dim, name in zip(dims, header["blocks"]):
-        blocks.append(_parse_block((root / name).read_text(), dim, m))
-    return MeasurementSet(tuple(blocks))

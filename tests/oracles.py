@@ -36,7 +36,7 @@ from glrfusion import (
 from glrfusion.channel import dft_slice, modulation_phases, require_same_dims
 from glrfusion.fusion import ChannelMessage
 from glrfusion.detectors import evaluate, summarise
-from glrfusion.linalg import _normalize_phases, as_complex_matrix, orthonormal_basis
+from glrfusion.linalg import as_complex_matrix, normalize_phases, orthonormal_basis
 from glrfusion.measurement import amplitude_stack
 
 # Relative tolerance for "is this matrix Hermitian" checks.
@@ -531,7 +531,7 @@ def hermitian_eig(k) -> HermitianEig:
     w, u = np.linalg.eigh(arr)
     order = slice(None, None, -1)
     return HermitianEig(values=np.ascontiguousarray(w[order]),
-                        vectors=_normalize_phases(u[:, order]))
+                        vectors=normalize_phases(u[:, order]))
 
 
 class RayleighExtremes(NamedTuple):

@@ -140,7 +140,7 @@ class TestDetect:
 
     def test_noise_free_in_span_has_tiny_penalty(self, tmp_path, capsys):
         from glrfusion import MeasurementSet, PropagationSpec, narrowband_channel
-        from glrfusion.measurement import save_measurements
+        from glrfusion.formats import save_measurements
 
         channels = [channel_entry(), channel_entry(doppler_hz=125.0)]
         built = [

@@ -1,0 +1,119 @@
+"""The file formats: pinned bytes, and headers that name files outside their directory."""
+
+from __future__ import annotations
+
+import json
+import shutil
+
+import numpy as np
+import pytest
+
+from glrfusion import (
+    ChannelMessage,
+    ConfigError,
+    MeasurementSet,
+    load_measurements,
+    save_measurements,
+)
+from glrfusion.formats import load_messages, save_messages
+
+# Entries that need all 17 significant digits, a subnormal-scale and a huge one, and -0.
+BLOCKS = (np.array([[1 / 3, -2e-300j], [0.1 + 1j, -0.0]]), np.array([[1e300, -1 / 7]]))
+FACTOR = np.array([[1 / 3, 0.5j], [0, -2.0]])
+COORDINATES = np.array([[-2e-300, 1 / 3, 0.1j], [2.5, 0, -1e-5]])
+
+MEASUREMENT_FILES = {
+    "block_00.csv": "0.33333333333333331,0,-0,-2.0000000000000001e-300\n"
+                    "0.10000000000000001,1,-0,0\n",
+    "block_01.csv": "1.0000000000000001e+300,0,-0.14285714285714285,0\n",
+    "header.json": '{\n  "format": "glrfusion-measurements",\n  "version": 1,\n'
+                   '  "n_snapshots": 2,\n  "channel_dims": [\n    2,\n    1\n  ],\n'
+                   '  "blocks": [\n    "block_00.csv",\n    "block_01.csv"\n  ]\n}\n',
+}
+
+MESSAGE_FILES = {
+    "message_00_factor.csv": "0.33333333333333331,0,0,0.5\n0,0,-2,0\n",
+    "message_00_coordinates.csv": "-2.0000000000000001e-300,0,0.33333333333333331,0,0,"
+                                  "0.10000000000000001\n2.5,0,0,0,-1.0000000000000001e-05,0\n",
+    "header.json": '{\n  "format": "glrfusion-messages",\n  "version": 2,\n  "messages": [\n'
+                   '    {\n      "n_modes": 2,\n      "n_snapshots": 3,\n'
+                   '      "factor": "message_00_factor.csv",\n'
+                   '      "coordinates": "message_00_coordinates.csv"\n    }\n  ]\n}\n',
+}
+
+
+def files_in(root) -> dict[str, str]:
+    return {path.name: path.read_text() for path in root.iterdir()}
+
+
+def test_measurement_set_bytes_are_pinned(tmp_path):
+    root = save_measurements(MeasurementSet(BLOCKS), tmp_path / "d")
+    assert files_in(root) == MEASUREMENT_FILES
+    for loaded, block in zip(load_measurements(root).blocks, BLOCKS):
+        np.testing.assert_array_equal(loaded, block)
+
+
+def test_message_set_bytes_are_pinned(tmp_path):
+    root = save_messages([ChannelMessage(factor=FACTOR, coordinates=COORDINATES)], tmp_path / "m")
+    assert files_in(root) == MESSAGE_FILES
+    (loaded,) = load_messages(root)
+    np.testing.assert_array_equal(loaded.factor, FACTOR)
+    np.testing.assert_array_equal(loaded.coordinates, COORDINATES)
+
+
+# The file a test renames in a header: a data set's first block, or a message's field.
+KINDS = ["block", "factor", "coordinates"]
+
+
+def save(kind: str, directory):
+    """A saved data set or message set holding the file of ``kind``, and its loader."""
+    if kind == "block":
+        return save_measurements(MeasurementSet(BLOCKS), directory), load_measurements
+    message = ChannelMessage(factor=FACTOR, coordinates=COORDINATES)
+    return save_messages([message], directory), load_messages
+
+
+def rename_in_header(root, kind: str, name: str) -> str:
+    """Point the header's entry for the file of ``kind`` at ``name``; returns the name it held."""
+    header = json.loads((root / "header.json").read_text())
+    entry, key = (header["blocks"], 0) if kind == "block" else (header["messages"][0], kind)
+    old, entry[key] = entry[key], name
+    (root / "header.json").write_text(json.dumps(header))
+    return old
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_header_naming_a_file_of_the_parent_directory_is_rejected(tmp_path, kind):
+    root, load = save(kind, tmp_path / "d")
+    old = rename_in_header(root, kind, "../x.csv")
+    shutil.copy(root / old, tmp_path / "x.csv")  # a file the loader could parse
+    with pytest.raises(ConfigError, match=r"header\.json names '\.\./x\.csv'"):
+        load(root)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_header_naming_an_absolute_path_is_rejected_without_echoing_it(tmp_path, kind):
+    root, load = save(kind, tmp_path / "d")
+    secret = tmp_path / "secret.txt"
+    secret.write_text("hunter2\n")
+    rename_in_header(root, kind, str(secret))
+    with pytest.raises(ConfigError, match=r"header\.json names") as raised:
+        load(root)
+    assert "hunter2" not in str(raised.value)
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "sub/x.csv", "x.csv/"])
+def test_header_names_only_plain_file_names(tmp_path, name):
+    root, load = save("block", tmp_path / "d")
+    (root / "sub").mkdir()
+    shutil.copy(root / rename_in_header(root, "block", name), root / "sub" / "x.csv")
+    with pytest.raises(ConfigError, match="not a file name in its directory"):
+        load(root)
+
+
+@pytest.mark.parametrize("kind", ["block", "factor"], ids=["measurements", "messages"])
+def test_header_that_is_not_json_names_the_header(tmp_path, kind):
+    root, load = save(kind, tmp_path / "d")
+    (root / "header.json").write_text('{"format": ')
+    with pytest.raises(ConfigError, match=r"header\.json is not valid JSON"):
+        load(root)

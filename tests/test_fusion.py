@@ -26,8 +26,8 @@ from glrfusion import (
     simulate,
 )
 from glrfusion import detectors, fusion
-from glrfusion.fusion import _fold_tree, load_messages, save_messages
-from glrfusion.measurement import _format_block
+from glrfusion.formats import _format_block, load_messages, save_messages
+from glrfusion.fusion import _fold_tree
 from conftest import complex_normal, random_channel, random_instance
 from oracles import (
     cfar_diag_decomposition,

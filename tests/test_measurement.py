@@ -24,7 +24,7 @@ from glrfusion import (
     simulate,
 )
 from glrfusion import measurement
-from glrfusion.fusion import save_messages
+from glrfusion.formats import save_messages
 from glrfusion.measurement import (
     _frame,
     _seed_words,

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import glrfusion
 
@@ -25,6 +27,12 @@ PUBLIC_NAMES = [
     "save_measurements", "scan_likelihood_image", "simulate", "wilson_interval",
 ]
 
+# Private names one module of the package may import from another, by
+# (module, name), "" naming the package itself.  The harness splits its chunks
+# of trials on the blocks of trials the draws are keyed by, so it reads the
+# block size from measurement.
+PRIVATE_IMPORTS = {("", "__version__"), ("measurement", "_BLOCK")}
+
 REPORT_FIELDS = [
     "composite", "alphas", "per_channel", "cross_validation", "panel", "degenerate",
     "gain_direction", "noise_null", "noise_alt", "coherences", "fusion_stats",
@@ -40,6 +48,18 @@ def test_public_names_are_pinned():
     assert sorted(glrfusion.__all__) == sorted(PUBLIC_NAMES)
     for name in PUBLIC_NAMES:
         assert hasattr(glrfusion, name), name
+
+
+def test_no_private_name_crosses_a_module_boundary():
+    crossing = []
+    for path in sorted(Path(glrfusion.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom) or not node.level:
+                continue
+            crossing += [f"{path.name} imports {node.module}.{alias.name}" for alias in node.names
+                         if alias.name.startswith("_")
+                         and (node.module or "", alias.name) not in PRIVATE_IMPORTS]
+    assert not crossing
 
 
 def test_report_fields_are_pinned():
