@@ -17,7 +17,9 @@ factor R_l = Q_l^H H_l, the coordinates a_l = Q_l^H X_l, the tail
 ||X_l - Q_l a_l||^2 / M formed directly and the block energy E_l; on row 3
 (only the mode count J known), a factor F_l with F_l^H F_l = X_l^H X_l, which
 keeps every singular value of X_l: the triangular factor of X_l, or in the
-Monte-Carlo harness the drawn stack [a_l; T_l] (:func:`coordinate_summary`).
+Monte-Carlo harness the drawn stack [a_l; T_l] (:func:`coordinate_summary`),
+with the channel's energies inside and outside its dominant J-dimensional
+subspace, split once when the summary is built.
 :func:`evaluate` evaluates a panel over a leading batch axis of hypotheses:
 :func:`detect` passes a batch of one, a delay/Doppler scan the cells of its
 grid, which change R_l and, through the Doppler only, Q_l, a_l and the tail,
@@ -43,8 +45,10 @@ the signal.
   tail / D.  Over sqrt(M D) the stack is the fusion factor B of the report.
 * Row 3 is row 1 with the span given by J: each R_l and the stack
   A = [R_l / sqrt(v_l)], which has the singular values of Z, split at their
-  J-th singular value.  The tail of A holds the channels' tails, so
-  cv = (tail(A) - sum_l tail(R_l) / v_l) / D.
+  J-th singular value.  The channels' splits do not depend on the column, so
+  :func:`summarise` and :func:`coordinate_summary` form them once, and only
+  the stack's split is per panel.  The tail of A holds the channels' tails,
+  so cv = (tail(A) - sum_l tail(R_l) / v_l) / D.
 
 One rule per column, :func:`_column`, with E_l = ||X_l||^2 / M, E = sum E_l,
 N_l the samples of channel l and N = sum N_l: known variances give
@@ -276,6 +280,13 @@ class Summary(NamedTuple):
     of hypotheses on one data set (a scan's cells) and the couplings of a
     batch of data sets on one set of channels.
 
+    The tails are each channel's energy outside its signal subspace: on
+    rows 1 and 2 the span of Q_l, formed directly, and on row 3 the dominant
+    J-dimensional subspace of F_l, from the singular values of the factor.
+    Row 3 also keeps the energy inside that subspace: both come from one
+    split of the factors when the summary is built, which every column reads,
+    so a summary shared by the panels of row 3 splits them once.
+
     Rows 1 and 2 read a block only through a_l and the tail, and row 3 only
     through X_l^H X_l, so :func:`coordinate_summary` builds every summary
     without a block: the Monte-Carlo harness draws a_l, the tail and, on row
@@ -293,7 +304,8 @@ class Summary(NamedTuple):
     energies: np.ndarray  # (B, L) or (1, L) E_l = ||X_l||^2 / M
     coupling: np.ndarray | int  # (B or 1, L, J, J) R_l = Q_l^H H_l, or J on row 3
     coords: np.ndarray  # (B, L, J, M) a_l = Q_l^H X_l, or (B, L, K, M) F_l on row 3
-    tails: np.ndarray | None  # (B, L) ||X_l - Q_l a_l||^2 / M; none on row 3
+    tails: np.ndarray  # (B, L) ||X_l - Q_l a_l||^2 / M, or outside the dominant J on row 3
+    signal: np.ndarray | None  # (B, L) inside the dominant J on row 3; none on rows 1 and 2
 
 
 def _coordinates(basis: np.ndarray, x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -336,11 +348,16 @@ def _known_couplings(spec: KnowledgeSpec, channels: Sequence[ChannelModel]
 
 def _summary(channels: Sequence[ChannelModel], dims: list[int], energies: np.ndarray,
              coupling: np.ndarray | int, coords: np.ndarray,
-             tails: np.ndarray | None) -> Summary:
+             tails: np.ndarray | None = None) -> Summary:
+    """The summary of ``coords``; on row 3 (an int ``coupling``) the tails and
+    the in-span energies are the split of each factor at J."""
+    signal = None
+    if isinstance(coupling, int):
+        signal, tails = _split(coords, coupling, coords.shape[-1])
     return Summary(gains=np.array([ch.gain for ch in channels]),
                    variances=np.array([ch.noise_variance for ch in channels]),
                    dims=np.array(dims, dtype=float), energies=energies,
-                   coupling=coupling, coords=coords, tails=tails)
+                   coupling=coupling, coords=coords, tails=tails, signal=signal)
 
 
 def summarise(spec: KnowledgeSpec, channels: Sequence[ChannelModel],
@@ -354,9 +371,8 @@ def summarise(spec: KnowledgeSpec, channels: Sequence[ChannelModel],
     energies = _checked_energies(
         channels, dims, lambda: np.stack([energy(x) for x in blocks], axis=-1) / m)
     if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_SUBSPACE:
-        coupling = _mode_count(spec, channels, dims, m)
-        return _summary(channels, dims, energies, coupling,
-                        np.linalg.qr(_padded(blocks, m), mode="r"), None)
+        return _summary(channels, dims, energies, _mode_count(channels, dims, m),
+                        np.linalg.qr(_padded(blocks, m), mode="r"))
     bases, coupling = _known_couplings(spec, channels)
     coords, tails = zip(*(_coordinates(q, x, m) for q, x in zip(bases, blocks)))
     return _summary(channels, dims, energies, coupling, np.stack(coords, axis=1),
@@ -392,9 +408,9 @@ def coordinate_summary(spec: KnowledgeSpec, channels: Sequence[ChannelModel],
     energies = _checked_energies(
         channels, dims, lambda: np.stack([energy(a) for a in coords], axis=-1) / m + tails)
     if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_SUBSPACE:
-        coupling = _mode_count(spec, channels, dims, m)
         parts = [np.concatenate((a, t), axis=-2) for a, t in zip(coords, factors, strict=True)]
-        return _summary(channels, dims, energies, coupling, _padded(parts, m), None)
+        return _summary(channels, dims, energies, _mode_count(channels, dims, m),
+                        _padded(parts, m))
     _, coupling = _known_couplings(spec, channels)
     return _summary(channels, dims, energies, coupling, np.stack(coords, axis=1), tails)
 
@@ -539,17 +555,23 @@ def evaluate(spec: KnowledgeSpec, s: Summary, dominant_numerator: bool = False) 
     at the composite's span: the coordinates a_l at the orthonormal basis of
     G = [f_l R_l] on row 1, the rows vec(R_l^H a_l) at one singular value on
     row 2, and the factors R_l at the mode count J on row 3, where each
-    channel's energies come from the same split of R_l and the tail of the
+    channel's energies are the summary's split of R_l and the tail of the
     stack less the channels' whitened tails is the cross-validation energy.
+    Column 3 on row 3 raises ValueError for a channel of at most J samples,
+    which leaves no residual dimension.
     """
     noise = spec.noise_knowledge
     gains_row = spec.channel_knowledge == ChannelKnowledge.UNKNOWN_GAINS
     batch, n_ch, k, m = s.coords.shape
     subspace = isinstance(s.coupling, int)
+    if subspace and noise == NoiseKnowledge.DIFFERENT_UNKNOWN:
+        short = np.flatnonzero(s.dims <= s.coupling)
+        if short.size:
+            raise ValueError(f"channel {short[0]} needs more than J={s.coupling} samples for a "
+                             f"residual, got {int(s.dims[short[0]])}")
     data = _h(s.coupling) @ s.coords if gains_row else s.coords
-    signal, tails = (_split(data, s.coupling, m) if subspace
-                     else (energy(data) / m, s.tails))
-    col = _column(noise, s.variances, s.dims, s.energies, signal, tails,
+    signal = s.signal if subspace else energy(data) / m
+    col = _column(noise, s.variances, s.dims, s.energies, signal, s.tails,
                   numerator=signal if dominant_numerator else None,
                   log=np.log1p if subspace else np.log)
     ok = col.resolved  # a cell whose residual vanishes forms no composite
@@ -559,7 +581,7 @@ def evaluate(spec: KnowledgeSpec, s: Summary, dominant_numerator: bool = False) 
         top, rest = _split(whitened.reshape(-1, n_ch, k * m), 1, m)
     elif subspace:
         top, rest = _split(whitened.reshape(-1, n_ch * k, m), s.coupling, m)
-        rest = rest - (tails[ok] / v).sum(-1)
+        rest = rest - (s.tails[ok] / v).sum(-1)
     else:
         f = s.gains / np.sqrt(s.variances) if noise == NoiseKnowledge.KNOWN else s.gains
         # A shared coupling takes one basis, which every data set's split broadcasts.
@@ -573,7 +595,7 @@ def evaluate(spec: KnowledgeSpec, s: Summary, dominant_numerator: bool = False) 
                      if noise == NoiseKnowledge.DIFFERENT_UNKNOWN else top / col.denominator[ok])
     noise_alt = col.noise_alt
     if noise == NoiseKnowledge.COMMON_UNKNOWN and not gains_row:  # every cell is resolved
-        noise_alt = ((tails.sum(-1) + rest) / s.dims.sum())[:, None]
+        noise_alt = ((s.tails.sum(-1) + rest) / s.dims.sum())[:, None]
     degenerate = col.degenerate
     if gains_row:  # a zero matched output has no direction
         degenerate = degenerate | (signal <= 0.0).any(axis=-1)
@@ -581,8 +603,7 @@ def evaluate(spec: KnowledgeSpec, s: Summary, dominant_numerator: bool = False) 
                        data if gains_row else None)
 
 
-def _mode_count(spec: KnowledgeSpec, channels: Sequence[ChannelModel], dims: list[int],
-                m: int) -> int:
+def _mode_count(channels: Sequence[ChannelModel], dims: list[int], m: int) -> int:
     """The mode count J, checked against the snapshot count and block sizes."""
     j = channels[0].n_modes
     if m < j:
@@ -590,7 +611,4 @@ def _mode_count(spec: KnowledgeSpec, channels: Sequence[ChannelModel], dims: lis
     for idx, dim in enumerate(dims):
         if j > dim:
             raise ValueError(f"J={j} exceeds channel {idx} dimension {dim}")
-        if spec.noise_knowledge == NoiseKnowledge.DIFFERENT_UNKNOWN and dim <= j:
-            raise ValueError(f"channel {idx} needs more than J={j} samples for a residual, "
-                             f"got {dim}")
     return j

@@ -144,8 +144,8 @@ def _read_header(root: Path, format_name: str, version: int, keys: Mapping[str, 
     if not header_path.exists():
         raise ConfigError(f"no {_HEADER_NAME} in {root}")
     try:
-        header = json.loads(header_path.read_text())
-    except json.JSONDecodeError as exc:
+        header = json.loads(header_path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{header_path} is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise ConfigError(f"{header_path} does not hold a JSON object")
@@ -164,16 +164,31 @@ def _read_header(root: Path, format_name: str, version: int, keys: Mapping[str, 
 
 def _read_block(root: Path, name: str, n_rows: int, n_cols: int) -> np.ndarray:
     """The complex n_rows x n_cols matrix of the CSV file ``name`` that
-    ``root``'s header names, which must be a plain file name in ``root``."""
+    ``root``'s header names, which must be a plain file name in ``root``.
+
+    Raises DimensionError naming the file for a wrong count of rows or of
+    fields in a row, and ConfigError naming the file and the row for a field
+    that is not a number or a file that is not UTF-8 text.
+    """
     if name in ("", ".", "..") or Path(name).name != name:
         raise ConfigError(f"{root / _HEADER_NAME} names {name!r}, "
                           f"which is not a file name in its directory")
-    rows = [line.split(",") for line in (root / name).read_text().splitlines() if line.strip()]
+    path = root / name
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+    rows = [line.split(",") for line in text.splitlines() if line.strip()]
     if len(rows) != n_rows:
-        raise DimensionError(f"block file has {len(rows)} rows, expected {n_rows}")
+        raise DimensionError(f"{path} has {len(rows)} rows, expected {n_rows}")
     for i, fields in enumerate(rows):
         if len(fields) != 2 * n_cols:
-            raise DimensionError(f"row {i} has {len(fields)} fields, expected {2 * n_cols}")
+            raise DimensionError(f"{path} row {i} has {len(fields)} fields, "
+                                 f"expected {2 * n_cols}")
+        try:
+            rows[i] = [float(field) for field in fields]
+        except ValueError as exc:
+            raise ConfigError(f"{path} row {i}: {exc}") from exc
     return np.array(rows, dtype=float).reshape(n_rows, 2 * n_cols).view(np.complex128)
 
 

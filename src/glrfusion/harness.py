@@ -26,15 +26,21 @@ A :class:`Scenario` keeps the draws of its latest chunks at one seed, so the
 panels run on it at that seed share them: ``run_null``, ``run_roc`` and
 ``calibrate_threshold`` with one job read and fill this memo, keyed by the
 amplitude scale (or none) and the chunk's trial ids, for the same channel
-objects.  Rows 1 and 2 take any entry; row 3 needs one with the factors of
-the tails, and otherwise draws them and replaces the entry, so a kept chunk is
-drawn at most twice.  The coordinates and tails are the same bit for bit
-either way.  Chunks match only exactly: rows whose stacks size them
-differently do not share.  A new seed empties the memo; it holds at most
-``_CHUNK_ENTRIES`` complex entries, the oldest kept dropped first, and a
-chunk that does not fit alone is not kept.  Its arrays are read-only.  Runs
-with more than one job neither read nor fill it, and separate processes
-(each CLI command) never share it.
+objects.  An entry keeps the chunk's drawn tails and either its coordinates
+or, once row 3 has read the chunk, row 3's summary, which holds the factors
+[a_l; T_l] and their split at J that every column of row 3 reads; the
+coordinates are then views of that stack.  Rows 1 and 2 take any entry; row
+3 needs one with its summary, and otherwise draws the factors of the tails
+and replaces the entry, so a kept chunk is drawn at most twice and split at
+J once.  The coordinates and tails are the same bit for bit either way.  A
+row-3 call on a kept summary skips only the summary's checks, which do not
+depend on the column and passed when it was built: column 3's gate and the
+decomposition checks run on every call.  Chunks match only exactly: rows
+whose stacks size them differently do not share.  A new seed empties the
+memo; it holds at most ``_CHUNK_ENTRIES`` complex entries, the oldest kept
+dropped first, and a chunk that does not fit alone is not kept.  Its arrays
+are read-only.  Runs with more than one job neither read nor fill it, and
+separate processes (each CLI command) never share it.
 
 The module needs numpy alone: ``scipy.stats`` serves only :func:`run_null`'s
 KS reference and loads on the first null run that KS-tests, and the process
@@ -47,7 +53,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,6 +68,7 @@ from .channel import (
 from .detectors import (
     ChannelKnowledge,
     KnowledgeSpec,
+    Summary,
     bank_summary,
     check_decomposition,
     coordinate_summary,
@@ -206,38 +213,55 @@ def _draw_chunk(channels: Sequence[ChannelModel], m: int, seed: int, amp_scale: 
     return draw_trials(channels, m, seed, ids, amps, factors=factors)
 
 
+class _Chunk(NamedTuple):
+    """What the memo keeps of a chunk."""
+
+    channels: tuple[ChannelModel, ...]
+    draws: TrialDraws  # coordinates and tails; no factors
+    summary: Summary | None  # row 3's, whose stack the coordinates are views of
+    nbytes: int
+
+
 class _DrawMemo:
     """The draws of a scenario's latest chunks at one seed: the module
     docstring gives the key, the hit rule and the bound."""
 
     def __init__(self):
         self.seed = None
-        # (amplitude scale, trial ids) -> (channels, draws, bytes), oldest first.
-        self.entries: dict[tuple, tuple[tuple[ChannelModel, ...], TrialDraws, int]] = {}
+        self.entries: dict[tuple, _Chunk] = {}  # by (amplitude scale, trial ids), oldest first
 
-    def draws(self, channels: Sequence[ChannelModel], m: int, seed: int,
-              amp_scale: float | None, ids: np.ndarray, factors: bool) -> TrialDraws:
+    def find(self, channels: Sequence[ChannelModel], seed: int, amp_scale: float | None,
+             ids: np.ndarray, row3: bool) -> _Chunk | None:
+        """The kept chunk ``ids`` of these channels, with row 3's summary if ``row3``."""
         if seed != self.seed:
             self.seed = seed
             self.entries.clear()
+        kept = self.entries.get((amp_scale, ids.tobytes()))
+        if (kept is not None and len(kept.channels) == len(channels)
+                and all(map(operator.is_, kept.channels, channels))
+                and (kept.summary is not None or not row3)):
+            return kept
+        return None
+
+    def keep(self, channels: Sequence[ChannelModel], amp_scale: float | None, ids: np.ndarray,
+             draws: TrialDraws, summary: Summary | None = None) -> None:
+        """Keep the chunk ``ids`` of the memo's seed, in place of any entry of
+        its key, unless it does not fit alone."""
         key = (amp_scale, ids.tobytes())
-        if key in self.entries:
-            kept, draws, _ = self.entries[key]
-            if (len(kept) == len(channels) and all(map(operator.is_, kept, channels))
-                    and (draws.factors is not None or not factors)):
-                return draws
-            del self.entries[key]
-        draws = _draw_chunk(channels, m, seed, amp_scale, ids, factors)
-        arrays = [*draws.coords, draws.tails, *(draws.factors or ())]
+        self.entries.pop(key, None)
+        arrays = ([*draws.coords, draws.tails] if summary is None
+                  else [draws.tails, *(a for a in summary if isinstance(a, np.ndarray))])
         nbytes = sum(a.nbytes for a in arrays)
         bound = 16 * _CHUNK_ENTRIES  # bytes of as many complex entries
         if nbytes <= bound:
-            while sum(entry[2] for entry in self.entries.values()) + nbytes > bound:
+            while sum(entry.nbytes for entry in self.entries.values()) + nbytes > bound:
                 del self.entries[next(iter(self.entries))]
             for a in arrays:
                 a.flags.writeable = False
-            self.entries[key] = tuple(channels), draws, nbytes
-        return draws
+            if summary is not None:  # read-only views of the stack [a_l; T_l; 0]
+                draws = draws._replace(factors=None, coords=[
+                    summary.coords[:, idx, :a.shape[-2]] for idx, a in enumerate(draws.coords)])
+            self.entries[key] = _Chunk(tuple(channels), draws, summary, nbytes)
 
 
 def _trial_block(panel: KnowledgeSpec, channels: Sequence[ChannelModel], m: int, seed: int,
@@ -246,15 +270,24 @@ def _trial_block(panel: KnowledgeSpec, channels: Sequence[ChannelModel], m: int,
     """Composites and degenerate flags of the trials ``ids``, evaluated together.
 
     Rows 1 and 2 read each trial's coordinates and tails as drawn, row 3 also
-    the factors of its tails, through ``memo`` when one is given.  A trial's
-    value does not depend on the other trials: its data are its rows of its
-    block's draws, and every step treats the matrices of a stack apart.
+    the factors of its tails, through ``memo`` when one is given: row 3
+    builds its summary on the chunk's first row-3 call and every later one
+    reads it.  A trial's value does not depend on the other trials: its data
+    are its rows of its block's draws, and every step treats the matrices of
+    a stack apart.
     """
-    subspace = panel.channel_knowledge == ChannelKnowledge.UNKNOWN_SUBSPACE
-    draw = _draw_chunk if memo is None else memo.draws
-    draws = draw(channels, m, seed, amp_scale, ids, subspace)
-    ev = evaluate(panel, coordinate_summary(panel, channels, draws.coords, draws.tails,
-                                            draws.factors))
+    row3 = panel.channel_knowledge == ChannelKnowledge.UNKNOWN_SUBSPACE
+    kept = None if memo is None else memo.find(channels, seed, amp_scale, ids, row3)
+    if kept is None:
+        draws = _draw_chunk(channels, m, seed, amp_scale, ids, row3)
+        summary = coordinate_summary(panel, channels, draws.coords, draws.tails, draws.factors)
+        if memo is not None:
+            memo.keep(channels, amp_scale, ids, draws, summary if row3 else None)
+    elif row3:
+        summary = kept.summary
+    else:
+        summary = coordinate_summary(panel, channels, kept.draws.coords, kept.draws.tails)
+    ev = evaluate(panel, summary)
     check_decomposition(ev.composite, ev.col.alphas, ev.col.lam, ev.cross_validation,
                         ev.degenerate)
     return ev.composite, ev.degenerate

@@ -239,6 +239,22 @@ class TestDetect:
         assert err.startswith("error:") and "channel_dims" in err and "header.json" in err
         assert err.strip().count("\n") == 0
 
+    def test_block_field_that_is_not_a_number_is_clean_error(self, tmp_path, capsys):
+        sim_cfg = self.make_data(tmp_path)
+        block = tmp_path / "data" / "block_00.csv"
+        rows = block.read_text().splitlines()
+        rows[2] = "abc," + rows[2].split(",", 1)[1]
+        block.write_text("\n".join(rows) + "\n")
+        cfg = write_config(tmp_path / "det.json", {
+            "panel": "p11",
+            "modes": 1,
+            "channels": sim_cfg["channels"],
+        })
+        assert main(["detect", "--config", cfg, str(tmp_path / "data")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{block} row 2:" in err and "'abc'" in err
+        assert err.strip().count("\n") == 0
+
     def test_dominant_numerator_outside_p33_is_clean_error(self, tmp_path, capsys):
         sim_cfg = self.make_data(tmp_path, modes=1, snapshots=6)
         for panel, status in (("p11", 1), ("p33", 0)):
@@ -277,6 +293,14 @@ class TestErrorsAndOverrides:
         assert main(["simulate", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "bogus" in err
+        assert err.strip().count("\n") == 0
+
+    def test_config_that_is_not_utf8_is_clean_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {cfg} is not valid JSON: 'utf-8' codec")
         assert err.strip().count("\n") == 0
 
     def test_invalid_pfa_single_line_diagnostic(self, tmp_path, capsys):

@@ -20,6 +20,7 @@ from glrfusion import (
     detect,
     simulate,
 )
+from glrfusion.detectors import summarise
 from conftest import complex_normal, random_channel, random_instance
 from oracles import (
     build_fusion_t,
@@ -736,3 +737,52 @@ class TestReportShape:
                                               r"sum\(alpha\*stat\)-V=1\.3$"):
             DetectorReport(composite=1.0, **report)
         assert DetectorReport(composite=1.0, degenerate=True, **report).degenerate
+
+
+def pinned_instance():
+    """Three orthonormal channels of 5, 7 and 9 samples, J = 2 and M = 6, so
+    that row 3's factors have different heights, and data with a signal."""
+    rng = np.random.default_rng(2302)
+    channels = [random_channel(rng, n, 2, orthonormal=True) for n in (5, 7, 9)]
+    return channels, simulate(channels, 6, seed=16, amplitudes=complex_normal(rng, (2, 6)))
+
+
+# (composite, cross_validation) of each panel on pinned_instance, as detect
+# gave them before row 3's split of the channels moved into the summary.
+PINNED = {
+    "P11": (6.829098368456669, 1.233275678319037),
+    "P12": (0.5705137916091355, 0.08388559673874042),
+    "P13": (0.6529460875452355, 0.23989068921186296),
+    "P21": (6.958942702575481, 1.103431344200224),
+    "P22": (0.5790088813909746, 0.07539050695690104),
+    "P23": (0.6788621402457626, 0.21397463651133583),
+    "P31": (8.62162473341887, 1.7780260086292141),
+    "P32": (0.6940359752703444, 0.12174690032664141),
+    "P33": (1.0582153029480916, 0.6592645506722159),
+    "P33 dominant": (0.8412024434703189, 0.6592645506722159),
+}
+
+
+class TestPinned:
+    @pytest.mark.parametrize("panel", PINNED)
+    def test_composites_are_pinned(self, panel):
+        channels, ms = pinned_instance()
+        report = detect(KnowledgeSpec.from_panel(panel[:3]), channels, ms,
+                        dominant_numerator=panel.endswith("dominant"))
+        # Another LAPACK may round differently; a changed formula moves them further.
+        assert (report.composite, report.cross_validation) == pytest.approx(PINNED[panel],
+                                                                            rel=1e-12)
+
+    def test_row_3_summary_splits_its_own_factors(self):
+        # Bit for bit the split evaluate took of the same factors, and the
+        # same summary for every column.
+        channels, ms = pinned_instance()
+        blocks = [x[None] for x in ms.blocks]
+        s = summarise(KnowledgeSpec.from_panel("P31"), channels, blocks)
+        e = np.linalg.svd(s.coords, compute_uv=False) ** 2 / ms.n_snapshots
+        np.testing.assert_array_equal(s.signal, e[..., :2].sum(-1))
+        np.testing.assert_array_equal(s.tails, e[..., 2:].sum(-1))
+        for panel in ("P32", "P33"):
+            other = summarise(KnowledgeSpec.from_panel(panel), channels, blocks)
+            for field, value in zip(s._fields, other):
+                np.testing.assert_array_equal(value, getattr(s, field), err_msg=field)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from glrfusion import (
     ChannelMessage,
     ConfigError,
+    DimensionError,
     MeasurementSet,
     load_measurements,
     save_measurements,
@@ -116,4 +118,53 @@ def test_header_that_is_not_json_names_the_header(tmp_path, kind):
     root, load = save(kind, tmp_path / "d")
     (root / "header.json").write_text('{"format": ')
     with pytest.raises(ConfigError, match=r"header\.json is not valid JSON"):
+        load(root)
+
+
+@pytest.mark.parametrize("kind", ["block", "factor"], ids=["measurements", "messages"])
+def test_header_that_is_not_utf8_names_the_header(tmp_path, kind):
+    root, load = save(kind, tmp_path / "d")
+    (root / "header.json").write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ConfigError, match=r"header\.json is not valid JSON: 'utf-8' codec"):
+        load(root)
+
+
+def named_file(root, kind: str):
+    """The path of the file of ``kind`` that the header names."""
+    header = json.loads((root / "header.json").read_text())
+    return root / (header["blocks"][0] if kind == "block" else header["messages"][0][kind])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_field_that_is_not_a_number_names_the_file_and_the_row(tmp_path, kind):
+    root, load = save(kind, tmp_path / "d")
+    path = named_file(root, kind)
+    first, last = path.read_text().splitlines()
+    path.write_text(f"{first}\nabc,{last.split(',', 1)[1]}\n")
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{path} row 1: could not convert string to float: 'abc'")):
+        load(root)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_wrong_counts_of_rows_and_fields_name_the_file(tmp_path, kind):
+    root, load = save(kind, tmp_path / "d")
+    path = named_file(root, kind)
+    first, last = path.read_text().splitlines()
+    path.write_text(f"{first}\n")
+    with pytest.raises(DimensionError, match=re.escape(f"{path} has 1 rows, expected 2")):
+        load(root)
+    fields = first.split(",")
+    path.write_text(f"{','.join(fields[:-1])}\n{last}\n")
+    with pytest.raises(DimensionError, match=re.escape(
+            f"{path} row 0 has {len(fields) - 1} fields, expected {len(fields)}")):
+        load(root)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_file_that_is_not_utf8_is_named(tmp_path, kind):
+    root, load = save(kind, tmp_path / "d")
+    path = named_file(root, kind)
+    path.write_bytes(b"\xff" + path.read_bytes())
+    with pytest.raises(ConfigError, match=re.escape(f"{path} is not UTF-8 text")):
         load(root)

@@ -997,13 +997,15 @@ ROUND_ORDERS = {
     "by-column": [f"P{row}{col}" for col in "123" for row in "123"],
     "reverse": ALL_PANELS[::-1],
     "shuffled": [ALL_PANELS[i] for i in np.random.default_rng(4).permutation(9)],
+    "row 3": ["P31", "P32", "P33"],
+    "row 3 reversed": ["P33", "P32", "P31"],
 }
 
 
 class TestDrawMemo:
     """A scenario keeps the draws of its latest chunks at one seed."""
 
-    @pytest.mark.parametrize("order", ["forward", "reverse", "shuffled"])
+    @pytest.mark.parametrize("order", ["forward", "reverse", "shuffled", "row 3", "row 3 reversed"])
     def test_shared_draws_match_a_fresh_scenario_per_call(self, order):
         scenario = mc_small_scenario()
         for panel in ROUND_ORDERS[order]:
@@ -1037,11 +1039,40 @@ class TestDrawMemo:
     def test_kept_arrays_are_read_only(self):
         scenario = mc_small_scenario()
         run_null(round_spec(scenario, "P31"))
-        ((_, draws, _),) = scenario._draws.entries.values()
-        arrays = [*draws.coords, draws.tails, *draws.factors]
+        ((_, draws, summary, _),) = scenario._draws.entries.values()
+        arrays = [*draws.coords, draws.tails, *(a for a in summary if isinstance(a, np.ndarray))]
         assert not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError, match="read-only"):
             draws.coords[0][0] *= 2.0
+        # The factors are kept once: in row 3's stack, of which the coordinates are views.
+        assert draws.factors is None
+        assert all(np.shares_memory(a, summary.coords) for a in draws.coords)
+
+    def test_row_3_splits_each_chunk_once(self, monkeypatch):
+        # The channels' splits are the SVDs of (trials, L, K, M) stacks of
+        # factors; the stack of all channels, split per panel, has three axes.
+        shapes, real_svd = [], np.linalg.svd
+
+        def svd(a, *args, **kw):
+            shapes.append(a.shape)
+            return real_svd(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        scenario = mc_small_scenario()
+        for panel in ("P31", "P32", "P33"):
+            run_roc(round_spec(scenario, panel))
+        assert sum(len(shape) == 4 for shape in shapes) == 3  # the null and two alternatives
+        assert sum(len(shape) == 3 for shape in shapes) == 9
+
+    def test_a_kept_summary_still_gates_column_3(self, monkeypatch):
+        # N_l = J leaves column 3 no residual: P31 keeps the chunk's summary,
+        # and P33 raises on reading it, without drawing again.
+        scenario = two_channel_scenario(m=8, n=2, j=2)
+        run_null(round_spec(scenario, "P31"))
+        monkeypatch.setattr(harness, "draw_trials", None)
+        with pytest.raises(ValueError, match="channel 0 needs more than J=2 samples"):
+            run_null(round_spec(scenario, "P33"))
+        run_null(round_spec(scenario, "P32"))
 
     def test_new_seed_empties_the_memo(self):
         scenario = mc_small_scenario()
@@ -1055,23 +1086,26 @@ class TestDrawMemo:
         # entries, and their 20 real tails 10 more.
         scenario = mc_small_scenario()
         memo, channels, ids = scenario._draws, scenario.channels(), np.arange(10)
+        first, second = (draw_trials(channels, 8, 5, i) for i in (ids, ids + 10))
+        assert memo.find(channels, 5, None, ids, False) is None
         monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 320)
-        alone = memo.draws(channels, 8, 5, None, ids, False)
-        assert memo.entries == {} and alone.coords[0].flags.writeable
+        memo.keep(channels, None, ids, first)
+        assert memo.entries == {} and first.coords[0].flags.writeable
         monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 330)
-        first = memo.draws(channels, 8, 5, None, ids, False)
-        assert memo.draws(channels, 8, 5, None, ids, False) is first
-        second = memo.draws(channels, 8, 5, None, ids + 10, False)  # the oldest goes
-        assert [draws for _, draws, _ in memo.entries.values()] == [second]
-        np.testing.assert_array_equal(first.tails, alone.tails)
+        memo.keep(channels, None, ids, first)
+        assert memo.find(channels, 5, None, ids, False).draws is first
+        memo.keep(channels, None, ids + 10, second)  # the oldest goes
+        assert [kept.draws for kept in memo.entries.values()] == [second]
+        assert memo.find(channels, 5, None, ids, False) is None
 
     def test_other_channels_do_not_share(self):
         scenario = mc_small_scenario()
-        memo, ids = scenario._draws, np.arange(10)
-        first = memo.draws(scenario.channels(), 8, 5, None, ids, False)
-        other = memo.draws(mc_small_scenario().channels(), 8, 5, None, ids, False)
-        assert other is not first and len(memo.entries) == 1
-        np.testing.assert_array_equal(other.tails, first.tails)
+        memo, channels, ids = scenario._draws, scenario.channels(), np.arange(10)
+        assert memo.find(channels, 5, None, ids, False) is None
+        memo.keep(channels, None, ids, draw_trials(channels, 8, 5, ids))
+        assert memo.find(channels, 5, None, ids, False) is not None
+        assert memo.find(mc_small_scenario().channels(), 5, None, ids, False) is None
+        assert memo.find(channels, 5, None, ids, True) is None  # row 3 needs its summary
 
     def test_replaced_or_pickled_scenario_has_no_memo(self):
         scenario = mc_small_scenario()
@@ -1093,8 +1127,8 @@ class TestDrawMemo:
         np.testing.assert_array_equal(run_null(spec).sample, parallel)
         # Poison the kept draws: one job reads them, two do not.
         memo = scenario._draws
-        for key, (channels, draws, nbytes) in memo.entries.items():
-            doubled = draws._replace(coords=[2.0 * a for a in draws.coords])
-            memo.entries[key] = channels, doubled, nbytes
+        for key, kept in memo.entries.items():
+            doubled = kept.draws._replace(coords=[2.0 * a for a in kept.draws.coords])
+            memo.entries[key] = kept._replace(draws=doubled)
         assert not np.array_equal(run_null(spec).sample, parallel)
         np.testing.assert_array_equal(run_null(spec, jobs=2).sample, parallel)
