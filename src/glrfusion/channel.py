@@ -4,9 +4,10 @@ A channel couples J signal modes into N complex baseband samples through a
 matrix of unit-modulus phase factors: a J-column DFT slice modulated by
 delay, Doppler, and clock-offset terms.  The construction is narrowband: it
 assumes a first-order (constant-rate) delay model and factors into diagonal
-modulations around the DFT slice; over a delay x Doppler grid it is a
-Doppler factor times a delay factor (:func:`narrowband_factors`), of which
-one matrix is the one-cell case.
+modulations around the DFT slice; over a delay x Doppler grid every cell is
+D_N(nu Ts) V Phi(tau), the one slice V between a Doppler and a delay
+diagonal (:func:`narrowband_factors`), of which one matrix is the one-cell
+case.
 
 Channel gain conventions: the stored matrix is trace-normalized so that
 trace(H^H H) = J; all gain (including any sqrt(N) from the raw DFT slice)
@@ -90,15 +91,17 @@ def dft_slice(n_samples: int, n_modes: int) -> np.ndarray:
 
 def narrowband_factors(spec: PropagationSpec, delays_s,
                        dopplers_hz) -> tuple[np.ndarray, np.ndarray]:
-    """Raw narrowband coupling matrices over a delay x Doppler grid, as two factors.
+    """Diagonal factors of the raw narrowband coupling over a delay x Doppler grid.
 
-    H(tau, nu) = e^{-i2pi f_c s} D_N(nu Ts) V D_J(s / T), with s = t0 + tau and
-    V the J-column DFT slice, is ``doppler[b] * delay[a]`` for the grid cell
-    (delays_s[a], dopplers_hz[b]): ``doppler`` (n_doppler, N, J) holds
-    D_N(nu Ts) V and ``delay`` (n_delay, J) the entries of e^{-i2pi f_c s}
-    D_J(s / T).  The delay enters through a unitary diagonal only, so the
-    column span of H(tau, nu) depends on the Doppler alone.  Raises
-    ValueError for a delay or Doppler whose phases are not finite.
+    H(tau, nu) = D_N(nu Ts) V Phi(tau), with V the J-column DFT slice,
+    s = t0 + tau and Phi(tau) = e^{-i2pi f_c s} D_J(s / T), is
+    ``doppler[b][:, None] * V * delay[a]`` for the grid cell (delays_s[a],
+    dopplers_hz[b]): ``doppler`` (n_doppler, N) holds the diagonals of
+    D_N(nu Ts) and ``delay`` (n_delay, J) those of Phi(tau).  Both are
+    unitary diagonals, so every cell is one matrix V rephased on either
+    side: its column span depends on the Doppler alone, and a basis Q_0 of V
+    gives every cell the basis D_N(nu Ts) Q_0.  Raises ValueError for a delay
+    or Doppler whose phases are not finite.
     """
     shift = spec.clock_offset_s + np.asarray(delays_s, dtype=float)[:, None]
     nu = np.asarray(dopplers_hz, dtype=float)[:, None]
@@ -106,8 +109,7 @@ def narrowband_factors(spec: PropagationSpec, delays_s,
     _require_finite_phases("Doppler", nu, spec.n_samples * spec.sample_period_s)
     delay = (np.exp(-2j * np.pi * spec.carrier_hz * shift)
              * modulation_phases(spec.n_modes, shift / spec.duration_s))
-    rows = modulation_phases(spec.n_samples, nu * spec.sample_period_s)
-    return rows[:, :, None] * dft_slice(spec.n_samples, spec.n_modes), delay
+    return modulation_phases(spec.n_samples, nu * spec.sample_period_s), delay
 
 
 def _require_finite_phases(name: str, values: np.ndarray, cycles_per_unit: float) -> None:
@@ -130,7 +132,7 @@ def build_narrowband_h(spec: PropagationSpec) -> np.ndarray:
     case of :func:`narrowband_factors`.
     """
     doppler, delay = narrowband_factors(spec, [spec.delay_s], [spec.doppler_hz])
-    return doppler[0] * delay[0]
+    return doppler[0][:, None] * dft_slice(spec.n_samples, spec.n_modes) * delay[0]
 
 
 def normalize_channel(h_raw) -> np.ndarray:

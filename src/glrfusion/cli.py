@@ -15,6 +15,7 @@ stderr; the exit status is 0 exactly when no error occurred.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -418,6 +419,9 @@ _HANDLERS = {
 }
 
 
+# Built once per process: parse_args fills a new namespace on each call and
+# leaves the parser as it was, so every main call shares one parser.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="glrfusion",

@@ -22,8 +22,11 @@ with the channel's energies inside and outside its dominant J-dimensional
 subspace, split once when the summary is built.
 :func:`evaluate` evaluates a panel over a leading batch axis of hypotheses:
 :func:`detect` passes a batch of one, a delay/Doppler scan the cells of its
-grid, which change R_l and, through the Doppler only, Q_l, a_l and the tail,
-and the Monte-Carlo harness a chunk of trials, each with its own data.
+grid, where a scanned coupling is D_N(nu) H_0 Phi(tau) with D_N and Phi
+unitary diagonals, so Q_l = D_N(nu) Q_0 and R_l = R_0 Phi(tau) for one
+H_0 = Q_0 R_0: a cell changes R_l through the delay, and Q_l, a_l and the
+tail through the Doppler only; and the Monte-Carlo harness a chunk of
+trials, each with its own data.
 
 One rule gives every composite and cross-validation term: :func:`_split`
 divides the energy of a matrix into the part inside a subspace and the tail
@@ -69,7 +72,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import ChannelModel, orthonormal_columns, require_same_dims
+from .channel import ChannelModel, require_same_dims
 from .errors import ConfigError, DegenerateDataError, RankDeficiencyError
 from .linalg import energy, normalize_phases, orthonormal_basis
 from .measurement import MeasurementSet
@@ -269,9 +272,11 @@ class Summary(NamedTuple):
 
     On rows 1 and 2, H_l = Q_l R_l with Q_l the channel's orthonormal basis
     (:attr:`ChannelModel.basis`) and R_l its coupling; row 2 also requires
-    orthonormal couplings, so its R_l is unitary.  A scan's bank of couplings
-    (:func:`bank_summary`) is on row 2 its own basis, Q = H with R = I, which
-    is also a factorisation H = QR.  Row 3 knows only the mode count J.  Its
+    orthonormal couplings, so its R_l is unitary.  A scanned channel's
+    couplings over a delay x Doppler grid, its own among them, are
+    D_N(nu) H_0 Phi(tau) with D_N and Phi unitary diagonals, so its one basis
+    and factor serve every cell, rephased by D_N(nu) and Phi(tau).  Row 3
+    knows only the mode count J.  Its
     coordinates are factors F_l of the blocks, F_l^H F_l = X_l^H X_l, so every
     singular value is kept: the triangular factors of the blocks, or the
     stacks [a_l; T_l] of :func:`coordinate_summary`, zero-padded to a common
@@ -413,24 +418,6 @@ def coordinate_summary(spec: KnowledgeSpec, channels: Sequence[ChannelModel],
                         _padded(parts, m))
     _, coupling = _known_couplings(spec, channels)
     return _summary(channels, dims, energies, coupling, np.stack(coords, axis=1), tails)
-
-
-def bank_summary(spec: KnowledgeSpec, index: int, bank: np.ndarray, x: np.ndarray,
-                 m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Channel ``index``'s R, coordinates and tail under each coupling of a stack.
-
-    ``bank`` (B, N, J) holds trace-normalised candidate couplings of the
-    channel whose block is ``x``; the basis of each follows :class:`Summary`,
-    with the same rank gate and, on row 2, the same orthonormality check.
-    """
-    if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_GAINS:
-        if not orthonormal_columns(bank).all():
-            raise _not_orthonormal(index)
-        j = bank.shape[-1]
-        identity = np.broadcast_to(np.eye(j, dtype=complex), bank.shape[:-2] + (j, j))
-        return identity, *_coordinates(bank, x, m)
-    q = orthonormal_basis(bank, f"channel {index} matrix")
-    return _h(q) @ bank, *_coordinates(q, x, m)
 
 
 class _Column(NamedTuple):

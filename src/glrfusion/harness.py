@@ -62,26 +62,31 @@ from .channel import (
     PropagationSpec,
     narrowband_channel,
     narrowband_factors,
-    normalize_channel,
-    require_trace_normalized,
 )
 from .detectors import (
     ChannelKnowledge,
     KnowledgeSpec,
     Summary,
-    bank_summary,
     check_decomposition,
     coordinate_summary,
     evaluate,
     summarise,
 )
 from .errors import ConfigError
+from .linalg import energy
 from .measurement import _BLOCK, MeasurementSet, TrialDraws, amplitude_stack, draw_trials
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 # Complex entries of the largest temporary one step of a scan or of a chunk
 # of trials forms: 2**18 entries, 4 MiB.
 _CHUNK_ENTRIES = 1 << 18
+# Complex entries of one block of a scan's demodulated Doppler bins, which
+# bounds the bank's two reused buffers whatever the grid's size: 2**13
+# entries, 128 KiB each.  Smaller blocks pay a per-block overhead that larger
+# ones do not repay: at N = 64, M = 16 and 64 bins one channel's bank took
+# 0.81 ms at 2**13 entries, 0.77-0.85 ms at 2**14 to 2**18, and 0.95, 1.2 and
+# 1.5 ms at 2**12, 2**11 and 2**10 (one BLAS thread on a 2-vCPU Xeon VM).
+_BANK_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -594,25 +599,42 @@ def _chunks(count: int, entries_each: int, at_least: int = 1, start: int = 0,
     return [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _doppler_bank(panel: KnowledgeSpec, index: int, spec: PropagationSpec, x: np.ndarray,
+def _doppler_bank(channel: ChannelModel, spec: PropagationSpec, x: np.ndarray,
                   delays: np.ndarray, dopplers: np.ndarray):
-    """A scanned channel's summary on every Doppler bin, and its delay phases.
+    """A scanned channel's coupling factors on every delay, and its
+    coordinates and tails on every Doppler bin.
 
-    Returns K (n_doppler, J, J), the coordinates (n_doppler, J, M), the
-    tails (n_doppler,) and the delay phases (n_delay, J): the coupling of
-    the cell (a, b) is H = Q[b] K[b] diag(delay[a]), so its factor R is
-    K[b] * delay[a].  The bank is checked as every cell's coupling would be:
-    a unitary diagonal changes neither trace(H^H H) nor H^H H = I.
+    Every cell is H(tau, nu) = D_N(nu Ts) H_0 Phi(tau) with D_N and Phi
+    unitary diagonals (``channel.narrowband_factors``), and so is the
+    channel's own coupling H_b = Q_b R_b at its base (tau_b, nu_b).  One basis
+    serves the whole grid: Q(nu) = E(nu) Q_b and R(tau) = R_b Phi(tau_b)^H
+    Phi(tau), with E(nu) = D_N(nu Ts) D_N(nu_b Ts)^H, so bin nu's coordinates
+    and tail are those of the demodulated block E(nu)^H X in Q_b, formed in
+    blocks of at most ``_BANK_ENTRIES`` entries.  Returns R(tau) (n_delay, J,
+    J), the coordinates (n_doppler, J, M) and the tails (n_doppler,).  No cell
+    needs checks of its own: unitary diagonals on either side change neither
+    trace(H^H H), the singular values (row 1's rank gate) nor H^H H = I (row
+    2), which ``summarise`` checks on H_b.
     """
-    n, j, m = spec.n_samples, spec.n_modes, x.shape[1]
-    parts = []
-    for part in _chunks(dopplers.size, n * (j + m)):
-        doppler, delay = narrowband_factors(spec, delays, dopplers[part])
-        bank = normalize_channel(doppler)
-        require_trace_normalized(bank)
-        parts.append(bank_summary(panel, index, bank, x, m))
-    factors, coords, tails = (np.concatenate(p) for p in zip(*parts))
-    return factors, coords, tails, delay
+    n, m = x.shape
+    doppler, delay = narrowband_factors(spec, delays, dopplers)
+    base_doppler, base_delay = narrowband_factors(spec, [spec.delay_s], [spec.doppler_hz])
+    demodulate = doppler.conj() * base_doppler
+    q = channel.basis
+    qh = q.conj().T
+    coords = np.empty((dopplers.size, channel.n_modes, m), dtype=complex)
+    tails = np.empty(dopplers.size)
+    per_block = max(1, _BANK_ENTRIES // (n * m))
+    y_buf, fit_buf = np.empty((2, min(per_block, dopplers.size), n, m), dtype=complex)
+    for lo in range(0, dopplers.size, per_block):
+        part = slice(lo, lo + per_block)
+        a = coords[part]
+        y, fit = y_buf[:len(a)], fit_buf[:len(a)]
+        np.multiply(demodulate[part, :, None], x, out=y)
+        np.matmul(qh, y, out=a)
+        np.subtract(y, np.matmul(q, a, out=fit), out=y)
+        tails[part] = energy(y) / m
+    return channel.coupling * (base_delay.conj() * delay)[:, None, :], coords, tails
 
 
 def scan_likelihood_image(
@@ -633,14 +655,15 @@ def scan_likelihood_image(
     scans apply the hypothesis to that channel, which resolves Doppler only.
 
     No channel is rebuilt and ``detect`` is not called per cell.  A
-    narrowband coupling is H(tau, nu) = H(0, nu) Phi(tau) with Phi unitary
-    diagonal, so a scanned channel's basis Q, coordinates Q^H X and tail
-    depend on the Doppler alone: they are computed once per Doppler bin
-    (on row 1 from one batched SVD), and a cell only rephases the J x J
-    factor R = Q^H H.  The detectors' rows 1 and 2 then evaluate the cells
-    together, in chunks of bounded memory.  The checks ``detect`` applies
-    hold for every cell: on every Doppler bin the trace normalisation and
-    the rank gate (row 1) or orthonormality (row 2), which Phi leaves
+    narrowband coupling is H(tau, nu) = D_N(nu Ts) H_0 Phi(tau) with D_N and
+    Phi unitary diagonals, so a scanned channel keeps one basis Q over the
+    grid: bin nu's basis is Q rephased by D_N, its coordinates and tail are
+    those of the demodulated block in Q, and a cell only rephases the J x J
+    factor R = Q^H H by Phi.  No matrix is factored per bin or per cell.  The
+    detectors' rows 1 and 2 then evaluate the cells together, in chunks of
+    bounded memory.  The checks ``detect`` applies hold for every cell: the
+    trace normalisation and the rank gate (row 1) or orthonormality (row 2),
+    checked on each channel's own coupling, which D_N and Phi leave
     unchanged; on every cell the composite's rank gate (row 1) and the
     decomposition identity.
     """
@@ -651,8 +674,9 @@ def scan_likelihood_image(
     if delays.size == 0 or dopplers.size == 0:
         raise ValueError("hypothesis grid must be non-empty")
     scanned = _scan_indices(scan_channels, scenario.n_channels)
-    base = summarise(panel, scenario.channels(), [x[None] for x in measurements.blocks])
-    banks = {idx: _doppler_bank(panel, idx, scenario.specs[idx], measurements.block(idx),
+    channels = scenario.channels()
+    base = summarise(panel, channels, [x[None] for x in measurements.blocks])
+    banks = {idx: _doppler_bank(channels[idx], scenario.specs[idx], measurements.block(idx),
                                 delays, dopplers) for idx in scanned}
     _, n_ch, j, m = base.coords.shape
     values = np.empty(delays.size * dopplers.size)
@@ -661,8 +685,8 @@ def scan_likelihood_image(
         coupling, coords, tails = (
             np.broadcast_to(field, (rows.size, n_ch) + shape).copy()
             for field, shape in ((base.coupling, (j, j)), (base.coords, (j, m)), (base.tails, ())))
-        for idx, (factors, bin_coords, bin_tails, delay) in banks.items():
-            coupling[:, idx] = factors[cols] * delay[rows][:, None, :]
+        for idx, (factors, bin_coords, bin_tails) in banks.items():
+            coupling[:, idx] = factors[rows]
             coords[:, idx] = bin_coords[cols]
             tails[:, idx] = bin_tails[cols]
         ev = evaluate(panel, base._replace(coupling=coupling, coords=coords, tails=tails))

@@ -122,6 +122,9 @@ class TestNarrowband:
         spec = base_spec(clock_offset_s=3e-5)
         delays, dopplers = [0.0, 1.3e-4, 7e-4], [-20.0, 0.0, 37.0]
         doppler, delay = narrowband_factors(spec, delays, dopplers)
+        assert doppler.shape == (len(dopplers), spec.n_samples)
+        assert delay.shape == (len(delays), spec.n_modes)
+        v = dft_slice(spec.n_samples, spec.n_modes)
         n = np.arange(spec.n_samples)[:, None]
         j = np.arange(spec.n_modes)[None, :]
         for a, tau in enumerate(delays):
@@ -129,10 +132,11 @@ class TestNarrowband:
                 s = spec.clock_offset_s + tau
                 closed = np.exp(-2j * np.pi * (spec.carrier_hz * s + n * nu * spec.sample_period_s
                                                - n * j / spec.n_samples + j * s / spec.duration_s))
-                np.testing.assert_allclose(doppler[b] * delay[a], closed, atol=1e-12)
+                factored = doppler[b][:, None] * v * delay[a]
+                np.testing.assert_allclose(factored, closed, atol=1e-12)
                 cell = build_narrowband_h(base_spec(clock_offset_s=3e-5, delay_s=tau,
                                                     doppler_hz=nu))
-                np.testing.assert_array_equal(doppler[b] * delay[a], cell)
+                np.testing.assert_array_equal(factored, cell)
 
 
 class TestNormalize:

@@ -364,6 +364,20 @@ class TestErrorsAndOverrides:
         assert err.strip().count("\n") == 0
         assert not (tmp_path / "null_out").exists()
 
+    def test_arguments_do_not_carry_into_the_next_call(self, tmp_path, capsys):
+        # Every main call in a process parses with one parser.
+        cfg = write_config(tmp_path / "c.json", {
+            "panel": "p12", "modes": 1, "channels": [channel_entry()], "snapshots": 4,
+            "trials": 20, "seed": 1, "output": str(tmp_path / "null_out")})
+        assert main(["null", "--config", cfg, "--set", "seed=5",
+                     "--set", f"output={json.dumps(str(tmp_path / 'set_out'))}"]) == 0
+        manifest = json.loads((tmp_path / "set_out" / "manifest.json").read_text())
+        assert manifest["config"]["seed"] == 5
+        assert main(["null", "--config", cfg, "--jobs", "0"]) == 1
+        assert main(["null", "--config", cfg]) == 0
+        manifest = json.loads((tmp_path / "null_out" / "manifest.json").read_text())
+        assert manifest["config"] == json.loads((tmp_path / "c.json").read_text())
+
     @pytest.mark.parametrize("command, override", [
         ("detect", "channels.0.n_samples=null"),
         ("detect", "channels.0.carrier_hz=null"),

@@ -831,14 +831,42 @@ class TestScan:
         assert_images_close(image.values,
                             scan_by_rebuild(spec, scenario, ms, delays, dopplers, scanned))
 
-    @pytest.mark.parametrize("panel", ["P12", "P23"])
+    @pytest.mark.parametrize("panel", KNOWN_COUPLING_PANELS)
     def test_chunked_scan_matches_single_chunk(self, panel, monkeypatch):
-        scenario, ms, delays, dopplers, _ = scan_case("clock-offset")
+        # Four Doppler bins: blocks of three leave a ragged last block of one.
+        scenario, ms, delays, dopplers, scanned = scan_case("clock-offset")
         spec = KnowledgeSpec.from_panel(panel)
+        rebuilt = scan_by_rebuild(spec, scenario, ms, delays, dopplers, scanned)
         whole = scan_likelihood_image(spec, scenario, ms, delays, dopplers).values
-        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 1)  # one bin or cell a chunk
+        assert_images_close(whole, rebuilt)
+        bin_entries = scenario.specs[0].n_samples * scenario.n_snapshots
+        for bins in (1, 3):
+            monkeypatch.setattr(harness, "_BANK_ENTRIES", bins * bin_entries)
+            blocked = scan_likelihood_image(spec, scenario, ms, delays, dopplers).values
+            assert_images_close(blocked, whole)
+            assert_images_close(blocked, rebuilt)
+        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 1)  # one cell a chunk
         chunked = scan_likelihood_image(spec, scenario, ms, delays, dopplers).values
         assert_images_close(chunked, whole)
+        assert_images_close(chunked, rebuilt)
+
+    def test_bank_factors_no_stack_of_doppler_bins(self, monkeypatch):
+        # Every Doppler bin of a scanned channel shares one basis, so no SVD
+        # factors a stack of the channel's N x J couplings.
+        scenario, ms, delays, dopplers, _ = scan_case("differential")
+        shapes, svd = [], np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        scan_likelihood_image(P11, scenario, ms, delays, dopplers)
+        assert shapes  # the composite's rank gate
+        n, j = scenario.specs[0].n_samples, scenario.n_modes
+        couplings = [shape for shape in shapes if shape[-2:] == (n, j)]
+        assert all(len(shape) == 2 for shape in couplings), couplings
+        assert len(couplings) <= scenario.n_channels
 
     @pytest.mark.parametrize("panel", ["P13", "P23"])
     def test_vanishing_residual_gives_infinite_cell(self, panel):
