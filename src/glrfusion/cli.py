@@ -149,6 +149,8 @@ def _validate_config(command: str, config: dict) -> None:
     allowed, required = _COMMAND_KEYS[command]
     _check_keys(config, allowed, required, "config")
     _check_types(config, allowed, "")
+    if config.get("seed", 0) < 0:
+        raise ConfigError(f"config key 'seed' must be non-negative, got {config['seed']}")
     for idx, entry in enumerate(config.get("channels", [])):
         _check_keys(entry, _CHANNEL_KEYS,
                     {"n_samples", "carrier_hz", "sample_period_s"},

@@ -168,17 +168,18 @@ class DetectorReport:
 
     @classmethod
     def _unchecked(cls, composite: float, alphas: np.ndarray, per_channel: np.ndarray,
-                   cross_validation: float, panel: KnowledgeSpec) -> DetectorReport:
+                   cross_validation: float, panel: KnowledgeSpec, **rest) -> DetectorReport:
         """A report the caller has checked, built without checks.
 
-        ``alphas`` and ``per_channel`` are float arrays, and the caller has run
-        :func:`check_decomposition` on the report, perhaps in one batch with
-        others.  The fields after ``panel`` take their defaults.
+        ``alphas`` and ``per_channel`` are float arrays of one shape, and the
+        caller has run :func:`check_decomposition` on the report, perhaps in
+        one batch with others.  The fields after ``panel`` take their
+        defaults unless ``rest`` gives them.
         """
         report = object.__new__(cls)
         vars(report).update(_REPORT_DEFAULTS, composite=composite, alphas=alphas,
                             per_channel=per_channel, cross_validation=cross_validation,
-                            panel=panel)
+                            panel=panel, **rest)
         return report
 
     @property
@@ -489,7 +490,7 @@ class _Evaluation(NamedTuple):
 
 
 def _report(spec: KnowledgeSpec, ev: _Evaluation) -> DetectorReport:
-    """The report of a batch of one.
+    """The report of a batch of one, which :func:`evaluate` has checked.
 
     Row 2 adds the coherences, the Gram matrix of the unit rows vec(A_l) /
     ||A_l|| of the matched outputs (zero for a zero output), and the gain
@@ -509,10 +510,9 @@ def _report(spec: KnowledgeSpec, ev: _Evaluation) -> DetectorReport:
             b = np.sqrt(col.alphas[0] * col.phi[0])[:, None] * unit
             u = np.linalg.svd(b, full_matrices=False)[0]
             gain_direction = normalize_phases(u[:, :1])[:, 0]
-    return DetectorReport(
-        composite=float(ev.composite[0]), alphas=col.alphas[0].copy(), per_channel=col.lam[0],
-        cross_validation=float(ev.cross_validation[0]), panel=spec,
-        degenerate=bool(ev.degenerate[0]),
+    return DetectorReport._unchecked(
+        float(ev.composite[0]), col.alphas[0].copy(), col.lam[0], float(ev.cross_validation[0]),
+        spec, degenerate=bool(ev.degenerate[0]),
         noise_null=None if col.noise_null is None else col.noise_null[0],
         noise_alt=None if ev.noise_alt is None else ev.noise_alt[0],
         gain_direction=gain_direction, coherences=coherences,
@@ -545,7 +545,9 @@ def evaluate(spec: KnowledgeSpec, s: Summary, dominant_numerator: bool = False) 
     channel's energies are the summary's split of R_l and the tail of the
     stack less the channels' whitened tails is the cross-validation energy.
     Column 3 on row 3 raises ValueError for a channel of at most J samples,
-    which leaves no residual dimension.
+    which leaves no residual dimension.  Every batch checks its own
+    decomposition: :func:`check_decomposition` raises ConfigError for any
+    hypothesis that fails it.
     """
     noise = spec.noise_knowledge
     gains_row = spec.channel_knowledge == ChannelKnowledge.UNKNOWN_GAINS
@@ -586,6 +588,7 @@ def evaluate(spec: KnowledgeSpec, s: Summary, dominant_numerator: bool = False) 
     degenerate = col.degenerate
     if gains_row:  # a zero matched output has no direction
         degenerate = degenerate | (signal <= 0.0).any(axis=-1)
+    check_decomposition(composite, col.alphas, col.lam, cv, degenerate)
     return _Evaluation(composite, cv, col, degenerate, noise_alt,
                        data if gains_row else None)
 

@@ -24,23 +24,22 @@ A chunk's interior boundaries fall on multiples of ``measurement._BLOCK`` in
 absolute trial ids, so no two chunks of a run draw the same block of trials.
 A :class:`Scenario` keeps the draws of its latest chunks at one seed, so the
 panels run on it at that seed share them: ``run_null``, ``run_roc`` and
-``calibrate_threshold`` with one job read and fill this memo, keyed by the
-amplitude scale (or none) and the chunk's trial ids, for the same channel
-objects.  An entry keeps the chunk's drawn tails and either its coordinates
-or, once row 3 has read the chunk, row 3's summary, which holds the factors
-[a_l; T_l] and their split at J that every column of row 3 reads; the
-coordinates are then views of that stack.  Rows 1 and 2 take any entry; row
-3 needs one with its summary, and otherwise draws the factors of the tails
-and replaces the entry, so a kept chunk is drawn at most twice and split at
-J once.  The coordinates and tails are the same bit for bit either way.  A
-row-3 call on a kept summary skips only the summary's checks, which do not
-depend on the column and passed when it was built: column 3's gate and the
-decomposition checks run on every call.  Chunks match only exactly: rows
-whose stacks size them differently do not share.  A new seed empties the
-memo; it holds at most ``_CHUNK_ENTRIES`` complex entries, the oldest kept
-dropped first, and a chunk that does not fit alone is not kept.  Its arrays
-are read-only.  Runs with more than one job neither read nor fill it, and
-separate processes (each CLI command) never share it.
+``calibrate_threshold`` with one job read and fill this memo.  It keeps one
+read-only value per key, the amplitude scale (or none), the chunk's trial ids
+and the row class: for rows 1 and 2 the chunk's drawn coordinates and tails,
+and for row 3 row 3's summary, which holds the factors [a_l; T_l] and their
+split at J that every column of row 3 reads.  Row 3's draw of a chunk also
+keeps the chunk's coordinates and tails for rows 1 and 2, unless they are
+kept, so a kept chunk is drawn at most twice, once when row 3 comes first,
+and split at J once.  The coordinates and tails are the same bit for bit either
+way.  A row-3 call on a kept summary skips only the summary's checks, which
+do not depend on the column and passed when it was built: column 3's gate and
+the decomposition checks run in every ``evaluate``.  Chunks match only
+exactly: rows whose stacks size them differently do not share.  A new seed
+empties the memo; it holds at most ``_CHUNK_ENTRIES`` complex entries, the
+oldest kept dropped first, and a value that does not fit alone is not kept.
+Runs with more than one job neither read nor fill it, and separate processes
+(each CLI command) never share it.
 
 The module needs numpy alone: ``scipy.stats`` serves only :func:`run_null`'s
 KS reference and loads on the first null run that KS-tests, and the process
@@ -53,7 +52,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -66,15 +65,13 @@ from .channel import (
 from .detectors import (
     ChannelKnowledge,
     KnowledgeSpec,
-    Summary,
-    check_decomposition,
     coordinate_summary,
     evaluate,
     summarise,
 )
 from .errors import ConfigError
 from .linalg import energy
-from .measurement import _BLOCK, MeasurementSet, TrialDraws, amplitude_stack, draw_trials
+from .measurement import _BLOCK, MeasurementSet, amplitude_stack, draw_trials
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 # Complex entries of the largest temporary one step of a scan or of a chunk
@@ -94,12 +91,13 @@ class Scenario:
     """Physical channel specs plus snapshot count for one experiment.
 
     The channels are built once, on first use, and every later call on the
-    same scenario shares them, with the bases they cache.  The trial draws
-    of its latest Monte-Carlo chunks are memoised the same way, at one seed
-    and with one job (see the module docstring), so every panel run on the
-    scenario at that seed reads the same draws.  A scenario made by
-    ``dataclasses.replace`` is a new object and builds its own channels and
-    memo; a pickled scenario carries no memo.
+    same scenario shares them, with the bases they cache.  With one job, the
+    draws of its latest Monte-Carlo chunks at one seed are kept too, as rows
+    1 and 2's coordinates and tails and as row 3's summary (see the module
+    docstring), so every panel run on the scenario at that seed reads the
+    same draws.  A scenario made by ``dataclasses.replace`` is a new object
+    and builds its own channels and memo; a pickled scenario carries no
+    memo.
     """
 
     specs: tuple[PropagationSpec, ...]
@@ -209,64 +207,44 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float, float]:
     return center - half, center + half, half
 
 
-def _draw_chunk(channels: Sequence[ChannelModel], m: int, seed: int, amp_scale: float | None,
-                ids: np.ndarray, factors: bool) -> TrialDraws:
-    """The trials ``ids``, drawn with their amplitudes at ``amp_scale`` (none: noise only)."""
-    amps = None
-    if amp_scale is not None:
-        amps = amplitude_stack(channels[0].n_modes, m, amp_scale, seed, ids)
-    return draw_trials(channels, m, seed, ids, amps, factors=factors)
-
-
-class _Chunk(NamedTuple):
-    """What the memo keeps of a chunk."""
-
-    channels: tuple[ChannelModel, ...]
-    draws: TrialDraws  # coordinates and tails; no factors
-    summary: Summary | None  # row 3's, whose stack the coordinates are views of
-    nbytes: int
+def _arrays(value) -> list[np.ndarray]:
+    """The arrays of a kept value: its own, or those of its fields and items."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [a for item in value for a in _arrays(item)]
+    return []
 
 
 class _DrawMemo:
     """The draws of a scenario's latest chunks at one seed: the module
-    docstring gives the key, the hit rule and the bound."""
+    docstring gives the key, the value and the bound."""
 
     def __init__(self):
         self.seed = None
-        self.entries: dict[tuple, _Chunk] = {}  # by (amplitude scale, trial ids), oldest first
+        self.entries: dict[tuple, object] = {}  # oldest first
 
-    def find(self, channels: Sequence[ChannelModel], seed: int, amp_scale: float | None,
-             ids: np.ndarray, row3: bool) -> _Chunk | None:
-        """The kept chunk ``ids`` of these channels, with row 3's summary if ``row3``."""
+    def find(self, seed: int, key: tuple):
+        """The value kept under ``key`` at ``seed``, or None; a new seed empties the memo."""
         if seed != self.seed:
             self.seed = seed
             self.entries.clear()
-        kept = self.entries.get((amp_scale, ids.tobytes()))
-        if (kept is not None and len(kept.channels) == len(channels)
-                and all(map(operator.is_, kept.channels, channels))
-                and (kept.summary is not None or not row3)):
-            return kept
-        return None
+        return self.entries.get(key)
 
-    def keep(self, channels: Sequence[ChannelModel], amp_scale: float | None, ids: np.ndarray,
-             draws: TrialDraws, summary: Summary | None = None) -> None:
-        """Keep the chunk ``ids`` of the memo's seed, in place of any entry of
-        its key, unless it does not fit alone."""
-        key = (amp_scale, ids.tobytes())
-        self.entries.pop(key, None)
-        arrays = ([*draws.coords, draws.tails] if summary is None
-                  else [draws.tails, *(a for a in summary if isinstance(a, np.ndarray))])
+    def keep(self, key: tuple, value) -> None:
+        """Keep ``value`` under ``key``, read-only, unless the key is kept or
+        the value does not fit alone."""
+        arrays = _arrays(value)
         nbytes = sum(a.nbytes for a in arrays)
         bound = 16 * _CHUNK_ENTRIES  # bytes of as many complex entries
-        if nbytes <= bound:
-            while sum(entry.nbytes for entry in self.entries.values()) + nbytes > bound:
-                del self.entries[next(iter(self.entries))]
-            for a in arrays:
-                a.flags.writeable = False
-            if summary is not None:  # read-only views of the stack [a_l; T_l; 0]
-                draws = draws._replace(factors=None, coords=[
-                    summary.coords[:, idx, :a.shape[-2]] for idx, a in enumerate(draws.coords)])
-            self.entries[key] = _Chunk(tuple(channels), draws, summary, nbytes)
+        if key in self.entries or nbytes > bound:
+            return
+        while sum(a.nbytes for kept in self.entries.values()
+                  for a in _arrays(kept)) + nbytes > bound:
+            del self.entries[next(iter(self.entries))]
+        for a in arrays:
+            a.flags.writeable = False
+        self.entries[key] = value
 
 
 def _trial_block(panel: KnowledgeSpec, channels: Sequence[ChannelModel], m: int, seed: int,
@@ -274,27 +252,30 @@ def _trial_block(panel: KnowledgeSpec, channels: Sequence[ChannelModel], m: int,
                  memo: _DrawMemo | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Composites and degenerate flags of the trials ``ids``, evaluated together.
 
-    Rows 1 and 2 read each trial's coordinates and tails as drawn, row 3 also
-    the factors of its tails, through ``memo`` when one is given: row 3
-    builds its summary on the chunk's first row-3 call and every later one
-    reads it.  A trial's value does not depend on the other trials: its data
-    are its rows of its block's draws, and every step treats the matrices of
-    a stack apart.
+    The trials are drawn with their amplitudes at ``amp_scale`` (none: noise
+    only).  Rows 1 and 2 read each trial's coordinates and tails as drawn,
+    row 3 also the factors of its tails, through ``memo`` when one is given:
+    it keeps rows 1 and 2's draws and row 3's summary under keys of their
+    own, and a row-3 draw fills both.  A trial's value does not depend on
+    the other trials: its data are its rows of its block's draws, and every
+    step treats the matrices of a stack apart.
     """
     row3 = panel.channel_knowledge == ChannelKnowledge.UNKNOWN_SUBSPACE
-    kept = None if memo is None else memo.find(channels, seed, amp_scale, ids, row3)
-    if kept is None:
-        draws = _draw_chunk(channels, m, seed, amp_scale, ids, row3)
-        summary = coordinate_summary(panel, channels, draws.coords, draws.tails, draws.factors)
-        if memo is not None:
-            memo.keep(channels, amp_scale, ids, draws, summary if row3 else None)
-    elif row3:
-        summary = kept.summary
-    else:
-        summary = coordinate_summary(panel, channels, kept.draws.coords, kept.draws.tails)
+    key = (amp_scale, ids.tobytes())
+    value = None if memo is None else memo.find(seed, key + (row3,))
+    if value is None:
+        amps = None
+        if amp_scale is not None:
+            amps = amplitude_stack(channels[0].n_modes, m, amp_scale, seed, ids)
+        draws = draw_trials(channels, m, seed, ids, amps, factors=row3)
+        value = (coordinate_summary(panel, channels, draws.coords, draws.tails, draws.factors)
+                 if row3 else draws)
+        if memo is not None:  # a row-3 draw serves rows 1 and 2 too
+            memo.keep(key + (False,), draws._replace(factors=None))
+            if row3:
+                memo.keep(key + (True,), value)
+    summary = value if row3 else coordinate_summary(panel, channels, value.coords, value.tails)
     ev = evaluate(panel, summary)
-    check_decomposition(ev.composite, ev.col.alphas, ev.col.lam, ev.cross_validation,
-                        ev.degenerate)
     return ev.composite, ev.degenerate
 
 
@@ -689,10 +670,8 @@ def scan_likelihood_image(
             coupling[:, idx] = factors[rows]
             coords[:, idx] = bin_coords[cols]
             tails[:, idx] = bin_tails[cols]
-        ev = evaluate(panel, base._replace(coupling=coupling, coords=coords, tails=tails))
-        check_decomposition(ev.composite, ev.col.alphas, ev.col.lam, ev.cross_validation,
-                            ev.degenerate)
-        values[part] = ev.composite
+        values[part] = evaluate(panel, base._replace(coupling=coupling, coords=coords,
+                                                     tails=tails)).composite
     values = values.reshape(delays.size, dopplers.size)
     flat = int(np.argmax(values))
     argmax = (flat // dopplers.size, flat % dopplers.size)

@@ -476,6 +476,19 @@ class TestErrorsAndOverrides:
         assert out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "null"])
+    def test_negative_seed_is_clean_error(self, tmp_path, capsys, command):
+        config = (simulate_config(tmp_path, out_name="out") if command == "simulate"
+                  else {"panel": "p11", "modes": 1, "channels": [channel_entry()],
+                        "snapshots": 4, "trials": 10, "seed": 1,
+                        "output": str(tmp_path / "out")})
+        cfg = write_config(tmp_path / "c.json", config)
+        assert main([command, "--config", cfg, "--set", "seed=-3"]) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: config key 'seed' must be non-negative, got -3\n"
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_missing_required_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {"seed": 1})
         assert main(["simulate", "--config", cfg]) == 1

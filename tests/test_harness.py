@@ -932,6 +932,47 @@ class TestScan:
             scan_likelihood_image(P31, scenario, ms, [0.0], [0.0])
 
 
+class TestEvaluateChecksItself:
+    """``evaluate`` checks the decomposition of every batch, so neither a
+    Monte-Carlo chunk nor a scan's cells check their own."""
+
+    @pytest.fixture
+    def halved_weights(self, monkeypatch):
+        real = detectors._column
+
+        def column(*args, **kwargs):
+            col = real(*args, **kwargs)
+            return col._replace(alphas=0.5 * col.alphas)
+
+        monkeypatch.setattr(detectors, "_column", column)
+
+    @staticmethod
+    def assert_raised_in_evaluate(info) -> None:
+        assert [entry.name for entry in info.traceback[-2:]] == ["evaluate",
+                                                                 "check_decomposition"]
+
+    @pytest.mark.parametrize("panel", ["P11", "P21", "P31", "P33"])
+    def test_a_chunk_of_trials(self, panel, halved_weights):
+        panel = KnowledgeSpec.from_panel(panel)
+        scenario = mc_small_scenario()
+        channels = scenario.channels()
+        draws = draw_trials(channels, 8, 3, np.arange(6), factors=True)
+        summary = coordinate_summary(panel, channels, draws.coords, draws.tails, draws.factors)
+        with pytest.raises(ConfigError, match="weights sum to 0.5, expected 1") as info:
+            evaluate(panel, summary)
+        self.assert_raised_in_evaluate(info)
+        spec = ExperimentSpec(panel=panel, scenario=scenario, trials=6, seed=3)
+        with pytest.raises(ConfigError, match="weights sum to 0.5, expected 1") as info:
+            run_null(spec)
+        self.assert_raised_in_evaluate(info)
+
+    def test_a_scan(self, halved_weights):
+        scenario, ms, delays, dopplers, scanned = scan_case("explicit-with-reference")
+        with pytest.raises(ConfigError, match="weights sum to 0.5, expected 1") as info:
+            scan_likelihood_image(P11, scenario, ms, delays, dopplers, scanned)
+        self.assert_raised_in_evaluate(info)
+
+
 class TestWilson:
     def test_interval_basics(self):
         low, high, half = wilson_interval(10, 100)
@@ -1065,16 +1106,21 @@ class TestDrawMemo:
         assert [kw["factors"] for kw in draws] == [False] * (3 * per_chunk - 3) + [True] * 3
 
     def test_kept_arrays_are_read_only(self):
+        # Row 3 keeps its summary, and the chunk's coordinates and tails for
+        # rows 1 and 2 under a key of their own.
         scenario = mc_small_scenario()
         run_null(round_spec(scenario, "P31"))
-        ((_, draws, summary, _),) = scenario._draws.entries.values()
+        ids = np.arange(201).tobytes()
+        memo = scenario._draws
+        assert list(memo.entries) == [(None, ids, False), (None, ids, True)]
+        draws, summary = memo.entries.values()
+        assert draws.factors is None and summary.signal is not None
         arrays = [*draws.coords, draws.tails, *(a for a in summary if isinstance(a, np.ndarray))]
         assert not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError, match="read-only"):
             draws.coords[0][0] *= 2.0
-        # The factors are kept once: in row 3's stack, of which the coordinates are views.
-        assert draws.factors is None
-        assert all(np.shares_memory(a, summary.coords) for a in draws.coords)
+        with pytest.raises(ValueError, match="read-only"):
+            summary.coords[0] *= 2.0
 
     def test_row_3_splits_each_chunk_once(self, monkeypatch):
         # The channels' splits are the SVDs of (trials, L, K, M) stacks of
@@ -1115,25 +1161,29 @@ class TestDrawMemo:
         scenario = mc_small_scenario()
         memo, channels, ids = scenario._draws, scenario.channels(), np.arange(10)
         first, second = (draw_trials(channels, 8, 5, i) for i in (ids, ids + 10))
-        assert memo.find(channels, 5, None, ids, False) is None
+        key, later = (None, ids.tobytes(), False), (None, (ids + 10).tobytes(), False)
+        assert memo.find(5, key) is None
         monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 320)
-        memo.keep(channels, None, ids, first)
+        memo.keep(key, first)
         assert memo.entries == {} and first.coords[0].flags.writeable
         monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 330)
-        memo.keep(channels, None, ids, first)
-        assert memo.find(channels, 5, None, ids, False).draws is first
-        memo.keep(channels, None, ids + 10, second)  # the oldest goes
-        assert [kept.draws for kept in memo.entries.values()] == [second]
-        assert memo.find(channels, 5, None, ids, False) is None
+        memo.keep(key, first)
+        assert memo.find(5, key) is first
+        memo.keep(later, second)  # the oldest goes
+        assert memo.entries == {later: second}
+        assert memo.find(5, key) is None
 
-    def test_other_channels_do_not_share(self):
+    def test_a_kept_key_keeps_its_value(self):
+        # Each key holds one value; the row class is part of the key.
         scenario = mc_small_scenario()
         memo, channels, ids = scenario._draws, scenario.channels(), np.arange(10)
-        assert memo.find(channels, 5, None, ids, False) is None
-        memo.keep(channels, None, ids, draw_trials(channels, 8, 5, ids))
-        assert memo.find(channels, 5, None, ids, False) is not None
-        assert memo.find(mc_small_scenario().channels(), 5, None, ids, False) is None
-        assert memo.find(channels, 5, None, ids, True) is None  # row 3 needs its summary
+        first, again = (draw_trials(channels, 8, 5, ids) for _ in range(2))
+        key = (None, ids.tobytes(), False)
+        assert memo.find(5, key) is None
+        memo.keep(key, first)
+        memo.keep(key, again)
+        assert memo.find(5, key) is first
+        assert memo.find(5, key[:2] + (True,)) is None  # row 3 needs its summary
 
     def test_replaced_or_pickled_scenario_has_no_memo(self):
         scenario = mc_small_scenario()
@@ -1156,7 +1206,6 @@ class TestDrawMemo:
         # Poison the kept draws: one job reads them, two do not.
         memo = scenario._draws
         for key, kept in memo.entries.items():
-            doubled = kept.draws._replace(coords=[2.0 * a for a in kept.draws.coords])
-            memo.entries[key] = kept._replace(draws=doubled)
+            memo.entries[key] = kept._replace(coords=[2.0 * a for a in kept.coords])
         assert not np.array_equal(run_null(spec).sample, parallel)
         np.testing.assert_array_equal(run_null(spec, jobs=2).sample, parallel)
