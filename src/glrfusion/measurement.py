@@ -6,12 +6,12 @@ and the amplitudes of trial t come from named substreams of its block of
 ``_BLOCK`` = 2 consecutive trials, floor(t / 2), over all its channels, and
 the frames its blocks need from a substream of its own, so concurrent trials
 never share random state and a trial's draws never depend on the other
-trials of a call.  :func:`rng_stream` defines each substream; a call that
-draws many of them reproduces every one bit for bit from one vectorised pass
-of numpy's ``SeedSequence`` hash over all of its keys and one PCG64
-generator, reseeded per key and owned by the call.  A block key's draws of
-each type are taken in one sampler call, and a call keeps the rows of the
-trials it asked for.
+trials of a call.  :func:`rng_stream` defines each substream (seed, purpose,
+index): numpy's PCG64DXSM stream of (seed, purpose), jumped ahead ``index``
+times.  A call seeds one such generator of its own and, for each key, sets
+it back to its seeded state and advances it by the key's jump.  A block
+key's draws of each type are taken in one sampler call, and a call keeps the
+rows of the trials it asked for.
 
 A trial is drawn in each channel's frame [Q_l Q_l^perp], Q_l an orthonormal
 basis of the span of H_l (:func:`draw_trials`): its coordinates a_l = Q_l^H X_l
@@ -40,125 +40,56 @@ _NOISE_STREAM = 0
 _AMPLITUDE_STREAM = 1
 _FRAME_STREAM = 2
 # Trials per noise and amplitude key, part of the streams' definition: trial
-# t draws from the key of its block floor(t / _BLOCK).  A key costs a few
-# microseconds of hashing, reseeding and sampler calls, which the trials of
-# its block share, but a call also draws the trials of its end blocks that it
-# does not keep.  Four trials a key drew twice the normals a two-trial call
-# keeps at N = 128, M = 32, where the Bartlett factors' draws dominate; two
-# waste none there and still halve the keys of a long run.  Both hold only for
-# calls that start and end on a block boundary, as runs of even length at even
-# offsets do: a call that starts or ends inside a block also draws the block's
-# other trial, so a two-trial call at an odd offset draws twice what it keeps.
+# t draws from the key of its block floor(t / _BLOCK).  A key costs about
+# three microseconds to reset and jump the call's generator, plus its sampler
+# calls, which the trials of its block share, but a call also draws the
+# trials of its end blocks that it does not keep.  Four trials a key drew
+# twice the normals a two-trial call keeps at N = 128, M = 32, where the
+# Bartlett factors' draws dominate; two waste none there and still halve the
+# keys of a long run.  Both hold only for calls that start and end on a block
+# boundary, as runs of even length at even offsets do: a call that starts or
+# ends inside a block also draws the block's other trial, so a two-trial call
+# at an odd offset draws twice what it keeps.
 _BLOCK = 2
-# Below this many keys a call builds one generator per key with rng_stream.
-# A hash pass and a generator to reseed cost about as much as five builds:
-# per call, the two ways break even at five or six keys, and hashing is about
-# a fifth faster at eight keys and two fifths at sixteen (one core).
-_MIN_HASHED_KEYS = 8
 
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-
-
-def _hash_steps(init: int, mult: int, steps) -> tuple[np.ndarray, np.ndarray]:
-    """The xor and multiply constants, each of shape steps.shape + (1,), of
-    SeedSequence's hash steps ``steps`` on the chain init * mult**k mod 2**32:
-    step k xors chain entry k and multiplies by entry k + 1."""
-    steps = np.asarray(steps)
-    chain = [init]
-    for _ in range(steps.max() + 1):
-        chain.append(chain[-1] * mult & _MASK32)
-    chain = np.array(chain, dtype=np.uint32)
-    return chain[steps][..., None], chain[steps + 1][..., None]
-
-
-# numpy's SeedSequence (numpy/random/bit_generator.pyx).  Mixing a pool of
-# four words takes hash steps 0-3, one per entropy word, then four rounds:
-# round r hashes pool[r] once for each other word i, in order, with step
-# 4 + 3r + (i - (i > r)) (word r's entry is unused).  Emitting four uint64
-# words takes steps 0-7 of a second chain, one per uint32 half, from pool
-# words 0-3, 0-3.
-_MIX_CHAIN = (0x43B0D7E5, 0x931E8875)  # INIT_A, MULT_A
-_EMIT_CHAIN = (0x8B51F9DD, 0x58F38DED)  # INIT_B, MULT_B
-_ENTROPY_STEPS = _hash_steps(*_MIX_CHAIN, range(4))
-_ROUND_STEPS = tuple(
-    _hash_steps(*_MIX_CHAIN, [4 + 3 * r + i - (i > r) if i != r else 0 for i in range(4)])
-    for r in range(4))
-_EMIT_STEPS = _hash_steps(*_EMIT_CHAIN, np.arange(8).reshape(2, 4))
-_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_MIX_MULT_R = np.uint32(0x4973F715)
-# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
-_PCG_MULT = (0x2360ED051FC65DA4 << 64) | 0x4385DF649FCCF645
+# jumped's step: PCG64DXSM.jumped(i) advances its state i times this, mod 2**128.
+_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
 
 def rng_stream(seed: int, purpose: int, index: int) -> np.random.Generator:
-    """Deterministic generator for the substream (seed, purpose, index).
+    """Deterministic generator for the substream (seed, purpose, index): the
+    PCG64DXSM stream seeded by SeedSequence((seed, purpose)), jumped ``index``
+    times.
 
     The package draws the substreams (seed, noise, b) and (seed, amplitude,
     b) of each block b = floor(t / ``_BLOCK``) of trial ids, and (seed, frame,
-    t) of each trial t: this defines every one of them, and calls over many
-    keys reproduce it bit for bit without building a generator per key.
+    t) of each trial t: this defines every one of them.  Every word must be
+    non-negative, as SeedSequence requires of the seed and the purpose; a
+    negative index would wrap around the jump.
     """
-    return np.random.default_rng(
-        np.random.SeedSequence((int(seed), int(purpose), int(index)))
-    )
-
-
-def _hash(values: np.ndarray, steps: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """SeedSequence's hash of ``values`` with the constants of :func:`_hash_steps`,
-    broadcast against each other."""
-    xor, mult = steps
-    h = (values ^ xor) * mult
-    return h ^ (h >> 16)
-
-
-def _seed_words(keys: np.ndarray) -> np.ndarray:
-    """``SeedSequence(tuple(k)).generate_state(4, np.uint64)`` for each row k of
-    the (n, 4) uint32 ``keys``, as an (n, 4) uint64 array, in one pass."""
-    pool = _hash(keys.T, _ENTROPY_STEPS)
-    for r, steps in enumerate(_ROUND_STEPS):
-        # Every word i != r mixes in its own hash of pool[r]; word r stays.
-        mixed = _MIX_MULT_L * pool - _MIX_MULT_R * _hash(pool[r], steps)
-        mixed ^= mixed >> 16
-        mixed[r] = pool[r]
-        pool = mixed
-    halves = _hash(pool, _EMIT_STEPS)
-    # uint32 half 2k is the low half of uint64 word k, 2k + 1 its high half.
-    words = np.empty((len(keys), 8), dtype="<u4")
-    words[:] = halves.reshape(8, -1).T
-    return words.view("<u8").astype(np.uint64, copy=False)
+    if min(seed, purpose, index) < 0:
+        raise ValueError("expected non-negative integer")
+    bitgen = np.random.PCG64DXSM(np.random.SeedSequence((int(seed), int(purpose))))
+    return np.random.Generator(bitgen.jumped(int(index)))
 
 
 def _substreams(seed: int, purpose: int, indices: np.ndarray) -> Iterator[np.random.Generator]:
     """Generators of the substreams (seed, purpose, i), one per entry i of the
     1-D ``indices`` in order, each in the state :func:`rng_stream` gives it.
 
-    One hash pass gives every key's seed words, and one PCG64 generator,
-    created here so that no two calls share it, is set to each key's seeded
-    state in turn: a generator is valid until the next one is taken.  Calls
-    with fewer than ``_MIN_HASHED_KEYS`` keys, or with a key word outside
-    [0, 2**32), whose entropy numpy pools differently (or rejects), get
-    rng_stream's generators.
+    One PCG64DXSM generator, created here so that no two calls share it, is
+    seeded once and, for each key, set back to its seeded state and advanced
+    by the key's jump: a generator is valid until the next one is taken.  A
+    negative word raises rng_stream's error.
     """
-    if (len(indices) < _MIN_HASHED_KEYS or indices.dtype.kind not in "iu"
-            or not 0 <= seed <= _MASK32 or indices.min() < 0 or indices.max() > _MASK32):
-        for index in indices.tolist():
-            yield rng_stream(seed, purpose, index)
-        return
-    # SeedSequence pools a key of three words as the key of four whose last word is 0.
-    keys = np.zeros((len(indices), 4), dtype=np.uint32)
-    keys[:, 0] = seed
-    keys[:, 1] = purpose
-    keys[:, 2] = indices
-    bitgen = np.random.PCG64(0)
+    if len(indices) and indices.min() < 0:
+        raise ValueError("expected non-negative integer")
+    bitgen = np.random.PCG64DXSM(np.random.SeedSequence((int(seed), int(purpose))))
+    seeded = bitgen.state
     gen = np.random.Generator(bitgen)
-    for w0, w1, w2, w3 in _seed_words(keys).tolist():
-        # PCG64's seeding: inc = 2 * (w2, w3) + 1, then two LCG steps from 0,
-        # adding the initial state (w0, w1) between them.
-        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        state = (((w0 << 64 | w1) + inc) * _PCG_MULT + inc) & _MASK128
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
+    for index in indices.tolist():
+        bitgen.state = seeded
+        bitgen.advance(int(index) * _JUMP % 2**128)
         yield gen
 
 
@@ -374,9 +305,10 @@ def draw_trials(
     complement and independent of T'.  The complement is 0 when N_l = k_l.
 
     Trial t draws from the (seed, noise, floor(t / ``_BLOCK``)) substream of
-    its block (:func:`rng_stream`), which draws all B = ``_BLOCK`` trials of
-    the block on every channel at once, one call of each draw type per
-    frame shape (N_l, k_l), groups in the order of their first channels.
+    its block, the (seed, noise) PCG64DXSM stream jumped floor(t / B) times
+    (:func:`rng_stream`).  It draws all B = ``_BLOCK`` trials of the block
+    on every channel at once, one call of each draw type per frame shape
+    (N_l, k_l), groups in the order of their first channels.
     Each call holds its B trials in order, each trial's channels of the
     group in order, and the types follow in one order, each type's calls
     for every group before the next type's: ``standard_gamma`` calls of the
@@ -389,11 +321,11 @@ def draw_trials(
     asked for, so a trial's data depend on the seed, its id and the
     channels, never on the other trials of the call.  The coordinates and
     tails are the same with or without factors or blocks.  With blocks,
-    trial t's G_l come from its (seed, frame, t) substream, one
-    ``standard_normal`` call per frame shape with a tail, each holding its
-    channels' N_l x r_l entries in row-major order, each as its real and
-    then its imaginary part, so a call of one trial never draws a block of
-    frames.
+    trial t's G_l come from its (seed, frame, t) substream, the (seed,
+    frame) stream jumped t times: one ``standard_normal`` call per frame
+    shape with a tail, each holding its channels' N_l x r_l entries in
+    row-major order, each as its real and then its imaginary part, so a
+    call of one trial never draws a block of frames.
     """
     if n_snapshots < 1:
         raise ConfigError("n_snapshots must be >= 1")
@@ -498,9 +430,10 @@ def amplitude_stack(n_modes: int, n_snapshots: int, scale: float, seed: int,
     """A (T x J x M) stack of amplitude matrices with iid CN(0, scale^2) entries.
 
     Trial t's matrix comes from the (seed, amplitude, floor(t / ``_BLOCK``))
-    substream of its block, whose one ``standard_normal`` call holds the B =
-    ``_BLOCK`` trials of the block in order, each as the J x M real parts and
-    then the J x M imaginary parts of its entries.
+    substream of its block, the (seed, amplitude) PCG64DXSM stream jumped
+    floor(t / B) times (:func:`rng_stream`).  Its one ``standard_normal``
+    call holds the B = ``_BLOCK`` trials of the block in order, each as the
+    J x M real parts and then the J x M imaginary parts of its entries.
     """
     keys, rows = _keyed_rows(trials, _BLOCK)
     normals = np.empty((len(keys), _BLOCK, 2, n_modes, n_snapshots))

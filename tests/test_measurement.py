@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import os
 import re
 import sys
@@ -27,7 +26,6 @@ from glrfusion import measurement
 from glrfusion.formats import save_messages
 from glrfusion.measurement import (
     _frame,
-    _seed_words,
     amplitude_stack,
     draw_amplitudes,
     draw_trials,
@@ -254,19 +252,9 @@ def reference_amplitudes(j, m, scale, seed, trials):
     return np.array(out)
 
 
-def expected_builds(seed, keys) -> int:
-    """The generators rng_stream builds for these keys: one per distinct key
-    when there are fewer than eight or a key or the seed is 2**32 or more, and
-    none (one hash pass) otherwise."""
-    keys = set(keys)
-    return len(keys) if len(keys) < 8 or max(seed, *keys) >= 2**32 else 0
-
-
-# (seed, trials): a grid of many blocks takes the hash pass; fewer than eight
-# blocks, or a seed or block word of 2**32 or more, take rng_stream per key.
-# The frames of each trial follow the same rule over the trial ids.  The wide
-# grids span eight or more blocks and trials, so only the word bounds send
-# them to rng_stream.
+# (seed, trials): many blocks and few, and seeds, blocks and trials at and
+# past 2**32 (SeedSequence pools a seed that wide as two words).  The first
+# two names are kept from an earlier, hashed path over many keys.
 SUBSTREAM_GRIDS = {
     "hashed": (7, list(range(3, 43))),
     "hashed-word-bounds": (2**32 - 1, [0, B * 2**32 - 1, 5, 9, 13, 17, 21, 25, 29,
@@ -278,42 +266,25 @@ SUBSTREAM_GRIDS = {
 
 
 class TestSubstreams:
-    """The vectorised substreams equal numpy's SeedSequence and PCG64 bit for bit,
-    so a numpy release that changes either fails here rather than moving samples."""
+    """A call's substreams, one generator advanced key by key, equal
+    rng_stream's jumped generators bit for bit."""
 
-    def test_seed_words_match_seed_sequence(self):
-        rng = np.random.default_rng(2024)
-        bounds = list(itertools.product((0, 2**32 - 1), repeat=4))
-        keys = np.concatenate([rng.integers(0, 2**32, (1200, 4), dtype=np.uint64),
-                               np.array(bounds, dtype=np.uint64)]).astype(np.uint32)
-        words = _seed_words(keys)
-        assert words.dtype == np.uint64 and words.shape == (len(keys), 4)
-        expected = np.array([np.random.SeedSequence(tuple(int(w) for w in k))
-                             .generate_state(4, np.uint64) for k in keys])
-        np.testing.assert_array_equal(words, expected)
-
-    @staticmethod
-    def count_builds(monkeypatch) -> list:
-        """Record each generator a draw builds through rng_stream."""
-        built = []
-        monkeypatch.setattr(measurement, "rng_stream",
-                            lambda *key: built.append(key) or rng_stream(*key))
-        return built
+    @pytest.mark.parametrize("key", [(7, 0, 0), (7, 2, 41), (2**32 + 5, 1, 2**40)])
+    def test_rng_stream_is_a_jump_of_the_seeded_stream(self, key):
+        seed, purpose, index = key
+        bitgen = np.random.PCG64DXSM(np.random.SeedSequence((seed, purpose))).jumped(index)
+        assert rng_stream(*key).bit_generator.state == bitgen.state
 
     @pytest.mark.parametrize("grid", sorted(SUBSTREAM_GRIDS))
-    def test_draws_match_rng_stream(self, rng, monkeypatch, grid):
+    def test_draws_match_rng_stream(self, rng, grid):
         # Ragged channels with N - J = M, N = J (whose gamma draw takes no
         # randomness and which has no factor) and N - J > M, then one with
         # N - J < M, then frame shapes shared by two channels each, apart.
         seed, trials = SUBSTREAM_GRIDS[grid]
-        built = self.count_builds(monkeypatch)
         for dims in ((6, 2, 9), (5,), (6, 9, 2, 6, 9)):
             channels = [random_channel(rng, n, 2, noise_variance=v)
                         for n, v in zip(dims, (1.0, 0.5, 3.0, 2.0, 0.25))]
-            built.clear()
             draws = draw_trials(channels, 4, seed, trials, blocks=True)
-            assert len(built) == (expected_builds(seed, [t // B for t in trials])
-                                  + expected_builds(seed, trials))
             coords, tails, factors, blocks = reference_draws(channels, 4, seed, trials)
             for got, want in zip(draws.coords, coords, strict=True):
                 np.testing.assert_array_equal(got, want)
@@ -337,11 +308,9 @@ class TestSubstreams:
             np.testing.assert_array_equal(thin.tails, full.tails)
 
     @pytest.mark.parametrize("grid", sorted(SUBSTREAM_GRIDS))
-    def test_amplitudes_match_rng_stream(self, monkeypatch, grid):
+    def test_amplitudes_match_rng_stream(self, grid):
         seed, trials = SUBSTREAM_GRIDS[grid]
-        built = self.count_builds(monkeypatch)
         stack = amplitude_stack(3, 5, 2.5, seed, trials)
-        assert len(built) == expected_builds(seed, [t // B for t in trials])
         np.testing.assert_array_equal(stack, reference_amplitudes(3, 5, 2.5, seed, trials))
         for t, matrix in zip(trials, stack):
             np.testing.assert_array_equal(draw_amplitudes(3, 5, 2.5, seed, trial=t), matrix)
@@ -355,7 +324,7 @@ class TestSubstreams:
     @pytest.mark.parametrize("kind", ["thin", "factors", "blocks"])
     def test_trials_are_rows_of_whole_blocks(self, rng, trials, kind):
         # Any ids, at any offsets, in any order and repeated, and blocks from
-        # 2**32 on, which rng_stream draws, give the rows of one call over the
+        # 2**32 on, give the rows of one call over the
         # whole blocks they fall in, with and without amplitudes.
         channels = [random_channel(rng, n, 2, noise_variance=v)
                     for n, v in ((6, 1.0), (2, 0.5), (9, 3.0), (6, 2.0))]
@@ -378,11 +347,15 @@ class TestSubstreams:
 
     @pytest.mark.parametrize("seed, trials", [(-1, list(range(16))), (3, [-1, *range(15)])])
     def test_negative_key_raises_like_rng_stream(self, rng, seed, trials):
-        # Eight or more blocks, so the sign checks, not the key count, reject them.
         with pytest.raises(ValueError) as expected:
             rng_stream(seed, 0, trials[0] // B)
         channels = [random_channel(rng, 4, 1)]
         message = re.escape(str(expected.value))
+        # A negative index would wrap around the jump, and a negative purpose
+        # is refused by SeedSequence: each raises numpy's error.
+        for key in ((3, 0, -1), (3, -1, 0)):
+            with pytest.raises(ValueError, match=message):
+                rng_stream(*key)
         with pytest.raises(ValueError, match=message):
             draw_trials(channels, 3, seed, trials)
         with pytest.raises(ValueError, match=message):
