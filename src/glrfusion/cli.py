@@ -151,6 +151,8 @@ def _validate_config(command: str, config: dict) -> None:
     _check_types(config, allowed, "")
     if config.get("seed", 0) < 0:
         raise ConfigError(f"config key 'seed' must be non-negative, got {config['seed']}")
+    if config.get("seed", 0) >= 2**32:  # a wider seed aliases another seed's streams
+        raise ConfigError(f"config key 'seed' must be below 2**32, got {config['seed']}")
     for idx, entry in enumerate(config.get("channels", [])):
         _check_keys(entry, _CHANNEL_KEYS,
                     {"n_samples", "carrier_hz", "sample_period_s"},

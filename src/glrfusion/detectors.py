@@ -48,7 +48,10 @@ the signal.
   tail / D.  Over sqrt(M D) the stack is the fusion factor B of the report.
 * Row 3 is row 1 with the span given by J: each R_l and the stack
   A = [R_l / sqrt(v_l)], which has the singular values of Z, split at their
-  J-th singular value.  The channels' splits do not depend on the column, so
+  J-th singular value.  A tall factor or stack (more rows than M) takes its
+  squared singular values as the eigenvalues of its M x M Gram matrix, or by
+  SVD where its tail is too small for them (:func:`_split`).  The channels'
+  splits do not depend on the column, so
   :func:`summarise` and :func:`coordinate_summary` form them once, and only
   the stack's split is per panel.  The tail of A holds the channels' tails,
   so cv = (tail(A) - sum_l tail(R_l) / v_l) / D.
@@ -83,8 +86,17 @@ from .measurement import MeasurementSet
 # absolute error of about eps * ||X||, so its relative error is
 # eps / sqrt(ratio); below (1e4 eps)^2 ~ 1e-24 it is no longer accurate to
 # 1e-4.  Noise-free data in the signal span measures about 1e-31, noisy data
-# at a signal amplitude of 1e8 about 1e-16.
+# at a signal amplitude of 1e8 about 1e-16.  Row 3's tails this small come
+# from singular values, never from Gram eigenvalues (_GRAM_RATIO), so they
+# keep that accuracy.
 DEGENERACY_RTOL = 1e-24
+
+# A split at a mode count takes a tall matrix's energies from its Gram matrix
+# only where the tail outside the dominant J exceeds this fraction of the
+# largest eigenvalue: a Gram eigenvalue errs by about eps times the largest,
+# so the tail keeps a relative error below about 1e-13.  Smaller tails, among
+# them every tail near DEGENERACY_RTOL, come from the singular values.
+_GRAM_RATIO = 1e-2
 
 
 class ChannelKnowledge(str, Enum):
@@ -288,7 +300,10 @@ class Summary(NamedTuple):
 
     The tails are each channel's energy outside its signal subspace: on
     rows 1 and 2 the span of Q_l, formed directly, and on row 3 the dominant
-    J-dimensional subspace of F_l, from the singular values of the factor.
+    J-dimensional subspace of F_l, from the squared singular values of the
+    factor: the eigenvalues of F_l^H F_l for a factor taller than M, unless
+    its tail is too small for them, and by SVD for the square factors of
+    :func:`summarise` (:func:`_split`).
     Row 3 also keeps the energy inside that subspace: both come from one
     split of the factors when the summary is built, which every column reads,
     so a summary shared by the panels of row 3 splits them once.
@@ -524,15 +539,31 @@ def _split(x: np.ndarray, span: np.ndarray | int, m: int) -> tuple[np.ndarray, n
 
     ``span`` is an orthonormal basis Q or a mode count J.  With Q the energies
     are ||Q^H x||^2 / M and the tail of :func:`_coordinates`.  With J they are
-    the dominant-J and remaining eigenvalues s^2 / M of x x^H, from its
-    singular values alone.  x (and Q) may be stacks (..., n, k); the energies
-    then have the stack's shape.
+    the dominant-J and remaining eigenvalues s^2 / M of x x^H.  A tall x (more
+    rows than columns) takes them from the eigenvalues of its smaller Gram
+    matrix x^H x, whose tail errs by about eps * s_1^2: each matrix whose tail
+    is at most ``_GRAM_RATIO`` s_1^2 takes its singular values instead, as
+    every wide or square x does.  x (and Q) may be stacks (..., n, k); the
+    energies then have the stack's shape.
     """
-    if isinstance(span, int):
-        e = np.linalg.svd(x, compute_uv=False) ** 2 / m
-        return e[..., :span].sum(-1), e[..., span:].sum(-1)
-    a, outside = _coordinates(span, x, m)
-    return energy(a) / m, outside
+    if not isinstance(span, int):
+        a, outside = _coordinates(span, x, m)
+        return energy(a) / m, outside
+    if x.shape[-2] <= x.shape[-1]:
+        return _singular_split(x, span, m)
+    e = np.linalg.eigvalsh(_h(x) @ x) / m  # ascending
+    top, tail = e[..., -span:].sum(-1), e[..., :-span].sum(-1)
+    bad = ~(tail > _GRAM_RATIO * e[..., -1])  # also a nan
+    if np.count_nonzero(bad):
+        top[bad], tail[bad] = _singular_split(x[bad], span, m)
+    return top, tail
+
+
+def _singular_split(x: np.ndarray, j: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The split of each matrix of x at its J-th singular value s: the energies
+    s^2 / M of the dominant J and of the rest."""
+    e = np.linalg.svd(x, compute_uv=False) ** 2 / m
+    return e[..., :j].sum(-1), e[..., j:].sum(-1)
 
 
 def evaluate(spec: KnowledgeSpec, s: Summary, dominant_numerator: bool = False) -> _Evaluation:

@@ -65,7 +65,10 @@ def rng_stream(seed: int, purpose: int, index: int) -> np.random.Generator:
     b) of each block b = floor(t / ``_BLOCK``) of trial ids, and (seed, frame,
     t) of each trial t: this defines every one of them.  Every word must be
     non-negative, as SeedSequence requires of the seed and the purpose; a
-    negative index would wrap around the jump.
+    negative index would wrap around the jump.  A seed of 2**32 or more does
+    not get streams of its own: SeedSequence splits it into 32-bit words and
+    pads the key to four, so (2**32 + s, noise) pools as (s, amplitude) and
+    its noise is seed s's amplitude stream.  The CLI refuses such seeds.
     """
     if min(seed, purpose, index) < 0:
         raise ValueError("expected non-negative integer")
@@ -381,8 +384,11 @@ def draw_trials(
         a *= np.sqrt(variances[group] / 2.0)[:, None, None]
         if amplitudes is not None:
             gains = np.array([channels[idx].gain for idx in group])
-            r = np.stack([frames[idx][1] for idx in group])
-            a += gains[:, None, None] * (r @ amplitudes[:, None])
+            # One product per trial for the group's stacked R_l: one product
+            # over all trials would round a trial's columns by where they fall
+            # in the BLAS kernel's tiles, so by the trials beside it.
+            r = np.concatenate([frames[idx][1] for idx in group])
+            a += gains[:, None, None] * (r @ amplitudes).reshape(a.shape)
         for pos, idx in enumerate(group):
             coords[idx] = a[:, pos]
         if not factors:

@@ -369,6 +369,15 @@ def p23_composite_mp(channels: Sequence[ChannelModel], ms: MeasurementSet,
         return float(total - (mpmath.fsum(w) - max(w)))
 
 
+def split_mp(x, j: int, m: int, dps: int = 50) -> tuple[float, float]:
+    """The energies s^2 / M of the dominant J singular values of the matrix x
+    and of the rest, from the eigenvalues of x^H x in 50-digit arithmetic."""
+    with mpmath.workdps(dps):
+        x = _mp(x)
+        e = sorted(mpmath.eigh(x.H * x, eigvals_only=True), reverse=True)
+        return float(mpmath.fsum(e[:j]) / m), float(mpmath.fsum(e[j:]) / m)
+
+
 # -- fusion: group estimates and partition identities ----------------------
 
 def ml_amplitudes(f_whitened, z_whitened) -> np.ndarray:

@@ -489,6 +489,21 @@ class TestErrorsAndOverrides:
         assert out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "null"])
+    def test_seed_of_2_to_the_32_is_clean_error(self, tmp_path, capsys, command):
+        # Seed 2**32 + 5's noise stream would be seed 5's amplitude stream.
+        config = (simulate_config(tmp_path, out_name="out") if command == "simulate"
+                  else {"panel": "p11", "modes": 1, "channels": [channel_entry()],
+                        "snapshots": 4, "trials": 10, "seed": 1,
+                        "output": str(tmp_path / "out")})
+        cfg = write_config(tmp_path / "c.json", config)
+        assert main([command, "--config", cfg, "--set", f"seed={2**32}"]) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: config key 'seed' must be below 2**32, got {2**32}\n"
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+        assert main([command, "--config", cfg, "--set", f"seed={2**32 - 1}"]) == 0
+
     def test_missing_required_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {"seed": 1})
         assert main(["simulate", "--config", cfg]) == 1

@@ -20,6 +20,7 @@ from glrfusion import (
     detect,
     simulate,
 )
+from glrfusion import detectors
 from glrfusion.detectors import summarise
 from conftest import complex_normal, random_channel, random_instance
 from oracles import (
@@ -46,6 +47,7 @@ from oracles import (
     rank_one_pair_composite,
     rayleigh_extremes,
     sample_covariance,
+    split_mp,
     two_channel_cross_validation,
 )
 
@@ -715,6 +717,56 @@ class TestExtremeScales:
         chans, ms = make_instance(rng, panel, n_channels=2)
         with pytest.raises(ValueError, match="overflow"):
             detect(KnowledgeSpec.from_panel(panel), chans, ms.scaled([1e160, 1.0]))
+
+
+def stack_with_tails(rng, n, m, j, ratios):
+    """n x m matrices whose squared singular values beyond the J-th sum to
+    ratios[i] times the largest, over scales from 1e-3 to 1e5."""
+    out = []
+    for ratio, scale in zip(ratios, np.resize([1.0, 1e5, 1e-3], len(ratios))):
+        u = np.linalg.qr(complex_normal(rng, (n, m)))[0]
+        v = np.linalg.qr(complex_normal(rng, (m, m)))[0]
+        rest = rng.uniform(0.5, 1.0, m - j)
+        squares = np.concatenate([np.linspace(1.0, 0.8, j), ratio * rest / rest.sum()])
+        out.append(scale * (u * np.sqrt(squares)) @ v.conj().T)
+    return np.array(out)
+
+
+class TestGramSplit:
+    """Row 3 splits a tall matrix at J through its Gram eigenvalues, unless
+    its tail is at most _GRAM_RATIO of the largest, and then by SVD."""
+
+    @pytest.mark.parametrize("n, m, j", [(10, 8, 2), (36, 32, 4)])
+    def test_tails_just_above_the_bound_match_50_digit_split(self, rng, monkeypatch, n, m, j):
+        x = stack_with_tails(rng, n, m, j, detectors._GRAM_RATIO * np.array([1.001, 1.5, 4.0]))
+        monkeypatch.setattr(np.linalg, "svd", None)  # every matrix takes the Gram path
+        top, tail = detectors._split(x, j, m)
+        for k, matrix in enumerate(x):
+            expected = split_mp(matrix, j, m)
+            assert expected[1] > detectors._GRAM_RATIO * np.linalg.norm(matrix, 2) ** 2 / m
+            np.testing.assert_allclose((top[k], tail[k]), expected, rtol=1e-12, atol=0)
+
+    def test_mixed_batch_gives_each_matrix_its_own_split(self, rng):
+        ratios = detectors._GRAM_RATIO * np.array([10.0, 0.1, 1.001, 1e-6, 0.999, 1e-20])
+        x = stack_with_tails(rng, 10, 8, 2, ratios)
+        top, tail = detectors._split(x, 2, 8)
+        for k in range(len(x)):
+            alone = detectors._split(x[k:k + 1], 2, 8)
+            assert (top[k], tail[k]) == (alone[0][0], alone[1][0]), k
+
+    def test_tails_below_the_bound_are_the_svd_split(self, rng, monkeypatch):
+        ratios = detectors._GRAM_RATIO * np.array([0.999, 1e-3, 2.0, 1e-12, 1e-20, 5.0])
+        below = ratios < detectors._GRAM_RATIO
+        x = stack_with_tails(rng, 36, 32, 4, ratios)
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a) or svd(a, **kw))
+        top, tail = detectors._split(x, 4, 32)
+        assert len(calls) == 1  # one SVD, of the matrices below the bound
+        np.testing.assert_array_equal(calls[0], x[below])
+        e = svd(x[below], compute_uv=False) ** 2 / 32
+        np.testing.assert_array_equal(top[below], e[:, :4].sum(-1))
+        np.testing.assert_array_equal(tail[below], e[:, 4:].sum(-1))
+
 
 class TestReportShape:
     @pytest.mark.parametrize("panel", ALL_PANELS)

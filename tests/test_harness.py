@@ -1123,20 +1123,24 @@ class TestDrawMemo:
             summary.coords[0] *= 2.0
 
     def test_row_3_splits_each_chunk_once(self, monkeypatch):
-        # The channels' splits are the SVDs of (trials, L, K, M) stacks of
-        # factors; the stack of all channels, split per panel, has three axes.
-        shapes, real_svd = [], np.linalg.svd
+        # The channels' splits are the Gram eigenvalues of (trials, L, K, M)
+        # stacks of factors, K > M; the stack of all channels, split per
+        # panel, has three axes.  No tail is small enough to need an SVD.
+        shapes = {"eigvalsh": [], "svd": []}
 
-        def svd(a, *args, **kw):
-            shapes.append(a.shape)
-            return real_svd(a, *args, **kw)
+        def recording(name):
+            real = getattr(np.linalg, name)
+            return lambda a, *args, **kw: shapes[name].append(a.shape) or real(a, *args, **kw)
 
-        monkeypatch.setattr(np.linalg, "svd", svd)
+        for name in shapes:
+            monkeypatch.setattr(np.linalg, name, recording(name))
         scenario = mc_small_scenario()
         for panel in ("P31", "P32", "P33"):
             run_roc(round_spec(scenario, panel))
-        assert sum(len(shape) == 4 for shape in shapes) == 3  # the null and two alternatives
-        assert sum(len(shape) == 3 for shape in shapes) == 9
+        grams = shapes["eigvalsh"]
+        assert sum(len(shape) == 4 for shape in grams) == 3  # the null and two alternatives
+        assert sum(len(shape) == 3 for shape in grams) == 9
+        assert all(len(shape) == 2 for shape in shapes["svd"])  # only the channels' bases
 
     def test_a_kept_summary_still_gates_column_3(self, monkeypatch):
         # N_l = J leaves column 3 no residual: P31 keeps the chunk's summary,

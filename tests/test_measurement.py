@@ -345,6 +345,19 @@ class TestSubstreams:
                 for a, b in zip(getattr(got, field), getattr(want, field), strict=True):
                     np.testing.assert_array_equal(a, b[rows])
 
+    @pytest.mark.parametrize("j, m", [(1, 5), (2, 1), (2, 5), (4, 5), (4, 8)])
+    def test_signal_coordinates_do_not_depend_on_the_call(self, rng, j, m):
+        # A trial's g_l R_l A_t is the same bits alone as among 201 trials,
+        # at snapshot counts a BLAS kernel's tile does and does not divide.
+        channels = [random_channel(rng, n, j) for n in (j + 3, j + 6)]
+        trials = np.arange(201)
+        amps = amplitude_stack(j, m, 3.0, 5, trials)
+        chunk = draw_trials(channels, m, 5, trials, amps)
+        for t in (0, 1, 100, 200):
+            alone = draw_trials(channels, m, 5, [t], amps[t:t + 1])
+            for a, b in zip(alone.coords, chunk.coords, strict=True):
+                np.testing.assert_array_equal(a[0], b[t])
+
     @pytest.mark.parametrize("seed, trials", [(-1, list(range(16))), (3, [-1, *range(15)])])
     def test_negative_key_raises_like_rng_stream(self, rng, seed, trials):
         with pytest.raises(ValueError) as expected:
