@@ -70,11 +70,15 @@ _console_checks() {
   if grep -q "Traceback" escape.txt; then return 1; fi
 }
 
-# Column 3 fills the report's fusion statistics.
+# Column 3 fills the report's fusion statistics, on P13 and on P33. P33 reads
+# each block's Gram matrix, and the blocks of N = 8 samples by M = 4
+# snapshots are tall, so row 3's split takes its Gram eigenvalues.
 detect_smoke() (
   cd "${SMOKE_DIR:?run console_smoke first}"
   glrfusion detect --config detect.json data
   grep -q '"fusion_stats"' detect/report.json
+  glrfusion detect --config detect.json --set panel='"p33"' --set output='"detect_p33"' data
+  grep -q '"fusion_stats"' detect_p33/report.json
 )
 
 # Row 2 scores each cell in its channels' bases. P11 then scans 300 Doppler

@@ -159,6 +159,15 @@ def require_trace_normalized(h: np.ndarray) -> None:
         )
 
 
+def require_gain_and_noise(gain: complex, noise_variance: float, name: str = "") -> None:
+    """Raise ConfigError, its message led by ``name``, unless the gain is finite
+    (zero is allowed) and the noise variance finite and positive."""
+    if not (math.isfinite(noise_variance) and noise_variance > 0.0):
+        raise ConfigError(f"{name}noise_variance must be finite and positive, got {noise_variance}")
+    if not np.isfinite(gain):
+        raise ConfigError(f"{name}gain must be finite, got {gain}")
+
+
 def orthonormal_columns(h: np.ndarray) -> np.ndarray:
     """Whether H^H H = I_J to 1e-9, for h or for each matrix of a stack."""
     j = h.shape[-1]
@@ -190,8 +199,7 @@ class ChannelModel:
         object.__setattr__(self, "matrix", _read_only(h))
         object.__setattr__(self, "gain", complex(self.gain))
         object.__setattr__(self, "noise_variance", float(self.noise_variance))
-        if self.noise_variance <= 0:
-            raise ConfigError(f"noise_variance must be positive, got {self.noise_variance}")
+        require_gain_and_noise(self.gain, self.noise_variance)
         require_trace_normalized(h)
 
     @property

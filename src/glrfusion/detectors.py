@@ -14,12 +14,14 @@ Every panel reads channel l only through its :class:`Summary`: on rows 1
 (known coupling and gains) and 2 (known orthonormal coupling, unknown gains),
 with Q_l an orthonormal basis of the span of the coupling H_l, the J x J
 factor R_l = Q_l^H H_l, the coordinates a_l = Q_l^H X_l, the tail
-||X_l - Q_l a_l||^2 / M formed directly and the block energy E_l; on row 3
-(only the mode count J known), a factor F_l with F_l^H F_l = X_l^H X_l, which
-keeps every singular value of X_l: the triangular factor of X_l, or in the
-Monte-Carlo harness the drawn stack [a_l; T_l] (:func:`coordinate_summary`),
+||X_l - Q_l a_l||^2 / M formed directly and the block energy E_l =
+||a_l||^2 / M + tail_l; on row 3 (only the mode count J known), a factor F_l
+with F_l^H F_l = X_l^H X_l, which keeps every singular value of X_l: the
+block X_l itself, or in the Monte-Carlo harness the drawn stack [a_l; T_l],
 with the channel's energies inside and outside its dominant J-dimensional
-subspace, split once when the summary is built.
+subspace, split once when the summary is built.  One function,
+:func:`coordinate_summary`, forms every summary, so a data set and a
+Monte-Carlo trial with the same a_l, tail and Gram matrix get the same one.
 :func:`evaluate` evaluates a panel over a leading batch axis of hypotheses:
 :func:`detect` passes a batch of one, a delay/Doppler scan the cells of its
 grid, where a scanned coupling is D_N(nu) H_0 Phi(tau) with D_N and Phi
@@ -28,9 +30,10 @@ H_0 = Q_0 R_0: a cell changes R_l through the delay, and Q_l, a_l and the
 tail through the Doppler only; and the Monte-Carlo harness a chunk of
 trials, each with its own data.
 
-One rule gives every composite and cross-validation term: :func:`_split`
-divides the energy of a matrix into the part inside a subspace and the tail
-outside it, formed directly.  The composite is the energy of the stacked,
+One rule gives every composite and cross-validation term: the energy of a
+matrix divides into the part inside a subspace and the tail outside it,
+formed directly, in a basis (:func:`_coordinates`) or at a mode count
+(:func:`_split`).  The composite is the energy of the stacked,
 normalised data Z (blocks X_l / sqrt(v_l), v_l the squared data scale)
 inside the dominant subspace, and the cross-validation term is the tail of Z
 less the tails of the channels, so it never cancels energies of the size of
@@ -51,12 +54,11 @@ the signal.
   J-th singular value.  A tall factor or stack (more rows than M) takes its
   squared singular values as the eigenvalues of its M x M Gram matrix, or by
   SVD where its tail is too small for them (:func:`_split`).  The channels'
-  splits do not depend on the column, so
-  :func:`summarise` and :func:`coordinate_summary` form them once, and only
-  the stack's split is per panel.  The tail of A holds the channels' tails,
-  so cv = (tail(A) - sum_l tail(R_l) / v_l) / D.
+  splits do not depend on the column, so :func:`coordinate_summary` forms
+  them once, and only the stack's split is per panel.  The tail of A holds
+  the channels' tails, so cv = (tail(A) - sum_l tail(R_l) / v_l) / D.
 
-One rule per column, :func:`_column`, with E_l = ||X_l||^2 / M, E = sum E_l,
+One rule per column, :func:`_column`, with E_l the block energy, E = sum E_l,
 N_l the samples of channel l and N = sum N_l: known variances give
 alpha_l = 1/L, denominator L and data scale sigma_l; a common unknown
 variance gives E_l / E, E and no scale; per-channel unknown variances give
@@ -260,21 +262,6 @@ def check_channels(channels: Sequence[ChannelModel], dims: Sequence[int]) -> Non
             raise ConfigError(f"channel {idx} has {ch.n_modes} modes, expected {j}")
 
 
-def _checked_energies(channels: Sequence[ChannelModel], dims: list[int],
-                      energies) -> np.ndarray:
-    """Check the channels against the data; return the energies E_l = ||X_l||^2 / M, (B, L).
-
-    ``energies`` computes them, under an error state in which an overflow
-    raises here and not as a warning.
-    """
-    check_channels(channels, dims)
-    with np.errstate(over="ignore", invalid="ignore"):
-        energies = energies()
-    if not np.all(np.isfinite(energies)):
-        raise ValueError("data energy overflows float64")
-    return energies
-
-
 def _h(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
     return x.conj().swapaxes(-1, -2)
@@ -289,21 +276,21 @@ class Summary(NamedTuple):
     couplings over a delay x Doppler grid, its own among them, are
     D_N(nu) H_0 Phi(tau) with D_N and Phi unitary diagonals, so its one basis
     and factor serve every cell, rephased by D_N(nu) and Phi(tau).  Row 3
-    knows only the mode count J.  Its
-    coordinates are factors F_l of the blocks, F_l^H F_l = X_l^H X_l, so every
-    singular value is kept: the triangular factors of the blocks, or the
-    stacks [a_l; T_l] of :func:`coordinate_summary`, zero-padded to a common
-    height K, as zero rows leave F_l^H F_l as it is.  The channel constants
-    are shared by the whole batch, and so are the block energies of a batch
-    of hypotheses on one data set (a scan's cells) and the couplings of a
-    batch of data sets on one set of channels.
+    knows only the mode count J.  Its coordinates are factors F_l of the
+    blocks, F_l^H F_l = X_l^H X_l, so every singular value is kept: the
+    stacks [a_l; T_l] of :func:`coordinate_summary`, of which a block X_l is
+    the case a_l = X_l with an empty T_l, zero-padded to a common height K,
+    as zero rows leave F_l^H F_l as it is.  The channel constants are shared
+    by the whole batch, and so are the block energies of a batch of
+    hypotheses on one data set (a scan's cells) and the couplings of a batch
+    of data sets on one set of channels.
 
     The tails are each channel's energy outside its signal subspace: on
     rows 1 and 2 the span of Q_l, formed directly, and on row 3 the dominant
     J-dimensional subspace of F_l, from the squared singular values of the
     factor: the eigenvalues of F_l^H F_l for a factor taller than M, unless
-    its tail is too small for them, and by SVD for the square factors of
-    :func:`summarise` (:func:`_split`).
+    its tail is too small for them, and by SVD for a factor of at most M
+    rows (:func:`_split`).
     Row 3 also keeps the energy inside that subspace: both come from one
     split of the factors when the summary is built, which every column reads,
     so a summary shared by the panels of row 3 splits them once.
@@ -322,7 +309,7 @@ class Summary(NamedTuple):
     gains: np.ndarray  # (L,) g_l
     variances: np.ndarray  # (L,) sigma_l^2
     dims: np.ndarray  # (L,) N_l
-    energies: np.ndarray  # (B, L) or (1, L) E_l = ||X_l||^2 / M
+    energies: np.ndarray  # (B, L) or (1, L) E_l = ||a_l||^2 / M + tail_l = ||X_l||^2 / M
     coupling: np.ndarray | int  # (B or 1, L, J, J) R_l = Q_l^H H_l, or J on row 3
     coords: np.ndarray  # (B, L, J, M) a_l = Q_l^H X_l, or (B, L, K, M) F_l on row 3
     tails: np.ndarray  # (B, L) ||X_l - Q_l a_l||^2 / M, or outside the dominant J on row 3
@@ -367,37 +354,26 @@ def _known_couplings(spec: KnowledgeSpec, channels: Sequence[ChannelModel]
     return bases, np.array([ch.coupling for ch in channels])[None]
 
 
-def _summary(channels: Sequence[ChannelModel], dims: list[int], energies: np.ndarray,
-             coupling: np.ndarray | int, coords: np.ndarray,
-             tails: np.ndarray | None = None) -> Summary:
-    """The summary of ``coords``; on row 3 (an int ``coupling``) the tails and
-    the in-span energies are the split of each factor at J."""
-    signal = None
-    if isinstance(coupling, int):
-        signal, tails = _split(coords, coupling, coords.shape[-1])
-    return Summary(gains=np.array([ch.gain for ch in channels]),
-                   variances=np.array([ch.noise_variance for ch in channels]),
-                   dims=np.array(dims, dtype=float), energies=energies,
-                   coupling=coupling, coords=coords, tails=tails, signal=signal)
-
-
 def summarise(spec: KnowledgeSpec, channels: Sequence[ChannelModel],
               blocks: Sequence[np.ndarray]) -> Summary:
     """The summary of a panel's channels on B data sets.
 
     ``blocks`` holds each channel's (B, N_l, M) stack of blocks X_l, one
-    matrix per data set: :func:`detect` passes a stack of one.
+    matrix per data set: :func:`detect` passes a stack of one.  It is handed
+    to :func:`coordinate_summary` as each block's coordinates and tail in the
+    channel's basis on rows 1 and 2, and on row 3 in the identity frame:
+    a_l = X_l, a zero tail and an empty factor T_l.
     """
-    dims, m = [x.shape[-2] for x in blocks], blocks[0].shape[-1]
-    energies = _checked_energies(
-        channels, dims, lambda: np.stack([energy(x) for x in blocks], axis=-1) / m)
+    check_channels(channels, [x.shape[-2] for x in blocks])
+    batch, _, m = blocks[0].shape
     if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_SUBSPACE:
-        return _summary(channels, dims, energies, _mode_count(channels, dims, m),
-                        np.linalg.qr(_padded(blocks, m), mode="r"))
-    bases, coupling = _known_couplings(spec, channels)
-    coords, tails = zip(*(_coordinates(q, x, m) for q, x in zip(bases, blocks)))
-    return _summary(channels, dims, energies, coupling, np.stack(coords, axis=1),
-                    np.stack(tails, axis=-1))
+        empty = np.empty((batch, 0, m), dtype=complex)
+        return coordinate_summary(spec, channels, blocks, np.zeros((batch, len(blocks))),
+                                  [empty] * len(blocks))
+    bases, _ = _known_couplings(spec, channels)
+    with np.errstate(over="ignore", invalid="ignore"):  # coordinate_summary raises
+        coords, tails = zip(*(_coordinates(q, x, m) for q, x in zip(bases, blocks)))
+    return coordinate_summary(spec, channels, coords, np.stack(tails, axis=-1))
 
 
 def _padded(stacks: Sequence[np.ndarray], m: int) -> np.ndarray:
@@ -421,19 +397,30 @@ def coordinate_summary(spec: KnowledgeSpec, channels: Sequence[ChannelModel],
     :attr:`ChannelModel.basis`, and ``tails`` the (B, L) tails
     ||X_l - Q_l a_l||^2 / M.  Row 3 reads ``factors``, each channel's (B, r_l,
     M) T_l with X_l - Q_l a_l = V_l T_l for some orthonormal V_l: the stack
-    [a_l; T_l] has the Gram matrix X_l^H X_l, so it stands for the triangular
-    factor of X_l.  No block is formed.  The checks are those of
-    :func:`summarise`, with E_l = ||a_l||^2 / M + tail_l.
+    [a_l; T_l] has the Gram matrix X_l^H X_l, which is all row 3 reads, in
+    any frame Q_l, the identity (a_l = X_l, no tail) among them.  No block
+    is formed.  An energy E_l = ||a_l||^2 / M + tail_l that overflows
+    float64 raises ValueError.
     """
     dims, m = [ch.n_samples for ch in channels], coords[0].shape[-1]
-    energies = _checked_energies(
-        channels, dims, lambda: np.stack([energy(a) for a in coords], axis=-1) / m + tails)
+    check_channels(channels, dims)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        energies = np.stack([energy(a) for a in coords], axis=-1) / m + tails
+    if not np.all(np.isfinite(energies)):
+        raise ValueError("data energy overflows float64")
+    signal = None
     if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_SUBSPACE:
-        parts = [np.concatenate((a, t), axis=-2) for a, t in zip(coords, factors, strict=True)]
-        return _summary(channels, dims, energies, _mode_count(channels, dims, m),
-                        _padded(parts, m))
-    _, coupling = _known_couplings(spec, channels)
-    return _summary(channels, dims, energies, coupling, np.stack(coords, axis=1), tails)
+        coupling = _mode_count(channels, dims, m)
+        stacked = _padded([np.concatenate((a, t), axis=-2)
+                           for a, t in zip(coords, factors, strict=True)], m)
+        signal, tails = _split(stacked, coupling, m)
+    else:
+        _, coupling = _known_couplings(spec, channels)
+        stacked = np.stack(coords, axis=1)
+    return Summary(gains=np.array([ch.gain for ch in channels]),
+                   variances=np.array([ch.noise_variance for ch in channels]),
+                   dims=np.array(dims, dtype=float), energies=energies,
+                   coupling=coupling, coords=stacked, tails=tails, signal=signal)
 
 
 class _Column(NamedTuple):
@@ -534,28 +521,23 @@ def _report(spec: KnowledgeSpec, ev: _Evaluation) -> DetectorReport:
         fusion_stats=col.phi[0] if fused else None)
 
 
-def _split(x: np.ndarray, span: np.ndarray | int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Energy of x x^H / M inside a subspace and the energy outside it.
+def _split(x: np.ndarray, j: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The energies s^2 / M of x x^H inside its dominant J-dimensional subspace
+    and outside it.
 
-    ``span`` is an orthonormal basis Q or a mode count J.  With Q the energies
-    are ||Q^H x||^2 / M and the tail of :func:`_coordinates`.  With J they are
-    the dominant-J and remaining eigenvalues s^2 / M of x x^H.  A tall x (more
-    rows than columns) takes them from the eigenvalues of its smaller Gram
-    matrix x^H x, whose tail errs by about eps * s_1^2: each matrix whose tail
-    is at most ``_GRAM_RATIO`` s_1^2 takes its singular values instead, as
-    every wide or square x does.  x (and Q) may be stacks (..., n, k); the
-    energies then have the stack's shape.
+    A tall x (more rows than columns) takes them from the eigenvalues of its
+    smaller Gram matrix x^H x, whose tail errs by about eps * s_1^2: each
+    matrix whose tail is at most ``_GRAM_RATIO`` s_1^2 takes its singular
+    values instead, as every wide or square x does.  x may be a stack
+    (..., n, k); the energies then have the stack's shape.
     """
-    if not isinstance(span, int):
-        a, outside = _coordinates(span, x, m)
-        return energy(a) / m, outside
     if x.shape[-2] <= x.shape[-1]:
-        return _singular_split(x, span, m)
+        return _singular_split(x, j, m)
     e = np.linalg.eigvalsh(_h(x) @ x) / m  # ascending
-    top, tail = e[..., -span:].sum(-1), e[..., :-span].sum(-1)
+    top, tail = e[..., -j:].sum(-1), e[..., :-j].sum(-1)
     bad = ~(tail > _GRAM_RATIO * e[..., -1])  # also a nan
     if np.count_nonzero(bad):
-        top[bad], tail[bad] = _singular_split(x[bad], span, m)
+        top[bad], tail[bad] = _singular_split(x[bad], j, m)
     return top, tail
 
 
@@ -607,8 +589,9 @@ def evaluate(spec: KnowledgeSpec, s: Summary, dominant_numerator: bool = False) 
         # A shared coupling takes one basis, which every data set's split broadcasts.
         shared = s.coupling if len(s.coupling) == 1 else s.coupling[ok]
         coupling = (f[:, None, None] * shared).reshape(-1, n_ch * k, k)
-        top, rest = _split(whitened.reshape(-1, n_ch * k, m),
-                           orthonormal_basis(coupling, "composite channel"), m)
+        a, rest = _coordinates(orthonormal_basis(coupling, "composite channel"),
+                               whitened.reshape(-1, n_ch * k, m), m)
+        top = energy(a) / m
     composite, cv = np.full(batch, math.inf), np.zeros(batch)
     cv[ok] = rest / col.denominator[ok]
     composite[ok] = (np.vecdot(col.lam[ok], col.alphas[ok]) - cv[ok]

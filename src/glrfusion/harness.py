@@ -61,6 +61,7 @@ from .channel import (
     PropagationSpec,
     narrowband_channel,
     narrowband_factors,
+    require_gain_and_noise,
 )
 from .detectors import (
     ChannelKnowledge,
@@ -116,6 +117,8 @@ class Scenario:
         object.__setattr__(self, "gains", tuple(complex(g) for g in self.gains))
         object.__setattr__(self, "noise_variances",
                            tuple(float(v) for v in self.noise_variances))
+        for idx, (g, v) in enumerate(zip(self.gains, self.noise_variances)):
+            require_gain_and_noise(g, v, f"channel {idx} ")
 
     @property
     def n_channels(self) -> int:

@@ -165,8 +165,18 @@ class TestChannelModel:
 
     def test_requires_positive_noise(self, rng):
         h = normalize_channel(complex_normal(rng, (5, 2)))
-        with pytest.raises(ConfigError):
-            ChannelModel(matrix=h, gain=1.0, noise_variance=0.0)
+        for variance in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="^noise_variance must be finite and positive"):
+                ChannelModel(matrix=h, gain=1.0, noise_variance=variance)
+
+    @pytest.mark.parametrize("gain", [complex("nan"), complex("inf"), complex(0.0, float("-inf")),
+                                      complex(1.0, float("nan"))],
+                             ids=["nan", "inf", "imaginary-inf", "imaginary-nan"])
+    def test_requires_finite_gain(self, rng, gain):
+        h = normalize_channel(complex_normal(rng, (5, 2)))
+        with pytest.raises(ConfigError, match="^gain must be finite"):
+            ChannelModel(matrix=h, gain=gain, noise_variance=1.0)
+        assert ChannelModel(matrix=h, gain=0.0, noise_variance=1.0).gain == 0.0
 
     def test_narrowband_channel_is_orthonormal(self):
         ch = narrowband_channel(base_spec(doppler_hz=3.0), gain=2.0, noise_variance=0.5)

@@ -453,8 +453,9 @@ class TestErrorsAndOverrides:
         ("roc", "channels.0.gain=1e300", "gains"),
         ("roc", "pfa_targets=[1e-320]", "pfa"),
         ("calibrate", "pfa=1e-320", "pfa"),
+        ("roc", "channels.0.noise_variance=0", "noise_variance"),
     ], ids=["simulate-huge-snr", "simulate-huge-gain", "simulate-zero-gain", "roc-huge-snr",
-            "roc-huge-gain", "roc-subnormal-pfa", "calibrate-subnormal-pfa"])
+            "roc-huge-gain", "roc-subnormal-pfa", "calibrate-subnormal-pfa", "roc-zero-noise"])
     def test_out_of_range_scale_or_pfa_is_clean_error(self, tmp_path, capsys, command,
                                                       override, key):
         if command == "simulate":

@@ -767,6 +767,33 @@ class TestGramSplit:
         np.testing.assert_array_equal(top[below], e[:, :4].sum(-1))
         np.testing.assert_array_equal(tail[below], e[:, 4:].sum(-1))
 
+    @pytest.mark.parametrize("amplitude", [1.0, 100.0], ids=["gram", "svd"])
+    def test_summarise_splits_ragged_blocks(self, rng, monkeypatch, amplitude):
+        # Blocks of N_l = 6 <= M and N_l = 12 > M, zero-padded to one tall
+        # stack: at a normal amplitude both tails lie above the bound and
+        # come from Gram eigenvalues, at a loud one both lie below it and
+        # one SVD runs on the padded blocks themselves.
+        m, j = 8, 2
+        channels = [random_channel(rng, n, j) for n in (6, 12)]
+        amplitudes = amplitude * complex_normal(rng, (j, m))
+        blocks = [ch.gain * ch.matrix @ amplitudes
+                  + np.sqrt(ch.noise_variance / 2.0) * complex_normal(rng, (ch.n_samples, m))
+                  for ch in channels]
+        expected = [split_mp(x, j, m) for x in blocks]
+        loud = [tail <= detectors._GRAM_RATIO * np.linalg.norm(x, 2) ** 2 / m
+                for x, (_, tail) in zip(blocks, expected)]
+        assert loud == [amplitude > 1.0] * 2
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a) or svd(a, **kw))
+        s = summarise(KnowledgeSpec.from_panel("P33"), channels, [x[None] for x in blocks])
+        assert len(calls) == any(loud)
+        for idx, x in enumerate(blocks):
+            if loud[idx]:
+                np.testing.assert_array_equal(calls[0][idx, :len(x)], x)
+                assert not calls[0][idx, len(x):].any()
+            np.testing.assert_allclose((s.signal[0, idx], s.tails[0, idx]), expected[idx],
+                                       rtol=1e-12, atol=0)
+
 
 class TestReportShape:
     @pytest.mark.parametrize("panel", ALL_PANELS)
@@ -832,14 +859,14 @@ class TestPinned:
                                                                             rel=1e-12)
 
     def test_row_3_summary_splits_its_own_factors(self):
-        # Bit for bit the split evaluate took of the same factors, and the
-        # same summary for every column.
+        # Bit for bit the split of the summary's own stack, and the same
+        # summary for every column.
         channels, ms = pinned_instance()
         blocks = [x[None] for x in ms.blocks]
         s = summarise(KnowledgeSpec.from_panel("P31"), channels, blocks)
-        e = np.linalg.svd(s.coords, compute_uv=False) ** 2 / ms.n_snapshots
-        np.testing.assert_array_equal(s.signal, e[..., :2].sum(-1))
-        np.testing.assert_array_equal(s.tails, e[..., 2:].sum(-1))
+        signal, tails = detectors._split(s.coords, 2, ms.n_snapshots)
+        np.testing.assert_array_equal(s.signal, signal)
+        np.testing.assert_array_equal(s.tails, tails)
         for panel in ("P32", "P33"):
             other = summarise(KnowledgeSpec.from_panel(panel), channels, blocks)
             for field, value in zip(s._fields, other):

@@ -1002,6 +1002,15 @@ class TestScenario:
                            zip(scenario.gains, scenario.noise_variances)]) * scale**2
         assert implied == pytest.approx(10 ** (snr_db / 10), rel=1e-12)
 
+    @pytest.mark.parametrize("gain, variance, key", [
+        (1.0, 0.0, "noise_variance"), (1.0, -1.0, "noise_variance"),
+        (1.0, float("nan"), "noise_variance"), (complex("inf"), 1.0, "gain"),
+    ], ids=["zero-noise", "negative-noise", "nan-noise", "inf-gain"])
+    def test_rejects_bad_gain_or_noise_when_built(self, gain, variance, key):
+        scenario = two_channel_scenario()
+        with pytest.raises(ConfigError, match=f"^channel 1 {key} must be finite"):
+            dataclasses.replace(scenario, gains=(1.0, gain), noise_variances=(1.0, variance))
+
     def test_channels_are_orthonormal(self):
         for ch in two_channel_scenario().channels():
             assert ch.orthonormal
