@@ -26,11 +26,14 @@ console_smoke() {
 # start at the odd trial ids 201 and 402, inside a block, writes the same
 # bytes on one and on two worker processes, on P31 and on P33, whose
 # per-channel noise estimates come from the channels' split at J that row 3's
-# summary holds. So does P33 at 25 and 40 dB, where the signal leaves some
-# (25 dB) or all (40 dB) alternatives' tails too small for Gram eigenvalues,
-# and those trials' splits take singular values. An SNR whose amplitude scale
-# overflows exits 1 with an error line, and so does detect on a copy of the
-# data set whose header names a file outside its directory.
+# summary holds. So do P33 and P21 at 25 and 40 dB, where the signal leaves
+# some (25 dB) or all (40 dB) alternatives' tails too small for Gram
+# eigenvalues, and those trials' splits take singular values: row 3's tall
+# stacks on P33, row 2's wide L x JM stacks of matched outputs on P21, so a
+# chunk of one worker and the chunks of two mix the two splits differently.
+# An SNR whose amplitude scale overflows exits 1 with an error line, and so
+# does detect on a copy of the data set whose header names a file outside
+# its directory.
 _console_checks() {
   channels='[{"n_samples": 8, "carrier_hz": 1e6, "sample_period_s": 1e-3, "gain": 1.0, "noise_variance": 2.0},
              {"n_samples": 8, "carrier_hz": 1e6, "sample_period_s": 1e-3, "gain": 0.5, "noise_variance": 2.0}]'
@@ -53,6 +56,11 @@ _console_checks() {
   glrfusion roc --config roc.json --set panel='"p33"' --set snr_db='[25.0, 40.0]' \
     --set output='"roc_p33_loud_jobs2"' --jobs 2
   cmp roc_p33_loud/roc.csv roc_p33_loud_jobs2/roc.csv
+  glrfusion roc --config roc.json --set panel='"p21"' --set snr_db='[25.0, 40.0]' \
+    --set output='"roc_p21_loud"'
+  glrfusion roc --config roc.json --set panel='"p21"' --set snr_db='[25.0, 40.0]' \
+    --set output='"roc_p21_loud_jobs2"' --jobs 2
+  cmp roc_p21_loud/roc.csv roc_p21_loud_jobs2/roc.csv
   status=0
   glrfusion simulate --config simulate.json --set hypothesis='"h1"' --set snr_db=4000 \
     --set output='"huge_snr"' 2> huge_snr.txt || status=$?

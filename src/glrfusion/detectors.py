@@ -48,15 +48,18 @@ the signal.
 * Row 2 splits the L x JM stack of whitened matched outputs, row l
   vec(H_l^H X_l) / sqrt(v_l) with H_l^H X_l = R_l^H a_l, at one singular
   value, as an unknown gain leaves each channel one dimension: cv =
-  tail / D.  Over sqrt(M D) the stack is the fusion factor B of the report.
+  tail / D.  Over sqrt(M D) the stack is the fusion factor B of the report,
+  and the split reads the eigenvalues of the fusion form B B^H (L x L, or
+  B^H B where JM < L).
 * Row 3 is row 1 with the span given by J: each R_l and the stack
   A = [R_l / sqrt(v_l)], which has the singular values of Z, split at their
-  J-th singular value.  A tall factor or stack (more rows than M) takes its
-  squared singular values as the eigenvalues of its M x M Gram matrix, or by
-  SVD where its tail is too small for them (:func:`_split`).  The channels'
-  splits do not depend on the column, so :func:`coordinate_summary` forms
-  them once, and only the stack's split is per panel.  The tail of A holds
-  the channels' tails, so cv = (tail(A) - sum_l tail(R_l) / v_l) / D.
+  J-th singular value.  A factor or stack, tall (more rows than M), square
+  or wide, takes its squared singular values as the eigenvalues of its
+  smaller Gram matrix, or by SVD where its tail is too small for them
+  (:func:`_split`).  The channels' splits do not depend on the column, so
+  :func:`coordinate_summary` forms them once, and only the stack's split is
+  per panel.  The tail of A holds the channels' tails, so
+  cv = (tail(A) - sum_l tail(R_l) / v_l) / D.
 
 One rule per column, :func:`_column`, with E_l the block energy, E = sum E_l,
 N_l the samples of channel l and N = sum N_l: known variances give
@@ -88,16 +91,17 @@ from .measurement import MeasurementSet
 # absolute error of about eps * ||X||, so its relative error is
 # eps / sqrt(ratio); below (1e4 eps)^2 ~ 1e-24 it is no longer accurate to
 # 1e-4.  Noise-free data in the signal span measures about 1e-31, noisy data
-# at a signal amplitude of 1e8 about 1e-16.  Row 3's tails this small come
-# from singular values, never from Gram eigenvalues (_GRAM_RATIO), so they
-# keep that accuracy.
+# at a signal amplitude of 1e8 about 1e-16.  A split's tails this small, on
+# rows 2 and 3 alike, come from singular values, never from Gram eigenvalues
+# (_GRAM_RATIO), so they keep that accuracy.
 DEGENERACY_RTOL = 1e-24
 
-# A split at a mode count takes a tall matrix's energies from its Gram matrix
-# only where the tail outside the dominant J exceeds this fraction of the
-# largest eigenvalue: a Gram eigenvalue errs by about eps times the largest,
-# so the tail keeps a relative error below about 1e-13.  Smaller tails, among
-# them every tail near DEGENERACY_RTOL, come from the singular values.
+# A split at a mode count takes a matrix's energies from its smaller Gram
+# matrix only where the tail outside the dominant J exceeds this fraction of
+# the largest eigenvalue: a Gram eigenvalue errs by about eps times the
+# largest, so the tail keeps a relative error below about 1e-13.  Smaller
+# tails, among them every tail near DEGENERACY_RTOL, come from the singular
+# values, whatever the stack's shape.
 _GRAM_RATIO = 1e-2
 
 
@@ -288,9 +292,9 @@ class Summary(NamedTuple):
     The tails are each channel's energy outside its signal subspace: on
     rows 1 and 2 the span of Q_l, formed directly, and on row 3 the dominant
     J-dimensional subspace of F_l, from the squared singular values of the
-    factor: the eigenvalues of F_l^H F_l for a factor taller than M, unless
-    its tail is too small for them, and by SVD for a factor of at most M
-    rows (:func:`_split`).
+    factor: the eigenvalues of its smaller Gram matrix, F_l^H F_l for a
+    factor taller than M, unless its tail is too small for them, and then
+    by SVD (:func:`_split`).
     Row 3 also keeps the energy inside that subspace: both come from one
     split of the factors when the summary is built, which every column reads,
     so a summary shared by the panels of row 3 splits them once.
@@ -525,20 +529,25 @@ def _split(x: np.ndarray, j: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The energies s^2 / M of x x^H inside its dominant J-dimensional subspace
     and outside it.
 
-    A tall x (more rows than columns) takes them from the eigenvalues of its
-    smaller Gram matrix x^H x, whose tail errs by about eps * s_1^2: each
-    matrix whose tail is at most ``_GRAM_RATIO`` s_1^2 takes its singular
-    values instead, as every wide or square x does.  x may be a stack
-    (..., n, k); the energies then have the stack's shape.
+    They come from the eigenvalues of x's smaller Gram matrix
+    (:func:`_small_gram`), whose tail errs by about eps * s_1^2: each matrix
+    whose tail is at most ``_GRAM_RATIO`` s_1^2 takes its singular values
+    instead.  x may be a stack (..., n, k); the energies then have the
+    stack's shape.
     """
-    if x.shape[-2] <= x.shape[-1]:
-        return _singular_split(x, j, m)
-    e = np.linalg.eigvalsh(_h(x) @ x) / m  # ascending
+    e = np.linalg.eigvalsh(_small_gram(x)) / m  # ascending
     top, tail = e[..., -j:].sum(-1), e[..., :-j].sum(-1)
     bad = ~(tail > _GRAM_RATIO * e[..., -1])  # also a nan
     if np.count_nonzero(bad):
         top[bad], tail[bad] = _singular_split(x[bad], j, m)
     return top, tail
+
+
+def _small_gram(x: np.ndarray) -> np.ndarray:
+    """The Gram matrix of each matrix of x of side min(n, k): x x^H for a wide
+    x (fewer rows than columns), x^H x otherwise.  Both have the squared
+    singular values of x as eigenvalues."""
+    return x @ _h(x) if x.shape[-2] < x.shape[-1] else _h(x) @ x
 
 
 def _singular_split(x: np.ndarray, j: int, m: int) -> tuple[np.ndarray, np.ndarray]:

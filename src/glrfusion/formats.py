@@ -166,9 +166,12 @@ def _read_block(root: Path, name: str, n_rows: int, n_cols: int) -> np.ndarray:
     """The complex n_rows x n_cols matrix of the CSV file ``name`` that
     ``root``'s header names, which must be a plain file name in ``root``.
 
+    Blank lines are skipped.  Every field of the file goes through Python's
+    float in one pass, so a number reads as it does in Python, bit for bit.
     Raises DimensionError naming the file for a wrong count of rows or of
     fields in a row, and ConfigError naming the file and the row for a field
-    that is not a number or a file that is not UTF-8 text.
+    that is not a number (the rows are read one by one only to find it) or
+    a file that is not UTF-8 text.
     """
     if name in ("", ".", "..") or Path(name).name != name:
         raise ConfigError(f"{root / _HEADER_NAME} names {name!r}, "
@@ -178,18 +181,24 @@ def _read_block(root: Path, name: str, n_rows: int, n_cols: int) -> np.ndarray:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
-    rows = [line.split(",") for line in text.splitlines() if line.strip()]
-    if len(rows) != n_rows:
-        raise DimensionError(f"{path} has {len(rows)} rows, expected {n_rows}")
-    for i, fields in enumerate(rows):
-        if len(fields) != 2 * n_cols:
-            raise DimensionError(f"{path} row {i} has {len(fields)} fields, "
+    lines = [line for line in text.splitlines() if line.strip()]
+    if len(lines) != n_rows:
+        raise DimensionError(f"{path} has {len(lines)} rows, expected {n_rows}")
+    for i, line in enumerate(lines):
+        if line.count(",") + 1 != 2 * n_cols:
+            raise DimensionError(f"{path} row {i} has {line.count(',') + 1} fields, "
                                  f"expected {2 * n_cols}")
-        try:
-            rows[i] = [float(field) for field in fields]
-        except ValueError as exc:
-            raise ConfigError(f"{path} row {i}: {exc}") from exc
-    return np.array(rows, dtype=float).reshape(n_rows, 2 * n_cols).view(np.complex128)
+    fields = ",".join(lines).split(",") if lines else []  # "".split(",") is [""]
+    try:
+        values = np.fromiter(map(float, fields), dtype=float, count=len(fields))
+    except ValueError:
+        for i, line in enumerate(lines):
+            try:
+                list(map(float, line.split(",")))
+            except ValueError as exc:
+                raise ConfigError(f"{path} row {i}: {exc}") from exc
+        raise
+    return values.reshape(n_rows, 2 * n_cols).view(np.complex128)
 
 
 def measurement_files(measurements: MeasurementSet) -> dict[str, str]:

@@ -222,12 +222,12 @@ class TrialDraws(NamedTuple):
 @functools.lru_cache(maxsize=None)
 def _triangle(rank: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where a rank x M Bartlett factor's draws go in its flat row-major form:
-    the entries above the diagonal, in row-major order, and the diagonal;
-    and where the run of rank - 1 - i exponential draws of diagonal entry i
-    < rank - 1 starts, the runs consecutive in order."""
-    rows, cols = np.triu_indices(rank, 1, m)
+    a mask of the entries above the diagonal, and the indices of the
+    diagonal; and where the run of rank - 1 - i exponential draws of
+    diagonal entry i < rank - 1 starts, the runs consecutive in order."""
+    upper = np.triu(np.ones((rank, m), dtype=bool), 1).ravel()
     runs = np.arange(rank - 1, 0, -1)
-    indices = rows * m + cols, np.arange(rank) * (m + 1), np.cumsum(runs) - runs
+    indices = upper, np.arange(rank) * (m + 1), np.cumsum(runs) - runs
     for index in indices:  # shared by every caller
         index.flags.writeable = False
     return indices
@@ -245,7 +245,9 @@ def _bartlett(above: np.ndarray, gammas: np.ndarray, exps: np.ndarray, m: int) -
     rank = gammas.shape[-1]
     upper, diagonal, starts = _triangle(rank, m)
     factor = np.zeros(gammas.shape[:-1] + (rank * m,), dtype=complex)
-    factor[..., upper] = above * np.sqrt(0.5)
+    # A contiguous mask of the factor's full shape writes the entries in
+    # row-major order, as they were drawn, faster than an index on the last axis.
+    factor[np.broadcast_to(upper, factor.shape).copy()] = (above * np.sqrt(0.5)).ravel()
     squares = gammas.copy()
     if rank > 1:
         squares[..., :-1] += np.add.reduceat(exps, starts, axis=-1)

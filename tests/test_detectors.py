@@ -732,40 +732,88 @@ def stack_with_tails(rng, n, m, j, ratios):
     return np.array(out)
 
 
-class TestGramSplit:
-    """Row 3 splits a tall matrix at J through its Gram eigenvalues, unless
-    its tail is at most _GRAM_RATIO of the largest, and then by SVD."""
+def wide_or_square(rng, rows, cols, j, ratios):
+    """stack_with_tails of rows x cols matrices, also for fewer rows than
+    columns: then the conjugate transposes of cols x rows ones, whose x x^H
+    is the narrow matrix's Gram matrix."""
+    if rows >= cols:
+        return stack_with_tails(rng, rows, cols, j, ratios)
+    return detectors._h(stack_with_tails(rng, cols, rows, j, ratios))
 
-    @pytest.mark.parametrize("n, m, j", [(10, 8, 2), (36, 32, 4)])
-    def test_tails_just_above_the_bound_match_50_digit_split(self, rng, monkeypatch, n, m, j):
-        x = stack_with_tails(rng, n, m, j, detectors._GRAM_RATIO * np.array([1.001, 1.5, 4.0]))
+
+class TestGramSplit:
+    """Every stack splits at J through the eigenvalues of its smaller Gram
+    matrix, x x^H for a wide x (row 2's L x JM stack) and x^H x otherwise
+    (row 3's tall and square factors), unless its tail is at most
+    _GRAM_RATIO of the largest, and then by SVD."""
+
+    # Tall row-3 shapes, wide row-2 shapes (L, JM) split at one value, and a square one.
+    @pytest.mark.parametrize("rows, cols, j", [(10, 8, 2), (36, 32, 4), (2, 16, 1), (4, 32, 1),
+                                               (8, 8, 2)])
+    def test_tails_just_above_the_bound_match_50_digit_split(self, rng, monkeypatch,
+                                                             rows, cols, j):
+        x = wide_or_square(rng, rows, cols, j,
+                           detectors._GRAM_RATIO * np.array([1.001, 1.5, 4.0]))
         monkeypatch.setattr(np.linalg, "svd", None)  # every matrix takes the Gram path
-        top, tail = detectors._split(x, j, m)
+        top, tail = detectors._split(x, j, cols)
         for k, matrix in enumerate(x):
-            expected = split_mp(matrix, j, m)
-            assert expected[1] > detectors._GRAM_RATIO * np.linalg.norm(matrix, 2) ** 2 / m
+            # The oracle forms x^H x, so it reads the narrower orientation.
+            expected = split_mp(matrix if rows >= cols else detectors._h(matrix), j, cols)
+            assert expected[1] > detectors._GRAM_RATIO * np.linalg.norm(matrix, 2) ** 2 / cols
             np.testing.assert_allclose((top[k], tail[k]), expected, rtol=1e-12, atol=0)
 
-    def test_mixed_batch_gives_each_matrix_its_own_split(self, rng):
+    @staticmethod
+    def check_mixed_batch(rng, rows, cols, j):
         ratios = detectors._GRAM_RATIO * np.array([10.0, 0.1, 1.001, 1e-6, 0.999, 1e-20])
-        x = stack_with_tails(rng, 10, 8, 2, ratios)
-        top, tail = detectors._split(x, 2, 8)
+        x = wide_or_square(rng, rows, cols, j, ratios)
+        top, tail = detectors._split(x, j, 8)
         for k in range(len(x)):
-            alone = detectors._split(x[k:k + 1], 2, 8)
+            alone = detectors._split(x[k:k + 1], j, 8)
             assert (top[k], tail[k]) == (alone[0][0], alone[1][0]), k
 
-    def test_tails_below_the_bound_are_the_svd_split(self, rng, monkeypatch):
+    def test_mixed_batch_gives_each_matrix_its_own_split(self, rng):
+        self.check_mixed_batch(rng, 10, 8, 2)
+
+    def test_mixed_wide_batch_gives_each_matrix_its_own_split(self, rng):
+        self.check_mixed_batch(rng, 4, 32, 1)
+
+    @staticmethod
+    def check_svd_below_the_bound(rng, monkeypatch, rows, cols, j):
         ratios = detectors._GRAM_RATIO * np.array([0.999, 1e-3, 2.0, 1e-12, 1e-20, 5.0])
         below = ratios < detectors._GRAM_RATIO
-        x = stack_with_tails(rng, 36, 32, 4, ratios)
+        x = wide_or_square(rng, rows, cols, j, ratios)
         calls, svd = [], np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a) or svd(a, **kw))
-        top, tail = detectors._split(x, 4, 32)
+        top, tail = detectors._split(x, j, 32)
         assert len(calls) == 1  # one SVD, of the matrices below the bound
         np.testing.assert_array_equal(calls[0], x[below])
         e = svd(x[below], compute_uv=False) ** 2 / 32
-        np.testing.assert_array_equal(top[below], e[:, :4].sum(-1))
-        np.testing.assert_array_equal(tail[below], e[:, 4:].sum(-1))
+        np.testing.assert_array_equal(top[below], e[:, :j].sum(-1))
+        np.testing.assert_array_equal(tail[below], e[:, j:].sum(-1))
+
+    def test_tails_below_the_bound_are_the_svd_split(self, rng, monkeypatch):
+        self.check_svd_below_the_bound(rng, monkeypatch, 36, 32, 4)
+
+    def test_wide_tails_below_the_bound_are_the_svd_split(self, rng, monkeypatch):
+        self.check_svd_below_the_bound(rng, monkeypatch, 4, 32, 1)
+
+    @pytest.mark.parametrize("panel", ["P21", "P22", "P23"])
+    def test_row_2_at_a_normal_amplitude_takes_no_svd(self, rng, monkeypatch, panel):
+        # Row 2's (B, L, JM) stack of matched outputs is wide, and at a normal
+        # amplitude every tail lies above the bound: evaluate runs no SVD.
+        m, j, batch = 8, 2, 5
+        channels = [random_channel(rng, n, j, orthonormal=True) for n in (6, 9, 12)]
+        amplitudes = complex_normal(rng, (batch, j, m))
+        blocks = [ch.gain * ch.matrix @ amplitudes + np.sqrt(ch.noise_variance / 2.0)
+                  * complex_normal(rng, (batch, ch.n_samples, m)) for ch in channels]
+        spec = KnowledgeSpec.from_panel(panel)
+        s = summarise(spec, channels, blocks)
+        expected = detectors.evaluate(spec, s)
+        monkeypatch.setattr(np.linalg, "svd", None)
+        ev = detectors.evaluate(spec, s)
+        assert ev.col.resolved.all()
+        np.testing.assert_array_equal(ev.composite, expected.composite)
+        np.testing.assert_array_equal(ev.cross_validation, expected.cross_validation)
 
     @pytest.mark.parametrize("amplitude", [1.0, 100.0], ids=["gram", "svd"])
     def test_summarise_splits_ragged_blocks(self, rng, monkeypatch, amplitude):

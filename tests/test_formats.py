@@ -168,3 +168,56 @@ def test_a_file_that_is_not_utf8_is_named(tmp_path, kind):
     path.write_bytes(b"\xff" + path.read_bytes())
     with pytest.raises(ConfigError, match=re.escape(f"{path} is not UTF-8 text")):
         load(root)
+
+
+def test_extreme_values_round_trip_bit_exactly(rng, tmp_path):
+    # Signed zeros, the smallest subnormal, the largest finite values and
+    # random 17-digit values: one parse of the file gives every bit back.
+    extremes = np.array([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                         -1.7976931348623157e308])
+    randoms = rng.standard_normal(58) * 10.0 ** rng.integers(-300, 300, 58)
+    block = np.concatenate([extremes, randoms]).view(np.complex128).reshape(4, 8)
+    (loaded,) = load_measurements(save_measurements(MeasurementSet((block,)),
+                                                    tmp_path / "d")).blocks
+    assert loaded.view(np.float64).tobytes() == block.view(np.float64).tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_field_that_is_not_a_number_in_the_last_row_names_that_row(tmp_path, kind):
+    root, load = save(kind, tmp_path / "d")
+    path = named_file(root, kind)
+    first, last = path.read_text().splitlines()
+    path.write_text(f"{first}\n{last.rsplit(',', 1)[0]},1.5x\n")
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{path} row 1: could not convert string to float: '1.5x'")):
+        load(root)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_blank_lines_are_skipped(tmp_path, kind):
+    root, load = save(kind, tmp_path / "d")
+    path = named_file(root, kind)
+    first, last = path.read_text().splitlines()
+    path.write_text(f"\n{first}\n  \n\n{last}\n\n")
+    loaded = load(root)
+    arrays = loaded.blocks[:1] if kind == "block" else (loaded[0].factor, loaded[0].coordinates)
+    for got, saved in zip(arrays, BLOCKS[:1] if kind == "block" else (FACTOR, COORDINATES)):
+        np.testing.assert_array_equal(got, saved)
+
+
+@pytest.mark.parametrize("j, m, message", [
+    (0, 3, "message coordinates are empty: (J, M) = (0, 3)"),
+    (2, 0, "message_00_coordinates.csv has 0 rows, expected 2"),
+], ids=["zero-rows", "zero-columns"])
+def test_empty_message_blocks_keep_their_errors(tmp_path, j, m, message):
+    # A message of J = 0 modes has empty files and fails on its empty
+    # coordinates; one of M = 0 snapshots has no row to hold J of them.
+    root, load = save("coordinates", tmp_path / "d")
+    header = json.loads((root / "header.json").read_text())
+    entry = header["messages"][0]
+    entry["n_modes"], entry["n_snapshots"] = j, m
+    (root / "header.json").write_text(json.dumps(header))
+    for field in ["factor", "coordinates"] if j == 0 else ["coordinates"]:
+        (root / entry[field]).write_text("")
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        load(root)

@@ -134,6 +134,30 @@ class TestRotatedDraws:
             np.testing.assert_allclose(x - noise, ch.gain * (ch.matrix @ amps), rtol=0,
                                        atol=1e-13)
 
+    @pytest.mark.parametrize("lead, rank, m", [((2, 3), 4, 6), ((5,), 1, 3), ((), 3, 3)])
+    def test_bartlett_factor_places_each_draw(self, rng, lead, rank, m):
+        # Entry by entry: the draws above the diagonal in row-major order,
+        # scaled to CN(0, 1), zeros below it, and diagonal entry i the root of
+        # gammas[i] plus its run of rank - 1 - i exponentials.
+        n_above = rank * m - rank * (rank + 1) // 2
+        above = complex_normal(rng, lead + (n_above,))
+        gammas = rng.gamma(3.0, size=lead + (rank,))
+        exps = rng.exponential(size=lead + (rank * (rank - 1) // 2,))
+        factor = measurement._bartlett(above, gammas, exps, m)
+        assert factor.shape == lead + (rank, m)
+        for idx in np.ndindex(lead):
+            expected = np.zeros((rank, m), dtype=complex)
+            draws, runs = iter(above[idx]), iter(exps[idx])
+            for i in range(rank):
+                expected[i, i + 1:] = [next(draws) * np.sqrt(0.5) for _ in range(i + 1, m)]
+                expected[i, i] = np.sqrt(gammas[idx][i] + sum(next(runs)
+                                                              for _ in range(rank - 1 - i)))
+            off = ~np.eye(rank, m, dtype=bool)
+            np.testing.assert_array_equal(factor[idx][off], expected[off])
+            # The exponentials' sums may round in another order.
+            np.testing.assert_allclose(np.diagonal(factor[idx]), np.diagonal(expected),
+                                       rtol=1e-15, atol=0)
+
     def test_tail_and_coordinate_laws(self, rng):
         # On ragged channels tail_l M / sigma_l^2 ~ Gamma((N_l - J) M, 1) and
         # ||a_l||^2 / sigma_l^2 ~ Gamma(J M, 1) under the null; N_l = J leaves
