@@ -33,7 +33,7 @@ console_smoke() {
 # chunk of one worker and the chunks of two mix the two splits differently.
 # An SNR whose amplitude scale overflows exits 1 with an error line, and so
 # does detect on a copy of the data set whose header names a file outside
-# its directory.
+# its directory, and on a copy whose first .npy block lost its last byte.
 _console_checks() {
   channels='[{"n_samples": 8, "carrier_hz": 1e6, "sample_period_s": 1e-3, "gain": 1.0, "noise_variance": 2.0},
              {"n_samples": 8, "carrier_hz": 1e6, "sample_period_s": 1e-3, "gain": 0.5, "noise_variance": 2.0}]'
@@ -76,17 +76,46 @@ _console_checks() {
   test "$status" -eq 1
   grep -q "^error: .*header\.json" escape.txt
   if grep -q "Traceback" escape.txt; then return 1; fi
+  cp -r data truncated
+  python -c "import pathlib; p = pathlib.Path('truncated/block_00.npy'); p.write_bytes(p.read_bytes()[:-1])"
+  status=0
+  glrfusion detect --config detect.json truncated 2> truncated.txt || status=$?
+  test "$status" -eq 1
+  grep -q "^error: .*block_00\.npy holds" truncated.txt
+  if grep -q "Traceback" truncated.txt; then return 1; fi
 }
 
 # Column 3 fills the report's fusion statistics, on P13 and on P33. P33 reads
 # each block's Gram matrix, and the blocks of N = 8 samples by M = 4
-# snapshots are tall, so row 3's split takes its Gram eigenvalues.
+# snapshots are tall, so row 3's split takes its Gram eigenvalues. A copy of
+# the data set in the CSV form of version 1 gives the same report bytes as
+# simulate's .npy blocks.
 detect_smoke() (
   cd "${SMOKE_DIR:?run console_smoke first}"
   glrfusion detect --config detect.json data
   grep -q '"fusion_stats"' detect/report.json
   glrfusion detect --config detect.json --set panel='"p33"' --set output='"detect_p33"' data
   grep -q '"fusion_stats"' detect_p33/report.json
+  python - <<'PY'
+import json
+import pathlib
+
+import numpy as np
+
+src, dst = pathlib.Path("data"), pathlib.Path("data_csv")
+dst.mkdir()
+header = json.loads((src / "header.json").read_text())
+names = []
+for i, name in enumerate(header["blocks"]):
+    names.append(f"block_{i:02d}.csv")
+    rows = np.load(src / name).view(np.float64).tolist()
+    (dst / names[-1]).write_text("".join(",".join(map("{:.17g}".format, row)) + "\n"
+                                         for row in rows))
+(dst / "header.json").write_text(json.dumps({**header, "version": 1, "blocks": names}))
+PY
+  glrfusion detect --config detect.json --set output='"detect_csv"' data_csv
+  cmp detect/report.csv detect_csv/report.csv
+  cmp detect/report.json detect_csv/report.json
 )
 
 # Row 2 scores each cell in its channels' bases. P11 then scans 300 Doppler

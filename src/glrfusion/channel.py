@@ -97,19 +97,30 @@ def narrowband_factors(spec: PropagationSpec, delays_s,
     s = t0 + tau and Phi(tau) = e^{-i2pi f_c s} D_J(s / T), is
     ``doppler[b][:, None] * V * delay[a]`` for the grid cell (delays_s[a],
     dopplers_hz[b]): ``doppler`` (n_doppler, N) holds the diagonals of
-    D_N(nu Ts) and ``delay`` (n_delay, J) those of Phi(tau).  Both are
-    unitary diagonals, so every cell is one matrix V rephased on either
-    side: its column span depends on the Doppler alone, and a basis Q_0 of V
-    gives every cell the basis D_N(nu Ts) Q_0.  Raises ValueError for a delay
-    or Doppler whose phases are not finite.
+    D_N(nu Ts) (:func:`doppler_factors`) and ``delay`` (n_delay, J) those of
+    Phi(tau) (:func:`delay_factors`).  Both are unitary diagonals, so every
+    cell is one matrix V rephased on either side: its column span depends
+    on the Doppler alone, and a basis Q_0 of V gives every cell the basis
+    D_N(nu Ts) Q_0.  Raises ValueError for a delay or Doppler whose phases
+    are not finite.
     """
+    delay = delay_factors(spec, delays_s)
+    return doppler_factors(spec, dopplers_hz), delay
+
+
+def delay_factors(spec: PropagationSpec, delays_s) -> np.ndarray:
+    """The (n_delay, J) diagonals of Phi(tau) = e^{-i2pi f_c s} D_J(s / T), s = t0 + tau."""
     shift = spec.clock_offset_s + np.asarray(delays_s, dtype=float)[:, None]
-    nu = np.asarray(dopplers_hz, dtype=float)[:, None]
     _require_finite_phases("delay", shift, spec.carrier_hz + spec.n_modes / spec.duration_s)
+    return (np.exp(-2j * np.pi * spec.carrier_hz * shift)
+            * modulation_phases(spec.n_modes, shift / spec.duration_s))
+
+
+def doppler_factors(spec: PropagationSpec, dopplers_hz) -> np.ndarray:
+    """The (n_doppler, N) diagonals of D_N(nu Ts), which depend on N and Ts alone."""
+    nu = np.asarray(dopplers_hz, dtype=float)[:, None]
     _require_finite_phases("Doppler", nu, spec.n_samples * spec.sample_period_s)
-    delay = (np.exp(-2j * np.pi * spec.carrier_hz * shift)
-             * modulation_phases(spec.n_modes, shift / spec.duration_s))
-    return modulation_phases(spec.n_samples, nu * spec.sample_period_s), delay
+    return modulation_phases(spec.n_samples, nu * spec.sample_period_s)
 
 
 def _require_finite_phases(name: str, values: np.ndarray, cycles_per_unit: float) -> None:

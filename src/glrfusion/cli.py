@@ -8,7 +8,10 @@ manifest echoing the fully-resolved config (plus seed, versions, platform,
 BLAS thread settings and wall time) as the last of its outputs.  Every file,
 data and message sets included, is written atomically
 (write-temp-then-rename) by :func:`glrfusion.formats.write_files`, and
-``simulate``'s data set appears by one directory rename.  Diagnostics go to
+``simulate``'s data set appears by one directory rename.  ``simulate``
+writes a data set of version 2, one ``.npy`` file per channel block;
+``detect`` and ``scan`` read version 2 and version 1, whose blocks are CSV
+files (:func:`glrfusion.formats.load_measurements`).  Diagnostics go to
 stderr; the exit status is 0 exactly when no error occurred.
 """
 
@@ -387,9 +390,14 @@ def _cmd_scan(config: dict, args, started: float) -> int:
     panel = KnowledgeSpec.from_panel(config["panel"])
     image = scan_likelihood_image(panel, scenario, ms, config["delays_s"], config["dopplers_hz"],
                                   scan_channels=config.get("scan_channels"))
-    rows = [(tau, nu, image.values[a, b], int((a, b) == image.argmax_index))
-            for a, tau in enumerate(image.delays_s) for b, nu in enumerate(image.dopplers_hz)]
-    csv = csv_text("delay_s,doppler_hz,statistic,is_argmax", rows)
+    # Each distinct delay and Doppler is formatted once, and the statistics by column.
+    dopplers = [float_text(nu) for nu in image.dopplers_hz.tolist()]
+    cells = [f"{tau},{nu}" for tau in map(float_text, image.delays_s.tolist()) for nu in dopplers]
+    rows = [f"{cell},{stat},0"
+            for cell, stat in zip(cells, map(float_text, image.values.ravel().tolist()))]
+    argmax = image.argmax_index[0] * len(dopplers) + image.argmax_index[1]
+    rows[argmax] = rows[argmax][:-1] + "1"
+    csv = "\n".join(["delay_s,doppler_hz,statistic,is_argmax", *rows, ""])
     _write_outputs(config["output"], "scan", config, started, {"scan.csv": csv}, {
         "argmax_delay_s": image.argmax_delay_s,
         "argmax_doppler_hz": image.argmax_doppler_hz,

@@ -532,12 +532,16 @@ def _split(x: np.ndarray, j: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     They come from the eigenvalues of x's smaller Gram matrix
     (:func:`_small_gram`), whose tail errs by about eps * s_1^2: each matrix
     whose tail is at most ``_GRAM_RATIO`` s_1^2 takes its singular values
-    instead.  x may be a stack (..., n, k); the energies then have the
-    stack's shape.
+    instead.  Where min(n, k) <= J the tail is exactly 0 either way, and only
+    a matrix whose energy is not finite takes them.  x may be a stack (...,
+    n, k); the energies then have the stack's shape.
     """
     e = np.linalg.eigvalsh(_small_gram(x)) / m  # ascending
     top, tail = e[..., -j:].sum(-1), e[..., :-j].sum(-1)
-    bad = ~(tail > _GRAM_RATIO * e[..., -1])  # also a nan
+    if e.shape[-1] <= j:
+        bad = ~np.isfinite(top)
+    else:
+        bad = ~(tail > _GRAM_RATIO * e[..., -1])  # also a nan
     if np.count_nonzero(bad):
         top[bad], tail[bad] = _singular_split(x[bad], j, m)
     return top, tail

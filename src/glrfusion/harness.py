@@ -59,6 +59,8 @@ import numpy as np
 from .channel import (
     ChannelModel,
     PropagationSpec,
+    delay_factors,
+    doppler_factors,
     narrowband_channel,
     narrowband_factors,
     require_gain_and_noise,
@@ -584,13 +586,14 @@ def _chunks(count: int, entries_each: int, at_least: int = 1, start: int = 0,
 
 
 def _doppler_bank(channel: ChannelModel, spec: PropagationSpec, x: np.ndarray,
-                  delays: np.ndarray, dopplers: np.ndarray):
+                  delays: np.ndarray, doppler: np.ndarray):
     """A scanned channel's coupling factors on every delay, and its
     coordinates and tails on every Doppler bin.
 
     Every cell is H(tau, nu) = D_N(nu Ts) H_0 Phi(tau) with D_N and Phi
     unitary diagonals (``channel.narrowband_factors``), and so is the
-    channel's own coupling H_b = Q_b R_b at its base (tau_b, nu_b).  One basis
+    channel's own coupling H_b = Q_b R_b at its base (tau_b, nu_b); ``doppler``
+    holds the diagonals of D_N(nu Ts) on the grid's bins.  One basis
     serves the whole grid: Q(nu) = E(nu) Q_b and R(tau) = R_b Phi(tau_b)^H
     Phi(tau), with E(nu) = D_N(nu Ts) D_N(nu_b Ts)^H, so bin nu's coordinates
     and tail are those of the demodulated block E(nu)^H X in Q_b, formed in
@@ -601,16 +604,16 @@ def _doppler_bank(channel: ChannelModel, spec: PropagationSpec, x: np.ndarray,
     2), which ``summarise`` checks on H_b.
     """
     n, m = x.shape
-    doppler, delay = narrowband_factors(spec, delays, dopplers)
+    n_doppler = len(doppler)
     base_doppler, base_delay = narrowband_factors(spec, [spec.delay_s], [spec.doppler_hz])
     demodulate = doppler.conj() * base_doppler
     q = channel.basis
     qh = q.conj().T
-    coords = np.empty((dopplers.size, channel.n_modes, m), dtype=complex)
-    tails = np.empty(dopplers.size)
+    coords = np.empty((n_doppler, channel.n_modes, m), dtype=complex)
+    tails = np.empty(n_doppler)
     per_block = max(1, _BANK_ENTRIES // (n * m))
-    y_buf, fit_buf = np.empty((2, min(per_block, dopplers.size), n, m), dtype=complex)
-    for lo in range(0, dopplers.size, per_block):
+    y_buf, fit_buf = np.empty((2, min(per_block, n_doppler), n, m), dtype=complex)
+    for lo in range(0, n_doppler, per_block):
         part = slice(lo, lo + per_block)
         a = coords[part]
         y, fit = y_buf[:len(a)], fit_buf[:len(a)]
@@ -618,7 +621,8 @@ def _doppler_bank(channel: ChannelModel, spec: PropagationSpec, x: np.ndarray,
         np.matmul(qh, y, out=a)
         np.subtract(y, np.matmul(q, a, out=fit), out=y)
         tails[part] = energy(y) / m
-    return channel.coupling * (base_delay.conj() * delay)[:, None, :], coords, tails
+    return (channel.coupling * (base_delay.conj() * delay_factors(spec, delays))[:, None, :],
+            coords, tails)
 
 
 def scan_likelihood_image(
@@ -660,8 +664,15 @@ def scan_likelihood_image(
     scanned = _scan_indices(scan_channels, scenario.n_channels)
     channels = scenario.channels()
     base = summarise(panel, channels, [x[None] for x in measurements.blocks])
-    banks = {idx: _doppler_bank(channels[idx], scenario.specs[idx], measurements.block(idx),
-                                delays, dopplers) for idx in scanned}
+    banks, tables = {}, {}
+    for idx in scanned:
+        # D_N(nu Ts) depends on N and Ts alone, so channels that share them share its table.
+        spec = scenario.specs[idx]
+        key = spec.n_samples, spec.sample_period_s
+        if key not in tables:
+            tables[key] = doppler_factors(spec, dopplers)
+        banks[idx] = _doppler_bank(channels[idx], spec, measurements.block(idx), delays,
+                                   tables[key])
     _, n_ch, j, m = base.coords.shape
     values = np.empty(delays.size * dopplers.size)
     for part in _chunks(values.size, n_ch * j * (j + m)):

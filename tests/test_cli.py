@@ -5,12 +5,15 @@ from __future__ import annotations
 import json
 import os
 import platform
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from glrfusion import load_measurements
 from glrfusion.cli import main
+from conftest import BAD_NPY_BLOCKS, save_csv_measurements
 
 
 def write_config(path, payload):
@@ -48,8 +51,8 @@ class TestSimulate:
         cfg = write_config(tmp_path / "c.json", simulate_config(tmp_path))
         assert main(["simulate", "--config", cfg]) == 0
         out = tmp_path / "data"
-        assert (out / "header.json").exists()
-        assert (out / "block_00.csv").exists()
+        assert json.loads((out / "header.json").read_text())["version"] == 2
+        assert (out / "block_00.npy").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert manifest["config"]["seed"] == 7
@@ -72,8 +75,8 @@ class TestSimulate:
         cfg_b = write_config(tmp_path / "b.json", simulate_config(tmp_path, "run_b"))
         assert main(["simulate", "--config", cfg_a]) == 0
         assert main(["simulate", "--config", cfg_b]) == 0
-        a = (tmp_path / "run_a" / "block_00.csv").read_bytes()
-        b = (tmp_path / "run_b" / "block_00.csv").read_bytes()
+        a = (tmp_path / "run_a" / "block_00.npy").read_bytes()
+        b = (tmp_path / "run_b" / "block_00.npy").read_bytes()
         assert a == b
 
     def test_existing_nonempty_output_rejected(self, tmp_path, capsys):
@@ -178,13 +181,8 @@ class TestDetect:
 
         # scale every stored entry by 3 and re-detect
         data_dir = tmp_path / "data"
-        for name in ("block_00.csv",):
-            rows = (data_dir / name).read_text().strip().splitlines()
-            scaled = "\n".join(
-                ",".join("{:.17g}".format(3.0 * float(tok)) for tok in row.split(","))
-                for row in rows
-            )
-            (data_dir / name).write_text(scaled + "\n")
+        for name in ("block_00.npy",):
+            np.save(data_dir / name, 3.0 * np.load(data_dir / name))
         assert main(["detect", "--config", cfg, str(tmp_path / "data")]) == 0
         scaled_record = json.loads(capsys.readouterr().out)
         assert scaled_record["composite"] == pytest.approx(
@@ -241,7 +239,8 @@ class TestDetect:
 
     def test_block_field_that_is_not_a_number_is_clean_error(self, tmp_path, capsys):
         sim_cfg = self.make_data(tmp_path)
-        block = tmp_path / "data" / "block_00.csv"
+        save_csv_measurements(load_measurements(tmp_path / "data"), tmp_path / "csv")
+        block = tmp_path / "csv" / "block_00.csv"
         rows = block.read_text().splitlines()
         rows[2] = "abc," + rows[2].split(",", 1)[1]
         block.write_text("\n".join(rows) + "\n")
@@ -250,10 +249,50 @@ class TestDetect:
             "modes": 1,
             "channels": sim_cfg["channels"],
         })
-        assert main(["detect", "--config", cfg, str(tmp_path / "data")]) == 1
+        assert main(["detect", "--config", cfg, str(tmp_path / "csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{block} row 2:" in err and "'abc'" in err
         assert err.strip().count("\n") == 0
+
+    @pytest.mark.parametrize("case", BAD_NPY_BLOCKS)
+    def test_bad_npy_block_is_clean_error(self, tmp_path, capsys, case):
+        sim_cfg = self.make_data(tmp_path, channels=[channel_entry(), channel_entry(n=6)])
+        block = tmp_path / "data" / "block_01.npy"
+        rewrite, _, pattern = BAD_NPY_BLOCKS[case]
+        rewrite(block, np.load(block))
+        cfg = write_config(tmp_path / "det.json", {
+            "panel": "p11",
+            "modes": 1,
+            "channels": sim_cfg["channels"],
+        })
+        assert main(["detect", "--config", cfg, str(tmp_path / "data")]) == 1
+        err = capsys.readouterr().err
+        assert re.match("error: " + re.escape(str(block)) + " " + pattern, err), err
+        assert err.strip().count("\n") == 0
+
+    @pytest.mark.parametrize("panel", ["p11", "p21", "p33"])
+    def test_csv_and_npy_data_sets_give_the_same_bytes(self, tmp_path, capsys, panel):
+        # One data set saved as .npy blocks (simulate) and as CSV blocks.
+        channels = [channel_entry(), channel_entry(n=6, gain=0.5, doppler_hz=40.0)]
+        self.make_data(tmp_path, channels=channels, modes=2, snr_db=5.0, snapshots=6)
+        save_csv_measurements(load_measurements(tmp_path / "data"), tmp_path / "csv")
+        outputs = {}
+        for form in ("data", "csv"):
+            cfg = write_config(tmp_path / f"det_{form}.json", {
+                "panel": panel, "modes": 2, "channels": channels,
+                "output": str(tmp_path / f"report_{form}")})
+            assert main(["detect", "--config", cfg, str(tmp_path / form)]) == 0
+            outputs[form] = [capsys.readouterr().out] + [
+                (tmp_path / f"report_{form}" / name).read_bytes()
+                for name in ("report.json", "report.csv")]
+            if panel != "p33":
+                cfg = write_config(tmp_path / f"scan_{form}.json", {
+                    "panel": panel, "modes": 2, "channels": channels,
+                    "delays_s": [0.0, 1e-4], "dopplers_hz": [0.0, 20.0, 40.0],
+                    "output": str(tmp_path / f"scan_{form}")})
+                assert main(["scan", "--config", cfg, str(tmp_path / form)]) == 0
+                outputs[form].append((tmp_path / f"scan_{form}" / "scan.csv").read_bytes())
+        assert outputs["data"] == outputs["csv"]
 
     def test_dominant_numerator_outside_p33_is_clean_error(self, tmp_path, capsys):
         sim_cfg = self.make_data(tmp_path, modes=1, snapshots=6)

@@ -815,6 +815,37 @@ class TestGramSplit:
         np.testing.assert_array_equal(ev.composite, expected.composite)
         np.testing.assert_array_equal(ev.cross_validation, expected.cross_validation)
 
+    @pytest.mark.parametrize("panel", ["P21", "P22", "P23"])
+    def test_one_channel_row_2_takes_no_svd(self, rng, monkeypatch, panel):
+        # One channel's (B, 1, JM) stack has a 1 x 1 Gram matrix and a tail of
+        # exactly 0, so no matrix falls back to the SVD, and every value is the
+        # singular-value split's to rounding.
+        m, j = 8, 2
+        channel = random_channel(rng, 10, j, orthonormal=True)
+        block = (channel.gain * channel.matrix @ complex_normal(rng, (j, m))
+                 + np.sqrt(channel.noise_variance / 2.0) * complex_normal(rng, (10, m)))
+        spec, ms = KnowledgeSpec.from_panel(panel), MeasurementSet((block,))
+        calls, singular_split = [], detectors._singular_split
+        monkeypatch.setattr(detectors, "_singular_split",
+                            lambda *args: calls.append(args) or singular_split(*args))
+        report = detect(spec, [channel], ms)
+        assert not calls
+        monkeypatch.setattr(detectors, "_split", singular_split)
+        expected = detect(spec, [channel], ms)
+        for field in ("composite", "cross_validation", "per_channel", "alphas"):
+            np.testing.assert_allclose(getattr(report, field), getattr(expected, field),
+                                       rtol=1e-13, atol=1e-13, err_msg=field)
+
+    def test_a_nan_in_a_stack_of_at_most_j_rows_still_takes_the_svd(self, monkeypatch):
+        # Only the matrix with a nan falls back, and LAPACK refuses it.
+        x = np.array([[[1.0, 2.0j]], [[np.nan, 1.0]]])
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a) or svd(a, **kw))
+        with pytest.raises(np.linalg.LinAlgError):
+            detectors._split(x, 1, 2)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], x[1:])
+
     @pytest.mark.parametrize("amplitude", [1.0, 100.0], ids=["gram", "svd"])
     def test_summarise_splits_ragged_blocks(self, rng, monkeypatch, amplitude):
         # Blocks of N_l = 6 <= M and N_l = 12 > M, zero-padded to one tall

@@ -1,10 +1,13 @@
-"""The file formats: pinned bytes, and headers that name files outside their directory."""
+"""The file formats: pinned bytes, headers that name files outside their
+directory, and the checks of each data-set block reader."""
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -17,14 +20,35 @@ from glrfusion import (
     load_measurements,
     save_measurements,
 )
+from glrfusion import formats
 from glrfusion.formats import load_messages, save_messages
+from conftest import BAD_NPY_BLOCKS, save_csv_measurements
 
 # Entries that need all 17 significant digits, a subnormal-scale and a huge one, and -0.
 BLOCKS = (np.array([[1 / 3, -2e-300j], [0.1 + 1j, -0.0]]), np.array([[1e300, -1 / 7]]))
 FACTOR = np.array([[1 / 3, 0.5j], [0, -2.0]])
 COORDINATES = np.array([[-2e-300, 1 / 3, 0.1j], [2.5, 0, -1e-5]])
 
+
+def npy(shape, *values) -> bytes:
+    """A .npy file of format 1.0 holding a C-order little-endian complex128
+    array: its header, padded with spaces to 128 bytes, then the interleaved
+    real and imaginary parts."""
+    header = f"{{'descr': '<c16', 'fortran_order': False, 'shape': {shape}, }}"
+    return (b"\x93NUMPY\x01\x00v\x00" + header.ljust(117).encode() + b"\n"
+            + struct.pack(f"<{len(values)}d", *values))
+
+
 MEASUREMENT_FILES = {
+    "block_00.npy": npy((2, 2), 1 / 3, 0.0, -0.0, -2e-300, 0.1, 1.0, -0.0, 0.0),
+    "block_01.npy": npy((1, 2), 1e300, 0.0, -1 / 7, 0.0),
+    "header.json": b'{\n  "format": "glrfusion-measurements",\n  "version": 2,\n'
+                   b'  "n_snapshots": 2,\n  "channel_dims": [\n    2,\n    1\n  ],\n'
+                   b'  "blocks": [\n    "block_00.npy",\n    "block_01.npy"\n  ]\n}\n',
+}
+
+# The same data set in the CSV form of version 1, which older and hand-made data sets have.
+CSV_MEASUREMENT_FILES = {
     "block_00.csv": "0.33333333333333331,0,-0,-2.0000000000000001e-300\n"
                     "0.10000000000000001,1,-0,0\n",
     "block_01.csv": "1.0000000000000001e+300,0,-0.14285714285714285,0\n",
@@ -48,11 +72,27 @@ def files_in(root) -> dict[str, str]:
     return {path.name: path.read_text() for path in root.iterdir()}
 
 
+def write_csv_set(directory):
+    """The hand-made CSV data set of CSV_MEASUREMENT_FILES in ``directory``."""
+    directory.mkdir()
+    for name, text in CSV_MEASUREMENT_FILES.items():
+        (directory / name).write_text(text)
+    return directory
+
+
 def test_measurement_set_bytes_are_pinned(tmp_path):
     root = save_measurements(MeasurementSet(BLOCKS), tmp_path / "d")
-    assert files_in(root) == MEASUREMENT_FILES
+    assert {path.name: path.read_bytes() for path in root.iterdir()} == MEASUREMENT_FILES
     for loaded, block in zip(load_measurements(root).blocks, BLOCKS):
-        np.testing.assert_array_equal(loaded, block)
+        assert loaded.tobytes() == block.astype(complex).tobytes()  # -0 included
+
+
+def test_csv_measurement_set_reads_bit_exactly(tmp_path):
+    root = write_csv_set(tmp_path / "d")
+    for loaded, block in zip(load_measurements(root).blocks, BLOCKS):
+        assert loaded.tobytes() == block.astype(complex).tobytes()  # -0 included
+    assert files_in(save_csv_measurements(MeasurementSet(BLOCKS), tmp_path / "c")) == \
+        CSV_MEASUREMENT_FILES
 
 
 def test_message_set_bytes_are_pinned(tmp_path):
@@ -63,14 +103,18 @@ def test_message_set_bytes_are_pinned(tmp_path):
     np.testing.assert_array_equal(loaded.coordinates, COORDINATES)
 
 
-# The file a test renames in a header: a data set's first block, or a message's field.
+# The CSV file a test edits or renames in a header: the first block of a
+# hand-made CSV data set, or a message's field.
 KINDS = ["block", "factor", "coordinates"]
 
 
 def save(kind: str, directory):
-    """A saved data set or message set holding the file of ``kind``, and its loader."""
-    if kind == "block":
+    """A data set or message set holding the file of ``kind``, and its loader:
+    "npy" is the first block of a data set that save_measurements wrote."""
+    if kind == "npy":
         return save_measurements(MeasurementSet(BLOCKS), directory), load_measurements
+    if kind == "block":
+        return write_csv_set(directory), load_measurements
     message = ChannelMessage(factor=FACTOR, coordinates=COORDINATES)
     return save_messages([message], directory), load_messages
 
@@ -78,13 +122,14 @@ def save(kind: str, directory):
 def rename_in_header(root, kind: str, name: str) -> str:
     """Point the header's entry for the file of ``kind`` at ``name``; returns the name it held."""
     header = json.loads((root / "header.json").read_text())
-    entry, key = (header["blocks"], 0) if kind == "block" else (header["messages"][0], kind)
+    data_set = kind in ("block", "npy")
+    entry, key = (header["blocks"], 0) if data_set else (header["messages"][0], kind)
     old, entry[key] = entry[key], name
     (root / "header.json").write_text(json.dumps(header))
     return old
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + ["npy"])
 def test_header_naming_a_file_of_the_parent_directory_is_rejected(tmp_path, kind):
     root, load = save(kind, tmp_path / "d")
     old = rename_in_header(root, kind, "../x.csv")
@@ -93,7 +138,7 @@ def test_header_naming_a_file_of_the_parent_directory_is_rejected(tmp_path, kind
         load(root)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + ["npy"])
 def test_header_naming_an_absolute_path_is_rejected_without_echoing_it(tmp_path, kind):
     root, load = save(kind, tmp_path / "d")
     secret = tmp_path / "secret.txt"
@@ -132,7 +177,8 @@ def test_header_that_is_not_utf8_names_the_header(tmp_path, kind):
 def named_file(root, kind: str):
     """The path of the file of ``kind`` that the header names."""
     header = json.loads((root / "header.json").read_text())
-    return root / (header["blocks"][0] if kind == "block" else header["messages"][0][kind])
+    data_set = kind in ("block", "npy")
+    return root / (header["blocks"][0] if data_set else header["messages"][0][kind])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -176,10 +222,12 @@ def test_extreme_values_round_trip_bit_exactly(rng, tmp_path):
     extremes = np.array([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                          -1.7976931348623157e308])
     randoms = rng.standard_normal(58) * 10.0 ** rng.integers(-300, 300, 58)
+    # The same holds for the CSV form of version 1.
     block = np.concatenate([extremes, randoms]).view(np.complex128).reshape(4, 8)
-    (loaded,) = load_measurements(save_measurements(MeasurementSet((block,)),
-                                                    tmp_path / "d")).blocks
-    assert loaded.view(np.float64).tobytes() == block.view(np.float64).tobytes()
+    for save_set in (save_measurements, save_csv_measurements):
+        (loaded,) = load_measurements(save_set(MeasurementSet((block,)),
+                                               tmp_path / save_set.__name__)).blocks
+        assert loaded.view(np.float64).tobytes() == block.view(np.float64).tobytes()
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -221,3 +269,60 @@ def test_empty_message_blocks_keep_their_errors(tmp_path, j, m, message):
         (root / entry[field]).write_text("")
     with pytest.raises(DimensionError, match=re.escape(message)):
         load(root)
+
+
+@pytest.mark.parametrize("case", BAD_NPY_BLOCKS)
+def test_a_bad_npy_block_is_refused_naming_the_file(tmp_path, case):
+    # Every check runs on the file's own header before its data is read: a
+    # header that declares 2**80 entries raises DimensionError, not MemoryError.
+    rewrite, error, pattern = BAD_NPY_BLOCKS[case]
+    root, load = save("npy", tmp_path / "d")
+    path = named_file(root, "npy")
+    rewrite(path, BLOCKS[0])
+    with pytest.raises(error, match=re.escape(str(path)) + " " + pattern):
+        load(root)
+
+
+def test_npy_blocks_of_format_2_are_read(tmp_path):
+    root, load = save("npy", tmp_path / "d")
+    path = named_file(root, "npy")
+    with open(path, "wb") as handle:
+        np.lib.format.write_array(handle, BLOCKS[0], version=(2, 0))
+    assert load(root).blocks[0].tobytes() == BLOCKS[0].tobytes()
+
+
+def test_version_1_header_reads_csv_and_version_2_reads_npy(tmp_path):
+    # The header's version picks the reader, whatever the file names say.
+    root, load = save("npy", tmp_path / "d")
+    header = json.loads((root / "header.json").read_text())
+    (root / "header.json").write_text(json.dumps({**header, "version": 1}))
+    with pytest.raises(ConfigError, match=re.escape(f"{named_file(root, 'npy')} is not UTF-8")):
+        load(root)
+    csv_root = write_csv_set(tmp_path / "c")
+    header = json.loads((csv_root / "header.json").read_text())
+    (csv_root / "header.json").write_text(json.dumps({**header, "version": 2}))
+    with pytest.raises(ConfigError, match="is not a .npy file"):
+        load(csv_root)
+
+
+def conforms_reference(value, expected) -> bool:
+    """The declared-type check element by element, as the package defines it."""
+    if isinstance(expected, tuple):
+        return any(conforms_reference(value, t) for t in expected)
+    if isinstance(expected, list):
+        return isinstance(value, list) and all(conforms_reference(v, expected[0]) for v in value)
+    if not isinstance(value, expected) or (expected is not bool and isinstance(value, bool)):
+        return False
+    try:
+        return expected not in (int, float) or math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+@pytest.mark.parametrize("expected", [[int], [float], [(int, float)], [str], (int, [float])],
+                         ids=["ints", "floats", "numbers", "strings", "int-or-floats"])
+def test_list_checks_match_the_element_by_element_check(expected):
+    values = [[], [1, 2], [1.5, -0.0], [1, 2.5], [1, True], [False], [1.0, math.nan],
+              [math.inf], [10**400], [1, "a"], ["a", "b"], [[1.0]], [None], 3, "abc"]
+    for value in values:
+        assert formats._conforms(value, expected) == conforms_reference(value, expected), value

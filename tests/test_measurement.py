@@ -495,7 +495,8 @@ class TestRoundTrip:
         header = json.loads((root / "header.json").read_text())
         assert header["n_snapshots"] == 2
         assert header["channel_dims"] == [4]
-        assert header["blocks"] == ["block_00.csv"]
+        assert header["version"] == 2
+        assert header["blocks"] == ["block_00.npy"]
 
     def test_block_list_must_match_dims(self, rng, tmp_path):
         import json
@@ -508,8 +509,8 @@ class TestRoundTrip:
         with pytest.raises(ConfigError, match="1 block files for 2 channels"):
             load_measurements(root)
 
-    @pytest.mark.parametrize("version", [0, 2, 99, "1", True],
-                             ids=["0", "2", "99", "string-1", "bool-true"])
+    @pytest.mark.parametrize("version", [0, 3, 99, "1", True],
+                             ids=["0", "3", "99", "string-1", "bool-true"])
     def test_unknown_version_rejected(self, rng, tmp_path, version):
         import json
 
@@ -517,7 +518,7 @@ class TestRoundTrip:
         header = json.loads((root / "header.json").read_text())
         header["version"] = version
         (root / "header.json").write_text(json.dumps(header))
-        with pytest.raises(ConfigError, match=f"version {version!r} .*expected version 1"):
+        with pytest.raises(ConfigError, match=f"version {version!r} .*expected version 1 or 2"):
             load_measurements(root)
 
     @pytest.mark.parametrize("key, value", [
