@@ -26,11 +26,14 @@ console_smoke() {
 # start at the odd trial ids 201 and 402, inside a block, writes the same
 # bytes on one and on two worker processes, on P31 and on P33, whose
 # per-channel noise estimates come from the channels' split at J that row 3's
-# summary holds. So do P33 and P21 at 25 and 40 dB, where the signal leaves
-# some (25 dB) or all (40 dB) alternatives' tails too small for Gram
+# summary holds. So do P31, P33 and P21 at 25 and 40 dB, where the signal
+# leaves some (25 dB) or all (40 dB) alternatives' tails too small for Gram
 # eigenvalues, and those trials' splits take singular values: row 3's tall
-# stacks on P33, row 2's wide L x JM stacks of matched outputs on P21, so a
-# chunk of one worker and the chunks of two mix the two splits differently.
+# stacks on P31 and P33, row 2's wide L x JM stacks of matched outputs on
+# P21, so a chunk of one worker and the chunks of two mix the two splits
+# differently. P31's composite Gram matrix is the sum of the channels' Gram
+# matrices over their noise variances, and only its composites that fall
+# back whiten their stacks of factors.
 # An SNR whose amplitude scale overflows exits 1 with an error line, and so
 # does detect on a copy of the data set whose header names a file outside
 # its directory, and on a copy whose first .npy block lost its last byte.
@@ -51,6 +54,10 @@ _console_checks() {
   glrfusion roc --config roc.json --set panel='"p33"' --set output='"roc_p33"'
   glrfusion roc --config roc.json --set panel='"p33"' --set output='"roc_p33_jobs2"' --jobs 2
   cmp roc_p33/roc.csv roc_p33_jobs2/roc.csv
+  glrfusion roc --config roc.json --set snr_db='[25.0, 40.0]' --set output='"roc_p31_loud"'
+  glrfusion roc --config roc.json --set snr_db='[25.0, 40.0]' \
+    --set output='"roc_p31_loud_jobs2"' --jobs 2
+  cmp roc_p31_loud/roc.csv roc_p31_loud_jobs2/roc.csv
   glrfusion roc --config roc.json --set panel='"p33"' --set snr_db='[25.0, 40.0]' \
     --set output='"roc_p33_loud"'
   glrfusion roc --config roc.json --set panel='"p33"' --set snr_db='[25.0, 40.0]' \

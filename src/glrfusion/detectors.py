@@ -51,15 +51,20 @@ the signal.
   tail / D.  Over sqrt(M D) the stack is the fusion factor B of the report,
   and the split reads the eigenvalues of the fusion form B B^H (L x L, or
   B^H B where JM < L).
-* Row 3 is row 1 with the span given by J: each R_l and the stack
-  A = [R_l / sqrt(v_l)], which has the singular values of Z, split at their
+* Row 3 is row 1 with the span given by J: each factor F_l and the stack
+  A = [F_l / sqrt(v_l)], which has the singular values of Z, split at their
   J-th singular value.  A factor or stack, tall (more rows than M), square
   or wide, takes its squared singular values as the eigenvalues of its
   smaller Gram matrix, or by SVD where its tail is too small for them
   (:func:`_split`).  The channels' splits do not depend on the column, so
-  :func:`coordinate_summary` forms them once, and only the stack's split is
-  per panel.  The tail of A holds the channels' tails, so
-  cv = (tail(A) - sum_l tail(R_l) / v_l) / D.
+  :func:`coordinate_summary` forms them once, from G_l = F_l^H F_l, and
+  only the stack's split is per panel.  The summary keeps each G_l, so the
+  stack's Gram matrix A^H A is their weighted sum, sum_l G_l / v_l, and A
+  itself is formed only for the composites that take the SVD.  Factors
+  shorter than M, which only data sets with N_l < M give, split through
+  F_l F_l^H, which no sum over channels gives, so there A is formed and
+  split through its own smaller Gram matrix.  The tail of A holds the
+  channels' tails, so cv = (tail(A) - sum_l tail(F_l) / v_l) / D.
 
 One rule per column, :func:`_column`, with E_l the block energy, E = sum E_l,
 N_l the samples of channel l and N = sum N_l: known variances give
@@ -76,7 +81,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -292,12 +297,15 @@ class Summary(NamedTuple):
     The tails are each channel's energy outside its signal subspace: on
     rows 1 and 2 the span of Q_l, formed directly, and on row 3 the dominant
     J-dimensional subspace of F_l, from the squared singular values of the
-    factor: the eigenvalues of its smaller Gram matrix, F_l^H F_l for a
-    factor taller than M, unless its tail is too small for them, and then
-    by SVD (:func:`_split`).
+    factor: the eigenvalues of its smaller Gram matrix (F_l^H F_l, or F_l
+    F_l^H for a factor shorter than M), or by SVD where its tail is too
+    small for them (:func:`_split`).
     Row 3 also keeps the energy inside that subspace: both come from one
     split of the factors when the summary is built, which every column reads,
-    so a summary shared by the panels of row 3 splits them once.
+    so a summary shared by the panels of row 3 splits them once.  It keeps
+    the Gram matrices G_l = F_l^H F_l of that split too, unless the factors
+    are shorter than M, so that each panel forms its composite's Gram
+    matrix as their weighted sum (:func:`evaluate`).
 
     Rows 1 and 2 read a block only through a_l and the tail, and row 3 only
     through X_l^H X_l, so :func:`coordinate_summary` builds every summary
@@ -318,6 +326,7 @@ class Summary(NamedTuple):
     coords: np.ndarray  # (B, L, J, M) a_l = Q_l^H X_l, or (B, L, K, M) F_l on row 3
     tails: np.ndarray  # (B, L) ||X_l - Q_l a_l||^2 / M, or outside the dominant J on row 3
     signal: np.ndarray | None  # (B, L) inside the dominant J on row 3; none on rows 1 and 2
+    gram: np.ndarray | None  # (B, L, M, M) F_l^H F_l on row 3 when K >= M; none otherwise
 
 
 def _coordinates(basis: np.ndarray, x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -412,19 +421,22 @@ def coordinate_summary(spec: KnowledgeSpec, channels: Sequence[ChannelModel],
         energies = np.stack([energy(a) for a in coords], axis=-1) / m + tails
     if not np.all(np.isfinite(energies)):
         raise ValueError("data energy overflows float64")
-    signal = None
+    signal = gram = None
     if spec.channel_knowledge == ChannelKnowledge.UNKNOWN_SUBSPACE:
         coupling = _mode_count(channels, dims, m)
         stacked = _padded([np.concatenate((a, t), axis=-2)
                            for a, t in zip(coords, factors, strict=True)], m)
-        signal, tails = _split(stacked, coupling, m)
+        gram = _small_gram(stacked)
+        signal, tails = _split(gram, coupling, m, stacked.__getitem__)
+        if stacked.shape[-2] < m:  # F_l F_l^H, which no composite sums
+            gram = None
     else:
         _, coupling = _known_couplings(spec, channels)
         stacked = np.stack(coords, axis=1)
     return Summary(gains=np.array([ch.gain for ch in channels]),
                    variances=np.array([ch.noise_variance for ch in channels]),
                    dims=np.array(dims, dtype=float), energies=energies,
-                   coupling=coupling, coords=stacked, tails=tails, signal=signal)
+                   coupling=coupling, coords=stacked, tails=tails, signal=signal, gram=gram)
 
 
 class _Column(NamedTuple):
@@ -525,25 +537,28 @@ def _report(spec: KnowledgeSpec, ev: _Evaluation) -> DetectorReport:
         fusion_stats=col.phi[0] if fused else None)
 
 
-def _split(x: np.ndarray, j: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The energies s^2 / M of x x^H inside its dominant J-dimensional subspace
-    and outside it.
+def _split(gram: np.ndarray, j: int, m: int,
+           rows: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The energies s^2 / M of a matrix x inside its dominant J-dimensional
+    subspace and outside it, s its singular values.
 
-    They come from the eigenvalues of x's smaller Gram matrix
-    (:func:`_small_gram`), whose tail errs by about eps * s_1^2: each matrix
-    whose tail is at most ``_GRAM_RATIO`` s_1^2 takes its singular values
-    instead.  Where min(n, k) <= J the tail is exactly 0 either way, and only
-    a matrix whose energy is not finite takes them.  x may be a stack (...,
-    n, k); the energies then have the stack's shape.
+    They come from the eigenvalues of a Gram matrix of x, x^H x or x x^H
+    (``gram``), whose tail errs by about eps * s_1^2: each matrix whose tail
+    is at most ``_GRAM_RATIO`` s_1^2 takes its singular values instead, from
+    the matrices ``rows(bad)`` returns, those of the Gram matrices
+    ``gram[bad]``, so only they are formed.  Where the Gram matrix has at
+    most J rows the tail is exactly 0 either way, and only a matrix whose
+    energy is not finite takes them.  ``gram`` may be a stack (..., n, n);
+    the energies then have the stack's shape.
     """
-    e = np.linalg.eigvalsh(_small_gram(x)) / m  # ascending
+    e = np.linalg.eigvalsh(gram) / m  # ascending
     top, tail = e[..., -j:].sum(-1), e[..., :-j].sum(-1)
     if e.shape[-1] <= j:
         bad = ~np.isfinite(top)
     else:
         bad = ~(tail > _GRAM_RATIO * e[..., -1])  # also a nan
     if np.count_nonzero(bad):
-        top[bad], tail[bad] = _singular_split(x[bad], j, m)
+        top[bad], tail[bad] = _singular_split(rows(bad), j, m)
     return top, tail
 
 
@@ -566,10 +581,14 @@ def evaluate(spec: KnowledgeSpec, s: Summary, dominant_numerator: bool = False) 
 
     Each row splits its stack of whitened blocks, each divided by sqrt(v_l),
     at the composite's span: the coordinates a_l at the orthonormal basis of
-    G = [f_l R_l] on row 1, the rows vec(R_l^H a_l) at one singular value on
-    row 2, and the factors R_l at the mode count J on row 3, where each
-    channel's energies are the summary's split of R_l and the tail of the
-    stack less the channels' whitened tails is the cross-validation energy.
+    G = [f_l R_l] on row 1, which runs of hypotheses with one coupling (a
+    scan's cells of one delay) share, the rows vec(R_l^H a_l) at one
+    singular value on row 2, and the factors F_l at the mode count J on row
+    3, where each channel's energies are the summary's split of F_l and the
+    tail of the stack less the channels' whitened tails is the
+    cross-validation energy.  Row 3 splits the stack from its Gram matrix
+    sum_l G_l / v_l, summed from the summary's G_l, and whitens the factors
+    only of the hypotheses whose split falls back to the SVD.
     Column 3 on row 3 raises ValueError for a channel of at most J samples,
     which leaves no residual dimension.  Every batch checks its own
     decomposition: :func:`check_decomposition` raises ConfigError for any
@@ -590,21 +609,33 @@ def evaluate(spec: KnowledgeSpec, s: Summary, dominant_numerator: bool = False) 
                   numerator=signal if dominant_numerator else None,
                   log=np.log1p if subspace else np.log)
     ok = col.resolved  # a cell whose residual vanishes forms no composite
-    v = np.broadcast_to(1.0 if col.variance is None else col.variance, (batch, n_ch))[ok]
-    whitened = data[ok] / np.sqrt(v)[..., None, None]
-    if gains_row:
-        top, rest = _split(whitened.reshape(-1, n_ch, k * m), 1, m)
-    elif subspace:
-        top, rest = _split(whitened.reshape(-1, n_ch * k, m), s.coupling, m)
-        rest = rest - (s.tails[ok] / v).sum(-1)
+    cells = np.flatnonzero(ok)
+    v = np.broadcast_to(1.0 if col.variance is None else col.variance, (batch, n_ch))[cells]
+    shape = (-1, n_ch, k * m) if gains_row else (-1, n_ch * k, m)
+
+    def whitened(picked=slice(None)) -> np.ndarray:
+        """The picked resolved cells' stacks of blocks, each over sqrt(v_l)."""
+        return (data[cells[picked]] / np.sqrt(v[picked])[..., None, None]).reshape(shape)
+
+    if s.gram is not None:  # the Gram matrix of the stack is sum_l F_l^H F_l / v_l
+        top, rest = _split(np.einsum("blij,bl->bij", s.gram[cells], 1.0 / v), s.coupling, m,
+                           whitened)
+    elif gains_row or subspace:
+        z = whitened()
+        top, rest = _split(_small_gram(z), 1 if gains_row else s.coupling, m, z.__getitem__)
     else:
         f = s.gains / np.sqrt(s.variances) if noise == NoiseKnowledge.KNOWN else s.gains
-        # A shared coupling takes one basis, which every data set's split broadcasts.
+        # Each run of equal couplings takes one basis: a coupling shared by
+        # every data set, or a scan's cells of one delay.
         shared = s.coupling if len(s.coupling) == 1 else s.coupling[ok]
-        coupling = (f[:, None, None] * shared).reshape(-1, n_ch * k, k)
-        a, rest = _coordinates(orthonormal_basis(coupling, "composite channel"),
-                               whitened.reshape(-1, n_ch * k, m), m)
+        first = np.ones(len(shared), bool)
+        first[1:] = (shared[1:] != shared[:-1]).any(axis=(1, 2, 3))
+        coupling = (f[:, None, None] * shared[first]).reshape(-1, n_ch * k, k)
+        basis = orthonormal_basis(coupling, "composite channel")[np.cumsum(first) - 1]
+        a, rest = _coordinates(basis, whitened(), m)
         top = energy(a) / m
+    if subspace:
+        rest = rest - (s.tails[ok] / v).sum(-1)
     composite, cv = np.full(batch, math.inf), np.zeros(batch)
     cv[ok] = rest / col.denominator[ok]
     composite[ok] = (np.vecdot(col.lam[ok], col.alphas[ok]) - cv[ok]

@@ -741,6 +741,11 @@ def wide_or_square(rng, rows, cols, j, ratios):
     return detectors._h(stack_with_tails(rng, cols, rows, j, ratios))
 
 
+def split_stack(x, j, m):
+    """detectors._split of a stack of matrices x, from their smaller Gram matrices."""
+    return detectors._split(detectors._small_gram(x), j, m, x.__getitem__)
+
+
 class TestGramSplit:
     """Every stack splits at J through the eigenvalues of its smaller Gram
     matrix, x x^H for a wide x (row 2's L x JM stack) and x^H x otherwise
@@ -755,7 +760,7 @@ class TestGramSplit:
         x = wide_or_square(rng, rows, cols, j,
                            detectors._GRAM_RATIO * np.array([1.001, 1.5, 4.0]))
         monkeypatch.setattr(np.linalg, "svd", None)  # every matrix takes the Gram path
-        top, tail = detectors._split(x, j, cols)
+        top, tail = split_stack(x, j, cols)
         for k, matrix in enumerate(x):
             # The oracle forms x^H x, so it reads the narrower orientation.
             expected = split_mp(matrix if rows >= cols else detectors._h(matrix), j, cols)
@@ -766,9 +771,9 @@ class TestGramSplit:
     def check_mixed_batch(rng, rows, cols, j):
         ratios = detectors._GRAM_RATIO * np.array([10.0, 0.1, 1.001, 1e-6, 0.999, 1e-20])
         x = wide_or_square(rng, rows, cols, j, ratios)
-        top, tail = detectors._split(x, j, 8)
+        top, tail = split_stack(x, j, 8)
         for k in range(len(x)):
-            alone = detectors._split(x[k:k + 1], j, 8)
+            alone = split_stack(x[k:k + 1], j, 8)
             assert (top[k], tail[k]) == (alone[0][0], alone[1][0]), k
 
     def test_mixed_batch_gives_each_matrix_its_own_split(self, rng):
@@ -784,7 +789,7 @@ class TestGramSplit:
         x = wide_or_square(rng, rows, cols, j, ratios)
         calls, svd = [], np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a) or svd(a, **kw))
-        top, tail = detectors._split(x, j, 32)
+        top, tail = split_stack(x, j, 32)
         assert len(calls) == 1  # one SVD, of the matrices below the bound
         np.testing.assert_array_equal(calls[0], x[below])
         e = svd(x[below], compute_uv=False) ** 2 / 32
@@ -830,7 +835,8 @@ class TestGramSplit:
                             lambda *args: calls.append(args) or singular_split(*args))
         report = detect(spec, [channel], ms)
         assert not calls
-        monkeypatch.setattr(detectors, "_split", singular_split)
+        monkeypatch.setattr(detectors, "_split", lambda gram, j, m, rows: singular_split(
+            rows(np.ones(gram.shape[:-2], bool)), j, m))
         expected = detect(spec, [channel], ms)
         for field in ("composite", "cross_validation", "per_channel", "alphas"):
             np.testing.assert_allclose(getattr(report, field), getattr(expected, field),
@@ -842,7 +848,7 @@ class TestGramSplit:
         calls, svd = [], np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a) or svd(a, **kw))
         with pytest.raises(np.linalg.LinAlgError):
-            detectors._split(x, 1, 2)
+            split_stack(x, 1, 2)
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], x[1:])
 
@@ -872,6 +878,55 @@ class TestGramSplit:
                 assert not calls[0][idx, len(x):].any()
             np.testing.assert_allclose((s.signal[0, idx], s.tails[0, idx]), expected[idx],
                                        rtol=1e-12, atol=0)
+
+    @staticmethod
+    def weighted_composites(rng, ratios, k=10, m=8, j=2):
+        """A P31 summary of three channels of K = 10 > M samples, whose noise
+        variances v_l spread from 1e-3 to 1e3, with factors F_l = sqrt(v_l) W_l
+        for the K-row slices W_l of stacks W whose tails are ``ratios`` of
+        their largest squared singular values; and each composite's stack
+        [F_l / sqrt(v_l)] as evaluate whitens it."""
+        variances = np.array([1e-3, 1.0, 1e3])
+        channels = [random_channel(rng, k, j, noise_variance=v) for v in variances]
+        w = stack_with_tails(rng, len(variances) * k, m, j, ratios)
+        factors = w.reshape(len(w), len(variances), k, m) * np.sqrt(variances)[:, None, None]
+        empty = np.empty((len(w), 0, m), dtype=complex)
+        s = detectors.coordinate_summary(KnowledgeSpec.from_panel("P31"), channels,
+                                         list(factors.swapaxes(0, 1)),
+                                         np.zeros((len(w), len(variances))), [empty] * 3)
+        assert s.gram.shape == (len(w), len(variances), m, m)
+        whitened = (factors / np.sqrt(variances)[:, None, None]).reshape(len(w), -1, m)
+        return s, whitened
+
+    def test_composite_gram_sums_tails_just_above_the_bound_to_50_digits(self, rng,
+                                                                         monkeypatch):
+        # The composite's Gram matrix is sum_l F_l^H F_l / v_l, summed from
+        # the summary's Gram matrices: no SVD, and the split of the whitened
+        # stack all the same.
+        s, whitened = self.weighted_composites(
+            rng, detectors._GRAM_RATIO * np.array([1.001, 1.5, 4.0, 1.001]))
+        splits, split = [], detectors._split
+        monkeypatch.setattr(detectors, "_split",
+                            lambda gram, *args: splits.append(split(gram, *args)) or splits[-1])
+        monkeypatch.setattr(np.linalg, "svd", None)
+        detectors.evaluate(KnowledgeSpec.from_panel("P31"), s)
+        (top, tail), = splits
+        for k, matrix in enumerate(whitened):
+            np.testing.assert_allclose((top[k], tail[k]), split_mp(matrix, 2, 8),
+                                       rtol=1e-13, atol=0)
+
+    def test_composites_below_the_bound_whiten_only_their_own_rows(self, rng, monkeypatch):
+        ratios = detectors._GRAM_RATIO * np.array([0.999, 3.0, 1e-12, 2.0, 1e-20, 5.0])
+        below = ratios < detectors._GRAM_RATIO
+        s, whitened = self.weighted_composites(rng, ratios)
+        calls, singular_split = [], detectors._singular_split
+        monkeypatch.setattr(detectors, "_singular_split",
+                            lambda *args: calls.append(args) or singular_split(*args))
+        ev = detectors.evaluate(KnowledgeSpec.from_panel("P31"), s)
+        (x, j, m), = calls
+        np.testing.assert_array_equal(x, whitened[below])
+        top = singular_split(whitened[below], j, m)[0]
+        np.testing.assert_array_equal(ev.composite[below], top / 3)
 
 
 class TestReportShape:
@@ -943,7 +998,7 @@ class TestPinned:
         channels, ms = pinned_instance()
         blocks = [x[None] for x in ms.blocks]
         s = summarise(KnowledgeSpec.from_panel("P31"), channels, blocks)
-        signal, tails = detectors._split(s.coords, 2, ms.n_snapshots)
+        signal, tails = split_stack(s.coords, 2, ms.n_snapshots)
         np.testing.assert_array_equal(s.signal, signal)
         np.testing.assert_array_equal(s.tails, tails)
         for panel in ("P32", "P33"):

@@ -868,6 +868,24 @@ class TestScan:
         assert all(len(shape) == 2 for shape in couplings), couplings
         assert len(couplings) <= scenario.n_channels
 
+    def test_each_delay_factors_its_composite_coupling_once(self, monkeypatch):
+        # A cell's coupling depends on its delay alone, so a chunk's cells of
+        # one delay share one basis of the composite coupling.
+        scenario, ms, delays, dopplers, _ = scan_case("differential")
+        whole = scan_likelihood_image(P11, scenario, ms, delays, dopplers).values
+        shapes, basis = [], detectors.orthonormal_basis
+        monkeypatch.setattr(detectors, "orthonormal_basis",
+                            lambda b, name: shapes.append(np.shape(b)) or basis(b, name))
+        image = scan_likelihood_image(P11, scenario, ms, delays, dopplers).values
+        np.testing.assert_array_equal(image, whole)
+        assert shapes == [(len(delays), scenario.n_channels * scenario.n_modes,
+                           scenario.n_modes)]
+        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 1)  # one cell a chunk
+        shapes.clear()
+        np.testing.assert_array_equal(
+            scan_likelihood_image(P11, scenario, ms, delays, dopplers).values, whole)
+        assert len(shapes) == len(delays) * len(dopplers)
+
     @pytest.mark.parametrize("panel", ["P13", "P23"])
     def test_vanishing_residual_gives_infinite_cell(self, panel):
         # Channel 1's data lies exactly in its coupling's span at the true
@@ -1133,23 +1151,40 @@ class TestDrawMemo:
 
     def test_row_3_splits_each_chunk_once(self, monkeypatch):
         # The channels' splits are the Gram eigenvalues of (trials, L, K, M)
-        # stacks of factors, K > M; the stack of all channels, split per
-        # panel, has three axes.  No tail is small enough to need an SVD.
-        shapes = {"eigvalsh": [], "svd": []}
+        # stacks of factors, K > M, whose Gram products coordinate_summary
+        # forms once per chunk; the composite's Gram matrix, split per panel,
+        # is their weighted sum, so evaluate forms no Gram product.  No tail
+        # is small enough to need an SVD.
+        shapes = {"eigvalsh": [], "svd": [], "_small_gram": []}
 
-        def recording(name):
-            real = getattr(np.linalg, name)
+        def recording(module, name):
+            real = getattr(module, name)
             return lambda a, *args, **kw: shapes[name].append(a.shape) or real(a, *args, **kw)
 
-        for name in shapes:
-            monkeypatch.setattr(np.linalg, name, recording(name))
+        for name in ("eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, recording(np.linalg, name))
+        monkeypatch.setattr(detectors, "_small_gram", recording(detectors, "_small_gram"))
         scenario = mc_small_scenario()
         for panel in ("P31", "P32", "P33"):
             run_roc(round_spec(scenario, panel))
         grams = shapes["eigvalsh"]
         assert sum(len(shape) == 4 for shape in grams) == 3  # the null and two alternatives
         assert sum(len(shape) == 3 for shape in grams) == 9
+        assert shapes["_small_gram"] == [(201, 2, 10, 8)] * 3
         assert all(len(shape) == 2 for shape in shapes["svd"])  # only the channels' bases
+
+    def test_rows_1_and_3_at_200_trials_draw_each_chunk_at_most_twice(self, monkeypatch):
+        # A kept row-3 chunk holds the channels' Gram matrices beside their
+        # factors, yet at 200 trials per sample the three samples of a round
+        # still fit the memo together.
+        factors, real_draws = [], harness.draw_trials
+        monkeypatch.setattr(harness, "draw_trials",
+                            lambda *args, **kw: factors.append(kw["factors"])
+                            or real_draws(*args, **kw))
+        scenario = mc_small_scenario()
+        for panel in ("P11", "P31", "P32", "P33"):
+            run_roc(dataclasses.replace(round_spec(scenario, panel), trials=200))
+        assert factors == [False] * 3 + [True] * 3
 
     def test_a_kept_summary_still_gates_column_3(self, monkeypatch):
         # N_l = J leaves column 3 no residual: P31 keeps the chunk's summary,
