@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Smoke checks of the `glrfusion` console script on PATH, and the benchmark's
-# oracles: every check CI makes besides the tier-1 tests.
+# Smoke checks of the `glrfusion` console script on PATH and of the installed
+# package's fusion API, and the benchmark's oracles: every check CI makes
+# besides the tier-1 tests.
 #
 #   scripts/smoke.sh                  run every step below, in order
 #   source scripts/smoke.sh && STEP   run one step (CI runs one per job step)
 #
 # console_smoke writes its files to a new temporary directory and exports it
 # as SMOKE_DIR (also to $GITHUB_ENV under GitHub Actions), where detect_smoke
-# and scan_smoke read them.  benchmark_oracles runs from the repository root.
+# and scan_smoke read them.  fusion_smoke works in a new temporary directory
+# of its own, and benchmark_oracles runs from the repository root.
 set -euo pipefail
 
 console_smoke() {
@@ -139,6 +141,50 @@ scan_smoke() (
   test "$(awk -F, 'NR > 1 && $4 == 1' scan_p11/scan.csv | wc -l)" -eq 1
 )
 
+# The fusion API, which no console command reaches, on the installed package:
+# the eight messages of a small simulated data set round-trip through
+# save_messages and load_messages, daisy_chain_fuse gives the same reports on
+# the loaded and on the in-memory messages, and partition_cv over a balanced
+# tree, built from a numpy integer count, gives the last report's
+# cross-validation to 1e-12.
+fusion_smoke() (
+  cd "$(mktemp -d)"
+  python - <<'PY'
+import sys
+
+import numpy as np
+
+from glrfusion import (PropagationSpec, balanced_tree, channel_message, daisy_chain_fuse,
+                       narrowband_channel, partition_cv, simulate)
+from glrfusion.formats import load_messages, save_messages
+
+rng = np.random.default_rng(1)
+channels = [narrowband_channel(PropagationSpec(carrier_hz=1e6, sample_period_s=1e-3,
+                                               n_samples=8, n_modes=2, delay_s=k * 1e-4),
+                               gain=complex(*rng.uniform(0.5, 1.5, 2)),
+                               noise_variance=float(rng.uniform(0.5, 2.0)))
+            for k in range(8)]
+amplitudes = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+ms = simulate(channels, 4, seed=1, amplitudes=amplitudes)
+messages = [channel_message(ch, ms.block(i), ms.n_snapshots) for i, ch in enumerate(channels)]
+loaded = load_messages(save_messages(messages, "messages"))
+
+
+def values(reports):
+    return [(r.composite, r.cross_validation, r.alphas.tolist(), r.per_channel.tolist())
+            for r in reports]
+
+
+reports = daisy_chain_fuse(messages)
+if values(daisy_chain_fuse(loaded)) != values(reports):
+    sys.exit("daisy_chain_fuse gives other reports on the loaded messages")
+cv = partition_cv(channels, ms, balanced_tree(np.int64(8))).cross_validation
+expected = reports[-1].cross_validation
+if not abs(cv - expected) <= 1e-12 * max(1.0, abs(expected)):
+    sys.exit(f"partition_cv gives {cv!r}, the daisy chain {expected!r}")
+PY
+)
+
 # Each workload checks its outputs against its own oracles (null trials to
 # 1e-12, scan cells against detect to 1e-10, fusion against detect to 1e-9)
 # and exits 1 when one fails, at the development seed 1 and the confirmation
@@ -158,5 +204,6 @@ if [[ "${BASH_SOURCE[0]}" == "$0" ]]; then
   console_smoke
   detect_smoke
   scan_smoke
+  fusion_smoke
   benchmark_oracles
 fi

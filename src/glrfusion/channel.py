@@ -23,10 +23,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, RankDeficiencyError
 from .linalg import as_complex_matrix, as_complex_stack, energy, orthonormal_basis
 
 SPEED_OF_LIGHT_MPS = 299_792_458.0
+
+# The smallest normal float: a scaled singular value below it has lost precision.
+_TINY = np.finfo(float).tiny
 
 
 def radial_velocity_to_doppler(velocity_mps: float, carrier_hz: float) -> float:
@@ -195,9 +198,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class ChannelModel:
     """One receive channel: trace-normalized coupling matrix, gain, noise power.
 
-    The matrix is a read-only copy, and the basis, coupling and singular
-    values cached from it are read-only too, so a channel shared between
-    calls cannot change.
+    The matrix is a read-only copy, and the arrays cached from it are
+    read-only too, so a channel shared between calls cannot change.  The
+    basis Q, coupling R and singular values serve every detector; the
+    contiguous adjoint basis Q^H and the whitened coupling (g / sigma) R are
+    the constants of the channel's fusion leaf (:mod:`fusion`), which reads
+    C = Q^H X / sigma and F = (g / sigma) R from them.  Each is built on its
+    first use, not with the channel.
     """
 
     matrix: np.ndarray
@@ -221,13 +228,13 @@ class ChannelModel:
     def n_modes(self) -> int:
         return self.matrix.shape[1]
 
-    @property
+    # Computed on first use and kept: a channel is fixed while the data it
+    # is scored against changes.  A rank-deficient matrix, or a whitened
+    # coupling that fails its gate, is not cached and raises on every access.
+    @cached_property
     def noise_sigma(self) -> float:
         return float(np.sqrt(self.noise_variance))
 
-    # Computed on first use and kept: a channel is fixed while the data it
-    # is scored against changes.  A rank-deficient matrix is not cached and
-    # raises on every access.
     @cached_property
     def basis(self) -> np.ndarray:
         """Orthonormal basis Q of the column span of the matrix H."""
@@ -245,6 +252,31 @@ class ChannelModel:
         The basis holds the left singular vectors of H, so R = diag(s) V^H.
         """
         return _read_only(np.linalg.norm(self.coupling, axis=1))
+
+    @cached_property
+    def adjoint_basis(self) -> np.ndarray:
+        """The J x N conjugate transpose Q^H of the basis, C-contiguous."""
+        return _read_only(np.ascontiguousarray(self.basis.conj().T))
+
+    @cached_property
+    def whitened_coupling(self) -> np.ndarray:
+        """The J x J factor (g / sigma) R of the channel's fusion message.
+
+        The basis passed the rank gate, and holds the left singular vectors
+        of H, so R = diag(s) V^H: only the scale g / sigma is gated.  The
+        scaled singular values must be finite (ValueError) and normal floats,
+        or the factor has lost rank to underflow (RankDeficiencyError).
+        """
+        scale = self.gain / self.noise_sigma
+        size = math.hypot(scale.real, scale.imag)  # abs() raises past the largest float
+        norms = self.singular_values.tolist()
+        low, high = size * min(norms), size * max(norms)
+        if not math.isfinite(high):
+            raise ValueError("message factor contains non-finite entries")
+        if not low >= _TINY:
+            raise RankDeficiencyError(f"message factor of gain / sigma = {scale} underflows "
+                                      f"(singular values {low:.3e} .. {high:.3e})")
+        return _read_only(scale * self.coupling)
 
     @cached_property
     def orthonormal(self) -> bool:

@@ -25,19 +25,26 @@ from a Hillis-Steele prefix scan of the fold, ceil(log2 L) calls.  Each
 then gates every fold's R11 in one batched SVD.
 
 Each call does its per-channel and per-report work in one pass.  One
-builder makes the leaves, with one gate and one energy check:
-``channel_message`` runs it on one channel, and ``partition_cv`` on all its
-channels and blocks, with no message in between, so a caller's messages and
-``partition_cv``'s leaves are the same bits.  ``daisy_chain_fuse`` takes its
-statistics from one energy pass over the stacked coordinates and checks its
-L reports' decompositions in one batched call.  A message set's file form,
-and its reader and writer, are in :mod:`formats`.
+builder makes the leaves, with one energy check, from constants each
+channel keeps: its adjoint basis Q_l^H and its whitened factor F_l, gated
+when first built (:class:`~glrfusion.channel.ChannelModel`).  The
+channels of one block shape take their coordinates in one batched product.
+``channel_message`` runs the builder on one channel, a group of one, and
+``partition_cv`` on all its channels and blocks, with no message in
+between, so a caller's messages and ``partition_cv``'s leaves are the same
+bits.  A tree's walk, its checks and each height's index arrays form a
+plan, which ``partition_cv`` keeps for the last tree object it was given
+and reuses while the same object comes back.  ``daisy_chain_fuse`` takes
+its statistics from one energy pass over the stacked coordinates and checks
+its L reports' decompositions in one batched call.  A message set's file
+form, and its reader and writer, are in :mod:`formats`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,7 +53,7 @@ import numpy as np
 from .channel import ChannelModel
 from .detectors import (ChannelKnowledge, DetectorReport, KnowledgeSpec, NoiseKnowledge,
                         check_channels, check_decomposition)
-from .errors import ConfigError, DimensionError, ProtocolError, RankDeficiencyError
+from .errors import ConfigError, DimensionError, ProtocolError
 from .linalg import as_complex_matrix, energy, orthonormal_basis, require_full_rank
 from .measurement import MeasurementSet
 
@@ -54,19 +61,14 @@ PartitionTree = int | tuple
 
 _P11 = KnowledgeSpec(ChannelKnowledge.KNOWN_F, NoiseKnowledge.KNOWN)
 
-# The smallest normal float: a scaled singular value below it has lost precision.
-_TINY = np.finfo(float).tiny
-
 # Marks a fold on the stack of a tree walk.
 _FOLD = object()
 
 
 def chain_tree(n_channels: int) -> PartitionTree:
     """Left-deep tree: (((0, 1), 2), ...)."""
-    if n_channels < 1:
-        raise ConfigError("need at least one channel")
     tree: PartitionTree = 0
-    for k in range(1, n_channels):
+    for k in range(1, _channel_count(n_channels)):
         tree = (tree, k)
     return tree
 
@@ -80,46 +82,72 @@ def balanced_tree(n_channels: int) -> PartitionTree:
         mid = (lo + hi + 1) // 2
         return (build(lo, mid), build(mid, hi))
 
-    if n_channels < 1:
+    return build(0, _channel_count(n_channels))
+
+
+def _channel_count(n_channels) -> int:
+    """A tree builder's channel count as a plain int (ConfigError unless an integer >= 1)."""
+    count = _integer(n_channels)
+    if count is None:
+        raise ConfigError(f"channel count must be an integer, got {n_channels!r}")
+    if count < 1:
         raise ConfigError("need at least one channel")
-    return build(0, n_channels)
+    return count
+
+
+def _integer(value) -> int | None:
+    """``value`` as a plain int if :func:`operator.index` takes it and it is no bool, else None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
 
 
 def _leaves(channels: Sequence[ChannelModel],
-            blocks: Sequence[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The channels' factors F_l and coordinates C_l on their blocks, one list each.
+            blocks: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+    """The channels' J x J factors F_l and (L, J, M) coordinates C_l on their blocks.
 
-    ``np.concatenate(_leaves(...), axis=-1)`` stacks them into the leaves'
-    (L, J, J + M) states [F_l | C_l].  Reads each channel's cached basis Q_l,
-    factor R_l = Q_l^H H_l and singular values.  The basis passed the rank
-    gate, and Q_l holds the left singular vectors of H_l, so R_l = diag(s) V^H:
-    only the scale g_l / sigma_l is gated.  The scaled singular values must
-    be finite (ValueError) and normal floats, or the factor has lost rank to
-    underflow (RankDeficiencyError).  The coordinates overflow when sigma_l
-    is tiny, and their energy when the data are huge; the total energy,
-    checked once, catches both (ValueError).  The caller checks the channels
-    and blocks: one mode count J, and blocks of N_l rows and M columns.
+    ``np.concatenate((np.array(factors), coords), axis=-1)`` stacks them into
+    the leaves' (L, J, J + M) states [F_l | C_l].  Each factor is the
+    channel's cached whitened coupling F_l = (g_l / sigma_l) R_l, which
+    raises when its scale fails the gate
+    (:attr:`ChannelModel.whitened_coupling`).  The channels of one block
+    shape (N_l, M) form a group, as :func:`~glrfusion.measurement.draw_trials`
+    groups channels by frame shape, and each group takes its coordinates
+    C_l = Q_l^H X_l / sigma_l, from the cached adjoint bases, in one batched
+    product and one division.  The coordinates overflow when sigma_l is tiny,
+    and their energy when the data are huge; the total energy, checked once,
+    catches both (ValueError).  The caller checks the channels and blocks:
+    one mode count J, and blocks of N_l rows and M columns.
     """
-    factors, coords = [], []
+    factors = [ch.whitened_coupling for ch in channels]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for idx, x in enumerate(blocks):
+        groups.setdefault(x.shape, []).append(idx)
+    parts = []
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        for ch, x in zip(channels, blocks):
-            sigma = ch.noise_sigma
-            scale = ch.gain / sigma
-            norms = ch.singular_values.tolist()
-            low, high = abs(scale) * min(norms), abs(scale) * max(norms)
-            if not math.isfinite(high):
-                raise ValueError("message factor contains non-finite entries")
-            if not low >= _TINY:
-                raise RankDeficiencyError(f"message factor of gain / sigma = {scale} underflows "
-                                          f"(singular values {low:.3e} .. {high:.3e})")
-            c = ch.basis.conj().T @ x / sigma
+        for group in groups.values():
+            c = (_stack([channels[idx].adjoint_basis for idx in group])
+                 @ _stack([blocks[idx] for idx in group]))
+            c /= np.array([channels[idx].noise_sigma for idx in group])[:, None, None]
             total += np.vdot(c, c).real
-            factors.append(scale * ch.coupling)
-            coords.append(c)
+            parts.append(c)
+    coords = parts[0]
+    if len(parts) > 1:  # the groups' coordinates, back in the channels' order
+        coords = np.empty((len(channels), *coords.shape[1:]), dtype=complex)
+        for group, c in zip(groups.values(), parts):
+            coords[group] = c
     if not math.isfinite(total):
-        raise _overflow(np.array(coords))
+        raise _overflow(coords)
     return factors, coords
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """Arrays of one shape stacked on a new first axis; a lone array as a view, not a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 def _overflow(coords: np.ndarray) -> ValueError:
@@ -129,8 +157,8 @@ def _overflow(coords: np.ndarray) -> ValueError:
     return ValueError("message coordinates contains non-finite entries")
 
 
-def _fold(upper: np.ndarray, lower: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Merge B pairs of groups' (B, J, J + M) states in one batched QR.
+def _fold(pairs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Merge B pairs of groups' states, stacked as (B, 2J, J + M), in one batched QR.
 
     R, the triangular factor of each stack [S_upper; S_lower], splits at J:
     the merged state is its first J rows [R11 | R12], and the term is
@@ -143,12 +171,13 @@ def _fold(upper: np.ndarray, lower: np.ndarray, m: int) -> tuple[np.ndarray, np.
     by rounding: cond([A; B]) <= max(cond A, cond B), by the mediant inequality on
     lambda_max / lambda_min of A^H A + B^H B.  It is kept as a guard.
     """
-    j, cols = upper.shape[-2:]
+    cols = pairs.shape[-1]
+    j = cols - m
     rows = min(2 * j, cols)
     # mode="raw" returns the factorisation transposed, with R in the upper
     # triangle of its first rows; the cached mask zeroes the rest, as mode="r"
     # does with np.triu.
-    h, _ = np.linalg.qr(np.concatenate((upper, lower), axis=-2), mode="raw")
+    h, _ = np.linalg.qr(pairs, mode="raw")
     r = np.where(_upper_triangle(rows, cols), h.swapaxes(-1, -2)[..., :rows, :], 0)
     return energy(r[..., j:, j:]) / m, r[..., :j, :]
 
@@ -181,21 +210,38 @@ class PartitionResult:
     cross_validation: float  # raw_total / L, matching the known-noise panel
 
 
-def _fold_tree(states: np.ndarray, tree: PartitionTree) -> list[PartitionStep]:
-    """Fold the leaves' (L, J, J + M) states up ``tree``: its internal nodes' steps in post-order.
+@dataclass(frozen=True)
+class _FoldPlan:
+    """A checked tree's walk over L leaves, reusable for any leaf states.
 
-    The walk checks the tree: a node is a leaf index or a pair of nodes, and
-    the leaves are a permutation of 0..L-1 (ConfigError).  The nodes of one
-    height are independent, so each height is one batched fold, and one
-    batched SVD gates them all.  The walk keeps its own stack, as a chain is
-    L levels deep; ``_FOLD`` marks a fold.
+    Internal node k is row L + k of the fold's states, in post-order.
+    ``nodes`` holds each internal node's left and right leaves, and
+    ``levels`` holds, per height less one, the rows of its nodes and the
+    (nodes, 2) rows of their left and right children.
     """
-    n = len(states)
+
+    n_leaves: int
+    nodes: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    levels: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+# The last tree _fold_tree walked and its plan.  The entry holds the tree, so
+# no other object can take its id while the entry lasts; trees are matched
+# by identity alone, as hashing or comparing a nested tuple recurses in C.
+_last_plan: tuple[PartitionTree, _FoldPlan] | None = None
+
+
+def _plan_tree(tree: PartitionTree, n: int) -> _FoldPlan:
+    """Walk ``tree`` over ``n`` leaves and check it.
+
+    A node is a leaf index (any integer :func:`operator.index` accepts, but
+    not a bool) or a pair of nodes, and the leaves are a permutation of
+    0..L-1 (ConfigError).  The walk keeps its own stack, as a chain is L
+    levels deep; ``_FOLD`` marks a fold.
+    """
     leaves: list[int] = []
-    nodes: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # the children's leaves
-    # Per height less one: the nodes' rows of states (internal node k is row
-    # n + k) and their left and right children's rows.
-    levels: list[tuple[list[int], list[int], list[int]]] = []
+    nodes: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    levels: list[tuple[list[int], list[tuple[int, int]]]] = []
     groups: list[tuple[int, tuple[int, ...], int]] = []  # (row of states, leaves, height)
     pending: list[PartitionTree | object] = [tree]
     while pending:
@@ -204,33 +250,56 @@ def _fold_tree(states: np.ndarray, tree: PartitionTree) -> list[PartitionStep]:
             (row_r, leaves_r, height_r), (row_l, leaves_l, height_l) = groups.pop(), groups.pop()
             level = max(height_l, height_r)
             if level == len(levels):
-                levels.append(([], [], []))
-            rows, left, right = levels[level]
+                levels.append(([], []))
+            rows, children = levels[level]
             row = n + len(nodes)
             rows.append(row)
-            left.append(row_l)
-            right.append(row_r)
+            children.append((row_l, row_r))
             nodes.append((leaves_l, leaves_r))
             groups.append((row, leaves_l + leaves_r, level + 1))
-        elif isinstance(node, int) and not isinstance(node, bool):
-            leaves.append(node)
-            groups.append((node, (node,), 0))
         elif isinstance(node, tuple) and len(node) == 2:
             pending += [_FOLD, node[1], node[0]]
         else:
-            raise ConfigError(f"malformed partition tree node {node!r}")
+            leaf = _integer(node)
+            if leaf is None:
+                raise ConfigError(f"malformed partition tree node {node!r}")
+            leaves.append(leaf)
+            groups.append((leaf, (leaf,), 0))
     leaves.sort()
     if leaves != list(range(n)):
         raise ConfigError(f"tree leaves {leaves} are not a permutation of 0..{n - 1}")
+    return _FoldPlan(n, tuple(nodes), tuple((np.array(rows), np.array(children))
+                                            for rows, children in levels))
+
+
+def _fold_tree(states: np.ndarray, tree: PartitionTree) -> list[PartitionStep]:
+    """Fold the leaves' (L, J, J + M) states up ``tree``: its internal nodes' steps in post-order.
+
+    The nodes of one height are independent, so each height is one batched
+    fold, whose pairs one gather stacks, and one batched SVD gates them all.
+    The walk and its checks (:func:`_plan_tree`) run once per tree object:
+    the plan of the last tree is kept and reused while the same object, over
+    the same number of leaves, comes back.
+    """
+    global _last_plan
+    n = len(states)
+    last = _last_plan
+    if last is not None and last[0] is tree and last[1].n_leaves == n:
+        plan = last[1]
+    else:
+        plan = _plan_tree(tree, n)
+        _last_plan = (tree, plan)
     m = states.shape[-1] - states.shape[-2]
-    states = np.concatenate((states, np.empty((len(nodes), *states.shape[1:]), dtype=complex)))
+    states = np.concatenate((states, np.empty((len(plan.nodes), *states.shape[1:]),
+                                              dtype=complex)))
     terms = np.empty(len(states))  # by row of states; a leaf's is unused
-    for rows, left, right in levels:
-        terms[rows], states[rows] = _fold(states[left], states[right], m)
-    if nodes:
+    for rows, children in plan.levels:
+        terms[rows], states[rows] = _fold(
+            states[children].reshape(len(rows), -1, states.shape[-1]), m)
+    if plan.nodes:
         _require_full_rank_folds(states[n:])
     return [PartitionStep(left, right, term)
-            for (left, right), term in zip(nodes, terms[n:].tolist())]
+            for (left, right), term in zip(plan.nodes, terms[n:].tolist())]
 
 
 def partition_cv(channels: Sequence[ChannelModel], ms: MeasurementSet,
@@ -244,7 +313,8 @@ def partition_cv(channels: Sequence[ChannelModel], ms: MeasurementSet,
     one height fold in one batched call.
     """
     check_channels(channels, ms.channel_dims)
-    steps = _fold_tree(np.concatenate(_leaves(channels, ms.blocks), axis=-1), tree)
+    factors, coords = _leaves(channels, ms.blocks)
+    steps = _fold_tree(np.concatenate((np.array(factors), coords), axis=-1), tree)
     raw_total = float(sum(s.term for s in steps))
     return PartitionResult(
         steps=tuple(steps),
@@ -306,7 +376,8 @@ def channel_message(channel: ChannelModel, x_block, n_snapshots: int) -> Channel
 
     The data must be a finite N_l x ``n_snapshots`` matrix.  The message's
     factor and coordinates are the channel's leaf, built and gated as
-    :func:`partition_cv` builds every channel's leaf.
+    :func:`partition_cv` builds every channel's leaf; its factor is the
+    channel's read-only :attr:`~glrfusion.channel.ChannelModel.whitened_coupling`.
     """
     x = as_complex_matrix(x_block, "channel data")
     if x.shape[0] != channel.n_samples:
@@ -317,8 +388,8 @@ def channel_message(channel: ChannelModel, x_block, n_snapshots: int) -> Channel
                              f"for n_snapshots={n_snapshots}")
     if n_snapshots == 0:
         raise DimensionError(f"message coordinates are empty: (J, M) = ({channel.n_modes}, 0)")
-    (factor,), (coords,) = _leaves([channel], [x])
-    return ChannelMessage._unchecked(factor, coords)
+    factors, coords = _leaves([channel], [x])
+    return ChannelMessage._unchecked(factors[0], coords[0])
 
 
 def _prefix_cvs(states: np.ndarray, m: int) -> np.ndarray:
@@ -335,7 +406,7 @@ def _prefix_cvs(states: np.ndarray, m: int) -> np.ndarray:
     folded = []
     shift = 1
     while shift < n:
-        terms, merged = _fold(states[:-shift], states[shift:], m)
+        terms, merged = _fold(np.concatenate((states[:-shift], states[shift:]), axis=-2), m)
         raw[shift:] = raw[:-shift] + raw[shift:] + terms
         states[shift:] = merged
         folded.append(merged)
@@ -373,14 +444,14 @@ def daisy_chain_fuse(messages: Sequence[ChannelMessage]) -> list[DetectorReport]
     n, m = len(msgs), coords.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         stats = energy(coords) / m
-    if not np.isfinite(stats).all():
+    if not math.isfinite(stats.max()):  # energies are not negative: any inf or nan shows
         raise _overflow(coords)
     counts = np.arange(1, n + 1)
     states = np.concatenate((np.array([msg.factor for msg in msgs]), coords), axis=-1)
     cvs = _prefix_cvs(states, m) / counts
     composites = np.cumsum(stats) / counts - cvs
     # Report k's weights and statistics, zero-padded to L: row k - 1 of each.
-    prefix = np.tri(n)
+    prefix = counts[:, None] >= counts
     alphas, per_channel = prefix / counts[:, None], prefix * stats
     check_decomposition(composites, alphas, per_channel, cvs)
     return [DetectorReport._unchecked(composite, alphas[k, :k + 1], per_channel[k, :k + 1],

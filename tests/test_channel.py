@@ -193,11 +193,21 @@ class TestCachedBasis:
 
     def test_matrix_and_cached_factors_are_read_only(self, rng):
         ch = random_channel(rng, 6, 2)
-        for name in ("matrix", "basis", "coupling"):
+        for name in ("matrix", "basis", "coupling", "adjoint_basis", "whitened_coupling"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(ch, name)[0, 0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             ch.singular_values[0] = 0.0
+
+    def test_fusion_constants_are_built_on_first_use(self, rng):
+        ch = random_channel(rng, 6, 2, gain=1.5 - 0.5j, noise_variance=2.0)
+        assert not {"adjoint_basis", "whitened_coupling"} & set(vars(ch))
+        assert ch.adjoint_basis is ch.adjoint_basis
+        assert ch.whitened_coupling is ch.whitened_coupling
+        assert ch.adjoint_basis.flags.c_contiguous
+        np.testing.assert_array_equal(ch.adjoint_basis, ch.basis.conj().T)
+        np.testing.assert_array_equal(ch.whitened_coupling,
+                                      ch.gain / ch.noise_sigma * ch.coupling)
 
     def test_singular_values_are_the_couplings_row_norms(self, rng):
         ch = random_channel(rng, 6, 3)

@@ -51,6 +51,38 @@ def tree_leaves(tree) -> tuple[int, ...]:
     return (tree,) if isinstance(tree, int) else tree_leaves(tree[0]) + tree_leaves(tree[1])
 
 
+def same_bits(a, b) -> bool:
+    """Whether two nests of tuples and lists hold the same arrays and numbers, bit for bit."""
+    if isinstance(a, (tuple, list)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(same_bits(x, y) for x, y in zip(a, b)))
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def fused_values(channels, ms, tree):
+    """Every message, daisy-chain report value and partition step of one data set."""
+    msgs = messages_for(channels, ms)
+    reports = daisy_chain_fuse(msgs)
+    result = partition_cv(channels, ms, tree)
+    return ([(msg.factor, msg.coordinates) for msg in msgs],
+            [(r.composite, r.cross_validation, r.per_channel, r.alphas) for r in reports],
+            [(step.left, step.right, step.term) for step in result.steps],
+            result.raw_total)
+
+
+class Opaque(tuple):
+    """A tree node that refuses to be hashed or compared."""
+
+    def __eq__(self, other):
+        raise AssertionError("a tree node was compared")
+
+    __ne__ = __eq__
+
+    def __hash__(self):
+        raise AssertionError("a tree node was hashed")
+
+
 def partition_two_channels(tree):
     """``partition_cv`` on two random channels and their data, with ``tree``."""
     chans, ms = random_instance(np.random.default_rng(3), n_channels=2)
@@ -158,17 +190,51 @@ class TestPartitionCv:
 
     def test_deep_chain_matches_daisy_chain(self, rng):
         # A chain over 1200 channels is 1200 levels deep, past Python's
-        # default recursion limit of 1000.
+        # default recursion limit of 1000, where hashing or comparing the
+        # nested tuple would recurse in C: a chain of nodes that refuse both
+        # folds as the plain chain does, on its first call and on the call
+        # that reuses its plan.
         chans = [random_channel(rng, 2, 1) for _ in range(1200)]
         ms = simulate(chans, 3, seed=7, amplitudes=complex_normal(rng, (1, 3)))
         result = partition_cv(chans, ms, chain_tree(1200))
         fused = daisy_chain_fuse(messages_for(chans, ms))[-1]
         assert result.cross_validation == pytest.approx(
             fused.cross_validation, abs=1e-9, rel=1e-9)
+        opaque = 0
+        for k in range(1, 1200):
+            opaque = Opaque((opaque, k))
+        for _ in range(2):
+            assert partition_cv(chans, ms, opaque).raw_total == result.raw_total
 
     def test_tree_helpers(self):
         assert tree_leaves(chain_tree(4)) == (0, 1, 2, 3)
         assert sorted(tree_leaves(balanced_tree(5))) == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("build", [chain_tree, balanced_tree])
+    def test_integer_like_count_builds_a_tree_of_plain_ints(self, rng, build):
+        tree = build(np.int64(3))
+        assert tree == build(3)
+        assert all(type(leaf) is int for leaf in tree_leaves(tree))
+        chans, ms = random_instance(rng, n_channels=3)
+        expected = partition_cv(chans, ms, build(3)).raw_total
+        assert partition_cv(chans, ms, tree).raw_total == expected
+
+    @pytest.mark.parametrize("build, count", [
+        (balanced_tree, 2.5), (chain_tree, 3.0), (balanced_tree, True), (chain_tree, False),
+        (balanced_tree, np.float64(3.0)), (chain_tree, "3"),
+    ], ids=["balanced-float", "chain-float", "balanced-bool", "chain-bool",
+            "balanced-numpy-float", "chain-str"])
+    def test_non_integer_count_rejected(self, build, count):
+        with pytest.raises(ConfigError, match="channel count must be an integer"):
+            build(count)
+
+    def test_integer_leaves_of_any_type(self, rng):
+        chans, ms = random_instance(rng, n_channels=3)
+        plain = partition_cv(chans, ms, ((0, 1), 2))
+        mixed = partition_cv(chans, ms, ((np.int64(0), np.intp(1)), np.int32(2)))
+        assert same_bits([(s.left, s.right, s.term) for s in mixed.steps],
+                         [(s.left, s.right, s.term) for s in plain.steps])
+        assert all(type(leaf) is int for s in mixed.steps for leaf in s.left + s.right)
 
     @pytest.mark.parametrize("build, arg", [
         (chain_tree, 0), (chain_tree, -3), (balanced_tree, 0), (balanced_tree, -3),
@@ -389,7 +455,8 @@ class TestMessageValidation:
     @pytest.mark.parametrize("gain, variance, error", [
         (0.0, 1.0, RankDeficiencyError), (1e-310, 1.0, RankDeficiencyError),
         (1e-300j, 1e20, RankDeficiencyError), (1e300, 1e-300, ValueError),
-    ], ids=["zero", "subnormal", "underflow", "overflow"])
+        (1.5e308 + 1.5e308j, 1.0, ValueError),
+    ], ids=["zero", "subnormal", "underflow", "overflow", "modulus-overflow"])
     def test_gain_out_of_float_range_rejected(self, rng, gain, variance, error):
         # channel_message gates only g / sigma: a factor whose scaled singular
         # values vanish or underflow has lost rank, and a non-finite one
@@ -400,6 +467,19 @@ class TestMessageValidation:
             warnings.simplefilter("error")
             with pytest.raises(error, match="message factor"):
                 channel_message(ch, complex_normal(rng, (6, 4)), 4)
+
+    def test_underflowing_scale_raises_on_every_call(self, rng):
+        # A cached property keeps no exception: the channel keeps no factor
+        # and gates it again on each call.
+        ch = ChannelModel(matrix=normalize_channel(complex_normal(rng, (6, 2))), gain=1e-310,
+                          noise_variance=1.0)
+        x = complex_normal(rng, (6, 4))
+        for _ in range(2):
+            with pytest.raises(RankDeficiencyError, match="underflows"):
+                channel_message(ch, x, 4)
+            with pytest.raises(RankDeficiencyError, match="underflows"):
+                partition_cv([ch], MeasurementSet((x,)), 0)
+        assert "whitened_coupling" not in vars(ch)
 
     @pytest.mark.parametrize("gain", [1e-290, 1e290], ids=["small", "large"])
     def test_gain_inside_float_range_matches_rank_gated_message(self, rng, gain):
@@ -456,17 +536,35 @@ class TestBatchedFolds:
         assert calls == []
 
     def test_partition_cv_leaf_states_are_the_messages(self, rng, monkeypatch):
-        # Bit for bit: partition_cv's one-pass leaves are channel_message's.
-        chans, ms = self.cached_instance(rng, 8)
+        # Bit for bit: partition_cv's batched leaves, one product per block
+        # shape, are channel_message's groups of one, on channels of one
+        # shape, of three shapes in mixed order, and on one channel.
         seen = []
 
         def spy(states, tree, _fold_tree=fusion._fold_tree):
             seen.append(states.copy())
             return _fold_tree(states, tree)
         monkeypatch.setattr(fusion, "_fold_tree", spy)
-        partition_cv(chans, ms, balanced_tree(8))
-        expected = [np.hstack((msg.factor, msg.coordinates)) for msg in messages_for(chans, ms)]
-        np.testing.assert_array_equal(seen[0], np.array(expected))
+        for dims in [(6,) * 8, (6, 4, 6, 5, 4, 6, 5, 6), (6,)]:
+            chans = [random_channel(rng, n, 2) for n in dims]
+            ms = simulate(chans, 4, seed=3, amplitudes=complex_normal(rng, (2, 4)))
+            partition_cv(chans, ms, balanced_tree(len(dims)))
+            expected = [np.hstack((msg.factor, msg.coordinates))
+                        for msg in messages_for(chans, ms)]
+            assert same_bits(seen[-1], np.array(expected)), dims
+
+    def test_cold_and_warm_channels_give_the_same_bits(self, rng):
+        dims = (6, 4, 6, 5)
+        chans = [random_channel(rng, n, 2) for n in dims]
+        ms = simulate(chans, 4, seed=3, amplitudes=complex_normal(rng, (2, 4)))
+        tree = balanced_tree(4)
+        first = fused_values(chans, ms, tree)  # builds each channel's constants
+        warm = fused_values(chans, ms, tree)
+        cold = fused_values([ChannelModel(matrix=ch.matrix, gain=ch.gain,
+                                          noise_variance=ch.noise_variance) for ch in chans],
+                            ms, tree)
+        assert same_bits(warm, first)
+        assert same_bits(cold, first)
 
     def test_daisy_chain_checks_reports_in_one_batch(self, rng, monkeypatch):
         chans, ms = self.cached_instance(rng, 8)
@@ -499,10 +597,79 @@ class TestBatchedFolds:
         ch = ChannelModel(matrix=normalize_channel(complex_normal(rng, (6, 2))), gain=1e-200,
                           noise_variance=1e-300)
         x = np.full((6, 4), 1e200, dtype=complex)
+        # The overflowing channel's block shape is the second group of three.
+        others = [random_channel(rng, n, 2) for n in (5, 6, 4)]
+        ms = MeasurementSet((complex_normal(rng, (5, 4)), x, complex_normal(rng, (6, 4)),
+                             complex_normal(rng, (4, 4))))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="message coordinates"):
+            with pytest.raises(ValueError, match="message coordinates contains non-finite"):
                 channel_message(ch, x, 4)
+            with pytest.raises(ValueError, match="message coordinates contains non-finite"):
+                partition_cv([others[0], ch, *others[1:]], ms, balanced_tree(4))
+
+
+class TestFoldPlan:
+    """partition_cv walks a tree object once and reuses its plan while the object comes back."""
+
+    def test_second_call_on_a_tree_object_reuses_its_plan(self, rng, monkeypatch):
+        chans, ms = TestBatchedFolds.cached_instance(rng, 8)
+        tree = balanced_tree(8)
+        results = []
+
+        def call():
+            results.append(partition_cv(chans, ms, tree))
+        first = count_linalg_calls(monkeypatch, call)
+        second = count_linalg_calls(monkeypatch, call)
+        assert first == second == {"qr": 3, "svd": 1}
+        assert same_bits(*([(s.left, s.right, s.term) for s in r.steps] for r in results))
+        walks = []
+
+        def spy(tree, n, _plan_tree=fusion._plan_tree):
+            walks.append(n)
+            return _plan_tree(tree, n)
+        monkeypatch.setattr(fusion, "_plan_tree", spy)
+        partition_cv(chans, ms, tree)
+        assert walks == []
+        partition_cv(chans, ms, balanced_tree(8))  # an equal tree, but a new object
+        assert walks == [8]
+
+    @pytest.mark.parametrize("bad, problem", [
+        (((0, 1), [2, 3]), r"malformed partition tree node \[2, 3\]"),
+        (((0, 1), (1, 3)), "not a permutation"),
+        (((0, 1), (True, 3)), "malformed partition tree node True"),
+    ], ids=["list-node", "duplicate-leaf", "bool-leaf"])
+    def test_malformed_tree_after_a_kept_plan_raises_on_every_call(self, rng, bad, problem):
+        chans, ms = random_instance(rng, n_channels=4)
+        good = balanced_tree(4)
+        expected = partition_cv(chans, ms, good)
+        for _ in range(2):
+            with pytest.raises(ConfigError, match=problem):
+                partition_cv(chans, ms, bad)
+        assert partition_cv(chans, ms, good).raw_total == expected.raw_total
+
+    def test_kept_tree_over_another_channel_count_rejected(self, rng):
+        chans, ms = random_instance(rng, n_channels=4)
+        tree = balanced_tree(4)
+        partition_cv(chans, ms, tree)
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="not a permutation of 0..2"):
+                partition_cv(chans[:3], MeasurementSet(ms.blocks[:3]), tree)
+
+    def test_new_tree_objects_over_the_same_leaves(self, rng, monkeypatch):
+        chans, ms = random_instance(rng, n_channels=4)
+        trees = [((0, 1), (2, 3)), ((0, 2), (1, 3)), (((0, 1), 2), 3)]
+        fresh = []
+        for tree in trees:
+            monkeypatch.setattr(fusion, "_last_plan", None)
+            fresh.append(partition_cv(chans, ms, tree))
+        # Each call follows a call on another tree, whose plan was kept.
+        for tree, expected in zip(trees, fresh):
+            result = partition_cv(chans, ms, tree)
+            assert same_bits([(s.left, s.right, s.term) for s in result.steps],
+                             [(s.left, s.right, s.term) for s in expected.steps])
+        assert [(s.left, s.right) for s in fresh[1].steps] == [
+            ((0,), (2,)), ((1,), (3,)), ((0, 2), (1, 3))]
 
 
 @pytest.mark.parametrize("eps", [3e-6, 3e-8], ids=["ratio-1e-6", "ratio-1e-8"])
