@@ -128,8 +128,11 @@ PY
 )
 
 # Row 2 scores each cell in its channels' bases. P11 then scans 300 Doppler
-# bins, more than one of the bank's blocks holds (256 bins of N = 8 samples by
-# M = 4 snapshots), and writes a header, one row per cell and one argmax.
+# bins and writes a header, one row per cell and one argmax. A second data
+# set, simulated at 60 dB with channel 1 at the cell (2 ms, 62.5 Hz) of a
+# 4 x 5 grid, leaves that Doppler bin a tail of about 1e-6 of the block's
+# energy, too small to take as a difference of energies, so the bank forms
+# that bin's residual; P11's one argmax row is the true cell.
 scan_smoke() (
   cd "${SMOKE_DIR:?run console_smoke first}"
   glrfusion scan --config scan.json data
@@ -139,6 +142,12 @@ scan_smoke() (
     --set output='"scan_p11"' data
   test "$(wc -l < scan_p11/scan.csv)" -eq 601
   test "$(awk -F, 'NR > 1 && $4 == 1' scan_p11/scan.csv | wc -l)" -eq 1
+  python -c "import json; c = json.load(open('simulate.json')); c['channels'][1].update(delay_s=2e-3, doppler_hz=62.5); c.update(hypothesis='h1', snr_db=60.0, output='loud'); json.dump(c, open('loud.json', 'w'))"
+  glrfusion simulate --config loud.json
+  glrfusion scan --config scan.json --set panel='"p11"' --set delays_s='[0.0, 0.002, 0.004, 0.006]' \
+    --set dopplers_hz='[-125.0, -62.5, 0.0, 62.5, 125.0]' --set output='"scan_loud"' loud
+  test "$(wc -l < scan_loud/scan.csv)" -eq 21
+  test "$(awk -F, 'NR > 1 && $4 == 1 {print $1 "," $2}' scan_loud/scan.csv)" = "0.002,62.5"
 )
 
 # The fusion API, which no console command reaches, on the installed package:

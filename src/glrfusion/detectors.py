@@ -98,7 +98,7 @@ from .measurement import MeasurementSet
 # 1e-4.  Noise-free data in the signal span measures about 1e-31, noisy data
 # at a signal amplitude of 1e8 about 1e-16.  A split's tails this small, on
 # rows 2 and 3 alike, come from singular values, never from Gram eigenvalues
-# (_GRAM_RATIO), so they keep that accuracy.
+# (GRAM_RATIO), so they keep that accuracy.
 DEGENERACY_RTOL = 1e-24
 
 # A split at a mode count takes a matrix's energies from its smaller Gram
@@ -107,7 +107,7 @@ DEGENERACY_RTOL = 1e-24
 # largest, so the tail keeps a relative error below about 1e-13.  Smaller
 # tails, among them every tail near DEGENERACY_RTOL, come from the singular
 # values, whatever the stack's shape.
-_GRAM_RATIO = 1e-2
+GRAM_RATIO = 1e-2
 
 
 class ChannelKnowledge(str, Enum):
@@ -544,7 +544,7 @@ def _split(gram: np.ndarray, j: int, m: int,
 
     They come from the eigenvalues of a Gram matrix of x, x^H x or x x^H
     (``gram``), whose tail errs by about eps * s_1^2: each matrix whose tail
-    is at most ``_GRAM_RATIO`` s_1^2 takes its singular values instead, from
+    is at most ``GRAM_RATIO`` s_1^2 takes its singular values instead, from
     the matrices ``rows(bad)`` returns, those of the Gram matrices
     ``gram[bad]``, so only they are formed.  Where the Gram matrix has at
     most J rows the tail is exactly 0 either way, and only a matrix whose
@@ -556,7 +556,7 @@ def _split(gram: np.ndarray, j: int, m: int,
     if e.shape[-1] <= j:
         bad = ~np.isfinite(top)
     else:
-        bad = ~(tail > _GRAM_RATIO * e[..., -1])  # also a nan
+        bad = ~(tail > GRAM_RATIO * e[..., -1])  # also a nan
     if np.count_nonzero(bad):
         top[bad], tail[bad] = _singular_split(rows(bad), j, m)
     return top, tail
@@ -614,8 +614,18 @@ def evaluate(spec: KnowledgeSpec, s: Summary, dominant_numerator: bool = False) 
     shape = (-1, n_ch, k * m) if gains_row else (-1, n_ch * k, m)
 
     def whitened(picked=slice(None)) -> np.ndarray:
-        """The picked resolved cells' stacks of blocks, each over sqrt(v_l)."""
-        return (data[cells[picked]] / np.sqrt(v[picked])[..., None, None]).reshape(shape)
+        """The picked resolved cells' stacks of blocks, each over sqrt(v_l).
+
+        numpy divides a complex number by a real c as by c + 0j, through
+        1 / c, so scaling the real and imaginary parts by 1 / sqrt(v_l)
+        gives the quotient's bits, without the complex division loop.
+        """
+        whole = isinstance(picked, slice) and cells.size == batch
+        blocks = data if whole else data[cells[picked]]
+        if blocks.strides[-1] != blocks.itemsize:  # the float view needs a contiguous last axis
+            blocks = np.ascontiguousarray(blocks)
+        scale = 1.0 / np.sqrt(v[picked])
+        return (blocks.view(np.float64) * scale[..., None, None]).view(complex).reshape(shape)
 
     if s.gram is not None:  # the Gram matrix of the stack is sum_l F_l^H F_l / v_l
         top, rest = _split(np.einsum("blij,bl->bij", s.gram[cells], 1.0 / v), s.coupling, m,

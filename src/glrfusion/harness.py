@@ -75,6 +75,7 @@ from .channel import (
     require_gain_and_noise,
 )
 from .detectors import (
+    GRAM_RATIO,
     ChannelKnowledge,
     KnowledgeSpec,
     coordinate_summary,
@@ -89,12 +90,10 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 # Complex entries of the largest temporary one step of a scan or of a chunk
 # of trials forms: 2**18 entries, 4 MiB.
 _CHUNK_ENTRIES = 1 << 18
-# Complex entries of one block of a scan's demodulated Doppler bins, which
-# bounds the bank's two reused buffers whatever the grid's size: 2**13
-# entries, 128 KiB each.  Smaller blocks pay a per-block overhead that larger
-# ones do not repay: at N = 64, M = 16 and 64 bins one channel's bank took
-# 0.81 ms at 2**13 entries, 0.77-0.85 ms at 2**14 to 2**18, and 0.95, 1.2 and
-# 1.5 ms at 2**12, 2**11 and 2**10 (one BLAS thread on a 2-vCPU Xeon VM).
+# Complex entries of one block of a scan's demodulated Doppler bins whose
+# tails are formed from their residuals (``_doppler_bank``): 2**13 entries,
+# 128 KiB, whatever the grid's size.  Only bins whose tail is too small to
+# take as a difference of energies are formed, so quiet data forms none.
 _BANK_ENTRIES = 1 << 13
 
 
@@ -605,31 +604,35 @@ def _doppler_bank(channel: ChannelModel, spec: PropagationSpec, x: np.ndarray,
     holds the diagonals of D_N(nu Ts) on the grid's bins.  One basis
     serves the whole grid: Q(nu) = E(nu) Q_b and R(tau) = R_b Phi(tau_b)^H
     Phi(tau), with E(nu) = D_N(nu Ts) D_N(nu_b Ts)^H, so bin nu's coordinates
-    and tail are those of the demodulated block E(nu)^H X in Q_b, formed in
-    blocks of at most ``_BANK_ENTRIES`` entries.  Returns R(tau) (n_delay, J,
-    J), the coordinates (n_doppler, J, M) and the tails (n_doppler,).  No cell
-    needs checks of its own: unitary diagonals on either side change neither
-    trace(H^H H), the singular values (row 1's rank gate) nor H^H H = I (row
-    2), which ``summarise`` checks on H_b.
+    and tail are those of the demodulated block E(nu)^H X in Q_b.  Entry
+    (j, m) of bin nu's coordinates is sum_n e_n(nu) conj(Q_b[n, j]) X[n, m],
+    e(nu) the diagonal of E(nu)^H, so one (n_doppler x N) by (N x JM)
+    product gives every bin's.  E(nu) is unitary, so bin nu's tail is
+    (||X||^2 - ||a(nu)||^2) / M; a difference errs by about eps ||X||^2, so
+    only a tail above ``GRAM_RATIO`` ||X||^2 / M, the ratio at which a split
+    leaves its Gram eigenvalues, keeps it.  Each other bin's tail, a
+    vanishing or non-finite one among them, is the energy of its residual,
+    formed in blocks of at most ``_BANK_ENTRIES`` entries.  Returns R(tau)
+    (n_delay, J, J), the coordinates (n_doppler, J, M) and the tails
+    (n_doppler,).  No cell needs checks of its own: unitary diagonals on
+    either side change neither trace(H^H H), the singular values (row 1's
+    rank gate) nor H^H H = I (row 2), which ``summarise`` checks on H_b.
     """
     n, m = x.shape
-    n_doppler = len(doppler)
+    j = channel.n_modes
     base_doppler, base_delay = narrowband_factors(spec, [spec.delay_s], [spec.doppler_hz])
     demodulate = doppler.conj() * base_doppler
     q = channel.basis
-    qh = q.conj().T
-    coords = np.empty((n_doppler, channel.n_modes, m), dtype=complex)
-    tails = np.empty(n_doppler)
+    coords = (demodulate @ (q.conj()[:, :, None] * x[:, None, :]).reshape(n, j * m)
+              ).reshape(-1, j, m)
+    total = energy(x)
+    tails = (total - energy(coords)) / m
+    direct = np.flatnonzero(~(tails > GRAM_RATIO * total / m))  # also a nan
     per_block = max(1, _BANK_ENTRIES // (n * m))
-    y_buf, fit_buf = np.empty((2, min(per_block, n_doppler), n, m), dtype=complex)
-    for lo in range(0, n_doppler, per_block):
-        part = slice(lo, lo + per_block)
-        a = coords[part]
-        y, fit = y_buf[:len(a)], fit_buf[:len(a)]
-        np.multiply(demodulate[part, :, None], x, out=y)
-        np.matmul(qh, y, out=a)
-        np.subtract(y, np.matmul(q, a, out=fit), out=y)
-        tails[part] = energy(y) / m
+    for lo in range(0, direct.size, per_block):
+        part = direct[lo:lo + per_block]
+        y = demodulate[part, :, None] * x
+        tails[part] = energy(y - q @ coords[part]) / m
     return (channel.coupling * (base_delay.conj() * delay_factors(spec, delays))[:, None, :],
             coords, tails)
 
@@ -656,7 +659,10 @@ def scan_likelihood_image(
     Phi unitary diagonals, so a scanned channel keeps one basis Q over the
     grid: bin nu's basis is Q rephased by D_N, its coordinates and tail are
     those of the demodulated block in Q, and a cell only rephases the J x J
-    factor R = Q^H H by Phi.  No matrix is factored per bin or per cell.  The
+    factor R = Q^H H by Phi.  One matrix product per scanned channel gives
+    every bin's coordinates, and a bin's tail is the block's energy less
+    theirs, unless that leaves too few digits and the bin's residual is
+    formed (``_doppler_bank``).  No matrix is factored per bin or per cell.  The
     detectors' rows 1 and 2 then evaluate the cells together, in chunks of
     bounded memory.  The checks ``detect`` applies hold for every cell: the
     trace normalisation and the rank gate (row 1) or orthonormality (row 2),

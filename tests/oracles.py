@@ -331,6 +331,14 @@ def _mp_tail(f: mpmath.matrix, x: mpmath.matrix):
     return _mp_energy(x - f * (mpmath.inverse(f.H * f) * (f.H * x)))
 
 
+def bin_tail_mp(f, x, demodulate, m: int, dps: int = 50) -> float:
+    """A Doppler bin's tail ||Y - P_F Y||^2 / M at ``dps`` digits, Y = diag(demodulate) X
+    the demodulated block and P_F the projector onto the span of F."""
+    with mpmath.workdps(dps):
+        y = mpmath.diag(np.asarray(demodulate, dtype=np.complex128).tolist()) * _mp(x)
+        return float(_mp_tail(_mp(f), y) / m)
+
+
 def p13_composite_mp(channels: Sequence[ChannelModel], ms: MeasurementSet,
                      dps: int = 50) -> float:
     """P13: sum_l (N_l/N) ln(E_l / r_l) - (||Z - P_F Z||^2 / M - N) / N, with

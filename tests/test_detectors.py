@@ -718,6 +718,60 @@ class TestExtremeScales:
         with pytest.raises(ValueError, match="overflow"):
             detect(KnowledgeSpec.from_panel(panel), chans, ms.scaled([1e160, 1.0]))
 
+    @pytest.mark.parametrize("scale, variance_scale", [(1e-300, 1e20), (1e-300, 1.0), (1.0, 1.0),
+                                                       (1e300, 1.0), (1e300, 1e-20)])
+    @pytest.mark.parametrize("panel", ["P11", "P12", "P13", "P21", "P22", "P23"])
+    def test_whitened_rows_are_the_quotient_bit_for_bit(self, rng, panel, scale,
+                                                        variance_scale, monkeypatch):
+        # evaluate scales each block by 1 / sqrt(v_l) where it divided by
+        # sqrt(v_l): numpy divides by a real c as by c + 0j, through 1 / c,
+        # so the bits are the quotient's, subnormal or overflowing ones
+        # included.  The data set's coordinates and its variances (the
+        # known ones, or the tails that estimate them) are rescaled in its
+        # summary, and evaluate stops once it has whitened them: a block
+        # at 1e300 overflows its energy.  The summaries cover a C-ordered
+        # and a Fortran-ordered batch of one, whose blocks are read in
+        # place or gathered, and, on column 3, a batch of two whose second
+        # cell is not resolved.
+        spec = KnowledgeSpec.from_panel(panel)
+        chans, ms = make_instance(rng, panel, n_channels=3, n_modes=2, n_snapshots=5)
+        one, two = (summarise(spec, chans, [np.stack([x] * batch) for x in ms.blocks])
+                    for batch in (1, 2))
+        one, two = (s._replace(coords=s.coords * scale, variances=s.variances * variance_scale,
+                               tails=s.tails * variance_scale) for s in (one, two))
+        summaries = [one, one._replace(coords=np.asfortranarray(one.coords)),
+                     two._replace(tails=two.tails * [[1.0], [0.0]])]
+        gains_row = panel.startswith("P2")
+        columns, stacks, column = [], [], detectors._column
+
+        class Whitened(Exception):
+            pass
+
+        def whitened_stack(*args):
+            stacks.append(args[0] if gains_row else args[1])
+            raise Whitened
+
+        monkeypatch.setattr(detectors, "_column",
+                            lambda *args, **kw: columns.append(column(*args, **kw)) or columns[-1])
+        monkeypatch.setattr(detectors, "_small_gram" if gains_row else "_coordinates",
+                            whitened_stack)
+        for summary in summaries:
+            with np.errstate(all="ignore"), pytest.raises(Whitened):
+                detectors.evaluate(spec, summary)
+            col = columns[-1]
+            data = detectors._h(summary.coupling) @ summary.coords if gains_row else summary.coords
+            cells = np.flatnonzero(col.resolved)
+            v = np.broadcast_to(1.0 if col.variance is None else col.variance,
+                                col.resolved.shape + (3,))[cells]
+            with np.errstate(over="ignore"):
+                quotient = data[cells] / np.sqrt(v)[..., None, None]
+            got = stacks[-1]
+            assert got.dtype == quotient.dtype and got.size == quotient.size
+            np.testing.assert_array_equal(got.reshape(quotient.shape).view(np.uint64),
+                                          np.ascontiguousarray(quotient).view(np.uint64))
+        assert [len(col.resolved) - np.count_nonzero(col.resolved) for col in columns] == (
+            [0, 0, 1] if panel.endswith("3") else [0, 0, 0])
+
 
 def stack_with_tails(rng, n, m, j, ratios):
     """n x m matrices whose squared singular values beyond the J-th sum to
@@ -750,7 +804,7 @@ class TestGramSplit:
     """Every stack splits at J through the eigenvalues of its smaller Gram
     matrix, x x^H for a wide x (row 2's L x JM stack) and x^H x otherwise
     (row 3's tall and square factors), unless its tail is at most
-    _GRAM_RATIO of the largest, and then by SVD."""
+    GRAM_RATIO of the largest, and then by SVD."""
 
     # Tall row-3 shapes, wide row-2 shapes (L, JM) split at one value, and a square one.
     @pytest.mark.parametrize("rows, cols, j", [(10, 8, 2), (36, 32, 4), (2, 16, 1), (4, 32, 1),
@@ -758,18 +812,18 @@ class TestGramSplit:
     def test_tails_just_above_the_bound_match_50_digit_split(self, rng, monkeypatch,
                                                              rows, cols, j):
         x = wide_or_square(rng, rows, cols, j,
-                           detectors._GRAM_RATIO * np.array([1.001, 1.5, 4.0]))
+                           detectors.GRAM_RATIO * np.array([1.001, 1.5, 4.0]))
         monkeypatch.setattr(np.linalg, "svd", None)  # every matrix takes the Gram path
         top, tail = split_stack(x, j, cols)
         for k, matrix in enumerate(x):
             # The oracle forms x^H x, so it reads the narrower orientation.
             expected = split_mp(matrix if rows >= cols else detectors._h(matrix), j, cols)
-            assert expected[1] > detectors._GRAM_RATIO * np.linalg.norm(matrix, 2) ** 2 / cols
+            assert expected[1] > detectors.GRAM_RATIO * np.linalg.norm(matrix, 2) ** 2 / cols
             np.testing.assert_allclose((top[k], tail[k]), expected, rtol=1e-12, atol=0)
 
     @staticmethod
     def check_mixed_batch(rng, rows, cols, j):
-        ratios = detectors._GRAM_RATIO * np.array([10.0, 0.1, 1.001, 1e-6, 0.999, 1e-20])
+        ratios = detectors.GRAM_RATIO * np.array([10.0, 0.1, 1.001, 1e-6, 0.999, 1e-20])
         x = wide_or_square(rng, rows, cols, j, ratios)
         top, tail = split_stack(x, j, 8)
         for k in range(len(x)):
@@ -784,8 +838,8 @@ class TestGramSplit:
 
     @staticmethod
     def check_svd_below_the_bound(rng, monkeypatch, rows, cols, j):
-        ratios = detectors._GRAM_RATIO * np.array([0.999, 1e-3, 2.0, 1e-12, 1e-20, 5.0])
-        below = ratios < detectors._GRAM_RATIO
+        ratios = detectors.GRAM_RATIO * np.array([0.999, 1e-3, 2.0, 1e-12, 1e-20, 5.0])
+        below = ratios < detectors.GRAM_RATIO
         x = wide_or_square(rng, rows, cols, j, ratios)
         calls, svd = [], np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a) or svd(a, **kw))
@@ -865,7 +919,7 @@ class TestGramSplit:
                   + np.sqrt(ch.noise_variance / 2.0) * complex_normal(rng, (ch.n_samples, m))
                   for ch in channels]
         expected = [split_mp(x, j, m) for x in blocks]
-        loud = [tail <= detectors._GRAM_RATIO * np.linalg.norm(x, 2) ** 2 / m
+        loud = [tail <= detectors.GRAM_RATIO * np.linalg.norm(x, 2) ** 2 / m
                 for x, (_, tail) in zip(blocks, expected)]
         assert loud == [amplitude > 1.0] * 2
         calls, svd = [], np.linalg.svd
@@ -904,7 +958,7 @@ class TestGramSplit:
         # the summary's Gram matrices: no SVD, and the split of the whitened
         # stack all the same.
         s, whitened = self.weighted_composites(
-            rng, detectors._GRAM_RATIO * np.array([1.001, 1.5, 4.0, 1.001]))
+            rng, detectors.GRAM_RATIO * np.array([1.001, 1.5, 4.0, 1.001]))
         splits, split = [], detectors._split
         monkeypatch.setattr(detectors, "_split",
                             lambda gram, *args: splits.append(split(gram, *args)) or splits[-1])
@@ -916,8 +970,8 @@ class TestGramSplit:
                                        rtol=1e-13, atol=0)
 
     def test_composites_below_the_bound_whiten_only_their_own_rows(self, rng, monkeypatch):
-        ratios = detectors._GRAM_RATIO * np.array([0.999, 3.0, 1e-12, 2.0, 1e-20, 5.0])
-        below = ratios < detectors._GRAM_RATIO
+        ratios = detectors.GRAM_RATIO * np.array([0.999, 3.0, 1e-12, 2.0, 1e-20, 5.0])
+        below = ratios < detectors.GRAM_RATIO
         s, whitened = self.weighted_composites(rng, ratios)
         calls, singular_split = [], detectors._singular_split
         monkeypatch.setattr(detectors, "_singular_split",

@@ -33,6 +33,7 @@ from glrfusion import (
     wilson_interval,
 )
 from glrfusion import detectors, harness, measurement
+from glrfusion.channel import doppler_factors, narrowband_factors
 from glrfusion.detectors import coordinate_summary, evaluate
 from glrfusion.linalg import energy
 from glrfusion.measurement import (
@@ -43,7 +44,8 @@ from glrfusion.measurement import (
     draw_trials,
     rng_stream,
 )
-from oracles import detect_p12, entrywise_sample, scan_by_rebuild
+from conftest import complex_normal
+from oracles import bin_tail_mp, detect_p12, entrywise_sample, scan_by_rebuild
 
 log = logging.getLogger(__name__)
 
@@ -122,8 +124,11 @@ ALL_PANELS = [f"P{row}{col}" for row in "123" for col in "123"]
 
 def scan_case(case: str):
     """A scenario, H1 data from it, a grid and the channels scanned, for one
-    of the scan-equivalence cases."""
-    carrier, period, n, j, offset = 1e6, 1e-3, 8, 2, 0.0
+    of the scan-equivalence cases.  The "loud" case is simulated at 80 dB, and
+    its grid adds four Doppler bins within 2e-3 of a bin width of each scanned
+    channel's true Doppler, where that channel's tail is about 1e-7 of its
+    energy."""
+    carrier, period, n, j, offset, snr_db = 1e6, 1e-3, 8, 2, 0.0, 8.0
     n_channels, scan_channels = 3, None
     if case == "single-channel":
         n_channels = 1
@@ -133,6 +138,8 @@ def scan_case(case: str):
         offset = 2.7e-3
     elif case == "gigahertz":
         carrier, period = 1e9, 1e-6
+    elif case == "loud":
+        offset, snr_db = 2.7e-3, 80.0
     rng = np.random.default_rng(sum(map(ord, case)))
     duration = n * period
     specs = tuple(PropagationSpec(carrier_hz=carrier, sample_period_s=period, n_samples=n,
@@ -144,13 +151,16 @@ def scan_case(case: str):
                         gains=tuple(complex(*rng.uniform(-1.5, 1.5, 2)) for _ in specs),
                         noise_variances=tuple(rng.uniform(0.5, 2.0, n_channels)),
                         n_snapshots=5)
-    amps = draw_amplitudes(j, 5, scenario.amplitude_scale(8.0), 11)
+    amps = draw_amplitudes(j, 5, scenario.amplitude_scale(snr_db), 11)
     ms = simulate(scenario.channels(), 5, seed=12, amplitudes=amps)
     top_delay = 1e-5 if case == "gigahertz" else duration
     delays = list(np.linspace(0.0, top_delay, 3))
     dopplers = list(np.linspace(-2.0, 2.0, 4) / duration)
     if scan_channels is None:
         scan_channels = [0] if n_channels == 1 else list(range(1, n_channels))
+    if case == "loud":
+        dopplers += [specs[idx].doppler_hz + k * 1e-3 / duration
+                     for idx in scan_channels for k in (-2, -1, 0, 1)]
     return scenario, ms, delays, dopplers, scan_channels
 
 
@@ -820,7 +830,8 @@ class TestScan:
                        for p in peaks)
 
     @pytest.mark.parametrize("case", ["differential", "single-channel",
-                                      "explicit-with-reference", "clock-offset", "gigahertz"])
+                                      "explicit-with-reference", "clock-offset", "gigahertz",
+                                      "loud"])
     @pytest.mark.parametrize("panel", KNOWN_COUPLING_PANELS)
     def test_image_matches_rebuild_per_cell(self, panel, case):
         scenario, ms, delays, dopplers, scanned = scan_case(case)
@@ -834,21 +845,82 @@ class TestScan:
     @pytest.mark.parametrize("panel", KNOWN_COUPLING_PANELS)
     def test_chunked_scan_matches_single_chunk(self, panel, monkeypatch):
         # Four Doppler bins: blocks of three leave a ragged last block of one.
-        scenario, ms, delays, dopplers, scanned = scan_case("clock-offset")
-        spec = KnowledgeSpec.from_panel(panel)
-        rebuilt = scan_by_rebuild(spec, scenario, ms, delays, dopplers, scanned)
-        whole = scan_likelihood_image(spec, scenario, ms, delays, dopplers).values
-        assert_images_close(whole, rebuilt)
-        bin_entries = scenario.specs[0].n_samples * scenario.n_snapshots
-        for bins in (1, 3):
-            monkeypatch.setattr(harness, "_BANK_ENTRIES", bins * bin_entries)
-            blocked = scan_likelihood_image(spec, scenario, ms, delays, dopplers).values
-            assert_images_close(blocked, whole)
-            assert_images_close(blocked, rebuilt)
-        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 1)  # one cell a chunk
-        chunked = scan_likelihood_image(spec, scenario, ms, delays, dopplers).values
-        assert_images_close(chunked, whole)
-        assert_images_close(chunked, rebuilt)
+        # The loud case forms the residuals of four bins per scanned channel,
+        # so blocks of one and of three bins split that stack too.
+        for case in ("clock-offset", "loud"):
+            with monkeypatch.context() as patch:
+                scenario, ms, delays, dopplers, scanned = scan_case(case)
+                spec = KnowledgeSpec.from_panel(panel)
+                rebuilt = scan_by_rebuild(spec, scenario, ms, delays, dopplers, scanned)
+                whole = scan_likelihood_image(spec, scenario, ms, delays, dopplers).values
+                assert_images_close(whole, rebuilt)
+                bin_entries = scenario.specs[0].n_samples * scenario.n_snapshots
+                for bins in (1, 3):
+                    patch.setattr(harness, "_BANK_ENTRIES", bins * bin_entries)
+                    blocked = scan_likelihood_image(spec, scenario, ms, delays, dopplers).values
+                    assert_images_close(blocked, whole)
+                    assert_images_close(blocked, rebuilt)
+                patch.setattr(harness, "_CHUNK_ENTRIES", 1)  # one cell a chunk
+                chunked = scan_likelihood_image(spec, scenario, ms, delays, dopplers).values
+                assert_images_close(chunked, whole)
+                assert_images_close(chunked, rebuilt)
+
+    def test_loud_bins_form_their_residuals(self, monkeypatch):
+        # A bin whose tail is at most GRAM_RATIO of the block's energy takes
+        # the energy of its residual, formed directly; every other bin takes
+        # the difference of energies.  At 80 dB those are the four bins about
+        # each scanned channel's true Doppler.
+        scenario, ms, delays, dopplers, scanned = scan_case("loud")
+        n, m = scenario.specs[0].n_samples, scenario.n_snapshots
+        residuals, energy_of = [], harness.energy
+
+        def recording_energy(x):
+            if x.ndim == 3 and x.shape[1:] == (n, m):  # a stack of bins' residuals
+                residuals.append(x)
+            return energy_of(x)
+
+        monkeypatch.setattr(harness, "energy", recording_energy)
+        image = scan_likelihood_image(P13, scenario, ms, delays, dopplers).values
+        assert_images_close(image, scan_by_rebuild(P13, scenario, ms, delays, dopplers, scanned))
+        assert len(residuals) == len(scanned)
+        for formed, idx, true_bins in zip(residuals, scanned, ([4, 5, 6, 7], [8, 9, 10, 11])):
+            spec, channel, x = scenario.specs[idx], scenario.channels()[idx], ms.block(idx)
+            base, _ = narrowband_factors(spec, [spec.delay_s], [spec.doppler_hz])
+            y = (doppler_factors(spec, dopplers).conj() * base)[:, :, None] * x
+            residual = y - channel.basis @ (channel.basis.conj().T @ y)
+            loud = np.flatnonzero(energy(residual) <= detectors.GRAM_RATIO * energy(x))
+            np.testing.assert_array_equal(loud, true_bins)
+            np.testing.assert_allclose(formed, residual[loud], rtol=0,
+                                       atol=1e-13 * np.sqrt(energy(x)))
+
+    @pytest.mark.parametrize("ratio", [1.001, 1.5, 4.0])
+    def test_difference_tails_just_above_the_bound_to_50_digits(self, rng, ratio,
+                                                                 monkeypatch):
+        # The middle bin's tail is just above GRAM_RATIO of the block's
+        # energy, so it is the difference of energies, and keeps 1e-13.
+        n, m = 16, 8
+        spec = PropagationSpec(carrier_hz=1e6, sample_period_s=1e-3, n_samples=n, n_modes=2,
+                               delay_s=3e-3, doppler_hz=20.0)
+        channel = narrowband_channel(spec, 1.0, 1.0)
+        doppler = doppler_factors(spec, [-30.0, 5.0, 45.0])
+        demodulate = doppler[1].conj() * narrowband_factors(
+            spec, [spec.delay_s], [spec.doppler_hz])[0][0]
+        q, share = channel.basis, detectors.GRAM_RATIO * ratio
+
+        def no_residual(x):
+            assert x.ndim < 3 or x.shape[1:] != (n, m), "the bank formed a bin's residual"
+            return energy(x)
+
+        monkeypatch.setattr(harness, "energy", no_residual)
+        for scale in (1e-3, 1.0, 1e5):
+            signal = q @ complex_normal(rng, (2, m))
+            noise = complex_normal(rng, (n, m))
+            noise -= q @ (q.conj().T @ noise)
+            noise *= np.sqrt(share * energy(signal) / ((1 - share) * energy(noise)))
+            x = scale * demodulate.conj()[:, None] * (signal + noise)
+            _, _, tails = harness._doppler_bank(channel, spec, x, np.zeros(1), doppler)
+            np.testing.assert_allclose(tails[1], bin_tail_mp(channel.matrix, x, demodulate, m),
+                                       rtol=1e-13, atol=0)
 
     def test_bank_factors_no_stack_of_doppler_bins(self, monkeypatch):
         # Every Doppler bin of a scanned channel shares one basis, so no SVD
