@@ -132,7 +132,10 @@ PY
 # set, simulated at 60 dB with channel 1 at the cell (2 ms, 62.5 Hz) of a
 # 4 x 5 grid, leaves that Doppler bin a tail of about 1e-6 of the block's
 # energy, too small to take as a difference of energies, so the bank forms
-# that bin's residual; P11's one argmax row is the true cell.
+# that bin's residual. P11, P13 and P21 each write 21 lines of finite
+# statistics whose one argmax row is the true cell. On P13 the reference
+# channel's tail and the true cell's composite tail are that small too, so
+# each is formed from its residual; P21 whitens its matched outputs in place.
 scan_smoke() (
   cd "${SMOKE_DIR:?run console_smoke first}"
   glrfusion scan --config scan.json data
@@ -144,10 +147,14 @@ scan_smoke() (
   test "$(awk -F, 'NR > 1 && $4 == 1' scan_p11/scan.csv | wc -l)" -eq 1
   python -c "import json; c = json.load(open('simulate.json')); c['channels'][1].update(delay_s=2e-3, doppler_hz=62.5); c.update(hypothesis='h1', snr_db=60.0, output='loud'); json.dump(c, open('loud.json', 'w'))"
   glrfusion simulate --config loud.json
-  glrfusion scan --config scan.json --set panel='"p11"' --set delays_s='[0.0, 0.002, 0.004, 0.006]' \
-    --set dopplers_hz='[-125.0, -62.5, 0.0, 62.5, 125.0]' --set output='"scan_loud"' loud
-  test "$(wc -l < scan_loud/scan.csv)" -eq 21
-  test "$(awk -F, 'NR > 1 && $4 == 1 {print $1 "," $2}' scan_loud/scan.csv)" = "0.002,62.5"
+  for panel in p11 p13 p21; do
+    glrfusion scan --config scan.json --set panel="\"$panel\"" \
+      --set delays_s='[0.0, 0.002, 0.004, 0.006]' \
+      --set dopplers_hz='[-125.0, -62.5, 0.0, 62.5, 125.0]' --set output="\"scan_loud_$panel\"" loud
+    test "$(wc -l < "scan_loud_$panel/scan.csv")" -eq 21
+    python -c "import csv, math, sys; sys.exit(not all(math.isfinite(float(row['statistic'])) for row in csv.DictReader(open(sys.argv[1]))))" "scan_loud_$panel/scan.csv"
+    test "$(awk -F, 'NR > 1 && $4 == 1 {print $1 "," $2}' "scan_loud_$panel/scan.csv")" = "0.002,62.5"
+  done
 )
 
 # The fusion API, which no console command reaches, on the installed package:

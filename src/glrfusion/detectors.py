@@ -14,7 +14,7 @@ Every panel reads channel l only through its :class:`Summary`: on rows 1
 (known coupling and gains) and 2 (known orthonormal coupling, unknown gains),
 with Q_l an orthonormal basis of the span of the coupling H_l, the J x J
 factor R_l = Q_l^H H_l, the coordinates a_l = Q_l^H X_l, the tail
-||X_l - Q_l a_l||^2 / M formed directly and the block energy E_l =
+||X_l - Q_l a_l||^2 / M (:func:`_coordinates`) and the block energy E_l =
 ||a_l||^2 / M + tail_l; on row 3 (only the mode count J known), a factor F_l
 with F_l^H F_l = X_l^H X_l, which keeps every singular value of X_l: the
 block X_l itself, or in the Monte-Carlo harness the drawn stack [a_l; T_l],
@@ -31,13 +31,17 @@ tail through the Doppler only; and the Monte-Carlo harness a chunk of
 trials, each with its own data.
 
 One rule gives every composite and cross-validation term: the energy of a
-matrix divides into the part inside a subspace and the tail outside it,
-formed directly, in a basis (:func:`_coordinates`) or at a mode count
-(:func:`_split`).  The composite is the energy of the stacked,
-normalised data Z (blocks X_l / sqrt(v_l), v_l the squared data scale)
-inside the dominant subspace, and the cross-validation term is the tail of Z
-less the tails of the channels, so it never cancels energies of the size of
-the signal.
+matrix divides into the part inside a subspace and the tail outside it, in
+a basis (:func:`_coordinates`) or at a mode count (:func:`_split`).  The
+tail comes from energies already formed, the total less the inside or the
+Gram eigenvalues outside the dominant J, wherever it exceeds ``GRAM_RATIO``
+of the total or of the largest eigenvalue and so keeps about 13 digits;
+every other matrix, a non-finite one among them, forms its residual or its
+singular values, and only those matrices do.  The composite is the energy
+of the stacked, normalised data Z (blocks X_l / sqrt(v_l), v_l the squared
+data scale) inside the dominant subspace, and the cross-validation term is
+the tail of Z less the tails of the channels, so it never cancels energies
+of the size of the signal.
 
 * Row 1 projects onto the span of F = [f_l H_l], f_l = g_l / sigma_l on
   column 1 and g_l otherwise.  F = diag(Q_l) G with G = [f_l R_l], so
@@ -295,7 +299,10 @@ class Summary(NamedTuple):
     of data sets on one set of channels.
 
     The tails are each channel's energy outside its signal subspace: on
-    rows 1 and 2 the span of Q_l, formed directly, and on row 3 the dominant
+    rows 1 and 2 the span of Q_l, the block's energy less that of a_l, or
+    the energy of the residual X_l - Q_l a_l where that difference is at
+    most ``GRAM_RATIO`` of the block's energy (:func:`_coordinates`; a
+    harness trial draws it), and on row 3 the dominant
     J-dimensional subspace of F_l, from the squared singular values of the
     factor: the eigenvalues of its smaller Gram matrix (F_l^H F_l, or F_l
     F_l^H for a factor shorter than M), or by SVD where its tail is too
@@ -330,14 +337,27 @@ class Summary(NamedTuple):
 
 
 def _coordinates(basis: np.ndarray, x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates Q^H x in an orthonormal basis Q, and the tail ||x - Q Q^H x||^2 / M.
+    """Coordinates Q^H x in an orthonormal basis Q, and the tail ||x - Q Q^H x||^2 / M,
+    for each matrix of a stack x (..., N, M).
 
-    The tail is formed directly: at a signal-to-noise amplitude ratio of 1e8
-    the difference of the total and the inside is below the rounding error
-    of either.  ``basis`` may be a stack (..., N, J) of bases.
+    Q is orthonormal, so the tail is (||x||^2 - ||Q^H x||^2) / M.  That
+    difference errs by about eps ||x||^2, so a matrix keeps it only where it
+    exceeds ``GRAM_RATIO`` ||x||^2 / M, the ratio at which a split leaves its
+    Gram eigenvalues: a relative error below about 1e-13.  Each other
+    matrix, a non-finite one among them, takes the energy of its residual x
+    - Q Q^H x, formed for it alone: at a signal-to-noise amplitude ratio of
+    1e8 a difference of energies is below the rounding error of either.
+    ``basis`` may be a stack (..., N, J) of bases that broadcasts against x.
     """
     a = _h(basis) @ x
-    return a, energy(x - basis @ a) / m
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite tail is formed below
+        total = energy(x)
+        tails = (total - energy(a)) / m
+        direct = ~(tails > GRAM_RATIO * total / m)  # also a nan
+    if np.count_nonzero(direct):
+        q = np.broadcast_to(basis, direct.shape + basis.shape[-2:])[direct]
+        tails[direct] = energy(x[direct] - q @ a[direct]) / m
+    return a, tails
 
 
 def _basis(index: int, channel: ChannelModel) -> np.ndarray:
@@ -504,7 +524,9 @@ class _Evaluation(NamedTuple):
     col: _Column
     degenerate: np.ndarray  # (B,)
     noise_alt: np.ndarray | None  # (B, L) or (B, 1)
-    outputs: np.ndarray | None = None  # (B, L, J, M) matched outputs R_l^H a_l, row 2
+    # (B, L, J, M) matched outputs R_l^H a_l on row 2, each over sqrt(v_l) once
+    # whitened in place: a report reads only their directions.
+    outputs: np.ndarray | None = None
 
 
 def _report(spec: KnowledgeSpec, ev: _Evaluation) -> DetectorReport:
@@ -588,7 +610,9 @@ def evaluate(spec: KnowledgeSpec, s: Summary, dominant_numerator: bool = False) 
     tail of the stack less the channels' whitened tails is the
     cross-validation energy.  Row 3 splits the stack from its Gram matrix
     sum_l G_l / v_l, summed from the summary's G_l, and whitens the factors
-    only of the hypotheses whose split falls back to the SVD.
+    only of the hypotheses whose split falls back to the SVD.  Only arrays
+    evaluate forms are written: row 2's matched outputs and gathers of
+    cells are whitened in place, and the summary is left as it is.
     Column 3 on row 3 raises ValueError for a channel of at most J samples,
     which leaves no residual dimension.  Every batch checks its own
     decomposition: :func:`check_decomposition` raises ConfigError for any
@@ -618,14 +642,18 @@ def evaluate(spec: KnowledgeSpec, s: Summary, dominant_numerator: bool = False) 
 
         numpy divides a complex number by a real c as by c + 0j, through
         1 / c, so scaling the real and imaginary parts by 1 / sqrt(v_l)
-        gives the quotient's bits, without the complex division loop.
+        gives the quotient's bits, without the complex division loop.  A
+        stack this call owns, row 2's matched outputs or a gather of cells,
+        is scaled in place; the summary's arrays are never written.
         """
         whole = isinstance(picked, slice) and cells.size == batch
         blocks = data if whole else data[cells[picked]]
+        owned = gains_row or not whole
         if blocks.strides[-1] != blocks.itemsize:  # the float view needs a contiguous last axis
-            blocks = np.ascontiguousarray(blocks)
-        scale = 1.0 / np.sqrt(v[picked])
-        return (blocks.view(np.float64) * scale[..., None, None]).view(complex).reshape(shape)
+            blocks, owned = np.ascontiguousarray(blocks), True
+        parts = blocks.view(np.float64)
+        scale = (1.0 / np.sqrt(v[picked]))[..., None, None]
+        return np.multiply(parts, scale, out=parts if owned else None).view(complex).reshape(shape)
 
     if s.gram is not None:  # the Gram matrix of the stack is sum_l F_l^H F_l / v_l
         top, rest = _split(np.einsum("blij,bl->bij", s.gram[cells], 1.0 / v), s.coupling, m,

@@ -53,8 +53,8 @@ import numpy as np
 from .channel import ChannelModel
 from .detectors import (ChannelKnowledge, DetectorReport, KnowledgeSpec, NoiseKnowledge,
                         check_channels, check_decomposition)
-from .errors import ConfigError, DimensionError, ProtocolError
-from .linalg import as_complex_matrix, energy, orthonormal_basis, require_full_rank
+from .errors import ConfigError, DimensionError, ProtocolError, RankDeficiencyError
+from .linalg import as_complex_matrix, energy, orthonormal_basis, require_finite, require_full_rank
 from .measurement import MeasurementSet
 
 PartitionTree = int | tuple
@@ -378,8 +378,12 @@ def channel_message(channel: ChannelModel, x_block, n_snapshots: int) -> Channel
     factor and coordinates are the channel's leaf, built and gated as
     :func:`partition_cv` builds every channel's leaf; its factor is the
     channel's read-only :attr:`~glrfusion.channel.ChannelModel.whitened_coupling`.
+    The block is not scanned for non-finite entries up front: they make the
+    leaf's energy non-finite, and only when the leaf fails is the block
+    checked, so a non-finite block raises ValueError after the shape checks
+    and before the leaf's own errors.
     """
-    x = as_complex_matrix(x_block, "channel data")
+    x = as_complex_matrix(x_block, "channel data", finite=False)
     if x.shape[0] != channel.n_samples:
         raise DimensionError(f"channel expects {channel.n_samples} samples, "
                              f"data block has {x.shape[0]}")
@@ -388,7 +392,11 @@ def channel_message(channel: ChannelModel, x_block, n_snapshots: int) -> Channel
                              f"for n_snapshots={n_snapshots}")
     if n_snapshots == 0:
         raise DimensionError(f"message coordinates are empty: (J, M) = ({channel.n_modes}, 0)")
-    factors, coords = _leaves([channel], [x])
+    try:
+        factors, coords = _leaves([channel], [x])
+    except (ValueError, RankDeficiencyError):
+        require_finite(x, "channel data")
+        raise
     return ChannelMessage._unchecked(factors[0], coords[0])
 
 

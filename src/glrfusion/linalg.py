@@ -16,14 +16,21 @@ from .errors import DimensionError, RankDeficiencyError
 RANK_RTOL = 1e-12
 
 
-def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return ``a`` as a finite 2-D complex128 array."""
+def as_complex_matrix(a, name: str = "matrix", finite: bool = True) -> np.ndarray:
+    """Validate and return ``a`` as a 2-D complex128 array, checked finite
+    unless ``finite`` is false (:func:`require_finite`)."""
     arr = np.asarray(a)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
+    if finite:
+        require_finite(arr, name)
+    return arr.astype(np.complex128, copy=False)
+
+
+def require_finite(arr: np.ndarray, name: str) -> None:
+    """Raise ValueError unless every entry of ``arr`` is finite."""
     if arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
-    return arr.astype(np.complex128, copy=False)
 
 
 def as_complex_stack(a, name: str = "matrix") -> np.ndarray:

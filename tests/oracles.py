@@ -331,6 +331,12 @@ def _mp_tail(f: mpmath.matrix, x: mpmath.matrix):
     return _mp_energy(x - f * (mpmath.inverse(f.H * f) * (f.H * x)))
 
 
+def tail_mp(f, x, m: int, dps: int = 50) -> float:
+    """The tail ||X - P_F X||^2 / M at ``dps`` digits, P_F the projector onto the span of F."""
+    with mpmath.workdps(dps):
+        return float(_mp_tail(_mp(f), _mp(x)) / m)
+
+
 def bin_tail_mp(f, x, demodulate, m: int, dps: int = 50) -> float:
     """A Doppler bin's tail ||Y - P_F Y||^2 / M at ``dps`` digits, Y = diag(demodulate) X
     the demodulated block and P_F the projector onto the span of F."""

@@ -22,6 +22,7 @@ from glrfusion import (
 )
 from glrfusion import detectors
 from glrfusion.detectors import summarise
+from glrfusion.linalg import energy, normalize_phases
 from conftest import complex_normal, random_channel, random_instance
 from oracles import (
     build_fusion_t,
@@ -48,6 +49,7 @@ from oracles import (
     rayleigh_extremes,
     sample_covariance,
     split_mp,
+    tail_mp,
     two_channel_cross_validation,
 )
 
@@ -981,6 +983,140 @@ class TestGramSplit:
         np.testing.assert_array_equal(x, whitened[below])
         top = singular_split(whitened[below], j, m)[0]
         np.testing.assert_array_equal(ev.composite[below], top / 3)
+
+
+def orthonormal(rng, n, j):
+    return np.linalg.qr(complex_normal(rng, (n, j)))[0]
+
+
+class TestCoordinateTails:
+    """_coordinates takes each matrix's tail outside its basis as the
+    difference of energies ||x||^2 - ||Q^H x||^2 where that exceeds
+    GRAM_RATIO ||x||^2, and forms the residual of every other matrix, and
+    only of those."""
+
+    N, J, M = 16, 2, 8
+
+    @classmethod
+    def stack_in_bases(cls, rng, bases, shares):
+        """Matrices x_k = s_k (Q_k A_k + W_k), the scales s_k cycling over 1e-3,
+        1 and 1e5, whose energy outside the span of Q_k is shares[k] of the
+        total."""
+        out = []
+        for q, share, scale in zip(bases, shares, np.resize([1e-3, 1.0, 1e5], len(shares))):
+            signal = q @ complex_normal(rng, (cls.J, cls.M))
+            noise = complex_normal(rng, (cls.N, cls.M))
+            noise -= q @ (q.conj().T @ noise)
+            noise *= np.sqrt(share * energy(signal) / ((1 - share) * energy(noise)))
+            out.append(scale * (signal + noise))
+        return np.array(out)
+
+    @classmethod
+    def bases(cls, rng, count, per_cell):
+        """One shared (N, J) basis, or a (count, N, J) stack of one per matrix;
+        and each matrix's basis."""
+        if per_cell:
+            basis = np.array([orthonormal(rng, cls.N, cls.J) for _ in range(count)])
+            return basis, list(basis)
+        basis = orthonormal(rng, cls.N, cls.J)
+        return basis, [basis] * count
+
+    @staticmethod
+    def recorded_residuals(monkeypatch, x):
+        """The stacks of residuals _coordinates forms: every (N, M) stack whose
+        energy it takes other than x itself."""
+        formed, energy_of = [], detectors.energy
+
+        def recording_energy(a):
+            if a is not x and a.shape[-2] == x.shape[-2]:
+                formed.append(a)
+            return energy_of(a)
+
+        monkeypatch.setattr(detectors, "energy", recording_energy)
+        return formed
+
+    @pytest.mark.parametrize("per_cell", [False, True], ids=["shared", "per-cell"])
+    @pytest.mark.parametrize("ratio", [1.001, 1.5, 4.0])
+    def test_difference_tails_just_above_the_bound_to_50_digits(self, rng, monkeypatch,
+                                                                 ratio, per_cell):
+        basis, each = self.bases(rng, 3, per_cell)
+        x = self.stack_in_bases(rng, each, detectors.GRAM_RATIO * np.full(3, ratio))
+        formed = self.recorded_residuals(monkeypatch, x)
+        a, tails = detectors._coordinates(basis, x, self.M)
+        assert not formed
+        np.testing.assert_array_equal(a, detectors._h(basis) @ x)
+        for k, q in enumerate(each):
+            assert tails[k] > detectors.GRAM_RATIO * energy(x[k]) / self.M
+            np.testing.assert_allclose(tails[k], tail_mp(q, x[k], self.M), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("per_cell", [False, True], ids=["shared", "per-cell"])
+    def test_tails_at_or_below_the_bound_form_their_residuals(self, rng, monkeypatch, per_cell):
+        # The last matrix lies above the bound but holds a nan, so it forms
+        # its residual too.  Every formed tail has the bits of the residual
+        # of the whole stack.
+        ratios = detectors.GRAM_RATIO * np.array([0.999, 3.0, 1e-12, 2.0, 1e-20, 5.0, 2.0])
+        basis, each = self.bases(rng, len(ratios), per_cell)
+        x = self.stack_in_bases(rng, each, ratios)
+        x[-1, 0, 0] = np.nan
+        direct = (ratios < detectors.GRAM_RATIO) | ~np.isfinite(energy(x))
+        whole = x - basis @ (detectors._h(basis) @ x)
+        formed = self.recorded_residuals(monkeypatch, x)
+        _, tails = detectors._coordinates(basis, x, self.M)
+        assert len(formed) == 1
+        np.testing.assert_array_equal(formed[0], whole[direct])
+        np.testing.assert_array_equal(tails[direct], energy(whole[direct]) / self.M)
+        for k in np.flatnonzero(~direct):
+            np.testing.assert_allclose(tails[k], tail_mp(each[k], x[k], self.M),
+                                       rtol=1e-13, atol=0)
+
+
+class TestEvaluateInputs:
+    """evaluate writes only arrays it made: it whitens row 2's matched outputs
+    and its gathers of cells in place, never the summary."""
+
+    @staticmethod
+    def batch(rng, panel):
+        """Three channels' blocks on three data sets: a quiet one, a loud one,
+        whose composite and channel splits fall back, and one whose first
+        block lies in its channel's span, so column 3 leaves it unresolved."""
+        chans, ms = make_instance(rng, panel, n_channels=3, n_modes=2, n_snapshots=5,
+                                  min_samples=5)
+        amplitudes = 1e4 * complex_normal(rng, (2, 5))
+        loud = [x + ch.gain * ch.matrix @ amplitudes for ch, x in zip(chans, ms.blocks)]
+        spanned = [chans[0].matrix @ complex_normal(rng, (2, 5)), *ms.blocks[1:]]
+        return chans, [np.stack(blocks) for blocks in zip(ms.blocks, loud, spanned)]
+
+    @pytest.mark.parametrize("panel", ALL_PANELS)
+    def test_a_read_only_summary_is_left_as_it_is(self, rng, monkeypatch, panel):
+        spec = KnowledgeSpec.from_panel(panel)
+        chans, blocks = self.batch(rng, panel)
+        s = summarise(spec, chans, blocks)
+        arrays = [value for value in s if isinstance(value, np.ndarray)]
+        for value in arrays:  # as the draw memo keeps them
+            value.setflags(write=False)
+        before = [value.copy() for value in arrays]
+        fallbacks, singular_split = [], detectors._singular_split
+        monkeypatch.setattr(detectors, "_singular_split",
+                            lambda *args: fallbacks.append(args) or singular_split(*args))
+        ev = detectors.evaluate(spec, s)
+        for value, copy in zip(arrays, before):
+            assert value.tobytes() == copy.tobytes()
+        assert ev.col.resolved.tolist() == [True, True, not panel.endswith("3")]
+        assert bool(fallbacks) == (panel[1] != "1")  # the loud cell's split falls back
+
+    @pytest.mark.parametrize("panel", ["P21", "P22", "P23"])
+    def test_row_2_directions_are_those_of_the_matched_outputs(self, rng, panel):
+        # The report reads the matched outputs after evaluate has whitened
+        # them in place: per-channel scales leave their directions.
+        chans, ms = make_instance(rng, panel, n_channels=3)
+        report = detect(KnowledgeSpec.from_panel(panel), chans, ms)
+        unit = np.array([(ch.matrix.conj().T @ x).ravel() for ch, x in zip(chans, ms.blocks)])
+        unit /= np.linalg.norm(unit, axis=1)[:, None]
+        np.testing.assert_allclose(report.coherences, unit @ unit.conj().T, rtol=0, atol=1e-14)
+        phi = report.fusion_stats if panel == "P23" else report.per_channel
+        u = np.linalg.svd(np.sqrt(report.alphas * phi)[:, None] * unit)[0]
+        np.testing.assert_allclose(report.gain_direction, normalize_phases(u[:, :1])[:, 0],
+                                   rtol=0, atol=1e-14)
 
 
 class TestReportShape:

@@ -442,6 +442,34 @@ class TestMessageValidation:
         with pytest.raises(DimensionError, match="empty"):
             channel_message(ch, np.zeros((6, 0)), 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)],
+                             ids=["nan", "inf", "imaginary-inf"])
+    def test_non_finite_data_is_caught_by_the_leaf(self, rng, bad):
+        # The block is scanned for non-finite entries only once its leaf's
+        # energy check fails, and that error wins over a failed gate.
+        x = complex_normal(rng, (6, 4))
+        x[2, 1] = bad
+        gated = ChannelModel(matrix=normalize_channel(complex_normal(rng, (6, 2))), gain=0.0,
+                             noise_variance=1.0)
+        for ch in (random_channel(rng, 6, 2), gated):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="channel data contains non-finite entries"):
+                    channel_message(ch, x, 4)
+
+    def test_wrong_shape_is_reported_before_non_finite_data(self, rng):
+        ch = random_channel(rng, 6, 2)
+        x = complex_normal(rng, (5, 4))
+        x[0, 0] = np.nan
+        with pytest.raises(DimensionError, match="channel expects 6 samples, data block has 5"):
+            channel_message(ch, x, 4)
+        x = complex_normal(rng, (6, 4))
+        x[0, 0] = np.nan
+        with pytest.raises(DimensionError, match="4 columns for n_snapshots=3"):
+            channel_message(ch, x, 3)
+        with pytest.raises(DimensionError, match="must be 2-D"):
+            channel_message(ch, x[None], 4)
+
     def test_factor_shape_must_match_modes(self, rng):
         with pytest.raises(DimensionError, match=r"factor shape \(3, 3\) does not match J=2"):
             ChannelMessage(factor=np.eye(3), coordinates=complex_normal(rng, (2, 4)))

@@ -922,6 +922,35 @@ class TestScan:
             np.testing.assert_allclose(tails[1], bin_tail_mp(channel.matrix, x, demodulate, m),
                                        rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("panel", KNOWN_COUPLING_PANELS)
+    def test_evaluate_leaves_each_chunk_as_it_is(self, panel, monkeypatch):
+        # Every chunk's summary reaches evaluate read-only and leaves it
+        # bit for bit; the loud case's chunks hold cells whose splits fall
+        # back, one cell a chunk and all cells in one.
+        scenario, ms, delays, dopplers, scanned = scan_case("loud")
+        spec = KnowledgeSpec.from_panel(panel)
+        chunks, evaluate_of = [], harness.evaluate
+
+        def read_only_evaluate(chunk_spec, summary, *args):
+            arrays = [value for value in summary if isinstance(value, np.ndarray)]
+            before = [value.copy() for value in arrays]
+            for value in arrays:
+                value.setflags(write=False)
+            out = evaluate_of(chunk_spec, summary, *args)
+            chunks.append(all(value.tobytes() == copy.tobytes()
+                              for value, copy in zip(arrays, before)))
+            return out
+
+        monkeypatch.setattr(harness, "evaluate", read_only_evaluate)
+        rebuilt = scan_by_rebuild(spec, scenario, ms, delays, dopplers, scanned)
+        assert_images_close(scan_likelihood_image(spec, scenario, ms, delays, dopplers).values,
+                            rebuilt)
+        assert chunks == [True]
+        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", 1)
+        assert_images_close(scan_likelihood_image(spec, scenario, ms, delays, dopplers).values,
+                            rebuilt)
+        assert len(chunks) == 1 + len(delays) * len(dopplers) and all(chunks)
+
     def test_bank_factors_no_stack_of_doppler_bins(self, monkeypatch):
         # Every Doppler bin of a scanned channel shares one basis, so no SVD
         # factors a stack of the channel's N x J couplings.
