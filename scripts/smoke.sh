@@ -162,7 +162,10 @@ scan_smoke() (
 # save_messages and load_messages, daisy_chain_fuse gives the same reports on
 # the loaded and on the in-memory messages, and partition_cv over a balanced
 # tree, built from a numpy integer count, gives the last report's
-# cross-validation to 1e-12.
+# cross-validation to 1e-12.  Both keep their fold constants for the last
+# channel set: after fusing the first four channels, and the eight in reverse
+# order over the same tree object, the eight give the same reports and the
+# same partition_cv result as before.
 fusion_smoke() (
   cd "$(mktemp -d)"
   python - <<'PY'
@@ -194,10 +197,20 @@ def values(reports):
 reports = daisy_chain_fuse(messages)
 if values(daisy_chain_fuse(loaded)) != values(reports):
     sys.exit("daisy_chain_fuse gives other reports on the loaded messages")
-cv = partition_cv(channels, ms, balanced_tree(np.int64(8))).cross_validation
+tree = balanced_tree(np.int64(8))
+result = partition_cv(channels, ms, tree)
+cv = result.cross_validation
 expected = reports[-1].cross_validation
 if not abs(cv - expected) <= 1e-12 * max(1.0, abs(expected)):
     sys.exit(f"partition_cv gives {cv!r}, the daisy chain {expected!r}")
+daisy_chain_fuse(messages[:4])
+partition_cv(channels[:4], simulate(channels[:4], 4, seed=2), balanced_tree(4))
+daisy_chain_fuse(messages[::-1])
+partition_cv(channels[::-1], simulate(channels[::-1], 4, seed=2), tree)
+if values(daisy_chain_fuse(messages)) != values(reports):
+    sys.exit("daisy_chain_fuse gives other reports after fusing another channel set")
+if partition_cv(channels, ms, tree) != result:
+    sys.exit("partition_cv gives another result after fusing another channel set")
 PY
 )
 

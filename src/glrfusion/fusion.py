@@ -12,17 +12,26 @@ S = [F | C]: a leaf's is [F_l | C_l], and a group's is the first J rows of
 the triangular factor of its stacked leaf states.  The rows it drops hold
 the group's tail, the part of the stacked coordinates outside the span of
 the stacked factors, which the folds inside the group have already counted.
-A fold stacks two states, 2J x (J + M), and takes the triangular factor R
-by QR.  Split at J, its first J rows are the merged state and ||R22||^2 / M,
-formed directly, is the fold's term: the tail the merge adds.  This is the
-split row 1 of :mod:`detectors` makes over all channels at once, so the
-terms over any tree add up to the panel's raw cross-validation.
+A fold stacks two states.  The first J Householder reflectors of the stack
+come from its factor columns alone, so with the complete QR
+[F_a; F_b] = U [R11; 0] the fold is [R12; Y] = U^H [C_a; C_b]: the merged
+state is [R11 | R12], and ||Y||^2 / M, formed directly, is the fold's term,
+the tail the merge adds.  This is the split row 1 of :mod:`detectors` makes
+over all channels at once, so the terms over any tree add up to the panel's
+raw cross-validation.
 
-Every state has the same shape, so any set of independent folds is one
-batched QR.  ``partition_cv`` folds all nodes of one height of its tree in
-one call, and ``daisy_chain_fuse`` takes every prefix's cross-validation
-from a Hillis-Steele prefix scan of the fold, ceil(log2 L) calls.  Each
-then gates every fold's R11 in one batched SVD.
+A walk is a plan of rounds of independent folds: ``partition_cv`` folds
+all nodes of one height of its tree in one round, and ``daisy_chain_fuse``
+takes every prefix's cross-validation from a Hillis-Steele prefix scan of
+the fold, ceil(log2 L) rounds.  Every merged factor R11, and so every
+round's stack of adjoints U^H, depends only on the walk and the leaves'
+factors, which stay fixed while the data stream.  So the factors are folded
+once per channel set, one batched QR per round, and every R11 is gated in
+one batched SVD; each entry point keeps these constants for the last
+channel set it saw, keyed by the value of its stacked factors and by its
+walk.  Per data set a round is then one batched product of the adjoints
+with the stacked coordinates, and the rank gate runs on the kept singular
+values.
 
 Each call does its per-channel and per-report work in one pass.  One
 builder makes the leaves, with one energy check, from constants each
@@ -157,43 +166,6 @@ def _overflow(coords: np.ndarray) -> ValueError:
     return ValueError("message coordinates contains non-finite entries")
 
 
-def _fold(pairs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Merge B pairs of groups' states, stacked as (B, 2J, J + M), in one batched QR.
-
-    R, the triangular factor of each stack [S_upper; S_lower], splits at J:
-    the merged state is its first J rows [R11 | R12], and the term is
-    ||R22||^2 / M, the energy of the stacked coordinates outside the span of
-    the stacked factors, formed directly.  Returns (terms (B,), merged).
-
-    The caller applies the rank gate of :func:`~glrfusion.linalg.orthonormal_basis`
-    to every fold's R11, whose singular values are those of the stacked factors
-    (:func:`_require_full_rank_folds`).  It cannot trip on gated messages except
-    by rounding: cond([A; B]) <= max(cond A, cond B), by the mediant inequality on
-    lambda_max / lambda_min of A^H A + B^H B.  It is kept as a guard.
-    """
-    cols = pairs.shape[-1]
-    j = cols - m
-    rows = min(2 * j, cols)
-    # mode="raw" returns the factorisation transposed, with R in the upper
-    # triangle of its first rows; the cached mask zeroes the rest, as mode="r"
-    # does with np.triu.
-    h, _ = np.linalg.qr(pairs, mode="raw")
-    r = np.where(_upper_triangle(rows, cols), h.swapaxes(-1, -2)[..., :rows, :], 0)
-    return energy(r[..., j:, j:]) / m, r[..., :j, :]
-
-
-@functools.cache
-def _upper_triangle(rows: int, cols: int) -> np.ndarray:
-    """The mask of a rows x cols matrix's upper triangle, its diagonal included."""
-    return np.triu(np.ones((rows, cols), dtype=bool))
-
-
-def _require_full_rank_folds(merged: np.ndarray) -> None:
-    """The rank gate on every fold's R11, the first J columns of its (B, J, J + M) state."""
-    j = merged.shape[-2]
-    require_full_rank(np.linalg.svd(merged[..., :j], compute_uv=False), "fused channel")
-
-
 @dataclass(frozen=True)
 class PartitionStep:
     """One binary split: the tail of the two groups' stacked coordinates."""
@@ -212,23 +184,63 @@ class PartitionResult:
 
 @dataclass(frozen=True)
 class _FoldPlan:
-    """A checked tree's walk over L leaves, reusable for any leaf states.
+    """Rounds of independent folds over L leaves, reusable for any leaf states.
 
-    Internal node k is row L + k of the fold's states, in post-order.
-    ``nodes`` holds each internal node's left and right leaves, and
-    ``levels`` holds, per height less one, the rows of its nodes and the
-    (nodes, 2) rows of their left and right children.
+    The states sit in ``n_rows`` rows, the leaves' and then the internal
+    nodes'.  ``levels`` holds
+    one entry per round: the rows it writes, the (folds, 2) rows of each
+    fold's upper and lower group, all read before any is written, and the
+    span of its folds among the plan's ``n_folds``, in round order.  A tree's
+    plan writes internal node k to row L + k, in post-order, one round per
+    height less one, and ``nodes`` holds each internal node's left and right
+    leaves.  The daisy chain's prefix scan (:func:`_scan_plan`) has no nodes
+    and writes over its L rows.
     """
 
     n_leaves: int
+    n_rows: int
     nodes: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    levels: tuple[tuple[np.ndarray, np.ndarray], ...]
+    n_folds: int
+    levels: tuple[tuple[np.ndarray, np.ndarray, slice], ...]
+
+    @classmethod
+    def of_rounds(cls, n_leaves: int, nodes: tuple,
+                  rounds: list[tuple[np.ndarray, np.ndarray]]) -> _FoldPlan:
+        """The plan of ``rounds``, each its (rows, pairs), with their spans."""
+        levels, start = [], 0
+        for rows, pairs in rounds:
+            levels.append((rows, pairs, slice(start, start + len(rows))))
+            start += len(rows)
+        return cls(n_leaves, n_leaves + len(nodes), nodes, start, tuple(levels))
+
+
+@dataclass(frozen=True)
+class _FoldBases:
+    """The constants of one plan's folds over one channel set.
+
+    Keyed by the plan and by the shape and bytes of the leaves' stacked
+    (L, J, J) factors.  ``adjoints`` holds, per round, the (folds, 2J, 2J)
+    adjoints U^H of the complete QRs [F_a; F_b] = U [R11; 0] of the round's
+    stacked factors, and ``singular_values`` the (folds, J) singular values
+    of every fold's R11, which the rank gate reads.
+    """
+
+    plan: _FoldPlan
+    shape: tuple[int, ...]
+    key: bytes
+    adjoints: tuple[np.ndarray, ...]
+    singular_values: np.ndarray
 
 
 # The last tree _fold_tree walked and its plan.  The entry holds the tree, so
 # no other object can take its id while the entry lasts; trees are matched
 # by identity alone, as hashing or comparing a nested tuple recurses in C.
 _last_plan: tuple[PartitionTree, _FoldPlan] | None = None
+
+# The fold constants of the last channel set each entry point fused; a set
+# whose folds fail the rank gate is not kept.
+_last_tree_bases: _FoldBases | None = None
+_last_chain_bases: _FoldBases | None = None
 
 
 def _plan_tree(tree: PartitionTree, n: int) -> _FoldPlan:
@@ -268,38 +280,106 @@ def _plan_tree(tree: PartitionTree, n: int) -> _FoldPlan:
     leaves.sort()
     if leaves != list(range(n)):
         raise ConfigError(f"tree leaves {leaves} are not a permutation of 0..{n - 1}")
-    return _FoldPlan(n, tuple(nodes), tuple((np.array(rows), np.array(children))
-                                            for rows, children in levels))
+    return _FoldPlan.of_rounds(n, tuple(nodes), [(np.array(rows), np.array(children))
+                                                 for rows, children in levels])
 
 
-def _fold_tree(states: np.ndarray, tree: PartitionTree) -> list[PartitionStep]:
-    """Fold the leaves' (L, J, J + M) states up ``tree``: its internal nodes' steps in post-order.
+@functools.lru_cache(maxsize=8)
+def _scan_plan(n: int) -> _FoldPlan:
+    """The Hillis-Steele prefix scan over ``n`` leaves as a plan.
 
-    The nodes of one height are independent, so each height is one batched
-    fold, whose pairs one gather stacks, and one batched SVD gates them all.
+    The round of shift d folds entry k - d onto entry k for every k >= d, so
+    after it entry k holds the state of channels max(0, k - 2d + 1) .. k,
+    whose tail is the sum of the fold terms inside them, and ceil(log2 L)
+    rounds leave entry k holding prefix 0..k.
+    """
+    levels = []
+    shift = 1
+    while shift < n:
+        rows = np.arange(shift, n)
+        levels.append((rows, np.stack((rows - shift, rows), axis=1)))
+        shift *= 2
+    return _FoldPlan.of_rounds(n, (), levels)
+
+
+def _fold_bases(plan: _FoldPlan, factors: np.ndarray) -> _FoldBases:
+    """Fold the leaves' stacked (L, J, J) ``factors`` over ``plan``: its constants.
+
+    Each round is one batched complete QR of its (folds, 2J, J) stacked
+    factors, whose R11 is the merged factor the next rounds read, and one
+    batched SVD takes the singular values of every R11.  On gated factors
+    the gate cannot trip except by rounding: cond([A; B]) <= max(cond A,
+    cond B), by the mediant inequality on lambda_max / lambda_min of
+    A^H A + B^H B.  It is kept as a guard.
+    """
+    n, j = factors.shape[:2]
+    states = np.empty((plan.n_rows, j, j), dtype=complex)
+    states[:n] = factors
+    adjoints, merged = [], []
+    for rows, pairs, _ in plan.levels:
+        q, r = np.linalg.qr(states[pairs].reshape(len(rows), 2 * j, j), mode="complete")
+        states[rows] = r11 = r[:, :j]
+        merged.append(r11)
+        adjoints.append(np.ascontiguousarray(q.conj().swapaxes(-1, -2)))
+    s = (np.linalg.svd(np.concatenate(merged), compute_uv=False) if merged
+         else np.empty((0, j)))
+    return _FoldBases(plan, factors.shape, factors.tobytes(), tuple(adjoints), s)
+
+
+def _fold(plan: _FoldPlan, factors: np.ndarray, coords: np.ndarray,
+          last: _FoldBases | None) -> tuple[_FoldBases, np.ndarray]:
+    """Fold the leaves' (L, J, M) ``coords`` over ``plan``: the bases used and every fold's term.
+
+    ``last`` is the entry point's kept constants, used while they were built
+    for ``plan`` from factors of the same shape and bytes and rebuilt
+    (:func:`_fold_bases`) otherwise.  The rank gate of
+    :func:`~glrfusion.linalg.orthonormal_basis` runs on their singular values
+    on every call (RankDeficiencyError).  Each round is one batched product
+    [R12; Y] = U^H [C_a; C_b] of its (folds, 2J, 2J) adjoints with its
+    stacked coordinates: R12 is the merged coordinates, and ||Y||^2 / M,
+    formed directly, is the fold's term.  The (n_folds,) terms are in round
+    order, each round's at its span, from one energy pass.
+    """
+    bases = last
+    if (bases is None or bases.plan is not plan or bases.shape != factors.shape
+            or bases.key != factors.tobytes()):
+        bases = _fold_bases(plan, factors)
+    require_full_rank(bases.singular_values, "fused channel")
+    n, j, m = coords.shape
+    states = np.empty((plan.n_rows, j, m), dtype=complex)
+    states[:n] = coords
+    folded = np.empty((plan.n_folds, 2 * j, m), dtype=complex)
+    for (rows, pairs, span), adjoint in zip(plan.levels, bases.adjoints):
+        z = np.matmul(adjoint, states[pairs].reshape(len(rows), 2 * j, m), out=folded[span])
+        states[rows] = z[:, :j]
+    return bases, energy(folded[:, j:]) / m
+
+
+def _fold_tree(factors: np.ndarray, coords: np.ndarray,
+               tree: PartitionTree) -> list[PartitionStep]:
+    """Fold the leaves' (L, J, J) factors and (L, J, M) coordinates up ``tree``: its steps.
+
+    The steps are the internal nodes', in post-order.  The nodes of one
+    height are independent, so each height is one round of :func:`_fold`.
     The walk and its checks (:func:`_plan_tree`) run once per tree object:
     the plan of the last tree is kept and reused while the same object, over
-    the same number of leaves, comes back.
+    the same number of leaves, comes back, and so are the fold constants
+    while the leaves' factors keep their values.
     """
-    global _last_plan
-    n = len(states)
+    global _last_plan, _last_tree_bases
+    n = len(coords)
     last = _last_plan
     if last is not None and last[0] is tree and last[1].n_leaves == n:
         plan = last[1]
     else:
         plan = _plan_tree(tree, n)
         _last_plan = (tree, plan)
-    m = states.shape[-1] - states.shape[-2]
-    states = np.concatenate((states, np.empty((len(plan.nodes), *states.shape[1:]),
-                                              dtype=complex)))
-    terms = np.empty(len(states))  # by row of states; a leaf's is unused
-    for rows, children in plan.levels:
-        terms[rows], states[rows] = _fold(
-            states[children].reshape(len(rows), -1, states.shape[-1]), m)
-    if plan.nodes:
-        _require_full_rank_folds(states[n:])
+    _last_tree_bases, terms = _fold(plan, factors, coords, _last_tree_bases)
+    by_row = np.empty(plan.n_rows)  # a leaf's is unused
+    for rows, _, span in plan.levels:
+        by_row[rows] = terms[span]
     return [PartitionStep(left, right, term)
-            for (left, right), term in zip(plan.nodes, terms[n:].tolist())]
+            for (left, right), term in zip(plan.nodes, by_row[n:].tolist())]
 
 
 def partition_cv(channels: Sequence[ChannelModel], ms: MeasurementSet,
@@ -310,11 +390,12 @@ def partition_cv(channels: Sequence[ChannelModel], ms: MeasurementSet,
     coordinates outside the span of their stacked factors; the totals are
     invariant to the tree shape.  The channels' states are built in one
     pass, as :func:`channel_message` builds one channel's, and the nodes of
-    one height fold in one batched call.
+    one height fold in one batched product, through constants kept for the
+    last tree object and channel factors.
     """
     check_channels(channels, ms.channel_dims)
     factors, coords = _leaves(channels, ms.blocks)
-    steps = _fold_tree(np.concatenate((np.array(factors), coords), axis=-1), tree)
+    steps = _fold_tree(np.array(factors), coords, tree)
     raw_total = float(sum(s.term for s in steps))
     return PartitionResult(
         steps=tuple(steps),
@@ -400,44 +481,22 @@ def channel_message(channel: ChannelModel, x_block, n_snapshots: int) -> Channel
     return ChannelMessage._unchecked(factors[0], coords[0])
 
 
-def _prefix_cvs(states: np.ndarray, m: int) -> np.ndarray:
-    """The raw cross-validation of every prefix of the chain, by a prefix scan of the fold.
-
-    A Hillis-Steele scan over the (L, J, J + M) ``states``, which it
-    overwrites: after the round of shift d, entry k holds the state of
-    channels max(0, k - 2d + 1) .. k and the sum of the fold terms inside
-    it.  The round folds every entry k >= d with entry k - d in one batched
-    call, so ceil(log2 L) calls leave entry k holding prefix 0..k.
-    """
-    n = len(states)
-    raw = np.zeros(n)
-    folded = []
-    shift = 1
-    while shift < n:
-        terms, merged = _fold(np.concatenate((states[:-shift], states[shift:]), axis=-2), m)
-        raw[shift:] = raw[:-shift] + raw[shift:] + terms
-        states[shift:] = merged
-        folded.append(merged)
-        shift *= 2
-    if folded:
-        _require_full_rank_folds(np.concatenate(folded))
-    return raw
-
-
 def daisy_chain_fuse(messages: Sequence[ChannelMessage]) -> list[DetectorReport]:
     """Fold channel messages into running composite reports, one per prefix.
 
     The k-th returned report equals the known-coupling, known-noise detector
     evaluated on the pooled data of the first k channels.  Its raw
     cross-validation is the tail of the first k channels' stacked states,
-    from a prefix scan of the fold: ceil(log2 L) batched QR calls, each
-    prefix's value a sum of directly formed fold terms.  The statistics come
-    from one energy pass over the stacked coordinates, and the L reports'
-    decompositions are checked in one batch.  Raises ProtocolError for an
-    empty sequence, an entry that is not a :class:`ChannelMessage`, or
-    messages of different shapes (J, M), and ValueError when the energy of
-    a message's coordinates overflows.
+    from a prefix scan of the fold (:func:`_scan_plan`): ceil(log2 L) rounds
+    of one batched product, through constants kept for the last message
+    factors, each prefix's value a sum of directly formed fold terms.  The
+    statistics come from one energy pass over the stacked coordinates, and
+    the L reports' decompositions are checked in one batch.  Raises
+    ProtocolError for an empty sequence, an entry that is not a
+    :class:`ChannelMessage`, or messages of different shapes (J, M), and
+    ValueError when the energy of a message's coordinates overflows.
     """
+    global _last_chain_bases
     msgs = list(messages)
     if not msgs:
         raise ProtocolError("no messages to fuse")
@@ -454,9 +513,14 @@ def daisy_chain_fuse(messages: Sequence[ChannelMessage]) -> list[DetectorReport]
         stats = energy(coords) / m
     if not math.isfinite(stats.max()):  # energies are not negative: any inf or nan shows
         raise _overflow(coords)
+    plan = _scan_plan(n)
+    _last_chain_bases, terms = _fold(plan, np.array([msg.factor for msg in msgs]), coords,
+                                     _last_chain_bases)
+    raw = np.zeros(n)
+    for rows, pairs, span in plan.levels:
+        raw[rows] = raw[pairs[:, 0]] + raw[rows] + terms[span]
     counts = np.arange(1, n + 1)
-    states = np.concatenate((np.array([msg.factor for msg in msgs]), coords), axis=-1)
-    cvs = _prefix_cvs(states, m) / counts
+    cvs = raw / counts
     composites = np.cumsum(stats) / counts - cvs
     # Report k's weights and statistics, zero-padded to L: row k - 1 of each.
     prefix = counts[:, None] >= counts

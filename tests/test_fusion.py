@@ -25,7 +25,7 @@ from glrfusion import (
     partition_cv,
     simulate,
 )
-from glrfusion import detectors, fusion
+from glrfusion import detectors, fusion, linalg
 from glrfusion.formats import _format_block, load_messages, save_messages
 from glrfusion.fusion import _fold_tree
 from conftest import complex_normal, random_channel, random_instance
@@ -518,6 +518,11 @@ class TestMessageValidation:
         np.testing.assert_array_equal(gated.factor, message.factor)
 
 
+def forget_fold_bases() -> None:
+    """Drop the fold constants both entry points keep, so that their next calls are cold."""
+    fusion._last_tree_bases = fusion._last_chain_bases = None
+
+
 def count_linalg_calls(monkeypatch, call) -> dict[str, int]:
     """The ``np.linalg.qr`` and ``np.linalg.svd`` calls that ``call()`` makes."""
     counts = {"qr": 0, "svd": 0}
@@ -532,7 +537,7 @@ def count_linalg_calls(monkeypatch, call) -> dict[str, int]:
 
 
 class TestBatchedFolds:
-    """One batched QR per tree height or scan round, and one gate SVD per call."""
+    """On a cold call, one batched QR per tree height or scan round, and one gate SVD."""
 
     @staticmethod
     def cached_instance(rng, n_channels, n_samples=6, n_modes=2):
@@ -546,6 +551,7 @@ class TestBatchedFolds:
                              ids=["balanced", "chain"])
     def test_partition_cv_folds_each_height_in_one_call(self, rng, monkeypatch, tree, qr_calls):
         chans, ms = self.cached_instance(rng, 8)
+        forget_fold_bases()
         counts = count_linalg_calls(monkeypatch, lambda: partition_cv(chans, ms, tree))
         assert counts == {"qr": qr_calls, "svd": 1}
 
@@ -553,6 +559,7 @@ class TestBatchedFolds:
     def test_daisy_chain_scans_in_log_rounds(self, rng, monkeypatch, n_channels, qr_calls):
         chans, ms = self.cached_instance(rng, n_channels, n_samples=2, n_modes=1)
         msgs = messages_for(chans, ms)
+        forget_fold_bases()
         counts = count_linalg_calls(monkeypatch, lambda: daisy_chain_fuse(msgs))
         assert counts == {"qr": qr_calls, "svd": 1}
 
@@ -569,9 +576,9 @@ class TestBatchedFolds:
         # shape, of three shapes in mixed order, and on one channel.
         seen = []
 
-        def spy(states, tree, _fold_tree=fusion._fold_tree):
-            seen.append(states.copy())
-            return _fold_tree(states, tree)
+        def spy(factors, coords, tree, _fold_tree=fusion._fold_tree):
+            seen.append(np.concatenate((factors, coords), axis=-1))
+            return _fold_tree(factors, coords, tree)
         monkeypatch.setattr(fusion, "_fold_tree", spy)
         for dims in [(6,) * 8, (6, 4, 6, 5, 4, 6, 5, 6), (6,)]:
             chans = [random_channel(rng, n, 2) for n in dims]
@@ -611,15 +618,19 @@ class TestBatchedFolds:
         # cond([A; B]) <= max(cond A, cond B), by the mediant inequality on
         # lambda_max / lambda_min of A^H A + B^H B, so on gated messages the
         # fold's gate can trip only by rounding; it is kept as a guard.  Two
-        # unchecked messages with the same singular factor reach it.
+        # unchecked messages with the same singular factor reach it, and as
+        # a failing set's constants are not kept, it trips on every call.
         singular = np.ones((2, 2), dtype=complex)
         msgs = [ChannelMessage._unchecked(singular, complex_normal(rng, (2, 3)))
                 for _ in range(2)]
-        with pytest.raises(RankDeficiencyError, match="fused channel"):
-            daisy_chain_fuse(msgs)
-        with pytest.raises(RankDeficiencyError, match="fused channel"):
-            _fold_tree(np.array([np.hstack((msg.factor, msg.coordinates)) for msg in msgs]),
-                       (0, 1))
+        forget_fold_bases()
+        for _ in range(2):
+            with pytest.raises(RankDeficiencyError, match="fused channel"):
+                daisy_chain_fuse(msgs)
+            with pytest.raises(RankDeficiencyError, match="fused channel"):
+                _fold_tree(np.array([msg.factor for msg in msgs]),
+                           np.array([msg.coordinates for msg in msgs]), (0, 1))
+        assert fusion._last_chain_bases is None and fusion._last_tree_bases is None
 
     def test_coordinate_overflow_is_value_error(self, rng):
         ch = ChannelModel(matrix=normalize_channel(complex_normal(rng, (6, 2))), gain=1e-200,
@@ -647,9 +658,11 @@ class TestFoldPlan:
 
         def call():
             results.append(partition_cv(chans, ms, tree))
+        forget_fold_bases()
         first = count_linalg_calls(monkeypatch, call)
         second = count_linalg_calls(monkeypatch, call)
-        assert first == second == {"qr": 3, "svd": 1}
+        assert first == {"qr": 3, "svd": 1}
+        assert second == {"qr": 0, "svd": 0}  # the plan's fold constants are kept too
         assert same_bits(*([(s.left, s.right, s.term) for s in r.steps] for r in results))
         walks = []
 
@@ -698,6 +711,89 @@ class TestFoldPlan:
                              [(s.left, s.right, s.term) for s in expected.steps])
         assert [(s.left, s.right) for s in fresh[1].steps] == [
             ((0,), (2,)), ((1,), (3,)), ((0, 2), (1, 3))]
+
+
+class TestFoldBases:
+    """Each entry point folds a channel set's factors once and keeps the constants by value."""
+
+    @staticmethod
+    def daisy_values(msgs):
+        return [(r.composite, r.cross_validation) for r in daisy_chain_fuse(msgs)]
+
+    def test_warm_calls_make_no_qr_and_no_svd(self, rng, monkeypatch):
+        chans, ms = TestBatchedFolds.cached_instance(rng, 8)
+        msgs, tree = messages_for(chans, ms), balanced_tree(8)
+        forget_fold_bases()
+        for call in (lambda: daisy_chain_fuse(msgs), lambda: partition_cv(chans, ms, tree)):
+            assert count_linalg_calls(monkeypatch, call) == {"qr": 3, "svd": 1}
+            assert count_linalg_calls(monkeypatch, call) == {"qr": 0, "svd": 0}
+
+    def test_one_ulp_in_one_factor_rebuilds(self, rng, monkeypatch):
+        chans, ms = TestBatchedFolds.cached_instance(rng, 8)
+        tree = balanced_tree(8)
+        msgs = messages_for(chans, ms)
+        daisy_chain_fuse(msgs)
+        partition_cv(chans, ms, tree)
+        factor = msgs[5].factor.copy()
+        factor[1, 0] = complex(np.nextafter(factor[1, 0].real, np.inf), factor[1, 0].imag)
+        msgs[5] = ChannelMessage(factor=factor, coordinates=msgs[5].coordinates)
+        assert count_linalg_calls(monkeypatch, lambda: daisy_chain_fuse(msgs)) == {
+            "qr": 3, "svd": 1}
+        ch = chans[5]  # its gain's real part one ulp larger
+        gain = complex(np.nextafter(ch.gain.real, np.inf), ch.gain.imag)
+        chans[5] = ChannelModel(matrix=ch.matrix, gain=gain, noise_variance=ch.noise_variance)
+        assert not same_bits(chans[5].whitened_coupling, ch.whitened_coupling)
+        assert count_linalg_calls(monkeypatch, lambda: partition_cv(chans, ms, tree)) == {
+            "qr": 3, "svd": 1}
+
+    def test_factor_changed_in_place_gives_the_cold_values(self, rng):
+        chans, ms = random_instance(rng, n_channels=4, n_modes=2)
+        msgs = messages_for(chans, ms)
+        factor = np.array(msgs[2].factor)  # writable, and kept by the message as it is
+        msgs[2] = ChannelMessage(factor=factor, coordinates=msgs[2].coordinates)
+        assert msgs[2].factor is factor
+        before = self.daisy_values(msgs)
+        factor *= 1.5
+        warm = self.daisy_values(msgs)
+        forget_fold_bases()
+        assert same_bits(warm, self.daisy_values(msgs))
+        assert not same_bits(warm, before)
+
+    def test_alternating_sets_each_give_their_cold_bits(self, rng):
+        sets = [random_instance(rng, n_channels=5, n_modes=2, n_snapshots=6) for _ in range(2)]
+        tree = balanced_tree(5)
+        cold = []
+        for chans, ms in sets:
+            forget_fold_bases()
+            cold.append(fused_values(chans, ms, tree))
+        for k in (0, 1, 0, 1):
+            assert same_bits(fused_values(*sets[k], tree), cold[k]), k
+
+    def test_loaded_messages_give_the_bits_of_the_originals(self, rng, monkeypatch, tmp_path):
+        msgs = messages_for(*random_instance(rng, n_channels=6, n_modes=2))
+        forget_fold_bases()
+        expected = self.daisy_values(msgs)
+        loaded = load_messages(save_messages(msgs, tmp_path / "m"))
+        assert not any(a.factor is b.factor for a, b in zip(loaded, msgs))
+        values = []
+        counts = count_linalg_calls(monkeypatch, lambda: values.append(self.daisy_values(loaded)))
+        assert counts == {"qr": 0, "svd": 0}  # equal bytes: the kept constants serve
+        assert same_bits(values[0], expected)
+
+    def test_gate_on_kept_constants_raises_on_every_call(self, rng, monkeypatch):
+        chans, ms = TestBatchedFolds.cached_instance(rng, 4)
+        msgs, tree = messages_for(chans, ms), balanced_tree(4)
+        forget_fold_bases()
+        cold = fused_values(chans, ms, tree)
+        # Every fold's R11 has s_min < s_max, so it fails a relative tolerance of 1.
+        monkeypatch.setattr(linalg, "RANK_RTOL", 1.0)
+        for _ in range(2):
+            with pytest.raises(RankDeficiencyError, match="fused channel"):
+                daisy_chain_fuse(msgs)
+            with pytest.raises(RankDeficiencyError, match="fused channel"):
+                partition_cv(chans, ms, tree)
+        monkeypatch.undo()
+        assert same_bits(fused_values(chans, ms, tree), cold)
 
 
 @pytest.mark.parametrize("eps", [3e-6, 3e-8], ids=["ratio-1e-6", "ratio-1e-8"])
