@@ -163,9 +163,11 @@ scan_smoke() (
 # the loaded and on the in-memory messages, and partition_cv over a balanced
 # tree, built from a numpy integer count, gives the last report's
 # cross-validation to 1e-12.  Both keep their fold constants for the last
-# channel set: after fusing the first four channels, and the eight in reverse
-# order over the same tree object, the eight give the same reports and the
-# same partition_cv result as before.
+# channel set, and partition_cv its leaf constants, matched by the identity
+# of each channel: after fusing the first four channels, and the eight in
+# reverse order over the same tree object, the eight give the same reports
+# and the same partition_cv result as before, and so do a new list of the
+# same channel objects and value-equal channels built anew.
 fusion_smoke() (
   cd "$(mktemp -d)"
   python - <<'PY'
@@ -173,8 +175,8 @@ import sys
 
 import numpy as np
 
-from glrfusion import (PropagationSpec, balanced_tree, channel_message, daisy_chain_fuse,
-                       narrowband_channel, partition_cv, simulate)
+from glrfusion import (ChannelModel, PropagationSpec, balanced_tree, channel_message,
+                       daisy_chain_fuse, narrowband_channel, partition_cv, simulate)
 from glrfusion.formats import load_messages, save_messages
 
 rng = np.random.default_rng(1)
@@ -211,6 +213,12 @@ if values(daisy_chain_fuse(messages)) != values(reports):
     sys.exit("daisy_chain_fuse gives other reports after fusing another channel set")
 if partition_cv(channels, ms, tree) != result:
     sys.exit("partition_cv gives another result after fusing another channel set")
+if partition_cv(list(channels), ms, tree) != result:
+    sys.exit("partition_cv gives another result on a new list of the same channels")
+rebuilt = [ChannelModel(matrix=ch.matrix, gain=ch.gain, noise_variance=ch.noise_variance)
+           for ch in channels]
+if partition_cv(rebuilt, ms, tree) != result:
+    sys.exit("partition_cv gives another result on channels built anew")
 PY
 )
 

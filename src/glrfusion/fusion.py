@@ -33,20 +33,28 @@ walk.  Per data set a round is then one batched product of the adjoints
 with the stacked coordinates, and the rank gate runs on the kept singular
 values.
 
-Each call does its per-channel and per-report work in one pass.  One
-builder makes the leaves, with one energy check, from constants each
-channel keeps: its adjoint basis Q_l^H and its whitened factor F_l, gated
-when first built (:class:`~glrfusion.channel.ChannelModel`).  The
-channels of one block shape take their coordinates in one batched product.
-``channel_message`` runs the builder on one channel, a group of one, and
-``partition_cv`` on all its channels and blocks, with no message in
-between, so a caller's messages and ``partition_cv``'s leaves are the same
-bits.  A tree's walk, its checks and each height's index arrays form a
-plan, which ``partition_cv`` keeps for the last tree object it was given
-and reuses while the same object comes back.  ``daisy_chain_fuse`` takes
-its statistics from one energy pass over the stacked coordinates and checks
-its L reports' decompositions in one batched call.  A message set's file
-form, and its reader and writer, are in :mod:`formats`.
+Per data set a call does only the work that depends on the data; whatever
+depends on the channels, the walk or the channel count alone is kept.  A
+leaf reads constants each channel keeps: its adjoint basis Q_l^H and its
+whitened factor F_l, gated when first built
+(:class:`~glrfusion.channel.ChannelModel`).  ``partition_cv`` keeps, for
+the last channel set it saw, matched by the identity of each channel, their
+stack per block shape (adjoint bases, noise sigmas, indices) and the stack
+of their factors, which it hands to the fold as they are; each block shape
+takes its coordinates in one batched product.  ``channel_message`` forms
+its one leaf with the same product on a batch of one, so a caller's
+messages and ``partition_cv``'s leaves are the same bits.  A fold's states
+sit in the slots of one buffer, the leaves' first and then each fold's two
+output blocks [R12; Y], so a round gathers its input slot pairs, writes its
+product straight into its own run of slots, and every term is the energy
+of one Y slot.  A tree's walk, its checks and each round's slot pairs form
+a plan, which ``partition_cv`` keeps for the last tree object it was given
+and reuses while the same object comes back; the daisy chain's plan, its
+prefix counts and its report weights are kept per channel count.
+``daisy_chain_fuse`` takes its statistics from one energy pass over the
+stacked coordinates and checks its L reports' decompositions in one
+batched call.  A message set's file form, and its reader and writer, are in
+:mod:`formats`.
 """
 
 from __future__ import annotations
@@ -114,49 +122,86 @@ def _integer(value) -> int | None:
         return None
 
 
-def _leaves(channels: Sequence[ChannelModel],
-            blocks: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
-    """The channels' J x J factors F_l and (L, J, M) coordinates C_l on their blocks.
+@dataclass(frozen=True)
+class _LeafBases:
+    """The constants of one channel set's leaves: whatever they read that is not data.
 
-    ``np.concatenate((np.array(factors), coords), axis=-1)`` stacks them into
-    the leaves' (L, J, J + M) states [F_l | C_l].  Each factor is the
-    channel's cached whitened coupling F_l = (g_l / sigma_l) R_l, which
-    raises when its scale fails the gate
-    (:attr:`ChannelModel.whitened_coupling`).  The channels of one block
-    shape (N_l, M) form a group, as :func:`~glrfusion.measurement.draw_trials`
-    groups channels by frame shape, and each group takes its coordinates
-    C_l = Q_l^H X_l / sigma_l, from the cached adjoint bases, in one batched
-    product and one division.  The coordinates overflow when sigma_l is tiny,
-    and their energy when the data are huge; the total energy, checked once,
-    catches both (ValueError).  The caller checks the channels and blocks:
-    one mode count J, and blocks of N_l rows and M columns.
+    ``channels`` is the set, matched by the identity of each channel; the
+    entry holds them, so no other object can take one of their ids while it
+    lasts.  ``factors`` is the read-only (L, J, J) stack of the channels'
+    whitened factors F_l.  ``groups`` holds one entry per block shape, in the
+    order the shapes first appear: the (G,) indices of its channels, their
+    stacked (G, J, N) adjoint bases Q_l^H and their (G, 1, 1) noise sigmas.
     """
-    factors = [ch.whitened_coupling for ch in channels]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for idx, x in enumerate(blocks):
-        groups.setdefault(x.shape, []).append(idx)
+
+    channels: tuple[ChannelModel, ...]
+    factors: np.ndarray
+    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+# The leaf constants of the last channel set partition_cv fused; a set with a
+# channel whose factor fails its gate is not kept.
+_last_leaf_bases: _LeafBases | None = None
+
+
+def _leaf_bases(channels: Sequence[ChannelModel]) -> _LeafBases:
+    """The leaf constants of ``channels``, stacked from the constants each channel caches.
+
+    Each factor is the channel's whitened coupling F_l = (g_l / sigma_l) R_l,
+    which raises when its scale fails the gate
+    (:attr:`ChannelModel.whitened_coupling`), so a set that fails is never
+    kept.  The channels of one sample count N_l form a group: once the caller
+    has checked the blocks against the channels, their blocks share one
+    shape (N_l, M), as :func:`~glrfusion.measurement.draw_trials` groups
+    channels by frame shape.
+    """
+    factors = np.array([ch.whitened_coupling for ch in channels])
+    factors.flags.writeable = False
+    groups: dict[int, list[int]] = {}
+    for idx, ch in enumerate(channels):
+        groups.setdefault(ch.n_samples, []).append(idx)
+    return _LeafBases(tuple(channels), factors, tuple(
+        (np.array(group), np.array([channels[idx].adjoint_basis for idx in group]),
+         np.array([channels[idx].noise_sigma for idx in group])[:, None, None])
+        for group in groups.values()))
+
+
+def _leaves(channels: Sequence[ChannelModel],
+            blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The channels' (L, J, J) factors F_l and (L, J, M) coordinates C_l on their blocks.
+
+    ``np.concatenate((factors, coords), axis=-1)`` stacks them into the
+    leaves' (L, J, J + M) states [F_l | C_l].  The factors and every other
+    constant come from :func:`_leaf_bases`, kept for the last channel set
+    and rebuilt when another set comes; the factors are its read-only stack.
+    Each group of one block shape takes its coordinates
+    C_l = Q_l^H X_l / sigma_l in one batched product and one division.  The
+    coordinates overflow when sigma_l is tiny, and their energy when the
+    data are huge; the total energy, checked once, catches both
+    (ValueError).  The caller checks the channels and blocks: one mode count
+    J, and blocks of N_l rows and M columns.
+    """
+    global _last_leaf_bases
+    bases = _last_leaf_bases
+    if (bases is None or len(bases.channels) != len(channels)
+            or not all(map(operator.is_, bases.channels, channels))):
+        bases = _last_leaf_bases = _leaf_bases(channels)
     parts = []
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        for group in groups.values():
-            c = (_stack([channels[idx].adjoint_basis for idx in group])
-                 @ _stack([blocks[idx] for idx in group]))
-            c /= np.array([channels[idx].noise_sigma for idx in group])[:, None, None]
+        for group, adjoints, sigmas in bases.groups:
+            c = adjoints @ np.array([blocks[idx] for idx in group.tolist()])
+            c /= sigmas
             total += np.vdot(c, c).real
             parts.append(c)
     coords = parts[0]
     if len(parts) > 1:  # the groups' coordinates, back in the channels' order
         coords = np.empty((len(channels), *coords.shape[1:]), dtype=complex)
-        for group, c in zip(groups.values(), parts):
+        for (group, _, _), c in zip(bases.groups, parts):
             coords[group] = c
     if not math.isfinite(total):
         raise _overflow(coords)
-    return factors, coords
-
-
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """Arrays of one shape stacked on a new first axis; a lone array as a view, not a copy."""
-    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+    return bases.factors, coords
 
 
 def _overflow(coords: np.ndarray) -> ValueError:
@@ -182,36 +227,54 @@ class PartitionResult:
     cross_validation: float  # raw_total / L, matching the known-noise panel
 
 
+def _unchecked(cls, **fields):
+    """The frozen dataclass ``cls`` holding ``fields``, built without its ``__init__``.
+
+    For values the caller has formed and checked itself, as
+    ``DetectorReport._unchecked`` builds reports.
+    """
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class _FoldPlan:
     """Rounds of independent folds over L leaves, reusable for any leaf states.
 
-    The states sit in ``n_rows`` rows, the leaves' and then the internal
-    nodes'.  ``levels`` holds
-    one entry per round: the rows it writes, the (folds, 2) rows of each
-    fold's upper and lower group, all read before any is written, and the
-    span of its folds among the plan's ``n_folds``, in round order.  A tree's
-    plan writes internal node k to row L + k, in post-order, one round per
-    height less one, and ``nodes`` holds each internal node's left and right
-    leaves.  The daisy chain's prefix scan (:func:`_scan_plan`) has no nodes
-    and writes over its L rows.
+    The states sit in the slots of one buffer: the leaves' in slots
+    0..L-1, and fold f writes the merged group's block into slot L + 2f
+    (R11 when the factors fold, R12 when the coordinates do) and the
+    coordinates' dropped rows Y into slot L + 2f + 1.  ``levels`` holds one
+    entry per round: the (folds, 2) slots of each fold's upper and lower
+    group, all read before any is written, and the span of its folds among
+    the plan's ``n_folds``, in round order, so a round writes one contiguous
+    run of slots.  A tree's
+    plan has one round per height less one; ``nodes`` holds each internal
+    node's left and right leaves, in post-order, and ``node_folds`` the
+    fold of each.  The daisy chain's prefix scan (:func:`_scan_plan`) has no
+    nodes, and ``prefix_slots`` holds the slot of each prefix's state.
     """
 
     n_leaves: int
-    n_rows: int
-    nodes: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     n_folds: int
-    levels: tuple[tuple[np.ndarray, np.ndarray, slice], ...]
+    levels: tuple[tuple[np.ndarray, slice], ...]
+    nodes: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
+    node_folds: np.ndarray | None = None
+    prefix_slots: np.ndarray | None = None
 
     @classmethod
-    def of_rounds(cls, n_leaves: int, nodes: tuple,
-                  rounds: list[tuple[np.ndarray, np.ndarray]]) -> _FoldPlan:
-        """The plan of ``rounds``, each its (rows, pairs), with their spans."""
+    def of_rounds(cls, n_leaves: int, rounds: list[np.ndarray], **walk) -> _FoldPlan:
+        """The plan of ``rounds``, each its (folds, 2) input slots, with their spans."""
         levels, start = [], 0
-        for rows, pairs in rounds:
-            levels.append((rows, pairs, slice(start, start + len(rows))))
-            start += len(rows)
-        return cls(n_leaves, n_leaves + len(nodes), nodes, start, tuple(levels))
+        for slots in rounds:
+            levels.append((slots, slice(start, start + len(slots))))
+            start += len(slots)
+        return cls(n_leaves, start, tuple(levels), **walk)
+
+    @property
+    def n_slots(self) -> int:
+        return self.n_leaves + 2 * self.n_folds
 
 
 @dataclass(frozen=True)
@@ -219,10 +282,12 @@ class _FoldBases:
     """The constants of one plan's folds over one channel set.
 
     Keyed by the plan and by the shape and bytes of the leaves' stacked
-    (L, J, J) factors.  ``adjoints`` holds, per round, the (folds, 2J, 2J)
-    adjoints U^H of the complete QRs [F_a; F_b] = U [R11; 0] of the round's
-    stacked factors, and ``singular_values`` the (folds, J) singular values
-    of every fold's R11, which the rank gate reads.
+    (L, J, J) factors: a message set's, stacked per call, or the kept
+    read-only stack of :class:`_LeafBases`.  ``adjoints`` holds, per round,
+    the (folds, 2J, 2J) adjoints U^H of the complete QRs
+    [F_a; F_b] = U [R11; 0] of the round's stacked factors, and
+    ``singular_values`` the (folds, J) singular values of every fold's R11,
+    which the rank gate reads.
     """
 
     plan: _FoldPlan
@@ -249,26 +314,26 @@ def _plan_tree(tree: PartitionTree, n: int) -> _FoldPlan:
     A node is a leaf index (any integer :func:`operator.index` accepts, but
     not a bool) or a pair of nodes, and the leaves are a permutation of
     0..L-1 (ConfigError).  The walk keeps its own stack, as a chain is L
-    levels deep; ``_FOLD`` marks a fold.
+    levels deep; ``_FOLD`` marks a fold.  It names a group by its leaf or,
+    for internal node k, by L + k; once the folds are numbered round by
+    round, node k's state is in slot L + 2 fold(k).
     """
     leaves: list[int] = []
     nodes: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    levels: list[tuple[list[int], list[tuple[int, int]]]] = []
-    groups: list[tuple[int, tuple[int, ...], int]] = []  # (row of states, leaves, height)
+    levels: list[list[tuple[int, int, int]]] = []  # per height: (node, left group, right group)
+    groups: list[tuple[int, tuple[int, ...], int]] = []  # (group, leaves, height)
     pending: list[PartitionTree | object] = [tree]
     while pending:
         node = pending.pop()
         if node is _FOLD:
-            (row_r, leaves_r, height_r), (row_l, leaves_l, height_l) = groups.pop(), groups.pop()
+            (group_r, leaves_r, height_r), (group_l, leaves_l, height_l) = (groups.pop(),
+                                                                            groups.pop())
             level = max(height_l, height_r)
             if level == len(levels):
-                levels.append(([], []))
-            rows, children = levels[level]
-            row = n + len(nodes)
-            rows.append(row)
-            children.append((row_l, row_r))
+                levels.append([])
+            levels[level].append((len(nodes), group_l, group_r))
+            groups.append((n + len(nodes), leaves_l + leaves_r, level + 1))
             nodes.append((leaves_l, leaves_r))
-            groups.append((row, leaves_l + leaves_r, level + 1))
         elif isinstance(node, tuple) and len(node) == 2:
             pending += [_FOLD, node[1], node[0]]
         else:
@@ -280,8 +345,16 @@ def _plan_tree(tree: PartitionTree, n: int) -> _FoldPlan:
     leaves.sort()
     if leaves != list(range(n)):
         raise ConfigError(f"tree leaves {leaves} are not a permutation of 0..{n - 1}")
-    return _FoldPlan.of_rounds(n, tuple(nodes), [(np.array(rows), np.array(children))
-                                                 for rows, children in levels])
+    folds = [k for level in levels for k, _, _ in level]  # the nodes in fold order
+    node_folds = np.empty(len(nodes), dtype=np.intp)
+    node_folds[folds] = np.arange(len(nodes))
+
+    def slot(group: int) -> int:
+        return group if group < n else n + 2 * int(node_folds[group - n])
+
+    return _FoldPlan.of_rounds(
+        n, [np.array([(slot(left), slot(right)) for _, left, right in level]) for level in levels],
+        nodes=tuple(nodes), node_folds=node_folds)
 
 
 @functools.lru_cache(maxsize=8)
@@ -293,32 +366,34 @@ def _scan_plan(n: int) -> _FoldPlan:
     whose tail is the sum of the fold terms inside them, and ceil(log2 L)
     rounds leave entry k holding prefix 0..k.
     """
-    levels = []
-    shift = 1
+    where = list(range(n))  # the slot of each entry's state
+    rounds = []
+    folds, shift = 0, 1
     while shift < n:
-        rows = np.arange(shift, n)
-        levels.append((rows, np.stack((rows - shift, rows), axis=1)))
+        rounds.append(np.array([(where[k - shift], where[k]) for k in range(shift, n)]))
+        where[shift:] = range(n + 2 * folds, n + 2 * (folds + n - shift), 2)
+        folds += n - shift
         shift *= 2
-    return _FoldPlan.of_rounds(n, (), levels)
+    return _FoldPlan.of_rounds(n, rounds, prefix_slots=np.array(where))
 
 
 def _fold_bases(plan: _FoldPlan, factors: np.ndarray) -> _FoldBases:
     """Fold the leaves' stacked (L, J, J) ``factors`` over ``plan``: its constants.
 
     Each round is one batched complete QR of its (folds, 2J, J) stacked
-    factors, whose R11 is the merged factor the next rounds read, and one
-    batched SVD takes the singular values of every R11.  On gated factors
-    the gate cannot trip except by rounding: cond([A; B]) <= max(cond A,
-    cond B), by the mediant inequality on lambda_max / lambda_min of
-    A^H A + B^H B.  It is kept as a guard.
+    factors, whose R11, written to slot L + 2f of each fold f, is the merged
+    factor the next rounds read, and one batched SVD takes the singular
+    values of every R11.  On gated factors the gate cannot trip except by
+    rounding: cond([A; B]) <= max(cond A, cond B), by the mediant inequality
+    on lambda_max / lambda_min of A^H A + B^H B.  It is kept as a guard.
     """
     n, j = factors.shape[:2]
-    states = np.empty((plan.n_rows, j, j), dtype=complex)
-    states[:n] = factors
+    slots = np.empty((plan.n_slots, j, j), dtype=complex)
+    slots[:n] = factors
     adjoints, merged = [], []
-    for rows, pairs, _ in plan.levels:
-        q, r = np.linalg.qr(states[pairs].reshape(len(rows), 2 * j, j), mode="complete")
-        states[rows] = r11 = r[:, :j]
+    for pairs, span in plan.levels:
+        q, r = np.linalg.qr(slots[pairs].reshape(len(pairs), 2 * j, j), mode="complete")
+        slots[n::2][span] = r11 = r[:, :j]
         merged.append(r11)
         adjoints.append(np.ascontiguousarray(q.conj().swapaxes(-1, -2)))
     s = (np.linalg.svd(np.concatenate(merged), compute_uv=False) if merged
@@ -334,11 +409,12 @@ def _fold(plan: _FoldPlan, factors: np.ndarray, coords: np.ndarray,
     for ``plan`` from factors of the same shape and bytes and rebuilt
     (:func:`_fold_bases`) otherwise.  The rank gate of
     :func:`~glrfusion.linalg.orthonormal_basis` runs on their singular values
-    on every call (RankDeficiencyError).  Each round is one batched product
-    [R12; Y] = U^H [C_a; C_b] of its (folds, 2J, 2J) adjoints with its
-    stacked coordinates: R12 is the merged coordinates, and ||Y||^2 / M,
-    formed directly, is the fold's term.  The (n_folds,) terms are in round
-    order, each round's at its span, from one energy pass.
+    on every call (RankDeficiencyError).  Each round gathers its slot pairs
+    and takes one batched product [R12; Y] = U^H [C_a; C_b] with its
+    (folds, 2J, 2J) adjoints, straight into its run of slots: R12 is the
+    merged coordinates, and ||Y||^2 / M, formed directly, is the fold's
+    term.  The (n_folds,) terms, in round order, come from one energy pass
+    over the Y slots.
     """
     bases = last
     if (bases is None or bases.plan is not plan or bases.shape != factors.shape
@@ -346,12 +422,11 @@ def _fold(plan: _FoldPlan, factors: np.ndarray, coords: np.ndarray,
         bases = _fold_bases(plan, factors)
     require_full_rank(bases.singular_values, "fused channel")
     n, j, m = coords.shape
-    states = np.empty((plan.n_rows, j, m), dtype=complex)
-    states[:n] = coords
-    folded = np.empty((plan.n_folds, 2 * j, m), dtype=complex)
-    for (rows, pairs, span), adjoint in zip(plan.levels, bases.adjoints):
-        z = np.matmul(adjoint, states[pairs].reshape(len(rows), 2 * j, m), out=folded[span])
-        states[rows] = z[:, :j]
+    slots = np.empty((plan.n_slots, j, m), dtype=complex)
+    slots[:n] = coords
+    folded = slots[n:].reshape(plan.n_folds, 2 * j, m)
+    for (pairs, span), adjoint in zip(plan.levels, bases.adjoints):
+        np.matmul(adjoint, slots[pairs].reshape(len(pairs), 2 * j, m), out=folded[span])
     return bases, energy(folded[:, j:]) / m
 
 
@@ -375,11 +450,8 @@ def _fold_tree(factors: np.ndarray, coords: np.ndarray,
         plan = _plan_tree(tree, n)
         _last_plan = (tree, plan)
     _last_tree_bases, terms = _fold(plan, factors, coords, _last_tree_bases)
-    by_row = np.empty(plan.n_rows)  # a leaf's is unused
-    for rows, _, span in plan.levels:
-        by_row[rows] = terms[span]
-    return [PartitionStep(left, right, term)
-            for (left, right), term in zip(plan.nodes, by_row[n:].tolist())]
+    return [_unchecked(PartitionStep, left=left, right=right, term=term)
+            for (left, right), term in zip(plan.nodes, terms[plan.node_folds].tolist())]
 
 
 def partition_cv(channels: Sequence[ChannelModel], ms: MeasurementSet,
@@ -389,19 +461,16 @@ def partition_cv(channels: Sequence[ChannelModel], ms: MeasurementSet,
     Each internal node adds the tail of its two groups' stacked whitened
     coordinates outside the span of their stacked factors; the totals are
     invariant to the tree shape.  The channels' states are built in one
-    pass, as :func:`channel_message` builds one channel's, and the nodes of
-    one height fold in one batched product, through constants kept for the
-    last tree object and channel factors.
+    pass, as :func:`channel_message` builds one channel's, from leaf
+    constants kept for the last channel set, and the nodes of one height
+    fold in one batched product, through constants kept for the last tree
+    object and channel factors.
     """
     check_channels(channels, ms.channel_dims)
-    factors, coords = _leaves(channels, ms.blocks)
-    steps = _fold_tree(np.array(factors), coords, tree)
+    steps = _fold_tree(*_leaves(channels, ms.blocks), tree)
     raw_total = float(sum(s.term for s in steps))
-    return PartitionResult(
-        steps=tuple(steps),
-        raw_total=raw_total,
-        cross_validation=raw_total / len(channels),
-    )
+    return _unchecked(PartitionResult, steps=tuple(steps), raw_total=raw_total,
+                      cross_validation=raw_total / len(channels))
 
 
 @dataclass(frozen=True)
@@ -410,9 +479,10 @@ class ChannelMessage:
 
     The channel's whitened row-1 summary: the nonsingular J x J ``factor``
     (g_l / sigma_l) R_l and the J x M ``coordinates`` Q_l^H X_l / sigma_l,
-    with H_l = Q_l R_l.  A message built or loaded from outside is checked
-    here, and its factor passes the rank gate of
-    :func:`~glrfusion.linalg.orthonormal_basis`; :func:`channel_message`
+    with H_l = Q_l R_l, both read-only.  A message built or loaded from
+    outside is checked here and holds copies of the caller's arrays, so
+    changing them later cannot reach it; its factor passes the rank gate of
+    :func:`~glrfusion.linalg.orthonormal_basis`.  :func:`channel_message`
     makes its own cheaper checks and skips these.
     """
 
@@ -420,8 +490,8 @@ class ChannelMessage:
     coordinates: np.ndarray
 
     def __post_init__(self):
-        factor = as_complex_matrix(self.factor, "message factor")
-        coords = as_complex_matrix(self.coordinates, "message coordinates")
+        factor = _read_only_copy(as_complex_matrix(self.factor, "message factor"))
+        coords = _read_only_copy(as_complex_matrix(self.coordinates, "message coordinates"))
         j, m = coords.shape
         if j == 0 or m == 0:
             raise DimensionError(f"message coordinates are empty: (J, M) = {coords.shape}")
@@ -437,10 +507,7 @@ class ChannelMessage:
 
         :func:`channel_message` passes the leaf it has built and gated.
         """
-        msg = object.__new__(cls)
-        object.__setattr__(msg, "factor", factor)
-        object.__setattr__(msg, "coordinates", coordinates)
-        return msg
+        return _unchecked(cls, factor=factor, coordinates=coordinates)
 
     @property
     def statistic(self) -> float:
@@ -452,17 +519,27 @@ class ChannelMessage:
         return self.coordinates.shape[1]
 
 
+def _read_only_copy(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``a``."""
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
 def channel_message(channel: ChannelModel, x_block, n_snapshots: int) -> ChannelMessage:
     """Build the fusion message for one channel from its local data.
 
     The data must be a finite N_l x ``n_snapshots`` matrix.  The message's
-    factor and coordinates are the channel's leaf, built and gated as
-    :func:`partition_cv` builds every channel's leaf; its factor is the
-    channel's read-only :attr:`~glrfusion.channel.ChannelModel.whitened_coupling`.
-    The block is not scanned for non-finite entries up front: they make the
-    leaf's energy non-finite, and only when the leaf fails is the block
-    checked, so a non-finite block raises ValueError after the shape checks
-    and before the leaf's own errors.
+    factor is the channel's read-only
+    :attr:`~glrfusion.channel.ChannelModel.whitened_coupling`, and its
+    coordinates, marked read-only, come from the channel's cached adjoint
+    basis in one (1, J, N) @ (1, N, M) product and one division by sigma,
+    the kernels :func:`partition_cv`'s leaves use, so the two are the same
+    bits; one energy catches an overflow, as there.  The block is not
+    scanned for non-finite entries up front: they make the leaf's energy
+    non-finite, and only when the leaf fails is the block checked, so a
+    non-finite block raises ValueError after the shape checks and before the
+    leaf's own errors.
     """
     x = as_complex_matrix(x_block, "channel data", finite=False)
     if x.shape[0] != channel.n_samples:
@@ -474,11 +551,34 @@ def channel_message(channel: ChannelModel, x_block, n_snapshots: int) -> Channel
     if n_snapshots == 0:
         raise DimensionError(f"message coordinates are empty: (J, M) = ({channel.n_modes}, 0)")
     try:
-        factors, coords = _leaves([channel], [x])
+        factor = channel.whitened_coupling
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+            coords = channel.adjoint_basis[None] @ x[None]
+            coords /= channel.noise_sigma
+            if not math.isfinite(np.vdot(coords, coords).real):
+                raise _overflow(coords)
     except (ValueError, RankDeficiencyError):
         require_finite(x, "channel data")
         raise
-    return ChannelMessage._unchecked(factors[0], coords[0])
+    coords = coords[0]
+    coords.flags.writeable = False
+    return ChannelMessage._unchecked(factor, coords)
+
+
+@functools.lru_cache(maxsize=8)
+def _prefix_weights(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The daisy chain's bookkeeping over ``n`` channels, read-only.
+
+    Each prefix's channel count k, and the (L, L) mask and weights of
+    report k, zero-padded to L, in row k - 1: 1 and 1/k on its first k
+    entries.
+    """
+    counts = np.arange(1, n + 1)
+    prefix = counts[:, None] >= counts
+    weights = prefix / counts[:, None]
+    for a in (counts, prefix, weights):
+        a.flags.writeable = False
+    return counts, prefix, weights
 
 
 def daisy_chain_fuse(messages: Sequence[ChannelMessage]) -> list[DetectorReport]:
@@ -491,10 +591,11 @@ def daisy_chain_fuse(messages: Sequence[ChannelMessage]) -> list[DetectorReport]
     of one batched product, through constants kept for the last message
     factors, each prefix's value a sum of directly formed fold terms.  The
     statistics come from one energy pass over the stacked coordinates, and
-    the L reports' decompositions are checked in one batch.  Raises
-    ProtocolError for an empty sequence, an entry that is not a
-    :class:`ChannelMessage`, or messages of different shapes (J, M), and
-    ValueError when the energy of a message's coordinates overflows.
+    the L reports' decompositions are checked in one batch; each report's
+    arrays are rows of matrices made for the call.  Raises ProtocolError
+    for an empty sequence, an entry that is not a :class:`ChannelMessage`,
+    or messages of different shapes (J, M), and ValueError when the energy
+    of a message's coordinates overflows.
     """
     global _last_chain_bases
     msgs = list(messages)
@@ -516,15 +617,13 @@ def daisy_chain_fuse(messages: Sequence[ChannelMessage]) -> list[DetectorReport]
     plan = _scan_plan(n)
     _last_chain_bases, terms = _fold(plan, np.array([msg.factor for msg in msgs]), coords,
                                      _last_chain_bases)
-    raw = np.zeros(n)
-    for rows, pairs, span in plan.levels:
-        raw[rows] = raw[pairs[:, 0]] + raw[rows] + terms[span]
-    counts = np.arange(1, n + 1)
-    cvs = raw / counts
+    by_slot = np.zeros(plan.n_slots)  # each group's raw cross-validation; a leaf's is 0
+    for pairs, span in plan.levels:
+        by_slot[n::2][span] = by_slot[pairs[:, 0]] + by_slot[pairs[:, 1]] + terms[span]
+    counts, prefix, weights = _prefix_weights(n)
+    cvs = by_slot[plan.prefix_slots] / counts
     composites = np.cumsum(stats) / counts - cvs
-    # Report k's weights and statistics, zero-padded to L: row k - 1 of each.
-    prefix = counts[:, None] >= counts
-    alphas, per_channel = prefix / counts[:, None], prefix * stats
+    alphas, per_channel = weights.copy(), prefix * stats
     check_decomposition(composites, alphas, per_channel, cvs)
     return [DetectorReport._unchecked(composite, alphas[k, :k + 1], per_channel[k, :k + 1],
                                       cv, _P11)

@@ -60,13 +60,18 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def report_values(reports):
+    """Every value of each report in a list, for a bitwise comparison."""
+    return [(r.composite, r.cross_validation, r.per_channel, r.alphas) for r in reports]
+
+
 def fused_values(channels, ms, tree):
     """Every message, daisy-chain report value and partition step of one data set."""
     msgs = messages_for(channels, ms)
     reports = daisy_chain_fuse(msgs)
     result = partition_cv(channels, ms, tree)
     return ([(msg.factor, msg.coordinates) for msg in msgs],
-            [(r.composite, r.cross_validation, r.per_channel, r.alphas) for r in reports],
+            report_values(reports),
             [(step.left, step.right, step.term) for step in result.steps],
             result.raw_total)
 
@@ -519,8 +524,9 @@ class TestMessageValidation:
 
 
 def forget_fold_bases() -> None:
-    """Drop the fold constants both entry points keep, so that their next calls are cold."""
-    fusion._last_tree_bases = fusion._last_chain_bases = None
+    """Drop the fold constants both entry points keep, and partition_cv's leaf
+    constants, so that their next calls are cold."""
+    fusion._last_tree_bases = fusion._last_chain_bases = fusion._last_leaf_bases = None
 
 
 def count_linalg_calls(monkeypatch, call) -> dict[str, int]:
@@ -713,6 +719,85 @@ class TestFoldPlan:
             ((0,), (2,)), ((1,), (3,)), ((0, 2), (1, 3))]
 
 
+class TestLeafBases:
+    """partition_cv keeps its leaf constants for the last channel set, matched by identity."""
+
+    def test_kept_leaf_constants_follow_channel_identity(self, rng, monkeypatch):
+        dims = (6, 4, 6, 5)  # three block shapes
+        a, b = ([random_channel(rng, n, 2) for n in dims] for _ in range(2))
+        rebuilt = [ChannelModel(matrix=ch.matrix, gain=ch.gain, noise_variance=ch.noise_variance)
+                   for ch in a]
+        ms = simulate(a, 4, seed=3, amplitudes=complex_normal(rng, (2, 4)))
+        tree = balanced_tree(4)
+
+        def values(chans):
+            result = partition_cv(chans, ms, tree)
+            return [(s.left, s.right, s.term) for s in result.steps], result.raw_total
+        cold = {}
+        for name, chans in (("a", a), ("b", b)):
+            forget_fold_bases()
+            cold[name] = values(chans)
+        builds = []
+
+        def counted(channels, _leaf_bases=fusion._leaf_bases):
+            builds.append(len(channels))
+            return _leaf_bases(channels)
+        monkeypatch.setattr(fusion, "_leaf_bases", counted)
+        for chans, name, built in [(a, "a", 1), (b, "b", 1), (a, "a", 1), (list(a), "a", 0),
+                                   (rebuilt, "a", 1), (rebuilt, "a", 0), (a[:3], None, 1)]:
+            builds.clear()
+            if name is None:  # a prefix of the kept set is another set
+                partition_cv(chans, MeasurementSet(ms.blocks[:3]), balanced_tree(3))
+            else:
+                assert same_bits(values(chans), cold[name]), name
+            assert len(builds) == built, (name, builds)
+
+    def test_set_with_a_failing_channel_is_not_kept(self, rng):
+        chans, ms = random_instance(rng, n_channels=3, n_modes=2)
+        tree = balanced_tree(3)
+        good = partition_cv(chans, ms, tree)
+        kept = fusion._last_leaf_bases
+        failing = list(chans)  # channel 1's gain / sigma underflows its factor
+        failing[1] = ChannelModel(matrix=chans[1].matrix, gain=1e-310, noise_variance=1.0)
+        for _ in range(2):
+            with pytest.raises(RankDeficiencyError, match="underflows"):
+                partition_cv(failing, ms, tree)
+            assert fusion._last_leaf_bases is kept
+        assert partition_cv(chans, ms, tree) == good
+
+
+class TestSlotPlans:
+    """Each fold reads slots written before its round: a leaf's or an earlier fold's group."""
+
+    @staticmethod
+    def check(plan):
+        n, written = plan.n_leaves, set(range(plan.n_leaves))
+        for pairs, span in plan.levels:
+            assert pairs.shape == (span.stop - span.start, 2)
+            assert set(pairs.ravel().tolist()) <= written
+            written |= {n + 2 * f for f in range(span.start, span.stop)}
+        assert plan.n_slots == n + 2 * plan.n_folds
+        return [pair for pairs, _ in plan.levels for pair in pairs.tolist()]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_tree_reads_each_group_once(self, n):
+        for tree in (chain_tree(n), balanced_tree(n)):
+            plan = fusion._plan_tree(tree, n)
+            reads = [slot for pair in self.check(plan) for slot in pair]
+            assert sorted(reads) == sorted([*range(n), *(n + 2 * f for f in range(n - 2))]
+                                           if n > 1 else [])
+            assert sorted(plan.node_folds.tolist()) == list(range(n - 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_scan_ends_each_prefix_in_its_slot(self, n):
+        plan = fusion._scan_plan(n)
+        pairs = self.check(plan)
+        assert plan.prefix_slots[0] == 0
+        assert len(pairs) == plan.n_folds
+        if n > 1:  # the last fold that writes entry k leaves prefix k in its even slot
+            assert plan.prefix_slots[-1] == n + 2 * (plan.n_folds - 1)
+
+
 class TestFoldBases:
     """Each entry point folds a channel set's factors once and keeps the constants by value."""
 
@@ -746,18 +831,27 @@ class TestFoldBases:
         assert count_linalg_calls(monkeypatch, lambda: partition_cv(chans, ms, tree)) == {
             "qr": 3, "svd": 1}
 
-    def test_factor_changed_in_place_gives_the_cold_values(self, rng):
+    def test_arrays_changed_after_construction_leave_the_reports(self, rng):
+        # A message keeps read-only copies of the caller's arrays, so writing
+        # into them afterwards, a nan included, reaches no check and no report.
         chans, ms = random_instance(rng, n_channels=4, n_modes=2)
         msgs = messages_for(chans, ms)
-        factor = np.array(msgs[2].factor)  # writable, and kept by the message as it is
-        msgs[2] = ChannelMessage(factor=factor, coordinates=msgs[2].coordinates)
-        assert msgs[2].factor is factor
-        before = self.daisy_values(msgs)
-        factor *= 1.5
-        warm = self.daisy_values(msgs)
+        expected = report_values(daisy_chain_fuse(msgs))
+        factor, coords = np.array(msgs[2].factor), np.array(msgs[2].coordinates)
+        msgs[2] = ChannelMessage(factor=factor, coordinates=coords)
+        assert not (msgs[2].factor.flags.writeable or msgs[2].coordinates.flags.writeable)
+        factor[0, 0] = np.nan
+        coords *= 1.5
         forget_fold_bases()
-        assert same_bits(warm, self.daisy_values(msgs))
-        assert not same_bits(warm, before)
+        assert same_bits(report_values(daisy_chain_fuse(msgs)), expected)
+        assert same_bits(report_values(daisy_chain_fuse(msgs)), expected)
+
+    def test_channel_message_arrays_are_read_only(self, rng):
+        chans, ms = random_instance(rng, n_channels=2, n_modes=2)
+        for msg in messages_for(chans, ms):
+            for a in (msg.factor, msg.coordinates):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0, 0] = 0.0
 
     def test_alternating_sets_each_give_their_cold_bits(self, rng):
         sets = [random_instance(rng, n_channels=5, n_modes=2, n_snapshots=6) for _ in range(2)]
